@@ -9,6 +9,7 @@ from .bounds import (BoundReport, InternalsReport, beta_free_discrepancy,
                      discrepancy_norm, generic_corollary_bound, lemma_opt,
                      proof_internals, recovery_chain, recovery_discrepancy,
                      renyi_bound, theorem_bound)
+from .context import PairContext
 from .entropy import (EntropyValue, gap, integral_reconstruction, power_quasi,
                       reconstruct_gap, renyi, renyi_gap, s_f, s_t, umegaki)
 from .errors import (DomainError, InvalidInput, NotNormalized, NotPSD,
@@ -31,7 +32,7 @@ __all__ = [
     "BoundReport", "DensityMatrix", "DomainError", "EntropyValue",
     "ExperimentConfig", "InternalsReport", "InvalidInput",
     "MonotoneDecreasingRep", "NotNormalized", "NotPSD", "NotRegular",
-    "NumericalFailure", "PetzChannel", "PetzGapError",
+    "NumericalFailure", "PairContext", "PetzChannel", "PetzGapError",
     "RelativeModularOperator", "SamplerConfig", "SpecInconsistent",
     "SpectralDecomposition", "SubalgebraSpec", "TrialRecord", "Unsupported",
     "apply_function", "beta_free_discrepancy", "build", "build_petz",

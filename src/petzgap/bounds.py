@@ -13,10 +13,16 @@ T-family of right-hand sides; optimizing over T (lemma_opt) inverts into
 gap >= K * disc^E (the corollary bounds); disc controls the Petz recovery
 errors (recovery_chain); Renyi divergences ride on the power corollary.
 
+Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
+the context computes each quantity of the triple once, caches it for the
+one trial it is built for, and the bounds read from it. discrepancy_norm and
+recovery_discrepancy stay as standalone functions of raw states.
+
 Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
 the margins dict (everything else is recorded in constants/rhs_values and
-explained by flags).
+explained by flags). gap_margin turns a gap into its margin and the
+infinite-gap flag.
 """
 
 from __future__ import annotations
@@ -28,13 +34,13 @@ import numpy as np
 
 from . import entropy, modular
 from .algebra import SubalgebraSpec, conditional_expectation
+from .context import PairContext
 from .errors import InvalidInput, NotRegular, NumericalFailure
-from .linalg import hs_norm, psd_power, support_projector
+from .linalg import hs_norm
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
 from .quadrature import integrate_halfline
-from .recovery import recovery_errors
-from .states import DensityMatrix, make_density, stream
+from .states import stream
 
 SUPPORT_LEAK_TOL = 1e-12
 
@@ -77,14 +83,15 @@ class BoundReport:
         }
 
 
-def _pair(rho, sigma, spec: SubalgebraSpec):
-    r = rho if isinstance(rho, DensityMatrix) else make_density(rho)
-    s = sigma if isinstance(sigma, DensityMatrix) else make_density(sigma)
-    if r.dim != spec.dim or s.dim != spec.dim:
-        raise InvalidInput("state dimension does not match spec")
-    r_n = make_density(conditional_expectation(spec, r.matrix))
-    s_n = make_density(conditional_expectation(spec, s.matrix))
-    return r, s, r_n, s_n
+def gap_margin(key: str, g: float, rhs: float = 0.0) -> tuple[dict, list]:
+    """({key: g - rhs}, []) for a finite gap. An infinite gap holds any
+    lower bound (margin inf); a nan gap (both entropies infinite) asserts
+    nothing. Both carry the infinite-gap flag."""
+    if math.isinf(g):
+        return {key: math.inf}, [FLAG_INFINITE_GAP]
+    if math.isnan(g):
+        return {}, [FLAG_INFINITE_GAP]
+    return {key: g - rhs}, []
 
 
 def discrepancy_norm(beta: float, rho, sigma, spec: SubalgebraSpec) -> float:
@@ -92,11 +99,7 @@ def discrepancy_norm(beta: float, rho, sigma, spec: SubalgebraSpec) -> float:
     powers (rho^0 = support projector at b = 1/2)."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    r, s, r_n, s_n = _pair(rho, sigma, spec)
-    lhs = psd_power(s_n.matrix, beta) @ psd_power(r_n.matrix, -beta, pseudo=True) \
-        @ psd_power(r.matrix, 0.5)
-    rhs = psd_power(s.matrix, beta) @ psd_power(r.matrix, 0.5 - beta, pseudo=True)
-    return hs_norm(lhs - rhs)
+    return PairContext(rho, sigma, spec).discrepancy(beta)
 
 
 def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
@@ -107,10 +110,7 @@ def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
     projected beta = 1/2 discrepancy, and the two agree exactly when
     supp sigma lies inside supp rho.
     """
-    r, s, r_n, s_n = _pair(rho, sigma, spec)
-    lhs = psd_power(s_n.matrix, 0.5) @ psd_power(r_n.matrix, -0.5, pseudo=True) \
-        @ psd_power(r.matrix, 0.5)
-    return hs_norm(lhs - psd_power(s.matrix, 0.5))
+    return PairContext(rho, sigma, spec).recovery_discrepancy
 
 
 def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
@@ -132,11 +132,8 @@ def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
         return math.inf
     c_f = c_constant(rep, t, beta)
     first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
-    if beta <= 0.5:
-        return first * t ** (-beta) \
-            + t ** ((1.0 - 2.0 * beta + 2.0 * beta ** 2) / (2.0 * (1.0 - beta))) \
-            * math.sqrt(c_f) * math.sqrt(g)
-    return first * t ** (beta - 1.0) + t ** beta * math.sqrt(c_f) * math.sqrt(g)
+    k, n0 = _branch(beta)
+    return first * t ** (-k) + t ** n0 * math.sqrt(c_f) * math.sqrt(g)
 
 
 def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, float]:
@@ -187,34 +184,27 @@ def _t_star(cst: dict, big_c: float, g: float) -> float:
                      math.sqrt(big_c * g), cst["n"])[1]
 
 
-def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float, rho,
-                            sigma, spec: SubalgebraSpec) -> BoundReport:
+def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
+                            ctx: PairContext) -> BoundReport:
     """gap >= K_gap * disc^E using the rep's stored growth certificate
     (C, c). The certificate is only proven for T >= 1; a minimizer below 1
     is flagged rather than silently trusted."""
     if rep.growth is None:
         raise NotRegular(f"{rep.name} carries no growth certificate")
     big_c, growth_c = rep.growth
-    r, s, _, _ = _pair(rho, sigma, spec)
-    delta_norm = modular.operator_norm(modular.build(s, r))
-    g = entropy.gap(rep, r, s, spec)
-    disc = discrepancy_norm(beta, r, s, spec)
+    if not 0.0 < beta < 1.0:
+        raise InvalidInput("beta must lie in (0, 1)")
+    delta_norm = ctx.delta_norm
+    g = ctx.gap(rep)
+    disc = ctx.discrepancy(beta)
     cst = _generic_constants(big_c, growth_c, beta, delta_norm)
     t_star = _t_star(cst, big_c, g)
-    flags = []
+    rhs = cst["K_gap"] * disc ** cst["exponent"]
+    margins, flags = gap_margin("gap_lower_bound", g, rhs)
     if rep.c_closed is None:
         flags.append(FLAG_GRID_C)
     if t_star < 1.0:
         flags.append(FLAG_T_STAR_BELOW_ONE)
-    rhs = cst["K_gap"] * disc ** cst["exponent"]
-    margins = {}
-    if math.isinf(g):
-        flags.append(FLAG_INFINITE_GAP)
-        margins["gap_lower_bound"] = math.inf
-    elif math.isnan(g):
-        flags.append(FLAG_INFINITE_GAP)
-    else:
-        margins["gap_lower_bound"] = g - rhs
     return BoundReport(
         name=f"generic:{rep.name}",
         gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
@@ -228,7 +218,8 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float, rho,
     )
 
 
-def _log_printed(beta: float, delta_norm: float) -> tuple[float, float, str]:
+def log_corollary_constant(beta: float,
+                           delta_norm: float) -> tuple[float, float, str]:
     """Printed constant and exponent of the relative-entropy corollary."""
     sb = math.sin(beta * math.pi)
     if beta <= 0.5:
@@ -247,40 +238,30 @@ def _log_printed(beta: float, delta_norm: float) -> tuple[float, float, str]:
     return k_print, expo, "K_U"
 
 
-def corollary_log_bound(beta: float, rho, sigma,
-                        spec: SubalgebraSpec) -> BoundReport:
+def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
     """Relative-entropy gap lower bound with the printed closed-form
     constant; cross-checked against the generic optimization (C=1, c=0) to
     1e-9 relative."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    r, s, _, _ = _pair(rho, sigma, spec)
-    delta_norm = modular.operator_norm(modular.build(s, r))
-    g = entropy.gap(builtin_neg_log(), r, s, spec)
-    disc = discrepancy_norm(beta, r, s, spec)
-    k_print, expo, key = _log_printed(beta, delta_norm)
+    delta_norm = ctx.delta_norm
+    g = ctx.gap(builtin_neg_log())
+    disc = ctx.discrepancy(beta)
+    k_print, expo, key = log_corollary_constant(beta, delta_norm)
     cst = _generic_constants(1.0, 0.0, beta, delta_norm)
     if abs(cst["exponent"] - expo) > 1e-12 * expo or \
             abs(cst["K_gap"] - k_print) > 1e-9 * k_print:
         raise NumericalFailure("printed log constant disagrees with the "
                                "generic optimization")
     rhs = k_print * disc ** expo
-    flags = []
-    margins = {}
-    if math.isinf(g):
-        flags.append(FLAG_INFINITE_GAP)
-        margins["gap_lower_bound"] = math.inf
-    elif math.isnan(g):
-        flags.append(FLAG_INFINITE_GAP)
-    else:
-        margins["gap_lower_bound"] = g - rhs
+    margins, flags = gap_margin("gap_lower_bound", g, rhs)
     constants = {key: k_print, "K_generic": cst["K_gap"], "exponent": expo,
                  "T_star": _t_star(cst, 1.0, g)}
     if beta == 0.5:
         constants["K_log3"] = (math.pi / 4.0) ** 4 * (1.0 + delta_norm) ** (-2.0)
         if delta_norm > 0.0:
             try:
-                e_rho, _ = recovery_errors(r, s, spec)
+                e_rho, _ = ctx.recovery_errors
                 constants["CV_comparison_rhs"] = \
                     (1.0 / (8.0 * math.pi)) ** 4 * delta_norm ** (-2.0) * e_rho ** 4
             except (InvalidInput, NumericalFailure):
@@ -295,8 +276,8 @@ def corollary_log_bound(beta: float, rho, sigma,
     )
 
 
-def _power_printed(alpha: float, beta: float,
-                   delta_norm: float) -> tuple[float, float, float, float, str]:
+def power_corollary_constant(alpha: float, beta: float, delta_norm: float
+                             ) -> tuple[float, float, float, float, str]:
     """Printed constant, proof exponent, displayed exponent, effective
     growth exponent, and key for the power corollary."""
     sb = math.sin(beta * math.pi)
@@ -325,8 +306,8 @@ def _power_printed(alpha: float, beta: float,
     return k_print, expo, displayed, c_eff, "K_U"
 
 
-def corollary_power_bound(alpha: float, beta: float, rho, sigma,
-                          spec: SubalgebraSpec) -> BoundReport:
+def corollary_power_bound(alpha: float, beta: float,
+                          ctx: PairContext) -> BoundReport:
     """Power quasi-entropy gap lower bound, proof-derived exponent.
 
     The exponent asserted is (1 + a(1-b))/(b(1-b)) for b <= 1/2 and
@@ -340,12 +321,11 @@ def corollary_power_bound(alpha: float, beta: float, rho, sigma,
         raise InvalidInput("alpha must lie in (0, 1)")
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    rep = builtin_neg_power(alpha)
-    r, s, _, _ = _pair(rho, sigma, spec)
-    delta_norm = modular.operator_norm(modular.build(s, r))
-    g = entropy.gap(rep, r, s, spec)
-    disc = discrepancy_norm(beta, r, s, spec)
-    k_print, expo, displayed, c_eff, key = _power_printed(alpha, beta, delta_norm)
+    delta_norm = ctx.delta_norm
+    g = ctx.gap(builtin_neg_power(alpha))
+    disc = ctx.discrepancy(beta)
+    k_print, expo, displayed, c_eff, key = power_corollary_constant(
+        alpha, beta, delta_norm)
     big_c = math.pi / math.sin(alpha * math.pi)
     cst = _generic_constants(big_c, c_eff, beta, delta_norm)
     if abs(cst["exponent"] - expo) > 1e-12 * expo or \
@@ -353,15 +333,7 @@ def corollary_power_bound(alpha: float, beta: float, rho, sigma,
         raise NumericalFailure("printed power constant disagrees with the "
                                "generic optimization")
     rhs = k_print * disc ** expo
-    flags = []
-    margins = {}
-    if math.isinf(g):
-        flags.append(FLAG_INFINITE_GAP)
-        margins["gap_lower_bound"] = math.inf
-    elif math.isnan(g):
-        flags.append(FLAG_INFINITE_GAP)
-    else:
-        margins["gap_lower_bound"] = g - rhs
+    margins, flags = gap_margin("gap_lower_bound", g, rhs)
     t_star = _t_star(cst, big_c, g)
     if t_star < 1.0:
         flags.append(FLAG_T_STAR_BELOW_ONE)
@@ -377,7 +349,7 @@ def corollary_power_bound(alpha: float, beta: float, rho, sigma,
     )
 
 
-def renyi_bound(alpha: float, rho, sigma, spec: SubalgebraSpec) -> BoundReport:
+def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
     """Renyi-divergence gap bounds of order alpha in (0, 1).
 
     Three forms share the power-corollary constant K_U at order 1 - alpha,
@@ -399,11 +371,11 @@ def renyi_bound(alpha: float, rho, sigma, spec: SubalgebraSpec) -> BoundReport:
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
-    r, s, _, s_n = _pair(rho, sigma, spec)
-    delta_norm = modular.operator_norm(modular.build(s, r))
-    g = entropy.renyi_gap(alpha, r, s, spec)
-    disc = discrepancy_norm(0.5, r, s, spec)
-    k_u, expo, _, _, _ = _power_printed(1.0 - alpha, 0.5, delta_norm)
+    r, s = ctx.rho, ctx.sigma
+    delta_norm = ctx.delta_norm
+    g = ctx.renyi_gap(alpha)
+    disc = ctx.discrepancy(0.5)
+    k_u, expo, _, _, _ = power_corollary_constant(1.0 - alpha, 0.5, delta_norm)
     if abs(expo - (6.0 - 2.0 * alpha)) > 1e-12:
         raise NumericalFailure("Renyi exponent mismatch")
     rhs_disc = math.log1p(k_u * disc ** expo) / (1.0 - alpha)
@@ -413,7 +385,7 @@ def renyi_bound(alpha: float, rho, sigma, spec: SubalgebraSpec) -> BoundReport:
     flags = []
     if s.is_invertible:
         margins["renyi_disc"] = g - rhs_disc
-        e_rho, e_sigma = recovery_errors(r, s, spec)
+        e_rho, e_sigma = ctx.recovery_errors
         norm_rho = float(r.eigenvalues[0])
         norm_sig_inv = 1.0 / float(s.eigenvalues[-1])
         k_hat = 0.5 * k_u / math.sqrt(norm_rho * norm_sig_inv)
@@ -421,9 +393,7 @@ def renyi_bound(alpha: float, rho, sigma, spec: SubalgebraSpec) -> BoundReport:
         rhs_rec = math.log1p(k_hat * mx ** expo) / (1.0 - alpha)
         rhs_inv = (2.0 * math.sqrt(norm_rho * norm_sig_inv) / k_u) \
             * math.expm1((1.0 - alpha) * max(g, 0.0))
-        p_rho = support_projector(r.matrix)
-        leak = float(np.trace(s.matrix @ (np.eye(spec.dim) - p_rho)).real)
-        if leak <= SUPPORT_LEAK_TOL:
+        if ctx.support_leak <= SUPPORT_LEAK_TOL:
             margins["renyi_recovery"] = g - rhs_rec
             margins["renyi_inverted"] = rhs_inv - mx ** expo
         else:
@@ -432,7 +402,7 @@ def renyi_bound(alpha: float, rho, sigma, spec: SubalgebraSpec) -> BoundReport:
         rhs_values.update({"renyi_recovery": rhs_rec, "renyi_inverted": rhs_inv})
     else:
         flags.append(FLAG_SIGMA_SINGULAR)
-        if not np.all(np.asarray(s_n.eigenvalues) > 1e-10):
+        if not np.all(np.asarray(ctx.sigma_n.eigenvalues) > 1e-10):
             flags.append(FLAG_SIGMA_N_SINGULAR)
     return BoundReport(
         name=f"renyi:{alpha:g}",
@@ -444,7 +414,7 @@ def renyi_bound(alpha: float, rho, sigma, spec: SubalgebraSpec) -> BoundReport:
     )
 
 
-def recovery_chain(rho, sigma, spec: SubalgebraSpec) -> BoundReport:
+def recovery_chain(ctx: PairContext) -> BoundReport:
     """Recovery-error chain around the bare discrepancy
     d = || sigmaN^{1/2} rhoN^{-1/2} rho^{1/2} - sigma^{1/2} ||_2:
 
@@ -461,15 +431,14 @@ def recovery_chain(rho, sigma, spec: SubalgebraSpec) -> BoundReport:
     supp rho (where the bare and projected discrepancies agree); a support
     leak is flagged instead of asserted away.
     """
-    r, s, r_n, s_n = _pair(rho, sigma, spec)
-    e_rho, e_sigma = recovery_errors(r, s, spec)
-    disc_full = recovery_discrepancy(r, s, spec)
-    disc_pseudo = discrepancy_norm(0.5, r, s, spec)
-    p_rho = support_projector(r.matrix)
-    leak = float(np.trace(s.matrix @ (np.eye(spec.dim) - p_rho)).real)
+    r, s, r_n, s_n = ctx.rho, ctx.sigma, ctx.rho_n, ctx.sigma_n
+    e_rho, e_sigma = ctx.recovery_errors
+    disc_full = ctx.recovery_discrepancy
+    disc_pseudo = ctx.discrepancy(0.5)
+    leak = ctx.support_leak
     support_match = leak <= SUPPORT_LEAK_TOL
-    delta_norm = modular.operator_norm(modular.build(s, r))
-    g = entropy.gap(builtin_neg_log(), r, s, spec)
+    delta_norm = ctx.delta_norm
+    g = ctx.gap(builtin_neg_log())
     cst = _generic_constants(1.0, 0.0, 0.5, delta_norm)
     k_gap = cst["K_gap"]
     margins = {"rec_rho": 2.0 * disc_full - e_rho}
@@ -497,9 +466,7 @@ def recovery_chain(rho, sigma, spec: SubalgebraSpec) -> BoundReport:
         float(s.eigenvalues[0]) - float(s_n.eigenvalues[0]))
     if math.isinf(g):
         flags.append(FLAG_INFINITE_GAP)
-    leak_n = float(np.trace(
-        s_n.matrix @ (np.eye(spec.dim) - support_projector(r_n.matrix))).real)
-    if leak_n > SUPPORT_LEAK_TOL:
+    if ctx.support_leak_n > SUPPORT_LEAK_TOL:
         flags.append(FLAG_TRACE_LOSS)
     if support_match and not math.isnan(g):
         gg = max(g, 0.0)
@@ -525,18 +492,17 @@ def recovery_chain(rho, sigma, spec: SubalgebraSpec) -> BoundReport:
     )
 
 
-def beta_free_discrepancy(beta: float, rho, sigma,
-                          spec: SubalgebraSpec) -> BoundReport:
+def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
     """|| sigmaN^b rhoN^-b - sigma^b rho^-b ||_2 <= ||rho^{-1/2}|| disc(b),
     asserted for invertible rho only (pseudo-inverses break it otherwise)."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    r, s, r_n, s_n = _pair(rho, sigma, spec)
+    r = ctx.rho
     lhs = hs_norm(
-        psd_power(s_n.matrix, beta) @ psd_power(r_n.matrix, -beta, pseudo=True)
-        - psd_power(s.matrix, beta) @ psd_power(r.matrix, -beta, pseudo=True))
-    disc = discrepancy_norm(beta, r, s, spec)
-    delta_norm = modular.operator_norm(modular.build(s, r))
+        ctx.power("sigma_n", beta) @ ctx.power("rho_n", -beta)
+        - ctx.power("sigma", beta) @ ctx.power("rho", -beta))
+    disc = ctx.discrepancy(beta)
+    delta_norm = ctx.delta_norm
     margins = {}
     flags = []
     rhs = math.nan
@@ -591,8 +557,8 @@ def _resolvent(op: modular.RelativeModularOperator):
     return res, res_b
 
 
-def proof_internals(rep: MonotoneDecreasingRep, beta: float, rho, sigma,
-                    spec: SubalgebraSpec, t_grid=None) -> InternalsReport:
+def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
+                    t_grid=None) -> InternalsReport:
     """Check the internal objects the theorem's proof is built from.
 
     With w_t = U((t + DeltaN)^{-1} rhoN^{1/2}) - (t + Delta)^{-1} rho^{1/2}
@@ -608,11 +574,9 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, rho, sigma,
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    r, s, r_n, s_n = _pair(rho, sigma, spec)
-    op = modular.build(s, r)
-    op_n = modular.build(s_n, r_n)
-    sqrt_rho = psd_power(r.matrix, 0.5)
-    pinv_sqrt_rho_n = psd_power(r_n.matrix, -0.5, pseudo=True)
+    spec, op, op_n = ctx.spec, ctx.op, ctx.op_n
+    sqrt_rho = ctx.power("rho", 0.5)
+    pinv_sqrt_rho_n = ctx.power("rho_n", -0.5)
 
     def u_map(x):
         return conditional_expectation(spec, x) @ pinv_sqrt_rho_n @ sqrt_rho
@@ -650,12 +614,11 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, rho, sigma,
     for t in t_grid:
         wt = w_t_eval(t)
         nw = float(np.linalg.norm(wt))
-        gap_t = entropy.s_t(t, r, s, data=op) - entropy.s_t(t, r_n, s_n, data=op_n)
+        gap_t = entropy.s_t(t, ctx.rho, ctx.sigma, data=op) \
+            - entropy.s_t(t, ctx.rho_n, ctx.sigma_n, data=op_n)
         per_t = min(per_t, gap_t - t * nw * nw)
         decay = min(decay, 2.0 / t - nw)
-    target = psd_power(s_n.matrix, beta) \
-        @ psd_power(r_n.matrix, -beta, pseudo=True) @ sqrt_rho \
-        - psd_power(s.matrix, beta) @ psd_power(r.matrix, 0.5 - beta, pseudo=True)
+    target = ctx.discrepancy_matrix(beta)
     integral = integrate_halfline(lambda t: (t ** beta) * w_t(t),
                                   panel_tol=1e-9,
                                   far=lambda t: (t ** beta) * w_t_far(t))
@@ -666,9 +629,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, rho, sigma,
         zero_w = float(np.sum(op.weights[op.eigenvalues <= 0.0]))
         zero_w_n = float(np.sum(op_n.weights[op_n.eigenvalues <= 0.0]))
         if max(zero_w, zero_w_n) <= entropy.WEIGHT_TOL:
-            g_quad = entropy.reconstruct_gap(rep, r, s, spec)
-            g_direct = entropy.gap(rep, r, s, spec)
-            gap_residual = abs(g_quad - g_direct)
+            gap_residual = abs(ctx.reconstruct_gap(rep) - ctx.gap(rep))
     return InternalsReport(
         contraction_margin=contraction,
         per_t_gap_margin=per_t,

@@ -141,12 +141,12 @@ def power_trace(alpha: float, rho, sigma) -> float:
         psd_power(s.matrix, alpha) @ psd_power(r.matrix, 1.0 - alpha)).real)
 
 
-def renyi(alpha: float, rho, sigma) -> EntropyValue:
+def renyi(alpha: float, rho, sigma, data=None) -> EntropyValue:
     """Renyi divergence (1/(alpha-1)) log Tr[rho^alpha sigma^(1-alpha)]
     for alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
-    inner = -power_quasi(1.0 - alpha, rho, sigma).value
+    inner = -power_quasi(1.0 - alpha, rho, sigma, data=data).value
     if inner <= 0.0:
         raise NumericalFailure("power trace non-positive; states numerically "
                                "orthogonal")
@@ -155,25 +155,36 @@ def renyi(alpha: float, rho, sigma) -> EntropyValue:
                         diagnostics={"power_trace": inner})
 
 
-def gap(rep: MonotoneDecreasingRep, rho, sigma,
-        spec: SubalgebraSpec) -> float:
+def _pair_ops(rho, sigma, spec: SubalgebraSpec, data=None):
+    """data, or else the modular data of (rho, sigma) and of
+    (E(rho), E(sigma)) computed here."""
+    if data is not None:
+        return data
+    r, s = _as_density(rho), _as_density(sigma)
+    r_n = make_density(conditional_expectation(spec, r.matrix))
+    s_n = make_density(conditional_expectation(spec, s.matrix))
+    return modular.build(s, r), modular.build(s_n, r_n)
+
+
+def gap(rep: MonotoneDecreasingRep, rho, sigma, spec: SubalgebraSpec,
+        data=None) -> float:
     """S_f(rho||sigma) - S_f(E(rho)||E(sigma)), nonnegative by the data
     processing inequality. +inf when only the outer entropy is infinite,
-    nan when both are."""
-    outer = s_f(rep, rho, sigma)
-    r_n = make_density(conditional_expectation(spec, _as_density(rho).matrix))
-    s_n = make_density(conditional_expectation(spec, _as_density(sigma).matrix))
-    inner = s_f(rep, r_n, s_n)
+    nan when both are. data: the modular operators (of the pair, of its
+    image under E) when the caller already has them."""
+    op, op_n = _pair_ops(rho, sigma, spec, data)
+    outer = s_f(rep, rho, sigma, data=op)
+    inner = s_f(rep, None, None, data=op_n)
     if math.isinf(outer.value):
         return math.inf if not math.isinf(inner.value) else math.nan
     return outer.value - inner.value
 
 
-def renyi_gap(alpha: float, rho, sigma, spec: SubalgebraSpec) -> float:
-    outer = renyi(alpha, rho, sigma)
-    r_n = make_density(conditional_expectation(spec, _as_density(rho).matrix))
-    s_n = make_density(conditional_expectation(spec, _as_density(sigma).matrix))
-    return outer.value - renyi(alpha, r_n, s_n).value
+def renyi_gap(alpha: float, rho, sigma, spec: SubalgebraSpec,
+              data=None) -> float:
+    op, op_n = _pair_ops(rho, sigma, spec, data)
+    return renyi(alpha, rho, sigma, data=op).value \
+        - renyi(alpha, None, None, data=op_n).value
 
 
 def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
@@ -187,7 +198,7 @@ def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
 
 
 def integral_reconstruction(rep: MonotoneDecreasingRep, rho, sigma,
-                            tol: float = 1e-6) -> float:
+                            tol: float = 1e-6, data=None) -> float:
     """Rebuild S_f from the resolvent family:
 
         S_f = -b + integral_0^inf ( S_t - t/(t^2+1) ) w(t) dt.
@@ -200,7 +211,7 @@ def integral_reconstruction(rep: MonotoneDecreasingRep, rho, sigma,
     whose terms each decay like 1/t^2, keeping the half-line quadrature
     stable against the w(t) ~ t^alpha growth of power densities.
     """
-    op = _joint(rho, sigma)
+    op = _joint(rho, sigma, data)
     _check_reconstructible(rep, op)
     e, w = op.eigenvalues, op.weights
     # For unit-trace states sum w = 1 exactly; the float excess (~1e-16) would
@@ -223,17 +234,13 @@ def integral_reconstruction(rep: MonotoneDecreasingRep, rho, sigma,
 
 
 def reconstruct_gap(rep: MonotoneDecreasingRep, rho, sigma,
-                    spec: SubalgebraSpec, tol: float = 1e-6) -> float:
+                    spec: SubalgebraSpec, tol: float = 1e-6,
+                    data=None) -> float:
     """Gap rebuilt as integral_0^inf (S_t(rho||sigma) -
     S_t(E(rho)||E(sigma))) w(t) dt; the constant terms of the two
-    reconstructions cancel."""
-    r = _as_density(rho)
-    s = _as_density(sigma)
-    op = modular.build(s, r)
+    reconstructions cancel. data as for gap."""
+    op, op_n = _pair_ops(rho, sigma, spec, data)
     _check_reconstructible(rep, op)
-    r_n = make_density(conditional_expectation(spec, r.matrix))
-    s_n = make_density(conditional_expectation(spec, s.matrix))
-    op_n = modular.build(s_n, r_n)
     _check_reconstructible(rep, op_n)
 
     e_f, w_f = op.eigenvalues, op.weights

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, entropy, modular
+from . import bounds, entropy
 from .algebra import (SubalgebraSpec, factor_spec, full_spec, pinching_spec,
                       trivial_spec)
-from .errors import InvalidInput, NumericalFailure, PetzGapError, Unsupported
+from .context import PairContext
+from .errors import InvalidInput, NumericalFailure, Unsupported
 from .monotone import builtin_neg_log, rep_from_name
-from .recovery import recovery_errors
 from .states import SamplerConfig, default_factors, sample
 
 SPEC_KINDS = ("pinching", "partial-trace", "trivial", "full")
@@ -177,15 +177,7 @@ T_GRID = np.logspace(-3, 6, 40)
 
 
 def _dpi_report(rep, g, delta_norm):
-    margins = {}
-    flags = []
-    if math.isinf(g):
-        flags.append(bounds.FLAG_INFINITE_GAP)
-        margins["dpi"] = math.inf
-    elif math.isnan(g):
-        flags.append(bounds.FLAG_INFINITE_GAP)
-    else:
-        margins["dpi"] = g
+    margins, flags = bounds.gap_margin("dpi", g)
     return bounds.BoundReport(name=f"dpi:{rep.name}", gap=g, beta=None,
                               discrepancy=None, delta_norm=delta_norm,
                               margins=margins, flags=flags)
@@ -216,40 +208,36 @@ def _theorem_report(rep, beta, disc, delta_norm, g):
         margins=margins, flags=flags)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int,
-              reps=None) -> TrialRecord:
+def run_trial(config: ExperimentConfig, trial_index: int, reps=None,
+              config_hash: str | None = None) -> TrialRecord:
+    """One verify trial. run_verify passes the reps and the config hash it
+    computed once for the whole run."""
     t0 = time.perf_counter()
     if reps is None:
         reps = [rep_from_name(n) for n in config.functions]
     rho, sigma, dim, rank_rho, rank_sigma, sampler_kind = \
         draw_pair(config, trial_index)
     kind = config.specs[trial_index % len(config.specs)]
-    spec = spec_for(kind, dim)
-    delta_norm = modular.operator_norm(modular.build(sigma, rho))
+    ctx = PairContext(rho, sigma, spec_for(kind, dim))
     reports = []
-    disc_cache = {}
-    for beta in config.beta_grid:
-        disc_cache[beta] = bounds.discrepancy_norm(beta, rho, sigma, spec)
     for rep in reps:
-        g = entropy.gap(rep, rho, sigma, spec)
-        reports.append(_dpi_report(rep, g, delta_norm))
+        g = ctx.gap(rep)
+        reports.append(_dpi_report(rep, g, ctx.delta_norm))
         for beta in config.beta_grid:
-            reports.append(_theorem_report(rep, beta, disc_cache[beta],
-                                           delta_norm, g))
-            reports.append(bounds.generic_corollary_bound(
-                rep, beta, rho, sigma, spec))
+            reports.append(_theorem_report(rep, beta, ctx.discrepancy(beta),
+                                           ctx.delta_norm, g))
+            reports.append(bounds.generic_corollary_bound(rep, beta, ctx))
     for beta in config.beta_grid:
-        reports.append(bounds.corollary_log_bound(beta, rho, sigma, spec))
-        reports.append(bounds.beta_free_discrepancy(beta, rho, sigma, spec))
+        reports.append(bounds.corollary_log_bound(beta, ctx))
+        reports.append(bounds.beta_free_discrepancy(beta, ctx))
         for alpha in config.alpha_grid:
-            reports.append(bounds.corollary_power_bound(
-                alpha, beta, rho, sigma, spec))
+            reports.append(bounds.corollary_power_bound(alpha, beta, ctx))
     for alpha in config.alpha_grid:
-        reports.append(bounds.renyi_bound(alpha, rho, sigma, spec))
-    reports.append(bounds.recovery_chain(rho, sigma, spec))
+        reports.append(bounds.renyi_bound(alpha, ctx))
+    reports.append(bounds.recovery_chain(ctx))
     return TrialRecord(
         trial_index=trial_index,
-        config_hash=config.hash(),
+        config_hash=config_hash or config.hash(),
         dim=dim,
         spec_kind=kind,
         sampler_kind=sampler_kind,
@@ -266,13 +254,14 @@ def run_verify(config: ExperimentConfig):
     """Run the full bound battery; exit 0 iff every asserted margin is
     >= -tolerance. Returns (exit_code, report_dict)."""
     reps = [rep_from_name(n) for n in config.functions]
+    config_hash = config.hash()
     records = []
     failures = 0
     checked = 0
     infinite_gap_trials = 0
     min_margin = math.inf
     for i in range(config.trials):
-        record = run_trial(config, i, reps=reps)
+        record = run_trial(config, i, reps=reps, config_hash=config_hash)
         trial_flags = set()
         for report in record.reports:
             trial_flags.update(report.flags)
@@ -290,7 +279,7 @@ def run_verify(config: ExperimentConfig):
     report = {
         "schema": "verify_v1",
         "config": config.to_json(),
-        "config_hash": config.hash(),
+        "config_hash": config_hash,
         "summary": {
             "trials": config.trials,
             "margins_checked": checked,
@@ -333,12 +322,13 @@ def run_sweep(config: ExperimentConfig):
                           kind="perturbed-recoverable", factors=(n1, n2),
                           epsilon=eps),
             trial_index=0)
-        g = entropy.gap(neg_log, rho, sigma, spec)
-        disc = bounds.discrepancy_norm(0.5, rho, sigma, spec)
-        e_rho, e_sigma = recovery_errors(rho, sigma, spec)
-        delta_norm = modular.operator_norm(modular.build(sigma, rho))
-        k_log, expo_log, _ = bounds._log_printed(0.5, delta_norm)
-        k_pow, expo_pow, _, _, _ = bounds._power_printed(0.5, 0.5, delta_norm)
+        ctx = PairContext(rho, sigma, spec)
+        g = ctx.gap(neg_log)
+        disc = ctx.discrepancy(0.5)
+        e_rho, e_sigma = ctx.recovery_errors
+        k_log, expo_log, _ = bounds.log_corollary_constant(0.5, ctx.delta_norm)
+        k_pow, expo_pow, _, _, _ = bounds.power_corollary_constant(
+            0.5, 0.5, ctx.delta_norm)
         rhs_log = k_log * disc ** expo_log
         rhs_pow = k_pow * disc ** expo_pow
         rhs_renyi = 2.0 * math.log1p(k_pow * disc ** expo_pow)
@@ -377,14 +367,16 @@ def run_reconstruct(config: ExperimentConfig, extra_reps=None):
                      trial_index=2 * i)
         sigma = sample(SamplerConfig(dim=dim, seed=config.seed, kind="ginibre"),
                        trial_index=2 * i + 1)
+        ctx = PairContext(rho, sigma, spec)
         for rep in reps:
             case = {"trial_index": i, "dim": dim, "spec_kind": kind,
                     "function": rep.name}
             try:
-                value = entropy.integral_reconstruction(rep, rho, sigma)
-                direct = entropy.s_f(rep, rho, sigma).value
-                g_quad = entropy.reconstruct_gap(rep, rho, sigma, spec)
-                g_direct = entropy.gap(rep, rho, sigma, spec)
+                value = entropy.integral_reconstruction(rep, rho, sigma,
+                                                        data=ctx.op)
+                direct = entropy.s_f(rep, rho, sigma, data=ctx.op).value
+                g_quad = ctx.reconstruct_gap(rep)
+                g_direct = ctx.gap(rep)
                 case["status"] = "ok"
                 case["entropy_error"] = abs(value - direct)
                 case["gap_error"] = abs(g_quad - g_direct)
@@ -400,8 +392,7 @@ def run_reconstruct(config: ExperimentConfig, extra_reps=None):
             cases.append(case)
         beta = config.beta_grid[i % len(config.beta_grid)]
         internals = bounds.proof_internals(
-            reps[0], beta, rho, sigma, spec,
-            t_grid=np.logspace(-2, 2, config.t_points))
+            reps[0], beta, ctx, t_grid=np.logspace(-2, 2, config.t_points))
         int_case = {
             "trial_index": i, "dim": dim, "spec_kind": kind, "beta": beta,
             "status": "internals",

@@ -35,16 +35,19 @@ class RelativeModularOperator:
     overlaps: np.ndarray      # full d x d matrix <phi_i|psi_j>
 
 
-def _as_matrix_of(state) -> np.ndarray:
+def _spectrum(state) -> SpectralDecomposition:
+    if isinstance(state, SpectralDecomposition):
+        return state
     if isinstance(state, DensityMatrix):
-        return state.matrix
-    return np.asarray(state, dtype=complex)
+        return eigh(state.matrix)
+    return eigh(np.asarray(state, dtype=complex))
 
 
 def build(sigma, rho) -> RelativeModularOperator:
-    """Joint spectral data of Delta_{sigma,rho}(X) = sigma X rho^+."""
-    sig_dec = eigh(_as_matrix_of(sigma))
-    rho_dec = eigh(_as_matrix_of(rho))
+    """Joint spectral data of Delta_{sigma,rho}(X) = sigma X rho^+; either
+    state may be given by its spectral decomposition."""
+    sig_dec = _spectrum(sigma)
+    rho_dec = _spectrum(rho)
     if sig_dec.dim != rho_dec.dim:
         raise InvalidInput("sigma and rho dimensions differ")
     d = rho_dec.dim

@@ -35,17 +35,19 @@ class PetzChannel:
     trace_preserving: bool = True
 
 
-def build_petz(rho, spec: SubalgebraSpec) -> PetzChannel:
+def build_petz(rho, spec: SubalgebraSpec, decompose=None) -> PetzChannel:
+    """decompose replaces `eigh` (a caller's cache of it)."""
     r = rho if isinstance(rho, DensityMatrix) else make_density(rho)
     if r.dim != spec.dim:
         raise InvalidInput("state dimension does not match spec")
     rho_n = conditional_expectation(spec, r.matrix)
+    decompose = decompose or eigh
     return PetzChannel(
         rho=r,
         spec=spec,
         rho_n=rho_n,
-        sqrt_rho=psd_power(r.matrix, 0.5),
-        pinv_sqrt_rho_n=psd_power(rho_n, -0.5, pseudo=True),
+        sqrt_rho=psd_power(decompose(r.matrix), 0.5),
+        pinv_sqrt_rho_n=psd_power(decompose(rho_n), -0.5, pseudo=True),
     )
 
 
@@ -63,30 +65,34 @@ def apply(channel: PetzChannel, y) -> np.ndarray:
     return k @ m @ k.conj().T
 
 
-def recovery_errors(rho, sigma, spec: SubalgebraSpec) -> tuple[float, float]:
+def recovery_errors(rho, sigma, spec: SubalgebraSpec,
+                    decompose=None) -> tuple[float, float]:
     """(e_rho, e_sigma):
 
         e_rho   = || R_rho(E(sigma)) - sigma ||_1
         e_sigma = || R_sigma(E(rho)) - rho ||_1
+
+    decompose as for build_petz.
     """
-    r = rho if isinstance(rho, DensityMatrix) else make_density(rho)
-    s = sigma if isinstance(sigma, DensityMatrix) else make_density(sigma)
-    ch_r = build_petz(r, spec)
-    ch_s = build_petz(s, spec)
-    sigma_n = conditional_expectation(spec, s.matrix)
-    rho_n = ch_r.rho_n
-    e_rho = trace_norm(apply(ch_r, sigma_n) - s.matrix)
-    e_sigma = trace_norm(apply(ch_s, rho_n) - r.matrix)
+    ch_r = build_petz(rho, spec, decompose)
+    ch_s = build_petz(sigma, spec, decompose)
+    e_rho = trace_norm(apply(ch_r, ch_s.rho_n) - ch_s.rho.matrix)
+    e_sigma = trace_norm(apply(ch_s, ch_r.rho_n) - ch_r.rho.matrix)
     return e_rho, e_sigma
+
+
+def support_leak(state, reference) -> float:
+    """Tr[state (1 - P)], the weight of state outside the support P of
+    reference (a matrix or its SpectralDecomposition)."""
+    p = support_projector(reference)
+    m = np.asarray(state, dtype=complex)
+    return float(np.trace(m @ (np.eye(p.shape[0]) - p)).real)
 
 
 def trace_loss(channel: PetzChannel, state_n) -> bool:
     """True when the input's support leaks outside supp(E(rho)), so the
     channel drops trace on it."""
-    p = support_projector(channel.rho_n)
-    m = np.asarray(state_n, dtype=complex)
-    leak = float(np.trace(m @ (np.eye(channel.spec.dim) - p)).real)
-    return leak > 1e-12
+    return support_leak(state_n, channel.rho_n) > 1e-12
 
 
 def _algebra_units(spec: SubalgebraSpec):

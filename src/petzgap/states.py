@@ -20,11 +20,17 @@ RANK_FLOOR = 1e-10
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Validated density matrix with its cached numerical rank."""
+    """Validated density matrix with its cached numerical rank.
+
+    validated is (m, eigh(m)) for the normalized input m that validation
+    decomposed, so that a PairContext can reuse that eigh when the same
+    bits come up again (for instance when matrix equals m).
+    """
 
     matrix: np.ndarray
     rank: int
     eigenvalues: np.ndarray = field(repr=False, default=None)
+    validated: tuple | None = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -35,19 +41,19 @@ class DensityMatrix:
         return self.rank == self.dim
 
 
-def make_density(a) -> DensityMatrix:
+def make_density(a, decompose=None) -> DensityMatrix:
     """Validate Hermiticity, positivity, and unit trace.
 
     Eigenvalues below -1e-12 raise NotPSD; small negatives are clipped to 0.
     Traces within 1e-9 of 1 are renormalized, anything further raises
-    NotNormalized.
+    NotNormalized. decompose replaces `eigh` (a caller's cache of it).
     """
     m = check_hermitian(a)
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotNormalized(f"trace {tr!r} is not 1 to tolerance")
     m = m / tr
-    dec = eigh(m)
+    dec = (decompose or eigh)(m)
     w = dec.eigenvalues.real
     if w.min() < PSD_TOL:
         raise NotPSD(f"eigenvalue {w.min()!r} below PSD tolerance")
@@ -57,7 +63,8 @@ def make_density(a) -> DensityMatrix:
     clean = (v * w) @ v.conj().T
     clean = (clean + clean.conj().T) / 2.0
     rank = int(np.sum(w > RANK_FLOOR))
-    return DensityMatrix(matrix=clean, rank=rank, eigenvalues=w)
+    return DensityMatrix(matrix=clean, rank=rank, eigenvalues=w,
+                         validated=(m, dec))
 
 
 @dataclass

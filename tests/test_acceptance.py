@@ -16,6 +16,7 @@ import pytest
 
 from petzgap import bounds, entropy, modular
 from petzgap.algebra import conditional_expectation, factor_spec
+from petzgap.context import PairContext
 from petzgap.harness import (SPEC_KINDS, ExperimentConfig, draw_pair,
                              dumps_report, run_verify, spec_for)
 from petzgap.linalg import psd_power
@@ -124,7 +125,7 @@ def test_criterion_03_log_corollary(population):
     worst_const = 0.0
     for rho, sigma, dim, kind in population:
         spec = spec_for(kind, dim)
-        rep = bounds.corollary_log_bound(0.5, rho, sigma, spec)
+        rep = bounds.corollary_log_bound(0.5, PairContext(rho, sigma, spec))
         if "gap_lower_bound" not in rep.margins:
             skipped_undefined += 1
             continue
@@ -155,8 +156,8 @@ def test_criterion_04_power_corollary(population):
         spec = spec_for(kind, dim)
         for alpha in (0.25, 0.5, 0.75):
             for beta in (0.5, 0.3, 0.7):
-                rep = bounds.corollary_power_bound(alpha, beta, rho, sigma,
-                                                   spec)
+                rep = bounds.corollary_power_bound(
+                    alpha, beta, PairContext(rho, sigma, spec))
                 checked += 1
                 if beta == 0.5 and abs(
                         rep.constants["exponent"] - (4.0 + 2.0 * alpha)) \
@@ -184,7 +185,7 @@ def test_criterion_05_renyi_family(population):
             continue
         spec = spec_for(kind, dim)
         for alpha in (0.25, 0.5, 0.75):
-            rep = bounds.renyi_bound(alpha, rho, sigma, spec)
+            rep = bounds.renyi_bound(alpha, PairContext(rho, sigma, spec))
             checked += 1
             if rep.constants["exponent"] != 6.0 - 2.0 * alpha:
                 violations += 1
@@ -216,7 +217,7 @@ def test_criterion_06_recovery_chain(population):
     worst = math.inf
     for rho, sigma, dim, kind in population:
         spec = spec_for(kind, dim)
-        rep = bounds.recovery_chain(rho, sigma, spec)
+        rep = bounds.recovery_chain(PairContext(rho, sigma, spec))
         if "rec_rho" not in rep.margins:
             violations += 1
             continue
@@ -390,8 +391,9 @@ def test_criterion_10_proof_internals():
         rep = REPS[i % len(REPS)]
         rho = ginibre(dim, dim, 7000 + 2 * i)
         sigma = ginibre(dim, dim, 7000 + 2 * i + 1)
-        out = bounds.proof_internals(rep, beta, rho, sigma,
-                                     spec_for(kind, dim), t_grid=t_grid)
+        out = bounds.proof_internals(
+            rep, beta, PairContext(rho, sigma, spec_for(kind, dim)),
+            t_grid=t_grid)
         margin = min(out.contraction_margin, out.per_t_gap_margin,
                      out.decay_margin)
         worst_margin = min(worst_margin, margin)

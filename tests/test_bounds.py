@@ -12,6 +12,7 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             discrepancy_norm, generic_corollary_bound,
                             lemma_opt, proof_internals, recovery_chain,
                             recovery_discrepancy, renyi_bound, theorem_bound)
+from petzgap.context import PairContext
 from petzgap.errors import InvalidInput
 from petzgap.monotone import builtin_neg_log, builtin_neg_power
 from petzgap.states import make_density
@@ -158,7 +159,7 @@ def test_corollary_log_constants_and_margin():
     for seed in range(3):
         rho, sigma = random_pair(20 + seed)
         for beta, expo in [(0.25, 16.0 / 3.0), (0.5, 4.0), (0.75, 8.0)]:
-            rep = corollary_log_bound(beta, rho, sigma, SPEC4)
+            rep = corollary_log_bound(beta, PairContext(rho, sigma, SPEC4))
             assert rep.constants["exponent"] == pytest.approx(expo, rel=1e-12)
             assert rep.margins["gap_lower_bound"] >= -1e-8
             if beta == 0.5:
@@ -170,7 +171,7 @@ def test_corollary_log_constants_and_margin():
 
 def test_corollary_log_report_shape():
     rho, sigma = random_pair(23)
-    rep = corollary_log_bound(0.5, rho, sigma, SPEC4)
+    rep = corollary_log_bound(0.5, PairContext(rho, sigma, SPEC4))
     out = rep.to_json()
     assert out["schema"] == "report_v1"
     assert out["name"] == "corollary-log"
@@ -183,12 +184,14 @@ def test_corollary_power_exponents_and_margin():
     for seed in range(2):
         rho, sigma = random_pair(30 + seed)
         for alpha in (0.25, 0.5, 0.75):
-            rep = corollary_power_bound(alpha, 0.5, rho, sigma, SPEC4)
+            rep = corollary_power_bound(
+                alpha, 0.5, PairContext(rho, sigma, SPEC4))
             assert rep.constants["exponent"] == pytest.approx(
                 4.0 + 2.0 * alpha, rel=1e-12)
             assert rep.margins["gap_lower_bound"] >= -1e-8
         for beta in (0.3, 0.7):
-            rep = corollary_power_bound(0.5, beta, rho, sigma, SPEC4)
+            rep = corollary_power_bound(
+                0.5, beta, PairContext(rho, sigma, SPEC4))
             assert rep.margins["gap_lower_bound"] >= -1e-8
             assert "exponent_displayed" in rep.constants
 
@@ -196,19 +199,20 @@ def test_corollary_power_exponents_and_margin():
 def test_corollary_power_proof_exponent_values():
     rho, sigma = random_pair(33)
     # beta <= 1/2 branch: (1 + a(1-b)) / (b(1-b))
-    rep = corollary_power_bound(0.5, 0.3, rho, sigma, SPEC4)
+    rep = corollary_power_bound(0.5, 0.3, PairContext(rho, sigma, SPEC4))
     assert rep.constants["exponent"] == pytest.approx(
         (1.0 + 0.5 * 0.7) / (0.3 * 0.7), rel=1e-12)
     # beta >= 1/2 branch: (2b + a(1-b)) / (b(1-b))
-    rep = corollary_power_bound(0.5, 0.7, rho, sigma, SPEC4)
+    rep = corollary_power_bound(0.5, 0.7, PairContext(rho, sigma, SPEC4))
     assert rep.constants["exponent"] == pytest.approx(
         (1.4 + 0.5 * 0.3) / (0.7 * 0.3), rel=1e-12)
 
 
 def test_generic_corollary_matches_log_closed_form():
     rho, sigma = random_pair(34)
-    gen = generic_corollary_bound(builtin_neg_log(), 0.5, rho, sigma, SPEC4)
-    log = corollary_log_bound(0.5, rho, sigma, SPEC4)
+    gen = generic_corollary_bound(builtin_neg_log(), 0.5,
+                                  PairContext(rho, sigma, SPEC4))
+    log = corollary_log_bound(0.5, PairContext(rho, sigma, SPEC4))
     assert gen.constants["K_gap"] == pytest.approx(
         log.constants["K_L"], rel=1e-9)
     assert gen.rhs_values["gap_lower_bound"] == pytest.approx(
@@ -217,7 +221,7 @@ def test_generic_corollary_matches_log_closed_form():
 
 def test_renyi_bound_equal_states():
     rho, _ = random_pair(40)
-    rep = renyi_bound(0.5, rho, rho, SPEC4)
+    rep = renyi_bound(0.5, PairContext(rho, rho, SPEC4))
     assert rep.gap == pytest.approx(0.0, abs=1e-10)
     assert rep.constants["exponent"] == pytest.approx(5.0, rel=1e-14)
     # the inverted form multiplies the ~1e-12 numerical gap by 1/K_U ~ 1e4,
@@ -230,7 +234,7 @@ def test_renyi_bound_margins_invertible_sigma():
     for seed in range(3):
         rho, sigma = random_pair(41 + seed)
         for alpha in (0.25, 0.5, 0.75):
-            rep = renyi_bound(alpha, rho, sigma, SPEC4)
+            rep = renyi_bound(alpha, PairContext(rho, sigma, SPEC4))
             assert rep.constants["exponent"] == pytest.approx(
                 6.0 - 2.0 * alpha, rel=1e-14)
             for key in ("renyi_disc", "renyi_recovery", "renyi_inverted"):
@@ -240,7 +244,7 @@ def test_renyi_bound_margins_invertible_sigma():
 def test_renyi_bound_singular_sigma_flags_not_margins():
     rho = ginibre(4, 4, 45)
     sigma = ginibre(4, 2, 46)
-    rep = renyi_bound(0.5, rho, sigma, SPEC4)
+    rep = renyi_bound(0.5, PairContext(rho, sigma, SPEC4))
     assert FLAG_SIGMA_SINGULAR in rep.flags
     assert rep.margins == {}
 
@@ -251,7 +255,7 @@ def test_renyi_bound_support_leak_gates_recovery_forms():
     # recovery and inverted forms are hypothesis-violated, not failed
     rho = ginibre(4, 3, 47)
     sigma = ginibre(4, 4, 48)
-    rep = renyi_bound(0.5, rho, sigma, full_spec(4))
+    rep = renyi_bound(0.5, PairContext(rho, sigma, full_spec(4)))
     assert FLAG_SUPPORT_MISMATCH in rep.flags
     assert abs(rep.gap) <= 1e-12
     assert rep.constants["e_rho"] > 1e-3
@@ -265,7 +269,7 @@ def test_renyi_bound_support_leak_gates_recovery_forms():
 def test_recovery_chain_full_rank_margins():
     for seed in range(4):
         rho, sigma = random_pair(50 + seed)
-        rep = recovery_chain(rho, sigma, SPEC4)
+        rep = recovery_chain(PairContext(rho, sigma, SPEC4))
         for key in ("rec_rho", "rec_sigma_n", "rec_sigma",
                     "disc_gap_one_sided", "disc_gap_two_sided"):
             assert rep.margins[key] >= -1e-8, key
@@ -276,7 +280,7 @@ def test_recovery_chain_full_rank_margins():
 
 def test_recovery_chain_exact_pair_has_zero_errors():
     rho, sigma = exact_product_pair(2, 2, 55)
-    rep = recovery_chain(rho, sigma, factor_spec(2, 2))
+    rep = recovery_chain(PairContext(rho, sigma, factor_spec(2, 2)))
     assert rep.constants["e_rho"] <= 1e-10
     assert rep.constants["e_sigma"] <= 1e-10
     assert rep.gap == pytest.approx(0.0, abs=1e-10)
@@ -285,7 +289,7 @@ def test_recovery_chain_exact_pair_has_zero_errors():
 def test_recovery_chain_support_mismatch_flag():
     rho = ginibre(4, 2, 56)
     sigma = ginibre(4, 4, 57)
-    rep = recovery_chain(rho, sigma, SPEC4)
+    rep = recovery_chain(PairContext(rho, sigma, SPEC4))
     assert FLAG_SUPPORT_MISMATCH in rep.flags
     assert "disc_gap_one_sided" not in rep.margins
     # the unconditional recovery link still holds
@@ -295,7 +299,7 @@ def test_recovery_chain_support_mismatch_flag():
 def test_recovery_chain_trace_loss_and_infinite_gap():
     rho = diagonal_state([1.0, 0.0])
     sigma = diagonal_state([0.0, 1.0])
-    rep = recovery_chain(rho, sigma, pinching_spec(2, [1, 1]))
+    rep = recovery_chain(PairContext(rho, sigma, pinching_spec(2, [1, 1])))
     assert FLAG_TRACE_LOSS in rep.flags
     assert FLAG_SIGMA_SINGULAR in rep.flags
 
@@ -303,7 +307,7 @@ def test_recovery_chain_trace_loss_and_infinite_gap():
 def test_recovery_chain_infinite_gap_flag():
     rho = make_density(np.eye(2) / 2)
     sigma = diagonal_state([1.0, 0.0])
-    rep = recovery_chain(rho, sigma, trivial_spec(2))
+    rep = recovery_chain(PairContext(rho, sigma, trivial_spec(2)))
     assert FLAG_INFINITE_GAP in rep.flags
     assert math.isinf(rep.gap)
 
@@ -312,7 +316,7 @@ def test_beta_free_invertible_margin():
     for seed in range(3):
         rho, sigma = random_pair(60 + seed)
         for beta in (0.3, 0.5, 0.8):
-            rep = beta_free_discrepancy(beta, rho, sigma, SPEC4)
+            rep = beta_free_discrepancy(beta, PairContext(rho, sigma, SPEC4))
             assert rep.margins["beta_free"] >= -1e-10
 
 
@@ -320,7 +324,7 @@ def test_beta_free_diagonal_closed_form():
     p, q, beta = 0.6, 0.2, 0.5
     rho = diagonal_state([p, 1 - p])
     sigma = diagonal_state([q, 1 - q])
-    rep = beta_free_discrepancy(beta, rho, sigma, trivial_spec(2))
+    rep = beta_free_discrepancy(beta, PairContext(rho, sigma, trivial_spec(2)))
     want_lhs = math.sqrt(
         (1.0 - (q / p) ** beta) ** 2
         + (1.0 - ((1 - q) / (1 - p)) ** beta) ** 2)
@@ -332,14 +336,15 @@ def test_beta_free_diagonal_closed_form():
 def test_beta_free_singular_rho_flags():
     rho = ginibre(4, 2, 63)
     sigma = ginibre(4, 4, 64)
-    rep = beta_free_discrepancy(0.5, rho, sigma, SPEC4)
+    rep = beta_free_discrepancy(0.5, PairContext(rho, sigma, SPEC4))
     assert FLAG_RHO_SINGULAR in rep.flags
     assert rep.margins == {}
 
 
 def test_proof_internals_random_pair():
     rho, sigma = random_pair(70)
-    out = proof_internals(builtin_neg_log(), 0.5, rho, sigma, SPEC4,
+    out = proof_internals(builtin_neg_log(), 0.5,
+                          PairContext(rho, sigma, SPEC4),
                           t_grid=np.logspace(-2, 3, 12))
     assert out.contraction_margin >= -1e-10
     assert out.per_t_gap_margin >= -1e-10
@@ -351,7 +356,8 @@ def test_proof_internals_random_pair():
 
 def test_proof_internals_power_rep_and_high_beta():
     rho, sigma = random_pair(71)
-    out = proof_internals(builtin_neg_power(0.75), 0.8, rho, sigma, SPEC4)
+    out = proof_internals(builtin_neg_power(0.75), 0.8,
+                          PairContext(rho, sigma, SPEC4))
     assert out.per_t_gap_margin >= -1e-10
     assert out.identity_residual <= 1e-6
     assert out.gap_residual <= 1e-6
@@ -359,7 +365,8 @@ def test_proof_internals_power_rep_and_high_beta():
 
 def test_proof_internals_exact_pair_near_zero():
     rho, sigma = exact_product_pair(2, 2, 72)
-    out = proof_internals(builtin_neg_log(), 0.5, rho, sigma, factor_spec(2, 2))
+    out = proof_internals(builtin_neg_log(), 0.5,
+                          PairContext(rho, sigma, factor_spec(2, 2)))
     assert out.identity_residual <= 1e-9
     assert out.gap_residual <= 1e-8
     # w_t vanishes identically, so the decay margin is the grid infimum of 2/t
