@@ -16,7 +16,7 @@ errors (recovery_chain); Renyi divergences ride on the power corollary.
 Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
 the context computes each quantity of the triple once, caches it for the
 one trial it is built for, and the bounds read from it. discrepancy_norm and
-recovery_discrepancy stay as standalone functions of raw states.
+recovery_discrepancy take raw states and build a context for them.
 
 Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
@@ -35,7 +35,8 @@ import numpy as np
 from . import entropy, modular
 from .algebra import SubalgebraSpec, conditional_expectation
 from .context import PairContext
-from .errors import InvalidInput, NotRegular, NumericalFailure
+from .errors import (DomainError, InvalidInput, NotRegular, NumericalFailure,
+                     Unsupported)
 from .linalg import hs_norm
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
@@ -402,7 +403,7 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
         rhs_values.update({"renyi_recovery": rhs_rec, "renyi_inverted": rhs_inv})
     else:
         flags.append(FLAG_SIGMA_SINGULAR)
-        if not np.all(np.asarray(ctx.sigma_n.eigenvalues) > 1e-10):
+        if not ctx.sigma_n.is_invertible:
             flags.append(FLAG_SIGMA_N_SINGULAR)
     return BoundReport(
         name=f"renyi:{alpha:g}",
@@ -444,7 +445,7 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     margins = {"rec_rho": 2.0 * disc_full - e_rho}
     rhs_values = {"rec_rho": 2.0 * disc_full}
     flags = []
-    sigma_n_invertible = bool(np.all(np.asarray(s_n.eigenvalues) > 1e-10))
+    sigma_n_invertible = s_n.is_invertible
     norms_n = None
     if sigma_n_invertible:
         norms_n = math.sqrt(float(r_n.eigenvalues[0]) / float(s_n.eigenvalues[-1]))
@@ -614,8 +615,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     for t in t_grid:
         wt = w_t_eval(t)
         nw = float(np.linalg.norm(wt))
-        gap_t = entropy.s_t(t, ctx.rho, ctx.sigma, data=op) \
-            - entropy.s_t(t, ctx.rho_n, ctx.sigma_n, data=op_n)
+        gap_t = entropy.s_t(t, op) - entropy.s_t(t, op_n)
         per_t = min(per_t, gap_t - t * nw * nw)
         decay = min(decay, 2.0 / t - nw)
     target = ctx.discrepancy_matrix(beta)
@@ -624,12 +624,12 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
                                   far=lambda t: (t ** beta) * w_t_far(t))
     identity_residual = float(np.linalg.norm(
         -(math.sin(beta * math.pi) / math.pi) * integral - target))
-    gap_residual = math.nan
-    if rep.a == 0.0 and rep.density is not None:
-        zero_w = float(np.sum(op.weights[op.eigenvalues <= 0.0]))
-        zero_w_n = float(np.sum(op_n.weights[op_n.eigenvalues <= 0.0]))
-        if max(zero_w, zero_w_n) <= entropy.WEIGHT_TOL:
-            gap_residual = abs(ctx.reconstruct_gap(rep) - ctx.gap(rep))
+    try:
+        g_quad = ctx.reconstruct_gap(rep)
+    except (Unsupported, DomainError):
+        gap_residual = math.nan
+    else:
+        gap_residual = abs(g_quad - ctx.gap(rep))
     return InternalsReport(
         contraction_margin=contraction,
         per_t_gap_margin=per_t,

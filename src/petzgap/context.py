@@ -2,10 +2,11 @@
 
 The bounds all read the same few quantities of a triple. A context computes
 each on first use and keeps it for its own lifetime only: build one per
-trial and drop it with the trial. It runs the same numpy and LAPACK
-operations on the same inputs as the standalone functions (`entropy.gap`,
-`recovery_errors`, `bounds.discrepancy_norm`), through the helpers they
-share, so its values are bit-for-bit theirs.
+trial and drop it with the trial. It owns the triple's relative modular
+operators, op and op_n, and hands them to the functions of Delta in
+`entropy`; `recovery_errors` and `support_leak` get its cached
+decompositions. A caller that holds raw states and wants one quantity
+builds a context for it (as `bounds.discrepancy_norm` does).
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ class PairContext:
     E(sigma)."""
 
     def __init__(self, rho, sigma, spec: SubalgebraSpec):
-        self.rho = rho if isinstance(rho, DensityMatrix) else make_density(rho)
-        self.sigma = sigma if isinstance(sigma, DensityMatrix) \
-            else make_density(sigma)
+        self.rho = make_density(rho)
+        self.sigma = make_density(sigma)
         if self.rho.dim != spec.dim or self.sigma.dim != spec.dim:
             raise InvalidInput("state dimension does not match spec")
         self.spec = spec
@@ -93,18 +93,15 @@ class PairContext:
 
     @_memoized
     def gap(self, rep) -> float:
-        return entropy.gap(rep, self.rho, self.sigma, self.spec,
-                           data=(self.op, self.op_n))
+        return entropy.gap(rep, self.op, self.op_n)
 
     @_memoized
     def renyi_gap(self, alpha: float) -> float:
-        return entropy.renyi_gap(alpha, self.rho, self.sigma, self.spec,
-                                 data=(self.op, self.op_n))
+        return entropy.renyi_gap(alpha, self.op, self.op_n)
 
     @_memoized
     def reconstruct_gap(self, rep) -> float:
-        return entropy.reconstruct_gap(rep, self.rho, self.sigma, self.spec,
-                                       data=(self.op, self.op_n))
+        return entropy.reconstruct_gap(rep, self.op, self.op_n)
 
     def discrepancy_matrix(self, beta: float) -> np.ndarray:
         """sigmaN^b rhoN^-b rho^{1/2} - sigma^b rho^{1/2-b}, pseudo powers."""

@@ -7,6 +7,11 @@ S_f(rho||sigma) = <sqrt(rho), f(Delta_{sigma,rho}) sqrt(rho)>
 The value is +inf exactly when ker(sigma) meets supp(rho) with total weight
 above WEIGHT_TOL and f(0+) = +inf; weights at or below WEIGHT_TOL multiply
 any f(0+) to zero (the 0 * inf = 0 convention).
+
+Every function of Delta takes Delta itself, op = modular.build(sigma, rho);
+the gaps take op and op_n, the operator of (E(rho), E(sigma)), which a
+PairContext holds for one (rho, sigma, spec) triple. Only the trace-formula
+oracles umegaki_trace and power_trace take the states.
 """
 
 from __future__ import annotations
@@ -16,15 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import modular
-from .algebra import SubalgebraSpec, conditional_expectation
 from .errors import DomainError, InvalidInput, NumericalFailure, Unsupported
-from .linalg import psd_power
+from .linalg import psd_power, spectral_apply
+from .modular import RelativeModularOperator, build
 from .monotone import MonotoneDecreasingRep, builtin_neg_log, builtin_neg_power
 from .quadrature import integrate_halfline
-from .states import DensityMatrix, make_density
+from .states import make_density
 
 WEIGHT_TOL = 1e-14
+PANEL_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -40,21 +45,9 @@ class EntropyValue:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_density(state) -> DensityMatrix:
-    if isinstance(state, DensityMatrix):
-        return state
-    return make_density(state)
-
-
-def _joint(rho, sigma, data=None) -> modular.RelativeModularOperator:
-    if data is not None:
-        return data
-    return modular.build(_as_density(sigma), _as_density(rho))
-
-
-def s_f(rep: MonotoneDecreasingRep, rho, sigma, data=None) -> EntropyValue:
+def s_f(rep: MonotoneDecreasingRep,
+        op: RelativeModularOperator) -> EntropyValue:
     """Quasi-entropy for an operator monotone decreasing f."""
-    op = _joint(rho, sigma, data)
     e, w = op.eigenvalues, op.weights
     pos = e > 0.0
     fv = np.asarray(rep.eval(e[pos]), dtype=float)
@@ -81,20 +74,19 @@ def s_f(rep: MonotoneDecreasingRep, rho, sigma, data=None) -> EntropyValue:
                         diagnostics=diagnostics)
 
 
-def s_t(t: float, rho, sigma, data=None) -> float:
+def s_t(t: float, op: RelativeModularOperator) -> float:
     """<sqrt(rho), (t + Delta)^{-1} sqrt(rho)> for t > 0.
 
     Decreasing in t with t * S_t -> Tr[rho] = 1 as t -> inf.
     """
     if t <= 0.0:
         raise InvalidInput("S_t needs t > 0")
-    op = _joint(rho, sigma, data)
     return float(np.sum(op.weights / (t + op.eigenvalues)))
 
 
-def umegaki(rho, sigma, data=None) -> EntropyValue:
+def umegaki(op: RelativeModularOperator) -> EntropyValue:
     """Relative entropy Tr[rho (log rho - log sigma)] as S_f with f = -log."""
-    return s_f(builtin_neg_log(), rho, sigma, data=data)
+    return s_f(builtin_neg_log(), op)
 
 
 def umegaki_trace(rho, sigma) -> float:
@@ -103,50 +95,39 @@ def umegaki_trace(rho, sigma) -> float:
     Uses pseudo-logarithms restricted to the supports; raises DomainError
     when the value is +inf.
     """
-    r = _as_density(rho)
-    s = _as_density(sigma)
-    op = modular.build(s, r)
+    r = make_density(rho)
+    s = make_density(sigma)
+    op = build(s, r)
     zero_weight = float(np.sum(op.weights[op.eigenvalues <= 0.0]))
     if zero_weight > WEIGHT_TOL:
         raise DomainError("relative entropy is infinite (support mismatch)")
-    log_r = psd_power_log(r.matrix)
-    log_s = psd_power_log(s.matrix)
+    log_r = spectral_apply(r.matrix, math.log, pseudo=True)
+    log_s = spectral_apply(s.matrix, math.log, pseudo=True)
     return float(np.trace(r.matrix @ (log_r - log_s)).real)
 
 
-def psd_power_log(a) -> np.ndarray:
-    """log on the support, 0 on the kernel."""
-    from .linalg import eigh
-    dec = eigh(a)
-    w = dec.eigenvalues.real
-    vals = np.where(w > dec.zero_threshold, np.log(np.where(w > 0, w, 1.0)), 0.0)
-    v = dec.eigenvectors
-    out = (v * vals) @ v.conj().T
-    return (out + out.conj().T) / 2.0
-
-
-def power_quasi(alpha: float, rho, sigma, data=None) -> EntropyValue:
+def power_quasi(alpha: float, op: RelativeModularOperator) -> EntropyValue:
     """S_f for f(x) = -x^alpha; equals -Tr[sigma^alpha rho^(1-alpha)]
     (pseudo powers), always in [-1, 0)."""
-    return s_f(builtin_neg_power(alpha), rho, sigma, data=data)
+    return s_f(builtin_neg_power(alpha), op)
 
 
 def power_trace(alpha: float, rho, sigma) -> float:
     """Trace-formula cross-check -Tr[sigma^alpha rho^(1-alpha)]."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("alpha must lie in (0, 1)")
-    r = _as_density(rho)
-    s = _as_density(sigma)
+    r = make_density(rho)
+    s = make_density(sigma)
     return -float(np.trace(
         psd_power(s.matrix, alpha) @ psd_power(r.matrix, 1.0 - alpha)).real)
 
 
-def renyi(alpha: float, rho, sigma, data=None) -> EntropyValue:
+def renyi(alpha: float, op: RelativeModularOperator) -> EntropyValue:
     """Renyi divergence (1/(alpha-1)) log Tr[rho^alpha sigma^(1-alpha)]
     for alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
-    inner = -power_quasi(1.0 - alpha, rho, sigma, data=data).value
+    inner = -power_quasi(1.0 - alpha, op).value
     if inner <= 0.0:
         raise NumericalFailure("power trace non-positive; states numerically "
                                "orthogonal")
@@ -155,36 +136,22 @@ def renyi(alpha: float, rho, sigma, data=None) -> EntropyValue:
                         diagnostics={"power_trace": inner})
 
 
-def _pair_ops(rho, sigma, spec: SubalgebraSpec, data=None):
-    """data, or else the modular data of (rho, sigma) and of
-    (E(rho), E(sigma)) computed here."""
-    if data is not None:
-        return data
-    r, s = _as_density(rho), _as_density(sigma)
-    r_n = make_density(conditional_expectation(spec, r.matrix))
-    s_n = make_density(conditional_expectation(spec, s.matrix))
-    return modular.build(s, r), modular.build(s_n, r_n)
-
-
-def gap(rep: MonotoneDecreasingRep, rho, sigma, spec: SubalgebraSpec,
-        data=None) -> float:
-    """S_f(rho||sigma) - S_f(E(rho)||E(sigma)), nonnegative by the data
+def gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
+        op_n: RelativeModularOperator) -> float:
+    """S_f(rho||sigma) - S_f(E(rho)||E(sigma)) from the operators of the
+    pair (op) and of its image under E (op_n); nonnegative by the data
     processing inequality. +inf when only the outer entropy is infinite,
-    nan when both are. data: the modular operators (of the pair, of its
-    image under E) when the caller already has them."""
-    op, op_n = _pair_ops(rho, sigma, spec, data)
-    outer = s_f(rep, rho, sigma, data=op)
-    inner = s_f(rep, None, None, data=op_n)
+    nan when both are."""
+    outer = s_f(rep, op)
+    inner = s_f(rep, op_n)
     if math.isinf(outer.value):
         return math.inf if not math.isinf(inner.value) else math.nan
     return outer.value - inner.value
 
 
-def renyi_gap(alpha: float, rho, sigma, spec: SubalgebraSpec,
-              data=None) -> float:
-    op, op_n = _pair_ops(rho, sigma, spec, data)
-    return renyi(alpha, rho, sigma, data=op).value \
-        - renyi(alpha, None, None, data=op_n).value
+def renyi_gap(alpha: float, op: RelativeModularOperator,
+              op_n: RelativeModularOperator) -> float:
+    return renyi(alpha, op).value - renyi(alpha, op_n).value
 
 
 def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
@@ -197,8 +164,8 @@ def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
         raise DomainError("supp sigma must contain supp rho (finite case)")
 
 
-def integral_reconstruction(rep: MonotoneDecreasingRep, rho, sigma,
-                            tol: float = 1e-6, data=None) -> float:
+def integral_reconstruction(rep: MonotoneDecreasingRep,
+                            op: RelativeModularOperator) -> float:
     """Rebuild S_f from the resolvent family:
 
         S_f = -b + integral_0^inf ( S_t - t/(t^2+1) ) w(t) dt.
@@ -211,7 +178,6 @@ def integral_reconstruction(rep: MonotoneDecreasingRep, rho, sigma,
     whose terms each decay like 1/t^2, keeping the half-line quadrature
     stable against the w(t) ~ t^alpha growth of power densities.
     """
-    op = _joint(rho, sigma, data)
     _check_reconstructible(rep, op)
     e, w = op.eigenvalues, op.weights
     # For unit-trace states sum w = 1 exactly; the float excess (~1e-16) would
@@ -228,18 +194,15 @@ def integral_reconstruction(rep: MonotoneDecreasingRep, rho, sigma,
         core += (1.0 - t) / ((t + 1.0) * (t * t + 1.0))
         return core * float(rep.density(t))
 
-    panel_tol = min(1e-9, max(1e-12, tol * 1e-3))
-    integral = integrate_halfline(integrand, panel_tol=panel_tol)
+    integral = integrate_halfline(integrand, panel_tol=PANEL_TOL)
     return -rep.b + float(integral)
 
 
-def reconstruct_gap(rep: MonotoneDecreasingRep, rho, sigma,
-                    spec: SubalgebraSpec, tol: float = 1e-6,
-                    data=None) -> float:
+def reconstruct_gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
+                    op_n: RelativeModularOperator) -> float:
     """Gap rebuilt as integral_0^inf (S_t(rho||sigma) -
     S_t(E(rho)||E(sigma))) w(t) dt; the constant terms of the two
-    reconstructions cancel. data as for gap."""
-    op, op_n = _pair_ops(rho, sigma, spec, data)
+    reconstructions cancel. op and op_n as for gap."""
     _check_reconstructible(rep, op)
     _check_reconstructible(rep, op_n)
 
@@ -255,5 +218,4 @@ def reconstruct_gap(rep: MonotoneDecreasingRep, rho, sigma,
         red = float(np.sum(w_r * (1.0 - e_r) / ((t + e_r) * (t + 1.0))))
         return (full - red) * float(rep.density(t))
 
-    panel_tol = min(1e-9, max(1e-12, tol * 1e-3))
-    return float(integrate_halfline(integrand, panel_tol=panel_tol))
+    return float(integrate_halfline(integrand, panel_tol=PANEL_TOL))

@@ -208,13 +208,11 @@ def _theorem_report(rep, beta, disc, delta_norm, g):
         margins=margins, flags=flags)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, reps=None,
-              config_hash: str | None = None) -> TrialRecord:
-    """One verify trial. run_verify passes the reps and the config hash it
-    computed once for the whole run."""
+def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
+              config_hash: str) -> TrialRecord:
+    """One verify trial with the reps of config.functions and the config
+    hash, which run_verify computes once for the whole run."""
     t0 = time.perf_counter()
-    if reps is None:
-        reps = [rep_from_name(n) for n in config.functions]
     rho, sigma, dim, rank_rho, rank_sigma, sampler_kind = \
         draw_pair(config, trial_index)
     kind = config.specs[trial_index % len(config.specs)]
@@ -237,7 +235,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps=None,
     reports.append(bounds.recovery_chain(ctx))
     return TrialRecord(
         trial_index=trial_index,
-        config_hash=config_hash or config.hash(),
+        config_hash=config_hash,
         dim=dim,
         spec_kind=kind,
         sampler_kind=sampler_kind,
@@ -261,7 +259,7 @@ def run_verify(config: ExperimentConfig):
     infinite_gap_trials = 0
     min_margin = math.inf
     for i in range(config.trials):
-        record = run_trial(config, i, reps=reps, config_hash=config_hash)
+        record = run_trial(config, i, reps, config_hash)
         trial_flags = set()
         for report in record.reports:
             trial_flags.update(report.flags)
@@ -326,12 +324,11 @@ def run_sweep(config: ExperimentConfig):
         g = ctx.gap(neg_log)
         disc = ctx.discrepancy(0.5)
         e_rho, e_sigma = ctx.recovery_errors
-        k_log, expo_log, _ = bounds.log_corollary_constant(0.5, ctx.delta_norm)
-        k_pow, expo_pow, _, _, _ = bounds.power_corollary_constant(
-            0.5, 0.5, ctx.delta_norm)
-        rhs_log = k_log * disc ** expo_log
-        rhs_pow = k_pow * disc ** expo_pow
-        rhs_renyi = 2.0 * math.log1p(k_pow * disc ** expo_pow)
+        rhs_log = bounds.corollary_log_bound(0.5, ctx).rhs_values[
+            "gap_lower_bound"]
+        rhs_pow = bounds.corollary_power_bound(0.5, 0.5, ctx).rhs_values[
+            "gap_lower_bound"]
+        rhs_renyi = bounds.renyi_bound(0.5, ctx).rhs_values["renyi_disc"]
         rows.append([eps, g, disc, e_rho, e_sigma, rhs_log, rhs_pow, rhs_renyi])
         if eps == 0.0 and (abs(g) > 1e-9 or disc > 1e-8):
             ok = False
@@ -349,14 +346,12 @@ def _format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def run_reconstruct(config: ExperimentConfig, extra_reps=None):
+def run_reconstruct(config: ExperimentConfig):
     """Integral-reconstruction and proof-internals battery on invertible
     pairs. Exit 0 iff every recorded error and residual is <= 1e-5; reps
     the machinery cannot integrate are recorded as unsupported, not failed.
     """
     reps = [rep_from_name(n) for n in config.functions]
-    if extra_reps:
-        reps = reps + list(extra_reps)
     cases = []
     max_error = 0.0
     for i in range(config.trials):
@@ -372,9 +367,8 @@ def run_reconstruct(config: ExperimentConfig, extra_reps=None):
             case = {"trial_index": i, "dim": dim, "spec_kind": kind,
                     "function": rep.name}
             try:
-                value = entropy.integral_reconstruction(rep, rho, sigma,
-                                                        data=ctx.op)
-                direct = entropy.s_f(rep, rho, sigma, data=ctx.op).value
+                value = entropy.integral_reconstruction(rep, ctx.op)
+                direct = entropy.s_f(rep, ctx.op).value
                 g_quad = ctx.reconstruct_gap(rep)
                 g_direct = ctx.gap(rep)
                 case["status"] = "ok"

@@ -3,8 +3,9 @@
 Acting on Hilbert-Schmidt space, Delta is positive with eigenvectors
 |phi_i><psi_j| (sigma- and rho-eigenvectors) and eigenvalues mu_i / lambda_j
 over the support of rho (lambda_j > 0). The joint spectral data is stored
-flat: one entry per (i, j) pair with its eigenvalue and the weight
-lambda_j |<phi_i|psi_j>|^2 it carries in <sqrt(rho), . sqrt(rho)>. Entries
+flat, row-major in (i, j) over sigma index i and kept rho index j: one
+entry per pair with its eigenvalue and the weight lambda_j |<phi_i|psi_j>|^2
+it carries in <sqrt(rho), . sqrt(rho)>. Entries
 with mu_i = 0 are kept (eigenvalue 0), since that is where infinite
 quasi-entropies come from.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput
 from .linalg import SpectralDecomposition, eigh, psd_power
-from .states import DensityMatrix
+from .states import make_density
 
 
 @dataclass(eq=False)
@@ -29,8 +30,6 @@ class RelativeModularOperator:
     rho_dec: SpectralDecomposition
     eigenvalues: np.ndarray   # (n_entries,) mu_i / lambda_j, zeros kept
     weights: np.ndarray       # (n_entries,) lambda_j |<phi_i|psi_j>|^2
-    row_index: np.ndarray     # (n_entries,) sigma eigenvector index i
-    col_index: np.ndarray     # (n_entries,) rho eigenvector index j
     kept_columns: np.ndarray  # rho indices with lambda_j above threshold
     overlaps: np.ndarray      # full d x d matrix <phi_i|psi_j>
 
@@ -38,14 +37,13 @@ class RelativeModularOperator:
 def _spectrum(state) -> SpectralDecomposition:
     if isinstance(state, SpectralDecomposition):
         return state
-    if isinstance(state, DensityMatrix):
-        return eigh(state.matrix)
-    return eigh(np.asarray(state, dtype=complex))
+    return eigh(make_density(state).matrix)
 
 
 def build(sigma, rho) -> RelativeModularOperator:
-    """Joint spectral data of Delta_{sigma,rho}(X) = sigma X rho^+; either
-    state may be given by its spectral decomposition."""
+    """Joint spectral data of Delta_{sigma,rho}(X) = sigma X rho^+, the one
+    conversion from states to Delta. Either state may be given by its
+    spectral decomposition; anything else goes through make_density."""
     sig_dec = _spectrum(sigma)
     rho_dec = _spectrum(rho)
     if sig_dec.dim != rho_dec.dim:
@@ -61,16 +59,12 @@ def build(sigma, rho) -> RelativeModularOperator:
     lam_k = lam[kept]
     eig = mu[:, None] / lam_k[None, :]
     wts = lam_k[None, :] * np.abs(overlaps[:, kept]) ** 2
-    rows = np.repeat(np.arange(d), kept.size)
-    cols = np.tile(kept, d)
     return RelativeModularOperator(
         dim=d,
         sigma_dec=sig_dec,
         rho_dec=rho_dec,
         eigenvalues=eig.ravel(),
         weights=wts.ravel(),
-        row_index=rows,
-        col_index=cols,
         kept_columns=kept,
         overlaps=overlaps,
     )

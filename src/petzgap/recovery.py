@@ -37,7 +37,7 @@ class PetzChannel:
 
 def build_petz(rho, spec: SubalgebraSpec, decompose=None) -> PetzChannel:
     """decompose replaces `eigh` (a caller's cache of it)."""
-    r = rho if isinstance(rho, DensityMatrix) else make_density(rho)
+    r = make_density(rho)
     if r.dim != spec.dim:
         raise InvalidInput("state dimension does not match spec")
     rho_n = conditional_expectation(spec, r.matrix)

@@ -46,8 +46,11 @@ def make_density(a, decompose=None) -> DensityMatrix:
 
     Eigenvalues below -1e-12 raise NotPSD; small negatives are clipped to 0.
     Traces within 1e-9 of 1 are renormalized, anything further raises
-    NotNormalized. decompose replaces `eigh` (a caller's cache of it).
+    NotNormalized. decompose replaces `eigh` (a caller's cache of it). A
+    DensityMatrix is already validated and comes back unchanged.
     """
+    if isinstance(a, DensityMatrix):
+        return a
     m = check_hermitian(a)
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:

@@ -66,8 +66,8 @@ def test_criterion_01_dpi_suite(population):
             s_n = make_density(conditional_expectation(spec, sigma.matrix))
             op_n = modular.build(s_n, r_n)
             for rep in REPS:
-                outer = entropy.s_f(rep, rho, sigma, data=op).value
-                inner = entropy.s_f(rep, r_n, s_n, data=op_n).value
+                outer = entropy.s_f(rep, op).value
+                inner = entropy.s_f(rep, op_n).value
                 checks += 1
                 if not inner <= outer + 1e-9:
                     violations += 1
@@ -91,7 +91,8 @@ def test_criterion_02_theorem_t_family(population):
     for rho, sigma, dim, kind in population:
         spec = spec_for(kind, dim)
         delta_norm = modular.operator_norm(modular.build(sigma, rho))
-        gaps = {rep.name: entropy.gap(rep, rho, sigma, spec) for rep in REPS}
+        ctx = PairContext(rho, sigma, spec)
+        gaps = {rep.name: ctx.gap(rep) for rep in REPS}
         for beta in betas:
             disc = bounds.discrepancy_norm(beta, rho, sigma, spec)
             lhs = math.pi / math.sin(beta * math.pi) * disc
@@ -253,7 +254,7 @@ def test_criterion_07_exact_product_pairs():
             rho, sigma = exact_product_pair(n1, n2, 9000 + 10 * seed_bump + seed)
             spec = factor_spec(n1, n2)
             for rep in REPS:
-                g = entropy.gap(rep, rho, sigma, spec)
+                g = PairContext(rho, sigma, spec).gap(rep)
                 checked += 1
                 worst_gap = max(worst_gap, abs(g))
                 if abs(g) > 1e-9:
@@ -304,14 +305,14 @@ def test_criterion_08_oracle_equivalence():
             rho = ginibre(dim, dim, 9500 + seed)
             sigma = ginibre(dim, dim, 9600 + seed)
             for rep in REPS:
-                got = entropy.s_f(rep, rho, sigma).value
+                got = entropy.s_f(rep, modular.build(sigma, rho)).value
                 want = _superoperator_value(rep, rho, sigma)
                 worst_super = max(worst_super, abs(got - want))
     # singular sigma, finite-at-zero functions only
     rho = ginibre(4, 4, 9700)
     sigma = ginibre(4, 3, 9701)
     for rep in REPS[1:]:
-        got = entropy.s_f(rep, rho, sigma).value
+        got = entropy.s_f(rep, modular.build(sigma, rho)).value
         want = _superoperator_value(rep, rho, sigma)
         worst_super = max(worst_super, abs(got - want))
     # classical f-divergence on commuting (diagonal) pairs
@@ -322,7 +323,7 @@ def test_criterion_08_oracle_equivalence():
         rho = make_density(np.diag(p))
         sigma = make_density(np.diag(q))
         for rep in REPS:
-            got = entropy.s_f(rep, rho, sigma).value
+            got = entropy.s_f(rep, modular.build(sigma, rho)).value
             want = float(sum(pi * float(rep.eval(qi / pi))
                              for pi, qi in zip(p, q)))
             worst_classical = max(worst_classical, abs(got - want))
@@ -331,7 +332,7 @@ def test_criterion_08_oracle_equivalence():
         for seed in range(3):
             rho = ginibre(dim, dim, 9900 + seed)
             sigma = ginibre(dim, dim, 9950 + seed)
-            got = entropy.umegaki(rho, sigma).value
+            got = entropy.umegaki(modular.build(sigma, rho)).value
             want = entropy.umegaki_trace(rho, sigma)
             worst_umegaki = max(worst_umegaki, abs(got - want))
     ok = worst_super <= 1e-8 and worst_classical <= 1e-10 \

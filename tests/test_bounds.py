@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from petzgap import entropy, modular
+from petzgap import modular
 from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
@@ -112,7 +112,7 @@ def test_theorem_inequality_random_pairs():
     for seed in range(3):
         rho, sigma = random_pair(seed)
         op_norm = modular.operator_norm(modular.build(sigma, rho))
-        g = entropy.gap(rep, rho, sigma, SPEC4)
+        g = PairContext(rho, sigma, SPEC4).gap(rep)
         for beta in (0.2, 0.5, 0.8):
             disc = discrepancy_norm(beta, rho, sigma, SPEC4)
             lhs = math.pi / math.sin(beta * math.pi) * disc
@@ -177,7 +177,7 @@ def test_corollary_log_report_shape():
     assert out["name"] == "corollary-log"
     assert out["flags"] == sorted(out["flags"])
     assert rep.gap == pytest.approx(
-        entropy.gap(builtin_neg_log(), rho, sigma, SPEC4), abs=1e-12)
+        PairContext(rho, sigma, SPEC4).gap(builtin_neg_log()), abs=1e-12)
 
 
 def test_corollary_power_exponents_and_margin():

@@ -5,9 +5,9 @@ import pytest
 
 from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              partial_trace_view, pinching_spec, trivial_spec)
-from petzgap.entropy import (gap, integral_reconstruction, power_quasi,
-                             reconstruct_gap, renyi, renyi_gap, s_f, s_t,
-                             umegaki)
+from petzgap.context import PairContext
+from petzgap.entropy import (integral_reconstruction, power_quasi, renyi, s_f,
+                             s_t, umegaki)
 from petzgap.errors import DomainError, InvalidInput, Unsupported
 from petzgap.linalg import psd_power
 from petzgap.modular import build, superoperator_matrix
@@ -22,20 +22,21 @@ COMMUTING = (diagonal_state([0.5, 0.5]), diagonal_state([0.25, 0.75]))
 
 def test_s_f_equal_states_gives_f_of_one():
     rho = ginibre(3, 3, 1)
-    assert s_f(builtin_neg_log(), rho, rho).value == pytest.approx(0.0, abs=1e-12)
-    assert s_f(builtin_neg_power(0.3), rho, rho).value == pytest.approx(-1.0)
+    op = build(rho, rho)
+    assert s_f(builtin_neg_log(), op).value == pytest.approx(0.0, abs=1e-12)
+    assert s_f(builtin_neg_power(0.3), op).value == pytest.approx(-1.0)
 
 
 def test_s_f_commuting_matches_classical_divergence():
     rho, sigma = COMMUTING
-    got = s_f(builtin_neg_log(), rho, sigma).value
+    got = s_f(builtin_neg_log(), build(sigma, rho)).value
     assert got == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-12)
 
 
 def test_s_f_infinite_on_kernel_overlap():
     rho = make_density(np.eye(2) / 2)
     sigma = diagonal_state([1.0, 0.0])
-    out = s_f(builtin_neg_log(), rho, sigma)
+    out = s_f(builtin_neg_log(), build(sigma, rho))
     assert out.value == math.inf
     assert not out.diagnostics["support_included"]
     assert not out.finite_part_valid
@@ -45,7 +46,7 @@ def test_s_f_finite_for_power_despite_kernel():
     # f with finite limit at 0 keeps the value finite on kernel overlap
     rho = make_density(np.eye(2) / 2)
     sigma = diagonal_state([1.0, 0.0])
-    out = s_f(builtin_neg_power(0.5), rho, sigma)
+    out = s_f(builtin_neg_power(0.5), build(sigma, rho))
     assert out.value == pytest.approx(-math.sqrt(0.5), abs=1e-12)
 
 
@@ -57,7 +58,8 @@ def test_s_f_classical_oracle_random_diagonals():
         rho, sigma = diagonal_state(p), diagonal_state(q)
         for rep in (builtin_neg_log(), builtin_neg_power(0.25)):
             want = float(np.sum(p * [rep.eval(b / a) for a, b in zip(p, q)]))
-            assert s_f(rep, rho, sigma).value == pytest.approx(want, abs=1e-10)
+            assert s_f(rep, build(sigma, rho)).value == pytest.approx(
+                want, abs=1e-10)
 
 
 def test_s_f_superoperator_oracle():
@@ -72,29 +74,30 @@ def test_s_f_superoperator_oracle():
         sq = psd_power(rho.matrix, 0.5).reshape(-1, order="F")
         coeff = vecs.conj().T @ sq
         want = float(np.sum(np.abs(coeff) ** 2 * rep.eval(evals)))
-        assert s_f(rep, rho, sigma).value == pytest.approx(want, abs=1e-8)
+        assert s_f(rep, build(sigma, rho)).value == pytest.approx(
+            want, abs=1e-8)
 
 
 def test_s_t_examples():
     rho = ginibre(2, 2, 2)
-    assert s_t(1.0, rho, rho) == pytest.approx(0.5, abs=1e-12)
+    assert s_t(1.0, build(rho, rho)) == pytest.approx(0.5, abs=1e-12)
     r, s = COMMUTING
-    assert s_t(1.0, r, s) == pytest.approx(8.0 / 15.0, abs=1e-12)
+    assert s_t(1.0, build(s, r)) == pytest.approx(8.0 / 15.0, abs=1e-12)
 
 
 def test_s_t_large_t_scaling_and_monotonicity():
     rho = ginibre(3, 3, 3)
     sigma = ginibre(3, 3, 4)
     ts = [0.1, 1.0, 10.0, 1e4]
-    vals = [s_t(t, rho, sigma) for t in ts]
+    vals = [s_t(t, build(sigma, rho)) for t in ts]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    assert 1e8 * s_t(1e8, rho, sigma) == pytest.approx(1.0, rel=1e-7)
+    assert 1e8 * s_t(1e8, build(sigma, rho)) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_s_t_rejects_nonpositive_t():
     rho = ginibre(2, 2, 5)
     with pytest.raises(InvalidInput):
-        s_t(0.0, rho, rho)
+        s_t(0.0, build(rho, rho))
 
 
 def test_umegaki_matches_trace_formula():
@@ -103,18 +106,20 @@ def test_umegaki_matches_trace_formula():
         rho = ginibre(4, 4, seed)
         sigma = ginibre(4, 4, seed + 50)
         want = umegaki_trace(rho, sigma)
-        assert umegaki(rho, sigma).value == pytest.approx(want, abs=1e-9)
+        assert umegaki(build(sigma, rho)).value == pytest.approx(
+            want, abs=1e-9)
 
 
 def test_power_quasi_matches_trace_formula():
     from petzgap.entropy import power_trace
     rho, sigma = COMMUTING
     want = -(math.sqrt(1 / 8) + math.sqrt(3 / 8))
-    assert power_quasi(0.5, rho, sigma).value == pytest.approx(want, abs=1e-12)
+    assert power_quasi(0.5, build(sigma, rho)).value == pytest.approx(
+        want, abs=1e-12)
     r = ginibre(3, 3, 9)
     s = ginibre(3, 3, 19)
     for alpha in (0.25, 0.5, 0.75):
-        assert power_quasi(alpha, r, s).value == pytest.approx(
+        assert power_quasi(alpha, build(s, r)).value == pytest.approx(
             power_trace(alpha, r, s), abs=1e-10)
 
 
@@ -122,23 +127,24 @@ def test_power_quasi_range():
     for seed in range(5):
         r = ginibre(4, 3, 30 + seed)
         s = ginibre(4, 4, 60 + seed)
-        v = power_quasi(0.5, r, s).value
+        v = power_quasi(0.5, build(s, r)).value
         assert -1.0 - 1e-12 <= v < 0.0
 
 
 def test_renyi_values():
     rho, sigma = COMMUTING
     want = -2.0 * math.log(math.sqrt(1 / 8) + math.sqrt(3 / 8))
-    assert renyi(0.5, rho, sigma).value == pytest.approx(want, abs=1e-12)
+    assert renyi(0.5, build(sigma, rho)).value == pytest.approx(
+        want, abs=1e-12)
     r = ginibre(3, 3, 13)
-    assert renyi(0.5, r, r).value == pytest.approx(0.0, abs=1e-12)
+    assert renyi(0.5, build(r, r)).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_renyi_rejects_bad_alpha():
     r = ginibre(2, 2, 14)
     for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(InvalidInput):
-            renyi(alpha, r, r)
+            renyi(alpha, build(r, r))
 
 
 def test_dpi_small_batch():
@@ -150,21 +156,22 @@ def test_dpi_small_batch():
         sigma = ginibre(4, 4, 800 + seed)
         for rep in reps:
             for spec in specs:
-                assert gap(rep, rho, sigma, spec) >= -1e-9
+                assert PairContext(rho, sigma, spec).gap(rep) >= -1e-9
 
 
 def test_gap_zero_for_full_algebra():
     rho = ginibre(3, 3, 15)
     sigma = ginibre(3, 3, 16)
-    assert gap(builtin_neg_log(), rho, sigma, full_spec(3)) == pytest.approx(
-        0.0, abs=1e-10)
+    ctx = PairContext(rho, sigma, full_spec(3))
+    assert ctx.gap(builtin_neg_log()) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gap_infinite_when_only_outer_diverges():
     rho = make_density(np.eye(2) / 2)
     sigma = diagonal_state([1.0, 0.0])
     # the trivial algebra maps sigma to I/2: inner entropy finite
-    assert gap(builtin_neg_log(), rho, sigma, trivial_spec(2)) == math.inf
+    ctx = PairContext(rho, sigma, trivial_spec(2))
+    assert ctx.gap(builtin_neg_log()) == math.inf
 
 
 def test_embedding_consistency_partial_trace():
@@ -174,10 +181,10 @@ def test_embedding_consistency_partial_trace():
     rep = builtin_neg_log()
     r_n = make_density(conditional_expectation(spec, rho.matrix))
     s_n = make_density(conditional_expectation(spec, sigma.matrix))
-    embedded = s_f(rep, r_n, s_n).value
+    embedded = s_f(rep, build(s_n, r_n)).value
     r_small = make_density(partial_trace_view(spec, rho.matrix))
     s_small = make_density(partial_trace_view(spec, sigma.matrix))
-    compressed = s_f(rep, r_small, s_small).value
+    compressed = s_f(rep, build(s_small, r_small)).value
     assert embedded == pytest.approx(compressed, abs=1e-9)
 
 
@@ -185,18 +192,19 @@ def test_renyi_gap_nonnegative():
     for seed in range(3):
         rho = ginibre(4, 4, 900 + seed)
         sigma = ginibre(4, 4, 950 + seed)
-        assert renyi_gap(0.5, rho, sigma, factor_spec(2, 2)) >= -1e-9
+        ctx = PairContext(rho, sigma, factor_spec(2, 2))
+        assert ctx.renyi_gap(0.5) >= -1e-9
 
 
 def test_reconstruction_commuting_neg_log():
     rho, sigma = COMMUTING
-    got = integral_reconstruction(builtin_neg_log(), rho, sigma)
+    got = integral_reconstruction(builtin_neg_log(), build(sigma, rho))
     assert got == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-6)
 
 
 def test_reconstruction_equal_states_power():
     rho = ginibre(2, 2, 20)
-    got = integral_reconstruction(builtin_neg_power(0.5), rho, rho)
+    got = integral_reconstruction(builtin_neg_power(0.5), build(rho, rho))
     assert got == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -204,8 +212,9 @@ def test_reconstruction_random_invertible_pair():
     rho = ginibre(3, 3, 21)
     sigma = ginibre(3, 3, 22)
     rep = builtin_neg_power(0.3)
-    assert integral_reconstruction(rep, rho, sigma) == pytest.approx(
-        s_f(rep, rho, sigma).value, abs=1e-6)
+    op = build(sigma, rho)
+    assert integral_reconstruction(rep, op) == pytest.approx(
+        s_f(rep, op).value, abs=1e-6)
 
 
 def test_reconstruction_rejects_linear_term():
@@ -214,21 +223,21 @@ def test_reconstruction_rejects_linear_term():
         growth=(1.0, 0.0), name="linear", f_at_zero=0.0)
     rho = ginibre(2, 2, 23)
     with pytest.raises(Unsupported):
-        integral_reconstruction(rep, rho, rho)
+        integral_reconstruction(rep, build(rho, rho))
 
 
 def test_reconstruction_rejects_support_leak():
     rho = make_density(np.eye(2) / 2)
     sigma = diagonal_state([1.0, 0.0])
     with pytest.raises(DomainError):
-        integral_reconstruction(builtin_neg_log(), rho, sigma)
+        integral_reconstruction(builtin_neg_log(), build(sigma, rho))
 
 
 def test_reconstruct_gap_matches_direct_gap():
     rho = ginibre(4, 4, 24)
     sigma = ginibre(4, 4, 25)
-    spec = pinching_spec(4, [2, 2])
+    ctx = PairContext(rho, sigma, pinching_spec(4, [2, 2]))
     for rep_name in ("neg-log", "neg-power:0.5", "neg-power:0.75"):
         rep = rep_from_name(rep_name)
-        assert reconstruct_gap(rep, rho, sigma, spec) == pytest.approx(
-            gap(rep, rho, sigma, spec), abs=1e-6)
+        assert ctx.reconstruct_gap(rep) == pytest.approx(ctx.gap(rep),
+                                                         abs=1e-6)

@@ -1,35 +1,53 @@
-"""Golden-report gate: `verify` must keep reproducing a frozen record.
+"""Golden-report gate: `verify` and `reconstruct` must keep reproducing
+frozen records.
 
 tests/data/verify_golden.json holds, for a fixed config, the exit code and
 per trial and bound report the name, gap, discrepancy, ||Delta||, margins,
-constants and flags. The test reruns the config and compares: floats to
-1e-12 relative plus 1e-14 absolute, everything else (keys, flags, names,
-non-finite markers, the exit code) exactly.
+constants and flags. tests/data/reconstruct_golden.json holds, for a fixed
+config, the exit code, the summary and every case (entropy and gap errors,
+proof-internals margins and residuals). The tests rerun the configs and
+compare: floats to 1e-12 relative plus 1e-14 absolute, everything else
+(keys, flags, names, statuses, non-finite markers, the exit code) exactly.
 
-The record was frozen from the code before bounds took a PairContext;
-`python tests/test_golden.py` rewrites it from the current code.
+The verify record was frozen from the code before bounds took a
+PairContext, the reconstruct record from the code before the entropy
+functions took the relative modular operator instead of states.
+`python tests/test_golden.py` rewrites both from the current code.
 """
 
 import json
 import sys
 from pathlib import Path
 
-from petzgap.harness import ExperimentConfig, run_verify, sanitize
+from petzgap.harness import (ExperimentConfig, run_reconstruct, run_verify,
+                             sanitize)
 
-GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
-CONFIG = {"trials": 20, "dims": [2, 3, 4, 6, 8]}
+DATA = Path(__file__).parent / "data"
+VERIFY_GOLDEN = DATA / "verify_golden.json"
+VERIFY_CONFIG = {"trials": 20, "dims": [2, 3, 4, 6, 8]}
+RECONSTRUCT_GOLDEN = DATA / "reconstruct_golden.json"
+RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
 KEYS = ("name", "gap", "discrepancy", "delta_norm", "margins", "constants",
         "flags")
 RTOL = 1e-12
 ATOL = 1e-14
 
 
-def golden_record(code: int, report: dict) -> dict:
+def verify_record(code: int, report: dict) -> dict:
     return sanitize({
-        "config": CONFIG,
+        "config": VERIFY_CONFIG,
         "exit_code": code,
         "trials": [[{k: r[k] for k in KEYS} for r in trial["reports"]]
                    for trial in report["trials"]],
+    })
+
+
+def reconstruct_record(code: int, report: dict) -> dict:
+    return sanitize({
+        "config": RECONSTRUCT_CONFIG,
+        "exit_code": code,
+        "summary": report["summary"],
+        "cases": report["cases"],
     })
 
 
@@ -52,21 +70,33 @@ def mismatches(got, want, path="") -> list:
     return [f"{path}: {got!r} != {want!r}"]
 
 
-def current_record() -> dict:
-    code, report = run_verify(ExperimentConfig.from_json(dict(CONFIG)))
-    return golden_record(code, report)
+def current_verify_record() -> dict:
+    return verify_record(
+        *run_verify(ExperimentConfig.from_json(dict(VERIFY_CONFIG))))
+
+
+def current_reconstruct_record() -> dict:
+    return reconstruct_record(
+        *run_reconstruct(ExperimentConfig.from_json(dict(RECONSTRUCT_CONFIG))))
 
 
 def test_verify_matches_golden_record():
-    want = json.loads(GOLDEN.read_text())
-    assert want["config"] == CONFIG
-    bad = mismatches(current_record(), want)
+    want = json.loads(VERIFY_GOLDEN.read_text())
+    assert want["config"] == VERIFY_CONFIG
+    bad = mismatches(current_verify_record(), want)
+    assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
+
+
+def test_reconstruct_matches_golden_record():
+    want = json.loads(RECONSTRUCT_GOLDEN.read_text())
+    assert want["config"] == RECONSTRUCT_CONFIG
+    bad = mismatches(current_reconstruct_record(), want)
     assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
 
 
 def test_golden_comparison_catches_changes():
-    want = json.loads(GOLDEN.read_text())
-    got = json.loads(GOLDEN.read_text())
+    want = json.loads(VERIFY_GOLDEN.read_text())
+    got = json.loads(VERIFY_GOLDEN.read_text())
     report = got["trials"][0][0]
     report["gap"] *= 1.0 + 1e-9
     report["flags"].append("extra")
@@ -75,7 +105,9 @@ def test_golden_comparison_catches_changes():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(current_record(), sort_keys=True,
-                                 separators=(",", ":")) + "\n")
+    DATA.mkdir(exist_ok=True)
+    for path, record in ((VERIFY_GOLDEN, current_verify_record),
+                         (RECONSTRUCT_GOLDEN, current_reconstruct_record)):
+        path.write_text(json.dumps(record(), sort_keys=True,
+                                   separators=(",", ":")) + "\n")
     sys.exit(0)

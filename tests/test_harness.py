@@ -8,6 +8,7 @@ from petzgap.errors import InvalidInput
 from petzgap.harness import (CSV_HEADER, ExperimentConfig, draw_pair,
                              dumps_report, run_reconstruct, run_sweep,
                              run_trial, run_verify, sanitize, spec_for)
+from petzgap.monotone import rep_from_name
 
 SMALL = dict(trials=3, dims=[2, 3], specs=["pinching", "trivial"],
              functions=["neg-log"], alpha_grid=[0.5], beta_grid=[0.5],
@@ -85,7 +86,8 @@ def test_draw_pair_policies():
 
 def test_run_trial_record_shape():
     cfg = ExperimentConfig(**SMALL)
-    record = run_trial(cfg, 0)
+    reps = [rep_from_name(n) for n in cfg.functions]
+    record = run_trial(cfg, 0, reps, cfg.hash())
     assert record.config_hash == cfg.hash()
     assert record.reports
     blob = record.to_json()

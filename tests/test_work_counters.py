@@ -14,6 +14,7 @@ import numpy as np
 
 from petzgap import modular
 from petzgap.harness import ExperimentConfig, run_trial
+from petzgap.monotone import rep_from_name
 
 TRIALS = 10
 MAX_EIGH_PER_TRIAL = 8
@@ -34,12 +35,14 @@ def count_calls(monkeypatch, owner, name) -> list:
 
 def test_run_trial_computes_each_quantity_once(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
+    reps = [rep_from_name(n) for n in config.functions]
+    config_hash = config.hash()
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     build = count_calls(monkeypatch, modular, "build")
     per_trial = []
     for i in range(TRIALS):
         before = len(eigh), len(build)
-        run_trial(config, i)
+        run_trial(config, i, reps, config_hash)
         per_trial.append((len(eigh) - before[0], len(build) - before[1]))
     assert len(eigh) <= MAX_EIGH_PER_TRIAL * TRIALS, per_trial
     assert all(b <= MAX_BUILD_PER_TRIAL for _, b in per_trial), per_trial
