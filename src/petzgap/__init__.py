@@ -10,7 +10,7 @@ from .bounds import (BoundReport, InternalsReport, beta_free_discrepancy,
                      proof_internals, recovery_chain, recovery_discrepancy,
                      renyi_bound, theorem_bound)
 from .context import PairContext
-from .entropy import (EntropyValue, gap, integral_reconstruction, power_quasi,
+from .entropy import (gap, integral_reconstruction, power_quasi,
                       reconstruct_gap, renyi, renyi_gap, s_f, s_t, umegaki)
 from .errors import (DomainError, InvalidInput, NotNormalized, NotPSD,
                      NotRegular, NumericalFailure, PetzGapError,
@@ -29,8 +29,8 @@ from .states import DensityMatrix, SamplerConfig, make_density, sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "DensityMatrix", "DomainError", "EntropyValue",
-    "ExperimentConfig", "InternalsReport", "InvalidInput",
+    "BoundReport", "DensityMatrix", "DomainError", "ExperimentConfig",
+    "InternalsReport", "InvalidInput",
     "MonotoneDecreasingRep", "NotNormalized", "NotPSD", "NotRegular",
     "NumericalFailure", "PairContext", "PetzChannel", "PetzGapError",
     "RelativeModularOperator", "SamplerConfig", "SpecInconsistent",

@@ -4,7 +4,8 @@
     petzgap sweep       --config cfg.json [--seed N] [--out path]
     petzgap reconstruct --config cfg.json [--seed N] [--out path]
 
-Exit codes: 0 all checks passed, 1 a bound or residual check failed,
+Exit codes: 0 all checks passed, 1 a bound or residual check failed or a
+numerical error (a PetzGapError or an ArithmeticError) stopped the run,
 2 configuration or I/O problems.
 """
 
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"petzgap: config error: {exc}", file=sys.stderr)
         return 2
-    except PetzGapError as exc:
+    except (PetzGapError, ArithmeticError) as exc:
         print(f"petzgap: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:

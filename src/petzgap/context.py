@@ -24,8 +24,9 @@ from .states import DensityMatrix, make_density
 
 
 def _memoized(method):
-    """Keep method(self, *key) in self._memo; a rep key is the rep object,
-    which the memo keeps alive."""
+    """Keep method(self, *key) in self._memo. A rep key is the rep object:
+    builtin_neg_log() and builtin_neg_power(alpha) return one shared object
+    per function, so every bound that asks for the same gap hits."""
     @wraps(method)
     def cached(self, *key):
         slot = (method.__name__,) + key

@@ -4,9 +4,9 @@ S_f(rho||sigma) = <sqrt(rho), f(Delta_{sigma,rho}) sqrt(rho)>
                = sum over (i, j with lambda_j > 0) of
                  f(mu_i/lambda_j) * lambda_j * |<phi_i|psi_j>|^2.
 
-The value is +inf exactly when ker(sigma) meets supp(rho) with total weight
-above WEIGHT_TOL and f(0+) = +inf; weights at or below WEIGHT_TOL multiply
-any f(0+) to zero (the 0 * inf = 0 convention).
+Every entropy is a float. It is math.inf exactly when ker(sigma) meets
+supp(rho) with total weight above WEIGHT_TOL and f(0+) = +inf; weights at or
+below WEIGHT_TOL multiply any f(0+) to zero (the 0 * inf = 0 convention).
 
 Every function of Delta takes Delta itself, op = modular.build(sigma, rho);
 the gaps take op and op_n, the operator of (E(rho), E(sigma)), which a
@@ -17,7 +17,6 @@ oracles umegaki_trace and power_trace take the states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,46 +31,24 @@ WEIGHT_TOL = 1e-14
 PANEL_TOL = 1e-9
 
 
-@dataclass(eq=False)
-class EntropyValue:
-    """value may be +inf; finite_part_valid says whether value is the
-    complete (finite) sum. diagnostics: min_weighted_eigenvalue (smallest
-    modular eigenvalue carrying weight above WEIGHT_TOL), support_included
-    (supp rho inside supp sigma up to weight tolerance), zero_weight (total
-    weight sitting on the kernel of sigma)."""
-
-    value: float
-    finite_part_valid: bool
-    diagnostics: dict = field(default_factory=dict)
+def _kernel_weight(op: RelativeModularOperator) -> float:
+    """Weight of supp rho on ker sigma (the zero modular eigenvalues)."""
+    return float(np.sum(op.weights[op.eigenvalues <= 0.0]))
 
 
-def s_f(rep: MonotoneDecreasingRep,
-        op: RelativeModularOperator) -> EntropyValue:
-    """Quasi-entropy for an operator monotone decreasing f."""
+def s_f(rep: MonotoneDecreasingRep, op: RelativeModularOperator) -> float:
+    """Quasi-entropy for an operator monotone decreasing f; math.inf when
+    f(0+) = +inf and the kernel weight exceeds WEIGHT_TOL."""
     e, w = op.eigenvalues, op.weights
     pos = e > 0.0
     fv = np.asarray(rep.eval(e[pos]), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise DomainError(f"{rep.name} not finite on the positive spectrum")
     finite_part = float(np.sum(w[pos] * fv))
-    zero_weight = float(np.sum(w[~pos]))
-    support_included = zero_weight <= WEIGHT_TOL
-    heavy = w > WEIGHT_TOL
-    min_weighted = float(np.min(e[heavy])) if np.any(heavy) else 0.0
-    diagnostics = {
-        "min_weighted_eigenvalue": min_weighted,
-        "support_included": support_included,
-        "zero_weight": zero_weight,
-    }
+    zero_weight = _kernel_weight(op)
     if np.isinf(rep.f_at_zero):
-        if not support_included:
-            return EntropyValue(value=math.inf, finite_part_valid=False,
-                                diagnostics=diagnostics)
-        return EntropyValue(value=finite_part, finite_part_valid=True,
-                            diagnostics=diagnostics)
-    value = finite_part + rep.f_at_zero * zero_weight
-    return EntropyValue(value=value, finite_part_valid=True,
-                        diagnostics=diagnostics)
+        return math.inf if zero_weight > WEIGHT_TOL else finite_part
+    return finite_part + rep.f_at_zero * zero_weight
 
 
 def s_t(t: float, op: RelativeModularOperator) -> float:
@@ -84,7 +61,7 @@ def s_t(t: float, op: RelativeModularOperator) -> float:
     return float(np.sum(op.weights / (t + op.eigenvalues)))
 
 
-def umegaki(op: RelativeModularOperator) -> EntropyValue:
+def umegaki(op: RelativeModularOperator) -> float:
     """Relative entropy Tr[rho (log rho - log sigma)] as S_f with f = -log."""
     return s_f(builtin_neg_log(), op)
 
@@ -97,16 +74,14 @@ def umegaki_trace(rho, sigma) -> float:
     """
     r = make_density(rho)
     s = make_density(sigma)
-    op = build(s, r)
-    zero_weight = float(np.sum(op.weights[op.eigenvalues <= 0.0]))
-    if zero_weight > WEIGHT_TOL:
+    if _kernel_weight(build(s, r)) > WEIGHT_TOL:
         raise DomainError("relative entropy is infinite (support mismatch)")
     log_r = spectral_apply(r.matrix, math.log, pseudo=True)
     log_s = spectral_apply(s.matrix, math.log, pseudo=True)
     return float(np.trace(r.matrix @ (log_r - log_s)).real)
 
 
-def power_quasi(alpha: float, op: RelativeModularOperator) -> EntropyValue:
+def power_quasi(alpha: float, op: RelativeModularOperator) -> float:
     """S_f for f(x) = -x^alpha; equals -Tr[sigma^alpha rho^(1-alpha)]
     (pseudo powers), always in [-1, 0)."""
     return s_f(builtin_neg_power(alpha), op)
@@ -122,18 +97,16 @@ def power_trace(alpha: float, rho, sigma) -> float:
         psd_power(s.matrix, alpha) @ psd_power(r.matrix, 1.0 - alpha)).real)
 
 
-def renyi(alpha: float, op: RelativeModularOperator) -> EntropyValue:
+def renyi(alpha: float, op: RelativeModularOperator) -> float:
     """Renyi divergence (1/(alpha-1)) log Tr[rho^alpha sigma^(1-alpha)]
     for alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
-    inner = -power_quasi(1.0 - alpha, op).value
+    inner = -power_quasi(1.0 - alpha, op)
     if inner <= 0.0:
         raise NumericalFailure("power trace non-positive; states numerically "
                                "orthogonal")
-    value = math.log(inner) / (alpha - 1.0)
-    return EntropyValue(value=value, finite_part_valid=True,
-                        diagnostics={"power_trace": inner})
+    return math.log(inner) / (alpha - 1.0)
 
 
 def gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
@@ -144,14 +117,14 @@ def gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
     nan when both are."""
     outer = s_f(rep, op)
     inner = s_f(rep, op_n)
-    if math.isinf(outer.value):
-        return math.inf if not math.isinf(inner.value) else math.nan
-    return outer.value - inner.value
+    if math.isinf(outer):
+        return math.inf if not math.isinf(inner) else math.nan
+    return outer - inner
 
 
 def renyi_gap(alpha: float, op: RelativeModularOperator,
               op_n: RelativeModularOperator) -> float:
-    return renyi(alpha, op).value - renyi(alpha, op_n).value
+    return renyi(alpha, op) - renyi(alpha, op_n)
 
 
 def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
@@ -159,8 +132,7 @@ def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
         raise Unsupported("reconstruction implemented for a = 0 only")
     if rep.density is None:
         raise Unsupported(f"{rep.name} has no density")
-    zero_weight = float(np.sum(op.weights[op.eigenvalues <= 0.0]))
-    if zero_weight > WEIGHT_TOL:
+    if _kernel_weight(op) > WEIGHT_TOL:
         raise DomainError("supp sigma must contain supp rho (finite case)")
 
 

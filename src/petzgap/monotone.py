@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import InvalidInput, NotRegular, NumericalFailure
 from .quadrature import integrate_halfline
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MonotoneDecreasingRep:
     """An operator monotone decreasing function with its representation data.
 
@@ -69,22 +70,32 @@ def _interval(t: float, beta: float) -> tuple[float, float]:
     return (min(lo, hi), max(lo, hi))
 
 
+_NEG_LOG = MonotoneDecreasingRep(
+    eval=lambda x: -np.log(x),
+    a=0.0,
+    b=0.0,
+    density=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+    growth=(1.0, 0.0),
+    name="neg-log",
+    f_at_zero=np.inf,
+    c_closed=lambda t, beta: 1.0,
+)
+
+
 def builtin_neg_log() -> MonotoneDecreasingRep:
-    return MonotoneDecreasingRep(
-        eval=lambda x: -np.log(x),
-        a=0.0,
-        b=0.0,
-        density=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        growth=(1.0, 0.0),
-        name="neg-log",
-        f_at_zero=np.inf,
-        c_closed=lambda t, beta: 1.0,
-    )
+    """f(x) = -log x, one shared object."""
+    return _NEG_LOG
 
 
 def builtin_neg_power(alpha: float) -> MonotoneDecreasingRep:
+    """f(x) = -x^alpha, one shared object per alpha."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("power exponent must lie in (0, 1)")
+    return _neg_power(float(alpha))
+
+
+@cache
+def _neg_power(alpha: float) -> MonotoneDecreasingRep:
     s = math.sin(alpha * math.pi) / math.pi
 
     def c_closed(t, beta):

@@ -32,7 +32,6 @@ class PetzChannel:
     rho_n: np.ndarray
     sqrt_rho: np.ndarray = field(repr=False, default=None)
     pinv_sqrt_rho_n: np.ndarray = field(repr=False, default=None)
-    trace_preserving: bool = True
 
 
 def build_petz(rho, spec: SubalgebraSpec, decompose=None) -> PetzChannel:

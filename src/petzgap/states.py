@@ -130,13 +130,6 @@ def _diagonal(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     return np.diag(w).astype(complex)
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def swap_factors_unitary(n1: int, n2: int) -> np.ndarray:
     """Permutation taking C^{n1} (x) C^{n2} to C^{n2} (x) C^{n1}."""
     u = np.zeros((n1 * n2, n1 * n2))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from petzgap import modular
 from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
-                            FLAG_TRACE_LOSS, beta_free_discrepancy,
-                            corollary_log_bound, corollary_power_bound,
-                            discrepancy_norm, generic_corollary_bound,
-                            lemma_opt, proof_internals, recovery_chain,
+                            FLAG_TRACE_LOSS, _generic_constants,
+                            beta_free_discrepancy, corollary_log_bound,
+                            corollary_power_bound, discrepancy_norm,
+                            generic_corollary_bound, lemma_opt,
+                            log_corollary_constant, power_corollary_constant,
+                            proof_internals, recovery_chain,
                             recovery_discrepancy, renyi_bound, theorem_bound)
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput
+from petzgap.harness import ExperimentConfig, draw_pair
 from petzgap.monotone import builtin_neg_log, builtin_neg_power
 from petzgap.states import make_density
 
@@ -206,6 +210,58 @@ def test_corollary_power_proof_exponent_values():
     rep = corollary_power_bound(0.5, 0.7, PairContext(rho, sigma, SPEC4))
     assert rep.constants["exponent"] == pytest.approx(
         (1.4 + 0.5 * 0.3) / (0.7 * 0.3), rel=1e-12)
+
+
+def test_printed_constants_match_generic_optimization():
+    """The printed corollary constants are the generic optimization of the
+    theorem in closed form: exponents agree to 1e-12 and constants to 1e-9
+    relative wherever both constants are normal floats; where either
+    underflows, both are below 1e-300."""
+    betas = list(np.linspace(0.01, 0.99, 99)) + [0.5]
+    alphas = np.linspace(0.05, 0.95, 19)
+    norms = np.logspace(0, 14, 29)
+    bad = []
+
+    def check(where, k_print, expo, cst):
+        k_gen = cst["K_gap"]
+        if abs(cst["exponent"] - expo) > 1e-12 * expo:
+            bad.append((where, "exponent", expo, cst["exponent"]))
+        if min(k_print, k_gen) >= sys.float_info.min:
+            if abs(k_gen - k_print) > 1e-9 * k_print:
+                bad.append((where, "constant", k_print, k_gen))
+        elif max(k_print, k_gen) >= 1e-300:
+            bad.append((where, "underflow", k_print, k_gen))
+
+    for beta in betas:
+        for dn in norms:
+            k_print, expo, _ = log_corollary_constant(beta, dn)
+            check(("log", beta, dn), k_print, expo,
+                  _generic_constants(1.0, 0.0, beta, dn))
+            for alpha in alphas:
+                k_print, expo, _, c_eff, _ = power_corollary_constant(
+                    alpha, beta, dn)
+                big_c = math.pi / math.sin(alpha * math.pi)
+                check(("power", alpha, beta, dn), k_print, expo,
+                      _generic_constants(big_c, c_eff, beta, dn))
+    for alpha in alphas:
+        for dn in norms:
+            expo = power_corollary_constant(1.0 - alpha, 0.5, dn)[1]
+            if abs(expo - (6.0 - 2.0 * alpha)) > 1e-12:
+                bad.append((("renyi", alpha, dn), "exponent", expo))
+    assert not bad, bad[:5]
+
+
+def test_power_corollary_with_subnormal_constant_reports():
+    # verify trial 54 of these settings: d = 8, trivial spec, ||Delta|| ~ 20,
+    # where K_U = 3.772e-320 and K_generic = 3.7717e-320 differ in the
+    # subnormal range
+    config = ExperimentConfig(trials=200, beta_grid=[0.99],
+                              dims=[2, 3, 4, 6, 8])
+    rho, sigma, dim, *_ = draw_pair(config, 54)
+    rep = corollary_power_bound(0.25, 0.99,
+                                PairContext(rho, sigma, trivial_spec(dim)))
+    assert 0.0 < rep.constants["K_U"] < sys.float_info.min
+    assert rep.margins["gap_lower_bound"] >= 0.0
 
 
 def test_generic_corollary_matches_log_closed_form():

@@ -110,6 +110,20 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_arithmetic_error_is_one_line_exit_one(tmp_path, capsys,
+                                              monkeypatch):
+    def overflow(config):
+        raise OverflowError("Numerical result out of range")
+
+    monkeypatch.setattr("petzgap.cli.run_verify", overflow)
+    code = main(["verify", "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "petzgap: OverflowError: Numerical result out of range\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

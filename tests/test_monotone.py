@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,16 @@ def test_neg_power_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(InvalidInput):
             builtin_neg_power(alpha)
+
+
+def test_builtins_are_shared_frozen_objects():
+    assert builtin_neg_log() is builtin_neg_log()
+    assert builtin_neg_power(0.25) is builtin_neg_power(0.25)
+    assert builtin_neg_power(0.25) is not builtin_neg_power(0.5)
+    assert rep_from_name("neg-log") is builtin_neg_log()
+    assert rep_from_name("neg-power:0.5") is builtin_neg_power(0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        builtin_neg_log().b = 1.0
 
 
 def test_rep_from_name():

@@ -2,9 +2,11 @@
 
 A trial builds one PairContext, which computes each quantity of the trial
 once: one LAPACK eigh per distinct matrix (the two sampled states, rho,
-sigma, E(rho), E(sigma) and the matrices their validation decomposes) and
-exactly two relative modular operators. A trial used to make about 485 eigh
-and 74 modular.build calls at these settings. The counts are deterministic,
+sigma, E(rho), E(sigma) and the matrices their validation decomposes),
+exactly two relative modular operators, and one entropy.s_f per (function,
+operator) pair: 8 for the gaps of neg-log and neg-power at 0.25, 0.5, 0.75,
+plus the 6 power entropies the Renyi gaps evaluate themselves. A trial used
+to make about 485 eigh, 74 modular.build and 36 s_f calls at these settings. The counts are deterministic,
 so redundancy that creeps back fails here. The eigh budget is an average
 over the trials: a trial in which none of those matrices coincide spends
 ten.
@@ -12,13 +14,14 @@ ten.
 
 import numpy as np
 
-from petzgap import modular
+from petzgap import entropy, modular
 from petzgap.harness import ExperimentConfig, run_trial
 from petzgap.monotone import rep_from_name
 
 TRIALS = 10
 MAX_EIGH_PER_TRIAL = 8
 MAX_BUILD_PER_TRIAL = 2
+MAX_S_F_PER_TRIAL = 14
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -39,10 +42,13 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
     config_hash = config.hash()
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     build = count_calls(monkeypatch, modular, "build")
+    s_f = count_calls(monkeypatch, entropy, "s_f")
     per_trial = []
     for i in range(TRIALS):
-        before = len(eigh), len(build)
+        before = len(eigh), len(build), len(s_f)
         run_trial(config, i, reps, config_hash)
-        per_trial.append((len(eigh) - before[0], len(build) - before[1]))
+        per_trial.append((len(eigh) - before[0], len(build) - before[1],
+                          len(s_f) - before[2]))
     assert len(eigh) <= MAX_EIGH_PER_TRIAL * TRIALS, per_trial
-    assert all(b <= MAX_BUILD_PER_TRIAL for _, b in per_trial), per_trial
+    assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _ in per_trial), per_trial
+    assert all(n <= MAX_S_F_PER_TRIAL for _, _, n in per_trial), per_trial
