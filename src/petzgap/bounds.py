@@ -532,6 +532,7 @@ def _resolvent(op: modular.RelativeModularOperator):
 
     Returns (res, res_b) with res_b(t) = (t + Delta)^{-1} Delta rho^{1/2},
     the numerator of the large-t expansion res = (rho^{1/2} - res_b)/t.
+    Both take an array of t and return the stack of matrices, one per t.
     """
     kept = op.kept_columns
     u_s = op.sigma_dec.eigenvectors
@@ -540,11 +541,11 @@ def _resolvent(op: modular.RelativeModularOperator):
     c0 = op.overlaps[:, kept] * np.sqrt(lam)[None, :]
     e = op.eigenvalues.reshape(op.dim, kept.size)
 
-    def res(t: float) -> np.ndarray:
-        return u_s @ (c0 / (e + t)) @ u_r.conj().T
+    def res(t: np.ndarray) -> np.ndarray:
+        return u_s @ (c0 / (e + t[:, None, None])) @ u_r.conj().T
 
-    def res_b(t: float) -> np.ndarray:
-        return u_s @ (c0 * e / (e + t)) @ u_r.conj().T
+    def res_b(t: np.ndarray) -> np.ndarray:
+        return u_s @ (c0 * e / (e + t[:, None, None])) @ u_r.conj().T
 
     return res, res_b
 
@@ -576,6 +577,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     res, res_b = _resolvent(op)
     res_n, res_n_b = _resolvent(op_n)
 
+    # w_t and w_t_far take an array of t and return the stack of w_t
     def w_t(t):
         return u_map(res_n(t)) - res(t)
 
@@ -586,10 +588,14 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         # The direct form subtracts two O(1/t) matrices that agree to
         # O(1/t^2), wiping out the significant digits the tail quadrature
         # needs; here the leading 1/t parts never enter.
-        return (res_b(t) - u_map(res_n_b(t))) / t
+        return (res_b(t) - u_map(res_n_b(t))) / t[:, None, None]
 
-    def w_t_eval(t):
-        return w_t(t) if t <= 1.0 else w_t_far(t)
+    def weighted(w):
+        # t ** beta node by node: numpy's vectorized power may differ from
+        # the scalar one in the last bit, and so would the reported residual
+        def integrand(t):
+            return np.array([tk ** beta for tk in t])[:, None, None] * w(t)
+        return integrand
 
     rng = stream(0xA11CE, spec.dim)
     contraction = math.inf
@@ -601,18 +607,21 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     if t_grid is None:
         t_grid = np.logspace(-2, 2, 20)
     t_grid = [float(t) for t in t_grid]
+    grid = np.array(t_grid)
+    near = grid <= 1.0
+    stack = np.empty((grid.size, spec.dim, spec.dim), dtype=complex)
+    stack[near] = w_t(grid[near])
+    stack[~near] = w_t_far(grid[~near])
     per_t = math.inf
     decay = math.inf
-    for t in t_grid:
-        wt = w_t_eval(t)
+    for t, wt in zip(t_grid, stack):
         nw = float(np.linalg.norm(wt))
         gap_t = entropy.s_t(t, op) - entropy.s_t(t, op_n)
         per_t = min(per_t, gap_t - t * nw * nw)
         decay = min(decay, 2.0 / t - nw)
     target = ctx.discrepancy_matrix(beta)
-    integral = integrate_halfline(lambda t: (t ** beta) * w_t(t),
-                                  panel_tol=1e-9,
-                                  far=lambda t: (t ** beta) * w_t_far(t))
+    integral = integrate_halfline(weighted(w_t), panel_tol=1e-9,
+                                  far=weighted(w_t_far))
     identity_residual = float(np.linalg.norm(
         -(math.sin(beta * math.pi) / math.pi) * integral - target))
     try:

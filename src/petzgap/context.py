@@ -4,8 +4,9 @@ The bounds all read the same few quantities of a triple. A context computes
 each on first use and keeps it for its own lifetime only: build one per
 trial and drop it with the trial. It owns the triple's relative modular
 operators, op and op_n, and hands them to the functions of Delta in
-`entropy`; `recovery_errors` and `support_leak` get its cached
-decompositions. A caller that holds raw states and wants one quantity
+`entropy`. It keeps one entropy per (function, operator), which the gaps
+and the Renyi gaps both read; `recovery_errors` and `support_leak` get its
+cached decompositions. A caller that holds raw states and wants one quantity
 builds a context for it (as `bounds.discrepancy_norm` does).
 """
 
@@ -19,6 +20,7 @@ from . import entropy, modular
 from .algebra import SubalgebraSpec, conditional_expectation
 from .errors import InvalidInput
 from .linalg import SpectralDecomposition, as_matrix, eigh, hs_norm, psd_power
+from .monotone import builtin_neg_power
 from .recovery import recovery_errors, support_leak
 from .states import DensityMatrix, make_density
 
@@ -93,12 +95,21 @@ class PairContext:
         return modular.operator_norm(self.op)
 
     @_memoized
+    def s_f(self, rep, role: str) -> float:
+        """entropy.s_f of the operator op or op_n (role "op" or "op_n")."""
+        return entropy.s_f(rep, getattr(self, role))
+
+    @_memoized
     def gap(self, rep) -> float:
-        return entropy.gap(rep, self.op, self.op_n)
+        return entropy.gap(self.s_f(rep, "op"), self.s_f(rep, "op_n"))
 
     @_memoized
     def renyi_gap(self, alpha: float) -> float:
-        return entropy.renyi_gap(alpha, self.op, self.op_n)
+        """Read from the entropies of f(x) = -x^(1 - alpha), which the gap
+        of that function shares."""
+        rep = builtin_neg_power(1.0 - alpha)
+        return entropy.renyi_gap(alpha, self.s_f(rep, "op"),
+                                 self.s_f(rep, "op_n"))
 
     @_memoized
     def reconstruct_gap(self, rep) -> float:

@@ -9,9 +9,10 @@ supp(rho) with total weight above WEIGHT_TOL and f(0+) = +inf; weights at or
 below WEIGHT_TOL multiply any f(0+) to zero (the 0 * inf = 0 convention).
 
 Every function of Delta takes Delta itself, op = modular.build(sigma, rho);
-the gaps take op and op_n, the operator of (E(rho), E(sigma)), which a
-PairContext holds for one (rho, sigma, spec) triple. Only the trace-formula
-oracles umegaki_trace and power_trace take the states.
+reconstruct_gap takes op and op_n, the operator of (E(rho), E(sigma)), which
+a PairContext holds for one (rho, sigma, spec) triple. gap and renyi_gap
+take the entropies of op and op_n, so each entropy is computed once. Only
+the trace-formula oracles umegaki_trace and power_trace take the states.
 """
 
 from __future__ import annotations
@@ -102,29 +103,32 @@ def renyi(alpha: float, op: RelativeModularOperator) -> float:
     for alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
-    inner = -power_quasi(1.0 - alpha, op)
+    return _renyi_of_power(alpha, power_quasi(1.0 - alpha, op))
+
+
+def _renyi_of_power(alpha: float, power_entropy: float) -> float:
+    inner = -power_entropy
     if inner <= 0.0:
         raise NumericalFailure("power trace non-positive; states numerically "
                                "orthogonal")
     return math.log(inner) / (alpha - 1.0)
 
 
-def gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
-        op_n: RelativeModularOperator) -> float:
-    """S_f(rho||sigma) - S_f(E(rho)||E(sigma)) from the operators of the
-    pair (op) and of its image under E (op_n); nonnegative by the data
+def gap(outer: float, inner: float) -> float:
+    """S_f(rho||sigma) - S_f(E(rho)||E(sigma)) from the two entropies,
+    outer = s_f(rep, op) and inner = s_f(rep, op_n); nonnegative by the data
     processing inequality. +inf when only the outer entropy is infinite,
     nan when both are."""
-    outer = s_f(rep, op)
-    inner = s_f(rep, op_n)
     if math.isinf(outer):
         return math.inf if not math.isinf(inner) else math.nan
     return outer - inner
 
 
-def renyi_gap(alpha: float, op: RelativeModularOperator,
-              op_n: RelativeModularOperator) -> float:
-    return renyi(alpha, op) - renyi(alpha, op_n)
+def renyi_gap(alpha: float, outer: float, inner: float) -> float:
+    """renyi(alpha, op) - renyi(alpha, op_n) from the power entropies
+    outer = power_quasi(1 - alpha, op) and inner = power_quasi(1 - alpha,
+    op_n)."""
+    return _renyi_of_power(alpha, outer) - _renyi_of_power(alpha, inner)
 
 
 def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
@@ -161,10 +165,11 @@ def integral_reconstruction(rep: MonotoneDecreasingRep,
     def integrand(t):
         # each difference of resolvents written as a single fraction; the
         # separate terms agree to O(1/t) at large t and cancel destructively.
-        core = float(np.sum(w * (1.0 - e) / ((t + e) * (t + 1.0))))
+        tc = t[:, None]
+        core = np.sum(w * (1.0 - e) / ((tc + e) * (tc + 1.0)), axis=1)
         core += excess / (t + 1.0)
         core += (1.0 - t) / ((t + 1.0) * (t * t + 1.0))
-        return core * float(rep.density(t))
+        return core * rep.density(t)
 
     integral = integrate_halfline(integrand, panel_tol=PANEL_TOL)
     return -rep.b + float(integral)
@@ -186,8 +191,9 @@ def reconstruct_gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
         # coefficient, so subtract against 1/(t+1) analytically; the leftover
         # (sum w - sum w_n)/(t+1) is float roundoff riding a tail that
         # diverges against growing densities, hence dropped.
-        full = float(np.sum(w_f * (1.0 - e_f) / ((t + e_f) * (t + 1.0))))
-        red = float(np.sum(w_r * (1.0 - e_r) / ((t + e_r) * (t + 1.0))))
-        return (full - red) * float(rep.density(t))
+        tc = t[:, None]
+        full = np.sum(w_f * (1.0 - e_f) / ((tc + e_f) * (tc + 1.0)), axis=1)
+        red = np.sum(w_r * (1.0 - e_r) / ((tc + e_r) * (tc + 1.0)), axis=1)
+        return (full - red) * rep.density(t)
 
     return float(integrate_halfline(integrand, panel_tol=PANEL_TOL))

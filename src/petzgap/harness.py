@@ -368,7 +368,7 @@ def run_reconstruct(config: ExperimentConfig):
                     "function": rep.name}
             try:
                 value = entropy.integral_reconstruction(rep, ctx.op)
-                direct = entropy.s_f(rep, ctx.op)
+                direct = ctx.s_f(rep, "op")
                 g_quad = ctx.reconstruct_gap(rep)
                 g_direct = ctx.gap(rep)
                 case["status"] = "ok"

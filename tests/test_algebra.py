@@ -64,6 +64,39 @@ def test_expectation_dim_mismatch():
         conditional_expectation(full_spec(3), np.eye(4))
 
 
+def random_unitary(dim, seed):
+    q, r = np.linalg.qr(random_matrix(dim, seed))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("spec_builder", [
+    lambda: trivial_spec(4),
+    lambda: full_spec(5),
+    lambda: pinching_spec(5, [3, 1, 1]),
+    lambda: factor_spec(2, 3),
+    lambda: factor_spec(3, 2),
+    lambda: SubalgebraSpec(dim=8, blocks=[(2, 2), (1, 2), (2, 1)],
+                           basis=random_unitary(8, 20)),
+])
+def test_batched_expectation_matches_single_calls_bitwise(spec_builder):
+    spec = spec_builder()
+    d = spec.dim
+    rng = np.random.default_rng(21)
+    xs = rng.standard_normal((2, 3, d, d)) \
+        + 1j * rng.standard_normal((2, 3, d, d))
+    batch = conditional_expectation(spec, xs)
+    assert batch.shape == xs.shape
+    for idx in np.ndindex(2, 3):
+        single = conditional_expectation(spec, xs[idx])
+        assert batch[idx].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4), (2, 3, 4), (3,), ()])
+def test_batched_expectation_shape_mismatch(shape):
+    with pytest.raises(InvalidInput):
+        conditional_expectation(full_spec(3), np.zeros(shape))
+
+
 def test_partial_trace_of_kron():
     # single block (n, m): the view traces out the multiplicity factor
     a = random_matrix(2, 7)

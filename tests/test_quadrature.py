@@ -12,6 +12,17 @@ def test_polynomial_exact():
         1.0 / 3.0, abs=1e-14)
 
 
+def test_integrand_called_once_per_panel_with_all_nodes():
+    # a cubic is exact on every panel: the whole interval and its two halves
+    shapes = []
+
+    def cubic(t):
+        shapes.append(np.shape(t))
+        return t ** 3
+    assert integrate(cubic, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
+    assert shapes == [(15,)] * 3
+
+
 def test_log_kernel():
     assert integrate(lambda x: 1.0 / (1.0 + x), 0.0, 1.0) == pytest.approx(
         math.log(2.0), abs=1e-12)
@@ -28,12 +39,12 @@ def test_integrable_endpoint_singularity():
 
 
 def test_array_valued_integrand():
-    out = integrate(lambda x: np.array([x, x ** 3]), 0.0, 2.0)
+    out = integrate(lambda x: np.stack([x, x ** 3], axis=-1), 0.0, 2.0)
     assert out == pytest.approx([2.0, 4.0], abs=1e-12)
 
 
 def test_halfline_exponential():
-    assert integrate_halfline(lambda t: math.exp(-t)) == pytest.approx(
+    assert integrate_halfline(lambda t: np.exp(-t)) == pytest.approx(
         1.0, abs=1e-10)
 
 
@@ -44,7 +55,7 @@ def test_halfline_lorentzian():
 
 def test_halfline_beta_integral():
     # int_0^inf t^{1/2} (1+t)^{-2} dt = pi / 2
-    got = integrate_halfline(lambda t: math.sqrt(t) / (1.0 + t) ** 2)
+    got = integrate_halfline(lambda t: np.sqrt(t) / (1.0 + t) ** 2)
     assert got == pytest.approx(math.pi / 2.0, abs=1e-8)
 
 
@@ -60,20 +71,23 @@ def test_halfline_power_growth_tail():
 
 def test_halfline_matrix_valued():
     def f(t):
-        return np.array([[math.exp(-t), 0.0], [0.0, 1.0 / (1.0 + t * t)]])
+        out = np.zeros(t.shape + (2, 2))
+        out[:, 0, 0] = np.exp(-t)
+        out[:, 1, 1] = 1.0 / (1.0 + t * t)
+        return out
     out = integrate_halfline(f)
     assert out[0, 0] == pytest.approx(1.0, abs=1e-10)
     assert out[1, 1] == pytest.approx(math.pi / 2.0, abs=1e-10)
 
 
 def test_far_substitutes_the_tail():
-    got = integrate_halfline(lambda t: math.exp(-t),
-                             far=lambda t: 0.0)
+    got = integrate_halfline(lambda t: np.exp(-t),
+                             far=lambda t: np.zeros_like(t))
     assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
 
 def test_max_depth_raises():
     def jagged(x):
-        return math.copysign(1.0, math.sin(1.0 / (x + 1e-12)))
+        return np.copysign(1.0, np.sin(1.0 / (x + 1e-12)))
     with pytest.raises(NumericalFailure):
         integrate(jagged, 0.0, 1.0, panel_tol=1e-15, max_depth=12)
