@@ -2,12 +2,15 @@
 
 The bounds all read the same few quantities of a triple. A context computes
 each on first use and keeps it for its own lifetime only: build one per
-trial and drop it with the trial. It owns the triple's relative modular
-operators, op and op_n, and hands them to the functions of Delta in
-`entropy`. It keeps one entropy per (function, operator), which the gaps
-and the Renyi gaps both read; `recovery_errors` and `support_leak` get its
-cached decompositions. A caller that holds raw states and wants one quantity
-builds a context for it (as `bounds.discrepancy_norm` does).
+trial and drop it with the trial. Its spectra are the ones its states carry
+(DensityMatrix.spectrum): one eigh each for rho, sigma, E(rho), E(sigma),
+and none for E(x) when E is the identity, since E(x) is then x itself and
+every E = id gap is exactly 0. It owns the relative modular operators op
+and op_n, keeps one entropy per (function, operator), which the gaps and
+Renyi gaps share, and one power per (state, exponent), which the
+discrepancies, recovery errors and proof internals share. A caller with raw
+states builds a context for one quantity (as `bounds.discrepancy_norm` and
+`recovery.recovery_errors` do).
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import numpy as np
 from . import entropy, modular
 from .algebra import SubalgebraSpec, conditional_expectation
 from .errors import InvalidInput
-from .linalg import SpectralDecomposition, as_matrix, eigh, hs_norm, psd_power
+from .linalg import hs_norm, psd_power, support_leak, trace_norm
 from .monotone import builtin_neg_power
-from .recovery import recovery_errors, support_leak
 from .states import DensityMatrix, make_density
 
 
@@ -39,9 +41,8 @@ def _memoized(method):
 
 
 class PairContext:
-    """Lazily computed quantities of one (rho, sigma, spec) triple. Matrix
-    roles: "rho", "sigma", and "rho_n", "sigma_n" for the validated E(rho),
-    E(sigma)."""
+    """Lazily computed quantities of one (rho, sigma, spec) triple. State
+    roles: "rho", "sigma", and "rho_n", "sigma_n" for E(rho), E(sigma)."""
 
     def __init__(self, rho, sigma, spec: SubalgebraSpec):
         self.rho = make_density(rho)
@@ -49,46 +50,35 @@ class PairContext:
         if self.rho.dim != spec.dim or self.sigma.dim != spec.dim:
             raise InvalidInput("state dimension does not match spec")
         self.spec = spec
-        self._spectra = [x.validated for x in (self.rho, self.sigma)
-                         if x.validated is not None]
         self._memo = {}
-
-    def decompose(self, a) -> SpectralDecomposition:
-        """eigh(a), once per distinct matrix: a matrix with the same bits as
-        one already decomposed (E(x) = x on the full algebra, E(x) / Tr E(x)
-        = E(x) at unit trace) gets that decomposition back."""
-        m = as_matrix(a)
-        for known, dec in self._spectra:
-            if known.shape == m.shape and known.tobytes() == m.tobytes():
-                return dec
-        self._spectra.append((m, eigh(m)))
-        return self._spectra[-1][1]
-
-    def spectrum(self, role: str) -> SpectralDecomposition:
-        return self.decompose(getattr(self, role).matrix)
 
     @_memoized
     def power(self, role: str, p: float) -> np.ndarray:
-        """psd_power with pseudo-inverse powers."""
-        return psd_power(self.spectrum(role), p)
+        """psd_power of a state with pseudo-inverse powers."""
+        return psd_power(getattr(self, role).spectrum, p)
+
+    def _expect(self, x: DensityMatrix) -> DensityMatrix:
+        """E(x) as a state. E is the identity exactly when the algebra is all
+        of M_d, one (dim, 1) block in any basis; then E(x) is x itself."""
+        if self.spec.blocks == [(self.spec.dim, 1)]:
+            return x
+        return make_density(conditional_expectation(self.spec, x.matrix))
 
     @cached_property
     def rho_n(self) -> DensityMatrix:
-        return make_density(conditional_expectation(self.spec, self.rho.matrix),
-                            self.decompose)
+        return self._expect(self.rho)
 
     @cached_property
     def sigma_n(self) -> DensityMatrix:
-        return make_density(
-            conditional_expectation(self.spec, self.sigma.matrix), self.decompose)
+        return self._expect(self.sigma)
 
     @cached_property
     def op(self) -> modular.RelativeModularOperator:
-        return modular.build(self.spectrum("sigma"), self.spectrum("rho"))
+        return modular.build(self.sigma.spectrum, self.rho.spectrum)
 
     @cached_property
     def op_n(self) -> modular.RelativeModularOperator:
-        return modular.build(self.spectrum("sigma_n"), self.spectrum("rho_n"))
+        return modular.build(self.sigma_n.spectrum, self.rho_n.spectrum)
 
     @cached_property
     def delta_norm(self) -> float:
@@ -131,16 +121,31 @@ class PairContext:
         return hs_norm(self.power("sigma_n", 0.5) @ self.power("rho_n", -0.5)
                        @ self.power("rho", 0.5) - self.power("sigma", 0.5))
 
+    @_memoized
+    def kraus(self, role: str) -> np.ndarray:
+        """x^{1/2} E(x)^{-1/2} for x = rho or sigma: the Kraus operator of
+        the Petz map R_x (see `recovery`)."""
+        return self.power(role, 0.5) @ self.power(role + "_n", -0.5)
+
+    def _recovery_error(self, x: str, y: str) -> float:
+        """|| R_x(E(y)) - y ||_1."""
+        k = self.kraus(x)
+        return trace_norm(k @ getattr(self, y + "_n").matrix @ k.conj().T
+                          - getattr(self, y).matrix)
+
     @cached_property
     def recovery_errors(self) -> tuple[float, float]:
-        return recovery_errors(self.rho, self.sigma, self.spec, self.decompose)
+        """(e_rho, e_sigma) = (|| R_rho(E(sigma)) - sigma ||_1,
+        || R_sigma(E(rho)) - rho ||_1)."""
+        return (self._recovery_error("rho", "sigma"),
+                self._recovery_error("sigma", "rho"))
 
     @cached_property
     def support_leak(self) -> float:
         """The weight of sigma outside supp rho."""
-        return support_leak(self.sigma.matrix, self.spectrum("rho"))
+        return support_leak(self.sigma.matrix, self.rho.spectrum)
 
     @cached_property
     def support_leak_n(self) -> float:
         """The weight of E(sigma) outside supp E(rho)."""
-        return support_leak(self.sigma_n.matrix, self.spectrum("rho_n"))
+        return support_leak(self.sigma_n.matrix, self.rho_n.spectrum)

@@ -1,13 +1,14 @@
 """Hermitian spectral calculus and matrix norms.
 
-Everything downstream funnels through `eigh` here, so the zero threshold and
-ordering conventions are fixed in one place: eigenvalues descending, threshold
-1e-12 * max(1, lambda_max).
+Every spectrum downstream is a SpectralDecomposition, from `eigh` here or,
+for a state, the one `states.make_density` validated it with. So the zero
+threshold and ordering conventions are fixed in one place: eigenvalues
+descending, threshold 1e-12 * max(1, lambda_max).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +36,13 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (descending) and matching orthonormal eigenvectors.
 
-    zero_threshold is the cutoff used for rank and pseudo-inverse decisions.
+    zero_threshold is the cutoff of every rank and pseudo-inverse decision:
+    an eigenvalue at or below it counts as 0.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    zero_threshold: float = field(default=0.0)
+    zero_threshold: float
 
     @property
     def dim(self) -> int:
@@ -117,6 +119,14 @@ def support_projector(a) -> np.ndarray:
     v = dec.eigenvectors[:, mask]
     out = v @ v.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def support_leak(state, reference) -> float:
+    """Tr[state (1 - P)], the weight of state outside the support P of
+    reference (a matrix or its SpectralDecomposition)."""
+    p = support_projector(reference)
+    m = np.asarray(state, dtype=complex)
+    return float(np.trace(m @ (np.eye(p.shape[0]) - p)).real)
 
 
 def schatten_norm(a, p) -> float:

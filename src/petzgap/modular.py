@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import SpectralDecomposition, eigh, psd_power
+from .linalg import SpectralDecomposition, psd_power
 from .states import make_density
 
 
@@ -34,18 +34,13 @@ class RelativeModularOperator:
     overlaps: np.ndarray      # full d x d matrix <phi_i|psi_j>
 
 
-def _spectrum(state) -> SpectralDecomposition:
-    if isinstance(state, SpectralDecomposition):
-        return state
-    return eigh(make_density(state).matrix)
-
-
 def build(sigma, rho) -> RelativeModularOperator:
     """Joint spectral data of Delta_{sigma,rho}(X) = sigma X rho^+, the one
     conversion from states to Delta. Either state may be given by its
     spectral decomposition; anything else goes through make_density."""
-    sig_dec = _spectrum(sigma)
-    rho_dec = _spectrum(rho)
+    sig_dec, rho_dec = (
+        x if isinstance(x, SpectralDecomposition) else make_density(x).spectrum
+        for x in (sigma, rho))
     if sig_dec.dim != rho_dec.dim:
         raise InvalidInput("sigma and rho dimensions differ")
     d = rho_dec.dim

@@ -7,6 +7,9 @@ For Y in the subalgebra N,
 with pseudo-inverses on the support of rhoN. R_rho is completely positive
 (single Kraus operator rho^{1/2} rhoN^{-1/2}) and trace preserving on inputs
 supported inside supp(rhoN); outside that support it loses trace.
+
+E(rho) and the powers come from a PairContext, so a channel and the
+recovery errors the bounds read share one formula and one set of spectra.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SubalgebraSpec, conditional_expectation
+from .context import PairContext
 from .errors import InvalidInput, NumericalFailure
-from .linalg import eigh, psd_power, support_projector, trace_norm
-from .states import DensityMatrix, make_density
+from .linalg import support_leak, support_projector
+from .states import DensityMatrix
 
 MEMBERSHIP_TOL = 1e-9
 TP_TOL = 1e-9
@@ -27,27 +31,20 @@ CHOI_TOL = -1e-9
 
 @dataclass(eq=False)
 class PetzChannel:
+    """R_rho(Y) = K Y K^* with the Kraus operator K = rho^{1/2} rhoN^{-1/2}."""
+
     rho: DensityMatrix
     spec: SubalgebraSpec
     rho_n: np.ndarray
-    sqrt_rho: np.ndarray = field(repr=False, default=None)
-    pinv_sqrt_rho_n: np.ndarray = field(repr=False, default=None)
+    kraus: np.ndarray = field(repr=False)
 
 
-def build_petz(rho, spec: SubalgebraSpec, decompose=None) -> PetzChannel:
-    """decompose replaces `eigh` (a caller's cache of it)."""
-    r = make_density(rho)
-    if r.dim != spec.dim:
-        raise InvalidInput("state dimension does not match spec")
-    rho_n = conditional_expectation(spec, r.matrix)
-    decompose = decompose or eigh
-    return PetzChannel(
-        rho=r,
-        spec=spec,
-        rho_n=rho_n,
-        sqrt_rho=psd_power(decompose(r.matrix), 0.5),
-        pinv_sqrt_rho_n=psd_power(decompose(rho_n), -0.5, pseudo=True),
-    )
+def build_petz(rho, spec: SubalgebraSpec) -> PetzChannel:
+    """R_rho from a context's E(rho) and Kraus operator, the ones the
+    recovery errors use."""
+    ctx = PairContext(rho, rho, spec)
+    return PetzChannel(rho=ctx.rho, spec=spec, rho_n=ctx.rho_n.matrix,
+                       kraus=ctx.kraus("rho"))
 
 
 def apply(channel: PetzChannel, y) -> np.ndarray:
@@ -60,32 +57,13 @@ def apply(channel: PetzChannel, y) -> np.ndarray:
     proj = conditional_expectation(channel.spec, m)
     if np.abs(proj - m).max() > MEMBERSHIP_TOL * scale:
         raise InvalidInput("input is not in the subalgebra to tolerance")
-    k = channel.sqrt_rho @ channel.pinv_sqrt_rho_n
-    return k @ m @ k.conj().T
+    return channel.kraus @ m @ channel.kraus.conj().T
 
 
-def recovery_errors(rho, sigma, spec: SubalgebraSpec,
-                    decompose=None) -> tuple[float, float]:
-    """(e_rho, e_sigma):
-
-        e_rho   = || R_rho(E(sigma)) - sigma ||_1
-        e_sigma = || R_sigma(E(rho)) - rho ||_1
-
-    decompose as for build_petz.
-    """
-    ch_r = build_petz(rho, spec, decompose)
-    ch_s = build_petz(sigma, spec, decompose)
-    e_rho = trace_norm(apply(ch_r, ch_s.rho_n) - ch_s.rho.matrix)
-    e_sigma = trace_norm(apply(ch_s, ch_r.rho_n) - ch_r.rho.matrix)
-    return e_rho, e_sigma
-
-
-def support_leak(state, reference) -> float:
-    """Tr[state (1 - P)], the weight of state outside the support P of
-    reference (a matrix or its SpectralDecomposition)."""
-    p = support_projector(reference)
-    m = np.asarray(state, dtype=complex)
-    return float(np.trace(m @ (np.eye(p.shape[0]) - p)).real)
+def recovery_errors(rho, sigma, spec: SubalgebraSpec) -> tuple[float, float]:
+    """(e_rho, e_sigma) = (|| R_rho(E(sigma)) - sigma ||_1,
+    || R_sigma(E(rho)) - rho ||_1), as PairContext.recovery_errors."""
+    return PairContext(rho, sigma, spec).recovery_errors
 
 
 def trace_loss(channel: PetzChannel, state_n) -> bool:
@@ -123,7 +101,7 @@ def validate_petz(channel: PetzChannel) -> None:
     """
     units = _algebra_units(channel.spec)
     p = support_projector(channel.rho_n)
-    k = channel.sqrt_rho @ channel.pinv_sqrt_rho_n
+    k = channel.kraus
     for u in units:
         supported = np.abs(p @ u @ p - u).max() <= 1e-12
         out = k @ u @ k.conj().T

@@ -1,5 +1,7 @@
 """Density matrices and seeded state samplers.
 
+A DensityMatrix carries the SpectralDecomposition that make_density found
+while validating it, so each state is diagonalized once, by one eigh.
 Sampler streams are counter-based: trial i of seed s draws from
 Philox(key=(s, i)), so any trial is reproducible in isolation.
 """
@@ -11,43 +13,51 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NotNormalized, NotPSD
-from .linalg import check_hermitian, eigh
+from .linalg import SpectralDecomposition, check_hermitian, eigh
 
 PSD_TOL = -1e-12
 TRACE_TOL = 1e-9
-RANK_FLOOR = 1e-10
 
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Validated density matrix with its cached numerical rank.
+    """Validated density matrix with the eigensystem it was built from.
 
-    validated is (m, eigh(m)) for the normalized input m that validation
-    decomposed, so that a PairContext can reuse that eigh when the same
-    bits come up again (for instance when matrix equals m).
+    matrix is (v * w) @ v^H, symmetrized, for spectrum = (w, v), so spectrum
+    is its eigendecomposition by construction: consumers read it instead of
+    diagonalizing matrix again. rank and is_invertible follow
+    spectrum.zero_threshold, as psd_power's pseudo-inverse does.
     """
 
     matrix: np.ndarray
-    rank: int
-    eigenvalues: np.ndarray = field(repr=False, default=None)
-    validated: tuple | None = field(repr=False, default=None)
+    spectrum: SpectralDecomposition = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spectrum.eigenvalues
+
+    @property
+    def rank(self) -> int:
+        return self.spectrum.rank
+
+    @property
     def is_invertible(self) -> bool:
         return self.rank == self.dim
 
 
-def make_density(a, decompose=None) -> DensityMatrix:
+def make_density(a) -> DensityMatrix:
     """Validate Hermiticity, positivity, and unit trace.
 
     Eigenvalues below -1e-12 raise NotPSD; small negatives are clipped to 0.
     Traces within 1e-9 of 1 are renormalized, anything further raises
-    NotNormalized. decompose replaces `eigh` (a caller's cache of it). A
-    DensityMatrix is already validated and comes back unchanged.
+    NotNormalized. The clipped, renormalized eigenvalues and the
+    eigenvectors become the spectrum of the rebuilt matrix. A DensityMatrix
+    comes back unchanged; its matrix, passed as an array, is not a fixed
+    point to the bit (a second eigh rounds differently).
     """
     if isinstance(a, DensityMatrix):
         return a
@@ -55,19 +65,21 @@ def make_density(a, decompose=None) -> DensityMatrix:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotNormalized(f"trace {tr!r} is not 1 to tolerance")
-    m = m / tr
-    dec = (decompose or eigh)(m)
-    w = dec.eigenvalues.real
-    if w.min() < PSD_TOL:
-        raise NotPSD(f"eigenvalue {w.min()!r} below PSD tolerance")
-    w = np.clip(w, 0.0, None)
+    dec = eigh(m / tr)
+    if dec.eigenvalues[-1] < PSD_TOL:
+        raise NotPSD(f"eigenvalue {dec.eigenvalues[-1]!r} below PSD tolerance")
+    return _clean(dec)
+
+
+def _clean(dec: SpectralDecomposition) -> DensityMatrix:
+    """The state of dec's eigenvectors and its eigenvalues clipped at 0 and
+    renormalized, with dec's zero threshold."""
+    w = np.clip(dec.eigenvalues, 0.0, None)
     w = w / w.sum()
     v = dec.eigenvectors
     clean = (v * w) @ v.conj().T
-    clean = (clean + clean.conj().T) / 2.0
-    rank = int(np.sum(w > RANK_FLOOR))
-    return DensityMatrix(matrix=clean, rank=rank, eigenvalues=w,
-                         validated=(m, dec))
+    return DensityMatrix(matrix=(clean + clean.conj().T) / 2.0,
+                         spectrum=SpectralDecomposition(w, v, dec.zero_threshold))
 
 
 @dataclass
@@ -173,18 +185,14 @@ def sample(config: SamplerConfig, trial_index: int = 0):
             h = (h + h.conj().T) / 2.0
             h = h - np.trace(h).real / dim * np.eye(dim)
             h = h / np.linalg.norm(h)
-            sig = _reproject(sig + config.epsilon * h)
+            return rho, _reproject(sig + config.epsilon * h)
         return rho, make_density(sig)
     raise InvalidInput(f"unknown sampler kind {config.kind!r}")
 
 
-def _reproject(m: np.ndarray) -> np.ndarray:
+def _reproject(m: np.ndarray) -> DensityMatrix:
     """Nearest density matrix: clip eigenvalues at 0, renormalize trace."""
     dec = eigh((m + m.conj().T) / 2.0)
-    w = np.clip(dec.eigenvalues.real, 0.0, None)
-    if w.sum() <= 0.0:
+    if dec.eigenvalues[0] <= 0.0:
         raise InvalidInput("perturbation annihilated the state")
-    w = w / w.sum()
-    v = dec.eigenvectors
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _clean(dec)

@@ -8,6 +8,12 @@ def ginibre(dim, rank, seed):
     return sample(SamplerConfig(dim=dim, rank=rank, seed=seed, kind="ginibre"))
 
 
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def diagonal_state(values):
     return make_density(np.diag(np.asarray(values, dtype=float)))
 

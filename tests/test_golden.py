@@ -9,13 +9,20 @@ proof-internals margins and residuals). The tests rerun the configs and
 compare: floats to 1e-12 relative plus 1e-14 absolute, everything else
 (keys, flags, names, statuses, non-finite markers, the exit code) exactly.
 
-The verify record was frozen from the code before bounds took a
+The verify record was first frozen from the code before bounds took a
 PairContext, the reconstruct record from the code before the entropy
-functions took the relative modular operator instead of states.
-`python tests/test_golden.py` rewrites both from the current code.
+functions took the relative modular operator instead of states. Both were
+re-frozen once, when a DensityMatrix began to carry its own
+eigendecomposition and E = id began to return the states themselves: that
+moved 161 verify values (the E = id gaps became exactly 0, and so did what
+is read from them) and one reconstruct value, each listed in CHANGES.md.
+`python tests/test_golden.py` prints, per report family and key, how many
+values moved against the records on disk and by how much, then rewrites
+both from the current code.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,23 +58,58 @@ def reconstruct_record(code: int, report: dict) -> dict:
     })
 
 
-def mismatches(got, want, path="") -> list:
+def mismatches(got, want, path=()) -> list:
+    """(path, got, want) of every value of got that differs from want; path
+    is the tuple of keys and indices that leads to the value."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or sorted(got) != sorted(want):
-            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+            return [(path, got, want)]
         return [m for k in want for m in mismatches(got[k], want[k],
-                                                     f"{path}.{k}")]
+                                                     path + (k,))]
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
-            return [f"{path}: {got!r} != {want!r}"]
+            return [(path, got, want)]
         return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in mismatches(g, w, f"{path}[{i}]")]
+                for m in mismatches(g, w, path + (i,))]
     if isinstance(want, float) and isinstance(got, float):
         if abs(got - want) <= RTOL * abs(want) + ATOL:
             return []
     elif type(got) is type(want) and got == want:
         return []
-    return [f"{path}: {got!r} != {want!r}"]
+    return [(path, got, want)]
+
+
+def describe(bad: list) -> str:
+    return f"{len(bad)} mismatches, first: " + "; ".join(
+        f"{path}: {got!r} != {want!r}" for path, got, want in bad[:5])
+
+
+def moves(got, want) -> dict:
+    """{(family, key): (count, largest absolute, largest relative move)} over
+    the mismatches of got against want. The family is the name of the
+    verify report, or the function or status of the reconstruct case, that
+    holds the value; the key is the path below it. A value that changed
+    kind (a float against a non-finite marker, keys, lengths) moves by inf.
+    """
+    table = {}
+    for path, g, w in mismatches(got, want):
+        node, family, depth = want, "", 0
+        for i, step in enumerate(path):
+            node = node[step]
+            label = node.get("name", node.get("function", node.get(
+                "status"))) if isinstance(node, dict) else None
+            if label is not None:
+                family, depth = label, i + 1
+                break
+        key = ".".join(map(str, path[depth:]))
+        if isinstance(g, float) and isinstance(w, float):
+            a = abs(g - w)
+            r = a / abs(w) if w else math.inf
+        else:
+            a = r = math.inf
+        n, a0, r0 = table.get((family, key), (0, 0.0, 0.0))
+        table[family, key] = (n + 1, max(a0, a), max(r0, r))
+    return table
 
 
 def current_verify_record() -> dict:
@@ -84,14 +126,14 @@ def test_verify_matches_golden_record():
     want = json.loads(VERIFY_GOLDEN.read_text())
     assert want["config"] == VERIFY_CONFIG
     bad = mismatches(current_verify_record(), want)
-    assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
+    assert not bad, describe(bad)
 
 
 def test_reconstruct_matches_golden_record():
     want = json.loads(RECONSTRUCT_GOLDEN.read_text())
     assert want["config"] == RECONSTRUCT_CONFIG
     bad = mismatches(current_reconstruct_record(), want)
-    assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
+    assert not bad, describe(bad)
 
 
 def test_golden_comparison_catches_changes():
@@ -108,6 +150,14 @@ if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for path, record in ((VERIFY_GOLDEN, current_verify_record),
                          (RECONSTRUCT_GOLDEN, current_reconstruct_record)):
-        path.write_text(json.dumps(record(), sort_keys=True,
+        new = record()
+        if path.exists():
+            table = moves(new, json.loads(path.read_text()))
+            print(f"{path.name}: {sum(n for n, _, _ in table.values())} "
+                  "values moved")
+            for (family, key), (n, a, r) in sorted(table.items()):
+                print(f"  {family:24} {key:28} {n:4d}  max abs {a:.2e}  "
+                      f"max rel {r:.2e}")
+        path.write_text(json.dumps(new, sort_keys=True,
                                    separators=(",", ":")) + "\n")
     sys.exit(0)

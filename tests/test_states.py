@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from petzgap.errors import InvalidInput, NotNormalized, NotPSD
+from petzgap.linalg import psd_power
 from petzgap.states import (SamplerConfig, default_factors, make_density,
                             sample, stream, swap_factors_unitary)
 
@@ -17,6 +18,22 @@ def test_make_density_pure_state():
     d = make_density(np.diag([1.0, 0.0]))
     assert d.rank == 1
     assert not d.is_invertible
+
+
+def test_invertible_exactly_when_the_pseudo_inverse_inverts_every_eigenvalue():
+    d = make_density(np.diag([1.0 - 5e-11, 5e-11]))
+    assert d.rank == 2
+    assert d.is_invertible
+    np.testing.assert_allclose(psd_power(d.spectrum, -1.0) @ d.matrix,
+                               np.eye(2), atol=1e-12)
+    assert not make_density(np.diag([1.0 - 5e-13, 5e-13])).is_invertible
+
+
+def test_make_density_carries_the_spectrum_of_its_matrix():
+    d = make_density(np.array([[0.6, 0.1 + 0.05j], [0.1 - 0.05j, 0.4]]))
+    v, w = d.spectrum.eigenvectors, d.eigenvalues
+    np.testing.assert_allclose(d.matrix @ v, v * w, atol=1e-15)
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_make_density_rejects_negative_eigenvalue():

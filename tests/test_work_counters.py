@@ -1,26 +1,27 @@
 """Work counters of verify trials.
 
 A trial builds one PairContext, which computes each quantity of the trial
-once: one LAPACK eigh per distinct matrix (the two sampled states, rho,
-sigma, E(rho), E(sigma) and the matrices their validation decomposes),
-exactly two relative modular operators, and one entropy.s_f per (function,
-operator) pair: 8 for the gaps of neg-log and neg-power at 0.25, 0.5, 0.75,
-which the Renyi gaps of orders 0.75, 0.5, 0.25 read too. A trial used to
-make about 485 eigh, 74 modular.build and 36 s_f calls at these settings,
-and 14 s_f calls while the Renyi gaps evaluated their own power entropies.
-The counts are deterministic, so redundancy that creeps back fails here.
-The eigh budget is an average over the trials: a trial in which none of
-those matrices coincide spends ten.
+once. A state carries the eigendecomposition it was validated with, so a
+trial makes one LAPACK eigh per state: the two sampled states rho and sigma,
+and E(rho) and E(sigma), which are rho and sigma themselves when E is the
+identity (2 eigh then). It builds exactly two relative modular operators and
+one entropy.s_f per (function, operator) pair: 8 for the gaps of neg-log and
+neg-power at 0.25, 0.5, 0.75, which the Renyi gaps of orders 0.75, 0.5, 0.25
+read too. A trial used to make about 485 eigh, 74 modular.build and 36 s_f
+calls at these settings, then up to ten eigh while a context re-diagonalized
+every validated state. The counts are deterministic and asserted for every
+trial, so redundancy that creeps back fails here.
 """
 
 import numpy as np
 
 from petzgap import entropy, modular
-from petzgap.harness import ExperimentConfig, run_trial
+from petzgap.harness import ExperimentConfig, run_trial, spec_for
 from petzgap.monotone import rep_from_name
 
 TRIALS = 10
-MAX_EIGH_PER_TRIAL = 8
+MAX_EIGH_PER_TRIAL = 4
+EIGH_PER_IDENTITY_TRIAL = 2
 MAX_BUILD_PER_TRIAL = 2
 MAX_S_F_PER_TRIAL = 8
 
@@ -45,11 +46,19 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
     build = count_calls(monkeypatch, modular, "build")
     s_f = count_calls(monkeypatch, entropy, "s_f")
     per_trial = []
+    identity = []
     for i in range(TRIALS):
+        dim = config.dims[i % len(config.dims)]
+        spec = spec_for(config.specs[i % len(config.specs)], dim)
+        identity.append(spec.blocks == [(dim, 1)])
         before = len(eigh), len(build), len(s_f)
         run_trial(config, i, reps, config_hash)
         per_trial.append((len(eigh) - before[0], len(build) - before[1],
                           len(s_f) - before[2]))
-    assert len(eigh) <= MAX_EIGH_PER_TRIAL * TRIALS, per_trial
+    assert any(identity) and not all(identity)
+    assert all(e <= MAX_EIGH_PER_TRIAL for e, _, _ in per_trial), per_trial
+    assert all(e == EIGH_PER_IDENTITY_TRIAL
+               for (e, _, _), ident in zip(per_trial, identity) if ident), \
+        per_trial
     assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _ in per_trial), per_trial
     assert all(n <= MAX_S_F_PER_TRIAL for _, _, n in per_trial), per_trial
