@@ -591,10 +591,8 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         return (res_b(t) - u_map(res_n_b(t))) / t[:, None, None]
 
     def weighted(w):
-        # t ** beta node by node: numpy's vectorized power may differ from
-        # the scalar one in the last bit, and so would the reported residual
         def integrand(t):
-            return np.array([tk ** beta for tk in t])[:, None, None] * w(t)
+            return (t ** beta)[:, None, None] * w(t)
         return integrand
 
     rng = stream(0xA11CE, spec.dim)

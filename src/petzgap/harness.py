@@ -350,6 +350,9 @@ def run_reconstruct(config: ExperimentConfig):
     """Integral-reconstruction and proof-internals battery on invertible
     pairs. Exit 0 iff every recorded error and residual is <= 1e-5; reps
     the machinery cannot integrate are recorded as unsupported, not failed.
+    A case whose quadrature fails (NumericalFailure), a reconstruction or a
+    trial's proof internals, is recorded as failed with the reason, sets
+    max_error to inf, and the run goes on.
     """
     reps = [rep_from_name(n) for n in config.functions]
     cases = []
@@ -385,23 +388,30 @@ def run_reconstruct(config: ExperimentConfig):
                 max_error = math.inf
             cases.append(case)
         beta = config.beta_grid[i % len(config.beta_grid)]
-        internals = bounds.proof_internals(
-            reps[0], beta, ctx, t_grid=np.logspace(-2, 2, config.t_points))
-        int_case = {
-            "trial_index": i, "dim": dim, "spec_kind": kind, "beta": beta,
-            "status": "internals",
-            "contraction_margin": internals.contraction_margin,
-            "per_t_gap_margin": internals.per_t_gap_margin,
-            "decay_margin": internals.decay_margin,
-            "identity_residual": internals.identity_residual,
-            "gap_residual": internals.gap_residual,
-        }
-        max_error = max(max_error, internals.identity_residual)
-        if not math.isnan(internals.gap_residual):
-            max_error = max(max_error, internals.gap_residual)
-        if min(internals.contraction_margin, internals.per_t_gap_margin,
-               internals.decay_margin) < -config.tolerance:
+        int_case = {"trial_index": i, "dim": dim, "spec_kind": kind,
+                    "beta": beta}
+        try:
+            internals = bounds.proof_internals(
+                reps[0], beta, ctx, t_grid=np.logspace(-2, 2, config.t_points))
+        except NumericalFailure as exc:
+            int_case["status"] = "failed"
+            int_case["reason"] = str(exc)
             max_error = math.inf
+        else:
+            int_case.update({
+                "status": "internals",
+                "contraction_margin": internals.contraction_margin,
+                "per_t_gap_margin": internals.per_t_gap_margin,
+                "decay_margin": internals.decay_margin,
+                "identity_residual": internals.identity_residual,
+                "gap_residual": internals.gap_residual,
+            })
+            max_error = max(max_error, internals.identity_residual)
+            if not math.isnan(internals.gap_residual):
+                max_error = max(max_error, internals.gap_residual)
+            if min(internals.contraction_margin, internals.per_t_gap_margin,
+                   internals.decay_margin) < -config.tolerance:
+                max_error = math.inf
         cases.append(int_case)
     report = {
         "schema": "reconstruct_v1",

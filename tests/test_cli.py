@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from petzgap import bounds
 from petzgap.cli import main
+from petzgap.errors import NumericalFailure
 from petzgap.harness import CSV_HEADER
 
 
@@ -78,6 +80,33 @@ def test_reconstruct_exit_zero(tmp_path, capsys):
     assert "reconstruct: pass" in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert report["schema"] == "reconstruct_v1"
+
+
+def test_reconstruct_survives_failed_proof_internals(tmp_path, capsys,
+                                                     monkeypatch):
+    original = bounds.proof_internals
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalFailure("quadrature failed to converge on [0, 1]")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "proof_internals", fail_second)
+    cfg = write_config(tmp_path, trials=3, dims=[3], t_points=6)
+    out = tmp_path / "rec.json"
+    code = main(["reconstruct", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert "reconstruct: FAIL" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    internals = [c for c in report["cases"] if "beta" in c]
+    assert [c["trial_index"] for c in internals] == [0, 1, 2]
+    assert [c["status"] for c in internals] == ["internals", "failed",
+                                                "internals"]
+    assert "failed to converge" in internals[1]["reason"]
+    assert {c["trial_index"] for c in report["cases"]} == {0, 1, 2}
+    assert report["summary"]["max_error"] == "inf"
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

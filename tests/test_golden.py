@@ -16,6 +16,9 @@ re-frozen once, when a DensityMatrix began to carry its own
 eigendecomposition and E = id began to return the states themselves: that
 moved 161 verify values (the E = id gaps became exactly 0, and so did what
 is read from them) and one reconstruct value, each listed in CHANGES.md.
+The reconstruct record alone was re-frozen once more when integrate_halfline
+began to integrate both pieces in the graded variable u^4: 14 values moved,
+every one an error or residual that fell toward 0 (largest 2.6e-9 to 5.6e-16).
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, then rewrites
 both from the current code.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_halfline_beta_integral():
     assert got == pytest.approx(math.pi / 2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("gamma, tol", [
+    (0.25, 1e-13), (0.5, 1e-13), (0.75, 1e-13), (0.1, 1e-8), (0.9, 1e-8)])
+def test_halfline_beta_integrals_closed_form(gamma, tol):
+    # int_0^inf t^(gamma-1) / (1+t) dt = pi / sin(gamma pi); the endpoints
+    # t^(gamma-1) at 0 and s^-gamma of the tail at s = 1/t = 0 become
+    # polynomials in the graded variable when gamma is a multiple of 1/4
+    got = integrate_halfline(lambda t: t ** (gamma - 1.0) / (1.0 + t))
+    assert abs(got - math.pi / math.sin(gamma * math.pi)) <= tol
+
+
 def test_halfline_power_growth_tail():
     # int_0^inf t^{3/4} / (1+t)^2 / (1+t^2) dt, finite with density-like
     # growth in the numerator; reference from a dense log-grid trapezoid
@@ -91,3 +102,25 @@ def test_max_depth_raises():
         return np.copysign(1.0, np.sin(1.0 / (x + 1e-12)))
     with pytest.raises(NumericalFailure):
         integrate(jagged, 0.0, 1.0, panel_tol=1e-15, max_depth=12)
+
+
+def test_non_finite_panel_raises_without_warnings():
+    # the tail of (1+t)^-1.05 goes like s^-0.95 at s = 1/t = 0, too
+    # singular to converge; the panels that chase it underflow to non-finite
+    # values, which raise at once and print no numpy warning
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            integrate_halfline(lambda t: (1.0 + t) ** -1.05)
+    assert seen == []
+
+
+def test_nan_panel_raises_at_once():
+    calls = []
+
+    def nan_at_the_end(x):
+        calls.append(x)
+        return np.where(x > 0.9, np.nan, x)
+    with pytest.raises(NumericalFailure, match=r"\[0\.0, 1\.0\]"):
+        integrate(nan_at_the_end, 0.0, 1.0)
+    assert len(calls) == 1

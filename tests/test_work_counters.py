@@ -11,12 +11,17 @@ read too. A trial used to make about 485 eigh, 74 modular.build and 36 s_f
 calls at these settings, then up to ten eigh while a context re-diagonalized
 every validated state. The counts are deterministic and asserted for every
 trial, so redundancy that creeps back fails here.
+
+A reconstruct run calls the quadrature integrand once per panel. The graded
+half-line quadrature makes 144 panels on the reconstruct golden config,
+against 1,840 when bisection chased the power-law endpoints of the tails.
 """
 
 import numpy as np
 
-from petzgap import entropy, modular
-from petzgap.harness import ExperimentConfig, run_trial, spec_for
+from petzgap import entropy, modular, quadrature
+from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
+                             spec_for)
 from petzgap.monotone import rep_from_name
 
 TRIALS = 10
@@ -24,6 +29,8 @@ MAX_EIGH_PER_TRIAL = 4
 EIGH_PER_IDENTITY_TRIAL = 2
 MAX_BUILD_PER_TRIAL = 2
 MAX_S_F_PER_TRIAL = 8
+RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
+MAX_INTEGRAND_CALLS = 200
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -62,3 +69,20 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         per_trial
     assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _ in per_trial), per_trial
     assert all(n <= MAX_S_F_PER_TRIAL for _, _, n in per_trial), per_trial
+
+
+def test_reconstruct_integrand_calls(monkeypatch):
+    calls = []
+    original = quadrature.integrate
+
+    def counting(f, *args, **kwargs):
+        def counted(t):
+            calls.append(t.shape)
+            return f(t)
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    code, _ = run_reconstruct(ExperimentConfig.from_json(
+        dict(RECONSTRUCT_CONFIG)))
+    assert code == 0
+    assert 0 < len(calls) <= MAX_INTEGRAND_CALLS, len(calls)
