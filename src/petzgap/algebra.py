@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SpecInconsistent
-from .linalg import as_matrix, matrix_from_json, matrix_to_json
+from .linalg import as_matrix
 from .states import swap_factors_unitary
 
 UNITARY_TOL = 1e-10
-VALIDATE_TOL = 1e-10
-CHOI_TOL = -1e-10
 
 
 @dataclass(eq=False)
@@ -52,24 +50,6 @@ class SubalgebraSpec:
             if np.abs(v.conj().T @ v - np.eye(self.dim)).max() > UNITARY_TOL:
                 raise SpecInconsistent("basis is not unitary to tolerance")
             self.basis = v
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "blocks": [[n, m] for n, m in self.blocks],
-            "basis": "identity" if self.basis is None else matrix_to_json(self.basis),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SubalgebraSpec":
-        try:
-            dim = int(obj["dim"])
-            blocks = [tuple(b) for b in obj["blocks"]]
-            raw = obj.get("basis", "identity")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad subalgebra JSON: {exc}") from exc
-        basis = None if raw == "identity" else matrix_from_json(raw)
-        return cls(dim=dim, blocks=blocks, basis=basis)
 
 
 def trivial_spec(dim: int) -> SubalgebraSpec:
@@ -119,52 +99,3 @@ def conditional_expectation(spec: SubalgebraSpec, x) -> np.ndarray:
         ).reshape(batch + (sz, sz))
         off += sz
     return out if spec.basis is None else spec.basis @ out @ spec.basis.conj().T
-
-
-def partial_trace_view(spec: SubalgebraSpec, x) -> np.ndarray:
-    """For a single-block (n, m) spec: trace over the multiplicity factor.
-
-    Returns the n x n matrix P with E(X) = (1/m) * P (x) 1_m up to the basis
-    rotation. Specs with more than one block have no single such view.
-    """
-    if len(spec.blocks) != 1:
-        raise InvalidInput("partial_trace_view needs exactly one block")
-    m = as_matrix(x)
-    if m.shape != (spec.dim, spec.dim):
-        raise InvalidInput("matrix dimension does not match spec")
-    n, mult = spec.blocks[0]
-    y = m if spec.basis is None else spec.basis.conj().T @ m @ spec.basis
-    return np.einsum("iaja->ij", y.reshape(n, mult, n, mult))
-
-
-def validate_expectation(spec: SubalgebraSpec) -> None:
-    """Check E is an idempotent, self-adjoint, unital, trace-preserving
-    positive projection; raises SpecInconsistent naming the failing property.
-
-    Linear-map properties are checked on a matrix-unit basis (exact, not
-    sampled); positivity via the Choi matrix of E.
-    """
-    d = spec.dim
-    ident = np.eye(d, dtype=complex)
-    e_of_1 = conditional_expectation(spec, ident)
-    if np.abs(e_of_1 - ident).max() > VALIDATE_TOL:
-        raise SpecInconsistent("unitality fails")
-    # the d^2 matrix units E_ab, stacked at index a * d + b
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    images = conditional_expectation(spec, units)
-    twice = conditional_expectation(spec, images)
-    for e, img, img2 in zip(units, images, twice):
-        if abs(np.trace(img) - np.trace(e)) > VALIDATE_TOL:
-            raise SpecInconsistent("trace preservation fails")
-        if np.abs(img2 - img).max() > VALIDATE_TOL:
-            raise SpecInconsistent("idempotence fails")
-    for i, e in enumerate(units):
-        for k in range(i, len(units)):
-            lhs = np.trace(images[i].conj().T @ units[k])
-            rhs = np.trace(e.conj().T @ images[k])
-            if abs(lhs - rhs) > VALIDATE_TOL:
-                raise SpecInconsistent("self-adjointness fails")
-    choi = sum(np.kron(img, e) for e, img in zip(units, images))
-    w = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-    if w.min() < CHOI_TOL:
-        raise SpecInconsistent("complete positivity fails (Choi not PSD)")

@@ -524,7 +524,6 @@ class InternalsReport:
     decay_margin: float
     identity_residual: float
     gap_residual: float
-    t_grid: list
 
 
 def _resolvent(op: modular.RelativeModularOperator):
@@ -618,8 +617,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         per_t = min(per_t, gap_t - t * nw * nw)
         decay = min(decay, 2.0 / t - nw)
     target = ctx.discrepancy_matrix(beta)
-    integral = integrate_halfline(weighted(w_t), panel_tol=1e-9,
-                                  far=weighted(w_t_far))
+    integral = integrate_halfline(weighted(w_t), far=weighted(w_t_far))
     identity_residual = float(np.linalg.norm(
         -(math.sin(beta * math.pi) / math.pi) * integral - target))
     try:
@@ -634,5 +632,4 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         decay_margin=decay,
         identity_residual=identity_residual,
         gap_residual=gap_residual,
-        t_grid=t_grid,
     )

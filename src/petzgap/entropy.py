@@ -11,8 +11,10 @@ below WEIGHT_TOL multiply any f(0+) to zero (the 0 * inf = 0 convention).
 Every function of Delta takes Delta itself, op = modular.build(sigma, rho);
 reconstruct_gap takes op and op_n, the operator of (E(rho), E(sigma)), which
 a PairContext holds for one (rho, sigma, spec) triple. gap and renyi_gap
-take the entropies of op and op_n, so each entropy is computed once. Only
-the trace-formula oracles umegaki_trace and power_trace take the states.
+take the entropies of op and op_n, so each entropy is computed once. The
+relative entropy is s_f(builtin_neg_log(), op) and the power quasi-entropy
+s_f(builtin_neg_power(alpha), op); their trace formulas, which take the
+states, are reference oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidInput, NumericalFailure, Unsupported
-from .linalg import psd_power, spectral_apply
-from .modular import RelativeModularOperator, build
-from .monotone import MonotoneDecreasingRep, builtin_neg_log, builtin_neg_power
+from .modular import RelativeModularOperator
+from .monotone import MonotoneDecreasingRep, builtin_neg_power
 from .quadrature import integrate_halfline
-from .states import make_density
 
 WEIGHT_TOL = 1e-14
-PANEL_TOL = 1e-9
 
 
 def _kernel_weight(op: RelativeModularOperator) -> float:
@@ -62,48 +61,12 @@ def s_t(t: float, op: RelativeModularOperator) -> float:
     return float(np.sum(op.weights / (t + op.eigenvalues)))
 
 
-def umegaki(op: RelativeModularOperator) -> float:
-    """Relative entropy Tr[rho (log rho - log sigma)] as S_f with f = -log."""
-    return s_f(builtin_neg_log(), op)
-
-
-def umegaki_trace(rho, sigma) -> float:
-    """Trace-formula cross-check (finite case only: supp rho in supp sigma).
-
-    Uses pseudo-logarithms restricted to the supports; raises DomainError
-    when the value is +inf.
-    """
-    r = make_density(rho)
-    s = make_density(sigma)
-    if _kernel_weight(build(s, r)) > WEIGHT_TOL:
-        raise DomainError("relative entropy is infinite (support mismatch)")
-    log_r = spectral_apply(r.matrix, math.log, pseudo=True)
-    log_s = spectral_apply(s.matrix, math.log, pseudo=True)
-    return float(np.trace(r.matrix @ (log_r - log_s)).real)
-
-
-def power_quasi(alpha: float, op: RelativeModularOperator) -> float:
-    """S_f for f(x) = -x^alpha; equals -Tr[sigma^alpha rho^(1-alpha)]
-    (pseudo powers), always in [-1, 0)."""
-    return s_f(builtin_neg_power(alpha), op)
-
-
-def power_trace(alpha: float, rho, sigma) -> float:
-    """Trace-formula cross-check -Tr[sigma^alpha rho^(1-alpha)]."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("alpha must lie in (0, 1)")
-    r = make_density(rho)
-    s = make_density(sigma)
-    return -float(np.trace(
-        psd_power(s.matrix, alpha) @ psd_power(r.matrix, 1.0 - alpha)).real)
-
-
 def renyi(alpha: float, op: RelativeModularOperator) -> float:
     """Renyi divergence (1/(alpha-1)) log Tr[rho^alpha sigma^(1-alpha)]
     for alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
-    return _renyi_of_power(alpha, power_quasi(1.0 - alpha, op))
+    return _renyi_of_power(alpha, s_f(builtin_neg_power(1.0 - alpha), op))
 
 
 def _renyi_of_power(alpha: float, power_entropy: float) -> float:
@@ -126,8 +89,8 @@ def gap(outer: float, inner: float) -> float:
 
 def renyi_gap(alpha: float, outer: float, inner: float) -> float:
     """renyi(alpha, op) - renyi(alpha, op_n) from the power entropies
-    outer = power_quasi(1 - alpha, op) and inner = power_quasi(1 - alpha,
-    op_n)."""
+    outer = s_f(builtin_neg_power(1 - alpha), op) and inner the same of
+    op_n."""
     return _renyi_of_power(alpha, outer) - _renyi_of_power(alpha, inner)
 
 
@@ -171,7 +134,7 @@ def integral_reconstruction(rep: MonotoneDecreasingRep,
         core += (1.0 - t) / ((t + 1.0) * (t * t + 1.0))
         return core * rep.density(t)
 
-    integral = integrate_halfline(integrand, panel_tol=PANEL_TOL)
+    integral = integrate_halfline(integrand)
     return -rep.b + float(integral)
 
 
@@ -196,4 +159,4 @@ def reconstruct_gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
         red = np.sum(w_r * (1.0 - e_r) / ((tc + e_r) * (tc + 1.0)), axis=1)
         return (full - red) * rep.density(t)
 
-    return float(integrate_halfline(integrand, panel_tol=PANEL_TOL))
+    return float(integrate_halfline(integrand))

@@ -2,7 +2,7 @@
 
 Outputs are byte-deterministic for a fixed config: every random draw is
 keyed by (seed, trial_index), floats are serialized at full precision, JSON
-keys are sorted, and wall-clock timings stay off the serialized records.
+keys are sorted, and no record carries a wall-clock time.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +26,12 @@ from .states import SamplerConfig, default_factors, sample
 SPEC_KINDS = ("pinching", "partial-trace", "trivial", "full")
 
 CSV_HEADER = "epsilon,gap,disc_b50,err_rho,err_sigma,rhs_log,rhs_pow,rhs_renyi"
+
+
+def _require_int(value, label: str) -> None:
+    """InvalidInput unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{label} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -47,9 +53,13 @@ class ExperimentConfig:
     t_points: int = 20
 
     def __post_init__(self):
+        for label in ("trials", "seed", "t_points"):
+            _require_int(getattr(self, label), label)
+        for d in self.dims:
+            _require_int(d, "each dims entry")
         if self.trials < 1:
             raise InvalidInput("trials must be >= 1")
-        if not self.dims or any(int(d) < 2 for d in self.dims):
+        if not self.dims or any(d < 2 for d in self.dims):
             raise InvalidInput("dims must be integers >= 2")
         self.dims = [int(d) for d in self.dims]
         if not self.specs:
@@ -120,11 +130,8 @@ class TrialRecord:
     rho_eigenvalues: list
     sigma_eigenvalues: list
     reports: list
-    wall_time: float
 
     def to_json(self) -> dict:
-        # wall_time is intentionally absent: outputs must be byte-identical
-        # across runs of the same config.
         return {
             "trial_index": self.trial_index,
             "config_hash": self.config_hash,
@@ -212,7 +219,6 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
               config_hash: str) -> TrialRecord:
     """One verify trial with the reps of config.functions and the config
     hash, which run_verify computes once for the whole run."""
-    t0 = time.perf_counter()
     rho, sigma, dim, rank_rho, rank_sigma, sampler_kind = \
         draw_pair(config, trial_index)
     kind = config.specs[trial_index % len(config.specs)]
@@ -224,7 +230,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
         for beta in config.beta_grid:
             reports.append(_theorem_report(rep, beta, ctx.discrepancy(beta),
                                            ctx.delta_norm, g))
-            reports.append(bounds.generic_corollary_bound(rep, beta, ctx))
+            # for neg-log, corollary-log asserts this and records K_generic
+            if rep is not builtin_neg_log():
+                reports.append(bounds.generic_corollary_bound(rep, beta, ctx))
     for beta in config.beta_grid:
         reports.append(bounds.corollary_log_bound(beta, ctx))
         reports.append(bounds.beta_free_discrepancy(beta, ctx))
@@ -244,7 +252,6 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
         rho_eigenvalues=[float(v) for v in rho.eigenvalues],
         sigma_eigenvalues=[float(v) for v in sigma.eigenvalues],
         reports=reports,
-        wall_time=time.perf_counter() - t0,
     )
 
 

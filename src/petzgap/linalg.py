@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput
+from .errors import InvalidInput
 
 HERMITIAN_RTOL = 1e-12
 
@@ -63,49 +63,15 @@ def eigh(a) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, zero_threshold=thr)
 
 
-def spectral_apply(a, g, pseudo: bool = False) -> np.ndarray:
-    """g(A) for Hermitian A via the spectral theorem.
-
-    pseudo=True maps eigenvalues inside the zero threshold to 0 without
-    evaluating g there (pseudo-inverse style). A non-finite g value on a
-    retained eigenvalue raises DomainError.
-    """
-    dec = a if isinstance(a, SpectralDecomposition) else eigh(a)
-    vals = np.empty(dec.dim, dtype=complex)
-    for i, lam in enumerate(dec.eigenvalues):
-        if pseudo and abs(lam) <= dec.zero_threshold:
-            vals[i] = 0.0
-            continue
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = complex(g(float(lam.real) if np.isrealobj(dec.eigenvalues) else lam))
-        if not np.isfinite(y):
-            raise DomainError(f"function value not finite at eigenvalue {lam}")
-        vals[i] = y
-    v = dec.eigenvectors
-    out = (v * vals) @ v.conj().T
-    if np.abs(vals.imag).max(initial=0.0) == 0.0:
-        out = (out + out.conj().T) / 2.0
-    return out
-
-
-def psd_power(a, p: float, pseudo: bool = True) -> np.ndarray:
-    """A^p for PSD A. Negative eigenvalues within roundoff are clipped to 0.
-
-    With pseudo=True, zero eigenvalues map to 0 for every p (so p<0 gives the
-    pseudo-inverse power and p=0 gives the support projector).
-    """
+def psd_power(a, p: float) -> np.ndarray:
+    """A^p for PSD A with pseudo powers: eigenvalues at or below the zero
+    threshold (roundoff negatives included) map to 0 for every p, so p < 0
+    gives the pseudo-inverse power and p = 0 the support projector."""
     dec = a if isinstance(a, SpectralDecomposition) else eigh(a)
     w = dec.eigenvalues.real
     vals = np.zeros(dec.dim)
     for i, lam in enumerate(w):
-        if lam <= dec.zero_threshold:
-            if not pseudo and p < 0:
-                raise DomainError("negative power of a singular matrix")
-            if not pseudo and p == 0:
-                vals[i] = 1.0
-            else:
-                vals[i] = 0.0
-        else:
+        if lam > dec.zero_threshold:
             vals[i] = lam ** p
     v = dec.eigenvectors
     out = (v * vals) @ v.conj().T
@@ -146,33 +112,3 @@ def trace_norm(a) -> float:
 
 def hs_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr[A^* B], conjugate-linear in A."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise InvalidInput(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return complex(np.trace(ma.conj().T @ mb))
-
-
-def matrix_to_json(a) -> dict:
-    """Row-major {dim, re, im} encoding used by all on-disk matrices."""
-    m = as_matrix(a)
-    return {
-        "dim": m.shape[0],
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"bad matrix JSON: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise InvalidInput("matrix JSON shape mismatch")
-    return re + 1j * im

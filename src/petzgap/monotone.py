@@ -15,7 +15,9 @@ Builtins:
     neg-power:a   f(x) = -x^a       a=0, b=cos(a*pi/2),     w(t) = sin(a*pi)/pi * t^a
 
 for a in (0, 1). Note b = Re[i^a] = cos(a*pi/2); the identity fails with any
-other constant, which verify_representation will report.
+other constant. The pipeline reads these data as stored; the Pick and
+Stieltjes extractions and the representation evaluated by quadrature, which
+check them, are reference oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidInput, NotRegular, NumericalFailure
-from .quadrature import integrate_halfline
+from .errors import InvalidInput, NotRegular
 
 
 @dataclass(eq=False, frozen=True)
@@ -127,48 +128,6 @@ def rep_from_name(name: str) -> MonotoneDecreasingRep:
     raise InvalidInput(f"unknown monotone function {name!r}")
 
 
-def pick_coefficients(f) -> tuple[float, float]:
-    """Extract (a, b) of an upper-half-plane analytic f with Im f >= 0.
-
-    a = lim Re[f(iy)/(iy)], accelerated with one Aitken delta-squared step
-    over y in {1e4, 1e5, 1e6} (a single large-y probe carries O(1/y) error,
-    too coarse); b = Re[f(i)]. For a decreasing rep, pass the negated
-    function: its data live on -f.
-    """
-    g = [(f(1j * y) / (1j * y)).real for y in (1e4, 1e5, 1e6)]
-    denom = g[2] - 2.0 * g[1] + g[0]
-    if abs(denom) < 1e-14 * (abs(g[2]) + 1e-30):
-        a = g[2]
-    else:
-        a = g[2] - (g[2] - g[1]) ** 2 / denom
-    b = (f(1j)).real
-    if abs(a) < 1e-12:
-        a = 0.0
-    return float(a), float(b)
-
-
-def stieltjes_density(f, t: float) -> float:
-    """Recover w(t) = lim_{y->0+} Im[f(-t + iy)] / pi by extrapolation.
-
-    f is the upper-half-plane analytic function carrying the measure (for a
-    decreasing rep, pass the negated function). Two Richardson passes
-    (ratio 10) over y in {1e-4, 1e-5, 1e-6}; raises NumericalFailure when
-    the raw sequence is not settling (measure with a singular part, or f
-    not analytic there).
-    """
-    if t <= 0.0:
-        raise InvalidInput("density is defined for t > 0")
-    ys = (1e-4, 1e-5, 1e-6)
-    vals = [(f(-t + 1j * y)).imag / math.pi for y in ys]
-    for k in range(2):
-        if abs(vals[k + 1] - vals[k]) > 1e-3 * (1.0 + abs(vals[k + 1])):
-            raise NumericalFailure(
-                f"Stieltjes inversion not converging at t={t}")
-    r1 = [(10.0 * vals[k + 1] - vals[k]) / 9.0 for k in range(2)]
-    r2 = (100.0 * r1[1] - r1[0]) / 99.0
-    return float(r2)
-
-
 def c_constant(rep: MonotoneDecreasingRep, t: float, beta: float) -> float:
     """Regularity constant C^f_{T,beta} = sup 1/w over the window around 1.
 
@@ -189,32 +148,3 @@ def c_constant(rep: MonotoneDecreasingRep, t: float, beta: float) -> float:
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise NotRegular(f"{rep.name} density vanishes on the window")
     return float(np.max(1.0 / w))
-
-
-def represent(rep: MonotoneDecreasingRep, x: float,
-              panel_tol: float = 1e-9) -> float:
-    """Evaluate f(x) from the representation data (not from rep.eval)."""
-    if x <= 0.0:
-        raise InvalidInput("representation evaluated for x > 0")
-    if rep.density is None:
-        raise NotRegular(f"{rep.name} has no density")
-
-    def integrand(t):
-        # t/(t^2+1) - 1/(t+x) written as one fraction: the two terms agree
-        # to O(1/t^2) at large t and subtracting them directly loses all
-        # significant digits exactly where power densities amplify the tail.
-        return (t * x - 1.0) / ((t * t + 1.0) * (t + x)) * rep.density(t)
-
-    integral = integrate_halfline(integrand, panel_tol=panel_tol)
-    return -(rep.a * x + rep.b + float(integral))
-
-
-def verify_representation(rep: MonotoneDecreasingRep, n_points: int = 21) -> float:
-    """Max abs deviation between rep.eval and its representation on
-    [1e-2, 1e2] (log-spaced grid)."""
-    xs = np.logspace(-2, 2, n_points)
-    err = 0.0
-    for x in xs:
-        direct = float(rep.eval(float(x)))
-        err = max(err, abs(represent(rep, float(x)) - direct))
-    return err

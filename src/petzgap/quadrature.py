@@ -2,8 +2,10 @@
 
 Scheme: 15-point Gauss-Legendre per panel, stack-based bisection. A panel is
 accepted when the whole-panel estimate agrees with the sum over its halves to
-panel_tol (max-abs componentwise for array integrands). A panel with a
-non-finite value can never be accepted, so it raises at once.
+PANEL_TOL (max-abs componentwise for array integrands), and a panel still
+rejected at bisection depth MAX_DEPTH raises NumericalFailure; every caller
+integrates to these two module constants. A panel with a non-finite value
+can never be accepted, so it raises at once.
 
 Semi-infinite integrals split at t = 1 and invert the tail (t = 1/s), so both
 pieces live on [0, 1] with any integrable singularity sitting at 0. Each
@@ -17,7 +19,7 @@ integrands of the representation of f carry such endpoints: power densities
 t^alpha, and the t^beta weight of the discrepancy identity, whose tail goes
 like s^-beta. What grading leaves: gamma in (3/4, 1) keeps a u^(3 - 4 gamma)
 singularity, which bisection chases as before; from gamma of about 0.95 on
-it does not converge within max_depth.
+it does not converge within MAX_DEPTH.
 
 Integrand contract: f is called once per panel, with the float array of the
 panel's 15 nodes, and returns an array whose leading axis indexes those
@@ -35,6 +37,9 @@ from .errors import NumericalFailure
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 # exponent of the graded substitution of both half-line pieces
 GRADING = 4
+# acceptance tolerance of a panel, and the bisection depth that gives up
+PANEL_TOL = 1e-9
+MAX_DEPTH = 400
 
 
 def _per_node(x, vals):
@@ -55,8 +60,7 @@ def _panel(f, a: float, b: float):
     return value
 
 
-def integrate(f, a: float, b: float, panel_tol: float = 1e-9,
-              max_depth: int = 400):
+def integrate(f, a: float, b: float):
     """Integral of f over [a, b].
 
     f maps the (15,) node array of a panel to an array of shape (15, ...),
@@ -66,14 +70,14 @@ def integrate(f, a: float, b: float, panel_tol: float = 1e-9,
     stack = [(float(a), float(b), _panel(f, a, b), 0)]
     while stack:
         lo, hi, whole, depth = stack.pop()
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise NumericalFailure(
                 f"quadrature failed to converge on [{lo}, {hi}]")
         mid = 0.5 * (lo + hi)
         left = _panel(f, lo, mid)
         right = _panel(f, mid, hi)
         err = np.max(np.abs(whole - (left + right)))
-        if err <= panel_tol:
+        if err <= PANEL_TOL:
             piece = left + right
             total = piece if total is None else total + piece
         else:
@@ -82,8 +86,7 @@ def integrate(f, a: float, b: float, panel_tol: float = 1e-9,
     return total
 
 
-def integrate_halfline(f, panel_tol: float = 1e-9, max_depth: int = 400,
-                       far=None):
+def integrate_halfline(f, far=None):
     """Integral of f over (0, inf): direct on (0, 1], t = 1/s on [1, inf),
     each piece in the graded variable u of the module docstring (t = u^4 on
     the direct piece, s = u^4 on the tail).
@@ -114,8 +117,5 @@ def integrate_halfline(f, panel_tol: float = 1e-9, max_depth: int = 400,
                 return vals * _per_node(GRADING * u ** (GRADING - 1), vals)
         return h
 
-    lower = integrate(graded(f), 0.0, 1.0, panel_tol=panel_tol,
-                      max_depth=max_depth)
-    upper = integrate(graded(inverted), 0.0, 1.0, panel_tol=panel_tol,
-                      max_depth=max_depth)
-    return lower + upper
+    return (integrate(graded(f), 0.0, 1.0)
+            + integrate(graded(inverted), 0.0, 1.0))

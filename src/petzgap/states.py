@@ -84,12 +84,11 @@ def _clean(dec: SpectralDecomposition) -> DensityMatrix:
 
 @dataclass
 class SamplerConfig:
-    """What to draw: kind in {ginibre, diagonal, product, perturbed-recoverable}.
+    """What to draw: kind in {ginibre, diagonal, perturbed-recoverable}.
 
     dim is the total dimension; rank < dim forces that many nonzero
-    eigenvalues. factors (n1, n2) fixes the tensor split for the product and
-    perturbed-recoverable kinds; epsilon sets the perturbation size for the
-    latter.
+    eigenvalues. factors (n1, n2) fixes the tensor split and epsilon the
+    perturbation size of the perturbed-recoverable kind.
     """
 
     dim: int
@@ -104,10 +103,9 @@ class SamplerConfig:
             raise InvalidInput("dim must be >= 1")
         if self.rank is not None and not (1 <= self.rank <= self.dim):
             raise InvalidInput("rank must be in [1, dim]")
-        if self.kind not in ("ginibre", "diagonal", "product",
-                             "perturbed-recoverable"):
+        if self.kind not in ("ginibre", "diagonal", "perturbed-recoverable"):
             raise InvalidInput(f"unknown sampler kind {self.kind!r}")
-        if self.kind in ("product", "perturbed-recoverable"):
+        if self.kind == "perturbed-recoverable":
             n1, n2 = self.factors if self.factors else default_factors(self.dim)
             if n1 * n2 != self.dim:
                 raise InvalidInput("factors must multiply to dim")
@@ -154,7 +152,7 @@ def swap_factors_unitary(n1: int, n2: int) -> np.ndarray:
 def sample(config: SamplerConfig, trial_index: int = 0):
     """Draw per config.kind.
 
-    ginibre, diagonal, product return one DensityMatrix. perturbed-recoverable
+    ginibre and diagonal return one DensityMatrix. perturbed-recoverable
     returns (rho, sigma): a pair whose conditional-expectation entropy gap and
     discrepancies vanish at epsilon = 0 (rho = rho1 (x) rho2 and
     sigma = rho1 (x) sigma2 against the subalgebra 1 (x) M_{n2} after the
@@ -168,11 +166,6 @@ def sample(config: SamplerConfig, trial_index: int = 0):
         return make_density(_ginibre(rng, dim, rank))
     if config.kind == "diagonal":
         return make_density(_diagonal(rng, dim, rank))
-    if config.kind == "product":
-        n1, n2 = config.factors
-        a = _ginibre(rng, n1, min(rank, n1))
-        b = _ginibre(rng, n2, n2)
-        return make_density(np.kron(a, b))
     if config.kind == "perturbed-recoverable":
         n1, n2 = config.factors
         r1 = _ginibre(rng, n1, min(rank, n1)) if n1 > 1 else np.ones((1, 1), dtype=complex)

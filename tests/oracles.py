@@ -1,0 +1,341 @@
+"""Reference implementations that only the tests use.
+
+Each computes a quantity of the package a second, independent way (dense
+superoperators, trace formulas, explicit Choi matrices, Pick and Stieltjes
+extrapolation, the integral representation evaluated by quadrature), or
+checks a structural property the package relies on. `src/petzgap` does not
+import this module; tests import it as `from oracles import ...`.
+"""
+
+import math
+
+import numpy as np
+
+from petzgap.algebra import SubalgebraSpec, conditional_expectation
+from petzgap.entropy import s_f
+from petzgap.errors import (DomainError, InvalidInput, NotRegular,
+                            NumericalFailure, SpecInconsistent)
+from petzgap.linalg import (SpectralDecomposition, as_matrix, eigh, psd_power,
+                            support_leak, support_projector)
+from petzgap.modular import RelativeModularOperator, build
+from petzgap.monotone import MonotoneDecreasingRep, builtin_neg_log
+from petzgap.quadrature import integrate_halfline
+from petzgap.recovery import PetzChannel
+from petzgap.states import make_density
+
+# conditional expectation checks (validate_expectation)
+VALIDATE_TOL = 1e-10
+CHOI_TOL = -1e-10
+# Petz channel checks (validate_petz)
+PETZ_TP_TOL = 1e-9
+PETZ_CHOI_TOL = -1e-9
+
+
+# linalg
+
+def spectral_apply(a, g, pseudo: bool = False) -> np.ndarray:
+    """g(A) for Hermitian A via the spectral theorem.
+
+    pseudo=True maps eigenvalues inside the zero threshold to 0 without
+    evaluating g there (pseudo-inverse style). A non-finite g value on a
+    retained eigenvalue raises DomainError.
+    """
+    dec = a if isinstance(a, SpectralDecomposition) else eigh(a)
+    vals = np.empty(dec.dim, dtype=complex)
+    for i, lam in enumerate(dec.eigenvalues):
+        if pseudo and abs(lam) <= dec.zero_threshold:
+            vals[i] = 0.0
+            continue
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = complex(g(float(lam.real) if np.isrealobj(dec.eigenvalues) else lam))
+        if not np.isfinite(y):
+            raise DomainError(f"function value not finite at eigenvalue {lam}")
+        vals[i] = y
+    v = dec.eigenvectors
+    out = (v * vals) @ v.conj().T
+    if np.abs(vals.imag).max(initial=0.0) == 0.0:
+        out = (out + out.conj().T) / 2.0
+    return out
+
+
+def hs_inner(a, b) -> complex:
+    """Hilbert-Schmidt inner product Tr[A^* B], conjugate-linear in A."""
+    ma, mb = as_matrix(a), as_matrix(b)
+    if ma.shape != mb.shape:
+        raise InvalidInput(f"shape mismatch {ma.shape} vs {mb.shape}")
+    return complex(np.trace(ma.conj().T @ mb))
+
+
+# algebra
+
+def partial_trace_view(spec: SubalgebraSpec, x) -> np.ndarray:
+    """For a single-block (n, m) spec: trace over the multiplicity factor.
+
+    Returns the n x n matrix P with E(X) = (1/m) * P (x) 1_m up to the basis
+    rotation. Specs with more than one block have no single such view.
+    """
+    if len(spec.blocks) != 1:
+        raise InvalidInput("partial_trace_view needs exactly one block")
+    m = as_matrix(x)
+    if m.shape != (spec.dim, spec.dim):
+        raise InvalidInput("matrix dimension does not match spec")
+    n, mult = spec.blocks[0]
+    y = m if spec.basis is None else spec.basis.conj().T @ m @ spec.basis
+    return np.einsum("iaja->ij", y.reshape(n, mult, n, mult))
+
+
+def validate_expectation(spec: SubalgebraSpec) -> None:
+    """Check E is an idempotent, self-adjoint, unital, trace-preserving
+    positive projection; raises SpecInconsistent naming the failing property.
+
+    Linear-map properties are checked on a matrix-unit basis (exact, not
+    sampled); positivity via the Choi matrix of E.
+    """
+    d = spec.dim
+    ident = np.eye(d, dtype=complex)
+    e_of_1 = conditional_expectation(spec, ident)
+    if np.abs(e_of_1 - ident).max() > VALIDATE_TOL:
+        raise SpecInconsistent("unitality fails")
+    # the d^2 matrix units E_ab, stacked at index a * d + b
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    images = conditional_expectation(spec, units)
+    twice = conditional_expectation(spec, images)
+    for e, img, img2 in zip(units, images, twice):
+        if abs(np.trace(img) - np.trace(e)) > VALIDATE_TOL:
+            raise SpecInconsistent("trace preservation fails")
+        if np.abs(img2 - img).max() > VALIDATE_TOL:
+            raise SpecInconsistent("idempotence fails")
+    for i, e in enumerate(units):
+        for k in range(i, len(units)):
+            lhs = np.trace(images[i].conj().T @ units[k])
+            rhs = np.trace(e.conj().T @ images[k])
+            if abs(lhs - rhs) > VALIDATE_TOL:
+                raise SpecInconsistent("self-adjointness fails")
+    choi = sum(np.kron(img, e) for e, img in zip(units, images))
+    w = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
+    if w.min() < CHOI_TOL:
+        raise SpecInconsistent("complete positivity fails (Choi not PSD)")
+
+
+# modular
+
+def _reassemble(dec: SpectralDecomposition) -> np.ndarray:
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues) @ v.conj().T
+
+
+def apply(op: RelativeModularOperator, x) -> np.ndarray:
+    """Delta(X) = sigma X rho^+ computed directly."""
+    m = np.asarray(x, dtype=complex)
+    if m.shape != (op.dim, op.dim):
+        raise InvalidInput("matrix dimension does not match operator")
+    return _reassemble(op.sigma_dec) @ m @ psd_power(op.rho_dec, -1.0)
+
+
+def superoperator_matrix(op: RelativeModularOperator) -> np.ndarray:
+    """Dense d^2 x d^2 matrix of Delta under column-stacking vec.
+
+    vec(sigma X rho^+) = (rho^+)^T (x) sigma vec(X) with vec(X) =
+    X.flatten(order='F'). An independent cross-check for small dimensions.
+    """
+    return np.kron(psd_power(op.rho_dec, -1.0).T, _reassemble(op.sigma_dec))
+
+
+def apply_function(op: RelativeModularOperator, f, x,
+                   f_at_zero: float = None) -> tuple[np.ndarray, bool]:
+    """f(Delta) X = sum f(mu_i/lambda_j) P_i X Q_j over the support of rho.
+
+    Returns (matrix, hit_infinity). Eigenvalue-zero terms (mu_i = 0) use
+    f_at_zero; when f_at_zero is +inf they are dropped from the finite part
+    (the 0 * inf = 0 convention) and hit_infinity reports whether any such
+    term carried a coefficient above roundoff. Components of X outside the
+    rho-support columns are annihilated.
+    """
+    rep_f0 = f_at_zero
+    if hasattr(f, "eval"):
+        rep_f0 = f.f_at_zero if rep_f0 is None else rep_f0
+        f = f.eval
+    m = np.asarray(x, dtype=complex)
+    if m.shape != (op.dim, op.dim):
+        raise InvalidInput("matrix dimension does not match operator")
+    kept = op.kept_columns
+    u_s = op.sigma_dec.eigenvectors
+    u_r = op.rho_dec.eigenvectors[:, kept]
+    coeff = u_s.conj().T @ m @ u_r
+    eig = op.eigenvalues.reshape(op.dim, kept.size)
+    pos = eig > 0.0
+    vals = np.zeros_like(eig)
+    fv = np.asarray(f(eig[pos]), dtype=float)
+    if not np.all(np.isfinite(fv)):
+        raise DomainError("function not finite on the positive spectrum")
+    vals[pos] = fv
+    hit_infinity = False
+    if np.any(~pos):
+        tol = 1e-12 * max(1.0, float(np.abs(coeff).max()) if coeff.size else 0.0)
+        if rep_f0 is None:
+            raise DomainError("zero modular eigenvalue needs f_at_zero")
+        if np.isinf(rep_f0):
+            hit_infinity = bool(np.any((~pos) & (np.abs(coeff) > tol)))
+        else:
+            vals[~pos] = rep_f0
+    out = u_s @ (vals * coeff) @ u_r.conj().T
+    return out, hit_infinity
+
+
+# entropy
+
+def umegaki_trace(rho, sigma) -> float:
+    """Tr[rho (log rho - log sigma)] from the trace formula (finite case
+    only: supp rho in supp sigma).
+
+    Uses pseudo-logarithms restricted to the supports; raises DomainError
+    when the value is +inf.
+    """
+    r = make_density(rho)
+    s = make_density(sigma)
+    if math.isinf(s_f(builtin_neg_log(), build(s, r))):
+        raise DomainError("relative entropy is infinite (support mismatch)")
+    log_r = spectral_apply(r.matrix, math.log, pseudo=True)
+    log_s = spectral_apply(s.matrix, math.log, pseudo=True)
+    return float(np.trace(r.matrix @ (log_r - log_s)).real)
+
+
+def power_trace(alpha: float, rho, sigma) -> float:
+    """-Tr[sigma^alpha rho^(1-alpha)] from the trace formula (pseudo
+    powers)."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput("alpha must lie in (0, 1)")
+    r = make_density(rho)
+    s = make_density(sigma)
+    return -float(np.trace(
+        psd_power(s.matrix, alpha) @ psd_power(r.matrix, 1.0 - alpha)).real)
+
+
+# recovery
+
+def trace_loss(channel: PetzChannel, state_n) -> bool:
+    """True when the input's support leaks outside supp(E(rho)), so the
+    channel drops trace on it."""
+    return support_leak(state_n, channel.rho_n) > 1e-12
+
+
+def _algebra_units(spec: SubalgebraSpec):
+    """Matrix units of N in its compressed form (+) M_{n_k}, embedded."""
+    units = []
+    off = 0
+    for n, mult in spec.blocks:
+        for a in range(n):
+            for b in range(n):
+                core = np.zeros((n, n), dtype=complex)
+                core[a, b] = 1.0
+                emb = np.zeros((spec.dim, spec.dim), dtype=complex)
+                emb[off:off + n * mult, off:off + n * mult] = np.kron(
+                    core, np.eye(mult))
+                if spec.basis is not None:
+                    emb = spec.basis @ emb @ spec.basis.conj().T
+                units.append(emb)
+        off += n * mult
+    return units
+
+
+def validate_petz(channel: PetzChannel) -> None:
+    """Trace preservation on the subalgebra (on supp(rhoN)) to 1e-9 and
+    complete positivity via the Choi matrix of the compressed-form channel.
+
+    Raises NumericalFailure naming the failing property. Trace preservation
+    is only required of inputs supported in supp(E(rho)); with a full-rank
+    reference it is unconditional.
+    """
+    units = _algebra_units(channel.spec)
+    p = support_projector(channel.rho_n)
+    k = channel.kraus
+    for u in units:
+        supported = np.abs(p @ u @ p - u).max() <= 1e-12
+        out = k @ u @ k.conj().T
+        if supported and abs(np.trace(out) - np.trace(u)) > PETZ_TP_TOL:
+            raise NumericalFailure("trace preservation fails on the algebra")
+    # Choi matrix over the compressed index: J[(ab)] = R(u_ab) (x) e_ab
+    # blockwise per summand, one PSD check per summand.
+    idx = 0
+    for n, _ in channel.spec.blocks:
+        j = np.zeros((channel.spec.dim * n, channel.spec.dim * n), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                u = units[idx + a * n + b]
+                e = np.zeros((n, n), dtype=complex)
+                e[a, b] = 1.0
+                j += np.kron(k @ u @ k.conj().T, e)
+        idx += n * n
+        w = np.linalg.eigvalsh((j + j.conj().T) / 2.0)
+        if w.size and w.min() < PETZ_CHOI_TOL:
+            raise NumericalFailure("complete positivity fails (Choi not PSD)")
+
+
+# monotone
+
+def pick_coefficients(f) -> tuple[float, float]:
+    """Extract (a, b) of an upper-half-plane analytic f with Im f >= 0.
+
+    a = lim Re[f(iy)/(iy)], accelerated with one Aitken delta-squared step
+    over y in {1e4, 1e5, 1e6} (a single large-y probe carries O(1/y) error,
+    too coarse); b = Re[f(i)]. For a decreasing rep, pass the negated
+    function: its data live on -f.
+    """
+    g = [(f(1j * y) / (1j * y)).real for y in (1e4, 1e5, 1e6)]
+    denom = g[2] - 2.0 * g[1] + g[0]
+    if abs(denom) < 1e-14 * (abs(g[2]) + 1e-30):
+        a = g[2]
+    else:
+        a = g[2] - (g[2] - g[1]) ** 2 / denom
+    b = (f(1j)).real
+    if abs(a) < 1e-12:
+        a = 0.0
+    return float(a), float(b)
+
+
+def stieltjes_density(f, t: float) -> float:
+    """Recover w(t) = lim_{y->0+} Im[f(-t + iy)] / pi by extrapolation.
+
+    f is the upper-half-plane analytic function carrying the measure (for a
+    decreasing rep, pass the negated function). Two Richardson passes
+    (ratio 10) over y in {1e-4, 1e-5, 1e-6}; raises NumericalFailure when
+    the raw sequence is not settling (measure with a singular part, or f
+    not analytic there).
+    """
+    if t <= 0.0:
+        raise InvalidInput("density is defined for t > 0")
+    ys = (1e-4, 1e-5, 1e-6)
+    vals = [(f(-t + 1j * y)).imag / math.pi for y in ys]
+    for k in range(2):
+        if abs(vals[k + 1] - vals[k]) > 1e-3 * (1.0 + abs(vals[k + 1])):
+            raise NumericalFailure(
+                f"Stieltjes inversion not converging at t={t}")
+    r1 = [(10.0 * vals[k + 1] - vals[k]) / 9.0 for k in range(2)]
+    r2 = (100.0 * r1[1] - r1[0]) / 99.0
+    return float(r2)
+
+
+def represent(rep: MonotoneDecreasingRep, x: float) -> float:
+    """Evaluate f(x) from the representation data (not from rep.eval)."""
+    if x <= 0.0:
+        raise InvalidInput("representation evaluated for x > 0")
+    if rep.density is None:
+        raise NotRegular(f"{rep.name} has no density")
+
+    def integrand(t):
+        # t/(t^2+1) - 1/(t+x) written as one fraction: the two terms agree
+        # to O(1/t^2) at large t and subtracting them directly loses all
+        # significant digits exactly where power densities amplify the tail.
+        return (t * x - 1.0) / ((t * t + 1.0) * (t + x)) * rep.density(t)
+
+    return -(rep.a * x + rep.b + float(integrate_halfline(integrand)))
+
+
+def verify_representation(rep: MonotoneDecreasingRep, n_points: int = 21) -> float:
+    """Max abs deviation between rep.eval and its representation on
+    [1e-2, 1e2] (log-spaced grid)."""
+    err = 0.0
+    for x in np.logspace(-2, 2, n_points):
+        direct = float(rep.eval(float(x)))
+        err = max(err, abs(represent(rep, float(x)) - direct))
+    return err

@@ -20,13 +20,14 @@ from petzgap.context import PairContext
 from petzgap.harness import (SPEC_KINDS, ExperimentConfig, draw_pair,
                              dumps_report, run_verify, spec_for)
 from petzgap.linalg import psd_power
-from petzgap.monotone import (builtin_neg_log, builtin_neg_power,
-                              pick_coefficients, stieltjes_density,
-                              verify_representation)
+from petzgap.monotone import builtin_neg_log, builtin_neg_power
 from petzgap.recovery import recovery_errors
-from petzgap.states import SamplerConfig, make_density, sample
+from petzgap.states import make_density
 
 from conftest import exact_product_pair, ginibre
+from oracles import (pick_coefficients, stieltjes_density,
+                     superoperator_matrix, umegaki_trace,
+                     verify_representation)
 
 N_TRIALS = 200
 POP_SEED = 20260818
@@ -281,7 +282,7 @@ def test_criterion_07_exact_product_pairs():
 
 def _superoperator_value(rep, rho, sigma):
     op = modular.build(sigma, rho)
-    big = modular.superoperator_matrix(op)
+    big = superoperator_matrix(op)
     evals, vecs = np.linalg.eigh(big)
     evals = np.clip(evals.real, 0.0, None)
     sq = psd_power(rho.matrix, 0.5).reshape(-1, order="F")
@@ -332,8 +333,8 @@ def test_criterion_08_oracle_equivalence():
         for seed in range(3):
             rho = ginibre(dim, dim, 9900 + seed)
             sigma = ginibre(dim, dim, 9950 + seed)
-            got = entropy.umegaki(modular.build(sigma, rho))
-            want = entropy.umegaki_trace(rho, sigma)
+            got = entropy.s_f(builtin_neg_log(), modular.build(sigma, rho))
+            want = umegaki_trace(rho, sigma)
             worst_umegaki = max(worst_umegaki, abs(got - want))
     ok = worst_super <= 1e-8 and worst_classical <= 1e-10 \
         and worst_umegaki <= 1e-9

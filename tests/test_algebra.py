@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from petzgap.algebra import (SubalgebraSpec, conditional_expectation,
-                             factor_spec, full_spec, partial_trace_view,
-                             pinching_spec, trivial_spec, validate_expectation)
+                             factor_spec, full_spec, pinching_spec,
+                             trivial_spec)
 from petzgap.errors import InvalidInput, SpecInconsistent
-from petzgap.linalg import hs_inner
-from petzgap.states import SamplerConfig, make_density, sample
+from petzgap.states import make_density
 
 from conftest import ginibre
+from oracles import hs_inner, partial_trace_view, validate_expectation
 
 
 def random_matrix(dim, seed):
@@ -187,14 +187,3 @@ def test_expectation_spectrum_containment():
     assert out.eigenvalues.min() >= lo - 1e-12
     assert out.eigenvalues.max() <= hi + 1e-12
 
-
-def test_spec_json_roundtrip():
-    for spec in (factor_spec(2, 3), pinching_spec(4, [2, 2]), trivial_spec(3)):
-        blob = spec.to_json()
-        back = SubalgebraSpec.from_json(blob)
-        assert back.dim == spec.dim
-        assert back.blocks == spec.blocks
-        x = random_matrix(spec.dim, 15)
-        np.testing.assert_allclose(conditional_expectation(back, x),
-                                   conditional_expectation(spec, x),
-                                   atol=1e-12)

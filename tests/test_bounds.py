@@ -407,7 +407,6 @@ def test_proof_internals_random_pair():
     assert out.decay_margin >= -1e-10
     assert out.identity_residual <= 1e-6
     assert out.gap_residual <= 1e-6
-    assert len(out.t_grid) == 12
 
 
 def test_proof_internals_power_rep_and_high_beta():
@@ -425,5 +424,6 @@ def test_proof_internals_exact_pair_near_zero():
                           PairContext(rho, sigma, factor_spec(2, 2)))
     assert out.identity_residual <= 1e-9
     assert out.gap_residual <= 1e-8
-    # w_t vanishes identically, so the decay margin is the grid infimum of 2/t
-    assert out.decay_margin >= 2.0 / max(out.t_grid) - 1e-9
+    # w_t vanishes identically, so the decay margin is the infimum of 2/t
+    # over the default grid, which ends at t = 100
+    assert out.decay_margin >= 2.0 / 100.0 - 1e-9

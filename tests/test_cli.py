@@ -109,6 +109,24 @@ def test_reconstruct_survives_failed_proof_internals(tmp_path, capsys,
     assert report["summary"]["max_error"] == "inf"
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("verify", {"trials": 2.5}),
+    ("verify", {"trials": True}),
+    ("sweep", {"seed": 1.5, "dims": [4]}),
+    ("reconstruct", {"t_points": 3.5}),
+    ("verify", {"dims": [2.7]}),
+])
+def test_non_integer_config_is_usage_error(tmp_path, capsys, command,
+                                           overrides):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(write_config(tmp_path, **overrides)),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("petzgap: config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     code = main(["verify", "--config", str(tmp_path / "absent.json")])
     assert code == 2

@@ -19,6 +19,9 @@ is read from them) and one reconstruct value, each listed in CHANGES.md.
 The reconstruct record alone was re-frozen once more when integrate_halfline
 began to integrate both pieces in the graded variable u^4: 14 values moved,
 every one an error or residual that fell toward 0 (largest 2.6e-9 to 5.6e-16).
+The verify record alone was re-frozen when verify stopped reporting
+generic:neg-log, which duplicated corollary-log: its 60 reports left the
+record and no other value moved.
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, then rewrites
 both from the current code.

@@ -113,6 +113,14 @@ def test_run_verify_passes_and_is_deterministic():
     assert dumps_report(report) == dumps_report(report2)
 
 
+def test_verify_reports_each_bound_once():
+    _, report = run_verify(ExperimentConfig(trials=4))
+    for trial in report["trials"]:
+        keys = [(r["name"], r["beta"]) for r in trial["reports"]]
+        assert len(keys) == len(set(keys))
+        assert "generic:neg-log" not in {name for name, _ in keys}
+
+
 def test_run_sweep_csv_contract():
     cfg = ExperimentConfig(trials=1, dims=[4], seed=11,
                            epsilon_ladder=[0.0, 1e-4, 1e-2])

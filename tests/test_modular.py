@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from petzgap.errors import DomainError, InvalidInput
-from petzgap.linalg import hs_inner, psd_power
-from petzgap.modular import (apply, apply_function, build, operator_norm,
-                             superoperator_matrix)
+from petzgap.linalg import psd_power
+from petzgap.modular import build, operator_norm
 from petzgap.monotone import builtin_neg_log
 from petzgap.states import make_density
 
 from conftest import diagonal_state, ginibre
+from oracles import apply, apply_function, hs_inner, superoperator_matrix
 
 
 def test_build_identical_states():

@@ -6,9 +6,10 @@ import pytest
 
 from petzgap.errors import InvalidInput, NotRegular
 from petzgap.monotone import (MonotoneDecreasingRep, builtin_neg_log,
-                              builtin_neg_power, c_constant, pick_coefficients,
-                              rep_from_name, represent, stieltjes_density,
-                              verify_representation)
+                              builtin_neg_power, c_constant, rep_from_name)
+
+from oracles import (pick_coefficients, represent, stieltjes_density,
+                     verify_representation)
 
 
 def test_neg_log_basics():

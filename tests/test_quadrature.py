@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from petzgap import quadrature
 from petzgap.errors import NumericalFailure
 from petzgap.quadrature import integrate, integrate_halfline
 
@@ -34,8 +35,9 @@ def test_oscillatory_interval():
         1.0 - math.cos(20.0), abs=1e-10)
 
 
-def test_integrable_endpoint_singularity():
-    assert integrate(lambda x: x ** -0.5, 0.0, 1.0, panel_tol=1e-10) == \
+def test_integrable_endpoint_singularity(monkeypatch):
+    monkeypatch.setattr(quadrature, "PANEL_TOL", 1e-10)
+    assert integrate(lambda x: x ** -0.5, 0.0, 1.0) == \
         pytest.approx(2.0, abs=1e-8)
 
 
@@ -97,11 +99,14 @@ def test_far_substitutes_the_tail():
     assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
 
-def test_max_depth_raises():
+def test_max_depth_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "PANEL_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 12)
+
     def jagged(x):
         return np.copysign(1.0, np.sin(1.0 / (x + 1e-12)))
-    with pytest.raises(NumericalFailure):
-        integrate(jagged, 0.0, 1.0, panel_tol=1e-15, max_depth=12)
+    with pytest.raises(NumericalFailure, match="failed to converge"):
+        integrate(jagged, 0.0, 1.0)
 
 
 def test_non_finite_panel_raises_without_warnings():

@@ -4,11 +4,10 @@ import pytest
 from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              pinching_spec, trivial_spec)
 from petzgap.errors import InvalidInput
-from petzgap.recovery import (apply, build_petz, recovery_errors, trace_loss,
-                              validate_petz)
-from petzgap.states import make_density
+from petzgap.recovery import apply, build_petz, recovery_errors
 
 from conftest import diagonal_state, exact_product_pair, ginibre
+from oracles import trace_loss, validate_petz
 
 
 def test_recovers_own_expectation():

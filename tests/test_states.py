@@ -57,7 +57,10 @@ def test_sampler_config_validation():
     with pytest.raises(InvalidInput):
         SamplerConfig(dim=2, rank=2, seed=0, kind="nope")
     with pytest.raises(InvalidInput):
-        SamplerConfig(dim=6, rank=6, seed=0, kind="product", factors=(4, 2))
+        SamplerConfig(dim=6, rank=6, seed=0, kind="perturbed-recoverable",
+                      factors=(4, 2))
+    with pytest.raises(InvalidInput):
+        SamplerConfig(dim=4, rank=4, seed=0, kind="product")
 
 
 def test_ginibre_deterministic():
@@ -93,13 +96,18 @@ def test_diagonal_sampler_is_diagonal():
     assert np.abs(off).max() == 0.0
 
 
-def test_product_sampler_factorizes():
-    cfg = SamplerConfig(dim=6, rank=6, seed=9, kind="product", factors=(3, 2))
-    d = sample(cfg, trial_index=3)
-    m = d.matrix.reshape(3, 2, 3, 2)
-    left = np.einsum("iaja->ij", m)   # trace out the second factor
-    right = np.einsum("iaib->ab", m)  # trace out the first
-    np.testing.assert_allclose(d.matrix, np.kron(left, right), atol=1e-12)
+def test_perturbed_recoverable_unperturbed_factorizes():
+    # at epsilon = 0, rho = rho1 (x) rho2 and sigma = rho1 (x) sigma2
+    cfg = SamplerConfig(dim=6, rank=6, seed=9, kind="perturbed-recoverable",
+                        factors=(3, 2), epsilon=0.0)
+    lefts = []
+    for d in sample(cfg, trial_index=3):
+        m = d.matrix.reshape(3, 2, 3, 2)
+        left = np.einsum("iaja->ij", m)   # trace out the second factor
+        right = np.einsum("iaib->ab", m)  # trace out the first
+        np.testing.assert_allclose(d.matrix, np.kron(left, right), atol=1e-12)
+        lefts.append(left)
+    np.testing.assert_allclose(lefts[0], lefts[1], atol=1e-12)
 
 
 def test_perturbed_recoverable_pair_unperturbed_is_exact_product():
@@ -123,10 +131,8 @@ def test_perturbed_recoverable_epsilon_moves_sigma():
 
 
 def test_all_sampler_kinds_produce_valid_densities():
-    for kind in ("ginibre", "diagonal", "product"):
-        cfg = SamplerConfig(dim=4, rank=4, seed=7, kind=kind,
-                            factors=(2, 2) if kind == "product" else None)
-        d = sample(cfg)
+    for kind in ("ginibre", "diagonal"):
+        d = sample(SamplerConfig(dim=4, rank=4, seed=7, kind=kind))
         make_density(d.matrix)  # revalidates PSD and trace
 
 
