@@ -12,8 +12,7 @@ from .context import PairContext
 from .entropy import (gap, integral_reconstruction, reconstruct_gap, renyi,
                       renyi_gap, s_f, s_t)
 from .errors import (DomainError, InvalidInput, NotNormalized, NotPSD,
-                     NotRegular, NumericalFailure, PetzGapError,
-                     SpecInconsistent, Unsupported)
+                     NumericalFailure, PetzGapError, SpecInconsistent)
 from .harness import (ExperimentConfig, TrialRecord, run_reconstruct,
                       run_sweep, run_verify)
 from .linalg import (SpectralDecomposition, eigh, schatten_norm,
@@ -29,10 +28,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "DensityMatrix", "DomainError", "ExperimentConfig",
     "InternalsReport", "InvalidInput",
-    "MonotoneDecreasingRep", "NotNormalized", "NotPSD", "NotRegular",
+    "MonotoneDecreasingRep", "NotNormalized", "NotPSD",
     "NumericalFailure", "PairContext", "PetzChannel", "PetzGapError",
     "RelativeModularOperator", "SamplerConfig", "SpecInconsistent",
-    "SpectralDecomposition", "SubalgebraSpec", "TrialRecord", "Unsupported",
+    "SpectralDecomposition", "SubalgebraSpec", "TrialRecord",
     "beta_free_discrepancy", "build", "build_petz",
     "builtin_neg_log", "builtin_neg_power", "c_constant",
     "conditional_expectation", "corollary_log_bound", "corollary_power_bound",

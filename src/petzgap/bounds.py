@@ -35,8 +35,7 @@ import numpy as np
 from . import entropy, modular
 from .algebra import SubalgebraSpec, conditional_expectation
 from .context import PairContext
-from .errors import (DomainError, InvalidInput, NotRegular, NumericalFailure,
-                     Unsupported)
+from .errors import DomainError, InvalidInput, NumericalFailure
 from .linalg import hs_norm
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
@@ -46,7 +45,6 @@ from .states import stream
 SUPPORT_LEAK_TOL = 1e-12
 
 FLAG_INFINITE_GAP = "infinite-gap"
-FLAG_GRID_C = "grid-estimated-C"
 FLAG_SIGMA_N_SINGULAR = "sigma_N-singular"
 FLAG_SIGMA_SINGULAR = "sigma-singular"
 FLAG_RHO_SINGULAR = "rho-singular"
@@ -114,27 +112,28 @@ def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
     return PairContext(rho, sigma, spec).recovery_discrepancy
 
 
-def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
-                  delta_norm: float, gap: float) -> float:
+def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t,
+                  delta_norm: float, gap: float):
     """Right-hand side of the T-family bound on (pi/sin(beta pi)) * disc:
 
         2 (1/beta + ||Delta||/(1-beta)) T^{-k}
           + T^{n0} sqrt(C^f_{T,beta}) sqrt(gap)
 
     with (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and
-    (1-beta, beta) for beta >= 1/2. Negative numerical gaps clamp to zero.
+    (1-beta, beta) for beta >= 1/2. T is a number or an array, elementwise.
+    Negative numerical gaps clamp to zero; an infinite gap gives inf and a
+    nan gap nan at every T.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise InvalidInput("T must be positive")
     g = max(float(gap), 0.0)
-    if math.isinf(g):
-        return math.inf
     c_f = c_constant(rep, t, beta)
     first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
     k, n0 = _branch(beta)
-    return first * t ** (-k) + t ** n0 * math.sqrt(c_f) * math.sqrt(g)
+    return first * t ** (-k) + t ** n0 * np.sqrt(c_f) * math.sqrt(g)
 
 
 def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, float]:
@@ -190,8 +189,6 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
     """gap >= K_gap * disc^E using the rep's stored growth certificate
     (C, c). The certificate is only proven for T >= 1; a minimizer below 1
     is flagged rather than silently trusted."""
-    if rep.growth is None:
-        raise NotRegular(f"{rep.name} carries no growth certificate")
     big_c, growth_c = rep.growth
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
@@ -202,8 +199,6 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
     t_star = _t_star(cst, big_c, g)
     rhs = cst["K_gap"] * disc ** cst["exponent"]
     margins, flags = gap_margin("gap_lower_bound", g, rhs)
-    if rep.c_closed is None:
-        flags.append(FLAG_GRID_C)
     if t_star < 1.0:
         flags.append(FLAG_T_STAR_BELOW_ONE)
     return BoundReport(
@@ -562,7 +557,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
       identity_residual    -(sin(b pi)/pi) int t^b w_t dt equals the
                            (unnormed) discrepancy matrix
       gap_residual         int (S_t - S_t^N) w_f(t) dt equals the gap
-                           (a = 0 reps with clean supports; nan otherwise)
+                           (nan when supp rho leaves supp sigma)
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
@@ -622,7 +617,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         -(math.sin(beta * math.pi) / math.pi) * integral - target))
     try:
         g_quad = ctx.reconstruct_gap(rep)
-    except (Unsupported, DomainError):
+    except DomainError:
         gap_residual = math.nan
     else:
         gap_residual = abs(g_quad - ctx.gap(rep))

@@ -50,7 +50,8 @@ def main(argv=None) -> int:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         config = ExperimentConfig.from_json(raw)
-    except (OSError, json.JSONDecodeError, InvalidInput) as exc:
+    except (OSError, ValueError, InvalidInput) as exc:
+        # ValueError: malformed JSON, non-UTF-8 bytes, an overlong integer
         print(f"petzgap: config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:

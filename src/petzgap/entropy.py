@@ -14,7 +14,10 @@ a PairContext holds for one (rho, sigma, spec) triple. gap and renyi_gap
 take the entropies of op and op_n, so each entropy is computed once. The
 relative entropy is s_f(builtin_neg_log(), op) and the power quasi-entropy
 s_f(builtin_neg_power(alpha), op); their trace formulas, which take the
-states, are reference oracles in tests/oracles.py.
+states, are reference oracles in tests/oracles.py. integral_reconstruction
+and reconstruct_gap integrate one resolvent-sum kernel against the density
+w(t) that every rep carries; both need supp rho inside supp sigma and raise
+DomainError otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, NumericalFailure, Unsupported
+from .errors import DomainError, InvalidInput, NumericalFailure
 from .modular import RelativeModularOperator
 from .monotone import MonotoneDecreasingRep, builtin_neg_power
 from .quadrature import integrate_halfline
@@ -94,13 +97,18 @@ def renyi_gap(alpha: float, outer: float, inner: float) -> float:
     return _renyi_of_power(alpha, outer) - _renyi_of_power(alpha, inner)
 
 
-def _check_reconstructible(rep: MonotoneDecreasingRep, op) -> None:
-    if rep.a != 0.0:
-        raise Unsupported("reconstruction implemented for a = 0 only")
-    if rep.density is None:
-        raise Unsupported(f"{rep.name} has no density")
-    if _kernel_weight(op) > WEIGHT_TOL:
+def _check_reconstructible(*ops: RelativeModularOperator) -> None:
+    if any(_kernel_weight(op) > WEIGHT_TOL for op in ops):
         raise DomainError("supp sigma must contain supp rho (finite case)")
+
+
+def _resolvent_sum(op: RelativeModularOperator, t: np.ndarray) -> np.ndarray:
+    """sum_j w_j (1/(t+e_j) - 1/(t+1)) at each t of an array, each
+    difference of resolvents written as a single fraction: the separate
+    terms agree to O(1/t) at large t and cancel destructively."""
+    e, w = op.eigenvalues, op.weights
+    tc = t[:, None]
+    return np.sum(w * (1.0 - e) / ((tc + e) * (tc + 1.0)), axis=1)
 
 
 def integral_reconstruction(rep: MonotoneDecreasingRep,
@@ -117,19 +125,15 @@ def integral_reconstruction(rep: MonotoneDecreasingRep,
     whose terms each decay like 1/t^2, keeping the half-line quadrature
     stable against the w(t) ~ t^alpha growth of power densities.
     """
-    _check_reconstructible(rep, op)
-    e, w = op.eigenvalues, op.weights
+    _check_reconstructible(op)
     # For unit-trace states sum w = 1 exactly; the float excess (~1e-16) would
     # otherwise ride a 1/(t+1) tail that diverges against growing densities.
-    excess = float(np.sum(w)) - 1.0
+    excess = float(np.sum(op.weights)) - 1.0
     if abs(excess) < 1e-12:
         excess = 0.0
 
     def integrand(t):
-        # each difference of resolvents written as a single fraction; the
-        # separate terms agree to O(1/t) at large t and cancel destructively.
-        tc = t[:, None]
-        core = np.sum(w * (1.0 - e) / ((tc + e) * (tc + 1.0)), axis=1)
+        core = _resolvent_sum(op, t)
         core += excess / (t + 1.0)
         core += (1.0 - t) / ((t + 1.0) * (t * t + 1.0))
         return core * rep.density(t)
@@ -143,20 +147,14 @@ def reconstruct_gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
     """Gap rebuilt as integral_0^inf (S_t(rho||sigma) -
     S_t(E(rho)||E(sigma))) w(t) dt; the constant terms of the two
     reconstructions cancel. op and op_n as for gap."""
-    _check_reconstructible(rep, op)
-    _check_reconstructible(rep, op_n)
-
-    e_f, w_f = op.eigenvalues, op.weights
-    e_r, w_r = op_n.eigenvalues, op_n.weights
+    _check_reconstructible(op, op_n)
 
     def integrand(t):
         # both resolvent sums behave like 1/t at large t with unit leading
         # coefficient, so subtract against 1/(t+1) analytically; the leftover
         # (sum w - sum w_n)/(t+1) is float roundoff riding a tail that
         # diverges against growing densities, hence dropped.
-        tc = t[:, None]
-        full = np.sum(w_f * (1.0 - e_f) / ((tc + e_f) * (tc + 1.0)), axis=1)
-        red = np.sum(w_r * (1.0 - e_r) / ((tc + e_r) * (tc + 1.0)), axis=1)
-        return (full - red) * rep.density(t)
+        return (_resolvent_sum(op, t) - _resolvent_sum(op_n, t)) \
+            * rep.density(t)
 
     return float(integrate_halfline(integrand))

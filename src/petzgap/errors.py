@@ -25,13 +25,5 @@ class DomainError(PetzGapError):
     """Mathematically undefined request (function evaluated off its domain, etc.)."""
 
 
-class NotRegular(DomainError):
-    """Monotone function lacks the regularity data a bound needs."""
-
-
 class NumericalFailure(PetzGapError):
     """Computation ran but the result cannot be trusted to tolerance."""
-
-
-class Unsupported(PetzGapError):
-    """Valid mathematics the implementation deliberately does not cover."""

@@ -10,76 +10,71 @@ The coefficients come from the Herglotz function G = -f extended to the upper
 half plane: a = lim_{y->inf} G(iy)/(iy), b = Re G(i), and
 w(t) = lim_{y->0+} Im G(-t + iy) / pi (Stieltjes inversion).
 
-Builtins:
-    neg-log       f(x) = -log x     a=0, b=0,               w(t) = 1
-    neg-power:a   f(x) = -x^a       a=0, b=cos(a*pi/2),     w(t) = sin(a*pi)/pi * t^a
+The package names exactly two families, the relative-entropy and the Renyi
+(power) cases, and a = 0 for both:
+    neg-log       f(x) = -log x     b=0,               w(t) = 1
+    neg-power:a   f(x) = -x^a       b=cos(a*pi/2),     w(t) = sin(a*pi)/pi * t^a
 
 for a in (0, 1). Note b = Re[i^a] = cos(a*pi/2); the identity fails with any
-other constant. The pipeline reads these data as stored; the Pick and
-Stieltjes extractions and the representation evaluated by quadrature, which
-check them, are reference oracles in tests/oracles.py.
+other constant. Each family carries its regularity constant C^f_{T,beta}
+in closed form, and the pipeline reads these data as stored; the Pick and
+Stieltjes extractions, the representation by quadrature and the grid sup of
+1/w, which check them, are reference oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .errors import InvalidInput, NotRegular
+from .errors import InvalidInput
 
 
 @dataclass(eq=False, frozen=True)
 class MonotoneDecreasingRep:
     """An operator monotone decreasing function with its representation data.
 
-    eval: the function itself, vectorized over numpy arrays and accepting
-        complex scalars (needed for coefficient extraction).
-    a, b: linear and constant coefficients of -f.
-    density: w(t) for t > 0, or None when no closed form is known.
-    growth: (C, c) certifying C^f_{T,beta} <= C * T^(2c) for T >= 1, or None.
+    eval: the function itself, vectorized over numpy arrays.
+    b: constant coefficient of -f (the linear one is 0).
+    density: w(t) for t > 0.
+    growth: (C, c) certifying C^f_{T,beta} <= C * T^(2c) for T >= 1.
     f_at_zero: lim_{x->0+} f(x), may be +inf.
-    c_closed: optional closed form (T, beta) -> C^f_{T,beta} for the exact
-        regularity constant; grid estimation is used otherwise.
+    c_closed: (T, beta) -> C^f_{T,beta}, elementwise over an array of T.
     """
 
     eval: callable
-    a: float
     b: float
-    density: callable | None
-    growth: tuple | None
+    density: callable
+    growth: tuple
     name: str
-    f_at_zero: float = field(default=np.inf)
-    c_closed: callable | None = field(default=None)
+    f_at_zero: float
+    c_closed: callable
 
 
-def _interval(t: float, beta: float) -> tuple[float, float]:
-    """Endpoints [T_L^{-1}, T_R] of the regularity window, enclosing order.
-
-    For T < 1 the nominal endpoints come out reversed; the enclosing interval
-    keeps the sup honest there.
-    """
+def _window_low(t, beta: float):
+    """Lower end min(T_L^{-1}, T_R) of the regularity window, elementwise;
+    for T < 1 the nominal ends come out reversed, and the enclosing window
+    keeps the sup honest there."""
     if beta <= 0.5:
         t_l = t
         t_r = t ** (beta / (1.0 - beta))
     else:
         t_l = t ** ((1.0 - beta) / beta)
         t_r = t
-    lo, hi = 1.0 / t_l, t_r
-    return (min(lo, hi), max(lo, hi))
+    return np.minimum(1.0 / t_l, t_r)
 
 
 _NEG_LOG = MonotoneDecreasingRep(
     eval=lambda x: -np.log(x),
-    a=0.0,
     b=0.0,
     density=lambda t: np.ones_like(np.asarray(t, dtype=float)),
     growth=(1.0, 0.0),
     name="neg-log",
     f_at_zero=np.inf,
-    c_closed=lambda t, beta: 1.0,
+    c_closed=lambda t, beta: np.ones_like(t),
 )
 
 
@@ -98,20 +93,15 @@ def builtin_neg_power(alpha: float) -> MonotoneDecreasingRep:
 @cache
 def _neg_power(alpha: float) -> MonotoneDecreasingRep:
     s = math.sin(alpha * math.pi) / math.pi
-
-    def c_closed(t, beta):
-        lo, _ = _interval(t, beta)
-        return lo ** (-alpha) / s
-
     return MonotoneDecreasingRep(
         eval=lambda x: -(x ** alpha),
-        a=0.0,
         b=math.cos(alpha * math.pi / 2.0),
         density=lambda t: s * np.asarray(t, dtype=float) ** alpha,
         growth=(1.0 / s, alpha / 2.0),
         name=f"neg-power:{alpha:g}",
         f_at_zero=0.0,
-        c_closed=c_closed,
+        # 1/w decreases, so its sup over the window sits at the lower end
+        c_closed=lambda t, beta: _window_low(t, beta) ** (-alpha) / s,
     )
 
 
@@ -128,23 +118,12 @@ def rep_from_name(name: str) -> MonotoneDecreasingRep:
     raise InvalidInput(f"unknown monotone function {name!r}")
 
 
-def c_constant(rep: MonotoneDecreasingRep, t: float, beta: float) -> float:
-    """Regularity constant C^f_{T,beta} = sup 1/w over the window around 1.
-
-    Uses the rep's closed form when available, otherwise a 1024-point
-    log-spaced grid over the enclosing window (an estimate; callers flag it).
-    """
-    if t <= 0.0:
+def c_constant(rep: MonotoneDecreasingRep, t, beta: float):
+    """Regularity constant C^f_{T,beta} = sup 1/w over the window around 1,
+    in closed form; T a number or an array, elementwise."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise InvalidInput("T must be positive")
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    if rep.c_closed is not None:
-        return float(rep.c_closed(t, beta))
-    if rep.density is None:
-        raise NotRegular(f"{rep.name} has no density to bound")
-    lo, hi = _interval(t, beta)
-    grid = np.logspace(math.log10(lo), math.log10(hi), 1024)
-    w = np.asarray(rep.density(grid), dtype=float)
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise NotRegular(f"{rep.name} density vanishes on the window")
-    return float(np.max(1.0 / w))
+    return rep.c_closed(t, beta)[()]  # a number for a number

@@ -13,8 +13,8 @@ import numpy as np
 
 from petzgap.algebra import SubalgebraSpec, conditional_expectation
 from petzgap.entropy import s_f
-from petzgap.errors import (DomainError, InvalidInput, NotRegular,
-                            NumericalFailure, SpecInconsistent)
+from petzgap.errors import (DomainError, InvalidInput, NumericalFailure,
+                            SpecInconsistent)
 from petzgap.linalg import (SpectralDecomposition, as_matrix, eigh, psd_power,
                             support_leak, support_projector)
 from petzgap.modular import RelativeModularOperator, build
@@ -319,8 +319,6 @@ def represent(rep: MonotoneDecreasingRep, x: float) -> float:
     """Evaluate f(x) from the representation data (not from rep.eval)."""
     if x <= 0.0:
         raise InvalidInput("representation evaluated for x > 0")
-    if rep.density is None:
-        raise NotRegular(f"{rep.name} has no density")
 
     def integrand(t):
         # t/(t^2+1) - 1/(t+x) written as one fraction: the two terms agree
@@ -328,7 +326,7 @@ def represent(rep: MonotoneDecreasingRep, x: float) -> float:
         # significant digits exactly where power densities amplify the tail.
         return (t * x - 1.0) / ((t * t + 1.0) * (t + x)) * rep.density(t)
 
-    return -(rep.a * x + rep.b + float(integrate_halfline(integrand)))
+    return -(rep.b + float(integrate_halfline(integrand)))
 
 
 def verify_representation(rep: MonotoneDecreasingRep, n_points: int = 21) -> float:
@@ -339,3 +337,46 @@ def verify_representation(rep: MonotoneDecreasingRep, n_points: int = 21) -> flo
         direct = float(rep.eval(float(x)))
         err = max(err, abs(represent(rep, float(x)) - direct))
     return err
+
+
+def grid_c_constant(rep: MonotoneDecreasingRep, t: float, beta: float) -> float:
+    """Regularity constant sup 1/w over the window [T_L^{-1}, T_R] around 1,
+    estimated on a 1024-point log-spaced grid from the density alone. For
+    T < 1 the nominal endpoints come out reversed; the grid spans the
+    enclosing interval."""
+    if beta <= 0.5:
+        t_l, t_r = t, t ** (beta / (1.0 - beta))
+    else:
+        t_l, t_r = t ** ((1.0 - beta) / beta), t
+    lo, hi = sorted((1.0 / t_l, t_r))
+    grid = np.logspace(math.log10(lo), math.log10(hi), 1024)
+    return float(np.max(1.0 / rep.density(grid)))
+
+
+# bounds
+
+def scalar_theorem_bound(alpha, beta: float, t: float, delta_norm: float,
+                         gap: float) -> float:
+    """T-family right-hand side at one T, in Python floats (libm pow):
+
+        2 (1/beta + ||Delta||/(1-beta)) T^{-k}
+          + T^{n0} sqrt(C^f_{T,beta}) sqrt(gap)
+
+    for f = -log x (alpha None) or f = -x^alpha, with C in closed form."""
+    g = max(float(gap), 0.0)
+    if math.isinf(g):
+        return math.inf
+    if beta <= 0.5:
+        k = beta
+        n0 = (1.0 - 2.0 * beta + 2.0 * beta ** 2) / (2.0 * (1.0 - beta))
+        t_l, t_r = t, t ** (beta / (1.0 - beta))
+    else:
+        k, n0 = 1.0 - beta, beta
+        t_l, t_r = t ** ((1.0 - beta) / beta), t
+    if alpha is None:
+        c_f = 1.0
+    else:
+        c_f = min(1.0 / t_l, t_r) ** (-alpha) \
+            / (math.sin(alpha * math.pi) / math.pi)
+    first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
+    return first * t ** (-k) + t ** n0 * math.sqrt(c_f) * math.sqrt(g)

@@ -17,11 +17,12 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             recovery_discrepancy, renyi_bound, theorem_bound)
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput
-from petzgap.harness import ExperimentConfig, draw_pair
+from petzgap.harness import T_GRID, ExperimentConfig, draw_pair
 from petzgap.monotone import builtin_neg_log, builtin_neg_power
 from petzgap.states import make_density
 
 from conftest import diagonal_state, exact_product_pair, ginibre
+from oracles import scalar_theorem_bound
 
 SPEC4 = pinching_spec(4, [2, 2])
 
@@ -91,6 +92,29 @@ def test_theorem_bound_infinite_gap_and_validation():
         theorem_bound(rep, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(InvalidInput):
         theorem_bound(rep, 0.5, 0.0, 1.0, 0.0)
+    with pytest.raises(InvalidInput):
+        theorem_bound(rep, 0.5, np.array([1.0, 0.0, 2.0]), 1.0, 0.0)
+    with pytest.raises(InvalidInput):
+        theorem_bound(rep, 1.0, T_GRID, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.25, 0.5])
+def test_theorem_bound_array_matches_scalar_formula(alpha):
+    # numpy's array pow against libm pow: a few ulp at most
+    rep = builtin_neg_log() if alpha is None else builtin_neg_power(alpha)
+    for beta in (0.25, 0.3, 0.5, 0.7, 0.75):
+        for delta_norm in (1.0, 37.5):
+            for g in (0.0, 1e-12, 0.3):
+                got = theorem_bound(rep, beta, T_GRID, delta_norm, g)
+                want = np.array([scalar_theorem_bound(
+                    alpha, beta, float(t), delta_norm, g) for t in T_GRID])
+                assert got.shape == T_GRID.shape
+                assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), \
+                    (beta, delta_norm, g)
+            assert np.all(np.isposinf(
+                theorem_bound(rep, beta, T_GRID, delta_norm, math.inf)))
+            assert np.all(np.isnan(
+                theorem_bound(rep, beta, T_GRID, delta_norm, math.nan)))
 
 
 def test_theorem_grid_min_dominates_lemma_value():

@@ -115,6 +115,16 @@ def test_reconstruct_survives_failed_proof_internals(tmp_path, capsys,
     ("sweep", {"seed": 1.5, "dims": [4]}),
     ("reconstruct", {"t_points": 3.5}),
     ("verify", {"dims": [2.7]}),
+    ("verify", {"trials": 4, "tolerance": float("nan")}),
+    ("verify", {"tolerance": float("inf")}),
+    ("verify", {"tolerance": True}),
+    ("verify", {"tolerance": "1e-8"}),
+    ("verify", {"alpha_grid": ["0.5"]}),
+    ("verify", {"beta_grid": [0.5, float("nan")]}),
+    ("reconstruct", {"beta_grid": [True]}),
+    ("sweep", {"dims": [4], "epsilon_ladder": [0.0, float("nan")]}),
+    ("sweep", {"dims": [4], "epsilon_ladder": [0.0, float("inf")]}),
+    ("sweep", {"dims": [4], "epsilon_ladder": [0.0, True]}),
 ])
 def test_non_integer_config_is_usage_error(tmp_path, capsys, command,
                                            overrides):
@@ -136,6 +146,17 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
 def test_malformed_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
+    code = main(["verify", "--config", str(path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b'{"trials": 1' + b"0" * 5000 + b"}",
+                                  b'{"seed": "\xff"}'],
+                         ids=["long-integer", "non-utf8"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
     code = main(["verify", "--config", str(path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err

@@ -7,11 +7,10 @@ from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              pinching_spec, trivial_spec)
 from petzgap.context import PairContext
 from petzgap.entropy import integral_reconstruction, renyi, s_f, s_t
-from petzgap.errors import DomainError, InvalidInput, Unsupported
+from petzgap.errors import DomainError, InvalidInput
 from petzgap.linalg import psd_power
 from petzgap.modular import build
-from petzgap.monotone import (MonotoneDecreasingRep, builtin_neg_log,
-                              builtin_neg_power, rep_from_name)
+from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from petzgap.states import make_density
 
 from conftest import diagonal_state, ginibre
@@ -211,15 +210,6 @@ def test_reconstruction_random_invertible_pair():
     op = build(sigma, rho)
     assert integral_reconstruction(rep, op) == pytest.approx(
         s_f(rep, op), abs=1e-6)
-
-
-def test_reconstruction_rejects_linear_term():
-    rep = MonotoneDecreasingRep(
-        eval=lambda x: -x, a=1.0, b=0.0, density=lambda t: np.zeros_like(t),
-        growth=(1.0, 0.0), name="linear", f_at_zero=0.0)
-    rho = ginibre(2, 2, 23)
-    with pytest.raises(Unsupported):
-        integral_reconstruction(rep, build(rho, rho))
 
 
 def test_reconstruction_rejects_support_leak():

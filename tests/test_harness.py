@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from petzgap.bounds import FLAG_INFINITE_GAP
 from petzgap.errors import InvalidInput
-from petzgap.harness import (CSV_HEADER, ExperimentConfig, draw_pair,
-                             dumps_report, run_reconstruct, run_sweep,
-                             run_trial, run_verify, sanitize, spec_for)
+from petzgap.harness import (CSV_HEADER, T_GRID, ExperimentConfig,
+                             _theorem_report, draw_pair, dumps_report,
+                             run_reconstruct, run_sweep, run_trial,
+                             run_verify, sanitize, spec_for)
 from petzgap.monotone import rep_from_name
+
+from oracles import scalar_theorem_bound
 
 SMALL = dict(trials=3, dims=[2, 3], specs=["pinching", "trivial"],
              functions=["neg-log"], alpha_grid=[0.5], beta_grid=[0.5],
@@ -97,6 +101,34 @@ def test_run_trial_record_shape():
     assert "dpi:neg-log" in names
     assert "theorem:neg-log" in names
     assert "recovery-chain" in names
+
+
+@pytest.mark.parametrize("name,alpha", [("neg-log", None),
+                                        ("neg-power:0.5", 0.5)])
+def test_theorem_report_margin_rules(name, alpha):
+    rep = rep_from_name(name)
+    beta, disc, delta_norm = 0.3, 0.02, 4.5
+    lhs = math.pi / math.sin(beta * math.pi) * disc
+    for g in (0.0, 1e-12, 0.3, -1e-15):
+        report = _theorem_report(rep, beta, disc, delta_norm, g)
+        excess = [scalar_theorem_bound(alpha, beta, float(t), delta_norm, g)
+                  - lhs for t in T_GRID]
+        i = int(np.argmin(excess))
+        assert report.constants["T_at_min_margin"] == float(T_GRID[i])
+        assert report.margins["theorem_T_grid"] == pytest.approx(
+            excess[i], rel=1e-15)
+        assert report.flags == []
+    infinite = _theorem_report(rep, beta, disc, delta_norm, math.inf)
+    assert infinite.margins == {"theorem_T_grid": math.inf}
+    assert infinite.flags == [FLAG_INFINITE_GAP]
+    assert infinite.constants["T_at_min_margin"] is None
+    undefined = _theorem_report(rep, beta, disc, delta_norm, math.nan)
+    assert undefined.margins == {}
+    assert undefined.flags == [FLAG_INFINITE_GAP]
+    assert undefined.constants["T_at_min_margin"] is None
+    for report in (infinite, undefined):
+        assert report.constants["T_count"] == len(T_GRID)
+        assert report.constants["lhs"] == lhs
 
 
 def test_run_verify_passes_and_is_deterministic():

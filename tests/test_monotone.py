@@ -4,18 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from petzgap.errors import InvalidInput, NotRegular
-from petzgap.monotone import (MonotoneDecreasingRep, builtin_neg_log,
-                              builtin_neg_power, c_constant, rep_from_name)
+from petzgap.errors import InvalidInput
+from petzgap.monotone import (builtin_neg_log, builtin_neg_power, c_constant,
+                              rep_from_name)
 
-from oracles import (pick_coefficients, represent, stieltjes_density,
-                     verify_representation)
+from oracles import (grid_c_constant, pick_coefficients, represent,
+                     stieltjes_density, verify_representation)
 
 
 def test_neg_log_basics():
     rep = builtin_neg_log()
     assert rep.eval(1.0) == pytest.approx(0.0)
-    assert rep.a == 0.0
     assert rep.b == 0.0
     assert rep.density(3.7) == pytest.approx(1.0)
     assert rep.growth == (1.0, 0.0)
@@ -25,7 +24,6 @@ def test_neg_log_basics():
 def test_neg_power_basics():
     rep = builtin_neg_power(0.5)
     assert rep.eval(1.0) == pytest.approx(-1.0)
-    assert rep.a == 0.0
     assert rep.b == pytest.approx(math.sqrt(2) / 2)
     assert rep.density(1.0) == pytest.approx(1.0 / math.pi)
     assert rep.f_at_zero == 0.0
@@ -59,6 +57,7 @@ def test_c_constant_neg_log_is_one():
     rep = builtin_neg_log()
     for t, beta in [(4.0, 0.3), (100.0, 0.5), (2.0, 0.9)]:
         assert c_constant(rep, t, beta) == pytest.approx(1.0)
+    assert np.array_equal(c_constant(rep, np.array([0.5, 4.0]), 0.3), [1, 1])
 
 
 def test_c_constant_neg_power_low_beta():
@@ -80,29 +79,20 @@ def test_c_constant_neg_power_high_beta():
 
 def test_c_constant_nondecreasing_in_t():
     rep = builtin_neg_power(0.6)
-    values = [c_constant(rep, t, 0.4) for t in (1.5, 2.0, 4.0, 16.0, 256.0)]
+    t = np.array([1.5, 2.0, 4.0, 16.0, 256.0])
+    values = c_constant(rep, t, 0.4)
+    assert values.shape == t.shape
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    assert list(values) == pytest.approx(
+        [c_constant(rep, float(x), 0.4) for x in t], rel=1e-15)
 
 
 def test_c_constant_grid_matches_closed_form():
-    # same density supplied without the closed form: grid sup agrees
-    alpha = 0.5
-    closed = builtin_neg_power(alpha)
-    gridded = MonotoneDecreasingRep(
-        eval=closed.eval, a=0.0, b=closed.b, density=closed.density,
-        growth=closed.growth, name="gridded", f_at_zero=0.0, c_closed=None)
+    # the brute-force sup of 1/w over the window agrees with c_closed
+    closed = builtin_neg_power(0.5)
     for t, beta in [(4.0, 0.3), (9.0, 0.7)]:
-        assert c_constant(gridded, t, beta) == pytest.approx(
-            c_constant(closed, t, beta), rel=1e-3)
-
-
-def test_c_constant_vanishing_density_not_regular():
-    rep = MonotoneDecreasingRep(
-        eval=lambda x: -x, a=0.0, b=0.0,
-        density=lambda t: np.maximum(0.0, 1.0 - t),
-        growth=(1.0, 0.0), name="cutoff", f_at_zero=0.0)
-    with pytest.raises(NotRegular):
-        c_constant(rep, 16.0, 0.5)
+        assert closed.c_closed(t, beta) == pytest.approx(
+            grid_c_constant(closed, t, beta), rel=1e-3)
 
 
 def test_pick_coefficients_log():

@@ -12,6 +12,11 @@ calls at these settings, then up to ten eigh while a context re-diagonalized
 every validated state. The counts are deterministic and asserted for every
 trial, so redundancy that creeps back fails here.
 
+The theorem's T-family is evaluated on the whole T grid in one
+bounds.theorem_bound call, with one bounds.c_constant call, per (function,
+beta): 6 of each per trial at the defaults, where a scalar loop over the 40
+grid points made 240 and 230.
+
 A reconstruct run calls the quadrature integrand once per panel. The graded
 half-line quadrature makes 144 panels on the reconstruct golden config,
 against 1,840 when bisection chased the power-law endpoints of the tails.
@@ -19,7 +24,7 @@ against 1,840 when bisection chased the power-law endpoints of the tails.
 
 import numpy as np
 
-from petzgap import entropy, modular, quadrature
+from petzgap import bounds, entropy, modular, quadrature
 from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
                              spec_for)
 from petzgap.monotone import rep_from_name
@@ -69,6 +74,21 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         per_trial
     assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _ in per_trial), per_trial
     assert all(n <= MAX_S_F_PER_TRIAL for _, _, n in per_trial), per_trial
+
+
+def test_theorem_grid_is_one_call_per_function_and_beta(monkeypatch):
+    config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
+    reps = [rep_from_name(n) for n in config.functions]
+    config_hash = config.hash()
+    theorem = count_calls(monkeypatch, bounds, "theorem_bound")
+    c_constant = count_calls(monkeypatch, bounds, "c_constant")
+    limit = len(config.functions) * len(config.beta_grid)
+    assert limit == 6
+    for i in range(TRIALS):
+        before = len(theorem), len(c_constant)
+        run_trial(config, i, reps, config_hash)
+        assert 0 < len(theorem) - before[0] <= limit
+        assert 0 < len(c_constant) - before[1] <= limit
 
 
 def test_reconstruct_integrand_calls(monkeypatch):
