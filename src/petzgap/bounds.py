@@ -68,18 +68,27 @@ class BoundReport:
     flags: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
+        return json_safe({
             "schema": "report_v1",
             "name": self.name,
             "gap": self.gap,
             "beta": self.beta,
             "discrepancy": self.discrepancy,
             "delta_norm": self.delta_norm,
-            "constants": dict(self.constants),
-            "rhs_values": dict(self.rhs_values),
-            "margins": dict(self.margins),
+            "constants": json_safe(self.constants),
+            "rhs_values": json_safe(self.rhs_values),
+            "margins": json_safe(self.margins),
             "flags": sorted(self.flags),
-        }
+        })
+
+
+def json_safe(values: dict) -> dict:
+    """A copy of a flat dict in which each non-finite float is its marker
+    string "nan", "inf" or "-inf", so that the dict is valid JSON; every
+    other value is kept as it is. (v - v is 0.0 exactly when v is finite.)"""
+    return {k: v if type(v) is not float or v - v == 0.0
+            else "nan" if v != v else "inf" if v > 0 else "-inf"
+            for k, v in values.items()}
 
 
 def gap_margin(key: str, g: float, rhs: float = 0.0) -> tuple[dict, list]:

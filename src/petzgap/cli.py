@@ -4,9 +4,10 @@
     petzgap sweep       --config cfg.json [--seed N] [--out path]
     petzgap reconstruct --config cfg.json [--seed N] [--out path]
 
-Exit codes: 0 all checks passed, 1 a bound or residual check failed or a
-numerical error (a PetzGapError or an ArithmeticError) stopped the run,
-2 configuration or I/O problems.
+Exit codes: 0 all checks passed, 1 a bound or residual check failed, a
+trial or case was recorded as an error or failure, or a numerical error (a
+PetzGapError or an ArithmeticError) stopped the run, 2 configuration or I/O
+problems.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def main(argv=None) -> int:
                   f"margins={summary['margins_checked']} "
                   f"failures={summary['failures']} "
                   f"infinite_gap={summary['infinite_gap_trials']} "
+                  f"errors={summary['error_trials']} "
                   f"min_margin={summary['min_margin']:.3e}")
         elif args.command == "sweep":
             code, payload = run_sweep(config)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from petzgap import bounds
+from petzgap import bounds, harness
 from petzgap.cli import main
 from petzgap.errors import NumericalFailure
 from petzgap.harness import CSV_HEADER
@@ -29,6 +29,28 @@ def test_verify_exit_zero_and_output(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["schema"] == "verify_v1"
     assert report["summary"]["failures"] == 0
+
+
+def test_verify_survives_an_erroring_trial(tmp_path, capsys, monkeypatch):
+    original = harness.run_trial
+
+    def fail_second(config, trial_index, *args, **kwargs):
+        if trial_index == 1:
+            raise NumericalFailure("eigh did not converge")
+        return original(config, trial_index, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", fail_second)
+    cfg = write_config(tmp_path, trials=3)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    printed = capsys.readouterr().out
+    assert "verify: FAIL trials=3" in printed
+    assert "failures=0 infinite_gap=0 errors=1 " in printed
+    report = json.loads(out.read_text())
+    assert report["summary"]["error_trials"] == 1
+    assert report["trials"][1]["error"] == \
+        "NumericalFailure: eigh did not converge"
 
 
 def test_verify_seed_override_changes_hash(tmp_path):

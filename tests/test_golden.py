@@ -22,6 +22,8 @@ every one an error or residual that fell toward 0 (largest 2.6e-9 to 5.6e-16).
 The verify record alone was re-frozen when verify stopped reporting
 generic:neg-log, which duplicated corollary-log: its 60 reports left the
 record and no other value moved.
+Both records are read from the bytes dumps_report writes, parsed back; when
+reports became one compact line, both still passed without a re-freeze.
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, then rewrites
 both from the current code.
@@ -32,8 +34,8 @@ import math
 import sys
 from pathlib import Path
 
-from petzgap.harness import (ExperimentConfig, run_reconstruct, run_verify,
-                             sanitize)
+from petzgap.harness import (ExperimentConfig, dumps_report, run_reconstruct,
+                             run_verify)
 
 DATA = Path(__file__).parent / "data"
 VERIFY_GOLDEN = DATA / "verify_golden.json"
@@ -47,21 +49,23 @@ ATOL = 1e-14
 
 
 def verify_record(code: int, report: dict) -> dict:
-    return sanitize({
+    written = json.loads(dumps_report(report))
+    return {
         "config": VERIFY_CONFIG,
         "exit_code": code,
         "trials": [[{k: r[k] for k in KEYS} for r in trial["reports"]]
-                   for trial in report["trials"]],
-    })
+                   for trial in written["trials"]],
+    }
 
 
 def reconstruct_record(code: int, report: dict) -> dict:
-    return sanitize({
+    written = json.loads(dumps_report(report))
+    return {
         "config": RECONSTRUCT_CONFIG,
         "exit_code": code,
-        "summary": report["summary"],
-        "cases": report["cases"],
-    })
+        "summary": written["summary"],
+        "cases": written["cases"],
+    }
 
 
 def mismatches(got, want, path=()) -> list:

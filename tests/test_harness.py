@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from petzgap.bounds import FLAG_INFINITE_GAP
-from petzgap.errors import InvalidInput
+from petzgap import bounds, harness
+from petzgap.bounds import FLAG_INFINITE_GAP, json_safe
+from petzgap.errors import InvalidInput, NumericalFailure
 from petzgap.harness import (CSV_HEADER, T_GRID, ExperimentConfig,
                              _theorem_report, draw_pair, dumps_report,
                              run_reconstruct, run_sweep, run_trial,
@@ -190,12 +191,91 @@ def test_run_reconstruct_small_battery():
     assert statuses.count("internals") == 2
 
 
+# trials 4 and 6 draw a singular rho and a singular sigma; the run has an
+# infinite-gap trial and "inf" and "nan" markers in its reports
+SINGULAR = dict(trials=7, dims=[2, 3], functions=["neg-log"],
+                alpha_grid=[0.5], beta_grid=[0.5])
+
+
+def test_dumps_report_matches_sanitized_reconstruct_report(monkeypatch):
+    original = bounds.proof_internals
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalFailure("quadrature failed to converge on [0, 1]")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "proof_internals", fail_second)
+    code, report = run_reconstruct(ExperimentConfig(
+        trials=3, dims=[3], functions=["neg-log"], t_points=6))
+    assert code == 1
+    assert report["summary"]["max_error"] == math.inf
+    parsed = json.loads(dumps_report(report))
+    assert parsed == sanitize(report)
+    assert parsed["summary"]["max_error"] == "inf"
+    assert [c["status"] for c in parsed["cases"]].count("failed") == 1
+
+
+def test_dumps_report_rejects_a_stray_nan():
+    _, report = run_verify(ExperimentConfig(**SMALL))
+    report["trials"][0]["reports"][0]["gap"] = math.nan
+    with pytest.raises(ValueError):
+        dumps_report(report)
+
+
 def test_sanitize_and_dumps():
     blob = sanitize({"a": np.float64(1.5), "b": math.inf, "c": -math.inf,
                      "d": math.nan, "e": np.int32(4), "f": (1, 2)})
     assert blob == {"a": 1.5, "b": "inf", "c": "-inf", "d": "nan", "e": 4,
                     "f": [1, 2]}
-    text = dumps_report({"z": 1, "a": 2})
+    code, report = run_verify(ExperimentConfig(**SINGULAR))
+    assert code == 0
+    assert report["summary"]["infinite_gap_trials"] >= 1
+    text = dumps_report(report)
+    assert '"inf"' in text and '"nan"' in text
+    assert json.loads(text) == sanitize(report)
+    # the summary stays numeric in memory; only the written copy is converted
+    assert isinstance(report["summary"]["min_margin"], float)
+    # one compact line with sorted keys
     assert text.endswith("\n")
-    assert json.loads(text) == {"a": 2, "z": 1}
-    assert text.index('"a"') < text.index('"z"')
+    assert text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+
+
+def test_json_safe_marks_only_non_finite_floats():
+    values = {"a": 1.5, "b": math.inf, "c": -math.inf, "d": math.nan,
+              "e": 4, "f": None, "g": "x", "h": 5e-324, "i": True}
+    assert json_safe(values) == {"a": 1.5, "b": "inf", "c": "-inf",
+                                 "d": "nan", "e": 4, "f": None, "g": "x",
+                                 "h": 5e-324, "i": True}
+    assert values["b"] == math.inf
+
+
+def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
+    original = harness.run_trial
+
+    def overflow_on_one(config, trial_index, *args, **kwargs):
+        if trial_index == 1:
+            raise OverflowError("(34, 'Numerical result out of range')")
+        return original(config, trial_index, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", overflow_on_one)
+    cfg = ExperimentConfig(**SMALL)
+    code, report = run_verify(cfg)
+    assert code == 1
+    summary = report["summary"]
+    assert summary["error_trials"] == 1
+    assert summary["failures"] == 0
+    assert summary["trials"] == 3
+    trials = report["trials"]
+    assert [t["trial_index"] for t in trials] == [0, 1, 2]
+    assert trials[1] == {
+        "trial_index": 1, "config_hash": cfg.hash(), "status": "error",
+        "error": "OverflowError: (34, 'Numerical result out of range')",
+        "reports": []}
+    assert trials[0]["reports"] and trials[2]["reports"]
+    assert "status" not in trials[0]
+    assert json.loads(dumps_report(report)) == sanitize(report)
