@@ -15,8 +15,15 @@ errors (recovery_chain); Renyi divergences ride on the power corollary.
 
 Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
 the context computes each quantity of the triple once, caches it for the
-one trial it is built for, and the bounds read from it. discrepancy_norm and
-recovery_discrepancy take raw states and build a context for them.
+one trial it is built for, and the bounds read from it; every discrepancy,
+the beta-free left side included, comes from its one matrix per beta in
+the eigenbases of sigma and rho. discrepancy_norm and recovery_discrepancy
+take raw states and build a context for them.
+
+The corollary constants K are built as logs and recorded as log_K beside
+K, and each right side K disc^E is exp(log K + E log disc): at a large
+||Delta|| the constant underflows and disc^E overflows while the product
+is an ordinary number.
 
 Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
@@ -36,7 +43,7 @@ from . import entropy, modular
 from .algebra import SubalgebraSpec, conditional_expectation
 from .context import PairContext
 from .errors import DomainError, InvalidInput, NumericalFailure
-from .linalg import hs_norm
+from .linalg import psd_power
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
 from .quadrature import integrate_halfline
@@ -172,18 +179,28 @@ def _branch(beta: float) -> tuple[float, float]:
     return 1.0 - beta, beta
 
 
+def _power_law(log_k: float, x: float, expo: float) -> float:
+    """K x^E for x >= 0, evaluated as exp(log K + E log x): K and x^E can
+    under- and overflow apart (K = 0 and x^E = inf at a large ||Delta||)
+    while their product is a normal float, so they never meet as floats."""
+    return math.exp(log_k + expo * math.log(x)) if x > 0.0 else 0.0
+
+
 def _generic_constants(big_c: float, growth_c: float, beta: float,
                        delta_norm: float) -> dict:
-    """Invert the optimized theorem into gap >= K_gap * disc^E."""
+    """Invert the optimized theorem into gap >= K_gap * disc^E, with K_gap
+    built as its log."""
     k, n0 = _branch(beta)
     n = n0 + growth_c
     k_t = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
     exponent = 2.0 * (k + n) / k
-    b_const = (1.0 / k + 1.0 / n) * (k * k_t) ** (n / (k + n)) \
-        * (n * math.sqrt(big_c)) ** (k / (k + n))
-    k_gap = (math.pi / (math.sin(beta * math.pi) * b_const)) ** exponent
-    return {"k": k, "n": n, "K_T": k_t, "B": b_const,
-            "exponent": exponent, "K_gap": k_gap}
+    log_b = math.log(1.0 / k + 1.0 / n) + n / (k + n) * math.log(k * k_t) \
+        + k / (k + n) * math.log(n * math.sqrt(big_c))
+    log_k_gap = exponent * (math.log(math.pi / math.sin(beta * math.pi))
+                            - log_b)
+    return {"k": k, "n": n, "K_T": k_t, "B": math.exp(log_b),
+            "exponent": exponent, "K_gap": math.exp(log_k_gap),
+            "log_K_gap": log_k_gap}
 
 
 def _t_star(cst: dict, big_c: float, g: float) -> float:
@@ -206,7 +223,7 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
     disc = ctx.discrepancy(beta)
     cst = _generic_constants(big_c, growth_c, beta, delta_norm)
     t_star = _t_star(cst, big_c, g)
-    rhs = cst["K_gap"] * disc ** cst["exponent"]
+    rhs = _power_law(cst["log_K_gap"], disc, cst["exponent"])
     margins, flags = gap_margin("gap_lower_bound", g, rhs)
     if t_star < 1.0:
         flags.append(FLAG_T_STAR_BELOW_ONE)
@@ -214,7 +231,7 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
         name=f"generic:{rep.name}",
         gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
         constants={"C": big_c, "c": growth_c, "K_gap": cst["K_gap"],
-                   "exponent": cst["exponent"],
+                   "log_K_gap": cst["log_K_gap"], "exponent": cst["exponent"],
                    "gap_exponent": 1.0 / cst["exponent"],
                    "B": cst["B"], "K_T": cst["K_T"], "T_star": t_star},
         rhs_values={"gap_lower_bound": rhs},
@@ -225,22 +242,23 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
 
 def log_corollary_constant(beta: float,
                            delta_norm: float) -> tuple[float, float, str]:
-    """Printed constant and exponent of the relative-entropy corollary."""
+    """Log of the printed constant, exponent and key of the relative-entropy
+    corollary."""
     sb = math.sin(beta * math.pi)
     if beta <= 0.5:
         q0 = 1.0 - 2.0 * beta + 2.0 * beta ** 2
         expo = 1.0 / (beta * (1.0 - beta))
-        k_print = (math.pi * q0 * beta / sb) ** expo \
-            * (1.0 + beta * delta_norm / (1.0 - beta)) ** (-q0 * expo) \
-            * 2.0 ** (-q0 * expo) \
-            * (q0 / (2.0 * (1.0 - beta))) ** (-2.0)
-        return k_print, expo, "K_L"
+        log_k = expo * math.log(math.pi * q0 * beta / sb) \
+            - q0 * expo * (math.log1p(beta * delta_norm / (1.0 - beta))
+                           + math.log(2.0)) \
+            - 2.0 * math.log(q0 / (2.0 * (1.0 - beta)))
+        return log_k, expo, "K_L"
     expo = 2.0 / (1.0 - beta)
-    k_print = (math.pi * beta * (1.0 - beta) / sb) ** expo \
-        * ((1.0 - beta) / beta + delta_norm) ** (-beta * expo) \
-        * 2.0 ** (-beta * expo) \
-        * beta ** (-2.0)
-    return k_print, expo, "K_U"
+    log_k = expo * math.log(math.pi * beta * (1.0 - beta) / sb) \
+        - beta * expo * (math.log((1.0 - beta) / beta + delta_norm)
+                         + math.log(2.0)) \
+        - 2.0 * math.log(beta)
+    return log_k, expo, "K_U"
 
 
 def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
@@ -252,11 +270,12 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
     delta_norm = ctx.delta_norm
     g = ctx.gap(builtin_neg_log())
     disc = ctx.discrepancy(beta)
-    k_print, expo, key = log_corollary_constant(beta, delta_norm)
+    log_k, expo, key = log_corollary_constant(beta, delta_norm)
     cst = _generic_constants(1.0, 0.0, beta, delta_norm)
-    rhs = k_print * disc ** expo
+    rhs = _power_law(log_k, disc, expo)
     margins, flags = gap_margin("gap_lower_bound", g, rhs)
-    constants = {key: k_print, "K_generic": cst["K_gap"], "exponent": expo,
+    constants = {key: math.exp(log_k), "log_" + key: log_k,
+                 "K_generic": cst["K_gap"], "exponent": expo,
                  "T_star": _t_star(cst, 1.0, g)}
     if beta == 0.5:
         constants["K_log3"] = (math.pi / 4.0) ** 4 * (1.0 + delta_norm) ** (-2.0)
@@ -279,8 +298,8 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
 
 def power_corollary_constant(alpha: float, beta: float, delta_norm: float
                              ) -> tuple[float, float, float, float, str]:
-    """Printed constant, proof exponent, displayed exponent, effective
-    growth exponent, and key for the power corollary."""
+    """Log of the printed constant, proof exponent, displayed exponent,
+    effective growth exponent, and key for the power corollary."""
     sb = math.sin(beta * math.pi)
     sa = math.sin(alpha * math.pi)
     bb = beta * (1.0 - beta)
@@ -288,23 +307,25 @@ def power_corollary_constant(alpha: float, beta: float, delta_norm: float
         p = 1.0 + alpha * (1.0 - beta)
         q = alpha * (1.0 - beta) + 1.0 - 2.0 * beta + 2.0 * beta ** 2
         expo = p / bb
-        k_print = (1.0 + beta * delta_norm / (1.0 - beta)) ** (-q / bb) \
-            * 2.0 ** (-q / bb) * (sa / math.pi) \
-            * (math.pi * beta * q / (p * sb)) ** expo \
-            * (q / (2.0 * (1.0 - beta))) ** (-2.0)
+        log_k = -q / bb * (math.log1p(beta * delta_norm / (1.0 - beta))
+                           + math.log(2.0)) \
+            + math.log(sa / math.pi) \
+            + expo * math.log(math.pi * beta * q / (p * sb)) \
+            - 2.0 * math.log(q / (2.0 * (1.0 - beta)))
         displayed = (4.0 - 2.0 * beta + alpha * (1.0 - beta)) / (1.0 - beta ** 2)
         c_eff = alpha / 2.0
-        return k_print, expo, displayed, c_eff, "K_L"
+        return log_k, expo, displayed, c_eff, "K_L"
     s_ = 2.0 * beta + alpha * (1.0 - beta)
     r_ = 2.0 * beta ** 2 + alpha * (1.0 - beta)
     expo = s_ / bb
-    k_print = ((1.0 - beta) / beta + delta_norm) ** (-r_ / bb) \
-        * 2.0 ** (-r_ / bb) * (sa / math.pi) \
-        * (math.pi * (1.0 - beta) * r_ / (s_ * sb)) ** expo \
-        * (r_ / (2.0 * beta)) ** (-2.0)
+    log_k = -r_ / bb * (math.log((1.0 - beta) / beta + delta_norm)
+                        + math.log(2.0)) \
+        + math.log(sa / math.pi) \
+        + expo * math.log(math.pi * (1.0 - beta) * r_ / (s_ * sb)) \
+        - 2.0 * math.log(r_ / (2.0 * beta))
     displayed = (2.0 * (1.0 + beta) + alpha * (1.0 - beta)) / (1.0 - beta ** 2)
     c_eff = alpha * (1.0 - beta) / (2.0 * beta)
-    return k_print, expo, displayed, c_eff, "K_U"
+    return log_k, expo, displayed, c_eff, "K_U"
 
 
 def corollary_power_bound(alpha: float, beta: float,
@@ -326,11 +347,11 @@ def corollary_power_bound(alpha: float, beta: float,
     delta_norm = ctx.delta_norm
     g = ctx.gap(builtin_neg_power(alpha))
     disc = ctx.discrepancy(beta)
-    k_print, expo, displayed, c_eff, key = power_corollary_constant(
+    log_k, expo, displayed, c_eff, key = power_corollary_constant(
         alpha, beta, delta_norm)
     big_c = math.pi / math.sin(alpha * math.pi)
     cst = _generic_constants(big_c, c_eff, beta, delta_norm)
-    rhs = k_print * disc ** expo
+    rhs = _power_law(log_k, disc, expo)
     margins, flags = gap_margin("gap_lower_bound", g, rhs)
     t_star = _t_star(cst, big_c, g)
     if t_star < 1.0:
@@ -338,7 +359,8 @@ def corollary_power_bound(alpha: float, beta: float,
     return BoundReport(
         name=f"corollary-power:{alpha:g}",
         gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
-        constants={key: k_print, "K_generic": cst["K_gap"], "exponent": expo,
+        constants={key: math.exp(log_k), "log_" + key: log_k,
+                   "K_generic": cst["K_gap"], "exponent": expo,
                    "exponent_displayed": displayed, "C_exact": big_c,
                    "c_effective": c_eff, "T_star": t_star},
         rhs_values={"gap_lower_bound": rhs},
@@ -373,9 +395,11 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
     delta_norm = ctx.delta_norm
     g = ctx.renyi_gap(alpha)
     disc = ctx.discrepancy(0.5)
-    k_u, expo, _, _, _ = power_corollary_constant(1.0 - alpha, 0.5, delta_norm)
-    rhs_disc = math.log1p(k_u * disc ** expo) / (1.0 - alpha)
-    constants = {"K_U": k_u, "exponent": expo}
+    log_k_u, expo, _, _, _ = power_corollary_constant(1.0 - alpha, 0.5,
+                                                      delta_norm)
+    rhs_disc = math.log1p(_power_law(log_k_u, disc, expo)) / (1.0 - alpha)
+    constants = {"K_U": math.exp(log_k_u), "log_K_U": log_k_u,
+                 "exponent": expo}
     rhs_values = {"renyi_disc": rhs_disc}
     margins = {}
     flags = []
@@ -384,17 +408,19 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
         e_rho, e_sigma = ctx.recovery_errors
         norm_rho = float(r.eigenvalues[0])
         norm_sig_inv = 1.0 / float(s.eigenvalues[-1])
-        k_hat = 0.5 * k_u / math.sqrt(norm_rho * norm_sig_inv)
+        log_k_hat = log_k_u - math.log(2.0) \
+            - 0.5 * math.log(norm_rho * norm_sig_inv)
         mx = max(e_rho, e_sigma)
-        rhs_rec = math.log1p(k_hat * mx ** expo) / (1.0 - alpha)
-        rhs_inv = (2.0 * math.sqrt(norm_rho * norm_sig_inv) / k_u) \
-            * math.expm1((1.0 - alpha) * max(g, 0.0))
+        rhs_rec = math.log1p(_power_law(log_k_hat, mx, expo)) / (1.0 - alpha)
+        rhs_inv = _power_law(-log_k_hat,
+                            math.expm1((1.0 - alpha) * max(g, 0.0)), 1.0)
         if ctx.support_leak <= SUPPORT_LEAK_TOL:
             margins["renyi_recovery"] = g - rhs_rec
             margins["renyi_inverted"] = rhs_inv - mx ** expo
         else:
             flags.append(FLAG_SUPPORT_MISMATCH)
-        constants.update({"K_hat": k_hat, "e_rho": e_rho, "e_sigma": e_sigma})
+        constants.update({"K_hat": math.exp(log_k_hat), "e_rho": e_rho,
+                          "e_sigma": e_sigma})
         rhs_values.update({"renyi_recovery": rhs_rec, "renyi_inverted": rhs_inv})
     else:
         flags.append(FLAG_SIGMA_SINGULAR)
@@ -494,9 +520,7 @@ def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     r = ctx.rho
-    lhs = hs_norm(
-        ctx.power("sigma_n", beta) @ ctx.power("rho_n", -beta)
-        - ctx.power("sigma", beta) @ ctx.power("rho", -beta))
+    lhs = ctx.beta_free(beta)
     disc = ctx.discrepancy(beta)
     delta_norm = ctx.delta_norm
     margins = {}
@@ -571,8 +595,8 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     spec, op, op_n = ctx.spec, ctx.op, ctx.op_n
-    sqrt_rho = ctx.power("rho", 0.5)
-    pinv_sqrt_rho_n = ctx.power("rho_n", -0.5)
+    sqrt_rho = psd_power(ctx.rho.spectrum, 0.5)
+    pinv_sqrt_rho_n = psd_power(ctx.rho_n.spectrum, -0.5)
 
     def u_map(x):
         return conditional_expectation(spec, x) @ pinv_sqrt_rho_n @ sqrt_rho

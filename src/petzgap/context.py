@@ -6,11 +6,22 @@ trial and drop it with the trial. Its spectra are the ones its states carry
 (DensityMatrix.spectrum): one eigh each for rho, sigma, E(rho), E(sigma),
 and none for E(x) when E is the identity, since E(x) is then x itself and
 every E = id gap is exactly 0. It owns the relative modular operators op
-and op_n, keeps one entropy per (function, operator), which the gaps and
-Renyi gaps share, and one power per (state, exponent), which the
-discrepancies, recovery errors and proof internals share. A caller with raw
-states builds a context for one quantity (as `bounds.discrepancy_norm` and
-`recovery.recovery_errors` do).
+and op_n, and keeps one entropy per (function, operator), which the gaps
+and Renyi gaps share.
+
+The discrepancies and Kraus operators are products of powers of the four
+states, and are computed in the frame of the eigenbases of sigma (left) and
+rho (right), where every power is a vector of pseudo powers of eigenvalues
+(linalg.pseudo_power) and the Hilbert-Schmidt norm is the same. Two basis
+changes per trial, P1 = V_sigma^H V_sigmaN and P2 = V_rhoN^H V_rho, carry the
+E(sigma) and E(rho) eigenbases into that frame; each beta then costs one
+matrix D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b (two products), which
+the discrepancy, the beta-free bound and, at b = 1/2, the recovery
+discrepancy read. When E is the identity there are no frames, the two terms
+of D_b are the same numbers, and every discrepancy is exactly 0. No dense
+power of a state is formed. A caller with raw states builds a context for
+one quantity (as `bounds.discrepancy_norm` and `recovery.recovery_errors`
+do).
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 from . import entropy, modular
 from .algebra import SubalgebraSpec, conditional_expectation
 from .errors import InvalidInput
-from .linalg import hs_norm, psd_power, support_leak, trace_norm
+from .linalg import hs_norm, pseudo_power, support_leak, trace_norm
 from .monotone import builtin_neg_power
 from .states import DensityMatrix, make_density
 
@@ -40,6 +51,13 @@ def _memoized(method):
     return cached
 
 
+def _ratio(op: modular.RelativeModularOperator, beta: float) -> np.ndarray:
+    """s^b r^-b for op = Delta_{s,r}, in the eigenbasis of s on the left and
+    of r on the right: diag(mu^b) O diag(lam^-b), O = op.overlaps."""
+    return pseudo_power(op.sigma_dec, beta)[:, None] * op.overlaps \
+        * pseudo_power(op.rho_dec, -beta)[None, :]
+
+
 class PairContext:
     """Lazily computed quantities of one (rho, sigma, spec) triple. State
     roles: "rho", "sigma", and "rho_n", "sigma_n" for E(rho), E(sigma)."""
@@ -51,11 +69,6 @@ class PairContext:
             raise InvalidInput("state dimension does not match spec")
         self.spec = spec
         self._memo = {}
-
-    @_memoized
-    def power(self, role: str, p: float) -> np.ndarray:
-        """psd_power of a state with pseudo-inverse powers."""
-        return psd_power(getattr(self, role).spectrum, p)
 
     def _expect(self, x: DensityMatrix) -> DensityMatrix:
         """E(x) as a state. E is the identity exactly when the algebra is all
@@ -105,27 +118,81 @@ class PairContext:
     def reconstruct_gap(self, rep) -> float:
         return entropy.reconstruct_gap(rep, self.op, self.op_n)
 
+    @cached_property
+    def frames(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(P1, P2) = (V_sigma^H V_sigmaN, V_rhoN^H V_rho), the basis
+        changes from the eigenbases of E(sigma) and E(rho) to those of sigma
+        and rho; None when E is the identity."""
+        if self.rho_n is self.rho:
+            return None
+        return (self.sigma.spectrum.eigenvectors.conj().T
+                @ self.sigma_n.spectrum.eigenvectors,
+                self.rho_n.spectrum.eigenvectors.conj().T
+                @ self.rho.spectrum.eigenvectors)
+
+    @_memoized
+    def _ratio_n(self, beta: float) -> np.ndarray:
+        """sigmaN^b rhoN^-b in the frame of sigma (left) and rho (right)."""
+        x = _ratio(self.op_n, beta)
+        if self.frames is None:
+            return x
+        p1, p2 = self.frames
+        return p1 @ x @ p2
+
+    @_memoized
+    def _difference(self, beta: float) -> np.ndarray:
+        """D_b = sigmaN^b rhoN^-b - sigma^b rho^-b in the frame of sigma
+        (left) and rho (right). When E is the identity both terms are the
+        same numbers and D_b is exactly 0."""
+        return self._ratio_n(beta) - _ratio(self.op, beta)
+
+    @cached_property
+    def _sqrt_rho(self) -> np.ndarray:
+        """rho^{1/2} in the frame, as a row that scales the columns."""
+        return pseudo_power(self.rho.spectrum, 0.5)[None, :]
+
     def discrepancy_matrix(self, beta: float) -> np.ndarray:
-        """sigmaN^b rhoN^-b rho^{1/2} - sigma^b rho^{1/2-b}, pseudo powers."""
-        return self.power("sigma_n", beta) @ self.power("rho_n", -beta) \
-            @ self.power("rho", 0.5) \
-            - self.power("sigma", beta) @ self.power("rho", 0.5 - beta)
+        """sigmaN^b rhoN^-b rho^{1/2} - sigma^b rho^{1/2-b}, pseudo powers:
+        D_b rho^{1/2} rotated back from the frame."""
+        u_s = self.sigma.spectrum.eigenvectors
+        u_r = self.rho.spectrum.eigenvectors
+        return u_s @ (self._difference(beta) * self._sqrt_rho) @ u_r.conj().T
 
     @_memoized
     def discrepancy(self, beta: float) -> float:
-        return hs_norm(self.discrepancy_matrix(beta))
+        """|| D_b rho^{1/2} ||_2, the norm of discrepancy_matrix(b): the
+        Hilbert-Schmidt norm does not change under the frame's unitaries."""
+        return hs_norm(self._difference(beta) * self._sqrt_rho)
+
+    @_memoized
+    def beta_free(self, beta: float) -> float:
+        """|| sigmaN^b rhoN^-b - sigma^b rho^-b ||_2 = || D_b ||_2."""
+        return hs_norm(self._difference(beta))
 
     @cached_property
     def recovery_discrepancy(self) -> float:
-        """|| sigmaN^{1/2} rhoN^{-1/2} rho^{1/2} - sigma^{1/2} ||_2."""
-        return hs_norm(self.power("sigma_n", 0.5) @ self.power("rho_n", -0.5)
-                       @ self.power("rho", 0.5) - self.power("sigma", 0.5))
+        """|| sigmaN^{1/2} rhoN^{-1/2} rho^{1/2} - sigma^{1/2} ||_2 with a
+        bare (unprojected) sigma^{1/2}, in the frame."""
+        bare = pseudo_power(self.sigma.spectrum, 0.5)[:, None] \
+            * self.op.overlaps
+        return hs_norm(self._ratio_n(0.5) * self._sqrt_rho - bare)
 
     @_memoized
     def kraus(self, role: str) -> np.ndarray:
         """x^{1/2} E(x)^{-1/2} for x = rho or sigma: the Kraus operator of
-        the Petz map R_x (see `recovery`)."""
-        return self.power(role, 0.5) @ self.power(role + "_n", -0.5)
+        the Petz map R_x (see `recovery`), V_x diag(x^{1/2}) (V_x^H V_xN)
+        diag(xN^{-1/2}) V_xN^H with the frame as the middle factor."""
+        x = getattr(self, role).spectrum
+        x_n = getattr(self, role + "_n").spectrum
+        left = pseudo_power(x, 0.5)
+        right = pseudo_power(x_n, -0.5)
+        if self.frames is None:
+            v = x.eigenvectors
+            return (v * (left * right)) @ v.conj().T
+        p1, p2 = self.frames
+        middle = p1 if role == "sigma" else p2.conj().T
+        return x.eigenvectors @ (left[:, None] * middle * right[None, :]) \
+            @ x_n.eigenvectors.conj().T
 
     def _recovery_error(self, x: str, y: str) -> float:
         """|| R_x(E(y)) - y ||_1."""

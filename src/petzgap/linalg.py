@@ -63,18 +63,24 @@ def eigh(a) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, zero_threshold=thr)
 
 
-def psd_power(a, p: float) -> np.ndarray:
-    """A^p for PSD A with pseudo powers: eigenvalues at or below the zero
-    threshold (roundoff negatives included) map to 0 for every p, so p < 0
-    gives the pseudo-inverse power and p = 0 the support projector."""
-    dec = a if isinstance(a, SpectralDecomposition) else eigh(a)
+def pseudo_power(dec: SpectralDecomposition, p: float) -> np.ndarray:
+    """The eigenvalues of dec raised to p, with pseudo powers: each at or
+    below the zero threshold (roundoff negatives included) maps to 0 for
+    every p, so p < 0 gives the pseudo-inverse power and p = 0 the support
+    indicator. The one pseudo-power rule of the package."""
     w = dec.eigenvalues.real
+    keep = w > dec.zero_threshold
     vals = np.zeros(dec.dim)
-    for i, lam in enumerate(w):
-        if lam > dec.zero_threshold:
-            vals[i] = lam ** p
+    vals[keep] = w[keep] ** p
+    return vals
+
+
+def psd_power(a, p: float) -> np.ndarray:
+    """A^p for PSD A with pseudo powers (see pseudo_power): p < 0 gives the
+    pseudo-inverse power and p = 0 the support projector."""
+    dec = a if isinstance(a, SpectralDecomposition) else eigh(a)
     v = dec.eigenvectors
-    out = (v * vals) @ v.conj().T
+    out = (v * pseudo_power(dec, p)) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 

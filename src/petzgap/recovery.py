@@ -8,7 +8,7 @@ with pseudo-inverses on the support of rhoN. R_rho is completely positive
 (single Kraus operator rho^{1/2} rhoN^{-1/2}) and trace preserving on inputs
 supported inside supp(rhoN); outside that support it loses trace.
 
-E(rho) and the powers come from a PairContext, so a channel and the
+E(rho) and the Kraus operator come from a PairContext, so a channel and the
 recovery errors the bounds read share one formula and one set of spectra.
 """
 

@@ -14,6 +14,15 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def near_singular(rng: np.random.Generator, dim: int, n_small: int,
+                  eps: float):
+    p = rng.dirichlet(np.ones(dim))
+    p[:-n_small] *= (1.0 - n_small * eps) / p[:-n_small].sum()
+    p[-n_small:] = eps
+    u = haar_unitary(rng, dim)
+    return make_density((u * p) @ u.conj().T)
+
+
 def diagonal_state(values):
     return make_density(np.diag(np.asarray(values, dtype=float)))
 

@@ -66,6 +66,61 @@ def hs_inner(a, b) -> complex:
     return complex(np.trace(ma.conj().T @ mb))
 
 
+def loop_power(dec: SpectralDecomposition, p: float) -> np.ndarray:
+    """A^p with pseudo powers, raised one eigenvalue at a time in Python
+    floats: the reference of linalg.pseudo_power and psd_power."""
+    vals = np.zeros(dec.dim)
+    for i, lam in enumerate(dec.eigenvalues.real):
+        if lam > dec.zero_threshold:
+            vals[i] = float(lam) ** p
+    v = dec.eigenvectors
+    out = (v * vals) @ v.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+# discrepancies, from dense powers of the states of a PairContext
+
+def _dense(ctx, *terms) -> tuple[np.ndarray, float]:
+    """(sum of sign * prod of loop_power(state, p), sum of prod of the
+    factors' operator norms) over terms (sign, [(role, p), ...]). The second
+    value is the scale of the first's rounding error: a product of
+    pseudo-inverse powers near a singular state is far larger than the
+    difference it enters."""
+    total, scale = 0.0, 0.0
+    for sign, factors in terms:
+        mats = [loop_power(getattr(ctx, role).spectrum, p) for role, p in factors]
+        prod = mats[0]
+        for m in mats[1:]:
+            prod = prod @ m
+        total = total + sign * prod
+        scale += math.prod(np.linalg.norm(m, 2) for m in mats)
+    return total, scale
+
+
+def dense_discrepancy(ctx, beta: float) -> tuple[np.ndarray, float]:
+    """sigmaN^b rhoN^-b rho^{1/2} - sigma^b rho^{1/2-b} and its scale."""
+    return _dense(ctx, (1, [("sigma_n", beta), ("rho_n", -beta), ("rho", 0.5)]),
+                  (-1, [("sigma", beta), ("rho", 0.5 - beta)]))
+
+
+def dense_beta_free(ctx, beta: float) -> tuple[np.ndarray, float]:
+    """sigmaN^b rhoN^-b - sigma^b rho^-b and its scale."""
+    return _dense(ctx, (1, [("sigma_n", beta), ("rho_n", -beta)]),
+                  (-1, [("sigma", beta), ("rho", -beta)]))
+
+
+def dense_recovery_discrepancy(ctx) -> tuple[np.ndarray, float]:
+    """sigmaN^{1/2} rhoN^{-1/2} rho^{1/2} - sigma^{1/2} (bare) and its
+    scale."""
+    return _dense(ctx, (1, [("sigma_n", 0.5), ("rho_n", -0.5), ("rho", 0.5)]),
+                  (-1, [("sigma", 0.5)]))
+
+
+def dense_kraus(ctx, role: str) -> tuple[np.ndarray, float]:
+    """x^{1/2} E(x)^{-1/2} for role x = "rho" or "sigma", and its scale."""
+    return _dense(ctx, (1, [(role, 0.5), (role + "_n", -0.5)]))
+
+
 # algebra
 
 def partial_trace_view(spec: SubalgebraSpec, x) -> np.ndarray:

@@ -17,8 +17,8 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             recovery_discrepancy, renyi_bound, theorem_bound)
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput
-from petzgap.harness import T_GRID, ExperimentConfig, draw_pair
-from petzgap.monotone import builtin_neg_log, builtin_neg_power
+from petzgap.harness import T_GRID, ExperimentConfig, draw_pair, run_trial
+from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from petzgap.states import make_density
 
 from conftest import diagonal_state, exact_product_pair, ginibre
@@ -239,34 +239,34 @@ def test_corollary_power_proof_exponent_values():
 def test_printed_constants_match_generic_optimization():
     """The printed corollary constants are the generic optimization of the
     theorem in closed form: exponents agree to 1e-12 and constants to 1e-9
-    relative wherever both constants are normal floats; where either
-    underflows, both are below 1e-300."""
+    relative. Both are built as logs, so the constants are compared
+    everywhere, also where they underflow as floats (log K < -708)."""
     betas = list(np.linspace(0.01, 0.99, 99)) + [0.5]
     alphas = np.linspace(0.05, 0.95, 19)
     norms = np.logspace(0, 14, 29)
     bad = []
+    smallest = 0.0
 
-    def check(where, k_print, expo, cst):
-        k_gen = cst["K_gap"]
+    def check(where, log_print, expo, cst):
+        nonlocal smallest
+        smallest = min(smallest, log_print)
         if abs(cst["exponent"] - expo) > 1e-12 * expo:
             bad.append((where, "exponent", expo, cst["exponent"]))
-        if min(k_print, k_gen) >= sys.float_info.min:
-            if abs(k_gen - k_print) > 1e-9 * k_print:
-                bad.append((where, "constant", k_print, k_gen))
-        elif max(k_print, k_gen) >= 1e-300:
-            bad.append((where, "underflow", k_print, k_gen))
+        if abs(cst["log_K_gap"] - log_print) > 1e-9:
+            bad.append((where, "constant", log_print, cst["log_K_gap"]))
 
     for beta in betas:
         for dn in norms:
-            k_print, expo, _ = log_corollary_constant(beta, dn)
-            check(("log", beta, dn), k_print, expo,
+            log_print, expo, _ = log_corollary_constant(beta, dn)
+            check(("log", beta, dn), log_print, expo,
                   _generic_constants(1.0, 0.0, beta, dn))
             for alpha in alphas:
-                k_print, expo, _, c_eff, _ = power_corollary_constant(
+                log_print, expo, _, c_eff, _ = power_corollary_constant(
                     alpha, beta, dn)
                 big_c = math.pi / math.sin(alpha * math.pi)
-                check(("power", alpha, beta, dn), k_print, expo,
+                check(("power", alpha, beta, dn), log_print, expo,
                       _generic_constants(big_c, c_eff, beta, dn))
+    assert smallest < math.log(sys.float_info.min)
     for alpha in alphas:
         for dn in norms:
             expo = power_corollary_constant(1.0 - alpha, 0.5, dn)[1]
@@ -286,6 +286,24 @@ def test_power_corollary_with_subnormal_constant_reports():
                                 PairContext(rho, sigma, trivial_spec(dim)))
     assert 0.0 < rep.constants["K_U"] < sys.float_info.min
     assert rep.margins["gap_lower_bound"] >= 0.0
+
+
+def test_constants_of_a_large_delta_norm_are_logs():
+    # verify {"trials": 60, "beta_grid": [0.99], "dims": [2, 3, 4, 6, 8]}:
+    # at trials 13, 36, 48 and 56 (||Delta|| up to about 9,350) K_gap
+    # underflows to 0 and disc ** E overflows; the product is an ordinary
+    # number, and the trial's margins hold
+    config = ExperimentConfig(trials=60, beta_grid=[0.99],
+                              dims=[2, 3, 4, 6, 8])
+    reps = [rep_from_name(n) for n in config.functions]
+    for i in (13, 36, 48, 56):
+        record = run_trial(config, i, reps, config.hash())
+        generic = [r for r in record.reports if r.name.startswith("generic:")]
+        assert min(r.constants["log_K_gap"] for r in generic) \
+            < math.log(sys.float_info.min)
+        for report in record.reports:
+            for key, value in report.margins.items():
+                assert value >= -config.tolerance, (i, report.name, key)
 
 
 def test_generic_corollary_matches_log_closed_form():

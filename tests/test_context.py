@@ -1,14 +1,35 @@
-"""PairContext on the identity expectation: E = id gives E(x) = x itself, so
-every gap is exactly 0, with or without a rotated basis."""
+"""PairContext on the identity expectation, and its discrepancies against
+the dense-power oracles.
+
+E = id gives E(x) = x itself, so every gap is exactly 0, with or without a
+rotated basis, and so is every discrepancy: with no basis change the two
+terms of D_b are the same numbers.
+
+The context computes discrepancies and Kraus operators in the eigenbases of
+sigma and rho; tests/oracles.py multiplies dense powers of the four states.
+They must agree to 1e-12 times the larger of 1 and the oracle's scale, the
+sum of the products of its factors' norms, which bounds the oracle's own
+rounding: near a singular state a pseudo-inverse power is far larger than
+the difference it enters.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
 
+from oracles import (dense_beta_free, dense_discrepancy, dense_kraus,
+                     dense_recovery_discrepancy)
 from petzgap.algebra import SubalgebraSpec, full_spec
+from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
+from petzgap.harness import SPEC_KINDS, ExperimentConfig, run_trial, spec_for
 from petzgap.monotone import rep_from_name
 
-from conftest import ginibre, haar_unitary
+from conftest import ginibre, haar_unitary, near_singular
+
+BETAS = (0.01, 0.25, 0.5, 0.75, 0.99)
+ORACLE_RTOL = 1e-12
 
 
 @pytest.mark.parametrize("rotated", [False, True])
@@ -26,3 +47,76 @@ def test_identity_expectation_gaps_are_exactly_zero(dim, rotated):
     for name in ("neg-log", "neg-power:0.5"):
         assert ctx.gap(rep_from_name(name)) == 0.0
     assert ctx.renyi_gap(0.5) == 0.0
+
+
+def test_identity_expectation_discrepancies_are_exactly_zero():
+    config = ExperimentConfig(trials=20, dims=[2, 3, 4, 6, 8],
+                              beta_grid=list(BETAS))
+    reps = [rep_from_name(n) for n in config.functions]
+    checked = 0
+    for i in range(config.trials):
+        if config.specs[i % len(config.specs)] != "full":
+            continue
+        for report in run_trial(config, i, reps, config.hash()).reports:
+            if report.beta is None or report.name == "recovery-chain":
+                continue
+            checked += 1
+            assert report.discrepancy == 0.0, (i, report.name, report.beta)
+            if report.name == "beta-free":
+                assert report.constants["lhs"] == 0.0, (i, report.beta)
+    assert checked > 0
+
+
+def _pairs():
+    """(label, rho, sigma): seeded, rank-deficient, near-singular down to
+    eps = 1e-13 (below the zero threshold), and sigma leaking outside
+    supp rho."""
+    rng = np.random.default_rng(1710)
+    for dim in (3, 4, 6):
+        yield "seeded", ginibre(dim, dim, 500 + dim), ginibre(dim, dim, 600 + dim)
+        yield ("rank-deficient", ginibre(dim, dim - 1, 700 + dim),
+               ginibre(dim, dim - 1, 800 + dim))
+        for eps, n_small in itertools.product((1e-9, 1e-11, 1e-12, 1e-13),
+                                              (1, 2)):
+            yield (f"near-singular:{eps:g}x{n_small}",
+                   near_singular(rng, dim, n_small, eps),
+                   near_singular(rng, dim, n_small, eps))
+        yield "leak", ginibre(dim, dim - 1, 900 + dim), ginibre(dim, dim, 1000 + dim)
+
+
+def _close(got, oracle) -> bool:
+    want, scale = oracle
+    if np.ndim(got) == 0:
+        want = np.linalg.norm(want)
+    return bool(np.linalg.norm(got - want) <= ORACLE_RTOL * max(1.0, scale))
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_discrepancies_match_dense_oracles(kind):
+    bad = []
+    checked = 0
+    for label, rho, sigma in _pairs():
+        ctx = PairContext(rho, sigma, spec_for(kind, rho.dim))
+        for beta in BETAS:
+            checks = {
+                "discrepancy_matrix": (ctx.discrepancy_matrix(beta),
+                                       dense_discrepancy(ctx, beta)),
+                "discrepancy": (ctx.discrepancy(beta),
+                                dense_discrepancy(ctx, beta)),
+                "beta_free": (ctx.beta_free(beta), dense_beta_free(ctx, beta)),
+            }
+            for name, (got, oracle) in checks.items():
+                checked += 1
+                if not _close(got, oracle):
+                    bad.append((label, rho.dim, beta, name))
+        checks = {"recovery_discrepancy": (ctx.recovery_discrepancy,
+                                           dense_recovery_discrepancy(ctx)),
+                  "kraus:rho": (ctx.kraus("rho"), dense_kraus(ctx, "rho")),
+                  "kraus:sigma": (ctx.kraus("sigma"), dense_kraus(ctx, "sigma"))}
+        for name, (got, oracle) in checks.items():
+            checked += 1
+            if not _close(got, oracle):
+                bad.append((label, rho.dim, None, name))
+        assert beta_free_discrepancy(0.5, ctx).constants["lhs"] \
+            == ctx.beta_free(0.5)
+    assert not bad, f"{len(bad)} of {checked} disagree: {bad[:5]}"

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from petzgap.errors import DomainError, InvalidInput
-from petzgap.linalg import (eigh, psd_power, schatten_norm, support_projector,
-                            trace_norm)
+from petzgap.linalg import (eigh, pseudo_power, psd_power, schatten_norm,
+                            support_projector, trace_norm)
 
-from oracles import hs_inner, spectral_apply
+from oracles import hs_inner, loop_power, spectral_apply
 
 
 def test_eigh_identity():
@@ -125,3 +125,22 @@ def test_support_projector_idempotent():
     p = support_projector(g @ g.T)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
 
+
+
+def test_pseudo_power_matches_the_scalar_loop():
+    """The vector power rounds like the scalar one to a few ulp (numpy may
+    take sqrt or a reciprocal for p = 0.5 or -1); the pseudo-power
+    decisions, which eigenvalues map to 0, are the same exactly."""
+    rng = np.random.default_rng(9)
+    eps = np.finfo(float).eps
+    for rank in (4, 3, 1):
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        dec = eigh(g @ g.conj().T / 7.0)
+        dec.eigenvalues[-1] = min(dec.eigenvalues[-1], -1e-15)
+        for p in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0):
+            want = loop_power(dec, p)
+            vals = pseudo_power(dec, p)
+            assert np.count_nonzero(vals) == dec.rank
+            scale = max(1.0, float(np.abs(vals).max()))
+            assert np.linalg.norm(psd_power(dec, p) - want) \
+                <= 16 * eps * scale

@@ -17,22 +17,12 @@ import numpy as np
 from petzgap import harness
 from petzgap.harness import SPEC_KINDS, ExperimentConfig, run_trial
 from petzgap.monotone import rep_from_name
-from petzgap.states import make_density
 
-from conftest import haar_unitary
+from conftest import near_singular
 
 DIMS = (3, 4, 6)
 EPSILONS = (1e-9, 3e-11, 1e-11, 3e-12)
 SMALL_COUNTS = (1, 2)
-
-
-def near_singular(rng: np.random.Generator, dim: int, n_small: int,
-                  eps: float):
-    p = rng.dirichlet(np.ones(dim))
-    p[:-n_small] *= (1.0 - n_small * eps) / p[:-n_small].sum()
-    p[-n_small:] = eps
-    u = haar_unitary(rng, dim)
-    return make_density((u * p) @ u.conj().T)
 
 
 def test_near_singular_margins_hold(monkeypatch):

@@ -17,14 +17,22 @@ bounds.theorem_bound call, with one bounds.c_constant call, per (function,
 beta): 6 of each per trial at the defaults, where a scalar loop over the 40
 grid points made 240 and 230.
 
+A verify trial forms no dense power of a state: the discrepancies, the
+beta-free bound and the Kraus operators are read from the eigenbases of the
+four states (two basis changes per trial and two products per beta), where
+linalg.psd_power made 16 dense powers per trial. Only the proof internals of
+reconstruct still call it, twice per trial.
+
 A reconstruct run calls the quadrature integrand once per panel. The graded
 half-line quadrature makes 144 panels on the reconstruct golden config,
 against 1,840 when bisection chased the power-law endpoints of the tails.
 """
 
+import sys
+
 import numpy as np
 
-from petzgap import bounds, entropy, modular, quadrature
+from petzgap import bounds, entropy, linalg, modular, quadrature
 from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
                              spec_for)
 from petzgap.monotone import rep_from_name
@@ -36,6 +44,8 @@ MAX_BUILD_PER_TRIAL = 2
 MAX_S_F_PER_TRIAL = 8
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
 MAX_INTEGRAND_CALLS = 200
+PSD_POWER_PER_TRIAL = 0
+MAX_PSD_POWER_PER_RECONSTRUCT_TRIAL = 2
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -74,6 +84,41 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         per_trial
     assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _ in per_trial), per_trial
     assert all(n <= MAX_S_F_PER_TRIAL for _, _, n in per_trial), per_trial
+
+
+def count_psd_power(monkeypatch) -> list:
+    """Count linalg.psd_power calls under every petzgap name bound to it."""
+    calls = []
+    original = linalg.psd_power
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "petzgap" \
+                and getattr(module, "psd_power", None) is original:
+            monkeypatch.setattr(module, "psd_power", counting)
+    return calls
+
+
+def test_verify_trials_form_no_dense_power(monkeypatch):
+    config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
+    reps = [rep_from_name(n) for n in config.functions]
+    config_hash = config.hash()
+    calls = count_psd_power(monkeypatch)
+    per_trial = []
+    for i in range(TRIALS):
+        before = len(calls)
+        run_trial(config, i, reps, config_hash)
+        per_trial.append(len(calls) - before)
+    assert per_trial == [PSD_POWER_PER_TRIAL] * TRIALS, per_trial
+    calls.clear()
+    code, _ = run_reconstruct(ExperimentConfig.from_json(
+        dict(RECONSTRUCT_CONFIG)))
+    assert code == 0
+    assert len(calls) <= MAX_PSD_POWER_PER_RECONSTRUCT_TRIAL \
+        * RECONSTRUCT_CONFIG["trials"], len(calls)
 
 
 def test_theorem_grid_is_one_call_per_function_and_beta(monkeypatch):
