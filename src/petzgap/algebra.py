@@ -8,7 +8,11 @@ averages each block over its multiplicity factor:
 
     E(X) block = (1/m) * (partial trace over the multiplicity factor) (x) 1_m
 
-which is the unique trace-preserving projection onto the algebra.
+which is the unique trace-preserving projection onto the algebra. The n x n
+averages are the block cores of E(X), formed in one place (block_cores), so
+E(X) = V ((+) core (x) 1_m) V^H and its spectrum is the spectra of the
+cores: expectation_eigh diagonalizes E(X) through them, with no eigh of a
+d x d matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SpecInconsistent
-from .linalg import as_matrix
-from .states import swap_factors_unitary
+from .linalg import SpectralDecomposition, as_matrix, zero_threshold
+from .states import swap_factors_unitary, unit_trace
 
 UNITARY_TOL = 1e-10
 
@@ -75,27 +79,86 @@ def factor_spec(n1: int, n2: int) -> SubalgebraSpec:
     return SubalgebraSpec(dim=n1 * n2, blocks=[(n2, n1)], basis=basis)
 
 
+def block_cores(spec: SubalgebraSpec, x) -> list:
+    """The block cores of E(x), one per block (n, m) of the spec: the n x n
+    average over the multiplicity factor of that diagonal block of
+    V^H x V. x is one d x d matrix or a stack of shape (..., d, d), and so
+    is each core, (..., n, n)."""
+    m = as_matrix(x) if np.ndim(x) == 2 else np.asarray(x, dtype=complex)
+    if m.shape[-2:] != (spec.dim, spec.dim):
+        raise InvalidInput("matrix dimension does not match spec")
+    y = m if spec.basis is None else spec.basis.conj().T @ m @ spec.basis
+    batch = y.shape[:-2]
+    cores = []
+    off = 0
+    for n, mult in spec.blocks:
+        sz = n * mult
+        blk = y[..., off:off + sz, off:off + sz].reshape(
+            batch + (n, mult, n, mult))
+        cores.append(np.einsum("...iaja->...ij", blk) / mult)
+        off += sz
+    return cores
+
+
 def conditional_expectation(spec: SubalgebraSpec, x) -> np.ndarray:
     """Trace-preserving conditional expectation onto the subalgebra.
 
     x is one d x d matrix or a stack of shape (..., d, d); E acts on the last
     two axes, matrix by matrix, with the same bits as separate calls.
     """
-    m = as_matrix(x) if np.ndim(x) == 2 else np.asarray(x, dtype=complex)
-    if m.shape[-2:] != (spec.dim, spec.dim):
-        raise InvalidInput("matrix dimension does not match spec")
-    y = m if spec.basis is None else spec.basis.conj().T @ m @ spec.basis
-    batch = y.shape[:-2]
-    out = np.zeros_like(y)
+    cores = block_cores(spec, x)
+    batch = cores[0].shape[:-2]
+    out = np.zeros(batch + (spec.dim, spec.dim), dtype=complex)
     off = 0
-    for n, mult in spec.blocks:
+    for core, (n, mult) in zip(cores, spec.blocks):
         sz = n * mult
-        blk = y[..., off:off + sz, off:off + sz].reshape(
-            batch + (n, mult, n, mult))
-        core = np.einsum("...iaja->...ij", blk) / mult
         # core (x) 1_mult, as the entrywise products np.kron would form
         out[..., off:off + sz, off:off + sz] = (
             core[..., :, None, :, None] * np.eye(mult)[:, None, :]
         ).reshape(batch + (sz, sz))
         off += sz
     return out if spec.basis is None else spec.basis @ out @ spec.basis.conj().T
+
+
+def expectation_eigh(spec: SubalgebraSpec, x) -> SpectralDecomposition:
+    """Spectral decomposition of E(x) / Tr E(x) for one Hermitian d x d x,
+    from the block cores, each divided by the trace (states.unit_trace
+    checks it). An eigenpair (w, W) of the core of block (n, m) is the
+    eigenvalue w, m times over, with eigenvectors V (W (x) 1_m) in that
+    block's columns of the basis V. Cores of one size share one stacked
+    LAPACK eigh and a 1 x 1 core is its own eigenvalue, so the largest
+    matrix diagonalized is n x n. The eigenvalues merge in descending
+    order, ties kept in block order, under linalg's zero threshold."""
+    cores = block_cores(spec, x)
+    tr = unit_trace(sum(float(core.trace().real) * mult
+                        for core, (_, mult) in zip(cores, spec.blocks)))
+    by_size = {}
+    for core, (n, _) in zip(cores, spec.blocks):
+        by_size.setdefault(n, []).append(core)
+    pairs = {}
+    for n, same in by_size.items():
+        stack = np.array(same) / tr
+        pairs[n] = list(zip(*np.linalg.eigh(stack))) if n > 1 \
+            else [(core.real[0], None) for core in stack]
+    d = spec.dim
+    basis = np.eye(d, dtype=complex) if spec.basis is None else spec.basis
+    vals, vecs = [], []
+    off = 0
+    for n, mult in spec.blocks:
+        w, v = pairs[n].pop(0)
+        cols = basis[:, off:off + n * mult]
+        if v is not None:
+            # column (k, a) of V (W (x) 1_m) is sum_i V[:, (i, a)] W_ik: one
+            # (d m) x n by n x n product, all views when m = 1
+            cols = (cols.reshape(d, n, mult).transpose(0, 2, 1)
+                    .reshape(d * mult, n) @ v) \
+                .reshape(d, mult, n).transpose(0, 2, 1).reshape(d, n * mult)
+        vals.append(w.repeat(mult))
+        vecs.append(cols)
+        off += n * mult
+    w = np.concatenate(vals)
+    order = (-w).argsort(kind="stable")
+    w = w[order]
+    return SpectralDecomposition(
+        eigenvalues=w, eigenvectors=np.concatenate(vecs, axis=1)[:, order],
+        zero_threshold=zero_threshold(w))

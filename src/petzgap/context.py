@@ -3,11 +3,16 @@
 The bounds all read the same few quantities of a triple. A context computes
 each on first use and keeps it for its own lifetime only: build one per
 trial and drop it with the trial. Its spectra are the ones its states carry
-(DensityMatrix.spectrum): one eigh each for rho, sigma, E(rho), E(sigma),
-and none for E(x) when E is the identity, since E(x) is then x itself and
-every E = id gap is exactly 0. It owns the relative modular operators op
-and op_n, and keeps one entropy per (function, operator), which the gaps
-and Renyi gaps share.
+(DensityMatrix.spectrum): one d x d eigh each for rho and sigma. E(rho)
+and E(sigma) are diagonalized through the block cores of the subalgebra
+(algebra.expectation_eigh), where no matrix is larger than the largest core:
+none at all when every core is 1 x 1 (the trivial algebra), and none when E
+is the identity, since E(x) is then x itself and every E = id gap is
+exactly 0. It owns the relative modular operators op and op_n, and keeps
+one entropy per (function, operator), which the gaps and Renyi gaps share.
+The support leaks are read from the overlaps of op and op_n, and the
+recovery errors are trace norms of Hermitian matrices, from their
+eigenvalues (no SVD, no support projector).
 
 The discrepancies and Kraus operators are products of powers of the four
 states, and are computed in the frame of the eigenbases of sigma (left) and
@@ -31,11 +36,11 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import entropy, modular
-from .algebra import SubalgebraSpec, conditional_expectation
+from .algebra import SubalgebraSpec, expectation_eigh
 from .errors import InvalidInput
-from .linalg import hs_norm, pseudo_power, support_leak, trace_norm
+from .linalg import hs_norm, pseudo_power, trace_norm
 from .monotone import builtin_neg_power
-from .states import DensityMatrix, make_density
+from .states import DensityMatrix, from_spectrum, make_density
 
 
 def _memoized(method):
@@ -71,11 +76,12 @@ class PairContext:
         self._memo = {}
 
     def _expect(self, x: DensityMatrix) -> DensityMatrix:
-        """E(x) as a state. E is the identity exactly when the algebra is all
-        of M_d, one (dim, 1) block in any basis; then E(x) is x itself."""
+        """E(x) as a state, from the spectra of its block cores. E is the
+        identity exactly when the algebra is all of M_d, one (dim, 1) block
+        in any basis; then E(x) is x itself."""
         if self.spec.blocks == [(self.spec.dim, 1)]:
             return x
-        return make_density(conditional_expectation(self.spec, x.matrix))
+        return from_spectrum(expectation_eigh(self.spec, x.matrix))
 
     @cached_property
     def rho_n(self) -> DensityMatrix:
@@ -195,7 +201,7 @@ class PairContext:
             @ x_n.eigenvectors.conj().T
 
     def _recovery_error(self, x: str, y: str) -> float:
-        """|| R_x(E(y)) - y ||_1."""
+        """|| R_x(E(y)) - y ||_1, the trace norm of a Hermitian matrix."""
         k = self.kraus(x)
         return trace_norm(k @ getattr(self, y + "_n").matrix @ k.conj().T
                           - getattr(self, y).matrix)
@@ -210,9 +216,9 @@ class PairContext:
     @cached_property
     def support_leak(self) -> float:
         """The weight of sigma outside supp rho."""
-        return support_leak(self.sigma.matrix, self.rho.spectrum)
+        return modular.support_leak(self.op)
 
     @cached_property
     def support_leak_n(self) -> float:
         """The weight of E(sigma) outside supp E(rho)."""
-        return support_leak(self.sigma_n.matrix, self.rho_n.spectrum)
+        return modular.support_leak(self.op_n)

@@ -113,48 +113,31 @@ def _resolvent_sum(op: RelativeModularOperator, t: np.ndarray) -> np.ndarray:
 
 def integral_reconstruction(rep: MonotoneDecreasingRep,
                             op: RelativeModularOperator) -> float:
-    """Rebuild S_f from the resolvent family:
+    """Rebuild S_f from the resolvent family, with the representation
+    anchored at f(1) (see monotone):
 
-        S_f = -b + integral_0^inf ( S_t - t/(t^2+1) ) w(t) dt.
+        S_f = sum_j w_j f(e_j)
+            = f(1) sum w + integral_0^inf sum_j w_j (1/(t+e_j) - 1/(t+1))
+                                          w(t) dt.
 
-    The integrand is evaluated in the regrouped form
-
-        sum_j w_j (1/(t+e_j) - 1/(t+1)) + (sum w - 1)/(t+1)
-        + (1/(t+1) - t/(t^2+1))
-
-    whose terms each decay like 1/t^2, keeping the half-line quadrature
-    stable against the w(t) ~ t^alpha growth of power densities.
+    Each term of the integrand decays like 1/t^2, keeping the half-line
+    quadrature stable against the w(t) ~ t^alpha growth of power densities.
     """
     _check_reconstructible(op)
-    # For unit-trace states sum w = 1 exactly; the float excess (~1e-16) would
-    # otherwise ride a 1/(t+1) tail that diverges against growing densities.
-    excess = float(np.sum(op.weights)) - 1.0
-    if abs(excess) < 1e-12:
-        excess = 0.0
-
-    def integrand(t):
-        core = _resolvent_sum(op, t)
-        core += excess / (t + 1.0)
-        core += (1.0 - t) / ((t + 1.0) * (t * t + 1.0))
-        return core * rep.density(t)
-
-    integral = integrate_halfline(integrand)
-    return -rep.b + float(integral)
+    integral = integrate_halfline(
+        lambda t: _resolvent_sum(op, t) * rep.density(t))
+    return float(rep.eval(1.0)) * float(np.sum(op.weights)) + float(integral)
 
 
 def reconstruct_gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
                     op_n: RelativeModularOperator) -> float:
-    """Gap rebuilt as integral_0^inf (S_t(rho||sigma) -
-    S_t(E(rho)||E(sigma))) w(t) dt; the constant terms of the two
-    reconstructions cancel. op and op_n as for gap."""
+    """Gap rebuilt as f(1) (sum w - sum w_n) + integral_0^inf
+    (S_t(rho||sigma) - S_t(E(rho)||E(sigma))) w(t) dt, the difference of
+    the two anchored reconstructions. op and op_n as for gap."""
     _check_reconstructible(op, op_n)
-
-    def integrand(t):
-        # both resolvent sums behave like 1/t at large t with unit leading
-        # coefficient, so subtract against 1/(t+1) analytically; the leftover
-        # (sum w - sum w_n)/(t+1) is float roundoff riding a tail that
-        # diverges against growing densities, hence dropped.
-        return (_resolvent_sum(op, t) - _resolvent_sum(op_n, t)) \
-            * rep.density(t)
-
-    return float(integrate_halfline(integrand))
+    integral = integrate_halfline(
+        lambda t: (_resolvent_sum(op, t) - _resolvent_sum(op_n, t))
+        * rep.density(t))
+    return float(rep.eval(1.0)) \
+        * (float(np.sum(op.weights)) - float(np.sum(op_n.weights))) \
+        + float(integral)

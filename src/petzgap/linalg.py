@@ -1,9 +1,10 @@
 """Hermitian spectral calculus and matrix norms.
 
 Every spectrum downstream is a SpectralDecomposition, from `eigh` here or,
-for a state, the one `states.make_density` validated it with. So the zero
+for a state, the one `states.make_density` validated it with (for E(x),
+`algebra.expectation_eigh` assembles it from the block cores). So the zero
 threshold and ordering conventions are fixed in one place: eigenvalues
-descending, threshold 1e-12 * max(1, lambda_max).
+descending, threshold `zero_threshold` = 1e-12 * max(1, lambda_max).
 """
 
 from __future__ import annotations
@@ -53,14 +54,19 @@ class SpectralDecomposition:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
 
 
+def zero_threshold(w: np.ndarray) -> float:
+    """1e-12 * max(1, max |w|): the zero threshold of the eigenvalues w."""
+    return 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
+
+
 def eigh(a) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
     m = check_hermitian(a)
     w, v = np.linalg.eigh(m)
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])
-    thr = 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v, zero_threshold=thr)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=v,
+                                 zero_threshold=zero_threshold(w))
 
 
 def pseudo_power(dec: SpectralDecomposition, p: float) -> np.ndarray:
@@ -93,14 +99,6 @@ def support_projector(a) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def support_leak(state, reference) -> float:
-    """Tr[state (1 - P)], the weight of state outside the support P of
-    reference (a matrix or its SpectralDecomposition)."""
-    p = support_projector(reference)
-    m = np.asarray(state, dtype=complex)
-    return float(np.trace(m @ (np.eye(p.shape[0]) - p)).real)
-
-
 def schatten_norm(a, p) -> float:
     """Schatten p-norm via singular values; p in [1, inf]."""
     m = as_matrix(a)
@@ -113,7 +111,11 @@ def schatten_norm(a, p) -> float:
 
 
 def trace_norm(a) -> float:
-    return schatten_norm(a, 1)
+    """Trace norm of a matrix that is Hermitian up to rounding: the sum of
+    |eigenvalues| of its Hermitian part, which for a Hermitian matrix are
+    its singular values (no SVD)."""
+    m = as_matrix(a)
+    return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2.0)).sum())
 
 
 def hs_norm(a) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import SpectralDecomposition
+from .linalg import SpectralDecomposition, pseudo_power
 from .states import make_density
 
 
@@ -45,8 +45,7 @@ def build(sigma, rho) -> RelativeModularOperator:
         raise InvalidInput("sigma and rho dimensions differ")
     d = rho_dec.dim
     lam = rho_dec.eigenvalues.real
-    mu = sig_dec.eigenvalues.real
-    mu = np.where(mu > sig_dec.zero_threshold, mu, 0.0)
+    mu = pseudo_power(sig_dec, 1.0)
     kept = np.flatnonzero(lam > rho_dec.zero_threshold)
     if kept.size == 0:
         raise InvalidInput("rho has empty support")
@@ -63,6 +62,19 @@ def build(sigma, rho) -> RelativeModularOperator:
         kept_columns=kept,
         overlaps=overlaps,
     )
+
+
+def support_leak(op: RelativeModularOperator) -> float:
+    """Tr[sigma (1 - P_rho)], the weight of sigma outside supp rho:
+    sum over the rho eigenvectors j outside the kept columns of
+    sum_i mu_i |<phi_i|psi_j>|^2, read from the overlaps in O(d * nullity):
+    exactly 0 when rho is invertible."""
+    if op.kept_columns.size == op.dim:
+        return 0.0
+    dropped = np.ones(op.dim, dtype=bool)
+    dropped[op.kept_columns] = False
+    return float(op.sigma_dec.eigenvalues.real
+                 @ (np.abs(op.overlaps[:, dropped]) ** 2).sum(axis=1))
 
 
 def operator_norm(op: RelativeModularOperator) -> float:

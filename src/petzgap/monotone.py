@@ -12,11 +12,17 @@ w(t) = lim_{y->0+} Im G(-t + iy) / pi (Stieltjes inversion).
 
 The package names exactly two families, the relative-entropy and the Renyi
 (power) cases, and a = 0 for both:
-    neg-log       f(x) = -log x     b=0,               w(t) = 1
-    neg-power:a   f(x) = -x^a       b=cos(a*pi/2),     w(t) = sin(a*pi)/pi * t^a
+    neg-log       f(x) = -log x     w(t) = 1
+    neg-power:a   f(x) = -x^a       w(t) = sin(a*pi)/pi * t^a
 
-for a in (0, 1). Note b = Re[i^a] = cos(a*pi/2); the identity fails with any
-other constant. Each family carries its regularity constant C^f_{T,beta}
+for a in (0, 1). Subtracting the representation at x = 1 anchors it at f(1)
+and drops b:
+
+    f(x) = f(1) + integral_0^inf ( 1/(t+x) - 1/(t+1) ) w(t) dt,
+
+whose integrand decays like t^-2 w(t) for every x, so the pipeline needs
+only f and w (entropy.integral_reconstruction). Each family carries its
+regularity constant C^f_{T,beta}
 in closed form, and the pipeline reads these data as stored; the Pick and
 Stieltjes extractions, the representation by quadrature and the grid sup of
 1/w, which check them, are reference oracles in tests/oracles.py.
@@ -38,7 +44,6 @@ class MonotoneDecreasingRep:
     """An operator monotone decreasing function with its representation data.
 
     eval: the function itself, vectorized over numpy arrays.
-    b: constant coefficient of -f (the linear one is 0).
     density: w(t) for t > 0.
     growth: (C, c) certifying C^f_{T,beta} <= C * T^(2c) for T >= 1.
     f_at_zero: lim_{x->0+} f(x), may be +inf.
@@ -46,7 +51,6 @@ class MonotoneDecreasingRep:
     """
 
     eval: callable
-    b: float
     density: callable
     growth: tuple
     name: str
@@ -69,7 +73,6 @@ def _window_low(t, beta: float):
 
 _NEG_LOG = MonotoneDecreasingRep(
     eval=lambda x: -np.log(x),
-    b=0.0,
     density=lambda t: np.ones_like(np.asarray(t, dtype=float)),
     growth=(1.0, 0.0),
     name="neg-log",
@@ -95,7 +98,6 @@ def _neg_power(alpha: float) -> MonotoneDecreasingRep:
     s = math.sin(alpha * math.pi) / math.pi
     return MonotoneDecreasingRep(
         eval=lambda x: -(x ** alpha),
-        b=math.cos(alpha * math.pi / 2.0),
         density=lambda t: s * np.asarray(t, dtype=float) ** alpha,
         growth=(1.0 / s, alpha / 2.0),
         name=f"neg-power:{alpha:g}",

@@ -1,7 +1,10 @@
 """Density matrices and seeded state samplers.
 
 A DensityMatrix carries the SpectralDecomposition that make_density found
-while validating it, so each state is diagonalized once, by one eigh.
+while validating it, so each state is diagonalized once, by one eigh. A
+state whose spectrum is known another way (E(x), from the block cores of
+algebra.expectation_eigh) passes the same trace and positivity checks
+through unit_trace and from_spectrum.
 Sampler streams are counter-based: trial i of seed s draws from
 Philox(key=(s, i)), so any trial is reproducible in isolation.
 """
@@ -62,10 +65,21 @@ def make_density(a) -> DensityMatrix:
     if isinstance(a, DensityMatrix):
         return a
     m = check_hermitian(a)
-    tr = float(np.trace(m).real)
+    tr = unit_trace(float(np.trace(m).real))
+    return from_spectrum(eigh(m / tr))
+
+
+def unit_trace(tr: float) -> float:
+    """tr itself when it lies within TRACE_TOL of 1; NotNormalized else."""
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotNormalized(f"trace {tr!r} is not 1 to tolerance")
-    dec = eigh(m / tr)
+    return tr
+
+
+def from_spectrum(dec: SpectralDecomposition) -> DensityMatrix:
+    """The state of the spectral decomposition of a matrix already divided
+    by its unit_trace: NotPSD when its least eigenvalue is below PSD_TOL,
+    else the _clean state."""
     if dec.eigenvalues[-1] < PSD_TOL:
         raise NotPSD(f"eigenvalue {dec.eigenvalues[-1]!r} below PSD tolerance")
     return _clean(dec)

@@ -16,7 +16,7 @@ from petzgap.entropy import s_f
 from petzgap.errors import (DomainError, InvalidInput, NumericalFailure,
                             SpecInconsistent)
 from petzgap.linalg import (SpectralDecomposition, as_matrix, eigh, psd_power,
-                            support_leak, support_projector)
+                            support_projector)
 from petzgap.modular import RelativeModularOperator, build
 from petzgap.monotone import MonotoneDecreasingRep, builtin_neg_log
 from petzgap.quadrature import integrate_halfline
@@ -56,6 +56,15 @@ def spectral_apply(a, g, pseudo: bool = False) -> np.ndarray:
     if np.abs(vals.imag).max(initial=0.0) == 0.0:
         out = (out + out.conj().T) / 2.0
     return out
+
+
+def support_leak(state, reference) -> float:
+    """Tr[state (1 - P)], the weight of state outside the support P of
+    reference (a matrix or its SpectralDecomposition), from the dense
+    projector."""
+    p = support_projector(reference)
+    m = np.asarray(state, dtype=complex)
+    return float(np.trace(m @ (np.eye(p.shape[0]) - p)).real)
 
 
 def hs_inner(a, b) -> complex:
@@ -370,8 +379,20 @@ def stieltjes_density(f, t: float) -> float:
     return float(r2)
 
 
+def constant_coefficient(rep: MonotoneDecreasingRep) -> float:
+    """b = Re G(i) of G = -f in the representation -f(x) = b +
+    integral (t/(t^2+1) - 1/(t+x)) w(t) dt, in closed form: 0 for neg-log
+    (Re log i) and cos(alpha pi/2) for neg-power:alpha (Re i^alpha), with
+    alpha as the rep's name prints it."""
+    if rep.name == "neg-log":
+        return 0.0
+    alpha = float(rep.name.split(":", 1)[1])
+    return math.cos(alpha * math.pi / 2.0)
+
+
 def represent(rep: MonotoneDecreasingRep, x: float) -> float:
-    """Evaluate f(x) from the representation data (not from rep.eval)."""
+    """Evaluate f(x) from the representation data (not from rep.eval): the
+    density and the closed-form constant_coefficient."""
     if x <= 0.0:
         raise InvalidInput("representation evaluated for x > 0")
 
@@ -381,7 +402,7 @@ def represent(rep: MonotoneDecreasingRep, x: float) -> float:
         # significant digits exactly where power densities amplify the tail.
         return (t * x - 1.0) / ((t * t + 1.0) * (t + x)) * rep.density(t)
 
-    return -(rep.b + float(integrate_halfline(integrand)))
+    return -(constant_coefficient(rep) + float(integrate_halfline(integrand)))
 
 
 def verify_representation(rep: MonotoneDecreasingRep, n_points: int = 21) -> float:

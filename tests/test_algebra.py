@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from petzgap.algebra import (SubalgebraSpec, conditional_expectation,
+from petzgap.algebra import (SubalgebraSpec, block_cores,
+                             conditional_expectation, expectation_eigh,
                              factor_spec, full_spec, pinching_spec,
                              trivial_spec)
+from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, SpecInconsistent
+from petzgap.harness import SPEC_KINDS, spec_for
+from petzgap.linalg import eigh
 from petzgap.states import make_density
 
-from conftest import ginibre
+from conftest import ginibre, near_singular
 from oracles import hs_inner, partial_trace_view, validate_expectation
 
 
@@ -187,3 +191,72 @@ def test_expectation_spectrum_containment():
     assert out.eigenvalues.min() >= lo - 1e-12
     assert out.eigenvalues.max() <= hi + 1e-12
 
+
+
+def _expectation_states(dim):
+    """Full-rank, rank-deficient, diagonal with zeros and near-singular
+    states of one dimension."""
+    rng = np.random.default_rng(1300 + dim)
+    yield "seeded", ginibre(dim, dim, 1400 + dim)
+    yield "rank-deficient", ginibre(dim, max(1, dim - 2), 1500 + dim)
+    w = np.zeros(dim)
+    w[: (dim + 1) // 2] = rng.dirichlet(np.ones((dim + 1) // 2))
+    yield "diagonal", make_density(np.diag(w))
+    for eps in (1e-11, 1e-13):
+        yield f"near-singular:{eps:g}", near_singular(rng, dim, 1, eps)
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_expectation_eigh_matches_dense_eigh(kind):
+    """E(x) diagonalized through the block cores agrees with eigh of the
+    dense conditional expectation: the spectrum, orthonormal eigenvectors,
+    and the matrix they rebuild, both bare and as the context's state."""
+    checked = 0
+    for dim in (2, 3, 4, 5, 6, 7, 8, 9, 32):
+        spec = spec_for(kind, dim)
+        for label, x in _expectation_states(dim):
+            dense = conditional_expectation(spec, x.matrix)
+            dec = expectation_eigh(spec, x.matrix)
+            assert dec.dim == dim
+            assert np.all(np.diff(dec.eigenvalues) <= 0.0), (label, dim)
+            np.testing.assert_allclose(dec.eigenvalues,
+                                       eigh(dense).eigenvalues, rtol=0,
+                                       atol=1e-14, err_msg=f"{label} {dim}")
+            v = dec.eigenvectors
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), rtol=0,
+                                       atol=1e-14, err_msg=f"{label} {dim}")
+            np.testing.assert_allclose((v * dec.eigenvalues) @ v.conj().T,
+                                       dense, rtol=0, atol=1e-14,
+                                       err_msg=f"{label} {dim}")
+            state = PairContext(x, x, spec).rho_n
+            np.testing.assert_allclose(state.matrix, dense, rtol=0,
+                                       atol=1e-14, err_msg=f"{label} {dim}")
+            checked += 1
+    assert checked == 9 * 5
+
+
+def test_expectation_eigh_of_the_trivial_algebra_is_flat():
+    """Every core of the trivial algebra is 1 x 1: E(x) = I/d with the
+    basis vectors as eigenvectors, and no LAPACK call."""
+    for dim in (2, 3, 5, 8, 64):
+        x = ginibre(dim, dim, 1600 + dim)
+        dec = expectation_eigh(trivial_spec(dim), x.matrix)
+        np.testing.assert_allclose(dec.eigenvalues, np.full(dim, 1.0 / dim),
+                                   rtol=1e-15, atol=0)
+        assert np.array_equal(dec.eigenvectors, np.eye(dim))
+        state = PairContext(x, x, trivial_spec(dim)).rho_n
+        np.testing.assert_allclose(state.matrix, np.eye(dim) / dim,
+                                   rtol=0, atol=1e-16)
+
+
+def test_block_cores_assemble_the_expectation():
+    x = random_matrix(6, 7)
+    spec = SubalgebraSpec(dim=6, blocks=[(2, 2), (1, 2)],
+                          basis=np.linalg.qr(random_matrix(6, 8))[0])
+    cores = block_cores(spec, x)
+    assert [c.shape for c in cores] == [(2, 2), (1, 1)]
+    y = spec.basis.conj().T @ conditional_expectation(spec, x) @ spec.basis
+    np.testing.assert_allclose(y[:4, :4], np.kron(cores[0], np.eye(2)),
+                               atol=1e-14)
+    np.testing.assert_allclose(y[4:, 4:], cores[1][0, 0] * np.eye(2),
+                               atol=1e-14)

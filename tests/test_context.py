@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from oracles import (dense_beta_free, dense_discrepancy, dense_kraus,
-                     dense_recovery_discrepancy)
+                     dense_recovery_discrepancy, support_leak)
 from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
@@ -30,6 +30,7 @@ from conftest import ginibre, haar_unitary, near_singular
 
 BETAS = (0.01, 0.25, 0.5, 0.75, 0.99)
 ORACLE_RTOL = 1e-12
+LEAK_ATOL = 1e-14
 
 
 @pytest.mark.parametrize("rotated", [False, True])
@@ -120,3 +121,21 @@ def test_discrepancies_match_dense_oracles(kind):
         assert beta_free_discrepancy(0.5, ctx).constants["lhs"] \
             == ctx.beta_free(0.5)
     assert not bad, f"{len(bad)} of {checked} disagree: {bad[:5]}"
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_support_leaks_match_the_dense_projector(kind):
+    """The leaks read from the overlaps of op and op_n against
+    Tr[sigma (1 - P_rho)] with the dense support projector, on leaking,
+    rank-deficient and near-singular pairs (both sides of the zero
+    threshold)."""
+    leaking = 0
+    for label, rho, sigma in _pairs():
+        ctx = PairContext(rho, sigma, spec_for(kind, rho.dim))
+        for got, state, ref in (
+                (ctx.support_leak, ctx.sigma, ctx.rho),
+                (ctx.support_leak_n, ctx.sigma_n, ctx.rho_n)):
+            want = support_leak(state.matrix, ref.spectrum)
+            assert abs(got - want) <= LEAK_ATOL, (label, rho.dim, got, want)
+            leaking += want > 1e-3
+    assert leaking > 0

@@ -8,6 +8,7 @@ from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
 from petzgap.context import PairContext
 from petzgap.entropy import integral_reconstruction, renyi, s_f, s_t
 from petzgap.errors import DomainError, InvalidInput
+from petzgap.harness import ExperimentConfig, run_reconstruct
 from petzgap.linalg import psd_power
 from petzgap.modular import build
 from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
@@ -227,3 +228,16 @@ def test_reconstruct_gap_matches_direct_gap():
         rep = rep_from_name(rep_name)
         assert ctx.reconstruct_gap(rep) == pytest.approx(ctx.gap(rep),
                                                          abs=1e-6)
+
+
+def test_near_one_power_reconstruction_is_anchored_at_f_of_one():
+    # The representation anchored at f(1) has no state-independent term,
+    # whose t^(alpha - 2) tail cost neg-power:0.95 an error of 7.3e-6.
+    config = ExperimentConfig.from_json(
+        {"trials": 12, "functions": ["neg-power:0.95"]})
+    code, report = run_reconstruct(config)
+    assert code == 0
+    errors = [c["entropy_error"] for c in report["cases"]
+              if "entropy_error" in c]
+    assert len(errors) == config.trials
+    assert max(errors) <= 1e-10, max(errors)

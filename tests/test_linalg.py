@@ -87,6 +87,26 @@ def test_schatten_norms_of_diagonal():
     assert trace_norm(a) == pytest.approx(7.0)
 
 
+def test_trace_norm_of_hermitian_matrices_matches_schatten_one():
+    """Sum |eigvalsh| against the singular values, on indefinite,
+    rank-deficient and difference-of-states Hermitian matrices, and a
+    roundoff anti-Hermitian part, which the Hermitian part drops."""
+    rng = np.random.default_rng(13)
+    for dim in (1, 2, 3, 5, 8, 32, 64):
+        g = rng.standard_normal((dim, dim)) \
+            + 1j * rng.standard_normal((dim, dim))
+        h = rng.standard_normal((dim, max(1, dim // 2))) \
+            + 1j * rng.standard_normal((dim, max(1, dim // 2)))
+        for a in (g + g.conj().T, h @ h.conj().T,
+                  h @ h.conj().T / np.trace(h @ h.conj().T).real
+                  - (g @ g.conj().T) / np.trace(g @ g.conj().T).real):
+            want = schatten_norm(a, 1)
+            assert trace_norm(a) == pytest.approx(want, rel=1e-13, abs=1e-15)
+            skew = 1e-15 * (g - g.conj().T)
+            assert trace_norm(a + skew) == pytest.approx(want, rel=1e-13,
+                                                         abs=1e-14)
+
+
 def test_schatten_norm_rejects_p_below_one():
     with pytest.raises(InvalidInput):
         schatten_norm(np.eye(2), 0.5)

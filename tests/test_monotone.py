@@ -8,14 +8,15 @@ from petzgap.errors import InvalidInput
 from petzgap.monotone import (builtin_neg_log, builtin_neg_power, c_constant,
                               rep_from_name)
 
-from oracles import (grid_c_constant, pick_coefficients, represent,
-                     stieltjes_density, verify_representation)
+from oracles import (constant_coefficient, grid_c_constant,
+                     pick_coefficients, represent, stieltjes_density,
+                     verify_representation)
 
 
 def test_neg_log_basics():
     rep = builtin_neg_log()
     assert rep.eval(1.0) == pytest.approx(0.0)
-    assert rep.b == 0.0
+    assert constant_coefficient(rep) == 0.0
     assert rep.density(3.7) == pytest.approx(1.0)
     assert rep.growth == (1.0, 0.0)
     assert rep.f_at_zero == math.inf
@@ -24,7 +25,7 @@ def test_neg_log_basics():
 def test_neg_power_basics():
     rep = builtin_neg_power(0.5)
     assert rep.eval(1.0) == pytest.approx(-1.0)
-    assert rep.b == pytest.approx(math.sqrt(2) / 2)
+    assert constant_coefficient(rep) == pytest.approx(math.sqrt(2) / 2)
     assert rep.density(1.0) == pytest.approx(1.0 / math.pi)
     assert rep.f_at_zero == 0.0
 
@@ -42,7 +43,7 @@ def test_builtins_are_shared_frozen_objects():
     assert rep_from_name("neg-log") is builtin_neg_log()
     assert rep_from_name("neg-power:0.5") is builtin_neg_power(0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        builtin_neg_log().b = 1.0
+        builtin_neg_log().name = "neg-power:0.5"
 
 
 def test_rep_from_name():
@@ -117,7 +118,9 @@ def test_pick_coefficients_match_powers():
     for alpha in (0.25, 0.5, 0.75):
         a, b = pick_coefficients(lambda z: z ** alpha)
         assert a == pytest.approx(0.0, abs=1e-6)
-        assert b == pytest.approx(builtin_neg_power(alpha).b, abs=1e-6)
+        assert b == pytest.approx(math.cos(alpha * math.pi / 2.0), abs=1e-6)
+        assert b == pytest.approx(
+            constant_coefficient(builtin_neg_power(alpha)), abs=1e-6)
 
 
 def test_stieltjes_density_log():

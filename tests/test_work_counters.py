@@ -2,12 +2,16 @@
 
 A trial builds one PairContext, which computes each quantity of the trial
 once. A state carries the eigendecomposition it was validated with, so a
-trial makes one LAPACK eigh per state: the two sampled states rho and sigma,
-and E(rho) and E(sigma), which are rho and sigma themselves when E is the
-identity (2 eigh then). It builds exactly two relative modular operators and
-one entropy.s_f per (function, operator) pair: 8 for the gaps of neg-log and
-neg-power at 0.25, 0.5, 0.75, which the Renyi gaps of orders 0.75, 0.5, 0.25
-read too. A trial used to make about 485 eigh, 74 modular.build and 36 s_f
+trial makes one d x d LAPACK eigh for each of the two sampled states rho and
+sigma. E(rho) and E(sigma) are diagonalized through the block cores of the
+subalgebra: cores of one size share one stacked eigh, no input is larger
+than the largest core, and a 1 x 1 core needs none, so a trial of the
+trivial algebra makes exactly 2 eigh, as does one where E is the identity
+(E(x) is x itself). At most 4 eigh per trial, then, where E(rho) and
+E(sigma) each used to cost one d x d eigh. A trial builds exactly two
+relative modular operators and one entropy.s_f per (function, operator)
+pair: 8 for the gaps of neg-log and neg-power at 0.25, 0.5, 0.75, which the
+Renyi gaps of orders 0.75, 0.5, 0.25 read too. A trial used to make about 485 eigh, 74 modular.build and 36 s_f
 calls at these settings, then up to ten eigh while a context re-diagonalized
 every validated state. The counts are deterministic and asserted for every
 trial, so redundancy that creeps back fails here.
@@ -21,7 +25,11 @@ A verify trial forms no dense power of a state: the discrepancies, the
 beta-free bound and the Kraus operators are read from the eigenbases of the
 four states (two basis changes per trial and two products per beta), where
 linalg.psd_power made 16 dense powers per trial. Only the proof internals of
-reconstruct still call it, twice per trial.
+reconstruct still call it, twice per trial. Its support leaks are read from
+the overlaps of the two modular operators and its recovery errors are
+Hermitian trace norms, so a verify trial calls neither
+linalg.support_projector nor linalg.schatten_norm (24 of each on
+verify {"trials": 12, "dims": [32, 48, 64]} before).
 
 A reconstruct run calls the quadrature integrand once per panel. The graded
 half-line quadrature makes 144 panels on the reconstruct golden config,
@@ -40,6 +48,7 @@ from petzgap.monotone import rep_from_name
 TRIALS = 10
 MAX_EIGH_PER_TRIAL = 4
 EIGH_PER_IDENTITY_TRIAL = 2
+EIGH_PER_TRIVIAL_TRIAL = 2
 MAX_BUILD_PER_TRIAL = 2
 MAX_S_F_PER_TRIAL = 8
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
@@ -86,19 +95,46 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
     assert all(n <= MAX_S_F_PER_TRIAL for _, _, n in per_trial), per_trial
 
 
-def count_psd_power(monkeypatch) -> list:
-    """Count linalg.psd_power calls under every petzgap name bound to it."""
+def test_expectations_diagonalize_only_block_cores(monkeypatch):
+    config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
+    reps = [rep_from_name(n) for n in config.functions]
+    config_hash = config.hash()
+    shapes = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    kinds = set()
+    for i in range(2 * TRIALS):
+        dim = config.dims[i % len(config.dims)]
+        spec = spec_for(config.specs[i % len(config.specs)], dim)
+        kinds.add(config.specs[i % len(config.specs)])
+        largest_core = max(n for n, _ in spec.blocks)
+        shapes.clear()
+        run_trial(config, i, reps, config_hash)
+        assert shapes[:2] == [(dim, dim)] * 2, (i, shapes)
+        assert all(s[-1] <= largest_core for s in shapes[2:]), (i, shapes)
+        if spec.blocks == [(1, dim)]:
+            assert len(shapes) == EIGH_PER_TRIVIAL_TRIAL, (i, shapes)
+    assert kinds == {"trivial", "full", "pinching", "partial-trace"}
+
+
+def count_linalg(monkeypatch, name: str) -> list:
+    """Count calls of linalg.<name> under every petzgap name bound to it."""
     calls = []
-    original = linalg.psd_power
+    original = getattr(linalg, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "petzgap" \
-                and getattr(module, "psd_power", None) is original:
-            monkeypatch.setattr(module, "psd_power", counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "petzgap" \
+                and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -106,7 +142,7 @@ def test_verify_trials_form_no_dense_power(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
     config_hash = config.hash()
-    calls = count_psd_power(monkeypatch)
+    calls = count_linalg(monkeypatch, "psd_power")
     per_trial = []
     for i in range(TRIALS):
         before = len(calls)
@@ -119,6 +155,20 @@ def test_verify_trials_form_no_dense_power(monkeypatch):
     assert code == 0
     assert len(calls) <= MAX_PSD_POWER_PER_RECONSTRUCT_TRIAL \
         * RECONSTRUCT_CONFIG["trials"], len(calls)
+
+
+def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
+    config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
+    reps = [rep_from_name(n) for n in config.functions]
+    config_hash = config.hash()
+    calls = {name: count_linalg(monkeypatch, name)
+             for name in ("support_projector", "schatten_norm")}
+    trace_norm = count_linalg(monkeypatch, "trace_norm")
+    for i in range(2 * TRIALS):
+        run_trial(config, i, reps, config_hash)
+    assert {name: len(c) for name, c in calls.items()} \
+        == {"support_projector": 0, "schatten_norm": 0}
+    assert len(trace_norm) == 2 * 2 * TRIALS
 
 
 def test_theorem_grid_is_one_call_per_function_and_beta(monkeypatch):
