@@ -29,7 +29,10 @@ Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
 the margins dict (everything else is recorded in constants/rhs_values and
 explained by flags). gap_margin turns a gap into its margin and the
-infinite-gap flag.
+infinite-gap flag. In a verify report a bound report leaves out the gap,
+discrepancy and ||Delta|| and the constants that repeat a trial quantity,
+which its trial writes once, and the GRID_KEYS constants, which depend only
+on (report name, beta) and the run writes once.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ FLAG_SUPPORT_MISMATCH = "support-mismatch"
 FLAG_TRACE_LOSS = "trace-loss"
 FLAG_T_STAR_BELOW_ONE = "t-star-below-one"
 
+GRID_KEYS = frozenset({"exponent", "exponent_displayed", "C_exact",
+                       "c_effective", "C", "c", "gap_exponent", "T_count"})
+_OMIT = GRID_KEYS | {"e_rho", "e_sigma", "disc_pseudo", "support_leak"}
+_OMIT_BETA_FREE = _OMIT | {"lhs"}
+
 
 @dataclass(eq=False)
 class BoundReport:
@@ -75,27 +83,38 @@ class BoundReport:
     flags: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return json_safe({
-            "schema": "report_v1",
+        """JSON-safe, without what a verify report writes once elsewhere
+        (lhs repeats a trial quantity only in beta-free)."""
+        omit = _OMIT_BETA_FREE if self.name == "beta-free" else _OMIT
+        return {
             "name": self.name,
-            "gap": self.gap,
             "beta": self.beta,
-            "discrepancy": self.discrepancy,
-            "delta_norm": self.delta_norm,
-            "constants": json_safe(self.constants),
+            "constants": json_safe(self.constants, omit),
             "rhs_values": json_safe(self.rhs_values),
             "margins": json_safe(self.margins),
             "flags": sorted(self.flags),
-        })
+        }
 
 
-def json_safe(values: dict) -> dict:
-    """A copy of a flat dict in which each non-finite float is its marker
-    string "nan", "inf" or "-inf", so that the dict is valid JSON; every
-    other value is kept as it is. (v - v is 0.0 exactly when v is finite.)"""
-    return {k: v if type(v) is not float or v - v == 0.0
-            else "nan" if v != v else "inf" if v > 0 else "-inf"
-            for k, v in values.items()}
+def json_safe(values: dict, omit=frozenset()) -> dict:
+    """A copy of a dict without the keys in omit, in which each non-finite
+    float is its marker string "nan", "inf" or "-inf" and each dict value a
+    json_safe copy, so that the dict is valid JSON; every other value is
+    kept as it is. (v - v is 0.0 exactly when v is finite.)"""
+    return {k: (v if v - v == 0.0 else "nan" if v != v
+                else "inf" if v > 0 else "-inf") if type(v) is float
+            else json_safe(v) if type(v) is dict else v
+            for k, v in values.items() if k not in omit}
+
+
+def grid_constants(reports: list) -> dict:
+    """The GRID_KEYS constants of a trial's reports: grid[name][repr(beta)]."""
+    grid = {}
+    for report in reports:
+        values = {k: v for k, v in report.constants.items() if k in GRID_KEYS}
+        if values:
+            grid.setdefault(report.name, {})[repr(report.beta)] = values
+    return grid
 
 
 def gap_margin(key: str, g: float, rhs: float = 0.0) -> tuple[dict, list]:
@@ -357,7 +376,7 @@ def corollary_power_bound(alpha: float, beta: float,
     if t_star < 1.0:
         flags.append(FLAG_T_STAR_BELOW_ONE)
     return BoundReport(
-        name=f"corollary-power:{alpha:g}",
+        name=f"corollary-power:{alpha!r}",
         gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
         constants={key: math.exp(log_k), "log_" + key: log_k,
                    "K_generic": cst["K_gap"], "exponent": expo,
@@ -427,7 +446,7 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
         if not ctx.sigma_n.is_invertible:
             flags.append(FLAG_SIGMA_N_SINGULAR)
     return BoundReport(
-        name=f"renyi:{alpha:g}",
+        name=f"renyi:{alpha!r}",
         gap=g, beta=0.5, discrepancy=disc, delta_norm=delta_norm,
         constants=constants,
         rhs_values=rhs_values,

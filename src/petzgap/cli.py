@@ -4,6 +4,7 @@
     petzgap sweep       --config cfg.json [--seed N] [--out path]
     petzgap reconstruct --config cfg.json [--seed N] [--out path]
 
+verify writes a verify_v2 report; its line ends with where min_margin sits.
 Exit codes: 0 all checks passed, 1 a bound or residual check failed, a
 trial or case was recorded as an error or failure, or a numerical error (a
 PetzGapError or an ArithmeticError) stopped the run, 2 configuration or I/O
@@ -65,13 +66,17 @@ def main(argv=None) -> int:
             code, report = run_verify(config)
             payload = dumps_report(report)
             summary = report["summary"]
+            worst = summary["worst_margin"]
+            where = "" if worst is None else (
+                f" at trial={worst['trial_index']} report={worst['report']} "
+                f"beta={worst['beta']} key={worst['key']}")
             status = "pass" if code == 0 else "FAIL"
             print(f"verify: {status} trials={summary['trials']} "
                   f"margins={summary['margins_checked']} "
                   f"failures={summary['failures']} "
                   f"infinite_gap={summary['infinite_gap_trials']} "
                   f"errors={summary['error_trials']} "
-                  f"min_margin={summary['min_margin']:.3e}")
+                  f"min_margin={summary['min_margin']:.3e}{where}")
         elif args.command == "sweep":
             code, payload = run_sweep(config)
             n_rows = payload.count("\n") - 1

@@ -222,3 +222,20 @@ class PairContext:
     def support_leak_n(self) -> float:
         """The weight of E(sigma) outside supp E(rho)."""
         return modular.support_leak(self.op_n)
+
+    def quantities(self) -> dict:
+        """What is computed so far, from the memo: delta_norm, e_rho, e_sigma,
+        recovery_discrepancy, the support leaks, gap by function name,
+        renyi_gap by repr(alpha), discrepancy, beta_free by repr(beta)."""
+        out = {"gap": {}, "renyi_gap": {}, "discrepancy": {}, "beta_free": {}}
+        for slot, value in self._memo.items():
+            into = out.get(slot[0])
+            if into is not None:
+                key = slot[1].name if slot[0] == "gap" else repr(slot[1])
+                into[key] = value
+        computed = vars(self)
+        out.update((k, computed[k]) for k in ("delta_norm", "support_leak",
+                   "recovery_discrepancy", "support_leak_n") if k in computed)
+        if "recovery_errors" in computed:
+            out["e_rho"], out["e_sigma"] = computed["recovery_errors"]
+        return out

@@ -3,11 +3,11 @@
 Outputs are byte-deterministic for a fixed config: every random draw is
 keyed by (seed, trial_index), floats are serialized at full precision, JSON
 keys are sorted, and no record carries a wall-clock time. A JSON report is
-one compact line written by the C encoder of the json module. Its records
-come out of their to_json (and reconstruct's cases out of report assembly)
-already JSON-safe, with each non-finite float written as the string "nan",
-"inf" or "-inf"; dumps_report converts only the numeric summary, which the
-CLI still formats as numbers.
+one compact line written by the C encoder of the json module; its records
+are made JSON-safe (each non-finite float as "nan", "inf" or "-inf") at
+report assembly, its summary by dumps_report. A verify_v2 trial record
+writes each quantity of the trial once (quantities), the run each constant
+of (report name, beta) once (grid), and no bound report repeats either.
 """
 
 from __future__ import annotations
@@ -136,30 +136,17 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class TrialRecord:
-    trial_index: int
-    config_hash: str
-    dim: int
-    spec_kind: str
-    sampler_kind: str
-    rank_rho: int
-    rank_sigma: int
-    rho_eigenvalues: list
-    sigma_eigenvalues: list
+    """One verify trial that ran: what it drew, its PairContext's quantities
+    and its reports, whose JSON leaves out what the quantities hold."""
+
+    drawn: dict
+    quantities: dict
     reports: list
 
     def to_json(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "config_hash": self.config_hash,
-            "dim": self.dim,
-            "spec_kind": self.spec_kind,
-            "sampler_kind": self.sampler_kind,
-            "rank_rho": self.rank_rho,
-            "rank_sigma": self.rank_sigma,
-            "rho_eigenvalues": list(self.rho_eigenvalues),
-            "sigma_eigenvalues": list(self.sigma_eigenvalues),
-            "reports": [r.to_json() for r in self.reports],
-        }
+        return dict(self.drawn, status="ok",
+                    quantities=bounds.json_safe(self.quantities),
+                    reports=[r.to_json() for r in self.reports])
 
 
 def spec_for(kind: str, dim: int) -> SubalgebraSpec:
@@ -225,10 +212,10 @@ def _theorem_report(rep, beta, disc, delta_norm, g):
         margins=margins, flags=flags)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
-              config_hash: str) -> TrialRecord:
-    """One verify trial with the reps of config.functions and the config
-    hash, which run_verify computes once for the whole run."""
+def run_trial(config: ExperimentConfig, trial_index: int,
+              reps: list) -> TrialRecord:
+    """One verify trial with the reps of config.functions, which run_verify
+    builds once for the whole run."""
     rho, sigma, dim, rank_rho, rank_sigma, sampler_kind = \
         draw_pair(config, trial_index)
     kind = config.specs[trial_index % len(config.specs)]
@@ -251,18 +238,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
     for alpha in config.alpha_grid:
         reports.append(bounds.renyi_bound(alpha, ctx))
     reports.append(bounds.recovery_chain(ctx))
-    return TrialRecord(
-        trial_index=trial_index,
-        config_hash=config_hash,
-        dim=dim,
-        spec_kind=kind,
-        sampler_kind=sampler_kind,
-        rank_rho=rank_rho,
-        rank_sigma=rank_sigma,
-        rho_eigenvalues=[float(v) for v in rho.eigenvalues],
-        sigma_eigenvalues=[float(v) for v in sigma.eigenvalues],
-        reports=reports,
-    )
+    drawn = {"trial_index": trial_index, "dim": dim, "spec_kind": kind,
+             "sampler_kind": sampler_kind, "rank_rho": rank_rho,
+             "rank_sigma": rank_sigma,
+             "rho_eigenvalues": rho.eigenvalues.tolist(),
+             "sigma_eigenvalues": sigma.eigenvalues.tolist()}
+    return TrialRecord(drawn, ctx.quantities(), reports)
 
 
 def run_verify(config: ExperimentConfig):
@@ -270,50 +251,66 @@ def run_verify(config: ExperimentConfig):
     >= -tolerance. A trial that raises a PetzGapError or an ArithmeticError
     is recorded with status "error" and its exception, counted in
     error_trials, and exits 1; the run goes on. Returns (exit_code,
-    report_dict)."""
+    report_dict). The summary locates the least margin, gives it per family
+    (name up to its colon), counts flags per report and skipped nan margins."""
     reps = [rep_from_name(n) for n in config.functions]
-    config_hash = config.hash()
     records = []  # a TrialRecord, or the JSON record of a trial that raised
     failures = 0
     checked = 0
+    skipped = 0
     infinite_gap_trials = 0
     error_trials = 0
     min_margin = math.inf
+    worst = None
+    by_family = {}
+    flag_counts = {}
     for i in range(config.trials):
         try:
-            record = run_trial(config, i, reps, config_hash)
+            record = run_trial(config, i, reps)
         except (PetzGapError, ArithmeticError) as exc:
             error_trials += 1
-            records.append({"trial_index": i, "config_hash": config_hash,
-                            "status": "error",
+            records.append({"trial_index": i, "status": "error",
                             "error": f"{type(exc).__name__}: {exc}",
                             "reports": []})
             continue
-        trial_flags = set()
+        infinite_before = flag_counts.get(bounds.FLAG_INFINITE_GAP, 0)
         for report in record.reports:
-            trial_flags.update(report.flags)
-            for value in report.margins.values():
-                if math.isnan(value):
+            for flag in report.flags:
+                flag_counts[flag] = flag_counts.get(flag, 0) + 1
+            family = report.name.partition(":")[0]
+            for key, value in report.margins.items():
+                if value != value:
+                    skipped += 1
                     continue
                 checked += 1
-                if value < min_margin:
+                if value < min_margin or worst is None:
                     min_margin = value
+                    worst = {"trial_index": i, "report": report.name,
+                             "beta": report.beta, "key": key, "value": value}
+                if family not in by_family or value < by_family[family]:
+                    by_family[family] = value
                 if value < -config.tolerance:
                     failures += 1
-        if bounds.FLAG_INFINITE_GAP in trial_flags:
+        if flag_counts.get(bounds.FLAG_INFINITE_GAP, 0) > infinite_before:
             infinite_gap_trials += 1
         records.append(record)
     report = {
-        "schema": "verify_v1",
+        "schema": "verify_v2",
         "config": config.to_json(),
-        "config_hash": config_hash,
+        "config_hash": config.hash(),
+        "grid": next((bounds.grid_constants(r.reports) for r in records
+                      if not isinstance(r, dict)), {}),
         "summary": {
             "trials": config.trials,
             "margins_checked": checked,
+            "margins_skipped": skipped,
             "failures": failures,
             "infinite_gap_trials": infinite_gap_trials,
             "error_trials": error_trials,
             "min_margin": min_margin,
+            "worst_margin": worst,
+            "min_margin_by_family": by_family,
+            "flag_counts": flag_counts,
         },
         "trials": [r if isinstance(r, dict) else r.to_json()
                    for r in records],

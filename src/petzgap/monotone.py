@@ -100,7 +100,7 @@ def _neg_power(alpha: float) -> MonotoneDecreasingRep:
         eval=lambda x: -(x ** alpha),
         density=lambda t: s * np.asarray(t, dtype=float) ** alpha,
         growth=(1.0 / s, alpha / 2.0),
-        name=f"neg-power:{alpha:g}",
+        name=f"neg-power:{alpha!r}",
         f_at_zero=0.0,
         # 1/w decreases, so its sup over the window sits at the lower end
         c_closed=lambda t, beta: _window_low(t, beta) ** (-alpha) / s,

@@ -27,8 +27,12 @@ def test_verify_exit_zero_and_output(tmp_path, capsys):
     assert "verify: pass" in printed
     assert f"wrote {out}" in printed
     report = json.loads(out.read_text())
-    assert report["schema"] == "verify_v1"
+    assert report["schema"] == "verify_v2"
     assert report["summary"]["failures"] == 0
+    worst = report["summary"]["worst_margin"]
+    assert (f"min_margin={report['summary']['min_margin']:.3e} at "
+            f"trial={worst['trial_index']} report={worst['report']} "
+            f"beta={worst['beta']} key={worst['key']}\n") in printed
 
 
 def test_verify_survives_an_erroring_trial(tmp_path, capsys, monkeypatch):
@@ -49,8 +53,10 @@ def test_verify_survives_an_erroring_trial(tmp_path, capsys, monkeypatch):
     assert "failures=0 infinite_gap=0 errors=1 " in printed
     report = json.loads(out.read_text())
     assert report["summary"]["error_trials"] == 1
-    assert report["trials"][1]["error"] == \
-        "NumericalFailure: eigh did not converge"
+    assert report["trials"][1] == {
+        "trial_index": 1, "status": "error",
+        "error": "NumericalFailure: eigh did not converge", "reports": []}
+    assert [t["status"] for t in report["trials"]] == ["ok", "error", "ok"]
 
 
 def test_verify_seed_override_changes_hash(tmp_path):

@@ -58,7 +58,7 @@ def test_identity_expectation_discrepancies_are_exactly_zero():
     for i in range(config.trials):
         if config.specs[i % len(config.specs)] != "full":
             continue
-        for report in run_trial(config, i, reps, config.hash()).reports:
+        for report in run_trial(config, i, reps).reports:
             if report.beta is None or report.name == "recovery-chain":
                 continue
             checked += 1

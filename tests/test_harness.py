@@ -1,11 +1,13 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from petzgap import bounds, harness
-from petzgap.bounds import FLAG_INFINITE_GAP, json_safe
+from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
+from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NumericalFailure
 from petzgap.harness import (CSV_HEADER, T_GRID, ExperimentConfig,
                              _theorem_report, draw_pair, dumps_report,
@@ -92,11 +94,12 @@ def test_draw_pair_policies():
 def test_run_trial_record_shape():
     cfg = ExperimentConfig(**SMALL)
     reps = [rep_from_name(n) for n in cfg.functions]
-    record = run_trial(cfg, 0, reps, cfg.hash())
-    assert record.config_hash == cfg.hash()
+    record = run_trial(cfg, 0, reps)
     assert record.reports
     blob = record.to_json()
     assert "wall_time" not in blob
+    assert "config_hash" not in blob
+    assert blob["status"] == "ok"
     assert blob["dim"] == 2
     names = [r["name"] for r in blob["reports"]]
     assert "dpi:neg-log" in names
@@ -152,6 +155,108 @@ def test_verify_reports_each_bound_once():
         keys = [(r["name"], r["beta"]) for r in trial["reports"]]
         assert len(keys) == len(set(keys))
         assert "generic:neg-log" not in {name for name, _ in keys}
+
+
+def test_reports_leave_trial_quantities_and_grid_constants_out():
+    config = ExperimentConfig(trials=8, dims=[2, 3, 4])
+    reps = [rep_from_name(n) for n in config.functions]
+    _, report = run_verify(config)
+    written = json.loads(dumps_report(report))
+    alphas, betas = config.alpha_grid, config.beta_grid
+    functions = set(config.functions) | {"neg-log"} \
+        | {f"neg-power:{a:g}" for a in alphas}
+    assert FLAG_INFINITE_GAP in written["summary"]["flag_counts"]
+    for i, trial in enumerate(written["trials"]):
+        for r in trial["reports"]:
+            assert not {"schema", "gap", "discrepancy", "delta_norm"} & set(r)
+            assert not GRID_KEYS & set(r["constants"])
+        # the grid constants are the same in every trial
+        assert bounds.grid_constants(run_trial(config, i, reps).reports) \
+            == written["grid"]
+        rho, sigma, dim, _, _, _ = draw_pair(config, i)
+        ctx = PairContext(rho, sigma,
+                          spec_for(config.specs[i % len(config.specs)], dim))
+        e_rho, e_sigma = ctx.recovery_errors
+        want = {"delta_norm": ctx.delta_norm,
+                "gap": {n: ctx.gap(rep_from_name(n)) for n in functions},
+                "renyi_gap": {repr(a): ctx.renyi_gap(a) for a in alphas},
+                "discrepancy": {repr(b): ctx.discrepancy(b)
+                                for b in betas + [0.5]},
+                "beta_free": {repr(b): ctx.beta_free(b) for b in betas},
+                "recovery_discrepancy": ctx.recovery_discrepancy,
+                "e_rho": e_rho, "e_sigma": e_sigma,
+                "support_leak": ctx.support_leak,
+                "support_leak_n": ctx.support_leak_n}
+        assert trial["quantities"] == json_safe(want), i
+
+
+def test_alphas_that_print_alike_keep_their_own_names():
+    # at 6 significant digits both alphas print as 0.123457
+    _, report = run_verify(ExperimentConfig(
+        trials=1, dims=[2], specs=["pinching"], functions=["neg-log"],
+        alpha_grid=[0.1234567, 0.12345671], beta_grid=[0.5]))
+    trial = report["trials"][0]
+    assert sorted(trial["quantities"]["gap"]) == [
+        "neg-log", "neg-power:0.1234567", "neg-power:0.12345671"]
+    assert sorted(trial["quantities"]["renyi_gap"]) == [
+        "0.1234567", "0.12345671"]
+    names = [r["name"] for r in trial["reports"]]
+    assert len(names) == len(set(names))
+    exponents = {report["grid"][f"corollary-power:{a}"]["0.5"]["exponent"]
+                 for a in ("0.1234567", "0.12345671")}
+    assert len(exponents) == 2
+
+
+def test_summary_locates_the_least_margin_and_counts_flags(monkeypatch):
+    original = bounds.recovery_chain
+
+    def with_a_nan_margin(ctx):
+        report = original(ctx)
+        report.margins["planted"] = math.nan
+        return report
+
+    monkeypatch.setattr(bounds, "recovery_chain", with_a_nan_margin)
+    config = ExperimentConfig(**SINGULAR)
+    _, report = run_verify(config)
+    summary = report["summary"]
+    by_family, flags, skipped = {}, Counter(), 0
+    for trial in report["trials"]:
+        for r in trial["reports"]:
+            flags.update(r["flags"])
+            for value in map(float, r["margins"].values()):
+                if math.isnan(value):
+                    skipped += 1
+                else:
+                    by_family.setdefault(r["name"].partition(":")[0],
+                                         []).append(value)
+    assert summary["margins_skipped"] == skipped == config.trials
+    assert summary["margins_checked"] == sum(map(len, by_family.values()))
+    assert summary["min_margin_by_family"] == {
+        family: min(values) for family, values in by_family.items()}
+    assert summary["flag_counts"] == dict(flags)
+    worst = summary["worst_margin"]
+    located = [r for r in report["trials"][worst["trial_index"]]["reports"]
+               if (r["name"], r["beta"]) == (worst["report"], worst["beta"])]
+    assert len(located) == 1
+    assert located[0]["margins"][worst["key"]] == worst["value"] \
+        == summary["min_margin"] \
+        == min(summary["min_margin_by_family"].values())
+
+
+def test_dumps_report_writes_a_family_of_infinite_margins(monkeypatch):
+    # every trial draws the pair of trial 6, whose sigma is singular while
+    # rho is not, so every gap is infinite and so is every dpi margin
+    original = harness.draw_pair
+    monkeypatch.setattr(harness, "draw_pair",
+                        lambda config, i: original(config, 6))
+    code, report = run_verify(ExperimentConfig(
+        trials=2, dims=[2], specs=["trivial"], functions=["neg-log"],
+        alpha_grid=[0.5], beta_grid=[0.5]))
+    assert code == 0
+    assert report["summary"]["min_margin_by_family"]["dpi"] == math.inf
+    written = json.loads(dumps_report(report))
+    assert written["summary"]["min_margin_by_family"]["dpi"] == "inf"
+    assert written["trials"][0]["quantities"]["gap"]["neg-log"] == "inf"
 
 
 def test_run_sweep_csv_contract():
@@ -220,7 +325,7 @@ def test_dumps_report_matches_sanitized_reconstruct_report(monkeypatch):
 
 def test_dumps_report_rejects_a_stray_nan():
     _, report = run_verify(ExperimentConfig(**SMALL))
-    report["trials"][0]["reports"][0]["gap"] = math.nan
+    report["trials"][0]["quantities"]["delta_norm"] = math.nan
     with pytest.raises(ValueError):
         dumps_report(report)
 
@@ -247,11 +352,14 @@ def test_sanitize_and_dumps():
 
 def test_json_safe_marks_only_non_finite_floats():
     values = {"a": 1.5, "b": math.inf, "c": -math.inf, "d": math.nan,
-              "e": 4, "f": None, "g": "x", "h": 5e-324, "i": True}
+              "e": 4, "f": None, "g": "x", "h": 5e-324, "i": True,
+              "j": {"k": math.inf, "l": {"m": math.nan}}}
     assert json_safe(values) == {"a": 1.5, "b": "inf", "c": "-inf",
                                  "d": "nan", "e": 4, "f": None, "g": "x",
-                                 "h": 5e-324, "i": True}
+                                 "h": 5e-324, "i": True,
+                                 "j": {"k": "inf", "l": {"m": "nan"}}}
     assert values["b"] == math.inf
+    assert values["j"]["k"] == math.inf
 
 
 def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
@@ -273,9 +381,9 @@ def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
     trials = report["trials"]
     assert [t["trial_index"] for t in trials] == [0, 1, 2]
     assert trials[1] == {
-        "trial_index": 1, "config_hash": cfg.hash(), "status": "error",
+        "trial_index": 1, "status": "error",
         "error": "OverflowError: (34, 'Numerical result out of range')",
         "reports": []}
     assert trials[0]["reports"] and trials[2]["reports"]
-    assert "status" not in trials[0]
+    assert [t["status"] for t in trials] == ["ok", "error", "ok"]
     assert json.loads(dumps_report(report)) == sanitize(report)

@@ -37,7 +37,7 @@ def test_near_singular_margins_hold(monkeypatch):
                 near_singular(rng, dim, n_sigma, eps))
         monkeypatch.setattr(harness, "draw_pair",
                             lambda *_: pair + (dim, dim, dim, "haar"))
-        for report in run_trial(config, 0, reps, config.hash()).reports:
+        for report in run_trial(config, 0, reps).reports:
             for key, value in report.margins.items():
                 if math.isnan(value):
                     continue

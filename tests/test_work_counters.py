@@ -14,7 +14,9 @@ pair: 8 for the gaps of neg-log and neg-power at 0.25, 0.5, 0.75, which the
 Renyi gaps of orders 0.75, 0.5, 0.25 read too. A trial used to make about 485 eigh, 74 modular.build and 36 s_f
 calls at these settings, then up to ten eigh while a context re-diagonalized
 every validated state. The counts are deterministic and asserted for every
-trial, so redundancy that creeps back fails here.
+trial, so redundancy that creeps back fails here. They include the
+quantities block of the trial record, which PairContext.quantities() reads
+from the memo after the bounds have run.
 
 The theorem's T-family is evaluated on the whole T grid in one
 bounds.theorem_bound call, with one bounds.c_constant call, per (function,
@@ -72,7 +74,6 @@ def count_calls(monkeypatch, owner, name) -> list:
 def test_run_trial_computes_each_quantity_once(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
-    config_hash = config.hash()
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     build = count_calls(monkeypatch, modular, "build")
     s_f = count_calls(monkeypatch, entropy, "s_f")
@@ -83,7 +84,7 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         spec = spec_for(config.specs[i % len(config.specs)], dim)
         identity.append(spec.blocks == [(dim, 1)])
         before = len(eigh), len(build), len(s_f)
-        run_trial(config, i, reps, config_hash)
+        run_trial(config, i, reps)
         per_trial.append((len(eigh) - before[0], len(build) - before[1],
                           len(s_f) - before[2]))
     assert any(identity) and not all(identity)
@@ -98,7 +99,6 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
 def test_expectations_diagonalize_only_block_cores(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
     reps = [rep_from_name(n) for n in config.functions]
-    config_hash = config.hash()
     shapes = []
     original = np.linalg.eigh
 
@@ -114,7 +114,7 @@ def test_expectations_diagonalize_only_block_cores(monkeypatch):
         kinds.add(config.specs[i % len(config.specs)])
         largest_core = max(n for n, _ in spec.blocks)
         shapes.clear()
-        run_trial(config, i, reps, config_hash)
+        run_trial(config, i, reps)
         assert shapes[:2] == [(dim, dim)] * 2, (i, shapes)
         assert all(s[-1] <= largest_core for s in shapes[2:]), (i, shapes)
         if spec.blocks == [(1, dim)]:
@@ -141,12 +141,11 @@ def count_linalg(monkeypatch, name: str) -> list:
 def test_verify_trials_form_no_dense_power(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
-    config_hash = config.hash()
     calls = count_linalg(monkeypatch, "psd_power")
     per_trial = []
     for i in range(TRIALS):
         before = len(calls)
-        run_trial(config, i, reps, config_hash)
+        run_trial(config, i, reps)
         per_trial.append(len(calls) - before)
     assert per_trial == [PSD_POWER_PER_TRIAL] * TRIALS, per_trial
     calls.clear()
@@ -160,12 +159,11 @@ def test_verify_trials_form_no_dense_power(monkeypatch):
 def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
     reps = [rep_from_name(n) for n in config.functions]
-    config_hash = config.hash()
     calls = {name: count_linalg(monkeypatch, name)
              for name in ("support_projector", "schatten_norm")}
     trace_norm = count_linalg(monkeypatch, "trace_norm")
     for i in range(2 * TRIALS):
-        run_trial(config, i, reps, config_hash)
+        run_trial(config, i, reps)
     assert {name: len(c) for name, c in calls.items()} \
         == {"support_projector": 0, "schatten_norm": 0}
     assert len(trace_norm) == 2 * 2 * TRIALS
@@ -174,14 +172,13 @@ def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
 def test_theorem_grid_is_one_call_per_function_and_beta(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
-    config_hash = config.hash()
     theorem = count_calls(monkeypatch, bounds, "theorem_bound")
     c_constant = count_calls(monkeypatch, bounds, "c_constant")
     limit = len(config.functions) * len(config.beta_grid)
     assert limit == 6
     for i in range(TRIALS):
         before = len(theorem), len(c_constant)
-        run_trial(config, i, reps, config_hash)
+        run_trial(config, i, reps)
         assert 0 < len(theorem) - before[0] <= limit
         assert 0 < len(c_constant) - before[1] <= limit
 
