@@ -3,11 +3,11 @@ bounds for the data processing inequality on finite-dimensional states."""
 
 from .algebra import (SubalgebraSpec, conditional_expectation, factor_spec,
                       full_spec, pinching_spec, trivial_spec)
-from .bounds import (BoundReport, InternalsReport, beta_free_discrepancy,
-                     corollary_log_bound, corollary_power_bound,
-                     discrepancy_norm, generic_corollary_bound, lemma_opt,
-                     proof_internals, recovery_chain, recovery_discrepancy,
-                     renyi_bound, theorem_bound)
+from .bounds import (BoundReport, beta_free_discrepancy, corollary_log_bound,
+                     corollary_power_bound, discrepancy_norm,
+                     generic_corollary_bound, lemma_opt, proof_internals,
+                     recovery_chain, recovery_discrepancy, renyi_bound,
+                     theorem_bound)
 from .context import PairContext
 from .entropy import (gap, integral_reconstruction, reconstruct_gap, renyi,
                       renyi_gap, s_f, s_t)
@@ -27,8 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "DensityMatrix", "DomainError", "ExperimentConfig",
-    "InternalsReport", "InvalidInput",
-    "MonotoneDecreasingRep", "NotNormalized", "NotPSD",
+    "InvalidInput", "MonotoneDecreasingRep", "NotNormalized", "NotPSD",
     "NumericalFailure", "PairContext", "PetzChannel", "PetzGapError",
     "RelativeModularOperator", "SamplerConfig", "SpecInconsistent",
     "SpectralDecomposition", "SubalgebraSpec", "TrialRecord",

@@ -29,10 +29,10 @@ Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
 the margins dict (everything else is recorded in constants/rhs_values and
 explained by flags). gap_margin turns a gap into its margin and the
-infinite-gap flag. In a verify report a bound report leaves out the gap,
-discrepancy and ||Delta|| and the constants that repeat a trial quantity,
-which its trial writes once, and the GRID_KEYS constants, which depend only
-on (report name, beta) and the run writes once.
+infinite-gap flag. A BoundReport holds no trial quantity (the gap, a
+discrepancy, ||Delta||, a recovery error): those are the PairContext's, and
+a verify trial writes them once. Its to_json leaves out only the GRID_KEYS
+constants, which depend only on (report name, beta) and the run writes once.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ FLAG_T_STAR_BELOW_ONE = "t-star-below-one"
 
 GRID_KEYS = frozenset({"exponent", "exponent_displayed", "C_exact",
                        "c_effective", "C", "c", "gap_exponent", "T_count"})
-_OMIT = GRID_KEYS | {"e_rho", "e_sigma", "disc_pseudo", "support_leak"}
-_OMIT_BETA_FREE = _OMIT | {"lhs"}
 
 
 @dataclass(eq=False)
@@ -73,23 +71,19 @@ class BoundReport:
     """One bound family evaluated on one (rho, sigma, spec) triple."""
 
     name: str
-    gap: float
     beta: float | None
-    discrepancy: float | None
-    delta_norm: float
     constants: dict = field(default_factory=dict)
     rhs_values: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        """JSON-safe, without what a verify report writes once elsewhere
-        (lhs repeats a trial quantity only in beta-free)."""
-        omit = _OMIT_BETA_FREE if self.name == "beta-free" else _OMIT
+        """JSON-safe, without the GRID_KEYS constants, which a verify report
+        writes once per run."""
         return {
             "name": self.name,
             "beta": self.beta,
-            "constants": json_safe(self.constants, omit),
+            "constants": json_safe(self.constants, GRID_KEYS),
             "rhs_values": json_safe(self.rhs_values),
             "margins": json_safe(self.margins),
             "flags": sorted(self.flags),
@@ -237,18 +231,16 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
     big_c, growth_c = rep.growth
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    delta_norm = ctx.delta_norm
     g = ctx.gap(rep)
     disc = ctx.discrepancy(beta)
-    cst = _generic_constants(big_c, growth_c, beta, delta_norm)
+    cst = _generic_constants(big_c, growth_c, beta, ctx.delta_norm)
     t_star = _t_star(cst, big_c, g)
     rhs = _power_law(cst["log_K_gap"], disc, cst["exponent"])
     margins, flags = gap_margin("gap_lower_bound", g, rhs)
     if t_star < 1.0:
         flags.append(FLAG_T_STAR_BELOW_ONE)
     return BoundReport(
-        name=f"generic:{rep.name}",
-        gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
+        name=f"generic:{rep.name}", beta=beta,
         constants={"C": big_c, "c": growth_c, "K_gap": cst["K_gap"],
                    "log_K_gap": cst["log_K_gap"], "exponent": cst["exponent"],
                    "gap_exponent": 1.0 / cst["exponent"],
@@ -306,8 +298,7 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
             except (InvalidInput, NumericalFailure):
                 pass
     return BoundReport(
-        name="corollary-log",
-        gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
+        name="corollary-log", beta=beta,
         constants=constants,
         rhs_values={"gap_lower_bound": rhs},
         margins=margins,
@@ -376,8 +367,7 @@ def corollary_power_bound(alpha: float, beta: float,
     if t_star < 1.0:
         flags.append(FLAG_T_STAR_BELOW_ONE)
     return BoundReport(
-        name=f"corollary-power:{alpha!r}",
-        gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
+        name=f"corollary-power:{alpha!r}", beta=beta,
         constants={key: math.exp(log_k), "log_" + key: log_k,
                    "K_generic": cst["K_gap"], "exponent": expo,
                    "exponent_displayed": displayed, "C_exact": big_c,
@@ -411,11 +401,10 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
     r, s = ctx.rho, ctx.sigma
-    delta_norm = ctx.delta_norm
     g = ctx.renyi_gap(alpha)
     disc = ctx.discrepancy(0.5)
     log_k_u, expo, _, _, _ = power_corollary_constant(1.0 - alpha, 0.5,
-                                                      delta_norm)
+                                                      ctx.delta_norm)
     rhs_disc = math.log1p(_power_law(log_k_u, disc, expo)) / (1.0 - alpha)
     constants = {"K_U": math.exp(log_k_u), "log_K_U": log_k_u,
                  "exponent": expo}
@@ -438,16 +427,14 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
             margins["renyi_inverted"] = rhs_inv - mx ** expo
         else:
             flags.append(FLAG_SUPPORT_MISMATCH)
-        constants.update({"K_hat": math.exp(log_k_hat), "e_rho": e_rho,
-                          "e_sigma": e_sigma})
+        constants["K_hat"] = math.exp(log_k_hat)
         rhs_values.update({"renyi_recovery": rhs_rec, "renyi_inverted": rhs_inv})
     else:
         flags.append(FLAG_SIGMA_SINGULAR)
         if not ctx.sigma_n.is_invertible:
             flags.append(FLAG_SIGMA_N_SINGULAR)
     return BoundReport(
-        name=f"renyi:{alpha!r}",
-        gap=g, beta=0.5, discrepancy=disc, delta_norm=delta_norm,
+        name=f"renyi:{alpha!r}", beta=0.5,
         constants=constants,
         rhs_values=rhs_values,
         margins=margins,
@@ -475,12 +462,9 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     r, s, r_n, s_n = ctx.rho, ctx.sigma, ctx.rho_n, ctx.sigma_n
     e_rho, e_sigma = ctx.recovery_errors
     disc_full = ctx.recovery_discrepancy
-    disc_pseudo = ctx.discrepancy(0.5)
-    leak = ctx.support_leak
-    support_match = leak <= SUPPORT_LEAK_TOL
-    delta_norm = ctx.delta_norm
+    support_match = ctx.support_leak <= SUPPORT_LEAK_TOL
     g = ctx.gap(builtin_neg_log())
-    cst = _generic_constants(1.0, 0.0, 0.5, delta_norm)
+    cst = _generic_constants(1.0, 0.0, 0.5, ctx.delta_norm)
     k_gap = cst["K_gap"]
     margins = {"rec_rho": 2.0 * disc_full - e_rho}
     rhs_values = {"rec_rho": 2.0 * disc_full}
@@ -522,11 +506,8 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     elif not support_match:
         flags.append(FLAG_SUPPORT_MISMATCH)
     return BoundReport(
-        name="recovery-chain",
-        gap=g, beta=0.5, discrepancy=disc_full, delta_norm=delta_norm,
-        constants={"disc_pseudo": disc_pseudo, "support_leak": leak,
-                   "K_gap": k_gap, "exponent": cst["exponent"],
-                   "e_rho": e_rho, "e_sigma": e_sigma},
+        name="recovery-chain", beta=0.5,
+        constants={"K_gap": k_gap, "exponent": cst["exponent"]},
         rhs_values=rhs_values,
         margins=margins,
         flags=flags,
@@ -539,38 +520,21 @@ def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     r = ctx.rho
-    lhs = ctx.beta_free(beta)
-    disc = ctx.discrepancy(beta)
-    delta_norm = ctx.delta_norm
+    lhs = ctx.beta_free(beta)  # in the trial's quantities, asserted or not
     margins = {}
     flags = []
     rhs = math.nan
     if r.is_invertible:
-        rhs = disc / math.sqrt(float(r.eigenvalues[-1]))
+        rhs = ctx.discrepancy(beta) / math.sqrt(float(r.eigenvalues[-1]))
         margins["beta_free"] = rhs - lhs
     else:
         flags.append(FLAG_RHO_SINGULAR)
     return BoundReport(
-        name="beta-free",
-        gap=math.nan, beta=beta, discrepancy=disc, delta_norm=delta_norm,
-        constants={"lhs": lhs},
+        name="beta-free", beta=beta,
         rhs_values={"beta_free": rhs},
         margins=margins,
         flags=flags,
     )
-
-
-@dataclass(eq=False)
-class InternalsReport:
-    """Diagnostics for the resolvent-difference machinery behind the
-    theorem. All margins follow the >= 0 convention; residuals are absolute
-    errors."""
-
-    contraction_margin: float
-    per_t_gap_margin: float
-    decay_margin: float
-    identity_residual: float
-    gap_residual: float
 
 
 def _resolvent(op: modular.RelativeModularOperator):
@@ -597,8 +561,10 @@ def _resolvent(op: modular.RelativeModularOperator):
 
 
 def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
-                    t_grid=None) -> InternalsReport:
-    """Check the internal objects the theorem's proof is built from.
+                    t_grid=None) -> dict:
+    """Check the internal objects the theorem's proof is built from; the
+    five values below, as the fields of a reconstruct internals case. The
+    margins follow the >= 0 convention, the residuals are absolute errors.
 
     With w_t = U((t + DeltaN)^{-1} rhoN^{1/2}) - (t + Delta)^{-1} rho^{1/2}
     and U(X) = E(X) rhoN^{-1/2} rho^{1/2}:
@@ -673,10 +639,6 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         gap_residual = math.nan
     else:
         gap_residual = abs(g_quad - ctx.gap(rep))
-    return InternalsReport(
-        contraction_margin=contraction,
-        per_t_gap_margin=per_t,
-        decay_margin=decay,
-        identity_residual=identity_residual,
-        gap_residual=gap_residual,
-    )
+    return {"contraction_margin": contraction, "per_t_gap_margin": per_t,
+            "decay_margin": decay, "identity_residual": identity_residual,
+            "gap_residual": gap_residual}

@@ -7,7 +7,9 @@ one compact line written by the C encoder of the json module; its records
 are made JSON-safe (each non-finite float as "nan", "inf" or "-inf") at
 report assembly, its summary by dumps_report. A verify_v2 trial record
 writes each quantity of the trial once (quantities), the run each constant
-of (report name, beta) once (grid), and no bound report repeats either.
+of (report name, beta) once (grid), and no bound report holds either. A
+reconstruct internals case is the dict that bounds.proof_internals returns,
+with its status.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,18 +104,11 @@ class ExperimentConfig:
             raise InvalidInput("t_points must be >= 2")
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "specs": list(self.specs),
-            "functions": list(self.functions),
-            "alpha_grid": list(self.alpha_grid),
-            "beta_grid": list(self.beta_grid),
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "epsilon_ladder": list(self.epsilon_ladder),
-            "t_points": self.t_points,
-        }
+        """Every field but output_path, each list or tuple as a new list."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "output_path"}
+        return {k: list(v) if isinstance(v, (list, tuple)) else v
+                for k, v in values.items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -186,10 +181,9 @@ def draw_pair(config: ExperimentConfig, trial_index: int):
 T_GRID = np.logspace(-3, 6, 40)
 
 
-def _dpi_report(rep, g, delta_norm):
+def _dpi_report(rep, g):
     margins, flags = bounds.gap_margin("dpi", g)
-    return bounds.BoundReport(name=f"dpi:{rep.name}", gap=g, beta=None,
-                              discrepancy=None, delta_norm=delta_norm,
+    return bounds.BoundReport(name=f"dpi:{rep.name}", beta=None,
                               margins=margins, flags=flags)
 
 
@@ -205,8 +199,7 @@ def _theorem_report(rep, beta, disc, delta_norm, g):
         margins["theorem_T_grid"] = float(excess[i])
         worst_t = float(T_GRID[i])
     return bounds.BoundReport(
-        name=f"theorem:{rep.name}",
-        gap=g, beta=beta, discrepancy=disc, delta_norm=delta_norm,
+        name=f"theorem:{rep.name}", beta=beta,
         constants={"T_count": len(T_GRID), "T_at_min_margin": worst_t,
                    "lhs": lhs},
         margins=margins, flags=flags)
@@ -223,7 +216,7 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     reports = []
     for rep in reps:
         g = ctx.gap(rep)
-        reports.append(_dpi_report(rep, g, ctx.delta_norm))
+        reports.append(_dpi_report(rep, g))
         for beta in config.beta_grid:
             reports.append(_theorem_report(rep, beta, ctx.discrepancy(beta),
                                            ctx.delta_norm, g))
@@ -298,8 +291,9 @@ def run_verify(config: ExperimentConfig):
         "schema": "verify_v2",
         "config": config.to_json(),
         "config_hash": config.hash(),
-        "grid": next((bounds.grid_constants(r.reports) for r in records
-                      if not isinstance(r, dict)), {}),
+        "grid": bounds.json_safe(next((bounds.grid_constants(r.reports)
+                                       for r in records
+                                       if not isinstance(r, dict)), {})),
         "summary": {
             "trials": config.trials,
             "margins_checked": checked,
@@ -423,19 +417,13 @@ def run_reconstruct(config: ExperimentConfig):
             int_case["reason"] = str(exc)
             max_error = math.inf
         else:
-            int_case.update({
-                "status": "internals",
-                "contraction_margin": internals.contraction_margin,
-                "per_t_gap_margin": internals.per_t_gap_margin,
-                "decay_margin": internals.decay_margin,
-                "identity_residual": internals.identity_residual,
-                "gap_residual": internals.gap_residual,
-            })
-            max_error = max(max_error, internals.identity_residual)
-            if not math.isnan(internals.gap_residual):
-                max_error = max(max_error, internals.gap_residual)
-            if min(internals.contraction_margin, internals.per_t_gap_margin,
-                   internals.decay_margin) < -config.tolerance:
+            int_case.update(internals, status="internals")
+            max_error = max(max_error, internals["identity_residual"])
+            if not math.isnan(internals["gap_residual"]):
+                max_error = max(max_error, internals["gap_residual"])
+            if min(internals["contraction_margin"],
+                   internals["per_t_gap_margin"],
+                   internals["decay_margin"]) < -config.tolerance:
                 max_error = math.inf
         cases.append(int_case)
     report = {

@@ -109,6 +109,8 @@ def _neg_power(alpha: float) -> MonotoneDecreasingRep:
 
 def rep_from_name(name: str) -> MonotoneDecreasingRep:
     """Parse "neg-log" or "neg-power:<alpha>"."""
+    if not isinstance(name, str):
+        raise InvalidInput(f"a function name must be a string, got {name!r}")
     if name == "neg-log":
         return builtin_neg_log()
     if name.startswith("neg-power:"):

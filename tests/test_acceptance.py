@@ -127,19 +127,21 @@ def test_criterion_03_log_corollary(population):
     worst_const = 0.0
     for rho, sigma, dim, kind in population:
         spec = spec_for(kind, dim)
-        rep = bounds.corollary_log_bound(0.5, PairContext(rho, sigma, spec))
+        ctx = PairContext(rho, sigma, spec)
+        rep = bounds.corollary_log_bound(0.5, ctx)
         if "gap_lower_bound" not in rep.margins:
             skipped_undefined += 1
             continue
         checked += 1
         closed = rep.constants["K_log3"]
-        want = (math.pi / 4.0) ** 4 * (1.0 + rep.delta_norm) ** (-2.0)
+        want = (math.pi / 4.0) ** 4 * (1.0 + ctx.delta_norm) ** (-2.0)
         rel = abs(closed - want) / want
         worst_const = max(worst_const, rel)
         lemma_rel = abs(rep.constants["K_L"] - rep.constants["K_generic"]) \
             / rep.constants["K_generic"]
         worst_const = max(worst_const, lemma_rel)
-        margin = rep.gap - closed * rep.discrepancy ** 4
+        margin = ctx.gap(builtin_neg_log()) \
+            - closed * ctx.discrepancy(0.5) ** 4
         if not margin >= -1e-8 or lemma_rel > 1e-9:
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -396,15 +398,15 @@ def test_criterion_10_proof_internals():
         out = bounds.proof_internals(
             rep, beta, PairContext(rho, sigma, spec_for(kind, dim)),
             t_grid=t_grid)
-        margin = min(out.contraction_margin, out.per_t_gap_margin,
-                     out.decay_margin)
+        margin = min(out["contraction_margin"], out["per_t_gap_margin"],
+                     out["decay_margin"])
         worst_margin = min(worst_margin, margin)
-        worst_identity = max(worst_identity, out.identity_residual)
-        if not math.isnan(out.gap_residual):
-            worst_gap_res = max(worst_gap_res, out.gap_residual)
-        if margin < -1e-8 or out.identity_residual > 1e-5 or \
-                (not math.isnan(out.gap_residual)
-                 and out.gap_residual > 1e-5):
+        worst_identity = max(worst_identity, out["identity_residual"])
+        if not math.isnan(out["gap_residual"]):
+            worst_gap_res = max(worst_gap_res, out["gap_residual"])
+        if margin < -1e-8 or out["identity_residual"] > 1e-5 or \
+                (not math.isnan(out["gap_residual"])
+                 and out["gap_residual"] > 1e-5):
             violations += 1
     elapsed = time.perf_counter() - t0
     report_line(

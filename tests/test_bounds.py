@@ -187,11 +187,12 @@ def test_corollary_log_constants_and_margin():
     for seed in range(3):
         rho, sigma = random_pair(20 + seed)
         for beta, expo in [(0.25, 16.0 / 3.0), (0.5, 4.0), (0.75, 8.0)]:
-            rep = corollary_log_bound(beta, PairContext(rho, sigma, SPEC4))
+            ctx = PairContext(rho, sigma, SPEC4)
+            rep = corollary_log_bound(beta, ctx)
             assert rep.constants["exponent"] == pytest.approx(expo, rel=1e-12)
             assert rep.margins["gap_lower_bound"] >= -1e-8
             if beta == 0.5:
-                want = (math.pi / 4.0) ** 4 * (1.0 + rep.delta_norm) ** (-2.0)
+                want = (math.pi / 4.0) ** 4 * (1.0 + ctx.delta_norm) ** (-2.0)
                 assert rep.constants["K_log3"] == pytest.approx(want, rel=1e-12)
                 assert rep.constants["K_L"] == pytest.approx(
                     rep.constants["K_generic"], rel=1e-9)
@@ -205,8 +206,10 @@ def test_corollary_log_report_shape():
                            "rhs_values"]
     assert out["name"] == "corollary-log"
     assert out["flags"] == sorted(out["flags"])
-    assert rep.gap == pytest.approx(
-        PairContext(rho, sigma, SPEC4).gap(builtin_neg_log()), abs=1e-12)
+    # the margin is gap - rhs, with the gap of a fresh context
+    assert rep.margins["gap_lower_bound"] + rep.rhs_values["gap_lower_bound"] \
+        == pytest.approx(PairContext(rho, sigma, SPEC4).gap(builtin_neg_log()),
+                         abs=1e-12)
 
 
 def test_corollary_power_exponents_and_margin():
@@ -320,8 +323,9 @@ def test_generic_corollary_matches_log_closed_form():
 
 def test_renyi_bound_equal_states():
     rho, _ = random_pair(40)
-    rep = renyi_bound(0.5, PairContext(rho, rho, SPEC4))
-    assert rep.gap == pytest.approx(0.0, abs=1e-10)
+    ctx = PairContext(rho, rho, SPEC4)
+    rep = renyi_bound(0.5, ctx)
+    assert ctx.renyi_gap(0.5) == pytest.approx(0.0, abs=1e-10)
     assert rep.constants["exponent"] == pytest.approx(5.0, rel=1e-14)
     # the inverted form multiplies the ~1e-12 numerical gap by 1/K_U ~ 1e4,
     # so equal states sit at roundoff scale rather than exactly at zero
@@ -354,10 +358,11 @@ def test_renyi_bound_support_leak_gates_recovery_forms():
     # recovery and inverted forms are hypothesis-violated, not failed
     rho = ginibre(4, 3, 47)
     sigma = ginibre(4, 4, 48)
-    rep = renyi_bound(0.5, PairContext(rho, sigma, full_spec(4)))
+    ctx = PairContext(rho, sigma, full_spec(4))
+    rep = renyi_bound(0.5, ctx)
     assert FLAG_SUPPORT_MISMATCH in rep.flags
-    assert abs(rep.gap) <= 1e-12
-    assert rep.constants["e_rho"] > 1e-3
+    assert abs(ctx.renyi_gap(0.5)) <= 1e-12
+    assert ctx.recovery_errors[0] > 1e-3
     assert "renyi_disc" in rep.margins
     assert rep.margins["renyi_disc"] >= -1e-8
     assert "renyi_recovery" not in rep.margins
@@ -379,10 +384,11 @@ def test_recovery_chain_full_rank_margins():
 
 def test_recovery_chain_exact_pair_has_zero_errors():
     rho, sigma = exact_product_pair(2, 2, 55)
-    rep = recovery_chain(PairContext(rho, sigma, factor_spec(2, 2)))
-    assert rep.constants["e_rho"] <= 1e-10
-    assert rep.constants["e_sigma"] <= 1e-10
-    assert rep.gap == pytest.approx(0.0, abs=1e-10)
+    ctx = PairContext(rho, sigma, factor_spec(2, 2))
+    recovery_chain(ctx)
+    assert ctx.recovery_errors[0] <= 1e-10
+    assert ctx.recovery_errors[1] <= 1e-10
+    assert ctx.gap(builtin_neg_log()) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_recovery_chain_support_mismatch_flag():
@@ -406,9 +412,10 @@ def test_recovery_chain_trace_loss_and_infinite_gap():
 def test_recovery_chain_infinite_gap_flag():
     rho = make_density(np.eye(2) / 2)
     sigma = diagonal_state([1.0, 0.0])
-    rep = recovery_chain(PairContext(rho, sigma, trivial_spec(2)))
+    ctx = PairContext(rho, sigma, trivial_spec(2))
+    rep = recovery_chain(ctx)
     assert FLAG_INFINITE_GAP in rep.flags
-    assert math.isinf(rep.gap)
+    assert math.isinf(ctx.gap(builtin_neg_log()))
 
 
 def test_beta_free_invertible_margin():
@@ -423,12 +430,13 @@ def test_beta_free_diagonal_closed_form():
     p, q, beta = 0.6, 0.2, 0.5
     rho = diagonal_state([p, 1 - p])
     sigma = diagonal_state([q, 1 - q])
-    rep = beta_free_discrepancy(beta, PairContext(rho, sigma, trivial_spec(2)))
+    ctx = PairContext(rho, sigma, trivial_spec(2))
+    rep = beta_free_discrepancy(beta, ctx)
     want_lhs = math.sqrt(
         (1.0 - (q / p) ** beta) ** 2
         + (1.0 - ((1 - q) / (1 - p)) ** beta) ** 2)
-    assert rep.constants["lhs"] == pytest.approx(want_lhs, abs=1e-12)
-    want_rhs = rep.discrepancy / math.sqrt(min(p, 1 - p))
+    assert ctx.beta_free(beta) == pytest.approx(want_lhs, abs=1e-12)
+    want_rhs = ctx.discrepancy(beta) / math.sqrt(min(p, 1 - p))
     assert rep.rhs_values["beta_free"] == pytest.approx(want_rhs, abs=1e-12)
 
 
@@ -445,28 +453,28 @@ def test_proof_internals_random_pair():
     out = proof_internals(builtin_neg_log(), 0.5,
                           PairContext(rho, sigma, SPEC4),
                           t_grid=np.logspace(-2, 3, 12))
-    assert out.contraction_margin >= -1e-10
-    assert out.per_t_gap_margin >= -1e-10
-    assert out.decay_margin >= -1e-10
-    assert out.identity_residual <= 1e-6
-    assert out.gap_residual <= 1e-6
+    assert out["contraction_margin"] >= -1e-10
+    assert out["per_t_gap_margin"] >= -1e-10
+    assert out["decay_margin"] >= -1e-10
+    assert out["identity_residual"] <= 1e-6
+    assert out["gap_residual"] <= 1e-6
 
 
 def test_proof_internals_power_rep_and_high_beta():
     rho, sigma = random_pair(71)
     out = proof_internals(builtin_neg_power(0.75), 0.8,
                           PairContext(rho, sigma, SPEC4))
-    assert out.per_t_gap_margin >= -1e-10
-    assert out.identity_residual <= 1e-6
-    assert out.gap_residual <= 1e-6
+    assert out["per_t_gap_margin"] >= -1e-10
+    assert out["identity_residual"] <= 1e-6
+    assert out["gap_residual"] <= 1e-6
 
 
 def test_proof_internals_exact_pair_near_zero():
     rho, sigma = exact_product_pair(2, 2, 72)
     out = proof_internals(builtin_neg_log(), 0.5,
                           PairContext(rho, sigma, factor_spec(2, 2)))
-    assert out.identity_residual <= 1e-9
-    assert out.gap_residual <= 1e-8
+    assert out["identity_residual"] <= 1e-9
+    assert out["gap_residual"] <= 1e-8
     # w_t vanishes identically, so the decay margin is the infimum of 2/t
     # over the default grid, which ends at t = 100
-    assert out.decay_margin >= 2.0 / 100.0 - 1e-9
+    assert out["decay_margin"] >= 2.0 / 100.0 - 1e-9

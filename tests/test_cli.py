@@ -35,6 +35,17 @@ def test_verify_exit_zero_and_output(tmp_path, capsys):
             f"beta={worst['beta']} key={worst['key']}\n") in printed
 
 
+def test_verify_writes_an_infinite_grid_constant(tmp_path, capsys):
+    # generic's C = 1/alpha overflows to inf at alpha = 1e-320
+    cfg = write_config(tmp_path, functions=["neg-power:1e-320"])
+    out = tmp_path / "report.json"
+    code = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    grid = json.loads(out.read_text())["grid"]
+    assert grid["generic:neg-power:1e-320"]["0.5"]["C"] == "inf"
+
+
 def test_verify_survives_an_erroring_trial(tmp_path, capsys, monkeypatch):
     original = harness.run_trial
 
@@ -153,6 +164,8 @@ def test_reconstruct_survives_failed_proof_internals(tmp_path, capsys,
     ("sweep", {"dims": [4], "epsilon_ladder": [0.0, float("nan")]}),
     ("sweep", {"dims": [4], "epsilon_ladder": [0.0, float("inf")]}),
     ("sweep", {"dims": [4], "epsilon_ladder": [0.0, True]}),
+    ("verify", {"functions": [1]}),
+    ("reconstruct", {"functions": [None]}),
 ])
 def test_non_integer_config_is_usage_error(tmp_path, capsys, command,
                                            overrides):

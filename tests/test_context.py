@@ -58,13 +58,11 @@ def test_identity_expectation_discrepancies_are_exactly_zero():
     for i in range(config.trials):
         if config.specs[i % len(config.specs)] != "full":
             continue
-        for report in run_trial(config, i, reps).reports:
-            if report.beta is None or report.name == "recovery-chain":
-                continue
-            checked += 1
-            assert report.discrepancy == 0.0, (i, report.name, report.beta)
-            if report.name == "beta-free":
-                assert report.constants["lhs"] == 0.0, (i, report.beta)
+        quantities = run_trial(config, i, reps).quantities
+        for name in ("discrepancy", "beta_free"):
+            for beta, value in quantities[name].items():
+                checked += 1
+                assert value == 0.0, (i, name, beta)
     assert checked > 0
 
 
@@ -118,8 +116,10 @@ def test_discrepancies_match_dense_oracles(kind):
             checked += 1
             if not _close(got, oracle):
                 bad.append((label, rho.dim, None, name))
-        assert beta_free_discrepancy(0.5, ctx).constants["lhs"] \
-            == ctx.beta_free(0.5)
+        report = beta_free_discrepancy(0.5, ctx)
+        if ctx.rho.is_invertible:
+            assert report.margins["beta_free"] \
+                == report.rhs_values["beta_free"] - ctx.beta_free(0.5)
     assert not bad, f"{len(bad)} of {checked} disagree: {bad[:5]}"
 
 

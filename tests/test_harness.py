@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -188,6 +189,20 @@ def test_reports_leave_trial_quantities_and_grid_constants_out():
                 "support_leak": ctx.support_leak,
                 "support_leak_n": ctx.support_leak_n}
         assert trial["quantities"] == json_safe(want), i
+
+
+def test_bound_reports_hold_what_they_write():
+    assert {f.name for f in dataclasses.fields(bounds.BoundReport)} \
+        == set(bounds.BoundReport(name="dpi:neg-log", beta=None).to_json())
+    config = ExperimentConfig()
+    record = run_trial(config, 4, [rep_from_name(n) for n in config.functions])
+    assert record.drawn["rank_rho"] < record.drawn["dim"]
+    beta_free = [r for r in record.reports if r.name == "beta-free"]
+    assert len(beta_free) == len(config.beta_grid)
+    assert all(r.constants == {} for r in beta_free)
+    for report in record.reports:
+        assert not {"e_rho", "e_sigma", "support_leak", "disc_pseudo"} \
+            & set(report.constants), report.name
 
 
 def test_alphas_that_print_alike_keep_their_own_names():
