@@ -61,6 +61,7 @@ FLAG_RHO_SINGULAR = "rho-singular"
 FLAG_SUPPORT_MISMATCH = "support-mismatch"
 FLAG_TRACE_LOSS = "trace-loss"
 FLAG_T_STAR_BELOW_ONE = "t-star-below-one"
+FLAG_CONSTANT_OVERFLOW = "constant-overflow"
 
 GRID_KEYS = frozenset({"exponent", "exponent_displayed", "C_exact",
                        "c_effective", "C", "c", "gap_exponent", "T_count"})

@@ -121,7 +121,8 @@ def integral_reconstruction(rep: MonotoneDecreasingRep,
                                           w(t) dt.
 
     Each term of the integrand decays like 1/t^2, keeping the half-line
-    quadrature stable against the w(t) ~ t^alpha growth of power densities.
+    quadrature stable against the w(t) ~ t^alpha growth of power densities,
+    and it takes all the nodes of a quadrature piece in one call.
     """
     _check_reconstructible(op)
     integral = integrate_halfline(

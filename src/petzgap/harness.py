@@ -189,12 +189,17 @@ def _dpi_report(rep, g):
 
 def _theorem_report(rep, beta, disc, delta_norm, g):
     """The T-family on all of T_GRID at once; its margin is the least
-    rhs - lhs, at T_at_min_margin (None when the gap is inf or nan)."""
+    rhs - lhs, at T_at_min_margin (None when the gap is inf or nan, or when
+    an overflowed constant times a zero gap, inf * 0, leaves a nan: that
+    asserts nothing and carries the constant-overflow flag)."""
     lhs = math.pi / math.sin(beta * math.pi) * disc
-    excess = bounds.theorem_bound(rep, beta, T_GRID, delta_norm, g) - lhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = bounds.theorem_bound(rep, beta, T_GRID, delta_norm, g) - lhs
     margins, flags = bounds.gap_margin("theorem_T_grid", g)
     worst_t = None
-    if math.isfinite(g):
+    if math.isfinite(g) and np.isnan(excess).any():
+        margins, flags = {}, [bounds.FLAG_CONSTANT_OVERFLOW]
+    elif math.isfinite(g):
         i = int(np.argmin(excess))
         margins["theorem_T_grid"] = float(excess[i])
         worst_t = float(T_GRID[i])
@@ -374,7 +379,8 @@ def run_reconstruct(config: ExperimentConfig):
     function a config names carries its density, so every case integrates.
     A case whose quadrature fails (NumericalFailure), a reconstruction or a
     trial's proof internals, is recorded as failed with the reason, sets
-    max_error to inf, and the run goes on.
+    max_error to inf, and the run goes on. The quadrature's truncation leaves
+    identity_residual about 2e-7 at beta = 0.95 and 0.26 at beta = 0.99.
     """
     reps = [rep_from_name(n) for n in config.functions]
     cases = []

@@ -35,6 +35,12 @@ only on (report name, beta) once per run, the record is read through
 oracles.verify_v1_view, which puts them back into every report by a fixed
 rule per family; it passed without a re-freeze, which also shows that the
 grid constants are the same in every trial.
+The reconstruct record alone was re-frozen when integrate became one fixed
+double-exponential rule: 4 values moved beyond the tolerances, the neg-log
+entropy and gap errors of one trial, the gap residual of its internals case
+and the summary max_error, each an error that fell toward 0 (largest
+3.5e-14 to 1.1e-16); the rewrite also froze the within-tolerance values of
+every other case as the code writes them now.
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, and rewrites from
 the current code only a record that is missing or in which a value moved:

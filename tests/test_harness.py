@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,26 @@ from oracles import scalar_theorem_bound
 SMALL = dict(trials=3, dims=[2, 3], specs=["pinching", "trivial"],
              functions=["neg-log"], alpha_grid=[0.5], beta_grid=[0.5],
              seed=7)
+
+
+def test_overflowing_theorem_constant_asserts_no_nan_margin():
+    # C ~ 1/alpha overflows at alpha = 1e-320 where the gap rounds to 0, so
+    # the T-family's right side is inf * 0 = nan at every T
+    config = ExperimentConfig(functions=["neg-power:1e-320"], trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report = run_verify(config)
+    assert code == 0
+    summary = report["summary"]
+    assert summary["flag_counts"] == {bounds.FLAG_CONSTANT_OVERFLOW: 6}
+    assert summary["margins_skipped"] == 0
+    theorem = [r for trial in report["trials"] for r in trial["reports"]
+               if r["name"] == "theorem:neg-power:1e-320"]
+    assert len(theorem) == 6
+    for r in theorem:
+        assert r["margins"] == {}
+        assert r["flags"] == [bounds.FLAG_CONSTANT_OVERFLOW]
+        assert r["constants"]["T_at_min_margin"] is None
 
 
 def test_config_validation():
@@ -309,6 +330,32 @@ def test_run_reconstruct_small_battery():
     statuses = [c["status"] for c in report["cases"]]
     assert statuses.count("ok") == 2
     assert statuses.count("internals") == 2
+
+
+def test_run_reconstruct_integrates_the_beta_095_identity():
+    # the t^0.95 weight of the discrepancy identity gives the inverted tail
+    # an s^-0.95 endpoint, which the graded bisection quadrature could not
+    # integrate: 7 internals cases failed on a non-finite value
+    code, report = run_reconstruct(ExperimentConfig(trials=12,
+                                                    beta_grid=[0.95]))
+    assert code == 0
+    assert report["summary"]["max_error"] <= 1e-6
+    assert all(c["status"] != "failed" for c in report["cases"])
+
+
+def test_run_reconstruct_beta_099_is_recorded_and_fails_the_gate():
+    # s^-0.99 is beyond the truncated rule in doubles: every internals case
+    # is recorded with finite values, and the identity residual fails
+    code, report = run_reconstruct(ExperimentConfig(trials=12,
+                                                    beta_grid=[0.99]))
+    assert code == 1
+    assert all(c["status"] != "failed" for c in report["cases"])
+    internals = [c for c in report["cases"] if c["status"] == "internals"]
+    assert len(internals) == 12
+    keys = ("contraction_margin", "per_t_gap_margin", "decay_margin",
+            "identity_residual", "gap_residual")
+    assert all(math.isfinite(c[k]) for c in internals for k in keys)
+    assert max(c["identity_residual"] for c in internals) > 1e-5
 
 
 # trials 4 and 6 draw a singular rho and a singular sigma; the run has an

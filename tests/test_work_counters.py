@@ -33,9 +33,14 @@ Hermitian trace norms, so a verify trial calls neither
 linalg.support_projector nor linalg.schatten_norm (24 of each on
 verify {"trials": 12, "dims": [32, 48, 64]} before).
 
-A reconstruct run calls the quadrature integrand once per panel. The graded
-half-line quadrature makes 144 panels on the reconstruct golden config,
-against 1,840 when bisection chased the power-law endpoints of the tails.
+A reconstruct run calls the quadrature integrand once per piece with all
+the nodes of the fixed double-exponential rule, so a half-line integral makes
+exactly 2 integrand calls. A reconstruct trial takes 5 half-line integrals
+at the default two functions: an entropy and a gap reconstruction per
+function and the discrepancy identity of the proof internals, whose gap
+reconstruction the context has cached. The graded bisection quadrature made
+144 panels, one integrand call each, on the reconstruct golden config, and
+1,840 before it was graded.
 """
 
 import sys
@@ -54,7 +59,8 @@ EIGH_PER_TRIVIAL_TRIAL = 2
 MAX_BUILD_PER_TRIAL = 2
 MAX_S_F_PER_TRIAL = 8
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
-MAX_INTEGRAND_CALLS = 200
+HALFLINE_PER_RECONSTRUCT_TRIAL = 5
+INTEGRAND_CALLS_PER_HALFLINE = 2
 PSD_POWER_PER_TRIAL = 0
 MAX_PSD_POWER_PER_RECONSTRUCT_TRIAL = 2
 
@@ -194,7 +200,12 @@ def test_reconstruct_integrand_calls(monkeypatch):
         return original(counted, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate", counting)
+    halflines = [count_calls(monkeypatch, module, "integrate_halfline")
+                 for module in (entropy, bounds)]
     code, _ = run_reconstruct(ExperimentConfig.from_json(
         dict(RECONSTRUCT_CONFIG)))
     assert code == 0
-    assert 0 < len(calls) <= MAX_INTEGRAND_CALLS, len(calls)
+    n_halfline = sum(map(len, halflines))
+    assert n_halfline == HALFLINE_PER_RECONSTRUCT_TRIAL \
+        * RECONSTRUCT_CONFIG["trials"]
+    assert len(calls) == INTEGRAND_CALLS_PER_HALFLINE * n_halfline, len(calls)
