@@ -42,11 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entropy, modular
+from . import entropy
 from .algebra import SubalgebraSpec, conditional_expectation
 from .context import PairContext
 from .errors import DomainError, InvalidInput, NumericalFailure
-from .linalg import psd_power
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
 from .quadrature import integrate_halfline
@@ -538,29 +537,6 @@ def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
     )
 
 
-def _resolvent(op: modular.RelativeModularOperator):
-    """t -> (t + Delta)^{-1} rho^{1/2} from the flat joint data.
-
-    Returns (res, res_b) with res_b(t) = (t + Delta)^{-1} Delta rho^{1/2},
-    the numerator of the large-t expansion res = (rho^{1/2} - res_b)/t.
-    Both take an array of t and return the stack of matrices, one per t.
-    """
-    kept = op.kept_columns
-    u_s = op.sigma_dec.eigenvectors
-    u_r = op.rho_dec.eigenvectors[:, kept]
-    lam = op.rho_dec.eigenvalues.real[kept]
-    c0 = op.overlaps[:, kept] * np.sqrt(lam)[None, :]
-    e = op.eigenvalues.reshape(op.dim, kept.size)
-
-    def res(t: np.ndarray) -> np.ndarray:
-        return u_s @ (c0 / (e + t[:, None, None])) @ u_r.conj().T
-
-    def res_b(t: np.ndarray) -> np.ndarray:
-        return u_s @ (c0 * e / (e + t[:, None, None])) @ u_r.conj().T
-
-    return res, res_b
-
-
 def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
                     t_grid=None) -> dict:
     """Check the internal objects the theorem's proof is built from; the
@@ -577,22 +553,34 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
                            (unnormed) discrepancy matrix
       gap_residual         int (S_t - S_t^N) w_f(t) dt equals the gap
                            (nan when supp rho leaves supp sigma)
+
+    w_t is formed in the context's frame (sigma's eigenbasis left, rho's
+    kept columns right; norms unchanged): (t + Delta)^{-1} rho^{1/2} is
+    O lam^{1/2}/(t + e) elementwise, and (t + DeltaN)^{-1} rhoN^{1/2} lies
+    in N, so U of it is P1 (O_N/(t + e_N)) P2 lam^{1/2}, (P1, P2) =
+    ctx.frames: no E, no dense power. With E = id, w_t is exactly 0. Only
+    the 5 contraction draws apply E.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     spec, op, op_n = ctx.spec, ctx.op, ctx.op_n
-    sqrt_rho = psd_power(ctx.rho.spectrum, 0.5)
-    pinv_sqrt_rho_n = psd_power(ctx.rho_n.spectrum, -0.5)
+    kept, kept_n = op.kept_columns, op_n.kept_columns
+    o, o_n = op.overlaps[:, kept], op_n.overlaps[:, kept_n]
+    e = op.eigenvalues.reshape(op.dim, kept.size)
+    e_n = op_n.eigenvalues.reshape(op.dim, kept_n.size)
+    sqrt_lam = np.sqrt(op.rho_dec.eigenvalues.real[kept])
+    if ctx.frames is not None:
+        p1, p2 = ctx.frames
+        p2 = p2[kept_n][:, kept]
 
-    def u_map(x):
-        return conditional_expectation(spec, x) @ pinv_sqrt_rho_n @ sqrt_rho
-
-    res, res_b = _resolvent(op)
-    res_n, res_n_b = _resolvent(op_n)
+    def u_n(x):
+        """U of a stack of N-side matrices in E's frame, before lam^{1/2}."""
+        return x if ctx.frames is None else p1 @ x @ p2
 
     # w_t and w_t_far take an array of t and return the stack of w_t
     def w_t(t):
-        return u_map(res_n(t)) - res(t)
+        t = t[:, None, None]
+        return (u_n(o_n / (t + e_n)) - o / (t + e)) * sqrt_lam
 
     def w_t_far(t):
         # same function, regrouped for large t: with B = (t+Delta)^{-1} Delta
@@ -601,7 +589,9 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         # The direct form subtracts two O(1/t) matrices that agree to
         # O(1/t^2), wiping out the significant digits the tail quadrature
         # needs; here the leading 1/t parts never enter.
-        return (res_b(t) - u_map(res_n_b(t))) / t[:, None, None]
+        t = t[:, None, None]
+        return (o * e / (t + e) - u_n(o_n * e_n / (t + e_n))) \
+            * sqrt_lam / t
 
     def weighted(w):
         def integrand(t):
@@ -609,28 +599,29 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         return integrand
 
     rng = stream(0xA11CE, spec.dim)
+    u_right = ctx.kraus("rho").conj().T  # rhoN^{-1/2} rho^{1/2}
     contraction = math.inf
     for _ in range(5):
         x = rng.standard_normal((spec.dim, spec.dim)) \
             + 1j * rng.standard_normal((spec.dim, spec.dim))
-        contraction = min(contraction,
-                          float(np.linalg.norm(x) - np.linalg.norm(u_map(x))))
+        contraction = min(contraction, float(
+            np.linalg.norm(x)
+            - np.linalg.norm(conditional_expectation(spec, x) @ u_right)))
     if t_grid is None:
         t_grid = np.logspace(-2, 2, 20)
     t_grid = [float(t) for t in t_grid]
     grid = np.array(t_grid)
     near = grid <= 1.0
-    stack = np.empty((grid.size, spec.dim, spec.dim), dtype=complex)
-    stack[near] = w_t(grid[near])
-    stack[~near] = w_t_far(grid[~near])
+    norms = np.empty(grid.size)
+    norms[near] = np.linalg.norm(w_t(grid[near]), axis=(1, 2))
+    norms[~near] = np.linalg.norm(w_t_far(grid[~near]), axis=(1, 2))
     per_t = math.inf
     decay = math.inf
-    for t, wt in zip(t_grid, stack):
-        nw = float(np.linalg.norm(wt))
+    for t, nw in zip(t_grid, norms.tolist()):
         gap_t = entropy.s_t(t, op) - entropy.s_t(t, op_n)
         per_t = min(per_t, gap_t - t * nw * nw)
         decay = min(decay, 2.0 / t - nw)
-    target = ctx.discrepancy_matrix(beta)
+    target = ctx.discrepancy_matrix(beta)[:, kept]
     integral = integrate_halfline(weighted(w_t), far=weighted(w_t_far))
     identity_residual = float(np.linalg.norm(
         -(math.sin(beta * math.pi) / math.pi) * integral - target))

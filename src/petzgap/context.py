@@ -22,9 +22,11 @@ changes per trial, P1 = V_sigma^H V_sigmaN and P2 = V_rhoN^H V_rho, carry the
 E(sigma) and E(rho) eigenbases into that frame; each beta then costs one
 matrix D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b (two products), which
 the discrepancy, the beta-free bound and, at b = 1/2, the recovery
-discrepancy read. When E is the identity there are no frames, the two terms
-of D_b are the same numbers, and every discrepancy is exactly 0. No dense
-power of a state is formed. A caller with raw states builds a context for
+discrepancy read; discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The
+proof's w_t (bounds.proof_internals) is formed in the same frame from the
+overlaps of op and op_n and the frames. When E is the identity there are no
+frames, the two terms of D_b are the same numbers, and every discrepancy is
+exactly 0. No dense power of a state is formed. A caller with raw states builds a context for
 one quantity (as `bounds.discrepancy_norm` and `recovery.recovery_errors`
 do).
 """
@@ -158,17 +160,16 @@ class PairContext:
         return pseudo_power(self.rho.spectrum, 0.5)[None, :]
 
     def discrepancy_matrix(self, beta: float) -> np.ndarray:
-        """sigmaN^b rhoN^-b rho^{1/2} - sigma^b rho^{1/2-b}, pseudo powers:
-        D_b rho^{1/2} rotated back from the frame."""
-        u_s = self.sigma.spectrum.eigenvectors
-        u_r = self.rho.spectrum.eigenvectors
-        return u_s @ (self._difference(beta) * self._sqrt_rho) @ u_r.conj().T
+        """D_b rho^{1/2}, the matrix sigmaN^b rhoN^-b rho^{1/2} -
+        sigma^b rho^{1/2-b} (pseudo powers) in the frame of sigma (left) and
+        rho (right); its columns outside supp rho are 0."""
+        return self._difference(beta) * self._sqrt_rho
 
     @_memoized
     def discrepancy(self, beta: float) -> float:
         """|| D_b rho^{1/2} ||_2, the norm of discrepancy_matrix(b): the
         Hilbert-Schmidt norm does not change under the frame's unitaries."""
-        return hs_norm(self._difference(beta) * self._sqrt_rho)
+        return hs_norm(self.discrepancy_matrix(beta))
 
     @_memoized
     def beta_free(self, beta: float) -> float:

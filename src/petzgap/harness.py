@@ -445,7 +445,7 @@ def run_reconstruct(config: ExperimentConfig):
 # Nothing in petzgap calls sanitize. It stays as the tests' oracle of the
 # report format, and because BENCHMARK.json's per_layer names
 # harness.sanitize (bench/run.py --trace 1 indexes every per_layer name);
-# the benchmark-upkeep change of ROADMAP item 5 removes it.
+# ROADMAP item 3 (b) drops that name and item 3 (c) moves it to the tests.
 def sanitize(obj):
     """Make a structure JSON-safe and deterministic: numpy scalars to
     Python, non-finite floats to strings."""

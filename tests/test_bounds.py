@@ -17,7 +17,8 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             recovery_discrepancy, renyi_bound, theorem_bound)
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput
-from petzgap.harness import T_GRID, ExperimentConfig, draw_pair, run_trial
+from petzgap.harness import (SPEC_KINDS, T_GRID, ExperimentConfig,
+                             draw_pair, run_trial, spec_for)
 from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from petzgap.states import make_density
 
@@ -467,6 +468,27 @@ def test_proof_internals_power_rep_and_high_beta():
     assert out["per_t_gap_margin"] >= -1e-10
     assert out["identity_residual"] <= 1e-6
     assert out["gap_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("ranks", [(3, 4), (4, 3), (3, 3)])
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_proof_internals_rank_deficient(kind, ranks):
+    """Singular rho (w_t on the kept columns only) and singular sigma, under
+    every spec kind. With E = id the N side repeats the rho side, so w_t and
+    the identity residual are exactly 0."""
+    rank_rho, rank_sigma = ranks
+    ctx = PairContext(ginibre(4, rank_rho, 5000 + rank_rho),
+                      ginibre(4, rank_sigma, 5100 + rank_sigma),
+                      spec_for(kind, 4))
+    out = proof_internals(builtin_neg_log(), 0.5, ctx)
+    assert ctx.op.kept_columns.size == rank_rho
+    assert ctx.sigma.spectrum.rank == rank_sigma
+    for key in ("contraction_margin", "per_t_gap_margin", "decay_margin"):
+        assert out[key] >= -1e-10, (key, out)
+    assert out["identity_residual"] <= 1e-6
+    assert math.isnan(out["gap_residual"]) or out["gap_residual"] <= 1e-6
+    if kind == "full":
+        assert out["identity_residual"] == 0.0
 
 
 def test_proof_internals_exact_pair_near_zero():

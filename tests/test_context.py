@@ -96,10 +96,14 @@ def test_discrepancies_match_dense_oracles(kind):
     checked = 0
     for label, rho, sigma in _pairs():
         ctx = PairContext(rho, sigma, spec_for(kind, rho.dim))
+        u_s = ctx.sigma.spectrum.eigenvectors
+        u_r = ctx.rho.spectrum.eigenvectors
         for beta in BETAS:
+            # discrepancy_matrix is in the frame: rotate it back
             checks = {
-                "discrepancy_matrix": (ctx.discrepancy_matrix(beta),
-                                       dense_discrepancy(ctx, beta)),
+                "discrepancy_matrix": (
+                    u_s @ ctx.discrepancy_matrix(beta) @ u_r.conj().T,
+                    dense_discrepancy(ctx, beta)),
                 "discrepancy": (ctx.discrepancy(beta),
                                 dense_discrepancy(ctx, beta)),
                 "beta_free": (ctx.beta_free(beta), dense_beta_free(ctx, beta)),

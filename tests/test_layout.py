@@ -1,0 +1,78 @@
+"""Layout guard: no petzgap module reaches into another's private names.
+
+Each module of src/petzgap is parsed with ast. A name that starts with one
+underscore (dunders aside) is private to the module or class that defines
+it, so the guard fails on
+
+  - `from .x import _name` (or `import x._name`),
+  - an attribute read `obj._name` on anything but `self` (another module,
+    as in `modular._helper`, or another object, as in `ctx._difference`),
+  - `getattr(obj, "_name")` on anything but `self`.
+
+A quantity another module needs goes through a public name, such as the
+PairContext methods the bounds read.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "petzgap"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def private_reaches(tree: ast.AST) -> list:
+    """(line, source) of every reach into another owner's private name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bad = [a.name for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Import):
+            bad = [a.name for a in node.names
+                   if any(_private(part) for part in a.name.split("."))]
+        elif isinstance(node, ast.Attribute):
+            bad = [node.attr] if _private(node.attr) \
+                and not _is_self(node.value) else []
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("getattr", "setattr", "hasattr") \
+                and len(node.args) >= 2 \
+                and isinstance(node.args[1], ast.Constant) \
+                and isinstance(node.args[1].value, str):
+            bad = [node.args[1].value] if _private(node.args[1].value) \
+                and not _is_self(node.args[0]) else []
+        else:
+            bad = []
+        if bad:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_guard_sees_every_kind_of_reach():
+    source = ("from .context import _ratio\n"
+              "import petzgap._hidden\n"
+              "x = ctx._difference(0.5)\n"
+              "y = modular._helper\n"
+              "z = getattr(ctx, '_memo')\n"
+              "ok = self._memo, obj.__name__, getattr(self, '_memo')\n")
+    assert sorted(line for line, _ in private_reaches(ast.parse(source))) \
+        == [1, 2, 3, 4, 5]
+
+
+def test_modules_found():
+    assert {"bounds.py", "context.py", "harness.py"} \
+        <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reaches_into_private_names(path):
+    found = private_reaches(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name}: {found}"

@@ -26,11 +26,15 @@ grid points made 240 and 230.
 A verify trial forms no dense power of a state: the discrepancies, the
 beta-free bound and the Kraus operators are read from the eigenbases of the
 four states (two basis changes per trial and two products per beta), where
-linalg.psd_power made 16 dense powers per trial. Only the proof internals of
-reconstruct still call it, twice per trial. Its support leaks are read from
-the overlaps of the two modular operators and its recovery errors are
-Hermitian trace norms, so a verify trial calls neither
-linalg.support_projector nor linalg.schatten_norm (24 of each on
+linalg.psd_power made 16 dense powers per trial. Nor does a reconstruct
+trial: its proof internals form w_t in the same frame, where they took two
+dense powers per trial. They apply algebra.conditional_expectation only to
+the 5 random matrices of the contraction check (the N side of w_t already
+lies in the subalgebra), where they called it 9 times per trial, 4 of them
+on stacks inside the quadrature integrand. A verify trial's support leaks are
+read from the overlaps of the two modular operators and its recovery errors
+are Hermitian trace norms, so it calls neither linalg.support_projector nor
+linalg.schatten_norm (24 of each on
 verify {"trials": 12, "dims": [32, 48, 64]} before).
 
 A reconstruct run calls the quadrature integrand once per piece with all
@@ -47,7 +51,7 @@ import sys
 
 import numpy as np
 
-from petzgap import bounds, entropy, linalg, modular, quadrature
+from petzgap import algebra, bounds, entropy, linalg, modular, quadrature
 from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
                              spec_for)
 from petzgap.monotone import rep_from_name
@@ -62,7 +66,8 @@ RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
 HALFLINE_PER_RECONSTRUCT_TRIAL = 5
 INTEGRAND_CALLS_PER_HALFLINE = 2
 PSD_POWER_PER_TRIAL = 0
-MAX_PSD_POWER_PER_RECONSTRUCT_TRIAL = 2
+PSD_POWER_PER_RECONSTRUCT_TRIAL = 0
+MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL = 5
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -128,10 +133,11 @@ def test_expectations_diagonalize_only_block_cores(monkeypatch):
     assert kinds == {"trivial", "full", "pinching", "partial-trace"}
 
 
-def count_linalg(monkeypatch, name: str) -> list:
-    """Count calls of linalg.<name> under every petzgap name bound to it."""
+def count_linalg(monkeypatch, name: str, owner=linalg) -> list:
+    """Count calls of owner.<name> (owner linalg by default) under every
+    petzgap name bound to it."""
     calls = []
-    original = getattr(linalg, name)
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -158,8 +164,30 @@ def test_verify_trials_form_no_dense_power(monkeypatch):
     code, _ = run_reconstruct(ExperimentConfig.from_json(
         dict(RECONSTRUCT_CONFIG)))
     assert code == 0
-    assert len(calls) <= MAX_PSD_POWER_PER_RECONSTRUCT_TRIAL \
+    assert len(calls) == PSD_POWER_PER_RECONSTRUCT_TRIAL \
         * RECONSTRUCT_CONFIG["trials"], len(calls)
+
+
+def test_reconstruct_applies_expectation_only_to_contraction_draws(
+        monkeypatch):
+    calls = count_linalg(monkeypatch, "conditional_expectation", algebra)
+    per_trial = []
+    original = bounds.proof_internals
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        out = original(*args, **kwargs)
+        per_trial.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(bounds, "proof_internals", counted)
+    code, _ = run_reconstruct(ExperimentConfig.from_json(
+        dict(RECONSTRUCT_CONFIG)))
+    assert code == 0
+    assert len(per_trial) == RECONSTRUCT_CONFIG["trials"]
+    assert all(n <= MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL
+               for n in per_trial), per_trial
+    assert len(calls) == sum(per_trial), (len(calls), per_trial)
 
 
 def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
