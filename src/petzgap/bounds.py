@@ -552,77 +552,35 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
       identity_residual    -(sin(b pi)/pi) int t^b w_t dt equals the
                            (unnormed) discrepancy matrix
       gap_residual         int (S_t - S_t^N) w_f(t) dt equals the gap
-                           (nan when supp rho leaves supp sigma)
+                           (the context's reconstruction, read from its
+                           memo; nan when supp rho leaves supp sigma)
 
-    w_t is formed in the context's frame (sigma's eigenbasis left, rho's
-    kept columns right; norms unchanged): (t + Delta)^{-1} rho^{1/2} is
-    O lam^{1/2}/(t + e) elementwise, and (t + DeltaN)^{-1} rhoN^{1/2} lies
-    in N, so U of it is P1 (O_N/(t + e_N)) P2 lam^{1/2}, (P1, P2) =
-    ctx.frames: no E, no dense power. With E = id, w_t is exactly 0. Only
-    the 5 contraction draws apply E.
+    w_t is the context's (PairContext.w_t): formed in its frame, with no E
+    and no dense power, and exactly 0 when E = id. The t grid is taken in
+    one s_t call per operator and one w_t stack; the 5 contraction draws are
+    one (5, 2, d, d) draw from the stream, in the order of 5 draws of a real
+    and an imaginary part, and the only E applied, as one stack.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     spec, op, op_n = ctx.spec, ctx.op, ctx.op_n
-    kept, kept_n = op.kept_columns, op_n.kept_columns
-    o, o_n = op.overlaps[:, kept], op_n.overlaps[:, kept_n]
-    e = op.eigenvalues.reshape(op.dim, kept.size)
-    e_n = op_n.eigenvalues.reshape(op.dim, kept_n.size)
-    sqrt_lam = np.sqrt(op.rho_dec.eigenvalues.real[kept])
-    if ctx.frames is not None:
-        p1, p2 = ctx.frames
-        p2 = p2[kept_n][:, kept]
-
-    def u_n(x):
-        """U of a stack of N-side matrices in E's frame, before lam^{1/2}."""
-        return x if ctx.frames is None else p1 @ x @ p2
-
-    # w_t and w_t_far take an array of t and return the stack of w_t
-    def w_t(t):
-        t = t[:, None, None]
-        return (u_n(o_n / (t + e_n)) - o / (t + e)) * sqrt_lam
-
-    def w_t_far(t):
-        # same function, regrouped for large t: with B = (t+Delta)^{-1} Delta
-        # rho^{1/2} one has w_t = (B - U(B_N))/t, because U(rhoN^{1/2}) =
-        # P_{rhoN} rho^{1/2} = rho^{1/2} (supp rho lies inside supp E(rho)).
-        # The direct form subtracts two O(1/t) matrices that agree to
-        # O(1/t^2), wiping out the significant digits the tail quadrature
-        # needs; here the leading 1/t parts never enter.
-        t = t[:, None, None]
-        return (o * e / (t + e) - u_n(o_n * e_n / (t + e_n))) \
-            * sqrt_lam / t
-
-    def weighted(w):
-        def integrand(t):
-            return (t ** beta)[:, None, None] * w(t)
-        return integrand
-
-    rng = stream(0xA11CE, spec.dim)
+    d = spec.dim
+    z = stream(0xA11CE, d).standard_normal((5, 2, d, d))
+    x = z[:, 0] + 1j * z[:, 1]
     u_right = ctx.kraus("rho").conj().T  # rhoN^{-1/2} rho^{1/2}
-    contraction = math.inf
-    for _ in range(5):
-        x = rng.standard_normal((spec.dim, spec.dim)) \
-            + 1j * rng.standard_normal((spec.dim, spec.dim))
-        contraction = min(contraction, float(
-            np.linalg.norm(x)
-            - np.linalg.norm(conditional_expectation(spec, x) @ u_right)))
-    if t_grid is None:
-        t_grid = np.logspace(-2, 2, 20)
-    t_grid = [float(t) for t in t_grid]
-    grid = np.array(t_grid)
-    near = grid <= 1.0
-    norms = np.empty(grid.size)
-    norms[near] = np.linalg.norm(w_t(grid[near]), axis=(1, 2))
-    norms[~near] = np.linalg.norm(w_t_far(grid[~near]), axis=(1, 2))
-    per_t = math.inf
-    decay = math.inf
-    for t, nw in zip(t_grid, norms.tolist()):
-        gap_t = entropy.s_t(t, op) - entropy.s_t(t, op_n)
-        per_t = min(per_t, gap_t - t * nw * nw)
-        decay = min(decay, 2.0 / t - nw)
-    target = ctx.discrepancy_matrix(beta)[:, kept]
-    integral = integrate_halfline(weighted(w_t), far=weighted(w_t_far))
+    contraction = float(np.min(
+        np.linalg.norm(x, axis=(1, 2))
+        - np.linalg.norm(conditional_expectation(spec, x) @ u_right,
+                         axis=(1, 2))))
+    grid = np.logspace(-2, 2, 20) if t_grid is None \
+        else np.asarray(t_grid, dtype=float)
+    norms = np.linalg.norm(ctx.w_t(grid), axis=(1, 2))
+    gap_t = entropy.s_t(grid, op) - entropy.s_t(grid, op_n)
+    per_t = float(np.min(gap_t - grid * norms * norms))
+    decay = float(np.min(2.0 / grid - norms))
+    integral = integrate_halfline(
+        lambda t: (t ** beta)[:, None, None] * ctx.w_t(t))
+    target = ctx.discrepancy_matrix(beta)[:, op.kept_columns]
     identity_residual = float(np.linalg.norm(
         -(math.sin(beta * math.pi) / math.pi) * integral - target))
     try:

@@ -9,7 +9,9 @@ and E(sigma) are diagonalized through the block cores of the subalgebra
 none at all when every core is 1 x 1 (the trivial algebra), and none when E
 is the identity, since E(x) is then x itself and every E = id gap is
 exactly 0. It owns the relative modular operators op and op_n, and keeps
-one entropy per (function, operator), which the gaps and Renyi gaps share.
+one entropy per (function, operator), which the gaps and Renyi gaps share,
+and one quadrature reconstruction per function, which the functions of a
+trial take from one shared integral (entropy.reconstructions).
 The support leaks are read from the overlaps of op and op_n, and the
 recovery errors are trace norms of Hermitian matrices, from their
 eigenvalues (no SVD, no support projector).
@@ -23,12 +25,12 @@ E(sigma) and E(rho) eigenbases into that frame; each beta then costs one
 matrix D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b (two products), which
 the discrepancy, the beta-free bound and, at b = 1/2, the recovery
 discrepancy read; discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The
-proof's w_t (bounds.proof_internals) is formed in the same frame from the
-overlaps of op and op_n and the frames. When E is the identity there are no
-frames, the two terms of D_b are the same numbers, and every discrepancy is
-exactly 0. No dense power of a state is formed. A caller with raw states builds a context for
-one quantity (as `bounds.discrepancy_norm` and `recovery.recovery_errors`
-do).
+proof's w_t (w_t, which bounds.proof_internals reads) is formed in the same
+frame from the overlaps of op and op_n and the frames. When E is the
+identity there are no frames, the two terms of D_b are the same numbers,
+and every discrepancy is exactly 0. No dense power of a state is formed. A
+caller with raw states builds a context for one quantity (as
+`bounds.discrepancy_norm` and `recovery.recovery_errors` do).
 """
 
 from __future__ import annotations
@@ -122,9 +124,20 @@ class PairContext:
         return entropy.renyi_gap(alpha, self.s_f(rep, "op"),
                                  self.s_f(rep, "op_n"))
 
-    @_memoized
+    def reconstructions(self, reps) -> list:
+        """(S_f, gap) of each rep rebuilt by quadrature
+        (entropy.reconstructions), kept per rep: the reps not yet rebuilt
+        share one integral."""
+        todo = list(dict.fromkeys(
+            rep for rep in reps if ("reconstructions", rep) not in self._memo))
+        if todo:
+            values = entropy.reconstructions(todo, self.op, self.op_n)
+            for rep, column in zip(todo, values.T.tolist()):
+                self._memo["reconstructions", rep] = tuple(column)
+        return [self._memo["reconstructions", rep] for rep in reps]
+
     def reconstruct_gap(self, rep) -> float:
-        return entropy.reconstruct_gap(rep, self.op, self.op_n)
+        return self.reconstructions([rep])[0][1]
 
     @cached_property
     def frames(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -164,6 +177,38 @@ class PairContext:
         sigma^b rho^{1/2-b} (pseudo powers) in the frame of sigma (left) and
         rho (right); its columns outside supp rho are 0."""
         return self._difference(beta) * self._sqrt_rho
+
+    def w_t(self, t) -> np.ndarray:
+        """The proof's w_t = U((t + DeltaN)^{-1} rhoN^{1/2}) - (t + Delta)^{-1}
+        rho^{1/2}, U(X) = E(X) rhoN^{-1/2} rho^{1/2}, at each t of a 1-D
+        array: the stack (t.size, d, kept) in the frame of sigma (left) and
+        rho's kept columns (right), where t + Delta scales entry ij by
+        t + e_ij. (t + Delta)^{-1} rho^{1/2} is O lam^{1/2}/(t + e), and
+        (t + DeltaN)^{-1} rhoN^{1/2} lies in N, so U of it is
+        P1 (O_N/(t + e_N)) P2 lam^{1/2} with no E: two GEMMs over all t on
+        the stacked (d, t.size * kept_N) layout. Where t > 1, 1/(t + e)
+        becomes -e/(t (t + e)) = 1/(t + e) - 1/t on both sides: the 1/t
+        parts cancel (U(rhoN^{1/2}) = rho^{1/2}), and left in they would
+        wipe out the O(1/t^2) digits the tail quadrature needs. With E = id,
+        w_t is exactly 0.
+        """
+        op, op_n = self.op, self.op_n
+        d, kept, kept_n = op.dim, op.kept_columns, op_n.kept_columns
+        t = np.asarray(t, dtype=float)[:, None]
+
+        def resolvent(o, e):
+            """O h(t, e) as the stack (d, t.size, kept), h = 1/(t + e)."""
+            e = e.reshape(d, 1, -1)
+            return o[:, None, :] * (np.where(t <= 1.0, 1.0, -e / t) / (t + e))
+
+        n_side = resolvent(op_n.overlaps[:, kept_n], op_n.eigenvalues)
+        if self.frames is not None:
+            p1, p2 = self.frames
+            n_side = ((p1 @ n_side.reshape(d, -1)).reshape(-1, kept_n.size)
+                      @ p2[kept_n][:, kept]).reshape(d, t.shape[0], kept.size)
+        w = (n_side - resolvent(op.overlaps[:, kept], op.eigenvalues)) \
+            * np.sqrt(op.rho_dec.eigenvalues.real[kept])
+        return w.transpose(1, 0, 2)
 
     @_memoized
     def discrepancy(self, beta: float) -> float:

@@ -14,9 +14,13 @@ a PairContext holds for one (rho, sigma, spec) triple. gap and renyi_gap
 take the entropies of op and op_n, so each entropy is computed once. The
 relative entropy is s_f(builtin_neg_log(), op) and the power quasi-entropy
 s_f(builtin_neg_power(alpha), op); their trace formulas, which take the
-states, are reference oracles in tests/oracles.py. integral_reconstruction
-and reconstruct_gap integrate one resolvent-sum kernel against the density
-w(t) that every rep carries; both need supp rho inside supp sigma and raise
+states, are reference oracles in tests/oracles.py. s_t takes a number or an
+array of t, elementwise. reconstructions rebuilds the entropy of op and the
+gap of (op, op_n) for several functions from one shared integrand: the
+resolvent sums of op and op_n, formed once per quadrature piece, times the
+densities w(t) of every rep on a trailing axis, so one half-line integral
+serves them all; integral_reconstruction and reconstruct_gap are its
+one-function views. It needs supp rho inside supp sigma, and raises
 DomainError otherwise.
 """
 
@@ -54,14 +58,17 @@ def s_f(rep: MonotoneDecreasingRep, op: RelativeModularOperator) -> float:
     return finite_part + rep.f_at_zero * zero_weight
 
 
-def s_t(t: float, op: RelativeModularOperator) -> float:
-    """<sqrt(rho), (t + Delta)^{-1} sqrt(rho)> for t > 0.
+def s_t(t, op: RelativeModularOperator):
+    """<sqrt(rho), (t + Delta)^{-1} sqrt(rho)> for t > 0; t a number or an
+    array, elementwise.
 
     Decreasing in t with t * S_t -> Tr[rho] = 1 as t -> inf.
     """
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
         raise InvalidInput("S_t needs t > 0")
-    return float(np.sum(op.weights / (t + op.eigenvalues)))
+    return np.sum(op.weights / (t[..., None] + op.eigenvalues),
+                  axis=-1)[()]  # a number for a number
 
 
 def renyi(alpha: float, op: RelativeModularOperator) -> float:
@@ -111,34 +118,47 @@ def _resolvent_sum(op: RelativeModularOperator, t: np.ndarray) -> np.ndarray:
     return np.sum(w * (1.0 - e) / ((tc + e) * (tc + 1.0)), axis=1)
 
 
-def integral_reconstruction(rep: MonotoneDecreasingRep,
-                            op: RelativeModularOperator) -> float:
-    """Rebuild S_f from the resolvent family, with the representation
-    anchored at f(1) (see monotone):
+def reconstructions(reps, op: RelativeModularOperator,
+                    op_n: RelativeModularOperator) -> np.ndarray:
+    """S_f(rho||sigma) and the gap S_f(rho||sigma) - S_f(E(rho)||E(sigma))
+    rebuilt from the resolvent family for each rep of reps, as the columns
+    of a (2, len(reps)) array: row 0 the entropies, row 1 the gaps. With the
+    representation anchored at f(1) (see monotone),
 
         S_f = sum_j w_j f(e_j)
             = f(1) sum w + integral_0^inf sum_j w_j (1/(t+e_j) - 1/(t+1))
-                                          w(t) dt.
+                                          w(t) dt,
 
-    Each term of the integrand decays like 1/t^2, keeping the half-line
-    quadrature stable against the w(t) ~ t^alpha growth of power densities,
-    and it takes all the nodes of a quadrature piece in one call.
+    and the gap is the difference of the two anchored reconstructions. Each
+    term of the integrand decays like 1/t^2, keeping the half-line
+    quadrature stable against the w(t) ~ t^alpha growth of power densities.
+    The quadrature sums each entry of the trailing (2, len(reps)) axes over
+    the nodes alone, so a rep's values are the same bits whichever reps
+    share the call.
     """
-    _check_reconstructible(op)
-    integral = integrate_halfline(
-        lambda t: _resolvent_sum(op, t) * rep.density(t))
-    return float(rep.eval(1.0)) * float(np.sum(op.weights)) + float(integral)
+    _check_reconstructible(op, op_n)
+
+    def integrand(t):
+        r = _resolvent_sum(op, t)[:, None, None]
+        r_n = _resolvent_sum(op_n, t)[:, None, None]
+        dens = np.stack([rep.density(t) for rep in reps], axis=-1)[:, None]
+        return np.concatenate([r * dens, (r - r_n) * dens], axis=1)
+
+    f1 = np.array([float(rep.eval(1.0)) for rep in reps])
+    w, w_n = float(np.sum(op.weights)), float(np.sum(op_n.weights))
+    return np.stack([f1 * w, f1 * (w - w_n)]) + integrate_halfline(integrand)
+
+
+def integral_reconstruction(rep: MonotoneDecreasingRep,
+                            op: RelativeModularOperator) -> float:
+    """S_f rebuilt from the resolvent family (reconstructions, against op
+    itself)."""
+    return float(reconstructions([rep], op, op)[0, 0])
 
 
 def reconstruct_gap(rep: MonotoneDecreasingRep, op: RelativeModularOperator,
                     op_n: RelativeModularOperator) -> float:
     """Gap rebuilt as f(1) (sum w - sum w_n) + integral_0^inf
-    (S_t(rho||sigma) - S_t(E(rho)||E(sigma))) w(t) dt, the difference of
-    the two anchored reconstructions. op and op_n as for gap."""
-    _check_reconstructible(op, op_n)
-    integral = integrate_halfline(
-        lambda t: (_resolvent_sum(op, t) - _resolvent_sum(op_n, t))
-        * rep.density(t))
-    return float(rep.eval(1.0)) \
-        * (float(np.sum(op.weights)) - float(np.sum(op_n.weights))) \
-        + float(integral)
+    (S_t(rho||sigma) - S_t(E(rho)||E(sigma))) w(t) dt (reconstructions).
+    op and op_n as for gap."""
+    return float(reconstructions([rep], op, op_n)[1, 0])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import bounds, entropy
+from . import bounds
 from .algebra import (SubalgebraSpec, factor_spec, full_spec, pinching_spec,
                       trivial_spec)
 from .context import PairContext
@@ -375,11 +375,14 @@ def _format_float(v: float) -> str:
 
 def run_reconstruct(config: ExperimentConfig):
     """Integral-reconstruction and proof-internals battery on invertible
-    pairs. Exit 0 iff every recorded error and residual is <= 1e-5; every
+    pairs. Exit 0 iff every recorded error and residual is <= 1e-5 and
+    every internals margin is >= -tolerance (a nan margin fails); every
     function a config names carries its density, so every case integrates.
-    A case whose quadrature fails (NumericalFailure), a reconstruction or a
-    trial's proof internals, is recorded as failed with the reason, sets
-    max_error to inf, and the run goes on. The quadrature's truncation leaves
+    A trial's function cases share one integral (PairContext.reconstructions),
+    whose gaps the proof internals read back. A quadrature that fails
+    (NumericalFailure) records the cases it serves, a trial's function cases
+    or its proof internals, as failed with the reason, sets max_error to inf,
+    and the run goes on. The quadrature's truncation leaves
     identity_residual about 2e-7 at beta = 0.95 and 0.26 at beta = 0.99.
     """
     reps = [rep_from_name(n) for n in config.functions]
@@ -394,22 +397,23 @@ def run_reconstruct(config: ExperimentConfig):
         sigma = sample(SamplerConfig(dim=dim, seed=config.seed, kind="ginibre"),
                        trial_index=2 * i + 1)
         ctx = PairContext(rho, sigma, spec)
-        for rep in reps:
+        try:
+            rebuilt, reason = ctx.reconstructions(reps), None
+        except NumericalFailure as exc:
+            rebuilt, reason = [None] * len(reps), str(exc)
+        for rep, values in zip(reps, rebuilt):
             case = {"trial_index": i, "dim": dim, "spec_kind": kind,
                     "function": rep.name}
-            try:
-                value = entropy.integral_reconstruction(rep, ctx.op)
-                direct = ctx.s_f(rep, "op")
-                g_quad = ctx.reconstruct_gap(rep)
-                g_direct = ctx.gap(rep)
+            if reason is None:
+                value, g_quad = values
                 case["status"] = "ok"
-                case["entropy_error"] = abs(value - direct)
-                case["gap_error"] = abs(g_quad - g_direct)
+                case["entropy_error"] = abs(value - ctx.s_f(rep, "op"))
+                case["gap_error"] = abs(g_quad - ctx.gap(rep))
                 max_error = max(max_error, case["entropy_error"],
                                 case["gap_error"])
-            except NumericalFailure as exc:
+            else:
                 case["status"] = "failed"
-                case["reason"] = str(exc)
+                case["reason"] = reason
                 max_error = math.inf
             cases.append(case)
         beta = config.beta_grid[i % len(config.beta_grid)]
@@ -427,9 +431,8 @@ def run_reconstruct(config: ExperimentConfig):
             max_error = max(max_error, internals["identity_residual"])
             if not math.isnan(internals["gap_residual"]):
                 max_error = max(max_error, internals["gap_residual"])
-            if min(internals["contraction_margin"],
-                   internals["per_t_gap_margin"],
-                   internals["decay_margin"]) < -config.tolerance:
+            if not all(internals[key] >= -config.tolerance for key in (
+                    "contraction_margin", "per_t_gap_margin", "decay_margin")):
                 max_error = math.inf
         cases.append(int_case)
     report = {

@@ -19,9 +19,12 @@ tail of the t^beta weight of the discrepancy identity.
 
 Integrand contract: f is called once per integrate call, with the float
 array of all the nodes, and returns an array whose leading axis indexes
-them; a trailing shape makes the integral an array of that shape. The far=
-tail of integrate_halfline follows the same contract. A non-finite value
-raises NumericalFailure, without a numpy warning.
+them; a trailing shape makes the integral an array of that shape. A
+non-finite value raises NumericalFailure, without a numpy warning. An
+integrand built from a difference of resolvents must regroup that
+difference for large t itself (as PairContext.w_t does): the two terms
+agree to O(1/t^2), and the 1/s^2 jacobian of the inverted tail amplifies
+the lost digits without bound near s = 0.
 """
 
 from __future__ import annotations
@@ -58,19 +61,10 @@ def integrate(f, a: float, b: float):
     return value
 
 
-def integrate_halfline(f, far=None):
-    """Integral of f over (0, inf): direct on (0, 1], t = 1/s on [1, inf).
-
-    far, when given, replaces f on the inverted tail. Callers pass an
-    algebraically regrouped form of the same function there: tail integrands
-    built from differences of resolvents lose all significant digits at large
-    t unless the subtraction is carried out symbolically first, and the 1/s^2
-    jacobian amplifies that noise without bound near s = 0.
-    """
-    tail = f if far is None else far
-
+def integrate_halfline(f):
+    """Integral of f over (0, inf): direct on (0, 1], t = 1/s on [1, inf)."""
     def inverted(s):
-        vals = np.asarray(tail(1.0 / s))
+        vals = np.asarray(f(1.0 / s))
         return vals / _per_node(s ** 2, vals)
 
     return integrate(f, 0.0, 1.0) + integrate(inverted, 0.0, 1.0)

@@ -20,6 +20,7 @@ import pytest
 
 from oracles import (dense_beta_free, dense_discrepancy, dense_kraus,
                      dense_recovery_discrepancy, support_leak)
+from petzgap import entropy
 from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
@@ -143,3 +144,30 @@ def test_support_leaks_match_the_dense_projector(kind):
             assert abs(got - want) <= LEAK_ATOL, (label, rho.dim, got, want)
             leaking += want > 1e-3
     assert leaking > 0
+
+
+# the reconstruct command's default t grid
+RECONSTRUCT_T_GRID = np.logspace(-2, 2, ExperimentConfig().t_points)
+PER_T_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_w_t_carries_the_per_t_gap(kind):
+    """The proof's per-t identity S_t - S_t^N = <w_t, (t + Delta) w_t> =
+    sum (t + e) |w_t|^2 in the context's frame, on full-rank pairs: w_t is
+    the context's, on both sides of t = 1 (its far form above)."""
+    for dim, seed in itertools.product((2, 3, 4, 6, 8), (0, 1, 2)):
+        ctx = PairContext(ginibre(dim, dim, 6000 + 2 * seed),
+                          ginibre(dim, dim, 6001 + 2 * seed),
+                          spec_for(kind, dim))
+        t = RECONSTRUCT_T_GRID
+        e = ctx.op.eigenvalues.reshape(dim, dim)
+        w = ctx.w_t(t)
+        assert w.shape == (t.size, dim, dim)
+        form = np.sum((t[:, None, None] + e) * np.abs(w) ** 2, axis=(1, 2))
+        s_t = entropy.s_t(t, ctx.op)
+        gap_t = s_t - entropy.s_t(t, ctx.op_n)
+        assert np.all(np.abs(gap_t - form) <= PER_T_RTOL * s_t), \
+            (dim, seed, np.max(np.abs(gap_t - form) / s_t))
+        if kind == "full":
+            assert not np.any(w)

@@ -6,7 +6,8 @@ import pytest
 from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              pinching_spec, trivial_spec)
 from petzgap.context import PairContext
-from petzgap.entropy import integral_reconstruction, renyi, s_f, s_t
+from petzgap.entropy import (integral_reconstruction, reconstruct_gap,
+                             reconstructions, renyi, s_f, s_t)
 from petzgap.errors import DomainError, InvalidInput
 from petzgap.harness import ExperimentConfig, run_reconstruct
 from petzgap.linalg import psd_power
@@ -96,6 +97,19 @@ def test_s_t_rejects_nonpositive_t():
     rho = ginibre(2, 2, 5)
     with pytest.raises(InvalidInput):
         s_t(0.0, build(rho, rho))
+    for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, math.nan]):
+        with pytest.raises(InvalidInput):
+            s_t(np.array(bad), build(rho, rho))
+
+
+def test_s_t_array_is_the_scalar_elementwise():
+    op = build(ginibre(4, 4, 6), ginibre(4, 4, 7))
+    ts = np.logspace(-2, 2, 20)
+    got = s_t(ts, op)
+    assert got.shape == ts.shape
+    assert got.tolist() == [s_t(t, op) for t in ts.tolist()]
+    assert s_t(ts.reshape(4, 5), op).tolist() == got.reshape(4, 5).tolist()
+    assert isinstance(s_t(1.0, op), float)
 
 
 def test_umegaki_matches_trace_formula():
@@ -218,6 +232,24 @@ def test_reconstruction_rejects_support_leak():
     sigma = diagonal_state([1.0, 0.0])
     with pytest.raises(DomainError):
         integral_reconstruction(builtin_neg_log(), build(sigma, rho))
+
+
+def test_reconstructions_share_one_integral_bit_for_bit():
+    """One integral rebuilds every function's entropy and gap; each column
+    is the same bits as the function's own one-function views."""
+    ctx = PairContext(ginibre(4, 4, 26), ginibre(4, 4, 27),
+                      pinching_spec(4, [2, 2]))
+    reps = [rep_from_name(n)
+            for n in ("neg-log", "neg-power:0.5", "neg-power:0.75")]
+    both = reconstructions(reps, ctx.op, ctx.op_n)
+    assert both.shape == (2, 3)
+    for j, rep in enumerate(reps):
+        assert both[0, j] == integral_reconstruction(rep, ctx.op)
+        assert both[1, j] == reconstruct_gap(rep, ctx.op, ctx.op_n)
+        assert both[:, j].tolist() == reconstructions(
+            [rep], ctx.op, ctx.op_n)[:, 0].tolist()
+    assert ctx.reconstructions(reps[::-1]) \
+        == [tuple(column) for column in both.T.tolist()][::-1]
 
 
 def test_reconstruct_gap_matches_direct_gap():

@@ -358,6 +358,44 @@ def test_run_reconstruct_beta_099_is_recorded_and_fails_the_gate():
     assert max(c["identity_residual"] for c in internals) > 1e-5
 
 
+@pytest.mark.parametrize("key", ["contraction_margin", "per_t_gap_margin",
+                                 "decay_margin"])
+def test_nan_internals_margin_fails_the_run(monkeypatch, key):
+    original = bounds.proof_internals
+
+    def nan_margin(*args, **kwargs):
+        return dict(original(*args, **kwargs), **{key: math.nan})
+
+    monkeypatch.setattr(bounds, "proof_internals", nan_margin)
+    code, report = run_reconstruct(ExperimentConfig(
+        trials=2, dims=[3], functions=["neg-log"], t_points=6))
+    assert code == 1
+    assert report["summary"]["max_error"] == math.inf
+    internals = [c for c in report["cases"] if c["status"] == "internals"]
+    assert [c[key] for c in internals] == ["nan", "nan"]
+
+
+def test_function_values_do_not_depend_on_the_config():
+    """A function's case values are the same bits whether the config names
+    it alone or beside others, in either order: the functions of a trial
+    share one integral with a trailing axis per function."""
+    def errors(functions):
+        _, report = run_reconstruct(ExperimentConfig(
+            trials=4, dims=[2, 3, 4, 6], functions=functions))
+        return {(c["trial_index"], c["function"]):
+                (c["entropy_error"], c["gap_error"])
+                for c in report["cases"] if c["status"] == "ok"}
+
+    names = ["neg-log", "neg-power:0.5", "neg-power:0.9"]
+    together = errors(names)
+    assert errors(names[::-1]) == together
+    alone = {}
+    for name in names:
+        alone.update(errors([name]))
+    assert alone == together
+    assert len(together) == 4 * len(names)
+
+
 # trials 4 and 6 draw a singular rho and a singular sigma; the run has an
 # infinite-gap trial and "inf" and "nan" markers in its reports
 SINGULAR = dict(trials=7, dims=[2, 3], functions=["neg-log"],

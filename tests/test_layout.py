@@ -11,15 +11,33 @@ it, so the guard fails on
 
 A quantity another module needs goes through a public name, such as the
 PairContext methods the bounds read.
+
+The benchmark reads petzgap from outside: bench/run.py --trace 1 prints a
+counter for every per_layer name of BENCHMARK.json, and its tracer makes a
+`<module>.<function>.calls` / `.self_s` counter only for a public function
+of a petzgap module, so a per_layer name whose function is gone or private
+is a KeyError there. Its trial clock rebinds harness.run_trial,
+harness.run_reconstruct and bounds.proof_internals. A guard below checks
+those names against the modules.
 """
 
 import ast
+import importlib
+import json
+import types
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "petzgap"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "petzgap"
 MODULES = sorted(SRC.glob("*.py"))
+# counters the tracer makes for what is not a petzgap function: numpy's
+# LAPACK eigh, its own fingerprint hook, and the integrand span
+TRACER_SPANS = {"lapack.eigh", "trace.fingerprint", "quadrature.integrand"}
+# the functions bench/run.py's trial clock rebinds
+CLOCKED = {"harness.run_trial", "harness.run_reconstruct",
+           "bounds.proof_internals"}
 
 
 def _private(name: str) -> bool:
@@ -76,3 +94,24 @@ def test_modules_found():
 def test_no_module_reaches_into_private_names(path):
     found = private_reaches(ast.parse(path.read_text(), filename=str(path)))
     assert not found, f"{path.name}: {found}"
+
+
+def _public_function(qualname: str) -> bool:
+    """module.function names a public plain function defined in that
+    petzgap module itself, as the tracer counts them."""
+    module_name, name = qualname.split(".")
+    module = importlib.import_module("petzgap." + module_name)
+    obj = vars(module).get(name)
+    return isinstance(obj, types.FunctionType) \
+        and obj.__module__ == module.__name__ and not name.startswith("_")
+
+
+def test_bench_names_are_public_petzgap_functions():
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    functions = {m["name"].rsplit(".", 1)[0] for m in per_layer
+                 if m["name"].count(".") == 2
+                 and m["name"].endswith((".calls", ".self_s"))}
+    assert "entropy.integral_reconstruction" in functions
+    missing = sorted(f for f in (functions - TRACER_SPANS) | CLOCKED
+                     if not _public_function(f))
+    assert not missing, missing

@@ -28,21 +28,26 @@ beta-free bound and the Kraus operators are read from the eigenbases of the
 four states (two basis changes per trial and two products per beta), where
 linalg.psd_power made 16 dense powers per trial. Nor does a reconstruct
 trial: its proof internals form w_t in the same frame, where they took two
-dense powers per trial. They apply algebra.conditional_expectation only to
-the 5 random matrices of the contraction check (the N side of w_t already
-lies in the subalgebra), where they called it 9 times per trial, 4 of them
-on stacks inside the quadrature integrand. A verify trial's support leaks are
-read from the overlaps of the two modular operators and its recovery errors
-are Hermitian trace norms, so it calls neither linalg.support_projector nor
-linalg.schatten_norm (24 of each on
+dense powers per trial. They apply algebra.conditional_expectation once,
+to the stack of the 5 random matrices of the contraction check (the N side
+of w_t already lies in the subalgebra), where they called it 9 times per
+trial, 4 of them on stacks inside the quadrature integrand, then once per
+random matrix. They take S_t on the whole t grid in one entropy.s_t call
+per operator, where a scalar loop over the 20 grid points made 40. A verify
+trial's support leaks are read from the overlaps of the two modular
+operators and its recovery errors are Hermitian trace norms, so it calls
+neither linalg.support_projector nor linalg.schatten_norm (24 of each on
 verify {"trials": 12, "dims": [32, 48, 64]} before).
 
 A reconstruct run calls the quadrature integrand once per piece with all
 the nodes of the fixed double-exponential rule, so a half-line integral makes
-exactly 2 integrand calls. A reconstruct trial takes 5 half-line integrals
-at the default two functions: an entropy and a gap reconstruction per
-function and the discrepancy identity of the proof internals, whose gap
-reconstruction the context has cached. The graded bisection quadrature made
+exactly 2 integrand calls. A reconstruct trial takes 2 half-line integrals
+whatever the number of functions: one shared integral that rebuilds every
+function's entropy and gap (the resolvent sums of op and op_n, times each
+density on a trailing axis), which the proof internals read back from the
+context, and the discrepancy identity of the proof internals. It took 5 at
+the default two functions, an entropy and a gap reconstruction per
+function and the identity. The graded bisection quadrature made
 144 panels, one integrand call each, on the reconstruct golden config, and
 1,840 before it was graded.
 """
@@ -63,11 +68,12 @@ EIGH_PER_TRIVIAL_TRIAL = 2
 MAX_BUILD_PER_TRIAL = 2
 MAX_S_F_PER_TRIAL = 8
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
-HALFLINE_PER_RECONSTRUCT_TRIAL = 5
+HALFLINE_PER_RECONSTRUCT_TRIAL = 2
 INTEGRAND_CALLS_PER_HALFLINE = 2
 PSD_POWER_PER_TRIAL = 0
 PSD_POWER_PER_RECONSTRUCT_TRIAL = 0
-MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL = 5
+MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL = 1
+S_T_PER_INTERNALS_CASE = 2
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -188,6 +194,27 @@ def test_reconstruct_applies_expectation_only_to_contraction_draws(
     assert all(n <= MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL
                for n in per_trial), per_trial
     assert len(calls) == sum(per_trial), (len(calls), per_trial)
+
+
+def test_internals_take_the_t_grid_in_one_s_t_call_per_operator(
+        monkeypatch):
+    s_t = count_calls(monkeypatch, entropy, "s_t")
+    per_case = []
+    original = bounds.proof_internals
+
+    def counted(*args, **kwargs):
+        before = len(s_t)
+        out = original(*args, **kwargs)
+        per_case.append(len(s_t) - before)
+        return out
+
+    monkeypatch.setattr(bounds, "proof_internals", counted)
+    code, _ = run_reconstruct(ExperimentConfig.from_json(
+        dict(RECONSTRUCT_CONFIG)))
+    assert code == 0
+    assert per_case == [S_T_PER_INTERNALS_CASE] \
+        * RECONSTRUCT_CONFIG["trials"], per_case
+    assert len(s_t) == sum(per_case)
 
 
 def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
