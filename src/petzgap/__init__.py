@@ -7,10 +7,10 @@ from .bounds import (BoundReport, beta_free_discrepancy, corollary_log_bound,
                      corollary_power_bound, discrepancy_norm,
                      generic_corollary_bound, lemma_opt, proof_internals,
                      recovery_chain, recovery_discrepancy, renyi_bound,
-                     theorem_bound)
+                     theorem_bound, theorem_factors)
 from .context import PairContext
-from .entropy import (gap, integral_reconstruction, reconstruct_gap, renyi,
-                      renyi_gap, s_f, s_t)
+from .entropy import (entropies, gap, integral_reconstruction,
+                      reconstruct_gap, renyi, renyi_gap, s_f, s_t)
 from .errors import (DomainError, InvalidInput, NotNormalized, NotPSD,
                      NumericalFailure, PetzGapError, SpecInconsistent)
 from .harness import (ExperimentConfig, TrialRecord, run_reconstruct,
@@ -34,7 +34,8 @@ __all__ = [
     "beta_free_discrepancy", "build", "build_petz",
     "builtin_neg_log", "builtin_neg_power", "c_constant",
     "conditional_expectation", "corollary_log_bound", "corollary_power_bound",
-    "discrepancy_norm", "eigh", "factor_spec", "full_spec", "gap",
+    "discrepancy_norm", "eigh", "entropies", "factor_spec", "full_spec",
+    "gap",
     "generic_corollary_bound", "integral_reconstruction",
     "lemma_opt", "make_density", "operator_norm",
     "pinching_spec", "proof_internals",
@@ -42,5 +43,5 @@ __all__ = [
     "recovery_errors", "renyi", "renyi_bound", "renyi_gap", "rep_from_name",
     "run_reconstruct", "run_sweep", "run_verify", "s_f", "s_t",
     "sample", "schatten_norm", "support_projector", "theorem_bound",
-    "trivial_spec",
+    "theorem_factors", "trivial_spec",
 ]

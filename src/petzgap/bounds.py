@@ -9,7 +9,8 @@ subalgebra with conditional expectation E:
 
 with pseudo-inverse powers throughout disc (at b = 1/2 the zeroth rho power
 is the support projector). The chain runs: theorem_bound controls disc by a
-T-family of right-hand sides; optimizing over T (lemma_opt) inverts into
+T-family of right-hand sides, built from the factors theorem_factors
+computes once per (f, beta); optimizing over T (lemma_opt) inverts into
 gap >= K * disc^E (the corollary bounds); disc controls the Petz recovery
 errors (recovery_chain); Renyi divergences ride on the power corollary.
 
@@ -141,28 +142,38 @@ def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
     return PairContext(rho, sigma, spec).recovery_discrepancy
 
 
-def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t,
-                  delta_norm: float, gap: float):
-    """Right-hand side of the T-family bound on (pi/sin(beta pi)) * disc:
-
-        2 (1/beta + ||Delta||/(1-beta)) T^{-k}
-          + T^{n0} sqrt(C^f_{T,beta}) sqrt(gap)
-
-    with (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and
-    (1-beta, beta) for beta >= 1/2. T is a number or an array, elementwise.
-    Negative numerical gaps clamp to zero; an infinite gap gives inf and a
-    nan gap nan at every T.
+def theorem_factors(rep: MonotoneDecreasingRep, beta: float, t):
+    """The factors of the T-family bound that depend on (f, beta, T) only,
+    (T^{-k}, T^{n0} sqrt(C^f_{T,beta})), with (k, n0) = (beta,
+    (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and (1-beta, beta) for
+    beta >= 1/2. T is a number or an array, elementwise. A run computes them
+    once per (function, beta) and theorem_bound combines them with each
+    trial's ||Delta|| and gap.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise InvalidInput("T must be positive")
-    g = max(float(gap), 0.0)
     c_f = c_constant(rep, t, beta)
-    first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
     k, n0 = _branch(beta)
-    return first * t ** (-k) + t ** n0 * np.sqrt(c_f) * math.sqrt(g)
+    return t ** (-k), t ** n0 * np.sqrt(c_f)
+
+
+def theorem_bound(factors, beta: float, delta_norm: float, gap: float):
+    """Right-hand side of the T-family bound on (pi/sin(beta pi)) * disc:
+
+        2 (1/beta + ||Delta||/(1-beta)) T^{-k}
+          + T^{n0} sqrt(C^f_{T,beta}) sqrt(gap)
+
+    from factors = theorem_factors(rep, beta, T), elementwise in T.
+    Negative numerical gaps clamp to zero; an infinite gap gives inf and a
+    nan gap nan at every T.
+    """
+    decay, growth = factors
+    g = max(float(gap), 0.0)
+    first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
+    return first * decay + growth * math.sqrt(g)
 
 
 def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, float]:

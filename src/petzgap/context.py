@@ -9,9 +9,11 @@ and E(sigma) are diagonalized through the block cores of the subalgebra
 none at all when every core is 1 x 1 (the trivial algebra), and none when E
 is the identity, since E(x) is then x itself and every E = id gap is
 exactly 0. It owns the relative modular operators op and op_n, and keeps
-one entropy per (function, operator), which the gaps and Renyi gaps share,
-and one quadrature reconstruction per function, which the functions of a
-trial take from one shared integral (entropy.reconstructions).
+one entropy per (function, operator), which the gaps and Renyi gaps share
+and the functions of a trial take from one pass over each operator
+(entropies, entropy.entropies), and one quadrature reconstruction per
+function, which they take from one shared integral
+(entropy.reconstructions).
 The support leaks are read from the overlaps of op and op_n, and the
 recovery errors are trace norms of Hermitian matrices, from their
 eigenvalues (no SVD, no support projector).
@@ -107,10 +109,23 @@ class PairContext:
     def delta_norm(self) -> float:
         return modular.operator_norm(self.op)
 
-    @_memoized
+    def entropies(self, reps) -> None:
+        """Compute the entropy of each rep on op and on op_n, kept per (rep,
+        operator): the reps not yet computed share one pass over each
+        operator (entropy.entropies)."""
+        for role in ("op", "op_n"):
+            todo = [rep for rep in dict.fromkeys(reps)
+                    if ("s_f", rep, role) not in self._memo]
+            if todo:
+                values = entropy.entropies(todo, getattr(self, role))
+                self._memo.update(zip([("s_f", rep, role) for rep in todo],
+                                      values))
+
     def s_f(self, rep, role: str) -> float:
-        """entropy.s_f of the operator op or op_n (role "op" or "op_n")."""
-        return entropy.s_f(rep, getattr(self, role))
+        """The entropy of rep on op or op_n (role "op" or "op_n")."""
+        if ("s_f", rep, role) not in self._memo:
+            self.entropies([rep])
+        return self._memo["s_f", rep, role]
 
     @_memoized
     def gap(self, rep) -> float:

@@ -10,9 +10,11 @@ below WEIGHT_TOL multiply any f(0+) to zero (the 0 * inf = 0 convention).
 
 Every function of Delta takes Delta itself, op = modular.build(sigma, rho);
 reconstruct_gap takes op and op_n, the operator of (E(rho), E(sigma)), which
-a PairContext holds for one (rho, sigma, spec) triple. gap and renyi_gap
-take the entropies of op and op_n, so each entropy is computed once. The
-relative entropy is s_f(builtin_neg_log(), op) and the power quasi-entropy
+a PairContext holds for one (rho, sigma, spec) triple. entropies takes
+the entropy of op for several functions in one pass over op, and s_f is
+its one-function view. gap and renyi_gap take the entropies of op and
+op_n, so each entropy is computed once. The relative entropy is
+s_f(builtin_neg_log(), op) and the power quasi-entropy
 s_f(builtin_neg_power(alpha), op); their trace formulas, which take the
 states, are reference oracles in tests/oracles.py. s_t takes a number or an
 array of t, elementwise. reconstructions rebuilds the entropy of op and the
@@ -43,19 +45,36 @@ def _kernel_weight(op: RelativeModularOperator) -> float:
     return float(np.sum(op.weights[op.eigenvalues <= 0.0]))
 
 
-def s_f(rep: MonotoneDecreasingRep, op: RelativeModularOperator) -> float:
-    """Quasi-entropy for an operator monotone decreasing f; math.inf when
-    f(0+) = +inf and the kernel weight exceeds WEIGHT_TOL."""
+def entropies(reps, op: RelativeModularOperator) -> list:
+    """Quasi-entropy of op for each rep of reps, in one pass over op: the
+    positive spectrum and the kernel weight are formed once, and every rep
+    is evaluated on it as one row of a stack, each row summed on its own (a
+    rep's entropy is the same bits whichever reps share the call). math.inf
+    where f(0+) = +inf and the kernel weight exceeds WEIGHT_TOL."""
+    if not reps:
+        return []
     e, w = op.eigenvalues, op.weights
     pos = e > 0.0
-    fv = np.asarray(rep.eval(e[pos]), dtype=float)
-    if not np.all(np.isfinite(fv)):
-        raise DomainError(f"{rep.name} not finite on the positive spectrum")
-    finite_part = float(np.sum(w[pos] * fv))
+    e_pos = e[pos]
+    fv = np.array([rep.eval(e_pos) for rep in reps], dtype=float)
+    finite = np.isfinite(fv).all(axis=1)
+    if not finite.all():
+        bad = reps[int(np.argmin(finite))]
+        raise DomainError(f"{bad.name} not finite on the positive spectrum")
     zero_weight = _kernel_weight(op)
-    if np.isinf(rep.f_at_zero):
-        return math.inf if zero_weight > WEIGHT_TOL else finite_part
-    return finite_part + rep.f_at_zero * zero_weight
+    out = []
+    for rep, finite_part in zip(reps, np.sum(w[pos] * fv, axis=1).tolist()):
+        if math.isinf(rep.f_at_zero):
+            out.append(math.inf if zero_weight > WEIGHT_TOL else finite_part)
+        else:
+            out.append(finite_part + rep.f_at_zero * zero_weight)
+    return out
+
+
+def s_f(rep: MonotoneDecreasingRep, op: RelativeModularOperator) -> float:
+    """Quasi-entropy for an operator monotone decreasing f (entropies, for
+    one rep)."""
+    return entropies([rep], op)[0]
 
 
 def s_t(t, op: RelativeModularOperator):

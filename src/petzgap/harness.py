@@ -28,7 +28,7 @@ from .algebra import (SubalgebraSpec, factor_spec, full_spec, pinching_spec,
                       trivial_spec)
 from .context import PairContext
 from .errors import InvalidInput, NumericalFailure, PetzGapError
-from .monotone import builtin_neg_log, rep_from_name
+from .monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from .states import SamplerConfig, default_factors, sample
 
 SPEC_KINDS = ("pinching", "partial-trace", "trivial", "full")
@@ -187,14 +187,25 @@ def _dpi_report(rep, g):
                               margins=margins, flags=flags)
 
 
-def _theorem_report(rep, beta, disc, delta_norm, g):
-    """The T-family on all of T_GRID at once; its margin is the least
+def grid_factors(reps: list, beta_grid: list) -> dict:
+    """bounds.theorem_factors on T_GRID for each (rep, beta), the factors of
+    the T-family that no trial quantity enters; run_verify computes them once
+    per run. An overflowed constant is inf here, and _theorem_report flags
+    what it leaves."""
+    with np.errstate(over="ignore"):
+        return {(rep, beta): bounds.theorem_factors(rep, beta, T_GRID)
+                for rep in reps for beta in beta_grid}
+
+
+def _theorem_report(rep, beta, factors, disc, delta_norm, g):
+    """The T-family on all of T_GRID at once, from the run's factors of
+    (rep, beta) and the trial's ||Delta|| and gap; its margin is the least
     rhs - lhs, at T_at_min_margin (None when the gap is inf or nan, or when
     an overflowed constant times a zero gap, inf * 0, leaves a nan: that
     asserts nothing and carries the constant-overflow flag)."""
     lhs = math.pi / math.sin(beta * math.pi) * disc
     with np.errstate(over="ignore", invalid="ignore"):
-        excess = bounds.theorem_bound(rep, beta, T_GRID, delta_norm, g) - lhs
+        excess = bounds.theorem_bound(factors, beta, delta_norm, g) - lhs
     margins, flags = bounds.gap_margin("theorem_T_grid", g)
     worst_t = None
     if math.isfinite(g) and np.isnan(excess).any():
@@ -210,20 +221,27 @@ def _theorem_report(rep, beta, disc, delta_norm, g):
         margins=margins, flags=flags)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int,
-              reps: list) -> TrialRecord:
-    """One verify trial with the reps of config.functions, which run_verify
-    builds once for the whole run."""
+def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
+              factors: dict) -> TrialRecord:
+    """One verify trial with the reps of config.functions and the T-family
+    factors of each (rep, beta) (grid_factors), which run_verify builds
+    once for the whole run. The entropies of every function the battery
+    reads (the reps, neg-log, and the powers alpha and 1 - alpha of
+    alpha_grid) are taken in one pass over each operator."""
     rho, sigma, dim, rank_rho, rank_sigma, sampler_kind = \
         draw_pair(config, trial_index)
     kind = config.specs[trial_index % len(config.specs)]
     ctx = PairContext(rho, sigma, spec_for(kind, dim))
+    ctx.entropies(reps + [builtin_neg_log()]
+                  + [builtin_neg_power(a) for a in config.alpha_grid]
+                  + [builtin_neg_power(1.0 - a) for a in config.alpha_grid])
     reports = []
     for rep in reps:
         g = ctx.gap(rep)
         reports.append(_dpi_report(rep, g))
         for beta in config.beta_grid:
-            reports.append(_theorem_report(rep, beta, ctx.discrepancy(beta),
+            reports.append(_theorem_report(rep, beta, factors[rep, beta],
+                                           ctx.discrepancy(beta),
                                            ctx.delta_norm, g))
             # for neg-log, corollary-log asserts this and records K_generic
             if rep is not builtin_neg_log():
@@ -252,6 +270,7 @@ def run_verify(config: ExperimentConfig):
     report_dict). The summary locates the least margin, gives it per family
     (name up to its colon), counts flags per report and skipped nan margins."""
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     records = []  # a TrialRecord, or the JSON record of a trial that raised
     failures = 0
     checked = 0
@@ -264,7 +283,7 @@ def run_verify(config: ExperimentConfig):
     flag_counts = {}
     for i in range(config.trials):
         try:
-            record = run_trial(config, i, reps)
+            record = run_trial(config, i, reps, factors)
         except (PetzGapError, ArithmeticError) as exc:
             error_trials += 1
             records.append({"trial_index": i, "status": "error",
@@ -373,13 +392,24 @@ def _format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _worst(max_error: float, *errors: float) -> float:
+    """The largest of max_error and errors; inf when an error is nan, which
+    max alone would drop (max(0.0, nan) is 0.0)."""
+    if any(math.isnan(e) for e in errors):
+        return math.inf
+    return max(max_error, *errors)
+
+
 def run_reconstruct(config: ExperimentConfig):
     """Integral-reconstruction and proof-internals battery on invertible
     pairs. Exit 0 iff every recorded error and residual is <= 1e-5 and
-    every internals margin is >= -tolerance (a nan margin fails); every
+    every internals margin is >= -tolerance (a nan error, residual or
+    margin fails; only the gap residual's nan, which marks a pair whose
+    reconstruction raised DomainError, is skipped); every
     function a config names carries its density, so every case integrates.
     A trial's function cases share one integral (PairContext.reconstructions),
-    whose gaps the proof internals read back. A quadrature that fails
+    whose gaps the proof internals read back, and one pass over each operator
+    for the entropies they are checked against (PairContext.entropies). A quadrature that fails
     (NumericalFailure) records the cases it serves, a trial's function cases
     or its proof internals, as failed with the reason, sets max_error to inf,
     and the run goes on. The quadrature's truncation leaves
@@ -397,6 +427,7 @@ def run_reconstruct(config: ExperimentConfig):
         sigma = sample(SamplerConfig(dim=dim, seed=config.seed, kind="ginibre"),
                        trial_index=2 * i + 1)
         ctx = PairContext(rho, sigma, spec)
+        ctx.entropies(reps)
         try:
             rebuilt, reason = ctx.reconstructions(reps), None
         except NumericalFailure as exc:
@@ -409,8 +440,8 @@ def run_reconstruct(config: ExperimentConfig):
                 case["status"] = "ok"
                 case["entropy_error"] = abs(value - ctx.s_f(rep, "op"))
                 case["gap_error"] = abs(g_quad - ctx.gap(rep))
-                max_error = max(max_error, case["entropy_error"],
-                                case["gap_error"])
+                max_error = _worst(max_error, case["entropy_error"],
+                                   case["gap_error"])
             else:
                 case["status"] = "failed"
                 case["reason"] = reason
@@ -428,9 +459,9 @@ def run_reconstruct(config: ExperimentConfig):
             max_error = math.inf
         else:
             int_case.update(internals, status="internals")
-            max_error = max(max_error, internals["identity_residual"])
+            max_error = _worst(max_error, internals["identity_residual"])
             if not math.isnan(internals["gap_residual"]):
-                max_error = max(max_error, internals["gap_residual"])
+                max_error = _worst(max_error, internals["gap_residual"])
             if not all(internals[key] >= -config.tolerance for key in (
                     "contraction_margin", "per_t_gap_margin", "decay_margin")):
                 max_error = math.inf

@@ -103,8 +103,9 @@ def test_criterion_02_theorem_t_family(population):
                     skipped_undefined += 1
                     continue
                 for t in t_grid:
-                    rhs = bounds.theorem_bound(rep, beta, float(t),
-                                               delta_norm, g)
+                    rhs = bounds.theorem_bound(
+                        bounds.theorem_factors(rep, beta, float(t)), beta,
+                        delta_norm, g)
                     checks += 1
                     if not lhs <= rhs + 1e-8:
                         violations += 1

@@ -14,11 +14,12 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             generic_corollary_bound, lemma_opt,
                             log_corollary_constant, power_corollary_constant,
                             proof_internals, recovery_chain,
-                            recovery_discrepancy, renyi_bound, theorem_bound)
+                            recovery_discrepancy, renyi_bound, theorem_bound,
+                            theorem_factors)
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput
 from petzgap.harness import (SPEC_KINDS, T_GRID, ExperimentConfig,
-                             draw_pair, run_trial, spec_for)
+                             draw_pair, grid_factors, run_trial, spec_for)
 from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from petzgap.states import make_density
 
@@ -71,32 +72,38 @@ def test_lemma_opt_degenerate_and_invalid():
         lemma_opt(-1.0, 1.0, 1.0, 1.0)
 
 
+def bound_at(rep, beta, t, delta_norm, gap):
+    """The T-family right side from the run's factors and a trial's
+    values, as verify combines them."""
+    return theorem_bound(theorem_factors(rep, beta, t), beta, delta_norm, gap)
+
+
 def test_theorem_bound_zero_gap_value():
-    got = theorem_bound(builtin_neg_log(), 0.5, 4.0, 1.0, 0.0)
+    got = bound_at(builtin_neg_log(), 0.5, 4.0, 1.0, 0.0)
     assert got == pytest.approx(4.0, abs=1e-12)
 
 
 def test_theorem_bound_branch_agreement_at_half():
     rep = builtin_neg_log()
     for t in (0.5, 2.0, 30.0):
-        lo = theorem_bound(rep, 0.5 - 1e-13, t, 1.3, 0.2)
-        hi = theorem_bound(rep, 0.5 + 1e-13, t, 1.3, 0.2)
+        lo = bound_at(rep, 0.5 - 1e-13, t, 1.3, 0.2)
+        hi = bound_at(rep, 0.5 + 1e-13, t, 1.3, 0.2)
         assert lo == pytest.approx(hi, rel=1e-9)
 
 
 def test_theorem_bound_infinite_gap_and_validation():
     rep = builtin_neg_log()
-    assert math.isinf(theorem_bound(rep, 0.5, 1.0, 1.0, math.inf))
+    assert math.isinf(bound_at(rep, 0.5, 1.0, 1.0, math.inf))
     # negative numerical gap clamps to zero
-    assert theorem_bound(rep, 0.5, 4.0, 1.0, -1e-12) == pytest.approx(4.0)
+    assert bound_at(rep, 0.5, 4.0, 1.0, -1e-12) == pytest.approx(4.0)
     with pytest.raises(InvalidInput):
-        theorem_bound(rep, 0.0, 1.0, 1.0, 0.0)
+        theorem_factors(rep, 0.0, 1.0)
     with pytest.raises(InvalidInput):
-        theorem_bound(rep, 0.5, 0.0, 1.0, 0.0)
+        theorem_factors(rep, 0.5, 0.0)
     with pytest.raises(InvalidInput):
-        theorem_bound(rep, 0.5, np.array([1.0, 0.0, 2.0]), 1.0, 0.0)
+        theorem_factors(rep, 0.5, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(InvalidInput):
-        theorem_bound(rep, 1.0, T_GRID, 1.0, 0.0)
+        theorem_factors(rep, 1.0, T_GRID)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.25, 0.5])
@@ -104,18 +111,19 @@ def test_theorem_bound_array_matches_scalar_formula(alpha):
     # numpy's array pow against libm pow: a few ulp at most
     rep = builtin_neg_log() if alpha is None else builtin_neg_power(alpha)
     for beta in (0.25, 0.3, 0.5, 0.7, 0.75):
+        factors = theorem_factors(rep, beta, T_GRID)
         for delta_norm in (1.0, 37.5):
             for g in (0.0, 1e-12, 0.3):
-                got = theorem_bound(rep, beta, T_GRID, delta_norm, g)
+                got = theorem_bound(factors, beta, delta_norm, g)
                 want = np.array([scalar_theorem_bound(
                     alpha, beta, float(t), delta_norm, g) for t in T_GRID])
                 assert got.shape == T_GRID.shape
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), \
                     (beta, delta_norm, g)
             assert np.all(np.isposinf(
-                theorem_bound(rep, beta, T_GRID, delta_norm, math.inf)))
+                theorem_bound(factors, beta, delta_norm, math.inf)))
             assert np.all(np.isnan(
-                theorem_bound(rep, beta, T_GRID, delta_norm, math.nan)))
+                theorem_bound(factors, beta, delta_norm, math.nan)))
 
 
 def test_theorem_grid_min_dominates_lemma_value():
@@ -146,7 +154,7 @@ def test_theorem_inequality_random_pairs():
             disc = discrepancy_norm(beta, rho, sigma, SPEC4)
             lhs = math.pi / math.sin(beta * math.pi) * disc
             for t in np.logspace(-2, 4, 7):
-                assert lhs <= theorem_bound(rep, beta, float(t), op_norm, g) \
+                assert lhs <= bound_at(rep, beta, float(t), op_norm, g) \
                     + 1e-8
 
 
@@ -301,8 +309,9 @@ def test_constants_of_a_large_delta_norm_are_logs():
     config = ExperimentConfig(trials=60, beta_grid=[0.99],
                               dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     for i in (13, 36, 48, 56):
-        record = run_trial(config, i, reps)
+        record = run_trial(config, i, reps, factors)
         generic = [r for r in record.reports if r.name.startswith("generic:")]
         assert min(r.constants["log_K_gap"] for r in generic) \
             < math.log(sys.float_info.min)

@@ -24,7 +24,8 @@ from petzgap import entropy
 from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
-from petzgap.harness import SPEC_KINDS, ExperimentConfig, run_trial, spec_for
+from petzgap.harness import (SPEC_KINDS, ExperimentConfig, grid_factors,
+                             run_trial, spec_for)
 from petzgap.monotone import rep_from_name
 
 from conftest import ginibre, haar_unitary, near_singular
@@ -55,11 +56,12 @@ def test_identity_expectation_discrepancies_are_exactly_zero():
     config = ExperimentConfig(trials=20, dims=[2, 3, 4, 6, 8],
                               beta_grid=list(BETAS))
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     checked = 0
     for i in range(config.trials):
         if config.specs[i % len(config.specs)] != "full":
             continue
-        quantities = run_trial(config, i, reps).quantities
+        quantities = run_trial(config, i, reps, factors).quantities
         for name in ("discrepancy", "beta_free"):
             for beta, value in quantities[name].items():
                 checked += 1

@@ -6,8 +6,9 @@ import pytest
 from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              pinching_spec, trivial_spec)
 from petzgap.context import PairContext
-from petzgap.entropy import (integral_reconstruction, reconstruct_gap,
-                             reconstructions, renyi, s_f, s_t)
+from petzgap.entropy import (WEIGHT_TOL, entropies, integral_reconstruction,
+                             reconstruct_gap, reconstructions, renyi, s_f,
+                             s_t)
 from petzgap.errors import DomainError, InvalidInput
 from petzgap.harness import ExperimentConfig, run_reconstruct
 from petzgap.linalg import psd_power
@@ -250,6 +251,32 @@ def test_reconstructions_share_one_integral_bit_for_bit():
             [rep], ctx.op, ctx.op_n)[:, 0].tolist()
     assert ctx.reconstructions(reps[::-1]) \
         == [tuple(column) for column in both.T.tolist()][::-1]
+
+
+def test_entropies_take_one_pass_bit_for_bit():
+    """Each entropy of the one-pass stack is the same bits as a sum over
+    the positive spectrum for that function alone, whichever functions
+    share the call and in whatever order; singular rho and sigma
+    included."""
+    def one_sum(rep, op):
+        pos = op.eigenvalues > 0.0
+        finite_part = float(np.sum(op.weights[pos] * rep.eval(
+            op.eigenvalues[pos])))
+        zero_weight = float(np.sum(op.weights[~pos]))
+        if math.isinf(rep.f_at_zero):
+            return math.inf if zero_weight > WEIGHT_TOL else finite_part
+        return finite_part + rep.f_at_zero * zero_weight
+
+    reps = [rep_from_name(n) for n in
+            ("neg-log", "neg-power:0.25", "neg-power:0.5", "neg-power:0.75")]
+    for rank_rho, rank_sigma in ((4, 4), (3, 4), (4, 3)):
+        op = build(ginibre(4, rank_sigma, 28), ginibre(4, rank_rho, 29))
+        want = [one_sum(rep, op) for rep in reps]
+        assert entropies(reps, op) == want
+        assert entropies(reps[::-1], op) == want[::-1]
+        assert [s_f(rep, op) for rep in reps] == want
+    assert math.isinf(want[0])
+    assert entropies([], op) == []
 
 
 def test_reconstruct_gap_matches_direct_gap():

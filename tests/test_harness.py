@@ -1,20 +1,24 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import petzgap
 from petzgap import bounds, harness
 from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NumericalFailure
 from petzgap.harness import (CSV_HEADER, T_GRID, ExperimentConfig,
                              _theorem_report, draw_pair, dumps_report,
-                             run_reconstruct, run_sweep, run_trial,
-                             run_verify, sanitize, spec_for)
+                             grid_factors, run_reconstruct, run_sweep,
+                             run_trial, run_verify, sanitize, spec_for)
 from petzgap.monotone import rep_from_name
 
 from oracles import scalar_theorem_bound
@@ -116,7 +120,7 @@ def test_draw_pair_policies():
 def test_run_trial_record_shape():
     cfg = ExperimentConfig(**SMALL)
     reps = [rep_from_name(n) for n in cfg.functions]
-    record = run_trial(cfg, 0, reps)
+    record = run_trial(cfg, 0, reps, grid_factors(reps, cfg.beta_grid))
     assert record.reports
     blob = record.to_json()
     assert "wall_time" not in blob
@@ -135,8 +139,9 @@ def test_theorem_report_margin_rules(name, alpha):
     rep = rep_from_name(name)
     beta, disc, delta_norm = 0.3, 0.02, 4.5
     lhs = math.pi / math.sin(beta * math.pi) * disc
+    factors = grid_factors([rep], [beta])[rep, beta]
     for g in (0.0, 1e-12, 0.3, -1e-15):
-        report = _theorem_report(rep, beta, disc, delta_norm, g)
+        report = _theorem_report(rep, beta, factors, disc, delta_norm, g)
         excess = [scalar_theorem_bound(alpha, beta, float(t), delta_norm, g)
                   - lhs for t in T_GRID]
         i = int(np.argmin(excess))
@@ -144,11 +149,13 @@ def test_theorem_report_margin_rules(name, alpha):
         assert report.margins["theorem_T_grid"] == pytest.approx(
             excess[i], rel=1e-15)
         assert report.flags == []
-    infinite = _theorem_report(rep, beta, disc, delta_norm, math.inf)
+    infinite = _theorem_report(rep, beta, factors, disc, delta_norm,
+                               math.inf)
     assert infinite.margins == {"theorem_T_grid": math.inf}
     assert infinite.flags == [FLAG_INFINITE_GAP]
     assert infinite.constants["T_at_min_margin"] is None
-    undefined = _theorem_report(rep, beta, disc, delta_norm, math.nan)
+    undefined = _theorem_report(rep, beta, factors, disc, delta_norm,
+                                math.nan)
     assert undefined.margins == {}
     assert undefined.flags == [FLAG_INFINITE_GAP]
     assert undefined.constants["T_at_min_margin"] is None
@@ -182,6 +189,7 @@ def test_verify_reports_each_bound_once():
 def test_reports_leave_trial_quantities_and_grid_constants_out():
     config = ExperimentConfig(trials=8, dims=[2, 3, 4])
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     _, report = run_verify(config)
     written = json.loads(dumps_report(report))
     alphas, betas = config.alpha_grid, config.beta_grid
@@ -193,7 +201,8 @@ def test_reports_leave_trial_quantities_and_grid_constants_out():
             assert not {"schema", "gap", "discrepancy", "delta_norm"} & set(r)
             assert not GRID_KEYS & set(r["constants"])
         # the grid constants are the same in every trial
-        assert bounds.grid_constants(run_trial(config, i, reps).reports) \
+        assert bounds.grid_constants(
+            run_trial(config, i, reps, factors).reports) \
             == written["grid"]
         rho, sigma, dim, _, _, _ = draw_pair(config, i)
         ctx = PairContext(rho, sigma,
@@ -216,7 +225,8 @@ def test_bound_reports_hold_what_they_write():
     assert {f.name for f in dataclasses.fields(bounds.BoundReport)} \
         == set(bounds.BoundReport(name="dpi:neg-log", beta=None).to_json())
     config = ExperimentConfig()
-    record = run_trial(config, 4, [rep_from_name(n) for n in config.functions])
+    reps = [rep_from_name(n) for n in config.functions]
+    record = run_trial(config, 4, reps, grid_factors(reps, config.beta_grid))
     assert record.drawn["rank_rho"] < record.drawn["dim"]
     beta_free = [r for r in record.reports if r.name == "beta-free"]
     assert len(beta_free) == len(config.beta_grid)
@@ -320,6 +330,33 @@ def test_run_sweep_needs_composite_dimension():
         run_sweep(cfg)
 
 
+def test_verify_runs_leave_nothing_behind_for_the_next():
+    """Verify on A, then on B (other functions, alpha and beta grids), then
+    on A again in one process: A's reports are the same bytes, and B's are
+    those of B run first in a fresh interpreter. Nothing a run computes,
+    such as its T-family factors, outlives it."""
+    a = dict(trials=6, dims=[2, 3, 4])
+    b = dict(trials=6, dims=[2, 3, 4], functions=["neg-power:0.3"],
+             alpha_grid=[0.4], beta_grid=[0.6, 0.2])
+
+    def verify(config):
+        return dumps_report(run_verify(ExperimentConfig(**config))[1])
+
+    first_a, in_process_b, second_a = verify(a), verify(b), verify(a)
+    assert first_a == second_a
+    src = os.path.dirname(os.path.dirname(petzgap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh_b = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from petzgap.harness import ExperimentConfig, "
+         "dumps_report, run_verify; sys.stdout.write(dumps_report("
+         f"run_verify(ExperimentConfig(**{b!r}))[1]))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert in_process_b == fresh_b
+    assert in_process_b != first_a
+
+
 def test_run_reconstruct_small_battery():
     cfg = ExperimentConfig(trials=2, dims=[3], specs=["pinching"],
                            functions=["neg-log"], beta_grid=[0.5],
@@ -373,6 +410,50 @@ def test_nan_internals_margin_fails_the_run(monkeypatch, key):
     assert report["summary"]["max_error"] == math.inf
     internals = [c for c in report["cases"] if c["status"] == "internals"]
     assert [c[key] for c in internals] == ["nan", "nan"]
+
+
+def test_nan_identity_residual_fails_the_run(monkeypatch):
+    # max(0.0, nan) is 0.0: folded in with max alone, the nan left the run
+    # at exit 0 with max_error 2.2e-16
+    original = bounds.proof_internals
+
+    def nan_residual(*args, **kwargs):
+        return dict(original(*args, **kwargs), identity_residual=math.nan)
+
+    monkeypatch.setattr(bounds, "proof_internals", nan_residual)
+    code, report = run_reconstruct(ExperimentConfig(
+        trials=2, dims=[3], functions=["neg-log"], t_points=6))
+    assert code == 1
+    assert report["summary"]["max_error"] == math.inf
+    internals = [c for c in report["cases"] if c["status"] == "internals"]
+    assert [c["identity_residual"] for c in internals] == ["nan", "nan"]
+
+
+def test_nan_reconstruction_error_fails_the_run(monkeypatch):
+    # the gap residual reads the same reconstruction: its nan, the mark of
+    # a DomainError, is the one nan the gate skips
+    monkeypatch.setattr(PairContext, "reconstructions",
+                        lambda self, reps: [(math.nan, math.nan)] * len(reps))
+    code, report = run_reconstruct(ExperimentConfig(
+        trials=2, dims=[3], functions=["neg-log"], t_points=6))
+    assert code == 1
+    assert report["summary"]["max_error"] == math.inf
+    ok = [c for c in report["cases"] if c["status"] == "ok"]
+    assert [(c["entropy_error"], c["gap_error"]) for c in ok] \
+        == [("nan", "nan")] * 2
+
+
+def test_nan_gap_residual_alone_is_skipped(monkeypatch):
+    original = bounds.proof_internals
+
+    def nan_gap(*args, **kwargs):
+        return dict(original(*args, **kwargs), gap_residual=math.nan)
+
+    monkeypatch.setattr(bounds, "proof_internals", nan_gap)
+    code, report = run_reconstruct(ExperimentConfig(
+        trials=2, dims=[3], functions=["neg-log"], t_points=6))
+    assert code == 0
+    assert report["summary"]["max_error"] <= 1e-5
 
 
 def test_function_values_do_not_depend_on_the_config():

@@ -9,19 +9,25 @@ than the largest core, and a 1 x 1 core needs none, so a trial of the
 trivial algebra makes exactly 2 eigh, as does one where E is the identity
 (E(x) is x itself). At most 4 eigh per trial, then, where E(rho) and
 E(sigma) each used to cost one d x d eigh. A trial builds exactly two
-relative modular operators and one entropy.s_f per (function, operator)
-pair: 8 for the gaps of neg-log and neg-power at 0.25, 0.5, 0.75, which the
-Renyi gaps of orders 0.75, 0.5, 0.25 read too. A trial used to make about 485 eigh, 74 modular.build and 36 s_f
-calls at these settings, then up to ten eigh while a context re-diagonalized
-every validated state. The counts are deterministic and asserted for every
+relative modular operators and takes every entropy the battery reads (the
+gaps of neg-log and neg-power at 0.25, 0.5, 0.75, which the Renyi gaps of
+orders 0.75, 0.5, 0.25 read too) in one entropy.entropies pass per
+operator: at most 2 calls, and no direct entropy.s_f call, where it made
+one s_f call per (function, operator) pair, 8 at these settings. A trial
+used to make about 485 eigh, 74 modular.build and 36 s_f calls at these
+settings, then up to ten eigh while a context re-diagonalized every
+validated state. The counts are deterministic and asserted for every
 trial, so redundancy that creeps back fails here. They include the
 quantities block of the trial record, which PairContext.quantities() reads
 from the memo after the bounds have run.
 
 The theorem's T-family is evaluated on the whole T grid in one
-bounds.theorem_bound call, with one bounds.c_constant call, per (function,
-beta): 6 of each per trial at the defaults, where a scalar loop over the 40
-grid points made 240 and 230.
+bounds.theorem_bound call per (function, beta) and trial: 6 per trial at
+the defaults, where a scalar loop over the 40 grid points made 240. Its
+factors that no trial quantity enters come from one bounds.c_constant call
+per (function, beta) and run (harness.grid_factors): 6 per run at the
+defaults and none in a trial, where every trial made 6, and a scalar loop
+230.
 
 A verify trial forms no dense power of a state: the discrepancies, the
 beta-free bound and the Kraus operators are read from the eigenbases of the
@@ -57,8 +63,9 @@ import sys
 import numpy as np
 
 from petzgap import algebra, bounds, entropy, linalg, modular, quadrature
-from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
-                             spec_for)
+from petzgap import harness
+from petzgap.harness import (ExperimentConfig, grid_factors, run_reconstruct,
+                             run_trial, run_verify, spec_for)
 from petzgap.monotone import rep_from_name
 
 TRIALS = 10
@@ -66,7 +73,8 @@ MAX_EIGH_PER_TRIAL = 4
 EIGH_PER_IDENTITY_TRIAL = 2
 EIGH_PER_TRIVIAL_TRIAL = 2
 MAX_BUILD_PER_TRIAL = 2
-MAX_S_F_PER_TRIAL = 8
+MAX_ENTROPIES_PER_TRIAL = 2
+S_F_PER_TRIAL = 0
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
 HALFLINE_PER_RECONSTRUCT_TRIAL = 2
 INTEGRAND_CALLS_PER_HALFLINE = 2
@@ -91,8 +99,10 @@ def count_calls(monkeypatch, owner, name) -> list:
 def test_run_trial_computes_each_quantity_once(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     build = count_calls(monkeypatch, modular, "build")
+    entropies = count_calls(monkeypatch, entropy, "entropies")
     s_f = count_calls(monkeypatch, entropy, "s_f")
     per_trial = []
     identity = []
@@ -100,22 +110,25 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         dim = config.dims[i % len(config.dims)]
         spec = spec_for(config.specs[i % len(config.specs)], dim)
         identity.append(spec.blocks == [(dim, 1)])
-        before = len(eigh), len(build), len(s_f)
-        run_trial(config, i, reps)
+        before = len(eigh), len(build), len(entropies), len(s_f)
+        run_trial(config, i, reps, factors)
         per_trial.append((len(eigh) - before[0], len(build) - before[1],
-                          len(s_f) - before[2]))
+                          len(entropies) - before[2], len(s_f) - before[3]))
     assert any(identity) and not all(identity)
-    assert all(e <= MAX_EIGH_PER_TRIAL for e, _, _ in per_trial), per_trial
+    assert all(e <= MAX_EIGH_PER_TRIAL for e, _, _, _ in per_trial), per_trial
     assert all(e == EIGH_PER_IDENTITY_TRIAL
-               for (e, _, _), ident in zip(per_trial, identity) if ident), \
+               for (e, _, _, _), ident in zip(per_trial, identity) if ident), \
         per_trial
-    assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _ in per_trial), per_trial
-    assert all(n <= MAX_S_F_PER_TRIAL for _, _, n in per_trial), per_trial
+    assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _, _ in per_trial), per_trial
+    assert all(n <= MAX_ENTROPIES_PER_TRIAL for _, _, n, _ in per_trial), \
+        per_trial
+    assert all(n == S_F_PER_TRIAL for _, _, _, n in per_trial), per_trial
 
 
 def test_expectations_diagonalize_only_block_cores(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     shapes = []
     original = np.linalg.eigh
 
@@ -131,7 +144,7 @@ def test_expectations_diagonalize_only_block_cores(monkeypatch):
         kinds.add(config.specs[i % len(config.specs)])
         largest_core = max(n for n, _ in spec.blocks)
         shapes.clear()
-        run_trial(config, i, reps)
+        run_trial(config, i, reps, factors)
         assert shapes[:2] == [(dim, dim)] * 2, (i, shapes)
         assert all(s[-1] <= largest_core for s in shapes[2:]), (i, shapes)
         if spec.blocks == [(1, dim)]:
@@ -159,11 +172,12 @@ def count_linalg(monkeypatch, name: str, owner=linalg) -> list:
 def test_verify_trials_form_no_dense_power(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     calls = count_linalg(monkeypatch, "psd_power")
     per_trial = []
     for i in range(TRIALS):
         before = len(calls)
-        run_trial(config, i, reps)
+        run_trial(config, i, reps, factors)
         per_trial.append(len(calls) - before)
     assert per_trial == [PSD_POWER_PER_TRIAL] * TRIALS, per_trial
     calls.clear()
@@ -220,11 +234,12 @@ def test_internals_take_the_t_grid_in_one_s_t_call_per_operator(
 def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
     reps = [rep_from_name(n) for n in config.functions]
+    factors = grid_factors(reps, config.beta_grid)
     calls = {name: count_linalg(monkeypatch, name)
              for name in ("support_projector", "schatten_norm")}
     trace_norm = count_linalg(monkeypatch, "trace_norm")
     for i in range(2 * TRIALS):
-        run_trial(config, i, reps)
+        run_trial(config, i, reps, factors)
     assert {name: len(c) for name, c in calls.items()} \
         == {"support_projector": 0, "schatten_norm": 0}
     assert len(trace_norm) == 2 * 2 * TRIALS
@@ -232,16 +247,25 @@ def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
 
 def test_theorem_grid_is_one_call_per_function_and_beta(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
-    reps = [rep_from_name(n) for n in config.functions]
     theorem = count_calls(monkeypatch, bounds, "theorem_bound")
     c_constant = count_calls(monkeypatch, bounds, "c_constant")
-    limit = len(config.functions) * len(config.beta_grid)
-    assert limit == 6
-    for i in range(TRIALS):
+    per_trial = []
+    original = harness.run_trial
+
+    def counted(*args):
         before = len(theorem), len(c_constant)
-        run_trial(config, i, reps)
-        assert 0 < len(theorem) - before[0] <= limit
-        assert 0 < len(c_constant) - before[1] <= limit
+        out = original(*args)
+        per_trial.append((len(theorem) - before[0],
+                          len(c_constant) - before[1]))
+        return out
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    code, _ = run_verify(config)
+    assert code == 0
+    per_function_and_beta = len(config.functions) * len(config.beta_grid)
+    assert per_function_and_beta == 6
+    assert per_trial == [(per_function_and_beta, 0)] * TRIALS, per_trial
+    assert len(c_constant) == per_function_and_beta
 
 
 def test_reconstruct_integrand_calls(monkeypatch):
