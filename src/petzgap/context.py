@@ -7,10 +7,10 @@ trial and drop it with the trial. Its spectra are the ones its states carry
 and E(sigma) are diagonalized through the block cores of the subalgebra
 (algebra.expectation_eigh), where no matrix is larger than the largest core:
 none at all when every core is 1 x 1 (the trivial algebra), and none when E
-is the identity, since E(x) is then x itself and every E = id gap is
-exactly 0. It owns the relative modular operators op and op_n, and keeps
-one entropy per (function, operator), which the gaps and Renyi gaps share
-and the functions of a trial take from one pass over each operator
+is the identity, since E(x) is then x itself, op_n is op and every E = id
+gap is exactly 0. It owns the relative modular operators op and op_n, and
+keeps one entropy per (function, operator), which the gaps and Renyi gaps
+share and the functions of a trial take from one pass over each operator
 (entropies, entropy.entropies), and one quadrature reconstruction per
 function, which they take from one shared integral
 (entropy.reconstructions).
@@ -103,6 +103,9 @@ class PairContext:
 
     @cached_property
     def op_n(self) -> modular.RelativeModularOperator:
+        """Delta_{E(sigma),E(rho)}: op itself when E is the identity."""
+        if self.rho_n is self.rho and self.sigma_n is self.sigma:
+            return self.op
         return modular.build(self.sigma_n.spectrum, self.rho_n.spectrum)
 
     @cached_property
@@ -112,14 +115,19 @@ class PairContext:
     def entropies(self, reps) -> None:
         """Compute the entropy of each rep on op and on op_n, kept per (rep,
         operator): the reps not yet computed share one pass over each
-        operator (entropy.entropies)."""
+        operator (entropy.entropies). When op_n is op (E is the identity),
+        op_n's entropies are op's."""
         for role in ("op", "op_n"):
             todo = [rep for rep in dict.fromkeys(reps)
                     if ("s_f", rep, role) not in self._memo]
-            if todo:
+            if not todo:
+                continue
+            if role == "op_n" and self.op_n is self.op:
+                values = [self._memo["s_f", rep, "op"] for rep in todo]
+            else:
                 values = entropy.entropies(todo, getattr(self, role))
-                self._memo.update(zip([("s_f", rep, role) for rep in todo],
-                                      values))
+            self._memo.update(zip([("s_f", rep, role) for rep in todo],
+                                  values))
 
     def s_f(self, rep, role: str) -> float:
         """The entropy of rep on op or op_n (role "op" or "op_n")."""

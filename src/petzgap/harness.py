@@ -5,7 +5,8 @@ keyed by (seed, trial_index), floats are serialized at full precision, JSON
 keys are sorted, and no record carries a wall-clock time. A JSON report is
 one compact line written by the C encoder of the json module; its records
 are made JSON-safe (each non-finite float as "nan", "inf" or "-inf") at
-report assembly, its summary by dumps_report. A verify_v2 trial record
+report assembly, its summary by dumps_report; a verify trial's record is
+encoded once, when its trial ends. A verify_v2 trial record
 writes each quantity of the trial once (quantities), the run each constant
 of (report name, beta) once (grid), and no bound report holds either. A
 reconstruct internals case is the dict that bounds.proof_internals returns,
@@ -34,6 +35,11 @@ from .states import SamplerConfig, default_factors, sample
 SPEC_KINDS = ("pinching", "partial-trace", "trivial", "full")
 
 CSV_HEADER = "epsilon,gap,disc_b50,err_rho,err_sigma,rhs_log,rhs_pow,rhs_renyi"
+
+# Compact JSON with sorted keys; a non-finite float is a ValueError, not
+# invalid JSON. Every report and every verify trial record is encoded by it.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            allow_nan=False)
 
 
 def _require_int(value, label: str) -> None:
@@ -132,7 +138,8 @@ class ExperimentConfig:
 @dataclass(eq=False)
 class TrialRecord:
     """One verify trial that ran: what it drew, its PairContext's quantities
-    and its reports, whose JSON leaves out what the quantities hold."""
+    and its reports, whose JSON leaves out what the quantities hold.
+    run_verify keeps only the JSON text of to_json()."""
 
     drawn: dict
     quantities: dict
@@ -268,10 +275,14 @@ def run_verify(config: ExperimentConfig):
     is recorded with status "error" and its exception, counted in
     error_trials, and exits 1; the run goes on. Returns (exit_code,
     report_dict). The summary locates the least margin, gives it per family
-    (name up to its colon), counts flags per report and skipped nan margins."""
+    (name up to its colon), counts flags per report and skipped nan margins.
+    A trial's record is encoded to JSON text when the trial ends, after the
+    summary has read it, and report_dict["trials"] holds only those texts,
+    which dumps_report splices in. The grid block is the first ok trial's."""
     reps = [rep_from_name(n) for n in config.functions]
     factors = grid_factors(reps, config.beta_grid)
-    records = []  # a TrialRecord, or the JSON record of a trial that raised
+    trials = []  # the JSON text of each trial's record
+    grid = None
     failures = 0
     checked = 0
     skipped = 0
@@ -286,9 +297,9 @@ def run_verify(config: ExperimentConfig):
             record = run_trial(config, i, reps, factors)
         except (PetzGapError, ArithmeticError) as exc:
             error_trials += 1
-            records.append({"trial_index": i, "status": "error",
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "reports": []})
+            trials.append(_ENCODER.encode(
+                {"trial_index": i, "status": "error",
+                 "error": f"{type(exc).__name__}: {exc}", "reports": []}))
             continue
         infinite_before = flag_counts.get(bounds.FLAG_INFINITE_GAP, 0)
         for report in record.reports:
@@ -310,14 +321,14 @@ def run_verify(config: ExperimentConfig):
                     failures += 1
         if flag_counts.get(bounds.FLAG_INFINITE_GAP, 0) > infinite_before:
             infinite_gap_trials += 1
-        records.append(record)
+        if grid is None:
+            grid = bounds.json_safe(bounds.grid_constants(record.reports))
+        trials.append(_ENCODER.encode(record.to_json()))
     report = {
         "schema": "verify_v2",
         "config": config.to_json(),
         "config_hash": config.hash(),
-        "grid": bounds.json_safe(next((bounds.grid_constants(r.reports)
-                                       for r in records
-                                       if not isinstance(r, dict)), {})),
+        "grid": {} if grid is None else grid,
         "summary": {
             "trials": config.trials,
             "margins_checked": checked,
@@ -330,8 +341,7 @@ def run_verify(config: ExperimentConfig):
             "min_margin_by_family": by_family,
             "flag_counts": flag_counts,
         },
-        "trials": [r if isinstance(r, dict) else r.to_json()
-                   for r in records],
+        "trials": trials,
     }
     return (0 if failures == error_trials == 0 else 1), report
 
@@ -502,7 +512,18 @@ def sanitize(obj):
 def dumps_report(report: dict) -> str:
     """The report as one line of compact JSON with sorted keys. Only the
     summary is converted here; a non-finite float anywhere else is a
-    ValueError, not invalid JSON."""
-    report = dict(report, summary=bounds.json_safe(report["summary"]))
-    return json.dumps(report, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    ValueError, not invalid JSON. A verify report's trials, JSON texts
+    already, are spliced in with one join after the rest: "trials" sorts
+    last among the report's keys."""
+    head = dict(report, summary=bounds.json_safe(report["summary"]))
+    trials = head.pop("trials", None)
+    text = _ENCODER.encode(head)
+    if trials is None:
+        return text + "\n"
+    parts = [text[:-1], ',"trials":[']
+    for trial in trials:
+        parts += (trial, ",")
+    if trials:
+        parts.pop()
+    parts.append("]}\n")
+    return "".join(parts)

@@ -1,8 +1,8 @@
 """PairContext on the identity expectation, and its discrepancies against
 the dense-power oracles.
 
-E = id gives E(x) = x itself, so every gap is exactly 0, with or without a
-rotated basis, and so is every discrepancy: with no basis change the two
+E = id gives E(x) = x itself and op_n is op, so every gap is exactly 0, with
+or without a rotated basis, and so is every discrepancy: with no basis change the two
 terms of D_b are the same numbers.
 
 The context computes discrepancies and Kraus operators in the eigenbases of
@@ -47,6 +47,7 @@ def test_identity_expectation_gaps_are_exactly_zero(dim, rotated):
                       spec)
     assert ctx.rho_n is ctx.rho
     assert ctx.sigma_n is ctx.sigma
+    assert ctx.op_n is ctx.op
     for name in ("neg-log", "neg-power:0.5"):
         assert ctx.gap(rep_from_name(name)) == 0.0
     assert ctx.renyi_gap(0.5) == 0.0

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -13,6 +14,7 @@ import pytest
 import petzgap
 from petzgap import bounds, harness
 from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
+from petzgap.cli import main
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NumericalFailure
 from petzgap.harness import (CSV_HEADER, T_GRID, ExperimentConfig,
@@ -28,6 +30,12 @@ SMALL = dict(trials=3, dims=[2, 3], specs=["pinching", "trivial"],
              seed=7)
 
 
+def trials_of(report) -> list:
+    """The trial records of a verify report, parsed from the JSON text that
+    run_verify keeps of each."""
+    return [json.loads(text) for text in report["trials"]]
+
+
 def test_overflowing_theorem_constant_asserts_no_nan_margin():
     # C ~ 1/alpha overflows at alpha = 1e-320 where the gap rounds to 0, so
     # the T-family's right side is inf * 0 = nan at every T
@@ -39,7 +47,7 @@ def test_overflowing_theorem_constant_asserts_no_nan_margin():
     summary = report["summary"]
     assert summary["flag_counts"] == {bounds.FLAG_CONSTANT_OVERFLOW: 6}
     assert summary["margins_skipped"] == 0
-    theorem = [r for trial in report["trials"] for r in trial["reports"]
+    theorem = [r for trial in trials_of(report) for r in trial["reports"]
                if r["name"] == "theorem:neg-power:1e-320"]
     assert len(theorem) == 6
     for r in theorem:
@@ -180,7 +188,7 @@ def test_run_verify_passes_and_is_deterministic():
 
 def test_verify_reports_each_bound_once():
     _, report = run_verify(ExperimentConfig(trials=4))
-    for trial in report["trials"]:
+    for trial in trials_of(report):
         keys = [(r["name"], r["beta"]) for r in trial["reports"]]
         assert len(keys) == len(set(keys))
         assert "generic:neg-log" not in {name for name, _ in keys}
@@ -241,7 +249,7 @@ def test_alphas_that_print_alike_keep_their_own_names():
     _, report = run_verify(ExperimentConfig(
         trials=1, dims=[2], specs=["pinching"], functions=["neg-log"],
         alpha_grid=[0.1234567, 0.12345671], beta_grid=[0.5]))
-    trial = report["trials"][0]
+    trial = trials_of(report)[0]
     assert sorted(trial["quantities"]["gap"]) == [
         "neg-log", "neg-power:0.1234567", "neg-power:0.12345671"]
     assert sorted(trial["quantities"]["renyi_gap"]) == [
@@ -265,8 +273,9 @@ def test_summary_locates_the_least_margin_and_counts_flags(monkeypatch):
     config = ExperimentConfig(**SINGULAR)
     _, report = run_verify(config)
     summary = report["summary"]
+    trials = trials_of(report)
     by_family, flags, skipped = {}, Counter(), 0
-    for trial in report["trials"]:
+    for trial in trials:
         for r in trial["reports"]:
             flags.update(r["flags"])
             for value in map(float, r["margins"].values()):
@@ -281,7 +290,7 @@ def test_summary_locates_the_least_margin_and_counts_flags(monkeypatch):
         family: min(values) for family, values in by_family.items()}
     assert summary["flag_counts"] == dict(flags)
     worst = summary["worst_margin"]
-    located = [r for r in report["trials"][worst["trial_index"]]["reports"]
+    located = [r for r in trials[worst["trial_index"]]["reports"]
                if (r["name"], r["beta"]) == (worst["report"], worst["beta"])]
     assert len(located) == 1
     assert located[0]["margins"][worst["key"]] == worst["value"] \
@@ -504,11 +513,70 @@ def test_dumps_report_matches_sanitized_reconstruct_report(monkeypatch):
     assert [c["status"] for c in parsed["cases"]].count("failed") == 1
 
 
-def test_dumps_report_rejects_a_stray_nan():
-    _, report = run_verify(ExperimentConfig(**SMALL))
-    report["trials"][0]["quantities"]["delta_norm"] = math.nan
-    with pytest.raises(ValueError):
-        dumps_report(report)
+def test_dumps_report_rejects_a_stray_nan(monkeypatch, tmp_path):
+    # json_safe marks only Python floats: a numpy nan reaches the trial's
+    # encode unmarked
+    original = PairContext.quantities
+
+    def with_a_stray_nan(self):
+        return dict(original(self), delta_norm=np.float64(math.nan))
+
+    monkeypatch.setattr(PairContext, "quantities", with_a_stray_nan)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        run_verify(ExperimentConfig(**SMALL))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        main(["verify", "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+
+
+def overflow_on_trial_1(monkeypatch):
+    original = harness.run_trial
+
+    def overflow_on_one(config, trial_index, *args, **kwargs):
+        if trial_index == 1:
+            raise OverflowError("(34, 'Numerical result out of range')")
+        return original(config, trial_index, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", overflow_on_one)
+
+
+@pytest.mark.parametrize("config,erroring", [(SMALL, False),
+                                             (SINGULAR, False),
+                                             (SMALL, True)])
+def test_spliced_report_is_the_one_shot_encoding(monkeypatch, config,
+                                                  erroring):
+    """The report dumps_report splices from per-trial texts is the bytes
+    one json.dumps of the whole report writes: SINGULAR has infinite-gap
+    margins, and the erroring run an error record between two ok trials."""
+    if erroring:
+        overflow_on_trial_1(monkeypatch)
+    code, report = run_verify(ExperimentConfig(**config))
+    assert code == (1 if erroring else 0)
+    assert report["summary"]["error_trials"] == (1 if erroring else 0)
+    text = dumps_report(report)
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def test_verify_keeps_each_trial_as_its_text():
+    """run_verify and dumps_report together hold at most 4 bytes of heap
+    per byte of report: the run keeps each trial's record only as its JSON
+    text, and the report is one join of those texts, where keeping every
+    trial's objects until the end of the run took 11.4 bytes."""
+    config = dict(trials=20, dims=[2, 3, 4, 6, 8])
+    # one-time allocations of a first run (imports, shared reps) are not
+    # the run's
+    run_verify(ExperimentConfig(**dict(config, trials=1)))
+    tracemalloc.start()
+    try:
+        text = dumps_report(run_verify(ExperimentConfig(**config))[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text), (peak, len(text))
 
 
 def test_sanitize_and_dumps():
@@ -521,7 +589,8 @@ def test_sanitize_and_dumps():
     assert report["summary"]["infinite_gap_trials"] >= 1
     text = dumps_report(report)
     assert '"inf"' in text and '"nan"' in text
-    assert json.loads(text) == sanitize(report)
+    assert json.loads(text) == sanitize(dict(report,
+                                             trials=trials_of(report)))
     # the summary stays numeric in memory; only the written copy is converted
     assert isinstance(report["summary"]["min_margin"], float)
     # one compact line with sorted keys
@@ -544,14 +613,7 @@ def test_json_safe_marks_only_non_finite_floats():
 
 
 def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
-    original = harness.run_trial
-
-    def overflow_on_one(config, trial_index, *args, **kwargs):
-        if trial_index == 1:
-            raise OverflowError("(34, 'Numerical result out of range')")
-        return original(config, trial_index, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "run_trial", overflow_on_one)
+    overflow_on_trial_1(monkeypatch)
     cfg = ExperimentConfig(**SMALL)
     code, report = run_verify(cfg)
     assert code == 1
@@ -559,7 +621,7 @@ def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
     assert summary["error_trials"] == 1
     assert summary["failures"] == 0
     assert summary["trials"] == 3
-    trials = report["trials"]
+    trials = trials_of(report)
     assert [t["trial_index"] for t in trials] == [0, 1, 2]
     assert trials[1] == {
         "trial_index": 1, "status": "error",
@@ -567,4 +629,5 @@ def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
         "reports": []}
     assert trials[0]["reports"] and trials[2]["reports"]
     assert [t["status"] for t in trials] == ["ok", "error", "ok"]
-    assert json.loads(dumps_report(report)) == sanitize(report)
+    assert json.loads(dumps_report(report)) == sanitize(dict(report,
+                                                             trials=trials))

@@ -8,12 +8,15 @@ subalgebra: cores of one size share one stacked eigh, no input is larger
 than the largest core, and a 1 x 1 core needs none, so a trial of the
 trivial algebra makes exactly 2 eigh, as does one where E is the identity
 (E(x) is x itself). At most 4 eigh per trial, then, where E(rho) and
-E(sigma) each used to cost one d x d eigh. A trial builds exactly two
-relative modular operators and takes every entropy the battery reads (the
-gaps of neg-log and neg-power at 0.25, 0.5, 0.75, which the Renyi gaps of
-orders 0.75, 0.5, 0.25 read too) in one entropy.entropies pass per
-operator: at most 2 calls, and no direct entropy.s_f call, where it made
-one s_f call per (function, operator) pair, 8 at these settings. A trial
+E(sigma) each used to cost one d x d eigh. A trial builds at most two
+relative modular operators, op and op_n, and takes every entropy the
+battery reads (the gaps of neg-log and neg-power at 0.25, 0.5, 0.75, which
+the Renyi gaps of orders 0.75, 0.5, 0.25 read too) in one entropy.entropies
+pass per operator: at most 2 calls, and no direct entropy.s_f call, where it
+made one s_f call per (function, operator) pair, 8 at these settings. When
+E is the identity op_n is op, and its entropies are op's: such a trial
+builds exactly one operator and makes exactly one entropies call, where it
+built op_n again from the same spectra and took a second pass. A trial
 used to make about 485 eigh, 74 modular.build and 36 s_f calls at these
 settings, then up to ten eigh while a context re-diagonalized every
 validated state. The counts are deterministic and asserted for every
@@ -73,7 +76,9 @@ MAX_EIGH_PER_TRIAL = 4
 EIGH_PER_IDENTITY_TRIAL = 2
 EIGH_PER_TRIVIAL_TRIAL = 2
 MAX_BUILD_PER_TRIAL = 2
+BUILD_PER_IDENTITY_TRIAL = 1
 MAX_ENTROPIES_PER_TRIAL = 2
+ENTROPIES_PER_IDENTITY_TRIAL = 1
 S_F_PER_TRIAL = 0
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
 HALFLINE_PER_RECONSTRUCT_TRIAL = 2
@@ -121,6 +126,10 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         per_trial
     assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _, _ in per_trial), per_trial
     assert all(n <= MAX_ENTROPIES_PER_TRIAL for _, _, n, _ in per_trial), \
+        per_trial
+    assert all((b, n) == (BUILD_PER_IDENTITY_TRIAL,
+                          ENTROPIES_PER_IDENTITY_TRIAL)
+               for (_, b, n, _), ident in zip(per_trial, identity) if ident), \
         per_trial
     assert all(n == S_F_PER_TRIAL for _, _, _, n in per_trial), per_trial
 
