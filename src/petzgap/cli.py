@@ -6,9 +6,10 @@
 
 verify writes a verify_v2 report; its line ends with where min_margin sits.
 Exit codes: 0 all checks passed, 1 a bound or residual check failed, a
-trial or case was recorded as an error or failure, or a numerical error (a
-PetzGapError or an ArithmeticError) stopped the run, 2 configuration or I/O
-problems.
+trial or case was recorded as an error or failure, a numerical error (a
+PetzGapError or an ArithmeticError) stopped the run, or the report encoder
+met a non-finite float that no "nan"/"inf" marker had replaced (a
+ValueError; no report is written), 2 configuration or I/O problems.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"petzgap: config error: {exc}", file=sys.stderr)
         return 2
-    except (PetzGapError, ArithmeticError) as exc:
+    except (PetzGapError, ArithmeticError, ValueError) as exc:
+        # ValueError: the report encoder met an unmarked nan or inf
         print(f"petzgap: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:

@@ -19,10 +19,10 @@ s_f(builtin_neg_power(alpha), op); their trace formulas, which take the
 states, are reference oracles in tests/oracles.py. s_t takes a number or an
 array of t, elementwise. reconstructions rebuilds the entropy of op and the
 gap of (op, op_n) for several functions from one shared integrand: the
-resolvent sums of op and op_n, formed once per quadrature piece, times the
-densities w(t) of every rep on a trailing axis, so one half-line integral
-serves them all; integral_reconstruction and reconstruct_gap are its
-one-function views. It needs supp rho inside supp sigma, and raises
+resolvent sums of op and op_n, formed once per half-line integral, times
+the densities w(t) of every rep on a trailing axis, so one half-line
+integral serves them all; integral_reconstruction and reconstruct_gap are
+its one-function views. It needs supp rho inside supp sigma, and raises
 DomainError otherwise.
 """
 

@@ -15,6 +15,7 @@ with its status.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -186,6 +187,7 @@ def draw_pair(config: ExperimentConfig, trial_index: int):
 
 
 T_GRID = np.logspace(-3, 6, 40)
+_NO_ERRSTATE = contextlib.nullcontext()
 
 
 def _dpi_report(rep, g):
@@ -196,23 +198,30 @@ def _dpi_report(rep, g):
 
 def grid_factors(reps: list, beta_grid: list) -> dict:
     """bounds.theorem_factors on T_GRID for each (rep, beta), the factors of
-    the T-family that no trial quantity enters; run_verify computes them once
-    per run. An overflowed constant is inf here, and _theorem_report flags
-    what it leaves."""
+    the T-family that no trial quantity enters, with a third entry that says
+    whether a growth factor overflowed to inf; run_verify computes them once
+    per run. _theorem_report flags what an overflowed constant leaves."""
     with np.errstate(over="ignore"):
-        return {(rep, beta): bounds.theorem_factors(rep, beta, T_GRID)
-                for rep in reps for beta in beta_grid}
+        factors = {(rep, beta): bounds.theorem_factors(rep, beta, T_GRID)
+                   for rep in reps for beta in beta_grid}
+    return {key: (decay, growth, not np.isfinite(growth).all())
+            for key, (decay, growth) in factors.items()}
 
 
 def _theorem_report(rep, beta, factors, disc, delta_norm, g):
     """The T-family on all of T_GRID at once, from the run's factors of
-    (rep, beta) and the trial's ||Delta|| and gap; its margin is the least
-    rhs - lhs, at T_at_min_margin (None when the gap is inf or nan, or when
-    an overflowed constant times a zero gap, inf * 0, leaves a nan: that
-    asserts nothing and carries the constant-overflow flag)."""
+    (rep, beta) (grid_factors) and the trial's ||Delta|| and gap; its margin
+    is the least rhs - lhs, at T_at_min_margin (None when the gap is inf or
+    nan, or when an overflowed constant times a zero gap, inf * 0, leaves a
+    nan: that asserts nothing and carries the constant-overflow flag).
+    inf * 0 is the one invalid operation of the T-family, so numpy is
+    silenced only for the pairs whose constant overflowed."""
+    decay, growth, overflowed = factors
     lhs = math.pi / math.sin(beta * math.pi) * disc
-    with np.errstate(over="ignore", invalid="ignore"):
-        excess = bounds.theorem_bound(factors, beta, delta_norm, g) - lhs
+    with (np.errstate(over="ignore", invalid="ignore") if overflowed
+          else _NO_ERRSTATE):
+        excess = bounds.theorem_bound((decay, growth), beta, delta_norm,
+                                      g) - lhs
     margins, flags = bounds.gap_margin("theorem_T_grid", g)
     worst_t = None
     if math.isfinite(g) and np.isnan(excess).any():

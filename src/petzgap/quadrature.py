@@ -7,24 +7,28 @@ It integrates an endpoint behaviour x^-gamma with no extra nodes, and it
 forms x - a as (b - a) times a logistic factor, with full relative precision
 near a: a singular end is passed as a. U_MAX is the last step at which the
 smallest offset, about 5e-148 of b - a, has a normal square, as the s^2 of
-the inverted half-line tail needs. Truncating there drops about
+the folded half-line tail needs. Truncating there drops about
 (5e-148)^(1 - gamma) / (1 - gamma): under 1e-14 for gamma <= 0.9, 5e-7 at
 gamma = 0.95, order 1 at gamma = 0.99, where doubles fail any rule that does
 not know gamma. No error estimate is formed; every caller compares its
 integral with a closed-form value.
 
-The half line splits at t = 1 and inverts the tail (t = 1/s), so both pieces
-have their singular end at 0: the power densities t^alpha, and the s^-beta
-tail of the t^beta weight of the discrepancy identity.
+The half line folds onto (0, 1]: the integral of f over (0, inf) is that of
+f(s) + f(1/s) / s^2 over (0, 1], so both halves have their singular end at
+s = 0: the power densities t^alpha, and the s^-beta tail of the t^beta
+weight of the discrepancy identity.
 
 Integrand contract: f is called once per integrate call, with the float
 array of all the nodes, and returns an array whose leading axis indexes
-them; a trailing shape makes the integral an array of that shape. A
-non-finite value raises NumericalFailure, without a numpy warning. An
+them; a trailing shape makes the integral an array of that shape.
+integrate_halfline is one integrate call on the folded integrand: f is
+called once, on the nodes s followed by 1/s, each half in the rule's
+order, so the even-indexed nodes of each half are still the rule at step
+2H. A non-finite value raises NumericalFailure, without a numpy warning. An
 integrand built from a difference of resolvents must regroup that
 difference for large t itself (as PairContext.w_t does): the two terms
-agree to O(1/t^2), and the 1/s^2 jacobian of the inverted tail amplifies
-the lost digits without bound near s = 0.
+agree to O(1/t^2), and the 1/s^2 jacobian of the folded tail amplifies the
+lost digits without bound near s = 0.
 """
 
 from __future__ import annotations
@@ -62,9 +66,11 @@ def integrate(f, a: float, b: float):
 
 
 def integrate_halfline(f):
-    """Integral of f over (0, inf): direct on (0, 1], t = 1/s on [1, inf)."""
-    def inverted(s):
-        vals = np.asarray(f(1.0 / s))
-        return vals / _per_node(s ** 2, vals)
+    """Integral of f over (0, inf), as that of f(s) + f(1/s) / s^2 over
+    (0, 1]: one integrate call, which calls f once on both halves."""
+    def folded(s):
+        vals = np.asarray(f(np.concatenate([s, 1.0 / s])))
+        head, tail = vals[:s.size], vals[s.size:]
+        return head + tail / _per_node(s ** 2, tail)
 
-    return integrate(f, 0.0, 1.0) + integrate(inverted, 0.0, 1.0)
+    return integrate(folded, 0.0, 1.0)

@@ -56,6 +56,15 @@ def test_overflowing_theorem_constant_asserts_no_nan_margin():
         assert r["constants"]["T_at_min_margin"] is None
 
 
+def test_grid_factors_flag_only_overflowed_constants():
+    reps = [rep_from_name(n)
+            for n in ("neg-log", "neg-power:0.5", "neg-power:1e-320")]
+    factors = grid_factors(reps, [0.25, 0.5, 0.75])
+    assert len(factors) == 9
+    assert {rep.name for (rep, _), (_, _, overflowed) in factors.items()
+            if overflowed} == {"neg-power:1e-320"}
+
+
 def test_config_validation():
     with pytest.raises(InvalidInput):
         ExperimentConfig(trials=0)
@@ -513,9 +522,9 @@ def test_dumps_report_matches_sanitized_reconstruct_report(monkeypatch):
     assert [c["status"] for c in parsed["cases"]].count("failed") == 1
 
 
-def test_dumps_report_rejects_a_stray_nan(monkeypatch, tmp_path):
+def test_dumps_report_rejects_a_stray_nan(monkeypatch, tmp_path, capsys):
     # json_safe marks only Python floats: a numpy nan reaches the trial's
-    # encode unmarked
+    # encode unmarked, and the command names the encoder's ValueError
     original = PairContext.quantities
 
     def with_a_stray_nan(self):
@@ -527,8 +536,12 @@ def test_dumps_report_rejects_a_stray_nan(monkeypatch, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL))
     out = tmp_path / "report.json"
-    with pytest.raises(ValueError, match="JSON compliant"):
-        main(["verify", "--config", str(config), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("petzgap: ValueError: ")
+    assert "JSON compliant" in err[0]
     assert not out.exists()
 
 

@@ -28,7 +28,8 @@ def test_integrand_called_once_per_panel_with_all_nodes():
     shapes.clear()
     got = integrate_halfline(recorded(lambda t: 1.0 / (1.0 + t) ** 2))
     assert got == pytest.approx(1.0, abs=1e-14)
-    assert shapes == [nodes] * 2
+    # the folded half line: one call on the nodes s and then 1/s
+    assert shapes == [(2 * nodes[0],)]
 
 
 def test_log_kernel():
@@ -76,6 +77,54 @@ def test_halfline_beta_integrals_closed_form(gamma, tol):
     # nodes, and only the truncation of the node range limits the ends
     got = integrate_halfline(lambda t: t ** (gamma - 1.0) / (1.0 + t))
     assert abs(got - math.pi / math.sin(gamma * math.pi)) <= tol
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                   0.9])
+def test_folded_halfline_beta_family_to_roundoff(gamma):
+    # pi / sin(gamma pi) = int_0^inf t^(gamma-1) / (1+t) dt; folded, the
+    # integrand is s^(gamma-1) / (1+s) + s^-gamma / (1+s) on (0, 1]
+    want = math.pi / math.sin(gamma * math.pi)
+    got = integrate_halfline(lambda t: t ** (gamma - 1.0) / (1.0 + t))
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_folded_halfline_non_finite_tail_raises_without_warnings():
+    # log(2 - t) is finite on (0, 1] and nan beyond t = 2: only the t > 1
+    # half of the one integrand call is non-finite
+    calls = []
+
+    def finite_head(t):
+        calls.append(t)
+        return np.log(2.0 - t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            integrate_halfline(finite_head)
+    assert len(calls) == 1
+    head, tail = np.split(calls[0], 2)
+    assert np.all(head <= 1.0) and np.all(np.isfinite(np.log(2.0 - head)))
+    assert np.all(tail >= 1.0) and np.any(tail > 2.0)
+
+
+def test_folded_halfline_columns_do_not_mix():
+    # each trailing column is folded and summed over the nodes on its own,
+    # so its integral is the same bits whichever columns share the call (a
+    # lone column is one contiguous reduction, which numpy sums pairwise,
+    # so the calls compared here all have two columns or more)
+    columns = [lambda t: np.exp(-t), lambda t: 1.0 / (1.0 + t * t),
+               lambda t: np.sqrt(t) / (1.0 + t) ** 2,
+               lambda t: t ** -0.5 / (1.0 + t)]
+
+    def stacked(picked):
+        return integrate_halfline(
+            lambda t: np.stack([columns[i](t) for i in picked], axis=-1))
+    every = stacked(range(len(columns)))
+    for i in range(len(columns)):
+        for other in range(len(columns)):
+            if other != i:
+                assert stacked([other, i])[1] == every[i]
+                assert stacked([i, other, i])[2] == every[i]
 
 
 def test_halfline_power_growth_tail():

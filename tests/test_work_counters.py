@@ -48,9 +48,10 @@ operators and its recovery errors are Hermitian trace norms, so it calls
 neither linalg.support_projector nor linalg.schatten_norm (24 of each on
 verify {"trials": 12, "dims": [32, 48, 64]} before).
 
-A reconstruct run calls the quadrature integrand once per piece with all
-the nodes of the fixed double-exponential rule, so a half-line integral makes
-exactly 2 integrand calls. A reconstruct trial takes 2 half-line integrals
+A reconstruct run calls the quadrature integrand once per half-line
+integral, with all the nodes of the fixed double-exponential rule folded
+onto (0, 1] (the nodes s and 1/s), where it made 2 calls, one per piece of
+the split at t = 1. A reconstruct trial takes 2 half-line integrals
 whatever the number of functions: one shared integral that rebuilds every
 function's entropy and gap (the resolvent sums of op and op_n, times each
 density on a trailing axis), which the proof internals read back from the
@@ -82,7 +83,7 @@ ENTROPIES_PER_IDENTITY_TRIAL = 1
 S_F_PER_TRIAL = 0
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
 HALFLINE_PER_RECONSTRUCT_TRIAL = 2
-INTEGRAND_CALLS_PER_HALFLINE = 2
+INTEGRAND_CALLS_PER_HALFLINE = 1
 PSD_POWER_PER_TRIAL = 0
 PSD_POWER_PER_RECONSTRUCT_TRIAL = 0
 MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL = 1
