@@ -10,6 +10,9 @@ trial or case was recorded as an error or failure, a numerical error (a
 PetzGapError or an ArithmeticError) stopped the run, or the report encoder
 met a non-finite float that no "nan"/"inf" marker had replaced (a
 ValueError; no report is written), 2 configuration or I/O problems.
+
+Each command's output is written with one writelines of the text parts it
+was encoded in (harness.dumps_report), all encoded before the file opens.
 """
 
 from __future__ import annotations
@@ -65,32 +68,28 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             code, report = run_verify(config)
-            payload = dumps_report(report)
+            parts = dumps_report(report)
             summary = report["summary"]
             worst = summary["worst_margin"]
             where = "" if worst is None else (
                 f" at trial={worst['trial_index']} report={worst['report']} "
                 f"beta={worst['beta']} key={worst['key']}")
-            status = "pass" if code == 0 else "FAIL"
-            print(f"verify: {status} trials={summary['trials']} "
-                  f"margins={summary['margins_checked']} "
-                  f"failures={summary['failures']} "
-                  f"infinite_gap={summary['infinite_gap_trials']} "
-                  f"errors={summary['error_trials']} "
-                  f"min_margin={summary['min_margin']:.3e}{where}")
+            line = (f"trials={summary['trials']} "
+                    f"margins={summary['margins_checked']} "
+                    f"failures={summary['failures']} "
+                    f"infinite_gap={summary['infinite_gap_trials']} "
+                    f"errors={summary['error_trials']} "
+                    f"min_margin={summary['min_margin']:.3e}{where}")
         elif args.command == "sweep":
-            code, payload = run_sweep(config)
-            n_rows = payload.count("\n") - 1
-            status = "pass" if code == 0 else "FAIL"
-            print(f"sweep: {status} rows={n_rows}")
+            code, csv = run_sweep(config)
+            parts = [csv]
+            line = f"rows={len(csv.splitlines()) - 1}"
         else:
             code, report = run_reconstruct(config)
-            payload = dumps_report(report)
+            parts = dumps_report(report)
             summary = report["summary"]
-            status = "pass" if code == 0 else "FAIL"
-            max_err = summary["max_error"]
-            print(f"reconstruct: {status} cases={summary['cases']} "
-                  f"max_error={max_err:.3e}")
+            line = (f"cases={summary['cases']} "
+                    f"max_error={summary['max_error']:.3e}")
     except InvalidInput as exc:
         print(f"petzgap: config error: {exc}", file=sys.stderr)
         return 2
@@ -98,9 +97,10 @@ def main(argv=None) -> int:
         # ValueError: the report encoder met an unmarked nan or inf
         print(f"petzgap: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(f"{args.command}: {'pass' if code == 0 else 'FAIL'} {line}")
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(parts)
     except OSError as exc:
         print(f"petzgap: cannot write {out_path}: {exc}", file=sys.stderr)
         return 2

@@ -6,11 +6,11 @@ keys are sorted, and no record carries a wall-clock time. A JSON report is
 one compact line written by the C encoder of the json module; its records
 are made JSON-safe (each non-finite float as "nan", "inf" or "-inf") at
 report assembly, its summary by dumps_report; a verify trial's record is
-encoded once, when its trial ends. A verify_v2 trial record
-writes each quantity of the trial once (quantities), the run each constant
-of (report name, beta) once (grid), and no bound report holds either. A
-reconstruct internals case is the dict that bounds.proof_internals returns,
-with its status.
+encoded once, when its trial ends, and written as a part of its own. A
+verify_v2 trial record writes each quantity of the trial once (quantities),
+the run each constant of (report name, beta) once (grid), and no bound
+report holds either. A reconstruct internals case is the dict that
+bounds.proof_internals returns, with its status.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def run_verify(config: ExperimentConfig):
     (name up to its colon), counts flags per report and skipped nan margins.
     A trial's record is encoded to JSON text when the trial ends, after the
     summary has read it, and report_dict["trials"] holds only those texts,
-    which dumps_report splices in. The grid block is the first ok trial's."""
+    which are dumps_report's parts. The grid block is the first ok trial's."""
     reps = [rep_from_name(n) for n in config.functions]
     factors = grid_factors(reps, config.beta_grid)
     trials = []  # the JSON text of each trial's record
@@ -399,16 +399,8 @@ def run_sweep(config: ExperimentConfig):
             ok = False
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_format_float(v) for v in row))
+        lines.append(",".join(f"{v:.17g}" for v in row))
     return (0 if ok else 1), "\n".join(lines) + "\n"
-
-
-def _format_float(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.17g}"
 
 
 def _worst(max_error: float, *errors: float) -> float:
@@ -518,21 +510,21 @@ def sanitize(obj):
     return obj
 
 
-def dumps_report(report: dict) -> str:
-    """The report as one line of compact JSON with sorted keys. Only the
-    summary is converted here; a non-finite float anywhere else is a
-    ValueError, not invalid JSON. A verify report's trials, JSON texts
-    already, are spliced in with one join after the rest: "trials" sorts
-    last among the report's keys."""
+def dumps_report(report: dict) -> list:
+    """The report as one line of compact JSON with sorted keys, as the text
+    parts cli.main writes with one writelines. Only the summary is converted
+    here; any other non-finite float is a ValueError, not invalid JSON. A
+    reconstruct report is one part; a verify report is the rest encoded once
+    ("trials" sorts last), each trial's text and comma, "]}" and a newline."""
     head = dict(report, summary=bounds.json_safe(report["summary"]))
     trials = head.pop("trials", None)
     text = _ENCODER.encode(head)
     if trials is None:
-        return text + "\n"
+        return [text + "\n"]
     parts = [text[:-1], ',"trials":[']
     for trial in trials:
         parts += (trial, ",")
     if trials:
         parts.pop()
     parts.append("]}\n")
-    return "".join(parts)
+    return parts

@@ -67,10 +67,15 @@ def integrate(f, a: float, b: float):
 
 def integrate_halfline(f):
     """Integral of f over (0, inf), as that of f(s) + f(1/s) / s^2 over
-    (0, 1]: one integrate call, which calls f once on both halves."""
+    (0, 1]: one integrate call, which calls f once on both halves. Its
+    NumericalFailure names (0, inf), the interval f is integrated on."""
     def folded(s):
         vals = np.asarray(f(np.concatenate([s, 1.0 / s])))
         head, tail = vals[:s.size], vals[s.size:]
         return head + tail / _per_node(s ** 2, tail)
 
-    return integrate(folded, 0.0, 1.0)
+    try:
+        return integrate(folded, 0.0, 1.0)
+    except NumericalFailure:
+        raise NumericalFailure(
+            "quadrature met a non-finite value on (0, inf)") from None

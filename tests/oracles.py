@@ -15,6 +15,7 @@ from petzgap.algebra import SubalgebraSpec, conditional_expectation
 from petzgap.entropy import s_f
 from petzgap.errors import (DomainError, InvalidInput, NumericalFailure,
                             SpecInconsistent)
+from petzgap.harness import dumps_report
 from petzgap.linalg import (SpectralDecomposition, as_matrix, eigh, psd_power,
                             support_projector)
 from petzgap.modular import RelativeModularOperator, build
@@ -526,3 +527,9 @@ def verify_v1_view(report: dict) -> dict:
             "config_hash": config_hash,
             "summary": {k: report["summary"][k] for k in V1_SUMMARY_KEYS},
             "trials": trials}
+
+
+def report_text(report: dict) -> str:
+    """The JSON text of a report: the parts dumps_report returns, joined,
+    which are the bytes cli.main writes."""
+    return "".join(dumps_report(report))

@@ -18,14 +18,14 @@ from petzgap import bounds, entropy, modular
 from petzgap.algebra import conditional_expectation, factor_spec
 from petzgap.context import PairContext
 from petzgap.harness import (SPEC_KINDS, ExperimentConfig, draw_pair,
-                             dumps_report, run_verify, spec_for)
+                             run_verify, spec_for)
 from petzgap.linalg import psd_power
 from petzgap.monotone import builtin_neg_log, builtin_neg_power
 from petzgap.recovery import recovery_errors
 from petzgap.states import make_density
 
 from conftest import exact_product_pair, ginibre
-from oracles import (pick_coefficients, stieltjes_density,
+from oracles import (pick_coefficients, report_text, stieltjes_density,
                      superoperator_matrix, umegaki_trace,
                      verify_representation)
 
@@ -424,8 +424,8 @@ def test_criterion_11_determinism():
                   functions=["neg-log", "neg-power:0.5"], seed=31)
     code_a, report_a = run_verify(ExperimentConfig(**kwargs))
     code_b, report_b = run_verify(ExperimentConfig(**kwargs))
-    text_a = dumps_report(report_a)
-    text_b = dumps_report(report_b)
+    text_a = report_text(report_a)
+    text_b = report_text(report_b)
     ok = code_a == code_b == 0 \
         and text_a.encode("utf-8") == text_b.encode("utf-8")
     elapsed = time.perf_counter() - t0

@@ -52,10 +52,9 @@ import math
 import sys
 from pathlib import Path
 
-from petzgap.harness import (ExperimentConfig, dumps_report, run_reconstruct,
-                             run_verify)
+from petzgap.harness import ExperimentConfig, run_reconstruct, run_verify
 
-from oracles import verify_v1_view
+from oracles import report_text, verify_v1_view
 
 DATA = Path(__file__).parent / "data"
 VERIFY_GOLDEN = DATA / "verify_golden.json"
@@ -69,7 +68,7 @@ ATOL = 1e-14
 
 
 def verify_record(code: int, report: dict) -> dict:
-    written = verify_v1_view(json.loads(dumps_report(report)))
+    written = verify_v1_view(json.loads(report_text(report)))
     return {
         "config": VERIFY_CONFIG,
         "exit_code": code,
@@ -79,7 +78,7 @@ def verify_record(code: int, report: dict) -> dict:
 
 
 def reconstruct_record(code: int, report: dict) -> dict:
-    written = json.loads(dumps_report(report))
+    written = json.loads(report_text(report))
     return {
         "config": RECONSTRUCT_CONFIG,
         "exit_code": code,

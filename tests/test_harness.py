@@ -18,12 +18,12 @@ from petzgap.cli import main
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NumericalFailure
 from petzgap.harness import (CSV_HEADER, T_GRID, ExperimentConfig,
-                             _theorem_report, draw_pair, dumps_report,
-                             grid_factors, run_reconstruct, run_sweep,
-                             run_trial, run_verify, sanitize, spec_for)
+                             _theorem_report, draw_pair, grid_factors,
+                             run_reconstruct, run_sweep, run_trial,
+                             run_verify, sanitize, spec_for)
 from petzgap.monotone import rep_from_name
 
-from oracles import scalar_theorem_bound
+from oracles import report_text, scalar_theorem_bound
 
 SMALL = dict(trials=3, dims=[2, 3], specs=["pinching", "trivial"],
              functions=["neg-log"], alpha_grid=[0.5], beta_grid=[0.5],
@@ -192,7 +192,7 @@ def test_run_verify_passes_and_is_deterministic():
     assert summary["min_margin"] >= -cfg.tolerance
     code2, report2 = run_verify(ExperimentConfig(**SMALL))
     assert code2 == 0
-    assert dumps_report(report) == dumps_report(report2)
+    assert report_text(report) == report_text(report2)
 
 
 def test_verify_reports_each_bound_once():
@@ -208,7 +208,7 @@ def test_reports_leave_trial_quantities_and_grid_constants_out():
     reps = [rep_from_name(n) for n in config.functions]
     factors = grid_factors(reps, config.beta_grid)
     _, report = run_verify(config)
-    written = json.loads(dumps_report(report))
+    written = json.loads(report_text(report))
     alphas, betas = config.alpha_grid, config.beta_grid
     functions = set(config.functions) | {"neg-log"} \
         | {f"neg-power:{a:g}" for a in alphas}
@@ -318,7 +318,7 @@ def test_dumps_report_writes_a_family_of_infinite_margins(monkeypatch):
         alpha_grid=[0.5], beta_grid=[0.5]))
     assert code == 0
     assert report["summary"]["min_margin_by_family"]["dpi"] == math.inf
-    written = json.loads(dumps_report(report))
+    written = json.loads(report_text(report))
     assert written["summary"]["min_margin_by_family"]["dpi"] == "inf"
     assert written["trials"][0]["quantities"]["gap"]["neg-log"] == "inf"
 
@@ -358,7 +358,7 @@ def test_verify_runs_leave_nothing_behind_for_the_next():
              alpha_grid=[0.4], beta_grid=[0.6, 0.2])
 
     def verify(config):
-        return dumps_report(run_verify(ExperimentConfig(**config))[1])
+        return report_text(run_verify(ExperimentConfig(**config))[1])
 
     first_a, in_process_b, second_a = verify(a), verify(b), verify(a)
     assert first_a == second_a
@@ -368,7 +368,7 @@ def test_verify_runs_leave_nothing_behind_for_the_next():
     fresh_b = subprocess.run(
         [sys.executable, "-c",
          "import sys; from petzgap.harness import ExperimentConfig, "
-         "dumps_report, run_verify; sys.stdout.write(dumps_report("
+         "dumps_report, run_verify; sys.stdout.writelines(dumps_report("
          f"run_verify(ExperimentConfig(**{b!r}))[1]))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert in_process_b == fresh_b
@@ -516,7 +516,7 @@ def test_dumps_report_matches_sanitized_reconstruct_report(monkeypatch):
         trials=3, dims=[3], functions=["neg-log"], t_points=6))
     assert code == 1
     assert report["summary"]["max_error"] == math.inf
-    parsed = json.loads(dumps_report(report))
+    parsed = json.loads(report_text(report))
     assert parsed == sanitize(report)
     assert parsed["summary"]["max_error"] == "inf"
     assert [c["status"] for c in parsed["cases"]].count("failed") == 1
@@ -556,40 +556,55 @@ def overflow_on_trial_1(monkeypatch):
     monkeypatch.setattr(harness, "run_trial", overflow_on_one)
 
 
-@pytest.mark.parametrize("config,erroring", [(SMALL, False),
-                                             (SINGULAR, False),
-                                             (SMALL, True)])
-def test_spliced_report_is_the_one_shot_encoding(monkeypatch, config,
-                                                  erroring):
-    """The report dumps_report splices from per-trial texts is the bytes
-    one json.dumps of the whole report writes: SINGULAR has infinite-gap
-    margins, and the erroring run an error record between two ok trials."""
+@pytest.mark.parametrize("config,erroring", [
+    (("verify", SMALL), False), (("verify", SINGULAR), False),
+    (("verify", SMALL), True),
+    (("reconstruct", dict(trials=2, dims=[2, 3], t_points=6)), False)])
+def test_spliced_report_is_the_one_shot_encoding(monkeypatch, tmp_path,
+                                                  config, erroring):
+    """The file cli.main writes from dumps_report's parts, for a (command,
+    settings) config, is the bytes one json.dumps of the whole report
+    writes: SINGULAR has infinite-gap margins, the erroring run an error
+    record between two ok trials, and a reconstruct report is one part."""
+    command, settings = config
     if erroring:
         overflow_on_trial_1(monkeypatch)
-    code, report = run_verify(ExperimentConfig(**config))
-    assert code == (1 if erroring else 0)
-    assert report["summary"]["error_trials"] == (1 if erroring else 0)
-    text = dumps_report(report)
-    assert text == json.dumps(json.loads(text), sort_keys=True,
-                              separators=(",", ":"), allow_nan=False) + "\n"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(settings))
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(path), "--out", str(out)]) \
+        == (1 if erroring else 0)
+    text = out.read_bytes().decode("utf-8")
+    written = json.loads(text)
+    if command == "verify":
+        assert written["summary"]["error_trials"] == (1 if erroring else 0)
+    assert text == json.dumps(written, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
 
 
-def test_verify_keeps_each_trial_as_its_text():
-    """run_verify and dumps_report together hold at most 4 bytes of heap
-    per byte of report: the run keeps each trial's record only as its JSON
-    text, and the report is one join of those texts, where keeping every
-    trial's objects until the end of the run took 11.4 bytes."""
+def test_verify_keeps_each_trial_as_its_text(tmp_path):
+    """A verify command, run and write (cli.main, whose one writelines takes
+    dumps_report's parts), holds at most 2 bytes of heap per byte of report:
+    the run keeps each trial's record only as its JSON text, and no
+    whole-report string or bytes is built (1.8 bytes). Writing one join of
+    the parts took 3.2 bytes."""
+    path = tmp_path / "config.json"
+    out = tmp_path / "report.json"
+    argv = ["verify", "--config", str(path), "--out", str(out)]
     config = dict(trials=20, dims=[2, 3, 4, 6, 8])
-    # one-time allocations of a first run (imports, shared reps) are not
-    # the run's
-    run_verify(ExperimentConfig(**dict(config, trials=1)))
+    # one-time allocations of a first command (imports, shared reps) are
+    # not the run's
+    path.write_text(json.dumps(dict(config, trials=1)))
+    assert main(argv) == 0
+    path.write_text(json.dumps(config))
     tracemalloc.start()
     try:
-        text = dumps_report(run_verify(ExperimentConfig(**config))[1])
+        assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * len(text), (peak, len(text))
+    size = out.stat().st_size
+    assert peak <= 2 * size, (peak, size)
 
 
 def test_sanitize_and_dumps():
@@ -600,7 +615,7 @@ def test_sanitize_and_dumps():
     code, report = run_verify(ExperimentConfig(**SINGULAR))
     assert code == 0
     assert report["summary"]["infinite_gap_trials"] >= 1
-    text = dumps_report(report)
+    text = report_text(report)
     assert '"inf"' in text and '"nan"' in text
     assert json.loads(text) == sanitize(dict(report,
                                              trials=trials_of(report)))
@@ -642,5 +657,5 @@ def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
         "reports": []}
     assert trials[0]["reports"] and trials[2]["reports"]
     assert [t["status"] for t in trials] == ["ok", "error", "ok"]
-    assert json.loads(dumps_report(report)) == sanitize(dict(report,
-                                                             trials=trials))
+    assert json.loads(report_text(report)) == sanitize(dict(report,
+                                                            trials=trials))
