@@ -24,7 +24,9 @@ take raw states and build a context for them.
 The corollary constants K are built as logs and recorded as log_K beside
 K, and each right side K disc^E is exp(log K + E log disc): at a large
 ||Delta|| the constant underflows and disc^E overflows while the product
-is an ordinary number.
+is an ordinary number. The three corollaries share one report builder,
+_corollary; verify runs corollary-log and corollary-power, whose right
+sides are never below generic's and which record its constant as K_generic.
 
 Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
@@ -64,7 +66,7 @@ FLAG_T_STAR_BELOW_ONE = "t-star-below-one"
 FLAG_CONSTANT_OVERFLOW = "constant-overflow"
 
 GRID_KEYS = frozenset({"exponent", "exponent_displayed", "C_exact",
-                       "c_effective", "C", "c", "gap_exponent", "T_count"})
+                       "c_effective", "T_count"})
 
 
 @dataclass(eq=False)
@@ -222,44 +224,51 @@ def _generic_constants(big_c: float, growth_c: float, beta: float,
         + k / (k + n) * math.log(n * math.sqrt(big_c))
     log_k_gap = exponent * (math.log(math.pi / math.sin(beta * math.pi))
                             - log_b)
-    return {"k": k, "n": n, "K_T": k_t, "B": math.exp(log_b),
-            "exponent": exponent, "K_gap": math.exp(log_k_gap),
-            "log_K_gap": log_k_gap}
+    return {"k": k, "n": n, "K_T": k_t, "exponent": exponent,
+            "K_gap": math.exp(log_k_gap), "log_K_gap": log_k_gap}
 
 
-def _t_star(cst: dict, big_c: float, g: float) -> float:
-    if not math.isfinite(g) or g <= 0.0:
-        return math.inf
-    return lemma_opt(cst["K_T"], cst["k"],
-                     math.sqrt(big_c * g), cst["n"])[1]
+def _corollary(name: str, beta: float, ctx: PairContext,
+               rep: MonotoneDecreasingRep, law: tuple, growth: tuple,
+               constants: dict) -> BoundReport:
+    """The report of gap_f >= K disc^E, law = (log K, E), on the trial's gap
+    of rep and discrepancy at beta. It also records the theorem optimized
+    with the growth certificate growth = (C, c), C^f_{T,beta} <= C T^{2c}
+    (_generic_constants): its constant as K_generic and its minimizer as
+    T_star. A certificate is proven for T >= 1 only, so a T_star below 1 is
+    flagged when c > 0; -log x's, C^f = 1 with c = 0, holds at every T."""
+    g = ctx.gap(rep)
+    log_k, expo = law
+    big_c, growth_c = growth
+    cst = _generic_constants(big_c, growth_c, beta, ctx.delta_norm)
+    rhs = _power_law(log_k, ctx.discrepancy(beta), expo)
+    margins, flags = gap_margin("gap_lower_bound", g, rhs)
+    t_star = math.inf if not math.isfinite(g) or g <= 0.0 else lemma_opt(
+        cst["K_T"], cst["k"], math.sqrt(big_c * g), cst["n"])[1]
+    if growth_c > 0.0 and t_star < 1.0:
+        flags.append(FLAG_T_STAR_BELOW_ONE)
+    return BoundReport(
+        name=name, beta=beta,
+        constants=dict(constants, K_generic=cst["K_gap"], exponent=expo,
+                       T_star=t_star),
+        rhs_values={"gap_lower_bound": rhs},
+        margins=margins,
+        flags=flags,
+    )
 
 
 def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
                             ctx: PairContext) -> BoundReport:
     """gap >= K_gap * disc^E using the rep's stored growth certificate
-    (C, c). The certificate is only proven for T >= 1; a minimizer below 1
-    is flagged rather than silently trusted."""
-    big_c, growth_c = rep.growth
+    (C, c). verify does not run it: corollary-log and corollary-power assert
+    the same inequality for both families, with a right side never smaller,
+    and record this constant as K_generic."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    g = ctx.gap(rep)
-    disc = ctx.discrepancy(beta)
-    cst = _generic_constants(big_c, growth_c, beta, ctx.delta_norm)
-    t_star = _t_star(cst, big_c, g)
-    rhs = _power_law(cst["log_K_gap"], disc, cst["exponent"])
-    margins, flags = gap_margin("gap_lower_bound", g, rhs)
-    if t_star < 1.0:
-        flags.append(FLAG_T_STAR_BELOW_ONE)
-    return BoundReport(
-        name=f"generic:{rep.name}", beta=beta,
-        constants={"C": big_c, "c": growth_c, "K_gap": cst["K_gap"],
-                   "log_K_gap": cst["log_K_gap"], "exponent": cst["exponent"],
-                   "gap_exponent": 1.0 / cst["exponent"],
-                   "B": cst["B"], "K_T": cst["K_T"], "T_star": t_star},
-        rhs_values={"gap_lower_bound": rhs},
-        margins=margins,
-        flags=flags,
-    )
+    cst = _generic_constants(*rep.growth, beta, ctx.delta_norm)
+    return _corollary(f"generic:{rep.name}", beta, ctx, rep,
+                      (cst["log_K_gap"], cst["exponent"]), rep.growth,
+                      {"K_gap": cst["K_gap"], "log_K_gap": cst["log_K_gap"]})
 
 
 def log_corollary_constant(beta: float,
@@ -290,15 +299,8 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     delta_norm = ctx.delta_norm
-    g = ctx.gap(builtin_neg_log())
-    disc = ctx.discrepancy(beta)
     log_k, expo, key = log_corollary_constant(beta, delta_norm)
-    cst = _generic_constants(1.0, 0.0, beta, delta_norm)
-    rhs = _power_law(log_k, disc, expo)
-    margins, flags = gap_margin("gap_lower_bound", g, rhs)
-    constants = {key: math.exp(log_k), "log_" + key: log_k,
-                 "K_generic": cst["K_gap"], "exponent": expo,
-                 "T_star": _t_star(cst, 1.0, g)}
+    constants = {key: math.exp(log_k), "log_" + key: log_k}
     if beta == 0.5:
         constants["K_log3"] = (math.pi / 4.0) ** 4 * (1.0 + delta_norm) ** (-2.0)
         if delta_norm > 0.0:
@@ -308,13 +310,8 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
                     (1.0 / (8.0 * math.pi)) ** 4 * delta_norm ** (-2.0) * e_rho ** 4
             except (InvalidInput, NumericalFailure):
                 pass
-    return BoundReport(
-        name="corollary-log", beta=beta,
-        constants=constants,
-        rhs_values={"gap_lower_bound": rhs},
-        margins=margins,
-        flags=flags,
-    )
+    return _corollary("corollary-log", beta, ctx, builtin_neg_log(),
+                      (log_k, expo), (1.0, 0.0), constants)
 
 
 def power_corollary_constant(alpha: float, beta: float, delta_norm: float
@@ -365,28 +362,14 @@ def corollary_power_bound(alpha: float, beta: float,
         raise InvalidInput("alpha must lie in (0, 1)")
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    delta_norm = ctx.delta_norm
-    g = ctx.gap(builtin_neg_power(alpha))
-    disc = ctx.discrepancy(beta)
     log_k, expo, displayed, c_eff, key = power_corollary_constant(
-        alpha, beta, delta_norm)
+        alpha, beta, ctx.delta_norm)
     big_c = math.pi / math.sin(alpha * math.pi)
-    cst = _generic_constants(big_c, c_eff, beta, delta_norm)
-    rhs = _power_law(log_k, disc, expo)
-    margins, flags = gap_margin("gap_lower_bound", g, rhs)
-    t_star = _t_star(cst, big_c, g)
-    if t_star < 1.0:
-        flags.append(FLAG_T_STAR_BELOW_ONE)
-    return BoundReport(
-        name=f"corollary-power:{alpha!r}", beta=beta,
-        constants={key: math.exp(log_k), "log_" + key: log_k,
-                   "K_generic": cst["K_gap"], "exponent": expo,
-                   "exponent_displayed": displayed, "C_exact": big_c,
-                   "c_effective": c_eff, "T_star": t_star},
-        rhs_values={"gap_lower_bound": rhs},
-        margins=margins,
-        flags=flags,
-    )
+    return _corollary(f"corollary-power:{alpha!r}", beta, ctx,
+                      builtin_neg_power(alpha), (log_k, expo), (big_c, c_eff),
+                      {key: math.exp(log_k), "log_" + key: log_k,
+                       "exponent_displayed": displayed, "C_exact": big_c,
+                       "c_effective": c_eff})
 
 
 def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:

@@ -24,9 +24,9 @@ rho (right), where every power is a vector of pseudo powers of eigenvalues
 (linalg.pseudo_power) and the Hilbert-Schmidt norm is the same. Two basis
 changes per trial, P1 = V_sigma^H V_sigmaN and P2 = V_rhoN^H V_rho, carry the
 E(sigma) and E(rho) eigenbases into that frame; each beta then costs one
-matrix D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b (two products), which
-the discrepancy, the beta-free bound and, at b = 1/2, the recovery
-discrepancy read; discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The
+kept matrix P1 sigmaN^b rhoN^-b P2 (two products), from which each read of
+D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b is formed elementwise;
+discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The
 proof's w_t (w_t, which bounds.proof_internals reads) is formed in the same
 frame from the overlaps of op and op_n and the frames. When E is the
 identity there are no frames, the two terms of D_b are the same numbers,
@@ -183,11 +183,11 @@ class PairContext:
         p1, p2 = self.frames
         return p1 @ x @ p2
 
-    @_memoized
     def _difference(self, beta: float) -> np.ndarray:
         """D_b = sigmaN^b rhoN^-b - sigma^b rho^-b in the frame of sigma
-        (left) and rho (right). When E is the identity both terms are the
-        same numbers and D_b is exactly 0."""
+        (left) and rho (right), formed anew on each read from the memoized
+        _ratio_n(b): an elementwise O(d^2) step, no product. When E is the
+        identity both terms are the same numbers and D_b is exactly 0."""
         return self._ratio_n(beta) - _ratio(self.op, beta)
 
     @cached_property

@@ -241,9 +241,11 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
               factors: dict) -> TrialRecord:
     """One verify trial with the reps of config.functions and the T-family
     factors of each (rep, beta) (grid_factors), which run_verify builds
-    once for the whole run. The entropies of every function the battery
-    reads (the reps, neg-log, and the powers alpha and 1 - alpha of
-    alpha_grid) are taken in one pass over each operator."""
+    once for the whole run. The gap lower bounds are corollary-log and
+    corollary-power at each alpha of alpha_grid, then at the alpha of each
+    neg-power:alpha in functions that alpha_grid lacks. The entropies of
+    every function the battery reads (the reps, neg-log, and the powers
+    alpha and 1 - alpha of alpha_grid) are taken in one pass per operator."""
     rho, sigma, dim, rank_rho, rank_sigma, sampler_kind = \
         draw_pair(config, trial_index)
     kind = config.specs[trial_index % len(config.specs)]
@@ -251,6 +253,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
     ctx.entropies(reps + [builtin_neg_log()]
                   + [builtin_neg_power(a) for a in config.alpha_grid]
                   + [builtin_neg_power(1.0 - a) for a in config.alpha_grid])
+    alphas = dict.fromkeys(config.alpha_grid + [
+        float(rep.name.partition(":")[2]) for rep in reps
+        if rep is not builtin_neg_log()])
     reports = []
     for rep in reps:
         g = ctx.gap(rep)
@@ -259,13 +264,10 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
             reports.append(_theorem_report(rep, beta, factors[rep, beta],
                                            ctx.discrepancy(beta),
                                            ctx.delta_norm, g))
-            # for neg-log, corollary-log asserts this and records K_generic
-            if rep is not builtin_neg_log():
-                reports.append(bounds.generic_corollary_bound(rep, beta, ctx))
     for beta in config.beta_grid:
         reports.append(bounds.corollary_log_bound(beta, ctx))
         reports.append(bounds.beta_free_discrepancy(beta, ctx))
-        for alpha in config.alpha_grid:
+        for alpha in alphas:
             reports.append(bounds.corollary_power_bound(alpha, beta, ctx))
     for alpha in config.alpha_grid:
         reports.append(bounds.renyi_bound(alpha, ctx))

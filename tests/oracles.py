@@ -461,74 +461,6 @@ def scalar_theorem_bound(alpha, beta: float, t: float, delta_norm: float,
 
 # report formats
 
-V1_SUMMARY_KEYS = ("trials", "margins_checked", "failures",
-                   "infinite_gap_trials", "error_trials", "min_margin")
-
-
-def _v1_bound_report(report: dict, q: dict, grid: dict) -> dict:
-    """One report_v1 dict from a serialized v2 report and the quantities of
-    its trial, by the fixed rule of its family."""
-    name, beta = report["name"], report["beta"]
-    family, _, arg = name.partition(":")
-    disc = q["discrepancy"].get(repr(beta))
-    constants = dict(report["constants"])
-    constants.update(grid.get(name, {}).get(repr(beta), {}))
-    if family in ("dpi", "theorem", "generic"):
-        gap = q["gap"][arg]
-    elif family == "corollary-power":
-        gap = q["gap"]["neg-power:" + arg]
-    elif family == "renyi":
-        gap = q["renyi_gap"][arg]
-        disc = q["discrepancy"]["0.5"]
-        if "K_hat" in constants:
-            constants.update(e_rho=q["e_rho"], e_sigma=q["e_sigma"])
-    elif family == "beta-free":
-        gap = "nan"
-        constants["lhs"] = q["beta_free"][repr(beta)]
-    else:  # corollary-log, recovery-chain: the relative-entropy gap
-        gap = q["gap"]["neg-log"]
-    if family == "dpi":
-        disc = None
-    elif family == "recovery-chain":
-        disc = q["recovery_discrepancy"]
-        constants.update(disc_pseudo=q["discrepancy"]["0.5"],
-                         support_leak=q["support_leak"], e_rho=q["e_rho"],
-                         e_sigma=q["e_sigma"])
-    return {"schema": "report_v1", "name": name, "gap": gap, "beta": beta,
-            "discrepancy": disc, "delta_norm": q["delta_norm"],
-            "constants": constants, "rhs_values": report["rhs_values"],
-            "margins": report["margins"], "flags": report["flags"]}
-
-
-def verify_v1_view(report: dict) -> dict:
-    """The verify_v1 report that a parsed verify_v2 report stands for.
-
-    A v2 trial writes each quantity of the trial once, in its quantities
-    block, and the run writes each constant that depends only on (report
-    name, beta) once, in its grid block. This puts them back into every
-    report that v1 repeated them in, and drops what v2 added: the status
-    of a trial that ran, the quantities and grid blocks and the summary
-    fields beyond v1's."""
-    grid = report["grid"]
-    config_hash = report["config_hash"]
-    trials = []
-    for trial in report["trials"]:
-        if trial["status"] == "error":
-            trials.append(dict(trial, config_hash=config_hash))
-            continue
-        q = trial["quantities"]
-        old = {k: v for k, v in trial.items()
-               if k not in ("status", "quantities")}
-        old["config_hash"] = config_hash
-        old["reports"] = [_v1_bound_report(r, q, grid)
-                          for r in trial["reports"]]
-        trials.append(old)
-    return {"schema": "verify_v1", "config": report["config"],
-            "config_hash": config_hash,
-            "summary": {k: report["summary"][k] for k in V1_SUMMARY_KEYS},
-            "trials": trials}
-
-
 def report_text(report: dict) -> str:
     """The JSON text of a report: the parts dumps_report returns, joined,
     which are the bytes cli.main writes."""

@@ -303,18 +303,19 @@ def test_power_corollary_with_subnormal_constant_reports():
 
 def test_constants_of_a_large_delta_norm_are_logs():
     # verify {"trials": 60, "beta_grid": [0.99], "dims": [2, 3, 4, 6, 8]}:
-    # at trials 13, 36, 48 and 56 (||Delta|| up to about 9,350) K_gap
-    # underflows to 0 and disc ** E overflows; the product is an ordinary
-    # number, and the trial's margins hold
+    # at trials 13, 36, 48 and 56 (||Delta|| up to about 9,350) the
+    # corollary constants K underflow to 0 and disc ** E overflows; the
+    # product is an ordinary number, and the trial's margins hold
     config = ExperimentConfig(trials=60, beta_grid=[0.99],
                               dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
     factors = grid_factors(reps, config.beta_grid)
     for i in (13, 36, 48, 56):
         record = run_trial(config, i, reps, factors)
-        generic = [r for r in record.reports if r.name.startswith("generic:")]
-        assert min(r.constants["log_K_gap"] for r in generic) \
-            < math.log(sys.float_info.min)
+        corollaries = [r for r in record.reports
+                       if r.name.startswith("corollary-")]
+        assert min(v for r in corollaries for k, v in r.constants.items()
+                   if k.startswith("log_K_")) < math.log(sys.float_info.min)
         for report in record.reports:
             for key, value in report.margins.items():
                 assert value >= -config.tolerance, (i, report.name, key)

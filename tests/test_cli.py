@@ -36,14 +36,15 @@ def test_verify_exit_zero_and_output(tmp_path, capsys):
 
 
 def test_verify_writes_an_infinite_grid_constant(tmp_path, capsys):
-    # generic's C = 1/alpha overflows to inf at alpha = 1e-320
+    # corollary-power's C = pi/sin(alpha pi) overflows to inf at
+    # alpha = 1e-320
     cfg = write_config(tmp_path, functions=["neg-power:1e-320"])
     out = tmp_path / "report.json"
     code = main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert f"wrote {out}" in capsys.readouterr().out
     grid = json.loads(out.read_text())["grid"]
-    assert grid["generic:neg-power:1e-320"]["0.5"]["C"] == "inf"
+    assert grid["corollary-power:1e-320"]["0.5"]["C_exact"] == "inf"
 
 
 def test_verify_survives_an_erroring_trial(tmp_path, capsys, monkeypatch):

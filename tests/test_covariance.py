@@ -17,11 +17,24 @@ a relative error of about u * kappa. So a quantity q may move by
 COV_MULTIPLE * u * kappa * max(1, |q|). Over seeds 0-8 of these draws
 (kappa 5e3 to 2e6) the largest move was 1.03 u * kappa * |q| (delta_norm);
 every other quantity moved by at most 0.77 u * kappa (beta_free at 3/4).
+
+The second relation is an ancilla: (rho (x) tau, sigma (x) tau) under
+N (x) M_k, for an invertible state tau of M_k. E (x) id maps x (x) tau to
+E(x) (x) tau, so every gap and Renyi gap, every discrepancy with its
+rho^{1/2} factor, both recovery errors and both support leaks stay as they
+are (Tr tau = 1 and || tau^{1/2} ||_2 = 1). The beta-free left side
+sigmaN^b rhoN^-b - sigma^b rho^-b gains a factor (x) 1_k, so it scales by
+sqrt(k), and ||Delta|| scales by lambda_max(tau) / lambda_min(tau). The same
+COV_MULTIPLE * u * kappa * max(1, |q|) bounds each move, with kappa that of
+the ancilla states, kappa(rho or sigma) * kappa(tau). Over seeds 0-5 at
+d = 5, 6, 8 and k = 2, 3 the largest move was 0.60 u * kappa * |q|
+(delta_norm), and 0.24 u * kappa for every other quantity (beta_free).
 """
 
 import numpy as np
 import pytest
 
+from petzgap.algebra import factor_spec, full_spec, pinching_spec
 from petzgap.context import PairContext
 from petzgap.harness import SPEC_KINDS, spec_for
 from petzgap.monotone import builtin_neg_power, rep_from_name
@@ -95,6 +108,44 @@ def test_quantities_are_covariant_under_subalgebra_unitaries(kind, dim):
     assert set(after) == set(before)
     assert len(before) == 6 + 2 + 3 * len(GRID)
     for key, value in before.items():
+        allowed = COV_MULTIPLE * U * kappa * max(1.0, abs(value))
+        assert abs(after[key] - value) <= allowed, (key, value, after[key],
+                                                    kappa)
+
+
+def ancilla_spec(kind: str, dim: int, k: int):
+    """spec_for(kind, dim) (x) M_k on C^dim (x) C^k."""
+    if kind == "pinching":
+        return pinching_spec(dim * k, [(dim - dim // 2) * k, dim // 2 * k])
+    if kind == "partial-trace":
+        n1, n2 = default_factors(dim)
+        return factor_spec(n1, n2 * k)
+    if kind == "trivial":
+        return factor_spec(dim, k)
+    return full_spec(dim * k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("dim", [6, 8])
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_quantities_under_an_ancilla(kind, dim, k):
+    i = SPEC_KINDS.index(kind)
+    rho = sample(SamplerConfig(dim=dim), trial_index=2 * i)
+    sigma = sample(SamplerConfig(dim=dim), trial_index=2 * i + 1)
+    tau = sample(SamplerConfig(dim=k, seed=1), trial_index=i)
+    kappa_tau = tau.eigenvalues.max() / tau.eigenvalues.min()
+    before = all_quantities(rho, sigma, spec_for(kind, dim))
+    after = all_quantities(make_density(np.kron(rho.matrix, tau.matrix)),
+                           make_density(np.kron(sigma.matrix, tau.matrix)),
+                           ancilla_spec(kind, dim, k))
+    kappa = kappa_tau * max(x.eigenvalues.max() / x.eigenvalues.min()
+                            for x in (rho, sigma))
+    assert set(after) == set(before)
+    for key, value in before.items():
+        if key == "delta_norm":
+            value *= kappa_tau
+        elif key[0] == "beta_free":
+            value *= np.sqrt(k)
         allowed = COV_MULTIPLE * U * kappa * max(1.0, abs(value))
         assert abs(after[key] - value) <= allowed, (key, value, after[key],
                                                     kappa)

@@ -1,9 +1,10 @@
 """Golden-report gate: `verify` and `reconstruct` must keep reproducing
 frozen records.
 
-tests/data/verify_golden.json holds, for a fixed config, the exit code and
-per trial and bound report the name, gap, discrepancy, ||Delta||, margins,
-constants and flags. tests/data/reconstruct_golden.json holds, for a fixed
+tests/data/verify_golden.json holds, for a fixed config, the exit code,
+the grid and every trial as the verify_v2 report writes it: what it drew,
+its status, its quantities and its bound reports.
+tests/data/reconstruct_golden.json holds, for a fixed
 config, the exit code, the summary and every case (entropy and gap errors,
 proof-internals margins and residuals). The tests rerun the configs and
 compare: floats to 1e-12 relative plus 1e-14 absolute, everything else
@@ -29,18 +30,22 @@ be built as logs: each of its 360 corollary, generic and Renyi constants
 blocks gained its log_K key. With those keys set aside the record passed
 as it was: discrepancies from the eigenbases and constants from their logs
 moved 1,834 floats, each within the tolerances below.
-Since the verify report became verify_v2, which writes each gap,
+When the verify report became verify_v2, which writes each gap,
 discrepancy and ||Delta|| once per trial and each constant that depends
-only on (report name, beta) once per run, the record is read through
-oracles.verify_v1_view, which puts them back into every report by a fixed
-rule per family; it passed without a re-freeze, which also shows that the
-grid constants are the same in every trial.
+only on (report name, beta) once per run, the record was read through a
+view that put them back into every report by a fixed rule per family; it
+passed without a re-freeze, which also showed that the grid constants are
+the same in every trial.
 The reconstruct record alone was re-frozen when integrate became one fixed
 double-exponential rule: 4 values moved beyond the tolerances, the neg-log
 entropy and gap errors of one trial, the gap residual of its internals case
 and the summary max_error, each an error that fell toward 0 (largest
 3.5e-14 to 1.1e-16); the rewrite also froze the within-tolerance values of
 every other case as the code writes them now.
+The verify record alone was re-frozen, in the verify_v2 layout it is now
+kept in, when verify stopped running the generic family, which repeated
+corollary-power: its 60 reports and its 3 grid entries left, and against
+the verify_v2 record of the code before, no other value moved.
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, and rewrites from
 the current code only a record that is missing or in which a value moved:
@@ -54,26 +59,24 @@ from pathlib import Path
 
 from petzgap.harness import ExperimentConfig, run_reconstruct, run_verify
 
-from oracles import report_text, verify_v1_view
+from oracles import report_text
 
 DATA = Path(__file__).parent / "data"
 VERIFY_GOLDEN = DATA / "verify_golden.json"
 VERIFY_CONFIG = {"trials": 20, "dims": [2, 3, 4, 6, 8]}
 RECONSTRUCT_GOLDEN = DATA / "reconstruct_golden.json"
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
-KEYS = ("name", "gap", "discrepancy", "delta_norm", "margins", "constants",
-        "flags")
 RTOL = 1e-12
 ATOL = 1e-14
 
 
 def verify_record(code: int, report: dict) -> dict:
-    written = verify_v1_view(json.loads(report_text(report)))
+    written = json.loads(report_text(report))
     return {
         "config": VERIFY_CONFIG,
         "exit_code": code,
-        "trials": [[{k: r[k] for k in KEYS} for r in trial["reports"]]
-                   for trial in written["trials"]],
+        "grid": written["grid"],
+        "trials": written["trials"],
     }
 
 
@@ -115,10 +118,12 @@ def describe(bad: list) -> str:
 
 def moves(got, want) -> dict:
     """{(family, key): (count, largest absolute, largest relative move)} over
-    the mismatches of got against want. The family is the name of the
-    verify report, or the function or status of the reconstruct case, that
-    holds the value; the key is the path below it. A value that changed
-    kind (a float against a non-finite marker, keys, lengths) moves by inf.
+    the mismatches of got against want. The family is the innermost label
+    on the value's path: the name of a verify report, or of the report a grid
+    constant is kept under, "quantities" for a trial quantity, the function
+    or status of a reconstruct case, and the status of a verify trial for
+    what it drew; the key is the path below it. A value that changed kind
+    (a float against a non-finite marker, keys, lengths) moves by inf.
     """
     table = {}
     for path, g, w in mismatches(got, want):
@@ -127,9 +132,10 @@ def moves(got, want) -> dict:
             node = node[step]
             label = node.get("name", node.get("function", node.get(
                 "status"))) if isinstance(node, dict) else None
+            if step == "quantities" or path[i - 1:i] == ("grid",):
+                label = step
             if label is not None:
                 family, depth = label, i + 1
-                break
         key = ".".join(map(str, path[depth:]))
         if isinstance(g, float) and isinstance(w, float):
             a = abs(g - w)
@@ -168,11 +174,14 @@ def test_reconstruct_matches_golden_record():
 def test_golden_comparison_catches_changes():
     want = json.loads(VERIFY_GOLDEN.read_text())
     got = json.loads(VERIFY_GOLDEN.read_text())
-    report = got["trials"][0][0]
-    report["gap"] *= 1.0 + 1e-9
-    report["flags"].append("extra")
+    trial = got["trials"][0]
+    trial["quantities"]["delta_norm"] *= 1.0 + 1e-9
+    trial["reports"][0]["flags"].append("extra")
     got["exit_code"] = 1 - want["exit_code"]
     assert len(mismatches(got, want)) == 3
+    assert sorted(moves(got, want)) == sorted([
+        ("quantities", "delta_norm"), (trial["reports"][0]["name"], "flags"),
+        ("", "exit_code")])
 
 
 if __name__ == "__main__":

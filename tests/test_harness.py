@@ -196,11 +196,21 @@ def test_run_verify_passes_and_is_deterministic():
 
 
 def test_verify_reports_each_bound_once():
-    _, report = run_verify(ExperimentConfig(trials=4))
-    for trial in trials_of(report):
-        keys = [(r["name"], r["beta"]) for r in trial["reports"]]
-        assert len(keys) == len(set(keys))
-        assert "generic:neg-log" not in {name for name, _ in keys}
+    # one gap lower bound per function: no generic report, which the
+    # corollaries repeat, and corollary-power at each alpha of alpha_grid,
+    # then at that of a neg-power function alpha_grid lacks
+    for functions, extra in ((["neg-log", "neg-power:0.5"], []),
+                             (["neg-log", "neg-power:0.3"], [0.3])):
+        config = ExperimentConfig(trials=4, functions=functions)
+        powers = [f"corollary-power:{a!r}" for a in config.alpha_grid + extra]
+        _, report = run_verify(config)
+        for trial in trials_of(report):
+            keys = [(r["name"], r["beta"]) for r in trial["reports"]]
+            assert len(keys) == len(set(keys))
+            assert not any(name.startswith("generic:") for name, _ in keys)
+            for beta in config.beta_grid:
+                assert [name for name, b in keys if b == beta and
+                        name.startswith("corollary-power:")] == powers
 
 
 def test_reports_leave_trial_quantities_and_grid_constants_out():
