@@ -51,7 +51,6 @@ from .context import PairContext
 from .errors import DomainError, InvalidInput, NumericalFailure
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
-from .quadrature import integrate_halfline
 from .states import stream
 
 SUPPORT_LEAK_TOL = 1e-12
@@ -551,9 +550,11 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
 
     w_t is the context's (PairContext.w_t): formed in its frame, with no E
     and no dense power, and exactly 0 when E = id. The t grid is taken in
-    one s_t call per operator and one w_t stack; the 5 contraction draws are
-    one (5, 2, d, d) draw from the stream, in the order of 5 draws of a real
-    and an imaginary part, and the only E applied, as one stack.
+    one s_t call per operator and one w_t stack, the identity's integral in
+    one PairContext.w_t_moment call (a quadrature of scalar kernels); the 5
+    contraction draws are one (5, 2, d, d) draw from the stream, in the
+    order of 5 draws of a real and an imaginary part, and the only E
+    applied, as one stack.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
@@ -572,8 +573,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     gap_t = entropy.s_t(grid, op) - entropy.s_t(grid, op_n)
     per_t = float(np.min(gap_t - grid * norms * norms))
     decay = float(np.min(2.0 / grid - norms))
-    integral = integrate_halfline(
-        lambda t: (t ** beta)[:, None, None] * ctx.w_t(t))
+    integral = ctx.w_t_moment(beta)
     target = ctx.discrepancy_matrix(beta)[:, op.kept_columns]
     identity_residual = float(np.linalg.norm(
         -(math.sin(beta * math.pi) / math.pi) * integral - target))

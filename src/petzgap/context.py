@@ -23,12 +23,13 @@ states, and are computed in the frame of the eigenbases of sigma (left) and
 rho (right), where every power is a vector of pseudo powers of eigenvalues
 (linalg.pseudo_power) and the Hilbert-Schmidt norm is the same. Two basis
 changes per trial, P1 = V_sigma^H V_sigmaN and P2 = V_rhoN^H V_rho, carry the
-E(sigma) and E(rho) eigenbases into that frame; each beta then costs one
-kept matrix P1 sigmaN^b rhoN^-b P2 (two products), from which each read of
-D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b is formed elementwise;
-discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The
-proof's w_t (w_t, which bounds.proof_internals reads) is formed in the same
-frame from the overlaps of op and op_n and the frames. When E is the
+E(sigma) and E(rho) eigenbases into that frame; each read of
+D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b costs two products, and
+both norms of a beta are read from one D_b, which is not kept;
+discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The proof's w_t
+(which bounds.proof_internals reads) is formed in the same frame from the
+overlaps of op and op_n and the frames, and so is its moment (w_t_moment):
+one quadrature of the scalar kernels of w_t, then the frames. When E is the
 identity there are no frames, the two terms of D_b are the same numbers,
 and every discrepancy is exactly 0. No dense power of a state is formed. A
 caller with raw states builds a context for one quantity (as
@@ -46,6 +47,7 @@ from .algebra import SubalgebraSpec, expectation_eigh
 from .errors import InvalidInput
 from .linalg import hs_norm, pseudo_power, trace_norm
 from .monotone import builtin_neg_power
+from .quadrature import integrate_halfline
 from .states import DensityMatrix, from_spectrum, make_density
 
 
@@ -60,6 +62,14 @@ def _memoized(method):
             self._memo[slot] = method(self, *key)
         return self._memo[slot]
     return cached
+
+
+def _kernel(t, e):
+    """h(t, e) = 1/(t + e) of w_t, in its far form -e/(t (t + e)) =
+    1/(t + e) - 1/t where t > 1: the 1/t parts of w_t's two sides cancel
+    (U(rhoN^{1/2}) = rho^{1/2}), and left in they would wipe out the
+    O(1/t^2) digits the tail quadrature needs."""
+    return np.where(t <= 1.0, 1.0, -e / t) / (t + e)
 
 
 def _ratio(op: modular.RelativeModularOperator, beta: float) -> np.ndarray:
@@ -174,7 +184,6 @@ class PairContext:
                 self.rho_n.spectrum.eigenvectors.conj().T
                 @ self.rho.spectrum.eigenvectors)
 
-    @_memoized
     def _ratio_n(self, beta: float) -> np.ndarray:
         """sigmaN^b rhoN^-b in the frame of sigma (left) and rho (right)."""
         x = _ratio(self.op_n, beta)
@@ -185,8 +194,7 @@ class PairContext:
 
     def _difference(self, beta: float) -> np.ndarray:
         """D_b = sigmaN^b rhoN^-b - sigma^b rho^-b in the frame of sigma
-        (left) and rho (right), formed anew on each read from the memoized
-        _ratio_n(b): an elementwise O(d^2) step, no product. When E is the
+        (left) and rho (right), formed anew on each read. When E is the
         identity both terms are the same numbers and D_b is exactly 0."""
         return self._ratio_n(beta) - _ratio(self.op, beta)
 
@@ -201,48 +209,60 @@ class PairContext:
         rho (right); its columns outside supp rho are 0."""
         return self._difference(beta) * self._sqrt_rho
 
+    def _combine(self, k_n, k) -> np.ndarray:
+        """(P1 (O_N k_n) P2 - O k) lam^{1/2}, (T, d, kept), from kernel stacks
+        (d, T, kept_N) and (d, T, kept): two GEMMs for all T."""
+        op, op_n = self.op, self.op_n
+        d, kept, kept_n = op.dim, op.kept_columns, op_n.kept_columns
+        n_side = op_n.overlaps[:, kept_n][:, None, :] * k_n
+        if self.frames is not None:
+            p1, p2 = self.frames
+            n_side = ((p1 @ n_side.reshape(d, -1)).reshape(-1, kept_n.size)
+                      @ p2[kept_n][:, kept]).reshape(d, -1, kept.size)
+        w = (n_side - op.overlaps[:, kept][:, None, :] * k) \
+            * np.sqrt(op.rho_dec.eigenvalues.real[kept])
+        return w.transpose(1, 0, 2)
+
     def w_t(self, t) -> np.ndarray:
         """The proof's w_t = U((t + DeltaN)^{-1} rhoN^{1/2}) - (t + Delta)^{-1}
         rho^{1/2}, U(X) = E(X) rhoN^{-1/2} rho^{1/2}, at each t of a 1-D
         array: the stack (t.size, d, kept) in the frame of sigma (left) and
         rho's kept columns (right), where t + Delta scales entry ij by
-        t + e_ij. (t + Delta)^{-1} rho^{1/2} is O lam^{1/2}/(t + e), and
+        t + e_ij. (t + Delta)^{-1} rho^{1/2} is O lam^{1/2} h(t, e), and
         (t + DeltaN)^{-1} rhoN^{1/2} lies in N, so U of it is
-        P1 (O_N/(t + e_N)) P2 lam^{1/2} with no E: two GEMMs over all t on
-        the stacked (d, t.size * kept_N) layout. Where t > 1, 1/(t + e)
-        becomes -e/(t (t + e)) = 1/(t + e) - 1/t on both sides: the 1/t
-        parts cancel (U(rhoN^{1/2}) = rho^{1/2}), and left in they would
-        wipe out the O(1/t^2) digits the tail quadrature needs. With E = id,
-        w_t is exactly 0.
-        """
-        op, op_n = self.op, self.op_n
-        d, kept, kept_n = op.dim, op.kept_columns, op_n.kept_columns
+        P1 (O_N h(t, e_N)) P2 lam^{1/2} with no E. With E = id, w_t is 0."""
         t = np.asarray(t, dtype=float)[:, None]
+        k_n, k = (_kernel(t, o.eigenvalues.reshape(o.dim, 1, -1))
+                  for o in (self.op_n, self.op))
+        return self._combine(k_n, k)
 
-        def resolvent(o, e):
-            """O h(t, e) as the stack (d, t.size, kept), h = 1/(t + e)."""
-            e = e.reshape(d, 1, -1)
-            return o[:, None, :] * (np.where(t <= 1.0, 1.0, -e / t) / (t + e))
+    def w_t_moment(self, beta: float) -> np.ndarray:
+        """The integral of t^b w_t over (0, inf), (d, kept): one quadrature
+        of t^b h(t, e) at the eigenvalues of op_n and op side by side, a real
+        (nodes, d kept_N + d kept) array, then the frames, once."""
+        e_n, e = self.op_n.eigenvalues, self.op.eigenvalues
+        k = integrate_halfline(lambda t: (t ** beta)[:, None]
+                               * _kernel(t[:, None], np.concatenate([e_n, e])))
+        d, n = self.op.dim, e_n.size
+        return self._combine(k[:n].reshape(d, 1, -1),
+                             k[n:].reshape(d, 1, -1))[0]
 
-        n_side = resolvent(op_n.overlaps[:, kept_n], op_n.eigenvalues)
-        if self.frames is not None:
-            p1, p2 = self.frames
-            n_side = ((p1 @ n_side.reshape(d, -1)).reshape(-1, kept_n.size)
-                      @ p2[kept_n][:, kept]).reshape(d, t.shape[0], kept.size)
-        w = (n_side - resolvent(op.overlaps[:, kept], op.eigenvalues)) \
-            * np.sqrt(op.rho_dec.eigenvalues.real[kept])
-        return w.transpose(1, 0, 2)
+    @_memoized
+    def _norms(self, beta: float) -> tuple[float, float]:
+        """(|| D_b rho^{1/2} ||_2, || D_b ||_2) from one transient D_b."""
+        diff = self._difference(beta)
+        return hs_norm(diff * self._sqrt_rho), hs_norm(diff)
 
     @_memoized
     def discrepancy(self, beta: float) -> float:
         """|| D_b rho^{1/2} ||_2, the norm of discrepancy_matrix(b): the
         Hilbert-Schmidt norm does not change under the frame's unitaries."""
-        return hs_norm(self.discrepancy_matrix(beta))
+        return self._norms(beta)[0]
 
     @_memoized
     def beta_free(self, beta: float) -> float:
         """|| sigmaN^b rhoN^-b - sigma^b rho^-b ||_2 = || D_b ||_2."""
-        return hs_norm(self._difference(beta))
+        return self._norms(beta)[1]
 
     @cached_property
     def recovery_discrepancy(self) -> float:

@@ -131,6 +131,13 @@ def dense_kraus(ctx, role: str) -> tuple[np.ndarray, float]:
     return _dense(ctx, (1, [(role, 0.5), (role + "_n", -0.5)]))
 
 
+def stacked_w_t_moment(ctx, beta: float) -> np.ndarray:
+    """The integral of t^b w_t over (0, inf), taken on the operator stack
+    ctx.w_t at every node: the frames are applied at each node."""
+    return integrate_halfline(
+        lambda t: (t ** beta)[:, None, None] * ctx.w_t(t))
+
+
 # algebra
 
 def partial_trace_view(spec: SubalgebraSpec, x) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from oracles import (dense_beta_free, dense_discrepancy, dense_kraus,
-                     dense_recovery_discrepancy, support_leak)
+                     dense_recovery_discrepancy, stacked_w_t_moment,
+                     support_leak)
 from petzgap import entropy
 from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
@@ -174,3 +175,32 @@ def test_w_t_carries_the_per_t_gap(kind):
             (dim, seed, np.max(np.abs(gap_t - form) / s_t))
         if kind == "full":
             assert not np.any(w)
+
+
+MOMENT_BETAS = (0.25, 0.5, 0.75, 0.95)
+MOMENT_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+def test_w_t_moment_matches_the_stacked_integral(kind):
+    """w_t_moment integrates the scalar kernels of w_t and applies the
+    frames once; the oracle integrates the stack w_t, with the frames
+    applied at every node. They agree to 1e-13 times the larger of 1 and
+    the oracle's norm, on full-rank pairs and on a singular rho (w_t on its
+    kept columns only), and with E = id both are exactly 0."""
+    pairs = [(dim, ginibre(dim, dim, 7000 + dim), ginibre(dim, dim, 7100 + dim))
+             for dim in (2, 3, 4, 6, 8)]
+    pairs.append((4, ginibre(4, 3, 7200), ginibre(4, 4, 7201)))
+    for dim, rho, sigma in pairs:
+        ctx = PairContext(rho, sigma, spec_for(kind, dim))
+        for beta in MOMENT_BETAS:
+            got = ctx.w_t_moment(beta)
+            want = stacked_w_t_moment(ctx, beta)
+            assert got.shape == want.shape \
+                == (dim, ctx.op.kept_columns.size)
+            scale = max(1.0, np.linalg.norm(want))
+            assert np.linalg.norm(got - want) <= MOMENT_RTOL * scale, \
+                (dim, beta, np.linalg.norm(got - want) / scale)
+            if kind == "full":
+                assert not np.any(got)
+    assert ctx.op.kept_columns.size == 3

@@ -90,14 +90,37 @@ def reconstruct_record(code: int, report: dict) -> dict:
     }
 
 
+# what stands on one side of a mismatch where the other has a key or report
+ABSENT = "<absent>"
+
+
+def keyed(items):
+    """A list of reports as a dict by (name, beta), or None when items is
+    not such a list (a report without those keys, or a repeated pair)."""
+    if not isinstance(items, list) or not all(
+            isinstance(x, dict) and "name" in x and "beta" in x
+            for x in items):
+        return None
+    by_key = {(x["name"], x["beta"]): x for x in items}
+    return by_key if len(by_key) == len(items) else None
+
+
 def mismatches(got, want, path=()) -> list:
     """(path, got, want) of every value of got that differs from want; path
-    is the tuple of keys and indices that leads to the value."""
+    is the tuple of keys and indices that leads to the value. Dicts are
+    matched by key and lists of reports by (name, beta), so a key or report
+    on one side only is one mismatch of its own, against ABSENT; any other
+    list is matched by position."""
+    by_key = keyed(got), keyed(want)
+    if None not in by_key:
+        got, want = by_key
     if isinstance(want, dict):
-        if not isinstance(got, dict) or sorted(got) != sorted(want):
+        if not isinstance(got, dict):
             return [(path, got, want)]
-        return [m for k in want for m in mismatches(got[k], want[k],
-                                                     path + (k,))]
+        return [m for k in want for m in (
+                    mismatches(got[k], want[k], path + (k,)) if k in got
+                    else [(path + (k,), ABSENT, want[k])])] \
+            + [(path + (k,), got[k], ABSENT) for k in got if k not in want]
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             return [(path, got, want)]
@@ -116,20 +139,32 @@ def describe(bad: list) -> str:
         f"{path}: {got!r} != {want!r}" for path, got, want in bad[:5])
 
 
+def child(node, step):
+    """node[step] as mismatches reads it, or ABSENT."""
+    if keyed(node) is not None and isinstance(step, tuple):
+        node = keyed(node)
+    try:
+        return node[step]
+    except (KeyError, IndexError, TypeError):
+        return ABSENT
+
+
 def moves(got, want) -> dict:
     """{(family, key): (count, largest absolute, largest relative move)} over
     the mismatches of got against want. The family is the innermost label
     on the value's path: the name of a verify report, or of the report a grid
     constant is kept under, "quantities" for a trial quantity, the function
     or status of a reconstruct case, and the status of a verify trial for
-    what it drew; the key is the path below it. A value that changed kind
-    (a float against a non-finite marker, keys, lengths) moves by inf.
+    what it drew; the key is the path below it, empty for a whole report or
+    grid entry that one side lacks. A value that changed kind (a float
+    against a non-finite marker or ABSENT, lengths) moves by inf.
     """
     table = {}
     for path, g, w in mismatches(got, want):
-        node, family, depth = want, "", 0
+        sides, family, depth = (got, want), "", 0
         for i, step in enumerate(path):
-            node = node[step]
+            sides = tuple(child(node, step) for node in sides)
+            node = sides[1] if sides[1] is not ABSENT else sides[0]
             label = node.get("name", node.get("function", node.get(
                 "status"))) if isinstance(node, dict) else None
             if step == "quantities" or path[i - 1:i] == ("grid",):
@@ -177,11 +212,14 @@ def test_golden_comparison_catches_changes():
     trial = got["trials"][0]
     trial["quantities"]["delta_norm"] *= 1.0 + 1e-9
     trial["reports"][0]["flags"].append("extra")
+    removed = trial["reports"].pop(5)
     got["exit_code"] = 1 - want["exit_code"]
-    assert len(mismatches(got, want)) == 3
+    assert len(mismatches(got, want)) == 4
     assert sorted(moves(got, want)) == sorted([
         ("quantities", "delta_norm"), (trial["reports"][0]["name"], "flags"),
-        ("", "exit_code")])
+        (removed["name"], ""), ("", "exit_code")])
+    del got["grid"][removed["name"]]
+    assert moves(got, want)[removed["name"], ""] == (2, math.inf, math.inf)
 
 
 if __name__ == "__main__":

@@ -57,7 +57,12 @@ function's entropy and gap (the resolvent sums of op and op_n, times each
 density on a trailing axis), which the proof internals read back from the
 context, and the discrepancy identity of the proof internals. It took 5 at
 the default two functions, an entropy and a gap reconstruction per
-function and the identity. The graded bisection quadrature made
+function and the identity. The context makes the identity's call
+(PairContext.w_t_moment), on the scalar kernels h(t, e) of w_t: its
+integrand is a real float64 (nodes, d (kept + kept_N)) array, and the
+frames are applied once, to the integral. So a trial calls PairContext.w_t
+once, on the t grid, where it called it twice, the second time inside the
+integrand on all 346 folded nodes. The graded bisection quadrature made
 144 panels, one integrand call each, on the reconstruct golden config, and
 1,840 before it was graded.
 """
@@ -66,7 +71,8 @@ import sys
 
 import numpy as np
 
-from petzgap import algebra, bounds, entropy, linalg, modular, quadrature
+from petzgap import (algebra, bounds, context, entropy, linalg, modular,
+                     quadrature)
 from petzgap import harness
 from petzgap.harness import (ExperimentConfig, grid_factors, run_reconstruct,
                              run_trial, run_verify, spec_for)
@@ -84,6 +90,7 @@ S_F_PER_TRIAL = 0
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
 HALFLINE_PER_RECONSTRUCT_TRIAL = 2
 INTEGRAND_CALLS_PER_HALFLINE = 1
+W_T_PER_RECONSTRUCT_TRIAL = 1
 PSD_POWER_PER_TRIAL = 0
 PSD_POWER_PER_RECONSTRUCT_TRIAL = 0
 MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL = 1
@@ -290,7 +297,7 @@ def test_reconstruct_integrand_calls(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate", counting)
     halflines = [count_calls(monkeypatch, module, "integrate_halfline")
-                 for module in (entropy, bounds)]
+                 for module in (entropy, context)]
     code, _ = run_reconstruct(ExperimentConfig.from_json(
         dict(RECONSTRUCT_CONFIG)))
     assert code == 0
@@ -298,3 +305,40 @@ def test_reconstruct_integrand_calls(monkeypatch):
     assert n_halfline == HALFLINE_PER_RECONSTRUCT_TRIAL \
         * RECONSTRUCT_CONFIG["trials"]
     assert len(calls) == INTEGRAND_CALLS_PER_HALFLINE * n_halfline, len(calls)
+
+
+def test_reconstruct_integrates_the_identity_on_scalar_kernels(monkeypatch):
+    w_t = count_calls(monkeypatch, context.PairContext, "w_t")
+    shapes = []
+    original = context.integrate_halfline
+
+    def recording(f):
+        def recorded(t):
+            vals = f(t)
+            shapes.append((vals.dtype, vals.shape, t.size))
+            return vals
+        return original(recorded)
+
+    monkeypatch.setattr(context, "integrate_halfline", recording)
+    per_trial = []
+    sizes = []
+    original_internals = bounds.proof_internals
+
+    def counted(rep, beta, ctx, *args, **kwargs):
+        before = len(w_t)
+        out = original_internals(rep, beta, ctx, *args, **kwargs)
+        per_trial.append(len(w_t) - before)
+        sizes.append(ctx.op.dim
+                     * (ctx.op.kept_columns.size + ctx.op_n.kept_columns.size))
+        return out
+
+    monkeypatch.setattr(bounds, "proof_internals", counted)
+    code, _ = run_reconstruct(ExperimentConfig.from_json(
+        dict(RECONSTRUCT_CONFIG)))
+    assert code == 0
+    assert len(shapes) == len(sizes) == RECONSTRUCT_CONFIG["trials"]
+    assert per_trial == [W_T_PER_RECONSTRUCT_TRIAL] \
+        * RECONSTRUCT_CONFIG["trials"], per_trial
+    assert [(dtype, shape) for dtype, shape, _ in shapes] \
+        == [(np.dtype(np.float64), (nodes, size))
+            for (_, _, nodes), size in zip(shapes, sizes)], shapes
