@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SpecInconsistent
-from .linalg import SpectralDecomposition, as_matrix, zero_threshold
+from .linalg import SpectralDecomposition, as_matrix
 from .states import swap_factors_unitary, unit_trace
 
 UNITARY_TOL = 1e-10
@@ -160,5 +160,4 @@ def expectation_eigh(spec: SubalgebraSpec, x) -> SpectralDecomposition:
     order = (-w).argsort(kind="stable")
     w = w[order]
     return SpectralDecomposition(
-        eigenvalues=w, eigenvectors=np.concatenate(vecs, axis=1)[:, order],
-        zero_threshold=zero_threshold(w))
+        eigenvalues=w, eigenvectors=np.concatenate(vecs, axis=1)[:, order])

@@ -32,7 +32,9 @@ Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
 the margins dict (everything else is recorded in constants/rhs_values and
 explained by flags). gap_margin turns a gap into its margin and the
-infinite-gap flag. A BoundReport holds no trial quantity (the gap, a
+infinite-gap flag. Under linalg's support policy, the leak of sigma
+(sigma_N) off supp rho (rho_N) is flagged above sigma's (sigma_N's) zero
+threshold. A BoundReport holds no trial quantity (the gap, a
 discrepancy, ||Delta||, a recovery error): those are the PairContext's, and
 a verify trial writes them once. Its to_json leaves out only the GRID_KEYS
 constants, which depend only on (report name, beta) and the run writes once.
@@ -52,8 +54,6 @@ from .errors import DomainError, InvalidInput, NumericalFailure
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
 from .states import stream
-
-SUPPORT_LEAK_TOL = 1e-12
 
 FLAG_INFINITE_GAP = "infinite-gap"
 FLAG_SIGMA_N_SINGULAR = "sigma_N-singular"
@@ -415,7 +415,7 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
         rhs_rec = math.log1p(_power_law(log_k_hat, mx, expo)) / (1.0 - alpha)
         rhs_inv = _power_law(-log_k_hat,
                             math.expm1((1.0 - alpha) * max(g, 0.0)), 1.0)
-        if ctx.support_leak <= SUPPORT_LEAK_TOL:
+        if ctx.support_leak <= s.spectrum.zero_threshold:
             margins["renyi_recovery"] = g - rhs_rec
             margins["renyi_inverted"] = rhs_inv - mx ** expo
         else:
@@ -455,7 +455,7 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     r, s, r_n, s_n = ctx.rho, ctx.sigma, ctx.rho_n, ctx.sigma_n
     e_rho, e_sigma = ctx.recovery_errors
     disc_full = ctx.recovery_discrepancy
-    support_match = ctx.support_leak <= SUPPORT_LEAK_TOL
+    support_match = ctx.support_leak <= s.spectrum.zero_threshold
     g = ctx.gap(builtin_neg_log())
     cst = _generic_constants(1.0, 0.0, 0.5, ctx.delta_norm)
     k_gap = cst["K_gap"]
@@ -484,7 +484,7 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
         float(s.eigenvalues[0]) - float(s_n.eigenvalues[0]))
     if math.isinf(g):
         flags.append(FLAG_INFINITE_GAP)
-    if ctx.support_leak_n > SUPPORT_LEAK_TOL:
+    if ctx.support_leak_n > s_n.spectrum.zero_threshold:
         flags.append(FLAG_TRACE_LOSS)
     if support_match and not math.isnan(g):
         gg = max(g, 0.0)
@@ -531,7 +531,7 @@ def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
 
 
 def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
-                    t_grid=None) -> dict:
+                    t_grid) -> dict:
     """Check the internal objects the theorem's proof is built from; the
     five values below, as the fields of a reconstruct internals case. The
     margins follow the >= 0 convention, the residuals are absolute errors.
@@ -567,8 +567,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
         np.linalg.norm(x, axis=(1, 2))
         - np.linalg.norm(conditional_expectation(spec, x) @ u_right,
                          axis=(1, 2))))
-    grid = np.logspace(-2, 2, 20) if t_grid is None \
-        else np.asarray(t_grid, dtype=float)
+    grid = np.asarray(t_grid, dtype=float)
     norms = np.linalg.norm(ctx.w_t(grid), axis=(1, 2))
     gap_t = entropy.s_t(grid, op) - entropy.s_t(grid, op_n)
     per_t = float(np.min(gap_t - grid * norms * norms))

@@ -4,9 +4,10 @@ S_f(rho||sigma) = <sqrt(rho), f(Delta_{sigma,rho}) sqrt(rho)>
                = sum over (i, j with lambda_j > 0) of
                  f(mu_i/lambda_j) * lambda_j * |<phi_i|psi_j>|^2.
 
-Every entropy is a float. It is math.inf exactly when ker(sigma) meets
-supp(rho) with total weight above WEIGHT_TOL and f(0+) = +inf; weights at or
-below WEIGHT_TOL multiply any f(0+) to zero (the 0 * inf = 0 convention).
+Every entropy is a float. It is math.inf exactly when f(0+) = +inf and the
+weight of rho on ker(sigma) (modular.kernel_weight) exceeds rho's zero
+threshold; a weight at or below it is roundoff under linalg's support policy,
+and multiplies f(0+) to zero (the 0 * inf = 0 convention).
 
 Every function of Delta takes Delta itself, op = modular.build(sigma, rho);
 reconstruct_gap takes op and op_n, the operator of (E(rho), E(sigma)), which
@@ -33,16 +34,9 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidInput, NumericalFailure
-from .modular import RelativeModularOperator
+from .modular import RelativeModularOperator, kernel_weight
 from .monotone import MonotoneDecreasingRep, builtin_neg_power
 from .quadrature import integrate_halfline
-
-WEIGHT_TOL = 1e-14
-
-
-def _kernel_weight(op: RelativeModularOperator) -> float:
-    """Weight of supp rho on ker sigma (the zero modular eigenvalues)."""
-    return float(np.sum(op.weights[op.eigenvalues <= 0.0]))
 
 
 def entropies(reps, op: RelativeModularOperator) -> list:
@@ -50,7 +44,7 @@ def entropies(reps, op: RelativeModularOperator) -> list:
     positive spectrum and the kernel weight are formed once, and every rep
     is evaluated on it as one row of a stack, each row summed on its own (a
     rep's entropy is the same bits whichever reps share the call). math.inf
-    where f(0+) = +inf and the kernel weight exceeds WEIGHT_TOL."""
+    where f(0+) = +inf and the kernel weight exceeds rho's zero threshold."""
     if not reps:
         return []
     e, w = op.eigenvalues, op.weights
@@ -61,11 +55,12 @@ def entropies(reps, op: RelativeModularOperator) -> list:
     if not finite.all():
         bad = reps[int(np.argmin(finite))]
         raise DomainError(f"{bad.name} not finite on the positive spectrum")
-    zero_weight = _kernel_weight(op)
+    zero_weight = kernel_weight(op)
     out = []
     for rep, finite_part in zip(reps, np.sum(w[pos] * fv, axis=1).tolist()):
         if math.isinf(rep.f_at_zero):
-            out.append(math.inf if zero_weight > WEIGHT_TOL else finite_part)
+            out.append(math.inf if zero_weight > op.rho_dec.zero_threshold
+                       else finite_part)
         else:
             out.append(finite_part + rep.f_at_zero * zero_weight)
     return out
@@ -123,11 +118,6 @@ def renyi_gap(alpha: float, outer: float, inner: float) -> float:
     return _renyi_of_power(alpha, outer) - _renyi_of_power(alpha, inner)
 
 
-def _check_reconstructible(*ops: RelativeModularOperator) -> None:
-    if any(_kernel_weight(op) > WEIGHT_TOL for op in ops):
-        raise DomainError("supp sigma must contain supp rho (finite case)")
-
-
 def _resolvent_sum(op: RelativeModularOperator, t: np.ndarray) -> np.ndarray:
     """sum_j w_j (1/(t+e_j) - 1/(t+1)) at each t of an array, each
     difference of resolvents written as a single fraction: the separate
@@ -155,7 +145,8 @@ def reconstructions(reps, op: RelativeModularOperator,
     the nodes alone, so a rep's values are the same bits whichever reps
     share the call.
     """
-    _check_reconstructible(op, op_n)
+    if any(kernel_weight(o) > o.rho_dec.zero_threshold for o in (op, op_n)):
+        raise DomainError("supp sigma must contain supp rho (finite case)")
 
     def integrand(t):
         r = _resolvent_sum(op, t)[:, None, None]

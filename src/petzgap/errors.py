@@ -10,7 +10,7 @@ class InvalidInput(PetzGapError):
 
 
 class NotPSD(InvalidInput):
-    """Matrix has an eigenvalue below the PSD tolerance."""
+    """Matrix has an eigenvalue below minus its zero threshold."""
 
 
 class NotNormalized(InvalidInput):

@@ -2,14 +2,19 @@
 
 Every spectrum downstream is a SpectralDecomposition, from `eigh` here or,
 for a state, the one `states.make_density` validated it with (for E(x),
-`algebra.expectation_eigh` assembles it from the block cores). So the zero
-threshold and ordering conventions are fixed in one place: eigenvalues
-descending, threshold `zero_threshold` = 1e-12 * max(1, lambda_max).
+`algebra.expectation_eigh` assembles it from the block cores). So two
+conventions are fixed in one place: eigenvalues descend, and one support
+policy holds. Each spectrum derives its zero threshold from its own
+eigenvalues, 1e-12 * max(1, max |lambda|) (1e-12 for a state), the one cut
+of every support decision: an eigenvalue, a PSD defect, or the weight of
+one state outside the other's support counts as 0 at or below the
+threshold of the spectrum it is measured against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,28 +40,26 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors.
-
-    zero_threshold is the cutoff of every rank and pseudo-inverse decision:
-    an eigenvalue at or below it counts as 0.
-    """
+    """Eigenvalues (descending) and matching orthonormal eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    zero_threshold: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @cached_property
+    def zero_threshold(self) -> float:
+        """1e-12 * max(1, max |eigenvalue|), formed once: the cutoff of every
+        rank and pseudo-inverse decision, at or below which an eigenvalue
+        counts as 0."""
+        w = self.eigenvalues
+        return 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
+
     @property
     def rank(self) -> int:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
-
-
-def zero_threshold(w: np.ndarray) -> float:
-    """1e-12 * max(1, max |w|): the zero threshold of the eigenvalues w."""
-    return 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
 
 
 def eigh(a) -> SpectralDecomposition:
@@ -65,8 +68,7 @@ def eigh(a) -> SpectralDecomposition:
     w, v = np.linalg.eigh(m)
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v,
-                                 zero_threshold=zero_threshold(w))
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def pseudo_power(dec: SpectralDecomposition, p: float) -> np.ndarray:

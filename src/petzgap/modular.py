@@ -7,7 +7,9 @@ flat, row-major in (i, j) over sigma index i and kept rho index j: one
 entry per pair with its eigenvalue and the weight lambda_j |<phi_i|psi_j>|^2
 it carries in <sqrt(rho), . sqrt(rho)>. Entries
 with mu_i = 0 are kept (eigenvalue 0), since that is where infinite
-quasi-entropies come from.
+quasi-entropies come from. Both leaks of a pair are read here, rho's weight
+on ker sigma (kernel_weight) and sigma's off supp rho (support_leak); under
+linalg's support policy each counts as 0 up to its own state's threshold.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ def build(sigma, rho) -> RelativeModularOperator:
         kept_columns=kept,
         overlaps=overlaps,
     )
+
+
+def kernel_weight(op: RelativeModularOperator) -> float:
+    """Tr[rho (1 - P_sigma)] over supp rho, the weight of rho on ker sigma:
+    the weights of the zero modular eigenvalues."""
+    return float(np.sum(op.weights[op.eigenvalues <= 0.0]))
 
 
 def support_leak(op: RelativeModularOperator) -> float:

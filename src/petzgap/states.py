@@ -4,7 +4,8 @@ A DensityMatrix carries the SpectralDecomposition that make_density found
 while validating it, so each state is diagonalized once, by one eigh. A
 state whose spectrum is known another way (E(x), from the block cores of
 algebra.expectation_eigh) passes the same trace and positivity checks
-through unit_trace and from_spectrum.
+through unit_trace and from_spectrum. Positivity and rank follow the zero
+threshold of the spectrum, under linalg's one support policy.
 Sampler streams are counter-based: trial i of seed s draws from
 Philox(key=(s, i)), so any trial is reproducible in isolation.
 """
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import InvalidInput, NotNormalized, NotPSD
 from .linalg import SpectralDecomposition, check_hermitian, eigh
 
-PSD_TOL = -1e-12
 TRACE_TOL = 1e-9
 
 
@@ -55,7 +55,7 @@ class DensityMatrix:
 def make_density(a) -> DensityMatrix:
     """Validate Hermiticity, positivity, and unit trace.
 
-    Eigenvalues below -1e-12 raise NotPSD; small negatives are clipped to 0.
+    Eigenvalues below -zero_threshold raise NotPSD; the rest clip to 0.
     Traces within 1e-9 of 1 are renormalized, anything further raises
     NotNormalized. The clipped, renormalized eigenvalues and the
     eigenvectors become the spectrum of the rebuilt matrix. A DensityMatrix
@@ -78,22 +78,22 @@ def unit_trace(tr: float) -> float:
 
 def from_spectrum(dec: SpectralDecomposition) -> DensityMatrix:
     """The state of the spectral decomposition of a matrix already divided
-    by its unit_trace: NotPSD when its least eigenvalue is below PSD_TOL,
-    else the _clean state."""
-    if dec.eigenvalues[-1] < PSD_TOL:
-        raise NotPSD(f"eigenvalue {dec.eigenvalues[-1]!r} below PSD tolerance")
+    by its unit_trace: NotPSD when its least eigenvalue is below minus its
+    zero threshold, else the _clean state."""
+    if dec.eigenvalues[-1] < -dec.zero_threshold:
+        raise NotPSD(f"eigenvalue {dec.eigenvalues[-1]!r} below -zero_threshold")
     return _clean(dec)
 
 
 def _clean(dec: SpectralDecomposition) -> DensityMatrix:
     """The state of dec's eigenvectors and its eigenvalues clipped at 0 and
-    renormalized, with dec's zero threshold."""
+    renormalized."""
     w = np.clip(dec.eigenvalues, 0.0, None)
     w = w / w.sum()
     v = dec.eigenvectors
     clean = (v * w) @ v.conj().T
     return DensityMatrix(matrix=(clean + clean.conj().T) / 2.0,
-                         spectrum=SpectralDecomposition(w, v, dec.zero_threshold))
+                         spectrum=SpectralDecomposition(w, v))
 
 
 @dataclass

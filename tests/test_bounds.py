@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from petzgap import modular
+from petzgap import entropy, modular
 from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
@@ -17,7 +17,7 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             recovery_discrepancy, renyi_bound, theorem_bound,
                             theorem_factors)
 from petzgap.context import PairContext
-from petzgap.errors import InvalidInput
+from petzgap.errors import DomainError, InvalidInput, NotPSD
 from petzgap.harness import (SPEC_KINDS, T_GRID, ExperimentConfig,
                              draw_pair, grid_factors, run_trial, spec_for)
 from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
@@ -27,6 +27,8 @@ from conftest import diagonal_state, exact_product_pair, ginibre
 from oracles import scalar_theorem_bound
 
 SPEC4 = pinching_spec(4, [2, 2])
+# the reconstruct command's default t grid
+RECONSTRUCT_T_GRID = np.logspace(-2, 2, ExperimentConfig().t_points)
 
 
 def random_pair(seed, dim=4, rank=None):
@@ -381,6 +383,45 @@ def test_renyi_bound_support_leak_gates_recovery_forms():
     assert "renyi_recovery" in rep.rhs_values
 
 
+@pytest.mark.parametrize("w", [5e-13, 2e-12])
+def test_one_zero_cut_decides_every_support_question(w):
+    """A state's zero threshold is 1e-12, and it is the one cut of every
+    support question: an eigenvalue -w, rho's weight w on ker sigma and
+    sigma's weight w off supp rho all count as 0 at w = 5e-13 and as
+    nonzero at w = 2e-12, on 3 x 3 states."""
+    above = w > 1e-12
+    defect = np.diag([0.5 + w, 0.5, -w])
+    if above:
+        with pytest.raises(NotPSD):
+            make_density(defect)
+    else:
+        assert make_density(defect).eigenvalues[-1] == 0.0
+    # rho's eigenvector of eigenvalue lam tilted toward sigma's null vector
+    # e_3 by sin^2 theta = w / lam: rho's weight on ker sigma is w
+    lam = 0.6
+    sin = math.sqrt(w / lam)
+    psi = np.array([math.sqrt(1.0 - sin * sin), 0.0, sin])
+    rho = make_density(lam * np.outer(psi, psi)
+                       + np.diag([0.0, 1.0 - lam, 0.0]))
+    op = modular.build(diagonal_state([0.5, 0.5, 0.0]), rho)
+    assert math.isinf(entropy.s_f(builtin_neg_log(), op)) == above
+    assert modular.kernel_weight(op) == pytest.approx(w, rel=1e-6)
+    if above:
+        with pytest.raises(DomainError):
+            entropy.reconstructions([builtin_neg_log()], op, op)
+    else:
+        assert np.isfinite(
+            entropy.reconstructions([builtin_neg_log()], op, op)).all()
+    # sigma's eigenvalue w on rho's null vector e_3: sigma is invertible,
+    # and its weight w off supp rho a leak, only above the cut
+    ctx = PairContext(diagonal_state([0.5, 0.5, 0.0]),
+                      diagonal_state([0.5, 0.5 - w, w]), full_spec(3))
+    assert ctx.support_leak == pytest.approx(w, rel=1e-6)
+    assert ctx.sigma.is_invertible == above
+    for report in (recovery_chain(ctx), renyi_bound(0.5, ctx)):
+        assert (FLAG_SUPPORT_MISMATCH in report.flags) == above, report.name
+
+
 def test_recovery_chain_full_rank_margins():
     for seed in range(4):
         rho, sigma = random_pair(50 + seed)
@@ -474,7 +515,7 @@ def test_proof_internals_random_pair():
 def test_proof_internals_power_rep_and_high_beta():
     rho, sigma = random_pair(71)
     out = proof_internals(builtin_neg_power(0.75), 0.8,
-                          PairContext(rho, sigma, SPEC4))
+                          PairContext(rho, sigma, SPEC4), RECONSTRUCT_T_GRID)
     assert out["per_t_gap_margin"] >= -1e-10
     assert out["identity_residual"] <= 1e-6
     assert out["gap_residual"] <= 1e-6
@@ -490,7 +531,7 @@ def test_proof_internals_rank_deficient(kind, ranks):
     ctx = PairContext(ginibre(4, rank_rho, 5000 + rank_rho),
                       ginibre(4, rank_sigma, 5100 + rank_sigma),
                       spec_for(kind, 4))
-    out = proof_internals(builtin_neg_log(), 0.5, ctx)
+    out = proof_internals(builtin_neg_log(), 0.5, ctx, RECONSTRUCT_T_GRID)
     assert ctx.op.kept_columns.size == rank_rho
     assert ctx.sigma.spectrum.rank == rank_sigma
     for key in ("contraction_margin", "per_t_gap_margin", "decay_margin"):
@@ -504,9 +545,10 @@ def test_proof_internals_rank_deficient(kind, ranks):
 def test_proof_internals_exact_pair_near_zero():
     rho, sigma = exact_product_pair(2, 2, 72)
     out = proof_internals(builtin_neg_log(), 0.5,
-                          PairContext(rho, sigma, factor_spec(2, 2)))
+                          PairContext(rho, sigma, factor_spec(2, 2)),
+                          RECONSTRUCT_T_GRID)
     assert out["identity_residual"] <= 1e-9
     assert out["gap_residual"] <= 1e-8
     # w_t vanishes identically, so the decay margin is the infimum of 2/t
-    # over the default grid, which ends at t = 100
+    # over the reconstruct grid, which ends at t = 100
     assert out["decay_margin"] >= 2.0 / 100.0 - 1e-9

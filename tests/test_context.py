@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from oracles import (dense_beta_free, dense_discrepancy, dense_kraus,
-                     dense_recovery_discrepancy, stacked_w_t_moment,
-                     support_leak)
-from petzgap import entropy
+                     dense_recovery_discrepancy, loop_power,
+                     stacked_w_t_moment, support_leak)
+from petzgap import entropy, modular
 from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
@@ -134,20 +134,29 @@ def test_discrepancies_match_dense_oracles(kind):
 
 @pytest.mark.parametrize("kind", SPEC_KINDS)
 def test_support_leaks_match_the_dense_projector(kind):
-    """The leaks read from the overlaps of op and op_n against
-    Tr[sigma (1 - P_rho)] with the dense support projector, on leaking,
-    rank-deficient and near-singular pairs (both sides of the zero
-    threshold)."""
-    leaking = 0
+    """Both leaks of op and op_n against the dense support projector: the
+    support leak against Tr[sigma (1 - P_rho)] and the kernel weight against
+    Tr[rho (1 - P_sigma)], on leaking, rank-deficient and near-singular
+    pairs (both sides of the zero threshold). op keeps only rho's columns
+    above its threshold, so the kernel weight's rho is loop_power(rho, 1),
+    its eigenvalues at or below the cut set to 0."""
+    leaking = {"support_leak": 0, "kernel_weight": 0}
     for label, rho, sigma in _pairs():
         ctx = PairContext(rho, sigma, spec_for(kind, rho.dim))
-        for got, state, ref in (
-                (ctx.support_leak, ctx.sigma, ctx.rho),
-                (ctx.support_leak_n, ctx.sigma_n, ctx.rho_n)):
-            want = support_leak(state.matrix, ref.spectrum)
-            assert abs(got - want) <= LEAK_ATOL, (label, rho.dim, got, want)
-            leaking += want > 1e-3
-    assert leaking > 0
+        for name, got, state, ref in (
+                ("support_leak", ctx.support_leak, ctx.sigma.matrix,
+                 ctx.rho),
+                ("support_leak", ctx.support_leak_n, ctx.sigma_n.matrix,
+                 ctx.rho_n),
+                ("kernel_weight", modular.kernel_weight(ctx.op),
+                 loop_power(ctx.rho.spectrum, 1.0), ctx.sigma),
+                ("kernel_weight", modular.kernel_weight(ctx.op_n),
+                 loop_power(ctx.rho_n.spectrum, 1.0), ctx.sigma_n)):
+            want = support_leak(state, ref.spectrum)
+            assert abs(got - want) <= LEAK_ATOL, \
+                (label, name, rho.dim, got, want)
+            leaking[name] += want > 1e-3
+    assert all(leaking.values()), leaking
 
 
 # the reconstruct command's default t grid

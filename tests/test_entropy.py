@@ -6,9 +6,8 @@ import pytest
 from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              pinching_spec, trivial_spec)
 from petzgap.context import PairContext
-from petzgap.entropy import (WEIGHT_TOL, entropies, integral_reconstruction,
-                             reconstruct_gap, reconstructions, renyi, s_f,
-                             s_t)
+from petzgap.entropy import (entropies, integral_reconstruction,
+                             reconstruct_gap, reconstructions, renyi, s_f, s_t)
 from petzgap.errors import DomainError, InvalidInput
 from petzgap.harness import ExperimentConfig, run_reconstruct
 from petzgap.linalg import psd_power
@@ -264,7 +263,8 @@ def test_entropies_take_one_pass_bit_for_bit():
             op.eigenvalues[pos])))
         zero_weight = float(np.sum(op.weights[~pos]))
         if math.isinf(rep.f_at_zero):
-            return math.inf if zero_weight > WEIGHT_TOL else finite_part
+            return math.inf if zero_weight > op.rho_dec.zero_threshold \
+                else finite_part
         return finite_part + rep.f_at_zero * zero_weight
 
     reps = [rep_from_name(n) for n in
