@@ -83,7 +83,8 @@ def block_cores(spec: SubalgebraSpec, x) -> list:
     """The block cores of E(x), one per block (n, m) of the spec: the n x n
     average over the multiplicity factor of that diagonal block of
     V^H x V. x is one d x d matrix or a stack of shape (..., d, d), and so
-    is each core, (..., n, n)."""
+    is each core, (..., n, n); a core of multiplicity 1 is that block, a
+    view of x (or of V^H x V) that no caller writes into."""
     m = as_matrix(x) if np.ndim(x) == 2 else np.asarray(x, dtype=complex)
     if m.shape[-2:] != (spec.dim, spec.dim):
         raise InvalidInput("matrix dimension does not match spec")
@@ -93,9 +94,9 @@ def block_cores(spec: SubalgebraSpec, x) -> list:
     off = 0
     for n, mult in spec.blocks:
         sz = n * mult
-        blk = y[..., off:off + sz, off:off + sz].reshape(
-            batch + (n, mult, n, mult))
-        cores.append(np.einsum("...iaja->...ij", blk) / mult)
+        blk = y[..., off:off + sz, off:off + sz]
+        cores.append(blk if mult == 1 else np.einsum(
+            "...iaja->...ij", blk.reshape(batch + (n, mult, n, mult))) / mult)
         off += sz
     return cores
 
@@ -113,7 +114,7 @@ def conditional_expectation(spec: SubalgebraSpec, x) -> np.ndarray:
     for core, (n, mult) in zip(cores, spec.blocks):
         sz = n * mult
         # core (x) 1_mult, as the entrywise products np.kron would form
-        out[..., off:off + sz, off:off + sz] = (
+        out[..., off:off + sz, off:off + sz] = core if mult == 1 else (
             core[..., :, None, :, None] * np.eye(mult)[:, None, :]
         ).reshape(batch + (sz, sz))
         off += sz

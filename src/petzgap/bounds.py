@@ -530,8 +530,16 @@ def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
     )
 
 
+def contraction_probes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, ||x||_2) of the contraction check's 5 fixed d x d probes, x = re +
+    i im of one (5, 2, d, d) Gaussian draw from stream(0xA11CE, d)."""
+    z = stream(0xA11CE, d).standard_normal((5, 2, d, d))
+    x = z[:, 0] + 1j * z[:, 1]
+    return x, np.linalg.norm(x, axis=(1, 2))
+
+
 def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
-                    t_grid) -> dict:
+                    t_grid, probes) -> dict:
     """Check the internal objects the theorem's proof is built from; the
     five values below, as the fields of a reconstruct internals case. The
     margins follow the >= 0 convention, the residuals are absolute errors.
@@ -549,24 +557,21 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
                            memo; nan when supp rho leaves supp sigma)
 
     w_t is the context's (PairContext.w_t): formed in its frame, with no E
-    and no dense power, and exactly 0 when E = id. The t grid is taken in
+    and no dense power; with E = id the context returns it, its moment and
+    the discrepancy matrix as zeros, not computed. The t grid is taken in
     one s_t call per operator and one w_t stack, the identity's integral in
-    one PairContext.w_t_moment call (a quadrature of scalar kernels); the 5
-    contraction draws are one (5, 2, d, d) draw from the stream, in the
-    order of 5 draws of a real and an imaginary part, and the only E
-    applied, as one stack.
+    one PairContext.w_t_moment call (a quadrature of scalar kernels). The
+    caller builds t_grid once and probes = contraction_probes(d) once per
+    d; the probes are the only input E is applied to, as one stack.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     spec, op, op_n = ctx.spec, ctx.op, ctx.op_n
-    d = spec.dim
-    z = stream(0xA11CE, d).standard_normal((5, 2, d, d))
-    x = z[:, 0] + 1j * z[:, 1]
+    x, x_norms = probes
     u_right = ctx.kraus("rho").conj().T  # rhoN^{-1/2} rho^{1/2}
     contraction = float(np.min(
-        np.linalg.norm(x, axis=(1, 2))
-        - np.linalg.norm(conditional_expectation(spec, x) @ u_right,
-                         axis=(1, 2))))
+        x_norms - np.linalg.norm(conditional_expectation(spec, x) @ u_right,
+                                 axis=(1, 2))))
     grid = np.asarray(t_grid, dtype=float)
     norms = np.linalg.norm(ctx.w_t(grid), axis=(1, 2))
     gap_t = entropy.s_t(grid, op) - entropy.s_t(grid, op_n)

@@ -31,7 +31,8 @@ discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The proof's w_t
 overlaps of op and op_n and the frames, and so is its moment (w_t_moment):
 one quadrature of the scalar kernels of w_t, then the frames. When E is the
 identity there are no frames, the two terms of D_b are the same numbers,
-and every discrepancy is exactly 0. No dense power of a state is formed. A
+and every discrepancy is exactly 0: D_b, w_t and its moment are returned
+as zeros, not computed. No dense power of a state is formed. A
 caller with raw states builds a context for one quantity (as
 `bounds.discrepancy_norm` and `recovery.recovery_errors` do).
 """
@@ -196,6 +197,8 @@ class PairContext:
         """D_b = sigmaN^b rhoN^-b - sigma^b rho^-b in the frame of sigma
         (left) and rho (right), formed anew on each read. When E is the
         identity both terms are the same numbers and D_b is exactly 0."""
+        if self.op_n is self.op:
+            return np.zeros((self.op.dim, self.op.dim), dtype=complex)
         return self._ratio_n(beta) - _ratio(self.op, beta)
 
     @cached_property
@@ -232,6 +235,9 @@ class PairContext:
         (t + DeltaN)^{-1} rhoN^{1/2} lies in N, so U of it is
         P1 (O_N h(t, e_N)) P2 lam^{1/2} with no E. With E = id, w_t is 0."""
         t = np.asarray(t, dtype=float)[:, None]
+        if self.op_n is self.op:
+            return np.zeros((t.size, self.op.dim, self.op.kept_columns.size),
+                            dtype=complex)
         k_n, k = (_kernel(t, o.eigenvalues.reshape(o.dim, 1, -1))
                   for o in (self.op_n, self.op))
         return self._combine(k_n, k)
@@ -240,6 +246,9 @@ class PairContext:
         """The integral of t^b w_t over (0, inf), (d, kept): one quadrature
         of t^b h(t, e) at the eigenvalues of op_n and op side by side, a real
         (nodes, d kept_N + d kept) array, then the frames, once."""
+        if self.op_n is self.op:
+            return np.zeros((self.op.dim, self.op.kept_columns.size),
+                            dtype=complex)
         e_n, e = self.op_n.eigenvalues, self.op.eigenvalues
         k = integrate_halfline(lambda t: (t ** beta)[:, None]
                                * _kernel(t[:, None], np.concatenate([e_n, e])))

@@ -143,14 +143,14 @@ def reconstructions(reps, op: RelativeModularOperator,
     quadrature stable against the w(t) ~ t^alpha growth of power densities.
     The quadrature sums each entry of the trailing (2, len(reps)) axes over
     the nodes alone, so a rep's values are the same bits whichever reps
-    share the call.
+    share the call. When op_n is op (E = id) op's resolvent sum serves both.
     """
     if any(kernel_weight(o) > o.rho_dec.zero_threshold for o in (op, op_n)):
         raise DomainError("supp sigma must contain supp rho (finite case)")
 
     def integrand(t):
         r = _resolvent_sum(op, t)[:, None, None]
-        r_n = _resolvent_sum(op_n, t)[:, None, None]
+        r_n = r if op_n is op else _resolvent_sum(op_n, t)[:, None, None]
         dens = np.stack([rep.density(t) for rep in reps], axis=-1)[:, None]
         return np.concatenate([r * dens, (r - r_n) * dens], axis=1)
 

@@ -422,13 +422,18 @@ def run_reconstruct(config: ExperimentConfig):
     function a config names carries its density, so every case integrates.
     A trial's function cases share one integral (PairContext.reconstructions),
     whose gaps the proof internals read back, and one pass over each operator
-    for the entropies they are checked against (PairContext.entropies). A quadrature that fails
+    for the entropies they are checked against (PairContext.entropies). The
+    internals' t grid and probes (one draw per dimension, kept for this run
+    only) are made before the first trial. A quadrature that fails
     (NumericalFailure) records the cases it serves, a trial's function cases
     or its proof internals, as failed with the reason, sets max_error to inf,
     and the run goes on. The quadrature's truncation leaves
     identity_residual about 2e-7 at beta = 0.95 and 0.26 at beta = 0.99.
     """
     reps = [rep_from_name(n) for n in config.functions]
+    t_grid = np.logspace(-2, 2, config.t_points)
+    probes = {d: bounds.contraction_probes(d)  # the dims the trials use
+              for d in dict.fromkeys(config.dims[:config.trials])}
     cases = []
     max_error = 0.0
     for i in range(config.trials):
@@ -464,8 +469,8 @@ def run_reconstruct(config: ExperimentConfig):
         int_case = {"trial_index": i, "dim": dim, "spec_kind": kind,
                     "beta": beta}
         try:
-            internals = bounds.proof_internals(
-                reps[0], beta, ctx, t_grid=np.logspace(-2, 2, config.t_points))
+            internals = bounds.proof_internals(reps[0], beta, ctx, t_grid,
+                                               probes[dim])
         except NumericalFailure as exc:
             int_case["status"] = "failed"
             int_case["reason"] = str(exc)

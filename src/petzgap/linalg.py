@@ -57,7 +57,7 @@ class SpectralDecomposition:
         w = self.eigenvalues
         return 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
 

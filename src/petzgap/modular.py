@@ -73,15 +73,15 @@ def kernel_weight(op: RelativeModularOperator) -> float:
 
 
 def support_leak(op: RelativeModularOperator) -> float:
-    """Tr[sigma (1 - P_rho)], the weight of sigma outside supp rho:
-    sum over the rho eigenvectors j outside the kept columns of
-    sum_i mu_i |<phi_i|psi_j>|^2, read from the overlaps in O(d * nullity):
-    exactly 0 when rho is invertible."""
+    """Tr[sigma (1 - P_rho)], the weight of sigma outside supp rho: over the
+    rho eigenvectors j outside the kept columns, sum_i mu_i |<phi_i|psi_j>|^2
+    with mu = pseudo_power(sigma, 1), as in build, read from the overlaps in
+    O(d * nullity): exactly 0 when rho is invertible."""
     if op.kept_columns.size == op.dim:
         return 0.0
     dropped = np.ones(op.dim, dtype=bool)
     dropped[op.kept_columns] = False
-    return float(op.sigma_dec.eigenvalues.real
+    return float(pseudo_power(op.sigma_dec, 1.0)
                  @ (np.abs(op.overlaps[:, dropped]) ** 2).sum(axis=1))
 
 

@@ -398,7 +398,7 @@ def test_criterion_10_proof_internals():
         sigma = ginibre(dim, dim, 7000 + 2 * i + 1)
         out = bounds.proof_internals(
             rep, beta, PairContext(rho, sigma, spec_for(kind, dim)),
-            t_grid=t_grid)
+            t_grid=t_grid, probes=bounds.contraction_probes(dim))
         margin = min(out["contraction_margin"], out["per_t_gap_margin"],
                      out["decay_margin"])
         worst_margin = min(worst_margin, margin)

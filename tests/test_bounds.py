@@ -9,7 +9,8 @@ from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
                             FLAG_TRACE_LOSS, _generic_constants,
-                            beta_free_discrepancy, corollary_log_bound,
+                            beta_free_discrepancy, contraction_probes,
+                            corollary_log_bound,
                             corollary_power_bound, discrepancy_norm,
                             generic_corollary_bound, lemma_opt,
                             log_corollary_constant, power_corollary_constant,
@@ -422,6 +423,29 @@ def test_one_zero_cut_decides_every_support_question(w):
         assert (FLAG_SUPPORT_MISMATCH in report.flags) == above, report.name
 
 
+@pytest.mark.parametrize("w", [5e-13, 2e-12])
+def test_both_leaks_count_a_sub_threshold_eigenvalue_as_zero(w):
+    """Both leaks of a pair weigh a state's eigenvalues through its one
+    zero cut: a = diag(1/2, 1/2, 0, 0, 0) and b = diag(1/2 - 3w, 1/2, w, w,
+    w), whose three eigenvalues w each count as 0 at w = 5e-13 although
+    their sum 1.5e-12 exceeds the cut 1e-12. Sigma = b's weight off
+    supp a (support_leak) and rho = b's weight on ker a (kernel_weight) are
+    then 0 and flag nothing; at w = 2e-12 both are 3w, and flagged."""
+    above = w > 1e-12
+    a = diagonal_state([0.5, 0.5, 0.0, 0.0, 0.0])
+    b = diagonal_state([0.5 - 3.0 * w, 0.5, w, w, w])
+    assert b.rank == (5 if above else 2)
+    leak = modular.support_leak(modular.build(b, a))
+    weight = modular.kernel_weight(modular.build(a, b))
+    for value in (leak, weight):
+        assert value == (pytest.approx(3.0 * w, rel=1e-6) if above else 0.0)
+    assert math.isinf(entropy.s_f(builtin_neg_log(),
+                                  modular.build(a, b))) == above
+    report = recovery_chain(PairContext(a, b, full_spec(5)))
+    for flag in (FLAG_SUPPORT_MISMATCH, FLAG_TRACE_LOSS):
+        assert (flag in report.flags) == above, (flag, report.flags)
+
+
 def test_recovery_chain_full_rank_margins():
     for seed in range(4):
         rho, sigma = random_pair(50 + seed)
@@ -504,7 +528,8 @@ def test_proof_internals_random_pair():
     rho, sigma = random_pair(70)
     out = proof_internals(builtin_neg_log(), 0.5,
                           PairContext(rho, sigma, SPEC4),
-                          t_grid=np.logspace(-2, 3, 12))
+                          t_grid=np.logspace(-2, 3, 12),
+                          probes=contraction_probes(4))
     assert out["contraction_margin"] >= -1e-10
     assert out["per_t_gap_margin"] >= -1e-10
     assert out["decay_margin"] >= -1e-10
@@ -515,7 +540,8 @@ def test_proof_internals_random_pair():
 def test_proof_internals_power_rep_and_high_beta():
     rho, sigma = random_pair(71)
     out = proof_internals(builtin_neg_power(0.75), 0.8,
-                          PairContext(rho, sigma, SPEC4), RECONSTRUCT_T_GRID)
+                          PairContext(rho, sigma, SPEC4), RECONSTRUCT_T_GRID,
+                          contraction_probes(4))
     assert out["per_t_gap_margin"] >= -1e-10
     assert out["identity_residual"] <= 1e-6
     assert out["gap_residual"] <= 1e-6
@@ -531,7 +557,8 @@ def test_proof_internals_rank_deficient(kind, ranks):
     ctx = PairContext(ginibre(4, rank_rho, 5000 + rank_rho),
                       ginibre(4, rank_sigma, 5100 + rank_sigma),
                       spec_for(kind, 4))
-    out = proof_internals(builtin_neg_log(), 0.5, ctx, RECONSTRUCT_T_GRID)
+    out = proof_internals(builtin_neg_log(), 0.5, ctx, RECONSTRUCT_T_GRID,
+                          contraction_probes(4))
     assert ctx.op.kept_columns.size == rank_rho
     assert ctx.sigma.spectrum.rank == rank_sigma
     for key in ("contraction_margin", "per_t_gap_margin", "decay_margin"):
@@ -546,7 +573,7 @@ def test_proof_internals_exact_pair_near_zero():
     rho, sigma = exact_product_pair(2, 2, 72)
     out = proof_internals(builtin_neg_log(), 0.5,
                           PairContext(rho, sigma, factor_spec(2, 2)),
-                          RECONSTRUCT_T_GRID)
+                          RECONSTRUCT_T_GRID, contraction_probes(4))
     assert out["identity_residual"] <= 1e-9
     assert out["gap_residual"] <= 1e-8
     # w_t vanishes identically, so the decay margin is the infimum of 2/t

@@ -3,7 +3,10 @@ the dense-power oracles.
 
 E = id gives E(x) = x itself and op_n is op, so every gap is exactly 0, with
 or without a rotated basis, and so is every discrepancy: with no basis change the two
-terms of D_b are the same numbers.
+terms of D_b are the same numbers. The context then returns D_b, w_t and its
+moment as zeros without forming them; a twin context whose op_n is a copy of
+op (equal, but not op itself) takes the general formulas, and they must give
+the same zeros bit for bit.
 
 The context computes discrepancies and Kraus operators in the eigenbases of
 sigma and rho; tests/oracles.py multiplies dense powers of the four states.
@@ -25,9 +28,10 @@ from petzgap import entropy, modular
 from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
+from petzgap.bounds import contraction_probes, proof_internals
 from petzgap.harness import (SPEC_KINDS, ExperimentConfig, grid_factors,
-                             run_trial, spec_for)
-from petzgap.monotone import rep_from_name
+                             run_reconstruct, run_trial, spec_for)
+from petzgap.monotone import builtin_neg_log, rep_from_name
 
 from conftest import ginibre, haar_unitary, near_singular
 
@@ -137,17 +141,18 @@ def test_support_leaks_match_the_dense_projector(kind):
     """Both leaks of op and op_n against the dense support projector: the
     support leak against Tr[sigma (1 - P_rho)] and the kernel weight against
     Tr[rho (1 - P_sigma)], on leaking, rank-deficient and near-singular
-    pairs (both sides of the zero threshold). op keeps only rho's columns
-    above its threshold, so the kernel weight's rho is loop_power(rho, 1),
-    its eigenvalues at or below the cut set to 0."""
+    pairs (both sides of the zero threshold). Each leak counts a state's
+    eigenvalues at or below its own cut as 0, so the support leak's sigma is
+    loop_power(sigma, 1) and the kernel weight's rho loop_power(rho, 1)
+    (op keeps only rho's columns above its threshold)."""
     leaking = {"support_leak": 0, "kernel_weight": 0}
     for label, rho, sigma in _pairs():
         ctx = PairContext(rho, sigma, spec_for(kind, rho.dim))
         for name, got, state, ref in (
-                ("support_leak", ctx.support_leak, ctx.sigma.matrix,
-                 ctx.rho),
-                ("support_leak", ctx.support_leak_n, ctx.sigma_n.matrix,
-                 ctx.rho_n),
+                ("support_leak", ctx.support_leak,
+                 loop_power(ctx.sigma.spectrum, 1.0), ctx.rho),
+                ("support_leak", ctx.support_leak_n,
+                 loop_power(ctx.sigma_n.spectrum, 1.0), ctx.rho_n),
                 ("kernel_weight", modular.kernel_weight(ctx.op),
                  loop_power(ctx.rho.spectrum, 1.0), ctx.sigma),
                 ("kernel_weight", modular.kernel_weight(ctx.op_n),
@@ -213,3 +218,75 @@ def test_w_t_moment_matches_the_stacked_integral(kind):
             if kind == "full":
                 assert not np.any(got)
     assert ctx.op.kept_columns.size == 3
+
+
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+# (label, rho, sigma, spec) of E = id: the full algebra, the partial trace at
+# the prime dims 2 and 3 (the full algebra too), and a rank-deficient rho
+IDENTITY_PAIRS = [
+    ("full", ginibre(4, 4, 7300), ginibre(4, 4, 7301), spec_for("full", 4)),
+    ("partial-trace:2", ginibre(2, 2, 7302), ginibre(2, 2, 7303),
+     spec_for("partial-trace", 2)),
+    ("partial-trace:3", ginibre(3, 3, 7304), ginibre(3, 3, 7305),
+     spec_for("partial-trace", 3)),
+    ("rank-deficient", ginibre(4, 3, 7306), ginibre(4, 4, 7307),
+     spec_for("full", 4)),
+]
+
+
+@pytest.mark.parametrize("label, rho, sigma, spec", IDENTITY_PAIRS,
+                         ids=[p[0] for p in IDENTITY_PAIRS])
+def test_identity_shortcut_gives_the_bits_of_the_general_formulas(
+        label, rho, sigma, spec):
+    """With E = id the context returns D_b, w_t and its moment as zeros of
+    their usual shape and dtype. The twin computes them: D_b from the frame
+    products, w_t from its kernels with op_n = op, the moment by the twin's
+    own quadrature and by the stacked oracle. Every one is the same bits
+    (x - x is +0 for finite x), and the proof internals read exact zeros."""
+    ctx = PairContext(rho, sigma, spec)
+    assert ctx.op_n is ctx.op
+    twin = PairContext(rho, sigma, spec)
+    twin.op_n = modular.build(twin.sigma.spectrum, twin.rho.spectrum)
+    assert twin.op_n is not twin.op
+    kept = ctx.op.kept_columns.size
+    assert kept == (3 if label == "rank-deficient" else rho.dim)
+    for beta in MOMENT_BETAS:
+        got = ctx._difference(beta)
+        assert _same_bits(got, twin._difference(beta)), (label, beta)
+        assert got.shape == (rho.dim, rho.dim) and not np.any(got)
+        got = ctx.w_t_moment(beta)
+        assert got.shape == (rho.dim, kept) and not np.any(got)
+        assert _same_bits(got, twin.w_t_moment(beta)), (label, beta)
+        assert _same_bits(got, stacked_w_t_moment(twin, beta)), (label, beta)
+    got = ctx.w_t(RECONSTRUCT_T_GRID)
+    assert got.shape == (RECONSTRUCT_T_GRID.size, rho.dim, kept)
+    assert _same_bits(got, twin.w_t(RECONSTRUCT_T_GRID)), label
+    out = proof_internals(builtin_neg_log(), 0.5, ctx, RECONSTRUCT_T_GRID,
+                          contraction_probes(rho.dim))
+    assert out == proof_internals(builtin_neg_log(), 0.5, twin,
+                                  RECONSTRUCT_T_GRID,
+                                  contraction_probes(rho.dim))
+    for key in ("identity_residual", "per_t_gap_margin", "gap_residual"):
+        assert out[key] == 0.0, (label, key, out)
+
+
+def test_identity_reconstruct_cases_read_exact_zeros():
+    """The internals cases of the E = id trials of reconstruct
+    {"trials": 12} (full, and partial-trace at dims 2 and 3) hold
+    identity_residual, per_t_gap_margin and gap_residual at exactly 0.0."""
+    code, report = run_reconstruct(ExperimentConfig(trials=12))
+    assert code == 0
+    identity = [case for case in report["cases"]
+                if case["status"] == "internals"
+                and spec_for(case["spec_kind"], case["dim"]).blocks
+                == [(case["dim"], 1)]]
+    assert [(c["spec_kind"], c["dim"]) for c in identity] == [
+        ("partial-trace", 3), ("full", 2), ("full", 3), ("partial-trace", 2),
+        ("full", 4)]
+    for case in identity:
+        for key in ("identity_residual", "per_t_gap_margin", "gap_residual"):
+            assert case[key] == 0.0, (case, key)

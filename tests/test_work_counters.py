@@ -60,11 +60,24 @@ the default two functions, an entropy and a gap reconstruction per
 function and the identity. The context makes the identity's call
 (PairContext.w_t_moment), on the scalar kernels h(t, e) of w_t: its
 integrand is a real float64 (nodes, d (kept + kept_N)) array, and the
-frames are applied once, to the integral. So a trial calls PairContext.w_t
-once, on the t grid, where it called it twice, the second time inside the
-integrand on all 346 folded nodes. The graded bisection quadrature made
-144 panels, one integrand call each, on the reconstruct golden config, and
-1,840 before it was graded.
+frames are applied once, to the integral. When E is the identity, w_t and
+its moment are 0 and the context returns them as zeros, so such a trial
+takes 1 half-line integral, the shared reconstruction (which reuses op's
+resolvent sum for op_n): 6 on the golden config, trials 1 and 3 of which
+have E = id, and 19 on reconstruct {"trials": 12}, where every trial took
+2. A trial calls PairContext.w_t once, on the t grid, where it called it
+twice, the second time inside the integrand on all 346 folded nodes. The
+graded bisection quadrature made 144 panels, one integrand call each, on
+the reconstruct golden config, and 1,840 before it was graded.
+
+A reconstruct run builds the t grid of the proof internals once, and draws
+the 5 contraction probes and their norms once per dimension its trials use
+(bounds.contraction_probes), where every trial drew both anew: 1 logspace
+and 3 draws on reconstruct {"trials": 12}, where it made 12 of each. It
+keeps them for the run only, so a second run in the same process draws
+them again. A block of multiplicity 1 is its own core, with no einsum:
+the run makes 12 einsum calls, one per core of multiplicity above 1 (the
+trivial algebra, and the partial trace at d = 4), where it made 35.
 """
 
 import sys
@@ -88,13 +101,19 @@ MAX_ENTROPIES_PER_TRIAL = 2
 ENTROPIES_PER_IDENTITY_TRIAL = 1
 S_F_PER_TRIAL = 0
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
+# partial-trace at the prime d = 3 and full at d = 6: E = id
+IDENTITY_RECONSTRUCT_TRIALS = (1, 3)
 HALFLINE_PER_RECONSTRUCT_TRIAL = 2
+HALFLINE_PER_IDENTITY_RECONSTRUCT_TRIAL = 1
 INTEGRAND_CALLS_PER_HALFLINE = 1
 W_T_PER_RECONSTRUCT_TRIAL = 1
 PSD_POWER_PER_TRIAL = 0
 PSD_POWER_PER_RECONSTRUCT_TRIAL = 0
 MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL = 1
 S_T_PER_INTERNALS_CASE = 2
+PROBE_DRAWS_PER_RECONSTRUCT_RUN = 3
+LOGSPACE_PER_RECONSTRUCT_RUN = 1
+EINSUM_PER_RECONSTRUCT_RUN = 12
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -302,8 +321,10 @@ def test_reconstruct_integrand_calls(monkeypatch):
         dict(RECONSTRUCT_CONFIG)))
     assert code == 0
     n_halfline = sum(map(len, halflines))
+    n_identity = len(IDENTITY_RECONSTRUCT_TRIALS)
     assert n_halfline == HALFLINE_PER_RECONSTRUCT_TRIAL \
-        * RECONSTRUCT_CONFIG["trials"]
+        * (RECONSTRUCT_CONFIG["trials"] - n_identity) \
+        + HALFLINE_PER_IDENTITY_RECONSTRUCT_TRIAL * n_identity
     assert len(calls) == INTEGRAND_CALLS_PER_HALFLINE * n_halfline, len(calls)
 
 
@@ -336,9 +357,34 @@ def test_reconstruct_integrates_the_identity_on_scalar_kernels(monkeypatch):
     code, _ = run_reconstruct(ExperimentConfig.from_json(
         dict(RECONSTRUCT_CONFIG)))
     assert code == 0
-    assert len(shapes) == len(sizes) == RECONSTRUCT_CONFIG["trials"]
     assert per_trial == [W_T_PER_RECONSTRUCT_TRIAL] \
         * RECONSTRUCT_CONFIG["trials"], per_trial
+    # an E = id trial integrates nothing for the identity
+    sizes = [size for i, size in enumerate(sizes)
+             if i not in IDENTITY_RECONSTRUCT_TRIALS]
+    assert len(shapes) == len(sizes) == RECONSTRUCT_CONFIG["trials"] \
+        - len(IDENTITY_RECONSTRUCT_TRIALS)
     assert [(dtype, shape) for dtype, shape, _ in shapes] \
         == [(np.dtype(np.float64), (nodes, size))
             for (_, _, nodes), size in zip(shapes, sizes)], shapes
+
+
+def test_reconstruct_makes_its_grid_and_probes_once_per_run(monkeypatch):
+    """reconstruct {"trials": 12} (dims 2, 3, 4) builds one t grid and
+    draws the probes once per dimension; a second run in the same process
+    builds and draws its own. Its cores of multiplicity 1 make no einsum."""
+    probes = count_calls(monkeypatch, bounds, "contraction_probes")
+    logspace = count_calls(monkeypatch, np, "logspace")
+    einsum = count_calls(monkeypatch, np, "einsum")
+    config = {"trials": 12}
+    counts = []
+    for _ in range(2):
+        code, _ = run_reconstruct(ExperimentConfig.from_json(dict(config)))
+        assert code == 0
+        counts.append((len(probes), len(logspace), len(einsum)))
+    assert counts == [(PROBE_DRAWS_PER_RECONSTRUCT_RUN,
+                       LOGSPACE_PER_RECONSTRUCT_RUN,
+                       EINSUM_PER_RECONSTRUCT_RUN),
+                      (2 * PROBE_DRAWS_PER_RECONSTRUCT_RUN,
+                       2 * LOGSPACE_PER_RECONSTRUCT_RUN,
+                       2 * EINSUM_PER_RECONSTRUCT_RUN)], counts
