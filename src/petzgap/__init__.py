@@ -7,7 +7,7 @@ from .bounds import (BoundReport, beta_free_discrepancy, corollary_log_bound,
                      corollary_power_bound, discrepancy_norm,
                      generic_corollary_bound, lemma_opt, proof_internals,
                      recovery_chain, recovery_discrepancy, renyi_bound,
-                     theorem_bound, theorem_factors)
+                     theorem_bound, theorem_optimum)
 from .context import PairContext
 from .entropy import (entropies, gap, integral_reconstruction,
                       reconstruct_gap, renyi, renyi_gap, s_f, s_t)
@@ -43,5 +43,5 @@ __all__ = [
     "recovery_errors", "renyi", "renyi_bound", "renyi_gap", "rep_from_name",
     "run_reconstruct", "run_sweep", "run_verify", "s_f", "s_t",
     "sample", "schatten_norm", "support_projector", "theorem_bound",
-    "theorem_factors", "trivial_spec",
+    "theorem_optimum", "trivial_spec",
 ]

@@ -9,10 +9,11 @@ subalgebra with conditional expectation E:
 
 with pseudo-inverse powers throughout disc (at b = 1/2 the zeroth rho power
 is the support projector). The chain runs: theorem_bound controls disc by a
-T-family of right-hand sides, built from the factors theorem_factors
-computes once per (f, beta); optimizing over T (lemma_opt) inverts into
-gap >= K * disc^E (the corollary bounds); disc controls the Petz recovery
-errors (recovery_chain); Renyi divergences ride on the power corollary.
+T-family of right-hand sides, whose exact minimum over T theorem_optimum
+takes in closed form (lemma_opt on each power-law piece of C^f_{T,beta});
+optimizing over T inverts into gap >= K * disc^E (the corollary bounds);
+disc controls the Petz recovery errors (recovery_chain); Renyi divergences
+ride on the power corollary.
 
 Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
 the context computes each quantity of the triple once, caches it for the
@@ -62,10 +63,9 @@ FLAG_RHO_SINGULAR = "rho-singular"
 FLAG_SUPPORT_MISMATCH = "support-mismatch"
 FLAG_TRACE_LOSS = "trace-loss"
 FLAG_T_STAR_BELOW_ONE = "t-star-below-one"
-FLAG_CONSTANT_OVERFLOW = "constant-overflow"
 
 GRID_KEYS = frozenset({"exponent", "exponent_displayed", "C_exact",
-                       "c_effective", "T_count"})
+                       "c_effective"})
 
 
 @dataclass(eq=False)
@@ -143,38 +143,50 @@ def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
     return PairContext(rho, sigma, spec).recovery_discrepancy
 
 
-def theorem_factors(rep: MonotoneDecreasingRep, beta: float, t):
-    """The factors of the T-family bound that depend on (f, beta, T) only,
-    (T^{-k}, T^{n0} sqrt(C^f_{T,beta})), with (k, n0) = (beta,
-    (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and (1-beta, beta) for
-    beta >= 1/2. T is a number or an array, elementwise. A run computes them
-    once per (function, beta) and theorem_bound combines them with each
-    trial's ||Delta|| and gap.
+def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
+                  delta_norm: float, gap: float) -> float:
+    """Right-hand side of the T-family bound on (pi/sin(beta pi)) * disc at
+    one T > 0:
+
+        2 (1/beta + ||Delta||/(1-beta)) T^{-k}
+          + T^{n0} sqrt(C^f_{T,beta} gap)
+
+    with (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and
+    (1-beta, beta) for beta >= 1/2. Negative numerical gaps clamp to zero;
+    an infinite gap gives inf and a nan gap nan.
+    """
+    c_f = c_constant(rep, t, beta)  # which checks T and beta
+    k, n0 = _branch(beta)
+    g = max(float(gap), 0.0)
+    first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
+    return first * t ** (-k) + t ** n0 * math.sqrt(c_f * g)
+
+
+def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
+                    delta_norm: float, gap: float) -> tuple[float, float]:
+    """(min over T > 0 of theorem_bound, its minimizer T_star), in closed
+    form. On a piece of rep.c_closed(beta), C^f_{T,beta} = C T^{2c} makes
+    the family K T^{-k} + sqrt(C gap) T^{n0 + c}, whose minimum is
+    lemma_opt's; a minimizer outside its piece is clamped to the piece's
+    end, where the family is evaluated. The least value over the pieces is
+    the minimum. A gap <= 0 gives 0 at T_star = inf; a C that overflowed
+    to inf times such a gap is nan at every T, and so is the minimum.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise InvalidInput("T must be positive")
-    c_f = c_constant(rep, t, beta)
     k, n0 = _branch(beta)
-    return t ** (-k), t ** n0 * np.sqrt(c_f)
-
-
-def theorem_bound(factors, beta: float, delta_norm: float, gap: float):
-    """Right-hand side of the T-family bound on (pi/sin(beta pi)) * disc:
-
-        2 (1/beta + ||Delta||/(1-beta)) T^{-k}
-          + T^{n0} sqrt(C^f_{T,beta}) sqrt(gap)
-
-    from factors = theorem_factors(rep, beta, T), elementwise in T.
-    Negative numerical gaps clamp to zero; an infinite gap gives inf and a
-    nan gap nan at every T.
-    """
-    decay, growth = factors
     g = max(float(gap), 0.0)
     first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
-    return first * decay + growth * math.sqrt(g)
+    pieces = rep.c_closed(beta)
+    ends = [p[0] for p in pieces[1:]] + [math.inf]
+    best = []
+    for (start, big_c, c), end in zip(pieces, ends):
+        value, t_star = lemma_opt(first, k, math.sqrt(big_c * g), n0 + c)
+        if t_star < start or t_star > end:
+            t_star = start if t_star < start else end
+            value = theorem_bound(rep, beta, t_star, delta_norm, gap)
+        best.append((value, t_star))
+    return min(best)
 
 
 def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, float]:
@@ -192,7 +204,10 @@ def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, fl
         return 0.0, math.inf
     if big_k == 0.0:
         return 0.0, 0.0
-    t_star = (k * big_k / (n * big_n)) ** (1.0 / (k + n))
+    try:
+        t_star = (k * big_k / (n * big_n)) ** (1.0 / (k + n))
+    except OverflowError:  # a minimizer beyond the largest float
+        t_star = math.inf
     value = (1.0 / k + 1.0 / n) * (k * big_k) ** (n / (k + n)) \
         * (n * big_n) ** (k / (k + n))
     return value, t_star
@@ -383,13 +398,14 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
                                         (exp((1-a) gap) - 1)
 
     with K_hat = K_U / (2 sqrt(||rho|| ||sigma^-1||)). The disc margin is
-    asserted for invertible sigma. The recovery and inverted margins
-    additionally need supp sigma inside supp rho: the recovery map pushes
-    sigma through the rho support, so a leak can leave e_rho > 0 at zero
-    gap. A leak (or singular sigma) records values and flags instead of
-    margins. The inverted right side clamps negative numerical gaps to
-    zero before exponentiating; its prefactor 1/K_U can exceed 1e10 and
-    would otherwise blow roundoff up into a spurious violation.
+    asserted for invertible sigma. The recovery margin additionally needs
+    supp sigma inside supp rho: the recovery map pushes sigma through the
+    rho support, so a leak can leave e_rho > 0 at zero gap. A leak (or
+    singular sigma) records values and flags instead of margins. The
+    inverted form, the paper's printed one, is renyi_recovery solved for
+    max(e) (the same inequality for gap >= 0), so only its right side is
+    recorded; it clamps negative numerical gaps to zero before
+    exponentiating.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("Renyi order must lie in (0, 1)")
@@ -417,7 +433,6 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
                             math.expm1((1.0 - alpha) * max(g, 0.0)), 1.0)
         if ctx.support_leak <= s.spectrum.zero_threshold:
             margins["renyi_recovery"] = g - rhs_rec
-            margins["renyi_inverted"] = rhs_inv - mx ** expo
         else:
             flags.append(FLAG_SUPPORT_MISMATCH)
         constants["K_hat"] = math.exp(log_k_hat)
@@ -558,8 +573,9 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
 
     w_t is the context's (PairContext.w_t): formed in its frame, with no E
     and no dense power; with E = id the context returns it, its moment and
-    the discrepancy matrix as zeros, not computed. The t grid is taken in
-    one s_t call per operator and one w_t stack, the identity's integral in
+    the discrepancy matrix as zeros, not computed, and the per-t gap is
+    zeros too. The t grid is taken in one s_t call per distinct operator
+    and one w_t stack, the identity's integral in
     one PairContext.w_t_moment call (a quadrature of scalar kernels). The
     caller builds t_grid once and probes = contraction_probes(d) once per
     d; the probes are the only input E is applied to, as one stack.
@@ -574,7 +590,9 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
                                  axis=(1, 2))))
     grid = np.asarray(t_grid, dtype=float)
     norms = np.linalg.norm(ctx.w_t(grid), axis=(1, 2))
-    gap_t = entropy.s_t(grid, op) - entropy.s_t(grid, op_n)
+    s_t = entropy.s_t(grid, op)
+    gap_t = np.zeros_like(s_t) if op_n is op \
+        else s_t - entropy.s_t(grid, op_n)
     per_t = float(np.min(gap_t - grid * norms * norms))
     decay = float(np.min(2.0 / grid - norms))
     integral = ctx.w_t_moment(beta)

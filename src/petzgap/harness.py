@@ -7,7 +7,7 @@ one compact line written by the C encoder of the json module; its records
 are made JSON-safe (each non-finite float as "nan", "inf" or "-inf") at
 report assembly, its summary by dumps_report; a verify trial's record is
 encoded once, when its trial ends, and written as a part of its own. A
-verify_v2 trial record writes each quantity of the trial once (quantities),
+verify_v3 trial record writes each quantity of the trial once (quantities),
 the run each constant of (report name, beta) once (grid), and no bound
 report holds either. A reconstruct internals case is the dict that
 bounds.proof_internals returns, with its status.
@@ -15,7 +15,6 @@ bounds.proof_internals returns, with its status.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -39,8 +38,10 @@ CSV_HEADER = "epsilon,gap,disc_b50,err_rho,err_sigma,rhs_log,rhs_pow,rhs_renyi"
 
 # Compact JSON with sorted keys; a non-finite float is a ValueError, not
 # invalid JSON. Every report and every verify trial record is encoded by it.
+# What it encodes is a fresh tree of dicts, lists, strings and numbers,
+# never a cycle, so it skips the cycle check.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                            allow_nan=False)
+                            allow_nan=False, check_circular=False)
 
 
 def _require_int(value, label: str) -> None:
@@ -186,62 +187,34 @@ def draw_pair(config: ExperimentConfig, trial_index: int):
     return rho, sigma, dim, rank_rho, rank_sigma, sampler_kind
 
 
-T_GRID = np.logspace(-3, 6, 40)
-_NO_ERRSTATE = contextlib.nullcontext()
-
-
 def _dpi_report(rep, g):
     margins, flags = bounds.gap_margin("dpi", g)
     return bounds.BoundReport(name=f"dpi:{rep.name}", beta=None,
                               margins=margins, flags=flags)
 
 
-def grid_factors(reps: list, beta_grid: list) -> dict:
-    """bounds.theorem_factors on T_GRID for each (rep, beta), the factors of
-    the T-family that no trial quantity enters, with a third entry that says
-    whether a growth factor overflowed to inf; run_verify computes them once
-    per run. _theorem_report flags what an overflowed constant leaves."""
-    with np.errstate(over="ignore"):
-        factors = {(rep, beta): bounds.theorem_factors(rep, beta, T_GRID)
-                   for rep in reps for beta in beta_grid}
-    return {key: (decay, growth, not np.isfinite(growth).all())
-            for key, (decay, growth) in factors.items()}
-
-
-def _theorem_report(rep, beta, factors, disc, delta_norm, g):
-    """The T-family on all of T_GRID at once, from the run's factors of
-    (rep, beta) (grid_factors) and the trial's ||Delta|| and gap; its margin
-    is the least rhs - lhs, at T_at_min_margin (None when the gap is inf or
-    nan, or when an overflowed constant times a zero gap, inf * 0, leaves a
-    nan: that asserts nothing and carries the constant-overflow flag).
-    inf * 0 is the one invalid operation of the T-family, so numpy is
-    silenced only for the pairs whose constant overflowed."""
-    decay, growth, overflowed = factors
+def _theorem_report(rep, beta, disc, delta_norm, g):
+    """The T-family at its exact minimum over T (bounds.theorem_optimum),
+    for the trial's ||Delta|| and gap: the margin is min_T rhs - lhs, at
+    T_star (None when the gap is inf or nan). A gap <= 0 has the minimum 0
+    at T_star = inf; a constant that overflowed to inf times such a gap
+    leaves a nan margin, which asserts nothing."""
     lhs = math.pi / math.sin(beta * math.pi) * disc
-    with (np.errstate(over="ignore", invalid="ignore") if overflowed
-          else _NO_ERRSTATE):
-        excess = bounds.theorem_bound((decay, growth), beta, delta_norm,
-                                      g) - lhs
-    margins, flags = bounds.gap_margin("theorem_T_grid", g)
-    worst_t = None
-    if math.isfinite(g) and np.isnan(excess).any():
-        margins, flags = {}, [bounds.FLAG_CONSTANT_OVERFLOW]
-    elif math.isfinite(g):
-        i = int(np.argmin(excess))
-        margins["theorem_T_grid"] = float(excess[i])
-        worst_t = float(T_GRID[i])
+    margins, flags = bounds.gap_margin("theorem_T_opt", g)
+    t_star = None
+    if math.isfinite(g):
+        value, t_star = bounds.theorem_optimum(rep, beta, delta_norm, g)
+        margins["theorem_T_opt"] = value - lhs
     return bounds.BoundReport(
         name=f"theorem:{rep.name}", beta=beta,
-        constants={"T_count": len(T_GRID), "T_at_min_margin": worst_t,
-                   "lhs": lhs},
+        constants={"T_star": t_star, "lhs": lhs},
         margins=margins, flags=flags)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
-              factors: dict) -> TrialRecord:
-    """One verify trial with the reps of config.functions and the T-family
-    factors of each (rep, beta) (grid_factors), which run_verify builds
-    once for the whole run. The gap lower bounds are corollary-log and
+def run_trial(config: ExperimentConfig, trial_index: int,
+              reps: list) -> TrialRecord:
+    """One verify trial with the reps of config.functions. The gap lower
+    bounds are corollary-log and
     corollary-power at each alpha of alpha_grid, then at the alpha of each
     neg-power:alpha in functions that alpha_grid lacks. The entropies of
     every function the battery reads (the reps, neg-log, and the powers
@@ -261,8 +234,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
         g = ctx.gap(rep)
         reports.append(_dpi_report(rep, g))
         for beta in config.beta_grid:
-            reports.append(_theorem_report(rep, beta, factors[rep, beta],
-                                           ctx.discrepancy(beta),
+            reports.append(_theorem_report(rep, beta, ctx.discrepancy(beta),
                                            ctx.delta_norm, g))
     for beta in config.beta_grid:
         reports.append(bounds.corollary_log_bound(beta, ctx))
@@ -291,7 +263,6 @@ def run_verify(config: ExperimentConfig):
     summary has read it, and report_dict["trials"] holds only those texts,
     which are dumps_report's parts. The grid block is the first ok trial's."""
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     trials = []  # the JSON text of each trial's record
     grid = None
     failures = 0
@@ -305,7 +276,7 @@ def run_verify(config: ExperimentConfig):
     flag_counts = {}
     for i in range(config.trials):
         try:
-            record = run_trial(config, i, reps, factors)
+            record = run_trial(config, i, reps)
         except (PetzGapError, ArithmeticError) as exc:
             error_trials += 1
             trials.append(_ENCODER.encode(
@@ -336,7 +307,7 @@ def run_verify(config: ExperimentConfig):
             grid = bounds.json_safe(bounds.grid_constants(record.reports))
         trials.append(_ENCODER.encode(record.to_json()))
     report = {
-        "schema": "verify_v2",
+        "schema": "verify_v3",
         "config": config.to_json(),
         "config_hash": config.hash(),
         "grid": {} if grid is None else grid,

@@ -47,7 +47,8 @@ class MonotoneDecreasingRep:
     density: w(t) for t > 0.
     growth: (C, c) certifying C^f_{T,beta} <= C * T^(2c) for T >= 1.
     f_at_zero: lim_{x->0+} f(x), may be +inf.
-    c_closed: (T, beta) -> C^f_{T,beta}, elementwise over an array of T.
+    c_closed: beta -> the pieces (T_0, C, c) of C^f_{T,beta} = C T^(2c),
+        each for T from its T_0 up to the next piece's, the first from 0.
     """
 
     eval: callable
@@ -58,26 +59,13 @@ class MonotoneDecreasingRep:
     c_closed: callable
 
 
-def _window_low(t, beta: float):
-    """Lower end min(T_L^{-1}, T_R) of the regularity window, elementwise;
-    for T < 1 the nominal ends come out reversed, and the enclosing window
-    keeps the sup honest there."""
-    if beta <= 0.5:
-        t_l = t
-        t_r = t ** (beta / (1.0 - beta))
-    else:
-        t_l = t ** ((1.0 - beta) / beta)
-        t_r = t
-    return np.minimum(1.0 / t_l, t_r)
-
-
 _NEG_LOG = MonotoneDecreasingRep(
     eval=lambda x: -np.log(x),
     density=lambda t: np.ones_like(np.asarray(t, dtype=float)),
     growth=(1.0, 0.0),
     name="neg-log",
     f_at_zero=np.inf,
-    c_closed=lambda t, beta: np.ones_like(t),
+    c_closed=lambda beta: ((0.0, 1.0, 0.0),),
 )
 
 
@@ -102,9 +90,22 @@ def _neg_power(alpha: float) -> MonotoneDecreasingRep:
         growth=(1.0 / s, alpha / 2.0),
         name=f"neg-power:{alpha!r}",
         f_at_zero=0.0,
-        # 1/w decreases, so its sup over the window sits at the lower end
-        c_closed=lambda t, beta: _window_low(t, beta) ** (-alpha) / s,
+        c_closed=lambda beta: _power_pieces(alpha, beta),
     )
+
+
+def _power_pieces(alpha: float, beta: float) -> tuple:
+    """C^f_{T,beta} of -x^alpha: 1/w decreases, so its sup over the window
+    [T_L^-1, T_R] sits at the lower end min(T_L^-1, T_R), with (T_L, T_R) =
+    (T, T^(b/(1-b))) for b <= 1/2 and (T^((1-b)/b), T) above. That end is a
+    power of T on T < 1 (where the nominal ends come out reversed, and the
+    enclosing window keeps the sup honest) and another on T >= 1."""
+    big_c = math.pi / math.sin(alpha * math.pi)
+    if beta <= 0.5:
+        low, high = -alpha * beta / (2.0 * (1.0 - beta)), alpha / 2.0
+    else:
+        low, high = -alpha / 2.0, alpha * (1.0 - beta) / (2.0 * beta)
+    return (0.0, big_c, low), (1.0, big_c, high)
 
 
 def rep_from_name(name: str) -> MonotoneDecreasingRep:
@@ -122,12 +123,13 @@ def rep_from_name(name: str) -> MonotoneDecreasingRep:
     raise InvalidInput(f"unknown monotone function {name!r}")
 
 
-def c_constant(rep: MonotoneDecreasingRep, t, beta: float):
+def c_constant(rep: MonotoneDecreasingRep, t: float, beta: float) -> float:
     """Regularity constant C^f_{T,beta} = sup 1/w over the window around 1,
-    in closed form; T a number or an array, elementwise."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    in closed form: C T^(2c) on the piece of rep.c_closed(beta) that holds
+    T."""
+    if not t > 0.0:
         raise InvalidInput("T must be positive")
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    return rep.c_closed(t, beta)[()]  # a number for a number
+    _, big_c, c = [p for p in rep.c_closed(beta) if p[0] <= t][-1]
+    return big_c * t ** (2.0 * c)

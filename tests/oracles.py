@@ -439,14 +439,16 @@ def grid_c_constant(rep: MonotoneDecreasingRep, t: float, beta: float) -> float:
 
 # bounds
 
-def scalar_theorem_bound(alpha, beta: float, t: float, delta_norm: float,
-                         gap: float) -> float:
-    """T-family right-hand side at one T, in Python floats (libm pow):
+def scalar_theorem_bound(alpha, beta: float, t, delta_norm: float,
+                         gap: float):
+    """T-family right-hand side at one T, in Python floats (libm pow), or
+    elementwise over an array of T:
 
         2 (1/beta + ||Delta||/(1-beta)) T^{-k}
           + T^{n0} sqrt(C^f_{T,beta}) sqrt(gap)
 
-    for f = -log x (alpha None) or f = -x^alpha, with C in closed form."""
+    for f = -x^alpha, or f = -log x (alpha None), with C^f the sup of 1/w
+    at the lower end min(T_L^{-1}, T_R) of the window, in closed form."""
     g = max(float(gap), 0.0)
     if math.isinf(g):
         return math.inf
@@ -460,10 +462,10 @@ def scalar_theorem_bound(alpha, beta: float, t: float, delta_norm: float,
     if alpha is None:
         c_f = 1.0
     else:
-        c_f = min(1.0 / t_l, t_r) ** (-alpha) \
+        c_f = np.minimum(1.0 / t_l, t_r) ** (-alpha) \
             / (math.sin(alpha * math.pi) / math.pi)
     first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
-    return first * t ** (-k) + t ** n0 * math.sqrt(c_f) * math.sqrt(g)
+    return first * t ** (-k) + t ** n0 * np.sqrt(c_f) * math.sqrt(g)
 
 
 # report formats

@@ -102,10 +102,11 @@ def test_criterion_02_theorem_t_family(population):
                 if math.isnan(g):
                     skipped_undefined += 1
                     continue
-                for t in t_grid:
-                    rhs = bounds.theorem_bound(
-                        bounds.theorem_factors(rep, beta, float(t)), beta,
-                        delta_norm, g)
+                # every T of the grid, then the exact minimum over T
+                for rhs in [bounds.theorem_bound(rep, beta, float(t),
+                                                 delta_norm, g)
+                            for t in t_grid] + [bounds.theorem_optimum(
+                                rep, beta, delta_norm, g)[0]]:
                     checks += 1
                     if not lhs <= rhs + 1e-8:
                         violations += 1
@@ -195,7 +196,7 @@ def test_criterion_05_renyi_family(population):
             if rep.constants["exponent"] != 6.0 - 2.0 * alpha:
                 violations += 1
             assert "renyi_disc" in rep.margins
-            for key in ("renyi_disc", "renyi_recovery", "renyi_inverted"):
+            for key in ("renyi_disc", "renyi_recovery"):
                 if key not in rep.margins:
                     # recovery forms need supp sigma inside supp rho;
                     # a leak is flagged, not asserted

@@ -16,11 +16,11 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             log_corollary_constant, power_corollary_constant,
                             proof_internals, recovery_chain,
                             recovery_discrepancy, renyi_bound, theorem_bound,
-                            theorem_factors)
+                            theorem_optimum)
 from petzgap.context import PairContext
 from petzgap.errors import DomainError, InvalidInput, NotPSD
-from petzgap.harness import (SPEC_KINDS, T_GRID, ExperimentConfig,
-                             draw_pair, grid_factors, run_trial, spec_for)
+from petzgap.harness import (SPEC_KINDS, ExperimentConfig, draw_pair,
+                             run_trial, spec_for)
 from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from petzgap.states import make_density
 
@@ -75,58 +75,108 @@ def test_lemma_opt_degenerate_and_invalid():
         lemma_opt(-1.0, 1.0, 1.0, 1.0)
 
 
-def bound_at(rep, beta, t, delta_norm, gap):
-    """The T-family right side from the run's factors and a trial's
-    values, as verify combines them."""
-    return theorem_bound(theorem_factors(rep, beta, t), beta, delta_norm, gap)
-
-
 def test_theorem_bound_zero_gap_value():
-    got = bound_at(builtin_neg_log(), 0.5, 4.0, 1.0, 0.0)
+    got = theorem_bound(builtin_neg_log(), 0.5, 4.0, 1.0, 0.0)
     assert got == pytest.approx(4.0, abs=1e-12)
 
 
 def test_theorem_bound_branch_agreement_at_half():
     rep = builtin_neg_log()
     for t in (0.5, 2.0, 30.0):
-        lo = bound_at(rep, 0.5 - 1e-13, t, 1.3, 0.2)
-        hi = bound_at(rep, 0.5 + 1e-13, t, 1.3, 0.2)
+        lo = theorem_bound(rep, 0.5 - 1e-13, t, 1.3, 0.2)
+        hi = theorem_bound(rep, 0.5 + 1e-13, t, 1.3, 0.2)
         assert lo == pytest.approx(hi, rel=1e-9)
 
 
 def test_theorem_bound_infinite_gap_and_validation():
     rep = builtin_neg_log()
-    assert math.isinf(bound_at(rep, 0.5, 1.0, 1.0, math.inf))
+    assert math.isinf(theorem_bound(rep, 0.5, 1.0, 1.0, math.inf))
     # negative numerical gap clamps to zero
-    assert bound_at(rep, 0.5, 4.0, 1.0, -1e-12) == pytest.approx(4.0)
+    assert theorem_bound(rep, 0.5, 4.0, 1.0, -1e-12) == pytest.approx(4.0)
     with pytest.raises(InvalidInput):
-        theorem_factors(rep, 0.0, 1.0)
+        theorem_bound(rep, 0.0, 1.0, 1.0, 0.3)
     with pytest.raises(InvalidInput):
-        theorem_factors(rep, 0.5, 0.0)
+        theorem_bound(rep, 0.5, 0.0, 1.0, 0.3)
     with pytest.raises(InvalidInput):
-        theorem_factors(rep, 0.5, np.array([1.0, 0.0, 2.0]))
+        theorem_bound(rep, 0.5, math.nan, 1.0, 0.3)
     with pytest.raises(InvalidInput):
-        theorem_factors(rep, 1.0, T_GRID)
+        theorem_bound(rep, 1.0, 2.0, 1.0, 0.3)
+    with pytest.raises(InvalidInput):
+        theorem_optimum(rep, 1.0, 1.0, 0.3)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.25, 0.5])
 def test_theorem_bound_array_matches_scalar_formula(alpha):
-    # numpy's array pow against libm pow: a few ulp at most
+    # on each T of an array that spans both pieces of C^f, from the
+    # pieces' C T^(2c) against the window formula: a few ulp at most
     rep = builtin_neg_log() if alpha is None else builtin_neg_power(alpha)
+    t_values = np.logspace(-6, 6, 49)
     for beta in (0.25, 0.3, 0.5, 0.7, 0.75):
-        factors = theorem_factors(rep, beta, T_GRID)
         for delta_norm in (1.0, 37.5):
             for g in (0.0, 1e-12, 0.3):
-                got = theorem_bound(factors, beta, delta_norm, g)
+                got = np.array([theorem_bound(rep, beta, float(t),
+                                              delta_norm, g)
+                                for t in t_values])
                 want = np.array([scalar_theorem_bound(
-                    alpha, beta, float(t), delta_norm, g) for t in T_GRID])
-                assert got.shape == T_GRID.shape
+                    alpha, beta, float(t), delta_norm, g) for t in t_values])
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), \
                     (beta, delta_norm, g)
-            assert np.all(np.isposinf(
-                theorem_bound(factors, beta, delta_norm, math.inf)))
-            assert np.all(np.isnan(
-                theorem_bound(factors, beta, delta_norm, math.nan)))
+            for t in t_values:
+                assert math.isinf(theorem_bound(rep, beta, float(t),
+                                                delta_norm, math.inf))
+                assert math.isnan(theorem_bound(rep, beta, float(t),
+                                                delta_norm, math.nan))
+
+
+# a 200,001-point log grid over [1e-8, 1e14], with T = 1, where the two
+# pieces of C^f of -x^alpha meet and a clamped minimum sits
+DENSE_T = np.union1d(np.logspace(-8, 14, 200_001), [1.0])
+
+
+@pytest.mark.parametrize("alpha", [None, 0.25, 0.5, 0.75])
+def test_theorem_optimum_is_the_dense_grid_minimum(alpha):
+    """On positive gaps the closed-form minimum over T is at or below every
+    point of the dense grid (to 4 ulp of the grid's least value, which is
+    computed by a second formula) and within 1e-8 relative of it. Every
+    minimizer lies inside the grid; at the gap 10 the minimum of
+    -x^alpha's family sits at T = 1, between its pieces."""
+    rep = builtin_neg_log() if alpha is None else builtin_neg_power(alpha)
+    clamped = 0
+    for beta in ExperimentConfig().beta_grid:
+        for delta_norm in (1.0, 100.0):
+            for g in (1e-8, 0.3, 10.0):
+                value, t_star = theorem_optimum(rep, beta, delta_norm, g)
+                assert DENSE_T[0] < t_star < DENSE_T[-1]
+                dense = scalar_theorem_bound(alpha, beta, DENSE_T,
+                                             delta_norm, g)
+                least = float(dense.min())
+                assert value <= least + 4 * np.spacing(least), \
+                    (beta, delta_norm, g)
+                assert least - value <= 1e-8 * value, (beta, delta_norm, g)
+                assert value == pytest.approx(theorem_bound(
+                    rep, beta, t_star, delta_norm, g), rel=1e-12)
+                clamped += t_star == 1.0
+    assert clamped > 0 or alpha is None
+
+
+def test_theorem_optimum_of_a_zero_gap_is_zero():
+    # the family's infimum over T, reached as T -> inf; a negative
+    # numerical gap clamps to zero
+    for rep in (builtin_neg_log(), builtin_neg_power(0.5)):
+        for beta in (0.25, 0.5, 0.75):
+            for g in (0.0, -1e-15):
+                assert theorem_optimum(rep, beta, 37.5, g) == (0.0, math.inf)
+
+
+def test_theorem_optimum_of_a_subnormal_gap_is_finite():
+    # the low piece's minimizer (kK/(nN))^(1/(k+n)) overflows a float here:
+    # lemma_opt reads it as inf, the piece clamps it to T = 1, and the
+    # minimum is the high piece's
+    assert lemma_opt(1.0, 0.01, 1e-300, 0.5)[1] == math.inf
+    value, t_star = theorem_optimum(builtin_neg_power(0.5), 0.01, 1.0,
+                                    5e-324)
+    assert 0.0 < value < math.inf
+    assert 1.0 < t_star < math.inf
 
 
 def test_theorem_grid_min_dominates_lemma_value():
@@ -157,8 +207,9 @@ def test_theorem_inequality_random_pairs():
             disc = discrepancy_norm(beta, rho, sigma, SPEC4)
             lhs = math.pi / math.sin(beta * math.pi) * disc
             for t in np.logspace(-2, 4, 7):
-                assert lhs <= bound_at(rep, beta, float(t), op_norm, g) \
+                assert lhs <= theorem_bound(rep, beta, float(t), op_norm, g) \
                     + 1e-8
+            assert lhs <= theorem_optimum(rep, beta, op_norm, g)[0] + 1e-8
 
 
 def test_discrepancy_vanishes_for_equal_states_and_full_algebra():
@@ -312,9 +363,8 @@ def test_constants_of_a_large_delta_norm_are_logs():
     config = ExperimentConfig(trials=60, beta_grid=[0.99],
                               dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     for i in (13, 36, 48, 56):
-        record = run_trial(config, i, reps, factors)
+        record = run_trial(config, i, reps)
         corollaries = [r for r in record.reports
                        if r.name.startswith("corollary-")]
         assert min(v for r in corollaries for k, v in r.constants.items()
@@ -341,10 +391,12 @@ def test_renyi_bound_equal_states():
     rep = renyi_bound(0.5, ctx)
     assert ctx.renyi_gap(0.5) == pytest.approx(0.0, abs=1e-10)
     assert rep.constants["exponent"] == pytest.approx(5.0, rel=1e-14)
-    # the inverted form multiplies the ~1e-12 numerical gap by 1/K_U ~ 1e4,
-    # so equal states sit at roundoff scale rather than exactly at zero
-    for key in ("renyi_disc", "renyi_recovery", "renyi_inverted"):
+    # equal states sit at roundoff scale rather than exactly at zero; the
+    # inverted form is renyi_recovery solved for max(e), a right side only
+    for key in ("renyi_disc", "renyi_recovery"):
         assert rep.margins[key] >= -1e-8
+    assert "renyi_inverted" in rep.rhs_values
+    assert "renyi_inverted" not in rep.margins
 
 
 def test_renyi_bound_margins_invertible_sigma():
@@ -354,7 +406,8 @@ def test_renyi_bound_margins_invertible_sigma():
             rep = renyi_bound(alpha, PairContext(rho, sigma, SPEC4))
             assert rep.constants["exponent"] == pytest.approx(
                 6.0 - 2.0 * alpha, rel=1e-14)
-            for key in ("renyi_disc", "renyi_recovery", "renyi_inverted"):
+            assert set(rep.margins) == {"renyi_disc", "renyi_recovery"}
+            for key in rep.margins:
                 assert rep.margins[key] >= -1e-8
 
 
@@ -369,7 +422,7 @@ def test_renyi_bound_singular_sigma_flags_not_margins():
 def test_renyi_bound_support_leak_gates_recovery_forms():
     # singular rho under the full algebra: gap is exactly zero while the
     # recovery error e_rho = ||P sigma P - sigma||_1 stays positive, so the
-    # recovery and inverted forms are hypothesis-violated, not failed
+    # recovery form is hypothesis-violated, not failed
     rho = ginibre(4, 3, 47)
     sigma = ginibre(4, 4, 48)
     ctx = PairContext(rho, sigma, full_spec(4))

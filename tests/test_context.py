@@ -17,6 +17,7 @@ the difference it enters.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
 from petzgap.bounds import contraction_probes, proof_internals
-from petzgap.harness import (SPEC_KINDS, ExperimentConfig, grid_factors,
-                             run_reconstruct, run_trial, spec_for)
+from petzgap.harness import (SPEC_KINDS, ExperimentConfig, run_reconstruct,
+                             run_trial, spec_for)
 from petzgap.monotone import builtin_neg_log, rep_from_name
 
 from conftest import ginibre, haar_unitary, near_singular
@@ -62,17 +63,24 @@ def test_identity_expectation_discrepancies_are_exactly_zero():
     config = ExperimentConfig(trials=20, dims=[2, 3, 4, 6, 8],
                               beta_grid=list(BETAS))
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     checked = 0
+    theorems = 0
     for i in range(config.trials):
         if config.specs[i % len(config.specs)] != "full":
             continue
-        quantities = run_trial(config, i, reps, factors).quantities
+        record = run_trial(config, i, reps)
         for name in ("discrepancy", "beta_free"):
-            for beta, value in quantities[name].items():
+            for beta, value in record.quantities[name].items():
                 checked += 1
                 assert value == 0.0, (i, name, beta)
-    assert checked > 0
+        # so the theorem's left side is 0, and so is its right side at the
+        # exact minimum over T (T_star = inf) of a zero gap
+        for report in record.reports:
+            if report.name.startswith("theorem:") and report.margins:
+                theorems += 1
+                assert report.margins == {"theorem_T_opt": 0.0}, (i, report)
+                assert report.constants["T_star"] == math.inf
+    assert checked > 0 and theorems > 0
 
 
 def _pairs():

@@ -2,7 +2,7 @@
 frozen records.
 
 tests/data/verify_golden.json holds, for a fixed config, the exit code,
-the grid and every trial as the verify_v2 report writes it: what it drew,
+the grid and every trial as the verify_v3 report writes it: what it drew,
 its status, its quantities and its bound reports.
 tests/data/reconstruct_golden.json holds, for a fixed
 config, the exit code, the summary and every case (entropy and gap errors,
@@ -46,6 +46,13 @@ The verify record alone was re-frozen, in the verify_v2 layout it is now
 kept in, when verify stopped running the generic family, which repeated
 corollary-power: its 60 reports and its 3 grid entries left, and against
 the verify_v2 record of the code before, no other value moved.
+The verify record alone was re-frozen, as verify_v3, when the theorem
+began to be asserted at its exact minimum over T instead of on a 40-point
+T grid, and renyi_inverted stopped repeating renyi_recovery's margin: each
+theorem report's margin theorem_T_grid and T_at_min_margin became
+theorem_T_opt and T_star (120 reports, each margin at or below the grid's),
+the grid's T_count left, and so did 42 renyi_inverted margins; no other
+value moved.
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, and rewrites from
 the current code only a record that is missing or in which a value moved:
@@ -212,7 +219,9 @@ def test_golden_comparison_catches_changes():
     trial = got["trials"][0]
     trial["quantities"]["delta_norm"] *= 1.0 + 1e-9
     trial["reports"][0]["flags"].append("extra")
-    removed = trial["reports"].pop(5)
+    # a report with constants in the grid
+    removed = trial["reports"].pop(next(
+        i for i, r in enumerate(trial["reports"]) if r["name"] in got["grid"]))
     got["exit_code"] = 1 - want["exit_code"]
     assert len(mismatches(got, want)) == 4
     assert sorted(moves(got, want)) == sorted([

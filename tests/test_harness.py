@@ -17,10 +17,9 @@ from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
 from petzgap.cli import main
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NumericalFailure
-from petzgap.harness import (CSV_HEADER, T_GRID, ExperimentConfig,
-                             _theorem_report, draw_pair, grid_factors,
-                             run_reconstruct, run_sweep, run_trial,
-                             run_verify, sanitize, spec_for)
+from petzgap.harness import (CSV_HEADER, ExperimentConfig, _theorem_report,
+                             draw_pair, run_reconstruct, run_sweep,
+                             run_trial, run_verify, sanitize, spec_for)
 from petzgap.monotone import rep_from_name
 
 from oracles import report_text, scalar_theorem_bound
@@ -38,31 +37,39 @@ def trials_of(report) -> list:
 
 def test_overflowing_theorem_constant_asserts_no_nan_margin():
     # C ~ 1/alpha overflows at alpha = 1e-320 where the gap rounds to 0, so
-    # the T-family's right side is inf * 0 = nan at every T
+    # the T-family's right side is inf * 0 = nan at every T: its margin is
+    # nan, which the summary counts as skipped, not checked
     config = ExperimentConfig(functions=["neg-power:1e-320"], trials=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, report = run_verify(config)
     assert code == 0
     summary = report["summary"]
-    assert summary["flag_counts"] == {bounds.FLAG_CONSTANT_OVERFLOW: 6}
-    assert summary["margins_skipped"] == 0
+    assert summary["flag_counts"] == {}
+    assert summary["margins_skipped"] == 6
     theorem = [r for trial in trials_of(report) for r in trial["reports"]
                if r["name"] == "theorem:neg-power:1e-320"]
     assert len(theorem) == 6
     for r in theorem:
-        assert r["margins"] == {}
-        assert r["flags"] == [bounds.FLAG_CONSTANT_OVERFLOW]
-        assert r["constants"]["T_at_min_margin"] is None
+        assert r["margins"] == {"theorem_T_opt": "nan"}
+        assert r["flags"] == []
+        assert r["constants"]["T_star"] == "nan"
 
 
-def test_grid_factors_flag_only_overflowed_constants():
-    reps = [rep_from_name(n)
-            for n in ("neg-log", "neg-power:0.5", "neg-power:1e-320")]
-    factors = grid_factors(reps, [0.25, 0.5, 0.75])
-    assert len(factors) == 9
-    assert {rep.name for (rep, _), (_, _, overflowed) in factors.items()
-            if overflowed} == {"neg-power:1e-320"}
+def test_theorem_optimum_of_an_overflowed_constant():
+    # only C = pi/sin(alpha pi) = inf at alpha = 1e-320 makes a nan, and
+    # only at a gap <= 0 (inf * 0); a positive gap gives an inf minimum
+    for name in ("neg-log", "neg-power:0.5", "neg-power:1e-320"):
+        rep = rep_from_name(name)
+        for beta in (0.25, 0.5, 0.75):
+            zero = bounds.theorem_optimum(rep, beta, 3.0, 0.0)
+            positive = bounds.theorem_optimum(rep, beta, 3.0, 0.2)
+            if name == "neg-power:1e-320":
+                assert all(math.isnan(v) for v in zero), zero
+                assert positive[0] == math.inf
+            else:
+                assert zero == (0.0, math.inf)
+                assert 0.0 < positive[0] < math.inf
 
 
 def test_config_validation():
@@ -137,7 +144,7 @@ def test_draw_pair_policies():
 def test_run_trial_record_shape():
     cfg = ExperimentConfig(**SMALL)
     reps = [rep_from_name(n) for n in cfg.functions]
-    record = run_trial(cfg, 0, reps, grid_factors(reps, cfg.beta_grid))
+    record = run_trial(cfg, 0, reps)
     assert record.reports
     blob = record.to_json()
     assert "wall_time" not in blob
@@ -156,29 +163,44 @@ def test_theorem_report_margin_rules(name, alpha):
     rep = rep_from_name(name)
     beta, disc, delta_norm = 0.3, 0.02, 4.5
     lhs = math.pi / math.sin(beta * math.pi) * disc
-    factors = grid_factors([rep], [beta])[rep, beta]
+    dense_t = np.logspace(-3, 6, 4001)
     for g in (0.0, 1e-12, 0.3, -1e-15):
-        report = _theorem_report(rep, beta, factors, disc, delta_norm, g)
-        excess = [scalar_theorem_bound(alpha, beta, float(t), delta_norm, g)
-                  - lhs for t in T_GRID]
-        i = int(np.argmin(excess))
-        assert report.constants["T_at_min_margin"] == float(T_GRID[i])
-        assert report.margins["theorem_T_grid"] == pytest.approx(
-            excess[i], rel=1e-15)
+        report = _theorem_report(rep, beta, disc, delta_norm, g)
+        value, t_star = bounds.theorem_optimum(rep, beta, delta_norm, g)
+        assert report.constants["T_star"] == t_star
+        assert report.margins["theorem_T_opt"] == value - lhs
+        # the exact minimum lies at or below every sampled T
+        assert value <= min(scalar_theorem_bound(alpha, beta, dense_t,
+                                                 delta_norm, g))
+        if g <= 0.0:
+            assert (value, t_star) == (0.0, math.inf)
         assert report.flags == []
-    infinite = _theorem_report(rep, beta, factors, disc, delta_norm,
-                               math.inf)
-    assert infinite.margins == {"theorem_T_grid": math.inf}
+    infinite = _theorem_report(rep, beta, disc, delta_norm, math.inf)
+    assert infinite.margins == {"theorem_T_opt": math.inf}
     assert infinite.flags == [FLAG_INFINITE_GAP]
-    assert infinite.constants["T_at_min_margin"] is None
-    undefined = _theorem_report(rep, beta, factors, disc, delta_norm,
-                                math.nan)
+    assert infinite.constants["T_star"] is None
+    undefined = _theorem_report(rep, beta, disc, delta_norm, math.nan)
     assert undefined.margins == {}
     assert undefined.flags == [FLAG_INFINITE_GAP]
-    assert undefined.constants["T_at_min_margin"] is None
+    assert undefined.constants["T_star"] is None
     for report in (infinite, undefined):
-        assert report.constants["T_count"] == len(T_GRID)
-        assert report.constants["lhs"] == lhs
+        assert report.constants == {"T_star": None, "lhs": lhs}
+
+
+def test_theorem_margins_hold_on_the_benchmark_populations():
+    # verify {"trials": 60, "dims": [2, 3, 4, 6, 8]} at seeds 0-20 and
+    # verify {"trials": 12, "dims": [32, 48, 64]} at seeds 0-10: at the
+    # exact minimum over T the theorem holds on every trial
+    for settings, seeds in (({"trials": 60, "dims": [2, 3, 4, 6, 8]}, 21),
+                            ({"trials": 12, "dims": [32, 48, 64]}, 11)):
+        for seed in range(seeds):
+            config = ExperimentConfig(seed=seed, **settings)
+            code, report = run_verify(config)
+            summary = report["summary"]
+            assert code == 0, (settings, seed)
+            assert summary["margins_skipped"] == 0, (settings, seed)
+            assert summary["min_margin_by_family"]["theorem"] \
+                >= -config.tolerance, (settings, seed)
 
 
 def test_run_verify_passes_and_is_deterministic():
@@ -216,7 +238,6 @@ def test_verify_reports_each_bound_once():
 def test_reports_leave_trial_quantities_and_grid_constants_out():
     config = ExperimentConfig(trials=8, dims=[2, 3, 4])
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     _, report = run_verify(config)
     written = json.loads(report_text(report))
     alphas, betas = config.alpha_grid, config.beta_grid
@@ -229,7 +250,7 @@ def test_reports_leave_trial_quantities_and_grid_constants_out():
             assert not GRID_KEYS & set(r["constants"])
         # the grid constants are the same in every trial
         assert bounds.grid_constants(
-            run_trial(config, i, reps, factors).reports) \
+            run_trial(config, i, reps).reports) \
             == written["grid"]
         rho, sigma, dim, _, _, _ = draw_pair(config, i)
         ctx = PairContext(rho, sigma,
@@ -253,7 +274,7 @@ def test_bound_reports_hold_what_they_write():
         == set(bounds.BoundReport(name="dpi:neg-log", beta=None).to_json())
     config = ExperimentConfig()
     reps = [rep_from_name(n) for n in config.functions]
-    record = run_trial(config, 4, reps, grid_factors(reps, config.beta_grid))
+    record = run_trial(config, 4, reps)
     assert record.drawn["rank_rho"] < record.drawn["dim"]
     beta_free = [r for r in record.reports if r.name == "beta-free"]
     assert len(beta_free) == len(config.beta_grid)
@@ -362,7 +383,7 @@ def test_verify_runs_leave_nothing_behind_for_the_next():
     """Verify on A, then on B (other functions, alpha and beta grids), then
     on A again in one process: A's reports are the same bytes, and B's are
     those of B run first in a fresh interpreter. Nothing a run computes,
-    such as its T-family factors, outlives it."""
+    such as its contraction probes, outlives it."""
     a = dict(trials=6, dims=[2, 3, 4])
     b = dict(trials=6, dims=[2, 3, 4], functions=["neg-power:0.3"],
              alpha_grid=[0.4], beta_grid=[0.6, 0.2])

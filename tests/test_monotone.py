@@ -58,7 +58,8 @@ def test_c_constant_neg_log_is_one():
     rep = builtin_neg_log()
     for t, beta in [(4.0, 0.3), (100.0, 0.5), (2.0, 0.9)]:
         assert c_constant(rep, t, beta) == pytest.approx(1.0)
-    assert np.array_equal(c_constant(rep, np.array([0.5, 4.0]), 0.3), [1, 1])
+    assert [c_constant(rep, t, 0.3) for t in (0.5, 4.0)] == [1.0, 1.0]
+    assert rep.c_closed(0.3) == ((0.0, 1.0, 0.0),)
 
 
 def test_c_constant_neg_power_low_beta():
@@ -79,20 +80,25 @@ def test_c_constant_neg_power_high_beta():
 
 
 def test_c_constant_nondecreasing_in_t():
+    # from T = 1 up, and nonincreasing below it, where the window's lower
+    # end is T_R < 1; the two pieces meet at T = 1
     rep = builtin_neg_power(0.6)
-    t = np.array([1.5, 2.0, 4.0, 16.0, 256.0])
-    values = c_constant(rep, t, 0.4)
-    assert values.shape == t.shape
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-    assert list(values) == pytest.approx(
-        [c_constant(rep, float(x), 0.4) for x in t], rel=1e-15)
+    for beta in (0.4, 0.7):
+        up = [c_constant(rep, t, beta) for t in (1.0, 1.5, 2.0, 4.0, 16.0,
+                                                 256.0)]
+        down = [c_constant(rep, t, beta) for t in (1.0, 0.5, 0.1, 1e-3)]
+        assert all(b >= a - 1e-12 for a, b in zip(up, up[1:]))
+        assert all(b >= a - 1e-12 for a, b in zip(down, down[1:]))
+        assert c_constant(rep, 1.0 - 1e-15, beta) == pytest.approx(
+            up[0], rel=1e-14)
 
 
 def test_c_constant_grid_matches_closed_form():
-    # the brute-force sup of 1/w over the window agrees with c_closed
+    # the brute-force sup of 1/w over the window agrees with the pieces of
+    # c_closed, on both sides of T = 1
     closed = builtin_neg_power(0.5)
-    for t, beta in [(4.0, 0.3), (9.0, 0.7)]:
-        assert closed.c_closed(t, beta) == pytest.approx(
+    for t, beta in [(4.0, 0.3), (9.0, 0.7), (0.25, 0.3), (0.1, 0.7)]:
+        assert c_constant(closed, t, beta) == pytest.approx(
             grid_c_constant(closed, t, beta), rel=1e-3)
 
 

@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from petzgap import harness
-from petzgap.harness import (SPEC_KINDS, ExperimentConfig, grid_factors,
-                             run_trial)
+from petzgap.harness import SPEC_KINDS, ExperimentConfig, run_trial
 from petzgap.monotone import rep_from_name
 
 from conftest import near_singular
@@ -30,7 +29,6 @@ def test_near_singular_margins_hold(monkeypatch):
     rng = np.random.default_rng(1710)
     defaults = ExperimentConfig()
     reps = [rep_from_name(n) for n in defaults.functions]
-    factors = grid_factors(reps, defaults.beta_grid)
     checked = 0
     bad = []
     for dim, kind, eps, n_rho, n_sigma in itertools.product(
@@ -40,7 +38,7 @@ def test_near_singular_margins_hold(monkeypatch):
                 near_singular(rng, dim, n_sigma, eps))
         monkeypatch.setattr(harness, "draw_pair",
                             lambda *_: pair + (dim, dim, dim, "haar"))
-        for report in run_trial(config, 0, reps, factors).reports:
+        for report in run_trial(config, 0, reps).reports:
             for key, value in report.margins.items():
                 if math.isnan(value):
                     continue

@@ -24,13 +24,15 @@ trial, so redundancy that creeps back fails here. They include the
 quantities block of the trial record, which PairContext.quantities() reads
 from the memo after the bounds have run.
 
-The theorem's T-family is evaluated on the whole T grid in one
-bounds.theorem_bound call per (function, beta) and trial: 6 per trial at
-the defaults, where a scalar loop over the 40 grid points made 240. Its
-factors that no trial quantity enters come from one bounds.c_constant call
-per (function, beta) and run (harness.grid_factors): 6 per run at the
-defaults and none in a trial, where every trial made 6, and a scalar loop
-230.
+The theorem's T-family is minimized over T in closed form, in one
+bounds.theorem_optimum call per (function, beta) and trial with a finite
+gap: 6 per trial at the defaults, where the run evaluated it on a 40-point
+T grid. The family is evaluated (bounds.theorem_bound, one
+bounds.c_constant call each) only at the end of a piece of C^f that a
+minimizer is clamped to: once per neg-power optimum on these trials and
+never for neg-log, whose C^f is one piece, so 3 per trial. One trial of
+the ten has an infinite neg-log gap, which asserts the theorem without
+minimizing it.
 
 A verify trial forms no dense power of a state: the discrepancies, the
 beta-free bound and the Kraus operators are read from the eigenbases of the
@@ -42,7 +44,8 @@ to the stack of the 5 random matrices of the contraction check (the N side
 of w_t already lies in the subalgebra), where they called it 9 times per
 trial, 4 of them on stacks inside the quadrature integrand, then once per
 random matrix. They take S_t on the whole t grid in one entropy.s_t call
-per operator, where a scalar loop over the 20 grid points made 40. A verify
+per distinct operator, where a scalar loop over the 20 grid points made
+40: 2 on a trial, and 1 where E is the identity, whose per-t gap is 0. A verify
 trial's support leaks are read from the overlaps of the two modular
 operators and its recovery errors are Hermitian trace norms, so it calls
 neither linalg.support_projector nor linalg.schatten_norm (24 of each on
@@ -87,8 +90,8 @@ import numpy as np
 from petzgap import (algebra, bounds, context, entropy, linalg, modular,
                      quadrature)
 from petzgap import harness
-from petzgap.harness import (ExperimentConfig, grid_factors, run_reconstruct,
-                             run_trial, run_verify, spec_for)
+from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
+                             run_verify, spec_for)
 from petzgap.monotone import rep_from_name
 
 TRIALS = 10
@@ -111,9 +114,11 @@ PSD_POWER_PER_TRIAL = 0
 PSD_POWER_PER_RECONSTRUCT_TRIAL = 0
 MAX_EXPECTATIONS_PER_RECONSTRUCT_TRIAL = 1
 S_T_PER_INTERNALS_CASE = 2
+S_T_PER_IDENTITY_INTERNALS_CASE = 1
 PROBE_DRAWS_PER_RECONSTRUCT_RUN = 3
 LOGSPACE_PER_RECONSTRUCT_RUN = 1
 EINSUM_PER_RECONSTRUCT_RUN = 12
+CLAMPED_ENDS_PER_TRIAL = 3
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -131,7 +136,6 @@ def count_calls(monkeypatch, owner, name) -> list:
 def test_run_trial_computes_each_quantity_once(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     build = count_calls(monkeypatch, modular, "build")
     entropies = count_calls(monkeypatch, entropy, "entropies")
@@ -143,7 +147,7 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         spec = spec_for(config.specs[i % len(config.specs)], dim)
         identity.append(spec.blocks == [(dim, 1)])
         before = len(eigh), len(build), len(entropies), len(s_f)
-        run_trial(config, i, reps, factors)
+        run_trial(config, i, reps)
         per_trial.append((len(eigh) - before[0], len(build) - before[1],
                           len(entropies) - before[2], len(s_f) - before[3]))
     assert any(identity) and not all(identity)
@@ -164,7 +168,6 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
 def test_expectations_diagonalize_only_block_cores(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     shapes = []
     original = np.linalg.eigh
 
@@ -180,7 +183,7 @@ def test_expectations_diagonalize_only_block_cores(monkeypatch):
         kinds.add(config.specs[i % len(config.specs)])
         largest_core = max(n for n, _ in spec.blocks)
         shapes.clear()
-        run_trial(config, i, reps, factors)
+        run_trial(config, i, reps)
         assert shapes[:2] == [(dim, dim)] * 2, (i, shapes)
         assert all(s[-1] <= largest_core for s in shapes[2:]), (i, shapes)
         if spec.blocks == [(1, dim)]:
@@ -208,12 +211,11 @@ def count_linalg(monkeypatch, name: str, owner=linalg) -> list:
 def test_verify_trials_form_no_dense_power(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     calls = count_linalg(monkeypatch, "psd_power")
     per_trial = []
     for i in range(TRIALS):
         before = len(calls)
-        run_trial(config, i, reps, factors)
+        run_trial(config, i, reps)
         per_trial.append(len(calls) - before)
     assert per_trial == [PSD_POWER_PER_TRIAL] * TRIALS, per_trial
     calls.clear()
@@ -262,46 +264,57 @@ def test_internals_take_the_t_grid_in_one_s_t_call_per_operator(
     code, _ = run_reconstruct(ExperimentConfig.from_json(
         dict(RECONSTRUCT_CONFIG)))
     assert code == 0
-    assert per_case == [S_T_PER_INTERNALS_CASE] \
-        * RECONSTRUCT_CONFIG["trials"], per_case
+    assert per_case == [
+        S_T_PER_IDENTITY_INTERNALS_CASE if i in IDENTITY_RECONSTRUCT_TRIALS
+        else S_T_PER_INTERNALS_CASE
+        for i in range(RECONSTRUCT_CONFIG["trials"])], per_case
     assert len(s_t) == sum(per_case)
 
 
 def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
     reps = [rep_from_name(n) for n in config.functions]
-    factors = grid_factors(reps, config.beta_grid)
     calls = {name: count_linalg(monkeypatch, name)
              for name in ("support_projector", "schatten_norm")}
     trace_norm = count_linalg(monkeypatch, "trace_norm")
     for i in range(2 * TRIALS):
-        run_trial(config, i, reps, factors)
+        run_trial(config, i, reps)
     assert {name: len(c) for name, c in calls.items()} \
         == {"support_projector": 0, "schatten_norm": 0}
     assert len(trace_norm) == 2 * 2 * TRIALS
 
 
-def test_theorem_grid_is_one_call_per_function_and_beta(monkeypatch):
+def test_theorem_optimum_is_one_call_per_function_and_beta(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
+    optimum = count_calls(monkeypatch, bounds, "theorem_optimum")
     theorem = count_calls(monkeypatch, bounds, "theorem_bound")
     c_constant = count_calls(monkeypatch, bounds, "c_constant")
     per_trial = []
+    want = []
     original = harness.run_trial
 
     def counted(*args):
-        before = len(theorem), len(c_constant)
-        out = original(*args)
-        per_trial.append((len(theorem) - before[0],
-                          len(c_constant) - before[1]))
-        return out
+        before = len(optimum), len(theorem), len(c_constant)
+        record = original(*args)
+        per_trial.append((len(optimum) - before[0], len(theorem) - before[1],
+                          len(c_constant) - before[2]))
+        # an infinite gap asserts the theorem without minimizing it
+        finite = [r.name for r in record.reports
+                  if r.name.startswith("theorem:")
+                  and r.constants["T_star"] is not None]
+        clamped = sum(name != "theorem:neg-log" for name in finite)
+        want.append((len(finite), clamped, clamped))
+        return record
 
     monkeypatch.setattr(harness, "run_trial", counted)
     code, _ = run_verify(config)
     assert code == 0
     per_function_and_beta = len(config.functions) * len(config.beta_grid)
     assert per_function_and_beta == 6
-    assert per_trial == [(per_function_and_beta, 0)] * TRIALS, per_trial
-    assert len(c_constant) == per_function_and_beta
+    assert per_trial == want, per_trial
+    assert want.count((per_function_and_beta, CLAMPED_ENDS_PER_TRIAL,
+                       CLAMPED_ENDS_PER_TRIAL)) == TRIALS - 1, want
+    assert len(c_constant) == sum(c for _, _, c in per_trial)
 
 
 def test_reconstruct_integrand_calls(monkeypatch):
