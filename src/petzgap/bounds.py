@@ -13,7 +13,9 @@ T-family of right-hand sides, whose exact minimum over T theorem_optimum
 takes in closed form (lemma_opt on each power-law piece of C^f_{T,beta});
 optimizing over T inverts into gap >= K * disc^E (the corollary bounds);
 disc controls the Petz recovery errors (recovery_chain); Renyi divergences
-ride on the power corollary.
+ride on the power corollary. C^f has one source, the pieces
+rep.c_closed(beta), and the T-family's (K_T, k, n0) one, _t_family; the
+corollaries invert the family with the T >= 1 piece.
 
 Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
 the context computes each quantity of the triple once, caches it for the
@@ -27,13 +29,17 @@ K, and each right side K disc^E is exp(log K + E log disc): at a large
 ||Delta|| the constant underflows and disc^E overflows while the product
 is an ordinary number. The three corollaries share one report builder,
 _corollary; verify runs corollary-log and corollary-power, whose right
-sides are never below generic's and which record its constant as K_generic.
+sides are never below generic's and which record its constant and T_star
+as K_generic and T_star.
 
 Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
 the margins dict (everything else is recorded in constants/rhs_values and
-explained by flags). gap_margin turns a gap into its margin and the
-infinite-gap flag. Under linalg's support policy, the leak of sigma
+explained by flags). Every report verify writes is built here, dpi_report
+and theorem_report included, and filled through one helper,
+BoundReport.bound, which records a right side and, when the inequality is
+asserted, its margin; it turns a gap into its margin and the infinite-gap
+flag. Under linalg's support policy, the leak of sigma
 (sigma_N) off supp rho (rho_N) is flagged above sigma's (sigma_N's) zero
 threshold. A BoundReport holds no trial quantity (the gap, a
 discrepancy, ||Delta||, a recovery error): those are the PairContext's, and
@@ -91,6 +97,26 @@ class BoundReport:
             "flags": sorted(self.flags),
         }
 
+    def bound(self, key: str, rhs: float | None, lhs: float | None = None,
+              gap: float | None = None) -> None:
+        """Record rhs, the right side of inequality key (None records
+        nothing), and assert the inequality when its trial side is given:
+        lhs <= rhs with margin rhs - lhs, or the gap lower bound gap >= rhs
+        (>= 0 when rhs is None) with margin gap - rhs. An infinite gap holds
+        any lower bound (margin inf); a nan gap (both entropies infinite)
+        asserts nothing. Both carry the infinite-gap flag."""
+        if rhs is not None:
+            self.rhs_values[key] = rhs
+        if lhs is not None:
+            self.margins[key] = rhs - lhs
+        elif gap is not None:
+            if math.isfinite(gap):
+                self.margins[key] = gap - (0.0 if rhs is None else rhs)
+            else:
+                self.flags.append(FLAG_INFINITE_GAP)
+                if math.isinf(gap):
+                    self.margins[key] = math.inf
+
 
 def json_safe(values: dict, omit=frozenset()) -> dict:
     """A copy of a dict without the keys in omit, in which each non-finite
@@ -113,17 +139,6 @@ def grid_constants(reports: list) -> dict:
     return grid
 
 
-def gap_margin(key: str, g: float, rhs: float = 0.0) -> tuple[dict, list]:
-    """({key: g - rhs}, []) for a finite gap. An infinite gap holds any
-    lower bound (margin inf); a nan gap (both entropies infinite) asserts
-    nothing. Both carry the infinite-gap flag."""
-    if math.isinf(g):
-        return {key: math.inf}, [FLAG_INFINITE_GAP]
-    if math.isnan(g):
-        return {}, [FLAG_INFINITE_GAP]
-    return {key: g - rhs}, []
-
-
 def discrepancy_norm(beta: float, rho, sigma, spec: SubalgebraSpec) -> float:
     """|| sigmaN^b rhoN^-b rho^{1/2} - sigma^b rho^{1/2-b} ||_2, pseudo
     powers (rho^0 = support projector at b = 1/2)."""
@@ -143,23 +158,33 @@ def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
     return PairContext(rho, sigma, spec).recovery_discrepancy
 
 
+def _t_family(beta: float, delta_norm: float) -> tuple[float, float, float]:
+    """(K_T, k, n0) of the theorem's T-family K_T T^{-k} + T^{n0}
+    sqrt(C^f_{T,beta} gap): K_T = 2 (1/beta + ||Delta||/(1-beta)), and
+    (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and
+    (1-beta, beta) above."""
+    k_t = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
+    if beta <= 0.5:
+        return k_t, beta, \
+            (1.0 - 2.0 * beta + 2.0 * beta ** 2) / (2.0 * (1.0 - beta))
+    return k_t, 1.0 - beta, beta
+
+
 def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
                   delta_norm: float, gap: float) -> float:
     """Right-hand side of the T-family bound on (pi/sin(beta pi)) * disc at
-    one T > 0:
+    one T > 0 (_t_family):
 
         2 (1/beta + ||Delta||/(1-beta)) T^{-k}
           + T^{n0} sqrt(C^f_{T,beta} gap)
 
-    with (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and
-    (1-beta, beta) for beta >= 1/2. Negative numerical gaps clamp to zero;
-    an infinite gap gives inf and a nan gap nan.
+    Negative numerical gaps clamp to zero; an infinite gap gives inf and a
+    nan gap nan.
     """
     c_f = c_constant(rep, t, beta)  # which checks T and beta
-    k, n0 = _branch(beta)
+    k_t, k, n0 = _t_family(beta, delta_norm)
     g = max(float(gap), 0.0)
-    first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
-    return first * t ** (-k) + t ** n0 * math.sqrt(c_f * g)
+    return k_t * t ** (-k) + t ** n0 * math.sqrt(c_f * g)
 
 
 def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
@@ -174,14 +199,13 @@ def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    k, n0 = _branch(beta)
+    k_t, k, n0 = _t_family(beta, delta_norm)
     g = max(float(gap), 0.0)
-    first = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
     pieces = rep.c_closed(beta)
     ends = [p[0] for p in pieces[1:]] + [math.inf]
     best = []
     for (start, big_c, c), end in zip(pieces, ends):
-        value, t_star = lemma_opt(first, k, math.sqrt(big_c * g), n0 + c)
+        value, t_star = lemma_opt(k_t, k, math.sqrt(big_c * g), n0 + c)
         if t_star < start or t_star > end:
             t_star = start if t_star < start else end
             value = theorem_bound(rep, beta, t_star, delta_norm, gap)
@@ -213,10 +237,31 @@ def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, fl
     return value, t_star
 
 
-def _branch(beta: float) -> tuple[float, float]:
-    if beta <= 0.5:
-        return beta, (1.0 - 2.0 * beta + 2.0 * beta ** 2) / (2.0 * (1.0 - beta))
-    return 1.0 - beta, beta
+def dpi_report(rep: MonotoneDecreasingRep, g: float) -> BoundReport:
+    """The data processing inequality gap >= 0 on the trial's gap g of
+    rep."""
+    report = BoundReport(f"dpi:{rep.name}", None)
+    report.bound("dpi", None, gap=g)
+    return report
+
+
+def theorem_report(rep: MonotoneDecreasingRep, beta: float, disc: float,
+                   delta_norm: float, g: float) -> BoundReport:
+    """The T-family at its exact minimum over T (theorem_optimum), for the
+    trial's ||Delta|| and gap: the margin is min_T rhs - lhs, at T_star
+    (None when the gap is inf or nan). A gap <= 0 has the minimum 0 at
+    T_star = inf; a constant that overflowed to inf times such a gap
+    leaves a nan margin, which asserts nothing."""
+    lhs = math.pi / math.sin(beta * math.pi) * disc
+    report = BoundReport(f"theorem:{rep.name}", beta,
+                         constants={"T_star": None, "lhs": lhs})
+    if math.isfinite(g):
+        value, report.constants["T_star"] = theorem_optimum(
+            rep, beta, delta_norm, g)
+        report.margins["theorem_T_opt"] = value - lhs
+    else:
+        report.bound("theorem_T_opt", None, gap=g)
+    return report
 
 
 def _power_law(log_k: float, x: float, expo: float) -> float:
@@ -226,63 +271,62 @@ def _power_law(log_k: float, x: float, expo: float) -> float:
     return math.exp(log_k + expo * math.log(x)) if x > 0.0 else 0.0
 
 
-def _generic_constants(big_c: float, growth_c: float, beta: float,
+def _generic_constants(rep: MonotoneDecreasingRep, beta: float,
                        delta_norm: float) -> dict:
-    """Invert the optimized theorem into gap >= K_gap * disc^E, with K_gap
-    built as its log."""
-    k, n0 = _branch(beta)
-    n = n0 + growth_c
-    k_t = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
+    """Invert the theorem, optimized over T with the T >= 1 piece
+    C^f_{T,beta} = C T^{2c} of rep.c_closed(beta), into
+    gap >= K_gap * disc^E, with K_gap built as its log; the piece's (C, c)
+    is kept beside it."""
+    big_c, c = rep.c_closed(beta)[-1][1:]
+    k_t, k, n0 = _t_family(beta, delta_norm)
+    n = n0 + c
     exponent = 2.0 * (k + n) / k
     log_b = math.log(1.0 / k + 1.0 / n) + n / (k + n) * math.log(k * k_t) \
         + k / (k + n) * math.log(n * math.sqrt(big_c))
     log_k_gap = exponent * (math.log(math.pi / math.sin(beta * math.pi))
                             - log_b)
     return {"k": k, "n": n, "K_T": k_t, "exponent": exponent,
-            "K_gap": math.exp(log_k_gap), "log_K_gap": log_k_gap}
+            "K_gap": math.exp(log_k_gap), "log_K_gap": log_k_gap,
+            "C": big_c, "c": c}
 
 
 def _corollary(name: str, beta: float, ctx: PairContext,
-               rep: MonotoneDecreasingRep, law: tuple, growth: tuple,
-               constants: dict) -> BoundReport:
+               rep: MonotoneDecreasingRep, cst: dict, key: str, law: tuple,
+               **constants) -> BoundReport:
     """The report of gap_f >= K disc^E, law = (log K, E), on the trial's gap
-    of rep and discrepancy at beta. It also records the theorem optimized
-    with the growth certificate growth = (C, c), C^f_{T,beta} <= C T^{2c}
-    (_generic_constants): its constant as K_generic and its minimizer as
-    T_star. A certificate is proven for T >= 1 only, so a T_star below 1 is
+    of rep and discrepancy at beta, with K and log K recorded as key and
+    "log_" + key beside the other constants. cst = _generic_constants(rep,
+    beta, ||Delta||) is the theorem optimized over T with the T >= 1 piece
+    (C, c) of C^f: its constant is recorded as K_generic and its minimizer
+    as T_star. The piece holds for T >= 1 only, so a T_star below 1 is
     flagged when c > 0; -log x's, C^f = 1 with c = 0, holds at every T."""
     g = ctx.gap(rep)
     log_k, expo = law
-    big_c, growth_c = growth
-    cst = _generic_constants(big_c, growth_c, beta, ctx.delta_norm)
-    rhs = _power_law(log_k, ctx.discrepancy(beta), expo)
-    margins, flags = gap_margin("gap_lower_bound", g, rhs)
     t_star = math.inf if not math.isfinite(g) or g <= 0.0 else lemma_opt(
-        cst["K_T"], cst["k"], math.sqrt(big_c * g), cst["n"])[1]
-    if growth_c > 0.0 and t_star < 1.0:
-        flags.append(FLAG_T_STAR_BELOW_ONE)
-    return BoundReport(
-        name=name, beta=beta,
-        constants=dict(constants, K_generic=cst["K_gap"], exponent=expo,
-                       T_star=t_star),
-        rhs_values={"gap_lower_bound": rhs},
-        margins=margins,
-        flags=flags,
-    )
+        cst["K_T"], cst["k"], math.sqrt(cst["C"] * g), cst["n"])[1]
+    constants.update({key: math.exp(log_k), "log_" + key: log_k,
+                      "K_generic": cst["K_gap"], "exponent": expo,
+                      "T_star": t_star})
+    report = BoundReport(name, beta, constants=constants)
+    report.bound("gap_lower_bound",
+                 _power_law(log_k, ctx.discrepancy(beta), expo), gap=g)
+    if cst["c"] > 0.0 and t_star < 1.0:
+        report.flags.append(FLAG_T_STAR_BELOW_ONE)
+    return report
 
 
 def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
                             ctx: PairContext) -> BoundReport:
-    """gap >= K_gap * disc^E using the rep's stored growth certificate
-    (C, c). verify does not run it: corollary-log and corollary-power assert
-    the same inequality for both families, with a right side never smaller,
-    and record this constant as K_generic."""
+    """gap >= K_gap * disc^E from the theorem optimized over T with the
+    T >= 1 piece of rep.c_closed(beta) (_generic_constants). verify does
+    not run it: corollary-log and corollary-power assert the same
+    inequality for both families, with a right side never smaller, and
+    record this constant and T_star as their K_generic and T_star."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    cst = _generic_constants(*rep.growth, beta, ctx.delta_norm)
-    return _corollary(f"generic:{rep.name}", beta, ctx, rep,
-                      (cst["log_K_gap"], cst["exponent"]), rep.growth,
-                      {"K_gap": cst["K_gap"], "log_K_gap": cst["log_K_gap"]})
+    cst = _generic_constants(rep, beta, ctx.delta_norm)
+    return _corollary(f"generic:{rep.name}", beta, ctx, rep, cst, "K_gap",
+                      (cst["log_K_gap"], cst["exponent"]))
 
 
 def log_corollary_constant(beta: float,
@@ -314,7 +358,7 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
         raise InvalidInput("beta must lie in (0, 1)")
     delta_norm = ctx.delta_norm
     log_k, expo, key = log_corollary_constant(beta, delta_norm)
-    constants = {key: math.exp(log_k), "log_" + key: log_k}
+    constants = {}
     if beta == 0.5:
         constants["K_log3"] = (math.pi / 4.0) ** 4 * (1.0 + delta_norm) ** (-2.0)
         if delta_norm > 0.0:
@@ -324,14 +368,16 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
                     (1.0 / (8.0 * math.pi)) ** 4 * delta_norm ** (-2.0) * e_rho ** 4
             except (InvalidInput, NumericalFailure):
                 pass
-    return _corollary("corollary-log", beta, ctx, builtin_neg_log(),
-                      (log_k, expo), (1.0, 0.0), constants)
+    rep = builtin_neg_log()
+    return _corollary("corollary-log", beta, ctx, rep,
+                      _generic_constants(rep, beta, delta_norm), key,
+                      (log_k, expo), **constants)
 
 
 def power_corollary_constant(alpha: float, beta: float, delta_norm: float
-                             ) -> tuple[float, float, float, float, str]:
-    """Log of the printed constant, proof exponent, displayed exponent,
-    effective growth exponent, and key for the power corollary."""
+                             ) -> tuple[float, float, float, str]:
+    """Log of the printed constant, proof exponent, displayed exponent and
+    key for the power corollary."""
     sb = math.sin(beta * math.pi)
     sa = math.sin(alpha * math.pi)
     bb = beta * (1.0 - beta)
@@ -345,8 +391,7 @@ def power_corollary_constant(alpha: float, beta: float, delta_norm: float
             + expo * math.log(math.pi * beta * q / (p * sb)) \
             - 2.0 * math.log(q / (2.0 * (1.0 - beta)))
         displayed = (4.0 - 2.0 * beta + alpha * (1.0 - beta)) / (1.0 - beta ** 2)
-        c_eff = alpha / 2.0
-        return log_k, expo, displayed, c_eff, "K_L"
+        return log_k, expo, displayed, "K_L"
     s_ = 2.0 * beta + alpha * (1.0 - beta)
     r_ = 2.0 * beta ** 2 + alpha * (1.0 - beta)
     expo = s_ / bb
@@ -356,8 +401,7 @@ def power_corollary_constant(alpha: float, beta: float, delta_norm: float
         + expo * math.log(math.pi * (1.0 - beta) * r_ / (s_ * sb)) \
         - 2.0 * math.log(r_ / (2.0 * beta))
     displayed = (2.0 * (1.0 + beta) + alpha * (1.0 - beta)) / (1.0 - beta ** 2)
-    c_eff = alpha * (1.0 - beta) / (2.0 * beta)
-    return log_k, expo, displayed, c_eff, "K_U"
+    return log_k, expo, displayed, "K_U"
 
 
 def corollary_power_bound(alpha: float, beta: float,
@@ -368,22 +412,22 @@ def corollary_power_bound(alpha: float, beta: float,
     (2b + a(1-b))/(b(1-b)) for b >= 1/2 (both 4 + 2a at b = 1/2); the
     alternative displayed family over (1 - b^2) is recorded under
     exponent_displayed but carries no margin. K_generic records the generic
-    optimization with the exact regularity constant (C = pi/sin(a pi),
-    effective growth a(1-b)/(2b) on the upper branch), which
-    tests/test_bounds.py checks the printed constant against.
+    optimization with the T >= 1 piece of C^f, whose C = pi/sin(a pi) and
+    growth exponent c (a/2 for b <= 1/2, a(1-b)/(2b) above) are recorded
+    as C_exact and c_effective; tests/test_bounds.py checks the printed
+    constant against it.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("alpha must lie in (0, 1)")
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    log_k, expo, displayed, c_eff, key = power_corollary_constant(
+    log_k, expo, displayed, key = power_corollary_constant(
         alpha, beta, ctx.delta_norm)
-    big_c = math.pi / math.sin(alpha * math.pi)
-    return _corollary(f"corollary-power:{alpha!r}", beta, ctx,
-                      builtin_neg_power(alpha), (log_k, expo), (big_c, c_eff),
-                      {key: math.exp(log_k), "log_" + key: log_k,
-                       "exponent_displayed": displayed, "C_exact": big_c,
-                       "c_effective": c_eff})
+    rep = builtin_neg_power(alpha)
+    cst = _generic_constants(rep, beta, ctx.delta_norm)
+    return _corollary(f"corollary-power:{alpha!r}", beta, ctx, rep, cst, key,
+                      (log_k, expo), exponent_displayed=displayed,
+                      C_exact=cst["C"], c_effective=cst["c"])
 
 
 def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
@@ -411,43 +455,33 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
         raise InvalidInput("Renyi order must lie in (0, 1)")
     r, s = ctx.rho, ctx.sigma
     g = ctx.renyi_gap(alpha)
-    disc = ctx.discrepancy(0.5)
-    log_k_u, expo, _, _, _ = power_corollary_constant(1.0 - alpha, 0.5,
-                                                      ctx.delta_norm)
-    rhs_disc = math.log1p(_power_law(log_k_u, disc, expo)) / (1.0 - alpha)
-    constants = {"K_U": math.exp(log_k_u), "log_K_U": log_k_u,
-                 "exponent": expo}
-    rhs_values = {"renyi_disc": rhs_disc}
-    margins = {}
-    flags = []
-    if s.is_invertible:
-        margins["renyi_disc"] = g - rhs_disc
-        e_rho, e_sigma = ctx.recovery_errors
-        norm_rho = float(r.eigenvalues[0])
-        norm_sig_inv = 1.0 / float(s.eigenvalues[-1])
-        log_k_hat = log_k_u - math.log(2.0) \
-            - 0.5 * math.log(norm_rho * norm_sig_inv)
-        mx = max(e_rho, e_sigma)
-        rhs_rec = math.log1p(_power_law(log_k_hat, mx, expo)) / (1.0 - alpha)
-        rhs_inv = _power_law(-log_k_hat,
-                            math.expm1((1.0 - alpha) * max(g, 0.0)), 1.0)
-        if ctx.support_leak <= s.spectrum.zero_threshold:
-            margins["renyi_recovery"] = g - rhs_rec
-        else:
-            flags.append(FLAG_SUPPORT_MISMATCH)
-        constants["K_hat"] = math.exp(log_k_hat)
-        rhs_values.update({"renyi_recovery": rhs_rec, "renyi_inverted": rhs_inv})
-    else:
-        flags.append(FLAG_SIGMA_SINGULAR)
+    log_k_u, expo, _, _ = power_corollary_constant(1.0 - alpha, 0.5,
+                                                   ctx.delta_norm)
+    report = BoundReport(f"renyi:{alpha!r}", 0.5, constants={
+        "K_U": math.exp(log_k_u), "log_K_U": log_k_u, "exponent": expo})
+    rhs_disc = math.log1p(_power_law(log_k_u, ctx.discrepancy(0.5), expo)) \
+        / (1.0 - alpha)
+    if not s.is_invertible:
+        report.bound("renyi_disc", rhs_disc)
+        report.flags.append(FLAG_SIGMA_SINGULAR)
         if not ctx.sigma_n.is_invertible:
-            flags.append(FLAG_SIGMA_N_SINGULAR)
-    return BoundReport(
-        name=f"renyi:{alpha!r}", beta=0.5,
-        constants=constants,
-        rhs_values=rhs_values,
-        margins=margins,
-        flags=flags,
-    )
+            report.flags.append(FLAG_SIGMA_N_SINGULAR)
+        return report
+    report.bound("renyi_disc", rhs_disc, gap=g)
+    e_rho, e_sigma = ctx.recovery_errors
+    log_k_hat = log_k_u - math.log(2.0) - 0.5 * math.log(
+        float(r.eigenvalues[0]) * (1.0 / float(s.eigenvalues[-1])))
+    report.constants["K_hat"] = math.exp(log_k_hat)
+    rhs_rec = math.log1p(_power_law(log_k_hat, max(e_rho, e_sigma), expo)) \
+        / (1.0 - alpha)
+    if ctx.support_leak <= s.spectrum.zero_threshold:
+        report.bound("renyi_recovery", rhs_rec, gap=g)
+    else:
+        report.bound("renyi_recovery", rhs_rec)
+        report.flags.append(FLAG_SUPPORT_MISMATCH)
+    report.bound("renyi_inverted", _power_law(
+        -log_k_hat, math.expm1((1.0 - alpha) * max(g, 0.0)), 1.0))
+    return report
 
 
 def recovery_chain(ctx: PairContext) -> BoundReport:
@@ -470,56 +504,41 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     r, s, r_n, s_n = ctx.rho, ctx.sigma, ctx.rho_n, ctx.sigma_n
     e_rho, e_sigma = ctx.recovery_errors
     disc_full = ctx.recovery_discrepancy
-    support_match = ctx.support_leak <= s.spectrum.zero_threshold
-    g = ctx.gap(builtin_neg_log())
-    cst = _generic_constants(1.0, 0.0, 0.5, ctx.delta_norm)
-    k_gap = cst["K_gap"]
-    margins = {"rec_rho": 2.0 * disc_full - e_rho}
-    rhs_values = {"rec_rho": 2.0 * disc_full}
-    flags = []
-    sigma_n_invertible = s_n.is_invertible
+    neg_log = builtin_neg_log()
+    g = ctx.gap(neg_log)
+    cst = _generic_constants(neg_log, 0.5, ctx.delta_norm)
+    report = BoundReport("recovery-chain", 0.5, constants={
+        "K_gap": cst["K_gap"], "exponent": cst["exponent"]})
+    report.bound("rec_rho", 2.0 * disc_full, e_rho)
     norms_n = None
-    if sigma_n_invertible:
+    if s_n.is_invertible:
         norms_n = math.sqrt(float(r_n.eigenvalues[0]) / float(s_n.eigenvalues[-1]))
-        rhs_values["rec_sigma_n"] = 2.0 * norms_n * disc_full
-        margins["rec_sigma_n"] = rhs_values["rec_sigma_n"] - e_sigma
+        report.bound("rec_sigma_n", 2.0 * norms_n * disc_full, e_sigma)
     else:
-        flags.append(FLAG_SIGMA_N_SINGULAR)
+        report.flags.append(FLAG_SIGMA_N_SINGULAR)
     if s.is_invertible:
         norms = math.sqrt(float(r.eigenvalues[0]) / float(s.eigenvalues[-1]))
-        rhs_values["rec_sigma"] = 2.0 * norms * disc_full
-        margins["rec_sigma"] = rhs_values["rec_sigma"] - e_sigma
+        report.bound("rec_sigma", 2.0 * norms * disc_full, e_sigma)
     else:
-        flags.append(FLAG_SIGMA_SINGULAR)
-    margins["spectrum_rho"] = min(
-        float(r_n.eigenvalues[-1]) - float(r.eigenvalues[-1]),
-        float(r.eigenvalues[0]) - float(r_n.eigenvalues[0]))
-    margins["spectrum_sigma"] = min(
-        float(s_n.eigenvalues[-1]) - float(s.eigenvalues[-1]),
-        float(s.eigenvalues[0]) - float(s_n.eigenvalues[0]))
+        report.flags.append(FLAG_SIGMA_SINGULAR)
+    for key, x, x_n in (("spectrum_rho", r, r_n), ("spectrum_sigma", s, s_n)):
+        report.margins[key] = min(
+            float(x_n.eigenvalues[-1]) - float(x.eigenvalues[-1]),
+            float(x.eigenvalues[0]) - float(x_n.eigenvalues[0]))
     if math.isinf(g):
-        flags.append(FLAG_INFINITE_GAP)
+        report.flags.append(FLAG_INFINITE_GAP)
     if ctx.support_leak_n > s_n.spectrum.zero_threshold:
-        flags.append(FLAG_TRACE_LOSS)
-    if support_match and not math.isnan(g):
-        gg = max(g, 0.0)
-        rhs_one = 2.0 * (gg / k_gap) ** 0.25 if math.isfinite(gg) else math.inf
-        rhs_values["disc_gap_one_sided"] = rhs_one
-        margins["disc_gap_one_sided"] = rhs_one - e_rho
-        if sigma_n_invertible:
-            rhs_two = 2.0 * norms_n * (gg / k_gap) ** 0.25 \
-                if math.isfinite(gg) else math.inf
-            rhs_values["disc_gap_two_sided"] = rhs_two
-            margins["disc_gap_two_sided"] = rhs_two - max(e_rho, e_sigma)
-    elif not support_match:
-        flags.append(FLAG_SUPPORT_MISMATCH)
-    return BoundReport(
-        name="recovery-chain", beta=0.5,
-        constants={"K_gap": k_gap, "exponent": cst["exponent"]},
-        rhs_values=rhs_values,
-        margins=margins,
-        flags=flags,
-    )
+        report.flags.append(FLAG_TRACE_LOSS)
+    if ctx.support_leak > s.spectrum.zero_threshold:
+        report.flags.append(FLAG_SUPPORT_MISMATCH)
+    elif not math.isnan(g):
+        root = (max(g, 0.0) / cst["K_gap"]) ** 0.25 if math.isfinite(g) \
+            else math.inf
+        report.bound("disc_gap_one_sided", 2.0 * root, e_rho)
+        if norms_n is not None:
+            report.bound("disc_gap_two_sided", 2.0 * norms_n * root,
+                         max(e_rho, e_sigma))
+    return report
 
 
 def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
@@ -529,20 +548,14 @@ def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
         raise InvalidInput("beta must lie in (0, 1)")
     r = ctx.rho
     lhs = ctx.beta_free(beta)  # in the trial's quantities, asserted or not
-    margins = {}
-    flags = []
-    rhs = math.nan
+    report = BoundReport("beta-free", beta)
     if r.is_invertible:
-        rhs = ctx.discrepancy(beta) / math.sqrt(float(r.eigenvalues[-1]))
-        margins["beta_free"] = rhs - lhs
+        report.bound("beta_free", ctx.discrepancy(beta)
+                     / math.sqrt(float(r.eigenvalues[-1])), lhs)
     else:
-        flags.append(FLAG_RHO_SINGULAR)
-    return BoundReport(
-        name="beta-free", beta=beta,
-        rhs_values={"beta_free": rhs},
-        margins=margins,
-        flags=flags,
-    )
+        report.bound("beta_free", math.nan)
+        report.flags.append(FLAG_RHO_SINGULAR)
+    return report
 
 
 def contraction_probes(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -591,7 +604,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     grid = np.asarray(t_grid, dtype=float)
     norms = np.linalg.norm(ctx.w_t(grid), axis=(1, 2))
     s_t = entropy.s_t(grid, op)
-    gap_t = np.zeros_like(s_t) if op_n is op \
+    gap_t = np.zeros_like(s_t) if ctx.e_is_identity \
         else s_t - entropy.s_t(grid, op_n)
     per_t = float(np.min(gap_t - grid * norms * norms))
     decay = float(np.min(2.0 / grid - norms))

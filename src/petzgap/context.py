@@ -82,7 +82,10 @@ def _ratio(op: modular.RelativeModularOperator, beta: float) -> np.ndarray:
 
 class PairContext:
     """Lazily computed quantities of one (rho, sigma, spec) triple. State
-    roles: "rho", "sigma", and "rho_n", "sigma_n" for E(rho), E(sigma)."""
+    roles: "rho", "sigma", and "rho_n", "sigma_n" for E(rho), E(sigma).
+    e_is_identity: E is the identity, which holds exactly when the algebra
+    is all of M_d, one (dim, 1) block in any basis; then E(x) is x itself,
+    op_n is op, and there are no frames."""
 
     def __init__(self, rho, sigma, spec: SubalgebraSpec):
         self.rho = make_density(rho)
@@ -90,13 +93,13 @@ class PairContext:
         if self.rho.dim != spec.dim or self.sigma.dim != spec.dim:
             raise InvalidInput("state dimension does not match spec")
         self.spec = spec
+        self.e_is_identity = spec.blocks == [(spec.dim, 1)]
         self._memo = {}
 
     def _expect(self, x: DensityMatrix) -> DensityMatrix:
-        """E(x) as a state, from the spectra of its block cores. E is the
-        identity exactly when the algebra is all of M_d, one (dim, 1) block
-        in any basis; then E(x) is x itself."""
-        if self.spec.blocks == [(self.spec.dim, 1)]:
+        """E(x) as a state, from the spectra of its block cores; x itself
+        when E is the identity."""
+        if self.e_is_identity:
             return x
         return from_spectrum(expectation_eigh(self.spec, x.matrix))
 
@@ -115,7 +118,7 @@ class PairContext:
     @cached_property
     def op_n(self) -> modular.RelativeModularOperator:
         """Delta_{E(sigma),E(rho)}: op itself when E is the identity."""
-        if self.rho_n is self.rho and self.sigma_n is self.sigma:
+        if self.e_is_identity:
             return self.op
         return modular.build(self.sigma_n.spectrum, self.rho_n.spectrum)
 
@@ -126,14 +129,14 @@ class PairContext:
     def entropies(self, reps) -> None:
         """Compute the entropy of each rep on op and on op_n, kept per (rep,
         operator): the reps not yet computed share one pass over each
-        operator (entropy.entropies). When op_n is op (E is the identity),
-        op_n's entropies are op's."""
+        operator (entropy.entropies); when E is the identity, op_n's
+        entropies are op's."""
         for role in ("op", "op_n"):
             todo = [rep for rep in dict.fromkeys(reps)
                     if ("s_f", rep, role) not in self._memo]
             if not todo:
                 continue
-            if role == "op_n" and self.op_n is self.op:
+            if role == "op_n" and self.e_is_identity:
                 values = [self._memo["s_f", rep, "op"] for rep in todo]
             else:
                 values = entropy.entropies(todo, getattr(self, role))
@@ -174,12 +177,10 @@ class PairContext:
         return self.reconstructions([rep])[0][1]
 
     @cached_property
-    def frames(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
         """(P1, P2) = (V_sigma^H V_sigmaN, V_rhoN^H V_rho), the basis
         changes from the eigenbases of E(sigma) and E(rho) to those of sigma
-        and rho; None when E is the identity."""
-        if self.rho_n is self.rho:
-            return None
+        and rho; read only when E is not the identity."""
         return (self.sigma.spectrum.eigenvectors.conj().T
                 @ self.sigma_n.spectrum.eigenvectors,
                 self.rho_n.spectrum.eigenvectors.conj().T
@@ -188,7 +189,7 @@ class PairContext:
     def _ratio_n(self, beta: float) -> np.ndarray:
         """sigmaN^b rhoN^-b in the frame of sigma (left) and rho (right)."""
         x = _ratio(self.op_n, beta)
-        if self.frames is None:
+        if self.e_is_identity:
             return x
         p1, p2 = self.frames
         return p1 @ x @ p2
@@ -197,7 +198,7 @@ class PairContext:
         """D_b = sigmaN^b rhoN^-b - sigma^b rho^-b in the frame of sigma
         (left) and rho (right), formed anew on each read. When E is the
         identity both terms are the same numbers and D_b is exactly 0."""
-        if self.op_n is self.op:
+        if self.e_is_identity:
             return np.zeros((self.op.dim, self.op.dim), dtype=complex)
         return self._ratio_n(beta) - _ratio(self.op, beta)
 
@@ -214,14 +215,14 @@ class PairContext:
 
     def _combine(self, k_n, k) -> np.ndarray:
         """(P1 (O_N k_n) P2 - O k) lam^{1/2}, (T, d, kept), from kernel stacks
-        (d, T, kept_N) and (d, T, kept): two GEMMs for all T."""
+        (d, T, kept_N) and (d, T, kept): two GEMMs for all T. Read only
+        when E is not the identity."""
         op, op_n = self.op, self.op_n
         d, kept, kept_n = op.dim, op.kept_columns, op_n.kept_columns
+        p1, p2 = self.frames
         n_side = op_n.overlaps[:, kept_n][:, None, :] * k_n
-        if self.frames is not None:
-            p1, p2 = self.frames
-            n_side = ((p1 @ n_side.reshape(d, -1)).reshape(-1, kept_n.size)
-                      @ p2[kept_n][:, kept]).reshape(d, -1, kept.size)
+        n_side = ((p1 @ n_side.reshape(d, -1)).reshape(-1, kept_n.size)
+                  @ p2[kept_n][:, kept]).reshape(d, -1, kept.size)
         w = (n_side - op.overlaps[:, kept][:, None, :] * k) \
             * np.sqrt(op.rho_dec.eigenvalues.real[kept])
         return w.transpose(1, 0, 2)
@@ -235,7 +236,7 @@ class PairContext:
         (t + DeltaN)^{-1} rhoN^{1/2} lies in N, so U of it is
         P1 (O_N h(t, e_N)) P2 lam^{1/2} with no E. With E = id, w_t is 0."""
         t = np.asarray(t, dtype=float)[:, None]
-        if self.op_n is self.op:
+        if self.e_is_identity:
             return np.zeros((t.size, self.op.dim, self.op.kept_columns.size),
                             dtype=complex)
         k_n, k = (_kernel(t, o.eigenvalues.reshape(o.dim, 1, -1))
@@ -246,7 +247,7 @@ class PairContext:
         """The integral of t^b w_t over (0, inf), (d, kept): one quadrature
         of t^b h(t, e) at the eigenvalues of op_n and op side by side, a real
         (nodes, d kept_N + d kept) array, then the frames, once."""
-        if self.op_n is self.op:
+        if self.e_is_identity:
             return np.zeros((self.op.dim, self.op.kept_columns.size),
                             dtype=complex)
         e_n, e = self.op_n.eigenvalues, self.op.eigenvalues
@@ -290,7 +291,7 @@ class PairContext:
         x_n = getattr(self, role + "_n").spectrum
         left = pseudo_power(x, 0.5)
         right = pseudo_power(x_n, -0.5)
-        if self.frames is None:
+        if self.e_is_identity:
             v = x.eigenvectors
             return (v * (left * right)) @ v.conj().T
         p1, p2 = self.frames

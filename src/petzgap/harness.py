@@ -9,8 +9,10 @@ report assembly, its summary by dumps_report; a verify trial's record is
 encoded once, when its trial ends, and written as a part of its own. A
 verify_v3 trial record writes each quantity of the trial once (quantities),
 the run each constant of (report name, beta) once (grid), and no bound
-report holds either. A reconstruct internals case is the dict that
-bounds.proof_internals returns, with its status.
+report holds either. The harness builds no bound report itself: it picks
+the reports a trial runs, each built in bounds (the dpi and theorem
+reports too), and reads their margins. A reconstruct internals case is the
+dict that bounds.proof_internals returns, with its status.
 """
 
 from __future__ import annotations
@@ -187,30 +189,6 @@ def draw_pair(config: ExperimentConfig, trial_index: int):
     return rho, sigma, dim, rank_rho, rank_sigma, sampler_kind
 
 
-def _dpi_report(rep, g):
-    margins, flags = bounds.gap_margin("dpi", g)
-    return bounds.BoundReport(name=f"dpi:{rep.name}", beta=None,
-                              margins=margins, flags=flags)
-
-
-def _theorem_report(rep, beta, disc, delta_norm, g):
-    """The T-family at its exact minimum over T (bounds.theorem_optimum),
-    for the trial's ||Delta|| and gap: the margin is min_T rhs - lhs, at
-    T_star (None when the gap is inf or nan). A gap <= 0 has the minimum 0
-    at T_star = inf; a constant that overflowed to inf times such a gap
-    leaves a nan margin, which asserts nothing."""
-    lhs = math.pi / math.sin(beta * math.pi) * disc
-    margins, flags = bounds.gap_margin("theorem_T_opt", g)
-    t_star = None
-    if math.isfinite(g):
-        value, t_star = bounds.theorem_optimum(rep, beta, delta_norm, g)
-        margins["theorem_T_opt"] = value - lhs
-    return bounds.BoundReport(
-        name=f"theorem:{rep.name}", beta=beta,
-        constants={"T_star": t_star, "lhs": lhs},
-        margins=margins, flags=flags)
-
-
 def run_trial(config: ExperimentConfig, trial_index: int,
               reps: list) -> TrialRecord:
     """One verify trial with the reps of config.functions. The gap lower
@@ -232,10 +210,10 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     reports = []
     for rep in reps:
         g = ctx.gap(rep)
-        reports.append(_dpi_report(rep, g))
+        reports.append(bounds.dpi_report(rep, g))
         for beta in config.beta_grid:
-            reports.append(_theorem_report(rep, beta, ctx.discrepancy(beta),
-                                           ctx.delta_norm, g))
+            reports.append(bounds.theorem_report(
+                rep, beta, ctx.discrepancy(beta), ctx.delta_norm, g))
     for beta in config.beta_grid:
         reports.append(bounds.corollary_log_bound(beta, ctx))
         reports.append(bounds.beta_free_discrepancy(beta, ctx))

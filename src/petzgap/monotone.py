@@ -45,15 +45,14 @@ class MonotoneDecreasingRep:
 
     eval: the function itself, vectorized over numpy arrays.
     density: w(t) for t > 0.
-    growth: (C, c) certifying C^f_{T,beta} <= C * T^(2c) for T >= 1.
     f_at_zero: lim_{x->0+} f(x), may be +inf.
     c_closed: beta -> the pieces (T_0, C, c) of C^f_{T,beta} = C T^(2c),
-        each for T from its T_0 up to the next piece's, the first from 0.
+        each for T from its T_0 up to the next piece's, the first from 0;
+        the last holds on T >= 1, the growth the corollaries invert.
     """
 
     eval: callable
     density: callable
-    growth: tuple
     name: str
     f_at_zero: float
     c_closed: callable
@@ -62,7 +61,6 @@ class MonotoneDecreasingRep:
 _NEG_LOG = MonotoneDecreasingRep(
     eval=lambda x: -np.log(x),
     density=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-    growth=(1.0, 0.0),
     name="neg-log",
     f_at_zero=np.inf,
     c_closed=lambda beta: ((0.0, 1.0, 0.0),),
@@ -87,7 +85,6 @@ def _neg_power(alpha: float) -> MonotoneDecreasingRep:
     return MonotoneDecreasingRep(
         eval=lambda x: -(x ** alpha),
         density=lambda t: s * np.asarray(t, dtype=float) ** alpha,
-        growth=(1.0 / s, alpha / 2.0),
         name=f"neg-power:{alpha!r}",
         f_at_zero=0.0,
         c_closed=lambda beta: _power_pieces(alpha, beta),

@@ -326,13 +326,12 @@ def test_printed_constants_match_generic_optimization():
         for dn in norms:
             log_print, expo, _ = log_corollary_constant(beta, dn)
             check(("log", beta, dn), log_print, expo,
-                  _generic_constants(1.0, 0.0, beta, dn))
+                  _generic_constants(builtin_neg_log(), beta, dn))
             for alpha in alphas:
-                log_print, expo, _, c_eff, _ = power_corollary_constant(
+                log_print, expo, _, _ = power_corollary_constant(
                     alpha, beta, dn)
-                big_c = math.pi / math.sin(alpha * math.pi)
                 check(("power", alpha, beta, dn), log_print, expo,
-                      _generic_constants(big_c, c_eff, beta, dn))
+                      _generic_constants(builtin_neg_power(alpha), beta, dn))
     assert smallest < math.log(sys.float_info.min)
     for alpha in alphas:
         for dn in norms:
@@ -383,6 +382,27 @@ def test_generic_corollary_matches_log_closed_form():
         log.constants["K_L"], rel=1e-9)
     assert gen.rhs_values["gap_lower_bound"] == pytest.approx(
         log.rhs_values["gap_lower_bound"], rel=1e-9)
+
+
+def test_generic_corollary_is_the_recorded_k_generic():
+    """generic_corollary_bound optimizes the theorem with the same T >= 1
+    piece of C^f as the corollary that records it as K_generic, at every
+    beta: on the seed-0 d = 4 pinching pair at beta = 0.75 and alpha = 1/2,
+    the growth exponent a/2 in place of a(1-b)/(2b) once gave K_gap =
+    2.27e-16 against K_generic = 7.49e-14."""
+    rho, sigma, *_ = draw_pair(ExperimentConfig(dims=[4]), 0)
+    ctx = PairContext(rho, sigma, SPEC4)
+    for beta in (0.25, 0.5, 0.75):
+        pairs = [(builtin_neg_log(), corollary_log_bound(beta, ctx))]
+        pairs += [(builtin_neg_power(alpha),
+                   corollary_power_bound(alpha, beta, ctx))
+                  for alpha in (0.25, 0.5, 0.75)]
+        for rep, corollary in pairs:
+            generic = generic_corollary_bound(rep, beta, ctx).constants
+            assert generic["K_gap"] == corollary.constants["K_generic"], \
+                (rep.name, beta)
+            assert generic["T_star"] == corollary.constants["T_star"], \
+                (rep.name, beta)
 
 
 def test_renyi_bound_equal_states():

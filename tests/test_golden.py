@@ -1,5 +1,5 @@
-"""Golden-report gate: `verify` and `reconstruct` must keep reproducing
-frozen records.
+"""Golden-report gate: `verify`, `reconstruct` and `sweep` must keep
+reproducing frozen records.
 
 tests/data/verify_golden.json holds, for a fixed config, the exit code,
 the grid and every trial as the verify_v3 report writes it: what it drew,
@@ -7,8 +7,13 @@ its status, its quantities and its bound reports.
 tests/data/reconstruct_golden.json holds, for a fixed
 config, the exit code, the summary and every case (entropy and gap errors,
 proof-internals margins and residuals). The tests rerun the configs and
+tests/data/sweep_golden.csv holds the CSV that sweep writes for a fixed
+config: the gap, discrepancy, recovery errors and the right sides of the
+log, power and Renyi bounds on each rung of the epsilon ladder. The tests
+rerun the configs and
 compare: floats to 1e-12 relative plus 1e-14 absolute, everything else
-(keys, flags, names, statuses, non-finite markers, the exit code) exactly.
+(keys, flags, names, statuses, non-finite markers, the exit code, the CSV
+header and row count) exactly.
 
 The verify record was first frozen from the code before bounds took a
 PairContext, the reconstruct record from the code before the entropy
@@ -53,6 +58,8 @@ theorem report's margin theorem_T_grid and T_at_min_margin became
 theorem_T_opt and T_star (120 reports, each margin at or below the grid's),
 the grid's T_count left, and so did 42 renyi_inverted margins; no other
 value moved.
+The sweep CSV was frozen when the bound reports began to be built through
+one BoundReport helper; the rewrite left it byte-identical.
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, and rewrites from
 the current code only a record that is missing or in which a value moved:
@@ -64,7 +71,8 @@ import math
 import sys
 from pathlib import Path
 
-from petzgap.harness import ExperimentConfig, run_reconstruct, run_verify
+from petzgap.harness import (ExperimentConfig, run_reconstruct, run_sweep,
+                             run_verify)
 
 from oracles import report_text
 
@@ -73,6 +81,8 @@ VERIFY_GOLDEN = DATA / "verify_golden.json"
 VERIFY_CONFIG = {"trials": 20, "dims": [2, 3, 4, 6, 8]}
 RECONSTRUCT_GOLDEN = DATA / "reconstruct_golden.json"
 RECONSTRUCT_CONFIG = {"trials": 4, "dims": [2, 3, 4, 6]}
+SWEEP_GOLDEN = DATA / "sweep_golden.csv"
+SWEEP_CONFIG = {"dims": [4, 6, 8]}
 RTOL = 1e-12
 ATOL = 1e-14
 
@@ -95,6 +105,13 @@ def reconstruct_record(code: int, report: dict) -> dict:
         "summary": written["summary"],
         "cases": written["cases"],
     }
+
+
+def sweep_record(text: str) -> dict:
+    """The sweep CSV as its header and its rows of floats."""
+    header, *rows = text.splitlines()
+    return {"header": header,
+            "rows": [[float(v) for v in row.split(",")] for row in rows]}
 
 
 # what stands on one side of a mismatch where the other has a key or report
@@ -199,6 +216,10 @@ def current_reconstruct_record() -> dict:
         *run_reconstruct(ExperimentConfig.from_json(dict(RECONSTRUCT_CONFIG))))
 
 
+def current_sweep() -> tuple[int, str]:
+    return run_sweep(ExperimentConfig.from_json(dict(SWEEP_CONFIG)))
+
+
 def test_verify_matches_golden_record():
     want = json.loads(VERIFY_GOLDEN.read_text())
     assert want["config"] == VERIFY_CONFIG
@@ -210,6 +231,14 @@ def test_reconstruct_matches_golden_record():
     want = json.loads(RECONSTRUCT_GOLDEN.read_text())
     assert want["config"] == RECONSTRUCT_CONFIG
     bad = mismatches(current_reconstruct_record(), want)
+    assert not bad, describe(bad)
+
+
+def test_sweep_matches_golden_csv():
+    code, text = current_sweep()
+    assert code == 0
+    bad = mismatches(sweep_record(text),
+                     sweep_record(SWEEP_GOLDEN.read_text()))
     assert not bad, describe(bad)
 
 
@@ -233,11 +262,16 @@ def test_golden_comparison_catches_changes():
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for path, record in ((VERIFY_GOLDEN, current_verify_record),
-                         (RECONSTRUCT_GOLDEN, current_reconstruct_record)):
-        new = record()
+    def json_text(record: dict) -> str:
+        return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+    for path, text, view in (
+            (VERIFY_GOLDEN, json_text(current_verify_record()), json.loads),
+            (RECONSTRUCT_GOLDEN, json_text(current_reconstruct_record()),
+             json.loads),
+            (SWEEP_GOLDEN, current_sweep()[1], sweep_record)):
         if path.exists():
-            table = moves(new, json.loads(path.read_text()))
+            table = moves(view(text), view(path.read_text()))
             print(f"{path.name}: {sum(n for n, _, _ in table.values())} "
                   "values moved")
             for (family, key), (n, a, r) in sorted(table.items()):
@@ -245,6 +279,5 @@ if __name__ == "__main__":
                       f"max rel {r:.2e}")
             if not table:
                 continue
-        path.write_text(json.dumps(new, sort_keys=True,
-                                   separators=(",", ":")) + "\n")
+        path.write_text(text)
     sys.exit(0)

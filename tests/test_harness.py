@@ -17,9 +17,9 @@ from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
 from petzgap.cli import main
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NumericalFailure
-from petzgap.harness import (CSV_HEADER, ExperimentConfig, _theorem_report,
-                             draw_pair, run_reconstruct, run_sweep,
-                             run_trial, run_verify, sanitize, spec_for)
+from petzgap.harness import (CSV_HEADER, ExperimentConfig, draw_pair,
+                             run_reconstruct, run_sweep, run_trial,
+                             run_verify, sanitize, spec_for)
 from petzgap.monotone import rep_from_name
 
 from oracles import report_text, scalar_theorem_bound
@@ -165,7 +165,7 @@ def test_theorem_report_margin_rules(name, alpha):
     lhs = math.pi / math.sin(beta * math.pi) * disc
     dense_t = np.logspace(-3, 6, 4001)
     for g in (0.0, 1e-12, 0.3, -1e-15):
-        report = _theorem_report(rep, beta, disc, delta_norm, g)
+        report = bounds.theorem_report(rep, beta, disc, delta_norm, g)
         value, t_star = bounds.theorem_optimum(rep, beta, delta_norm, g)
         assert report.constants["T_star"] == t_star
         assert report.margins["theorem_T_opt"] == value - lhs
@@ -175,11 +175,11 @@ def test_theorem_report_margin_rules(name, alpha):
         if g <= 0.0:
             assert (value, t_star) == (0.0, math.inf)
         assert report.flags == []
-    infinite = _theorem_report(rep, beta, disc, delta_norm, math.inf)
+    infinite = bounds.theorem_report(rep, beta, disc, delta_norm, math.inf)
     assert infinite.margins == {"theorem_T_opt": math.inf}
     assert infinite.flags == [FLAG_INFINITE_GAP]
     assert infinite.constants["T_star"] is None
-    undefined = _theorem_report(rep, beta, disc, delta_norm, math.nan)
+    undefined = bounds.theorem_report(rep, beta, disc, delta_norm, math.nan)
     assert undefined.margins == {}
     assert undefined.flags == [FLAG_INFINITE_GAP]
     assert undefined.constants["T_star"] is None

@@ -10,7 +10,9 @@ it, so the guard fails on
   - `getattr(obj, "_name")` on anything but `self`.
 
 A quantity another module needs goes through a public name, such as the
-PairContext methods the bounds read.
+PairContext methods the bounds read. Every bound report is built in
+bounds: a guard fails if harness names BoundReport, gap_margin or
+theorem_optimum.
 
 The benchmark reads petzgap from outside: bench/run.py --trace 1 prints a
 counter for every per_layer name of BENCHMARK.json, and its tracer makes a
@@ -115,3 +117,35 @@ def test_bench_names_are_public_petzgap_functions():
     missing = sorted(f for f in (functions - TRACER_SPANS) | CLOCKED
                      if not _public_function(f))
     assert not missing, missing
+
+
+# what a bound report is built from; every report is built in bounds, so
+# harness names none of them
+REPORT_BUILDERS = {"BoundReport", "gap_margin", "theorem_optimum"}
+
+
+def named(tree: ast.AST) -> set:
+    """Every name a module reads, imports or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return found
+
+
+def test_guard_sees_every_kind_of_name():
+    source = ("from .bounds import BoundReport\n"
+              "bounds.gap_margin('dpi', g)\n"
+              "optimum = theorem_optimum\n")
+    assert named(ast.parse(source)) >= REPORT_BUILDERS
+
+
+def test_harness_builds_no_bound_report():
+    path = SRC / "harness.py"
+    found = named(ast.parse(path.read_text(), filename=str(path))) \
+        & REPORT_BUILDERS
+    assert not found, sorted(found)

@@ -18,7 +18,7 @@ def test_neg_log_basics():
     assert rep.eval(1.0) == pytest.approx(0.0)
     assert constant_coefficient(rep) == 0.0
     assert rep.density(3.7) == pytest.approx(1.0)
-    assert rep.growth == (1.0, 0.0)
+    assert rep.c_closed(0.7)[-1][1:] == (1.0, 0.0)
     assert rep.f_at_zero == math.inf
 
 
