@@ -251,13 +251,20 @@ IDENTITY_PAIRS = [
 def test_identity_shortcut_gives_the_bits_of_the_general_formulas(
         label, rho, sigma, spec):
     """With E = id the context returns D_b, w_t and its moment as zeros of
-    their usual shape and dtype. The twin computes them: D_b from the frame
-    products, w_t from its kernels with op_n = op, the moment by the twin's
-    own quadrature and by the stacked oracle. Every one is the same bits
-    (x - x is +0 for finite x), and the proof internals read exact zeros."""
+    their usual shape and dtype. The twin is told E is not the identity and
+    computes them by the general formulas: its E(rho), E(sigma) are rho and
+    sigma, its op_n a separate build of op, and its frames exact identity
+    matrices, whose products keep the bits. D_b comes from the frame
+    products, w_t from its kernels through the frames, the moment by the
+    twin's own quadrature and by the stacked oracle. Every one is the same
+    bits (x - x is +0 for finite x), and the proof internals read exact
+    zeros."""
     ctx = PairContext(rho, sigma, spec)
     assert ctx.op_n is ctx.op
     twin = PairContext(rho, sigma, spec)
+    twin.e_is_identity = False
+    twin.rho_n, twin.sigma_n = twin.rho, twin.sigma
+    twin.frames = (np.eye(rho.dim), np.eye(rho.dim))
     twin.op_n = modular.build(twin.sigma.spectrum, twin.rho.spectrum)
     assert twin.op_n is not twin.op
     kept = ctx.op.kept_columns.size
