@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SpecInconsistent
-from .linalg import SpectralDecomposition, as_matrix
-from .states import swap_factors_unitary, unit_trace
+from .linalg import SpectralDecomposition, as_matrix, fill, kept, value
+from .states import swap_factors_unitary, trace_slots
 
 UNITARY_TOL = 1e-10
 
@@ -121,44 +121,55 @@ def conditional_expectation(spec: SubalgebraSpec, x) -> np.ndarray:
     return out if spec.basis is None else spec.basis @ out @ spec.basis.conj().T
 
 
-def expectation_eigh(spec: SubalgebraSpec, x) -> SpectralDecomposition:
+def expectation_eigh(spec: SubalgebraSpec, x):
     """Spectral decomposition of E(x) / Tr E(x) for one Hermitian d x d x,
-    from the block cores, each divided by the trace (states.unit_trace
-    checks it). An eigenpair (w, W) of the core of block (n, m) is the
-    eigenvalue w, m times over, with eigenvectors V (W (x) 1_m) in that
-    block's columns of the basis V. Cores of one size share one stacked
+    or the slots of an (n, d, d) stack (see linalg), from the block cores,
+    each divided by the trace (states.trace_slots checks it). An eigenpair
+    (w, W) of the core of block (n, m) is the eigenvalue w, m times over,
+    with eigenvectors V (W (x) 1_m) in that block's columns of the basis V.
+    Cores of one size, of every block and every x, share one stacked
     LAPACK eigh and a 1 x 1 core is its own eigenvalue, so the largest
     matrix diagonalized is n x n. The eigenvalues merge in descending
     order, ties kept in block order, under linalg's zero threshold."""
-    cores = block_cores(spec, x)
-    tr = unit_trace(sum(float(core.trace().real) * mult
-                        for core, (_, mult) in zip(cores, spec.blocks)))
+    m = np.asarray(x, dtype=complex)
+    cores = block_cores(spec, m if m.ndim == 3 else as_matrix(m)[None])
+    tr = sum(core.trace(0, 1, 2).real * mult
+             for core, (_, mult) in zip(cores, spec.blocks))
+    slots = trace_slots(tr)
+    keep = kept(slots)
+    if len(keep) < len(tr):
+        cores, tr = [core[keep] for core in cores], tr[keep]
+    count, sizes = len(keep), [n for n, _ in spec.blocks]
+    scale = tr[:, None, None]
     by_size = {}
-    for core, (n, _) in zip(cores, spec.blocks):
-        by_size.setdefault(n, []).append(core)
-    pairs = {}
-    for n, same in by_size.items():
-        stack = np.array(same) / tr
-        pairs[n] = list(zip(*np.linalg.eigh(stack))) if n > 1 \
-            else [(core.real[0], None) for core in stack]
+    for n in dict.fromkeys(sizes):
+        same = [core / scale for core, k in zip(cores, sizes) if k == n]
+        same = same[0] if len(same) == 1 else np.concatenate(same)
+        w, v = np.linalg.eigh(same) if n > 1 else (same.real[:, 0], None)
+        parts = sizes.count(n)
+        by_size[n] = iter(zip(w.reshape(parts, count, n), [None] * parts
+                              if v is None else v.reshape(parts, count, n, n)))
+    spectra = [next(by_size[n]) for n in sizes]
     d = spec.dim
     basis = np.eye(d, dtype=complex) if spec.basis is None else spec.basis
-    vals, vecs = [], []
-    off = 0
-    for n, mult in spec.blocks:
-        w, v = pairs[n].pop(0)
-        cols = basis[:, off:off + n * mult]
-        if v is not None:
-            # column (k, a) of V (W (x) 1_m) is sum_i V[:, (i, a)] W_ik: one
-            # (d m) x n by n x n product, all views when m = 1
-            cols = (cols.reshape(d, n, mult).transpose(0, 2, 1)
-                    .reshape(d * mult, n) @ v) \
-                .reshape(d, mult, n).transpose(0, 2, 1).reshape(d, n * mult)
-        vals.append(w.repeat(mult))
-        vecs.append(cols)
-        off += n * mult
-    w = np.concatenate(vals)
-    order = (-w).argsort(kind="stable")
-    w = w[order]
-    return SpectralDecomposition(
-        eigenvalues=w, eigenvectors=np.concatenate(vecs, axis=1)[:, order])
+    decs = []
+    for k in range(count):
+        vals, vecs = [], []
+        off = 0
+        for (w, v), (n, mult) in zip(spectra, spec.blocks):
+            cols = basis[:, off:off + n * mult]
+            if v is not None:
+                # column (k, a) of V (W (x) 1_m) is sum_i V[:, (i, a)] W_ik:
+                # one (d m) x n by n x n product, all views when m = 1
+                cols = (cols.reshape(d, n, mult).transpose(0, 2, 1)
+                        .reshape(d * mult, n) @ v[k]).reshape(d, mult, n) \
+                    .transpose(0, 2, 1).reshape(d, n * mult)
+            vals.append(w[k].repeat(mult))
+            vecs.append(cols)
+            off += n * mult
+        w = np.concatenate(vals)
+        order = (-w).argsort(kind="stable")
+        decs.append(SpectralDecomposition(
+            w[order], np.concatenate(vecs, axis=1)[:, order]))
+    slots = fill(slots, decs)
+    return slots if m.ndim == 3 else value(slots[0])

@@ -193,9 +193,10 @@ def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
     form. On a piece of rep.c_closed(beta), C^f_{T,beta} = C T^{2c} makes
     the family K T^{-k} + sqrt(C gap) T^{n0 + c}, whose minimum is
     lemma_opt's; a minimizer outside its piece is clamped to the piece's
-    end, where the family is evaluated. The least value over the pieces is
-    the minimum. A gap <= 0 gives 0 at T_star = inf; a C that overflowed
-    to inf times such a gap is nan at every T, and so is the minimum.
+    end, T = 1, and evaluated on its piece (the pieces meet at T = 1). The
+    least value over the pieces is the minimum. A gap <= 0 gives 0 at
+    T_star = inf; a C that overflowed to inf times such a gap is nan at
+    every T, and so is the minimum.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
@@ -208,7 +209,8 @@ def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
         value, t_star = lemma_opt(k_t, k, math.sqrt(big_c * g), n0 + c)
         if t_star < start or t_star > end:
             t_star = start if t_star < start else end
-            value = theorem_bound(rep, beta, t_star, delta_norm, gap)
+            value = k_t * t_star ** (-k) \
+                + t_star ** n0 * math.sqrt(big_c * t_star ** (2.0 * c) * g)
         best.append((value, t_star))
     return min(best)
 

@@ -3,9 +3,9 @@
 The bounds all read the same few quantities of a triple. A context computes
 each on first use and keeps it for its own lifetime only: build one per
 trial and drop it with the trial. Its spectra are the ones its states carry
-(DensityMatrix.spectrum): one d x d eigh each for rho and sigma. E(rho)
-and E(sigma) are diagonalized through the block cores of the subalgebra
-(algebra.expectation_eigh), where no matrix is larger than the largest core:
+(DensityMatrix.spectrum), from one stacked eigh per dimension per block of
+trials. E(rho) and E(sigma) are diagonalized through their block cores, in
+one algebra.expectation_eigh, where no matrix is larger than the largest core:
 none at all when every core is 1 x 1 (the trivial algebra), and none when E
 is the identity, since E(x) is then x itself, op_n is op and every E = id
 gap is exactly 0. It owns the relative modular operators op and op_n, and
@@ -46,7 +46,7 @@ import numpy as np
 from . import entropy, modular
 from .algebra import SubalgebraSpec, expectation_eigh
 from .errors import InvalidInput
-from .linalg import hs_norm, pseudo_power, trace_norm
+from .linalg import hs_norm, pseudo_power, trace_norm, value
 from .monotone import builtin_neg_power
 from .quadrature import integrate_halfline
 from .states import DensityMatrix, from_spectrum, make_density
@@ -96,20 +96,22 @@ class PairContext:
         self.e_is_identity = spec.blocks == [(spec.dim, 1)]
         self._memo = {}
 
-    def _expect(self, x: DensityMatrix) -> DensityMatrix:
-        """E(x) as a state, from the spectra of its block cores; x itself
-        when E is the identity."""
+    @cached_property
+    def _expectations(self) -> list:
+        """The slots (see linalg) of the states E(rho), E(sigma); rho and
+        sigma themselves when E is the identity."""
         if self.e_is_identity:
-            return x
-        return from_spectrum(expectation_eigh(self.spec, x.matrix))
+            return [self.rho, self.sigma]
+        return from_spectrum(expectation_eigh(
+            self.spec, np.array([self.rho.matrix, self.sigma.matrix])))
 
     @cached_property
     def rho_n(self) -> DensityMatrix:
-        return self._expect(self.rho)
+        return value(self._expectations[0])
 
     @cached_property
     def sigma_n(self) -> DensityMatrix:
-        return self._expect(self.sigma)
+        return value(self._expectations[1])
 
     @cached_property
     def op(self) -> modular.RelativeModularOperator:

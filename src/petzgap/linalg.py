@@ -9,6 +9,9 @@ eigenvalues, 1e-12 * max(1, max |lambda|) (1e-12 for a state), the one cut
 of every support decision: an eigenvalue, a PSD defect, or the weight of
 one state outside the other's support counts as 0 at or below the
 threshold of the spectrum it is measured against.
+eigh, states.make_density and algebra.expectation_eigh take one matrix,
+giving its value or raising its error, or an (n, d, d) stack, giving its
+slots: each the value of its matrix or the error it alone raises.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, PetzGapError
 
 HERMITIAN_RTOL = 1e-12
 
@@ -30,12 +33,40 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_hermitian(a: np.ndarray) -> np.ndarray:
-    m = as_matrix(a)
-    scale = 1.0 + (np.abs(m).max() if m.size else 0.0)
-    if np.abs(m - m.conj().T).max() > HERMITIAN_RTOL * scale:
-        raise InvalidInput("matrix is not Hermitian to tolerance")
-    return m
+def check_hermitian(a) -> tuple[np.ndarray, list]:
+    """a as an (n, d, d) complex stack, and its slots: None, or InvalidInput
+    where not Hermitian to HERMITIAN_RTOL times 1 + max |entry|."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
+    m = m[None] if m.ndim == 2 else m
+    scale = 1.0 + np.abs(m).max(axis=(1, 2))
+    defect = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    return m, [InvalidInput("matrix is not Hermitian to tolerance") if bad
+               else None for bad in (defect > HERMITIAN_RTOL * scale).tolist()]
+
+
+def kept(slots: list) -> list:
+    """The indices of the slots that hold no error."""
+    return [i for i, s in enumerate(slots) if not isinstance(s, PetzGapError)]
+
+
+def fill(slots: list, values) -> list:
+    """slots, each that holds no error replaced by the next of values."""
+    values = iter(values)
+    return [s if isinstance(s, PetzGapError) else next(values) for s in slots]
+
+
+def value(slot):
+    """A slot's value, or its error raised."""
+    if isinstance(slot, PetzGapError):
+        raise slot
+    return slot
+
+
+def zero_thresholds(w: np.ndarray) -> np.ndarray:
+    """SpectralDecomposition.zero_threshold of each row of w."""
+    return 1e-12 * np.fmax(1.0, np.abs(w).max(axis=-1, initial=0.0))
 
 
 @dataclass(eq=False)
@@ -54,21 +85,22 @@ class SpectralDecomposition:
         """1e-12 * max(1, max |eigenvalue|), formed once: the cutoff of every
         rank and pseudo-inverse decision, at or below which an eigenvalue
         counts as 0."""
-        w = self.eigenvalues
-        return 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
+        return float(zero_thresholds(self.eigenvalues))
 
     @cached_property
     def rank(self) -> int:
         return int(np.sum(np.abs(self.eigenvalues) > self.zero_threshold))
 
 
-def eigh(a) -> SpectralDecomposition:
+def eigh(a):
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    m = check_hermitian(a)
-    w, v = np.linalg.eigh(m)
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    m, slots = check_hermitian(a)
+    keep = kept(slots)
+    w, v = np.linalg.eigh(m[keep] if len(keep) < len(m) else m)
+    slots = fill(slots, (SpectralDecomposition(
+        np.ascontiguousarray(x[::-1]), np.ascontiguousarray(u[:, ::-1]))
+        for x, u in zip(w, v)))
+    return slots if np.ndim(a) == 3 else value(slots[0])
 
 
 def pseudo_power(dec: SpectralDecomposition, p: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Density matrices and seeded state samplers.
 
 A DensityMatrix carries the SpectralDecomposition that make_density found
-while validating it, so each state is diagonalized once, by one eigh. A
-state whose spectrum is known another way (E(x), from the block cores of
-algebra.expectation_eigh) passes the same trace and positivity checks
-through unit_trace and from_spectrum. Positivity and rank follow the zero
-threshold of the spectrum, under linalg's one support policy.
+while validating it, so each state is diagonalized once: a stack of states
+by one stacked eigh (sample_states makes one per dimension of a block of
+draws). A state whose spectrum is known another way (E(x), from the block
+cores of algebra.expectation_eigh) passes the same trace and positivity
+checks through trace_slots and from_spectrum. Positivity and rank follow
+the zero threshold of the spectrum, under linalg's one support policy.
 Sampler streams are counter-based: trial i of seed s draws from
 Philox(key=(s, i)), so any trial is reproducible in isolation.
 """
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NotNormalized, NotPSD
-from .linalg import SpectralDecomposition, check_hermitian, eigh
+from .linalg import (SpectralDecomposition, check_hermitian, eigh, fill, kept,
+                     value, zero_thresholds)
 
 TRACE_TOL = 1e-9
 
@@ -52,48 +54,58 @@ class DensityMatrix:
         return self.rank == self.dim
 
 
-def make_density(a) -> DensityMatrix:
+def make_density(a):
     """Validate Hermiticity, positivity, and unit trace.
 
-    Eigenvalues below -zero_threshold raise NotPSD; the rest clip to 0.
-    Traces within 1e-9 of 1 are renormalized, anything further raises
+    Eigenvalues below -zero_threshold are NotPSD; the rest clip to 0.
+    Traces within 1e-9 of 1 are renormalized, anything further is
     NotNormalized. The clipped, renormalized eigenvalues and the
-    eigenvectors become the spectrum of the rebuilt matrix. A DensityMatrix
-    comes back unchanged; its matrix, passed as an array, is not a fixed
-    point to the bit (a second eigh rounds differently).
+    eigenvectors become the spectrum of the rebuilt matrix. A stack is
+    diagonalized by one eigh and gives its slots (see linalg). A
+    DensityMatrix comes back unchanged; its matrix, passed as an array, is
+    not a fixed point to the bit (a second eigh rounds differently).
     """
     if isinstance(a, DensityMatrix):
         return a
-    m = check_hermitian(a)
-    tr = unit_trace(float(np.trace(m).real))
-    return from_spectrum(eigh(m / tr))
+    m, slots = check_hermitian(a)
+    tr = m.trace(0, 1, 2).real
+    slots = [s or t for s, t in zip(slots, trace_slots(tr))]
+    keep = kept(slots)
+    if len(keep) < len(m):
+        m, tr = m[keep], tr[keep]
+    slots = fill(slots, from_spectrum(eigh(m / tr[:, None, None])))
+    return slots if np.ndim(a) == 3 else value(slots[0])
 
 
-def unit_trace(tr: float) -> float:
-    """tr itself when it lies within TRACE_TOL of 1; NotNormalized else."""
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotNormalized(f"trace {tr!r} is not 1 to tolerance")
-    return tr
+def trace_slots(tr: np.ndarray) -> list:
+    """None for each trace within TRACE_TOL of 1, else its NotNormalized."""
+    return [NotNormalized(f"trace {t!r} is not 1 to tolerance")
+            if abs(t - 1.0) > TRACE_TOL else None for t in tr.tolist()]
 
 
-def from_spectrum(dec: SpectralDecomposition) -> DensityMatrix:
-    """The state of the spectral decomposition of a matrix already divided
-    by its unit_trace: NotPSD when its least eigenvalue is below minus its
-    zero threshold, else the _clean state."""
-    if dec.eigenvalues[-1] < -dec.zero_threshold:
-        raise NotPSD(f"eigenvalue {dec.eigenvalues[-1]!r} below -zero_threshold")
-    return _clean(dec)
-
-
-def _clean(dec: SpectralDecomposition) -> DensityMatrix:
-    """The state of dec's eigenvectors and its eigenvalues clipped at 0 and
-    renormalized."""
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    w = w / w.sum()
-    v = dec.eigenvectors
-    clean = (v * w) @ v.conj().T
-    return DensityMatrix(matrix=(clean + clean.conj().T) / 2.0,
-                         spectrum=SpectralDecomposition(w, v))
+def from_spectrum(decs: list) -> list:
+    """The states of slots of spectra of matrices of unit trace (an error
+    slot stays): NotPSD where the least eigenvalue is below minus the zero
+    threshold, else the eigenvectors with the eigenvalues clipped at 0 and
+    renormalized. Each state owns its arrays, to be freed with its trial."""
+    decs_kept = [decs[k] for k in kept(decs)]
+    if not decs_kept:
+        return decs
+    w = np.array([dec.eigenvalues for dec in decs_kept])
+    v = np.array([dec.eigenvectors for dec in decs_kept])
+    psd = [NotPSD(f"eigenvalue {w[k, -1]!r} below -zero_threshold") if bad
+           else None for k, bad in enumerate(
+               (w[:, -1] < -zero_thresholds(w)).tolist())]
+    keep = kept(psd)
+    if len(keep) < len(psd):
+        w, v, decs_kept = w[keep], v[keep], [decs_kept[k] for k in keep]
+    w = np.maximum(w, 0.0)
+    w = w / w.sum(axis=1, keepdims=True)
+    clean = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return fill(decs, fill(psd, (DensityMatrix(
+        (c + c.conj().T) / 2.0,
+        SpectralDecomposition(x.copy(), dec.eigenvectors))
+        for c, x, dec in zip(clean, w, decs_kept))))
 
 
 @dataclass
@@ -134,11 +146,19 @@ def default_factors(dim: int) -> tuple[int, int]:
     return (1, dim)
 
 
-def stream(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent generator for (seed, trial_index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    trial_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def stream(seed: int, trial_index: int, rng=None) -> np.random.Generator:
+    """Independent generator for (seed, trial_index): rng, a Philox
+    generator, moved to the stream's start, or a new one. Moving one costs
+    less than building a Philox(key=...) per stream, which first draws OS
+    entropy for a seed sequence it then discards."""
+    rng = rng or np.random.Generator(np.random.Philox(0))
+    key = [seed & 0xFFFFFFFFFFFFFFFF, trial_index & 0xFFFFFFFFFFFFFFFF]
+    zero = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": zero, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": zero, "key": np.array(key, dtype=np.uint64)}}
+    return rng
 
 
 def _ginibre(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
@@ -163,6 +183,22 @@ def swap_factors_unitary(n1: int, n2: int) -> np.ndarray:
     return u.astype(complex)
 
 
+def sample_states(draws: list) -> list:
+    """The state slots of draws [(SamplerConfig, stream index), ...] of
+    ginibre or diagonal configs, drawn by one generator moved from stream to
+    stream, each dimension validated by one make_density."""
+    rng = np.random.Generator(np.random.Philox(0))
+    drawn = [(_ginibre if c.kind == "ginibre" else _diagonal)(
+        stream(c.seed, i, rng), c.dim, c.rank or c.dim) for c, i in draws]
+    out = [None] * len(draws)
+    for dim in dict.fromkeys(m.shape[0] for m in drawn):
+        ks = [k for k, m in enumerate(drawn) if m.shape[0] == dim]
+        states = make_density(np.array([drawn[k] for k in ks]))
+        for k, state in zip(ks, states):
+            out[k] = state
+    return out
+
+
 def sample(config: SamplerConfig, trial_index: int = 0):
     """Draw per config.kind.
 
@@ -173,28 +209,24 @@ def sample(config: SamplerConfig, trial_index: int = 0):
     factor swap), with sigma moved distance ~epsilon in HS norm for
     epsilon > 0.
     """
+    if config.kind != "perturbed-recoverable":
+        return value(sample_states([(config, trial_index)])[0])
     rng = stream(config.seed, trial_index)
     dim = config.dim
     rank = config.rank if config.rank is not None else dim
-    if config.kind == "ginibre":
-        return make_density(_ginibre(rng, dim, rank))
-    if config.kind == "diagonal":
-        return make_density(_diagonal(rng, dim, rank))
-    if config.kind == "perturbed-recoverable":
-        n1, n2 = config.factors
-        r1 = _ginibre(rng, n1, min(rank, n1)) if n1 > 1 else np.ones((1, 1), dtype=complex)
-        r2 = _ginibre(rng, n2, n2)
-        s2 = _ginibre(rng, n2, n2)
-        rho = make_density(np.kron(r1, r2))
-        sig = np.kron(r1, s2)
-        if config.epsilon > 0.0:
-            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = (h + h.conj().T) / 2.0
-            h = h - np.trace(h).real / dim * np.eye(dim)
-            h = h / np.linalg.norm(h)
-            return rho, _reproject(sig + config.epsilon * h)
-        return rho, make_density(sig)
-    raise InvalidInput(f"unknown sampler kind {config.kind!r}")
+    n1, n2 = config.factors
+    r1 = _ginibre(rng, n1, min(rank, n1)) if n1 > 1 else np.ones((1, 1), dtype=complex)
+    r2 = _ginibre(rng, n2, n2)
+    s2 = _ginibre(rng, n2, n2)
+    rho = make_density(np.kron(r1, r2))
+    sig = np.kron(r1, s2)
+    if config.epsilon > 0.0:
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (h + h.conj().T) / 2.0
+        h = h - np.trace(h).real / dim * np.eye(dim)
+        h = h / np.linalg.norm(h)
+        return rho, _reproject(sig + config.epsilon * h)
+    return rho, make_density(sig)
 
 
 def _reproject(m: np.ndarray) -> DensityMatrix:
@@ -202,4 +234,5 @@ def _reproject(m: np.ndarray) -> DensityMatrix:
     dec = eigh((m + m.conj().T) / 2.0)
     if dec.eigenvalues[0] <= 0.0:
         raise InvalidInput("perturbation annihilated the state")
-    return _clean(dec)
+    return from_spectrum([SpectralDecomposition(
+        np.maximum(dec.eigenvalues, 0.0), dec.eigenvectors)])[0]

@@ -11,18 +11,19 @@ import math
 
 import numpy as np
 
-from petzgap.algebra import SubalgebraSpec, conditional_expectation
+from petzgap.algebra import (SubalgebraSpec, block_cores,
+                             conditional_expectation)
 from petzgap.entropy import s_f
-from petzgap.errors import (DomainError, InvalidInput, NumericalFailure,
-                            SpecInconsistent)
+from petzgap.errors import (DomainError, InvalidInput, NotNormalized, NotPSD,
+                            NumericalFailure, SpecInconsistent)
 from petzgap.harness import dumps_report
-from petzgap.linalg import (SpectralDecomposition, as_matrix, eigh, psd_power,
-                            support_projector)
+from petzgap.linalg import (HERMITIAN_RTOL, SpectralDecomposition, as_matrix,
+                            eigh, psd_power, support_projector)
 from petzgap.modular import RelativeModularOperator, build
 from petzgap.monotone import MonotoneDecreasingRep, builtin_neg_log
 from petzgap.quadrature import integrate_halfline
 from petzgap.recovery import PetzChannel
-from petzgap.states import make_density
+from petzgap.states import TRACE_TOL, make_density
 
 # conditional expectation checks (validate_expectation)
 VALIDATE_TOL = 1e-10
@@ -136,6 +137,82 @@ def stacked_w_t_moment(ctx, beta: float) -> np.ndarray:
     ctx.w_t at every node: the frames are applied at each node."""
     return integrate_halfline(
         lambda t: (t ** beta)[:, None, None] * ctx.w_t(t))
+
+
+# states, prepared one matrix at a time
+
+def reference_density(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(matrix, eigenvalues, eigenvectors) of make_density(a) for one
+    matrix a, as it was computed before states were prepared in stacks:
+    the Hermitian check, the trace check, a second Hermitian check and eigh
+    of a / tr, then clip / renormalize / rebuild. Raises the error
+    make_density raises for a alone."""
+    m = hermitian(a)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise NotNormalized(f"trace {tr!r} is not 1 to tolerance")
+    w, v = np.linalg.eigh(hermitian(m / tr))
+    return reference_state(np.ascontiguousarray(w[::-1]),
+                           np.ascontiguousarray(v[:, ::-1]))
+
+
+def reference_state(w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(matrix, eigenvalues, eigenvectors) of the state of one spectrum
+    (w, v) of a matrix of unit trace, eigenvalues descending: NotPSD when
+    the least eigenvalue is below minus the zero threshold, else w clipped
+    at 0 and renormalized, and the matrix rebuilt from it."""
+    if w[-1] < -1e-12 * max(1.0, float(np.abs(w).max())):
+        raise NotPSD(f"eigenvalue {w[-1]!r} below -zero_threshold")
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum()
+    clean = (v * w) @ v.conj().T
+    return (clean + clean.conj().T) / 2.0, w, v
+
+
+def hermitian(a) -> np.ndarray:
+    """a as a complex matrix; InvalidInput unless Hermitian to
+    HERMITIAN_RTOL times 1 + max |entry|."""
+    m = as_matrix(a)
+    if np.abs(m - m.conj().T).max() > HERMITIAN_RTOL * (1.0 + np.abs(m).max()):
+        raise InvalidInput("matrix is not Hermitian to tolerance")
+    return m
+
+
+def reference_expectation_eigh(spec: SubalgebraSpec, x) -> tuple:
+    """(eigenvalues, eigenvectors) of E(x) / Tr E(x) for one matrix x, as
+    algebra.expectation_eigh computed them one state at a time: the cores
+    of one size of this x in one stacked eigh, the eigenvectors V (W (x)
+    1_m) of each block, merged in descending order."""
+    cores = block_cores(spec, x)
+    tr = sum(float(core.trace().real) * mult
+             for core, (_, mult) in zip(cores, spec.blocks))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise NotNormalized(f"trace {tr!r} is not 1 to tolerance")
+    by_size = {}
+    for core, (n, _) in zip(cores, spec.blocks):
+        by_size.setdefault(n, []).append(core)
+    pairs = {}
+    for n, same in by_size.items():
+        stack = np.array(same) / tr
+        pairs[n] = list(zip(*np.linalg.eigh(stack))) if n > 1 \
+            else [(core.real[0], None) for core in stack]
+    d = spec.dim
+    basis = np.eye(d, dtype=complex) if spec.basis is None else spec.basis
+    vals, vecs = [], []
+    off = 0
+    for n, mult in spec.blocks:
+        w, v = pairs[n].pop(0)
+        cols = basis[:, off:off + n * mult]
+        if v is not None:
+            cols = (cols.reshape(d, n, mult).transpose(0, 2, 1)
+                    .reshape(d * mult, n) @ v) \
+                .reshape(d, mult, n).transpose(0, 2, 1).reshape(d, n * mult)
+        vals.append(w.repeat(mult))
+        vecs.append(cols)
+        off += n * mult
+    w = np.concatenate(vals)
+    order = (-w).argsort(kind="stable")
+    return w[order], np.concatenate(vecs, axis=1)[:, order]
 
 
 # algebra

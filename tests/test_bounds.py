@@ -159,6 +159,34 @@ def test_theorem_optimum_is_the_dense_grid_minimum(alpha):
     assert clamped > 0 or alpha is None
 
 
+def test_theorem_optimum_evaluates_a_clamped_end_on_its_piece(monkeypatch):
+    """A minimizer clamped to the end of its piece of C^f is evaluated on
+    that piece, with no c_constant call, and the value is theorem_bound's
+    at the clamped T to the bit: the clamped end is T = 1, where the
+    pieces meet."""
+    from petzgap import bounds
+    calls = []
+    original = bounds.c_constant
+    monkeypatch.setattr(bounds, "c_constant",
+                        lambda *args: calls.append(args) or original(*args))
+    optima = [(rep, beta, delta_norm, g,
+               theorem_optimum(rep, beta, delta_norm, g))
+              for rep in (builtin_neg_log(), builtin_neg_power(0.25),
+                          builtin_neg_power(0.5), builtin_neg_power(0.75))
+              for beta in (0.1, 0.25, 0.5, 0.75, 0.9)
+              for delta_norm in (1.0, 100.0)
+              for g in (1e-8, 0.3, 10.0, 1e3)]
+    assert calls == []
+    monkeypatch.undo()
+    clamped = [(rep, beta, delta_norm, g, value)
+               for rep, beta, delta_norm, g, (value, t_star) in optima
+               if t_star == 1.0]
+    assert clamped
+    for rep, beta, delta_norm, g, value in clamped:
+        assert value == theorem_bound(rep, beta, 1.0, delta_norm, g), \
+            (rep.name, beta, delta_norm, g)
+
+
 def test_theorem_optimum_of_a_zero_gap_is_zero():
     # the family's infimum over T, reached as T -> inf; a negative
     # numerical gap clamps to zero

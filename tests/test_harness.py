@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import petzgap
-from petzgap import bounds, harness
+from petzgap import bounds, harness, states
 from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
 from petzgap.cli import main
 from petzgap.context import PairContext
@@ -343,7 +343,7 @@ def test_dumps_report_writes_a_family_of_infinite_margins(monkeypatch):
     # rho is not, so every gap is infinite and so is every dpi margin
     original = harness.draw_pair
     monkeypatch.setattr(harness, "draw_pair",
-                        lambda config, i: original(config, 6))
+                        lambda config, i, states=None: original(config, 6))
     code, report = run_verify(ExperimentConfig(
         trials=2, dims=[2], specs=["trivial"], functions=["neg-log"],
         alpha_grid=[0.5], beta_grid=[0.5]))
@@ -690,3 +690,64 @@ def test_verify_records_an_erroring_trial_and_goes_on(monkeypatch):
     assert [t["status"] for t in trials] == ["ok", "error", "ok"]
     assert json.loads(report_text(report)) == sanitize(dict(report,
                                                             trials=trials))
+
+
+@pytest.mark.parametrize("command,config", [
+    (run_verify, {"trials": 60, "dims": [2, 3, 4, 6, 8]}),
+    (run_verify, {"trials": 12, "dims": [16, 24, 32]}),
+    (run_verify, {"trials": 40, "dims": [5, 9, 12], "seed": 3}),
+    (run_reconstruct, {"trials": 12})])
+def test_one_trial_per_block_writes_the_same_report(monkeypatch, command,
+                                                    config):
+    """The states of a run are prepared a block of trials at a time; with
+    a block budget of one trial per block (its two states in one stack) the
+    report is the same, byte for byte, and so is the exit code, as it is
+    with no budget, one trial per block too."""
+    prepared = []
+    sample_states = harness.sample_states
+    monkeypatch.setattr(harness, "sample_states",
+                        lambda draws: prepared.append(len(draws))
+                        or sample_states(draws))
+    one_trial = 2 * 16 * max(config.get("dims", [2, 3, 4])) ** 2
+    reports = []
+    for budget, stacks in ((harness.BLOCK_BYTES, None),
+                           (one_trial, [2] * config["trials"]),
+                           (0, [2] * config["trials"])):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+        prepared.clear()
+        code, report = command(ExperimentConfig.from_json(dict(config)))
+        reports.append((code, report_text(report)))
+        assert stacks is None or prepared == stacks
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_bad_state_fails_only_its_own_trial(monkeypatch):
+    """A drawn matrix that is not Hermitian, validated in one stack with
+    the states of the other trials, makes its own trial an error (exit 1)
+    and leaves every other trial's record as it is."""
+    config = ExperimentConfig(trials=8, dims=[2, 3, 4])
+    _, clean = run_verify(config)
+    ginibre = states._ginibre
+    skewed = []
+
+    def skew_trial_3_sigma(rng, dim, rank):
+        m = ginibre(rng, dim, rank)
+        # the stream index of trial 3's sigma is 2 * 3 + 1
+        if rng.bit_generator.state["state"]["key"][1] == 7:
+            m[0, 1] += 1e-3
+            skewed.append(dim)
+        return m
+
+    monkeypatch.setattr(states, "_ginibre", skew_trial_3_sigma)
+    code, report = run_verify(config)
+    assert code == 1
+    assert skewed == [config.dims[3 % len(config.dims)]]
+    assert report["summary"]["error_trials"] == 1
+    assert trials_of(report)[3] == {
+        "trial_index": 3, "status": "error",
+        "error": "InvalidInput: matrix is not Hermitian to tolerance",
+        "reports": []}
+    assert [t["status"] for t in trials_of(report)] \
+        == ["ok"] * 3 + ["error"] + ["ok"] * 4
+    assert [t for i, t in enumerate(report["trials"]) if i != 3] \
+        == [t for i, t in enumerate(clean["trials"]) if i != 3]

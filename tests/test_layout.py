@@ -10,7 +10,9 @@ it, so the guard fails on
   - `getattr(obj, "_name")` on anything but `self`.
 
 A quantity another module needs goes through a public name, such as the
-PairContext methods the bounds read. Every bound report is built in
+PairContext methods the bounds read. No module holds a numpy Generator or
+BitGenerator at module level: random state belongs to an object its caller
+creates. Every bound report is built in
 bounds: a guard fails if harness names BoundReport, gap_margin or
 theorem_optimum.
 
@@ -29,6 +31,7 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,3 +152,27 @@ def test_harness_builds_no_bound_report():
     found = named(ast.parse(path.read_text(), filename=str(path))) \
         & REPORT_BUILDERS
     assert not found, sorted(found)
+
+
+def random_state_held(module) -> list:
+    """The module-level names of a module that hold a numpy Generator or
+    BitGenerator."""
+    return sorted(name for name, obj in vars(module).items()
+                  if isinstance(obj, (np.random.Generator,
+                                      np.random.BitGenerator)))
+
+
+def test_guard_sees_a_held_generator():
+    module = types.ModuleType("held")
+    module.rng = np.random.default_rng(0)
+    module.bits = np.random.Philox(0)
+    module.seed = 0
+    assert random_state_held(module) == ["bits", "rng"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_holds_a_random_generator(path):
+    """Random state belongs to an object its caller creates (a generator
+    from states.stream), never to a module."""
+    name = "petzgap" if path.stem == "__init__" else "petzgap." + path.stem
+    assert random_state_held(importlib.import_module(name)) == []

@@ -1,10 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 
-from petzgap.errors import InvalidInput, NotNormalized, NotPSD
+from petzgap import states
+from petzgap.algebra import expectation_eigh
+from petzgap.context import PairContext
+from petzgap.errors import InvalidInput, NotNormalized, NotPSD, PetzGapError
+from petzgap.harness import SPEC_KINDS, spec_for
 from petzgap.linalg import psd_power
 from petzgap.states import (SamplerConfig, default_factors, make_density,
-                            sample, stream, swap_factors_unitary)
+                            sample, sample_states, stream,
+                            swap_factors_unitary)
+
+from oracles import (reference_density, reference_expectation_eigh,
+                     reference_state)
+
+MASK = 0xFFFFFFFFFFFFFFFF
+REFERENCE_DIMS = (2, 3, 4, 5, 6, 7, 8, 9, 32)
 
 
 def test_make_density_maximally_mixed():
@@ -159,3 +172,121 @@ def test_stream_is_counter_based_and_stable():
     c = stream(42, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def fresh(seed: int, index: int) -> np.random.Generator:
+    """The generator of stream (seed, index), built anew."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & MASK, index & MASK], dtype=np.uint64)))
+
+
+def test_rekeyed_streams_draw_what_fresh_generators_draw():
+    """One generator, moved by stream from stream to stream, draws the
+    numbers of a fresh Philox(key=(seed, index)) generator, for negative
+    seeds and seeds of 64 bits and more (masked to 64 bits, as stream
+    masks them), with indices drawn out of order and draws that leave a
+    32-bit half word buffered."""
+    keys = [(seed, index)
+            for seed in (0, 42, -1, -(2 ** 70) + 3, 2 ** 64, 2 ** 64 + 5,
+                         2 ** 80 + 1)
+            for index in (7, 0, 3, 2 ** 64 + 1, -2)]
+    random.Random(0).shuffle(keys)
+    moved = stream(0, 0)
+    for seed, index in keys + keys[::-1]:
+        want, rng = fresh(seed, index), stream(seed, index, moved)
+        assert rng is moved
+        for draw in (lambda g: g.standard_normal(5),
+                     lambda g: g.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                     lambda g: g.dirichlet(np.ones(3)),
+                     lambda g: g.random(2)):
+            assert draw(rng).tobytes() == draw(want).tobytes(), (seed, index)
+    assert stream(-1, 2 ** 64 + 3).standard_normal(4).tobytes() \
+        == fresh(MASK, 3).standard_normal(4).tobytes()
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def reference_draws(seed: int = 7) -> list:
+    """Ginibre and diagonal draws, full rank and rank d - 1, at each of
+    REFERENCE_DIMS, the dims interleaved so that no stack is a run of
+    consecutive slots."""
+    kinds = [(kind, d - drop, d) for kind in ("ginibre", "diagonal")
+             for drop in (0, 1) for d in REFERENCE_DIMS]
+    draws = [(SamplerConfig(dim=d, rank=rank, seed=seed, kind=kind), i)
+             for i, (kind, rank, d) in enumerate(kinds)]
+    random.Random(seed).shuffle(draws)
+    return draws
+
+
+def test_stacked_states_match_one_at_a_time_to_the_bit():
+    """sample_states validates and diagonalizes a block of draws in one
+    stack per dimension; each state's matrix, eigenvalues and eigenvectors
+    are those of the one-at-a-time reference, to the bit. So are the
+    spectra of E(rho) and E(sigma), taken in one expectation_eigh of the
+    pair for every spec kind, and the states the context builds of
+    them."""
+    draws = reference_draws()
+    prepared = sample_states(draws)
+    by_dim = {}
+    for (config, index), state in zip(draws, prepared):
+        draw = states._ginibre if config.kind == "ginibre" \
+            else states._diagonal
+        raw = draw(fresh(config.seed, index), config.dim, config.rank)
+        matrix, w, v = reference_density(raw)
+        assert same_bits(state.matrix, matrix), (config, index)
+        assert same_bits(state.eigenvalues, w), (config, index)
+        assert same_bits(state.spectrum.eigenvectors, v), (config, index)
+        by_dim.setdefault(config.dim, []).append(state)
+    compared = 0
+    for d, group in by_dim.items():
+        for rho, sigma in zip(group, group[1:]):
+            for kind in SPEC_KINDS:
+                spec = spec_for(kind, d)
+                decs = expectation_eigh(
+                    spec, np.array([rho.matrix, sigma.matrix]))
+                ctx = PairContext(rho, sigma, spec)
+                for x, dec, x_n in zip((rho, sigma), decs,
+                                       (ctx.rho_n, ctx.sigma_n)):
+                    w, v = reference_expectation_eigh(spec, x.matrix)
+                    assert same_bits(dec.eigenvalues, w), (d, kind)
+                    assert same_bits(dec.eigenvectors, v), (d, kind)
+                    if spec.blocks != [(d, 1)]:
+                        for got, want in zip(
+                                (x_n.matrix, x_n.eigenvalues,
+                                 x_n.spectrum.eigenvectors),
+                                reference_state(w, v)):
+                            assert same_bits(got, want), (d, kind)
+                    compared += 1
+    assert compared == 2 * 3 * len(REFERENCE_DIMS) * len(SPEC_KINDS)
+
+
+def test_a_bad_matrix_fails_only_its_own_slot():
+    """A stack holding a matrix that is not Hermitian, one of trace 1.1
+    and one with an eigenvalue below -zero_threshold: each of those slots
+    holds the error make_density raises for that matrix alone, of the
+    same type and message, and the other slots hold the states they get
+    alone, to the bit."""
+    good = [sample(SamplerConfig(dim=3, seed=5), i).matrix for i in range(3)]
+    skew = good[0].copy()
+    skew[0, 1] += 1e-3
+    stack = [good[0], skew, good[1], 1.1 * good[2], good[2],
+             np.diag([0.6, 0.5, -0.1]).astype(complex)]
+    slots = make_density(np.array(stack))
+    errors = []
+    for m, slot in zip(stack, slots):
+        try:
+            alone = make_density(m)
+        except PetzGapError as exc:
+            errors.append(type(exc))
+            assert type(slot) is type(exc) and str(slot) == str(exc)
+        else:
+            assert same_bits(slot.matrix, alone.matrix)
+            assert same_bits(slot.eigenvalues, alone.eigenvalues)
+            assert same_bits(slot.spectrum.eigenvectors,
+                             alone.spectrum.eigenvectors)
+    assert errors == [InvalidInput, NotNormalized, NotPSD]
+    with pytest.raises(NotNormalized, match="trace 1.1"):
+        make_density(stack[3])

@@ -1,18 +1,26 @@
 """Work counters of verify trials.
 
 A trial builds one PairContext, which computes each quantity of the trial
-once. A state carries the eigendecomposition it was validated with, so a
-trial makes one d x d LAPACK eigh for each of the two sampled states rho and
-sigma. E(rho) and E(sigma) are diagonalized through the block cores of the
-subalgebra: cores of one size share one stacked eigh, no input is larger
-than the largest core, and a 1 x 1 core needs none, so a trial of the
-trivial algebra makes exactly 2 eigh, as does one where E is the identity
-(E(x) is x itself). At most 4 eigh per trial, then, where E(rho) and
-E(sigma) each used to cost one d x d eigh. A trial builds at most two
-relative modular operators, op and op_n, and takes every entropy the
-battery reads (the gaps of neg-log and neg-power at 0.25, 0.5, 0.75, which
-the Renyi gaps of orders 0.75, 0.5, 0.25 read too) in one entropy.entropies
-pass per operator: at most 2 calls, and no direct entropy.s_f call, where it
+once. A state carries the eigendecomposition it was validated with. The
+states of a block of consecutive trials are drawn and validated together
+(harness.TrialStates, states.sample_states): one stacked LAPACK eigh per
+distinct dimension of the block, where every state cost one eigh of its
+own. A verify {"trials": 60, "dims": [2, 3, 4, 6, 8]} run is two blocks
+(32 trials, the most the block budget holds at d = 8, and 28) of 5 eigh
+each, where it made 120; verify {"trials": 12, "dims": [32, 48, 64]} is a
+block per trial, whose rho and sigma share 1 eigh, 12 where it made 24. A
+trial run on its own is a block of itself: 1 eigh for its rho and sigma.
+E(rho) and E(sigma) are diagonalized through the block cores of the
+subalgebra, in one algebra.expectation_eigh of the pair: cores of one
+size, of both states, share one stacked eigh, no input is larger than the
+largest core, and a 1 x 1 core needs none. So a trial makes one eigh per
+distinct core size above 1, where each state made that many (4 a trial
+for pinching at odd d >= 5, whose two cores differ in size), and none
+where E is the identity (E(x) is x itself) or the algebra is trivial. A
+trial builds at most two relative modular operators, op and op_n, and
+takes every entropy the battery reads (the gaps of neg-log and neg-power
+at 0.25, 0.5, 0.75, which the Renyi gaps of orders 0.75, 0.5, 0.25 read
+too) in one entropy.entropies pass per operator: at most 2 calls, and no direct entropy.s_f call, where it
 made one s_f call per (function, operator) pair, 8 at these settings. When
 E is the identity op_n is op, and its entropies are op's: such a trial
 builds exactly one operator and makes exactly one entropies call, where it
@@ -27,10 +35,10 @@ from the memo after the bounds have run.
 The theorem's T-family is minimized over T in closed form, in one
 bounds.theorem_optimum call per (function, beta) and trial with a finite
 gap: 6 per trial at the defaults, where the run evaluated it on a 40-point
-T grid. The family is evaluated (bounds.theorem_bound, one
-bounds.c_constant call each) only at the end of a piece of C^f that a
-minimizer is clamped to: once per neg-power optimum on these trials and
-never for neg-log, whose C^f is one piece, so 3 per trial. One trial of
+T grid. A minimizer clamped to the end of a piece of C^f (once per
+neg-power optimum on these trials) is evaluated on the piece it was found
+on, so the minimization makes no bounds.theorem_bound or bounds.c_constant
+call, where it made one of each per clamped end, 3 per trial. One trial of
 the ten has an infinite neg-log gap, which asserts the theorem without
 minimizing it.
 
@@ -79,13 +87,16 @@ the 5 contraction probes and their norms once per dimension its trials use
 and 3 draws on reconstruct {"trials": 12}, where it made 12 of each. It
 keeps them for the run only, so a second run in the same process draws
 them again. A block of multiplicity 1 is its own core, with no einsum:
-the run makes 12 einsum calls, one per core of multiplicity above 1 (the
-trivial algebra, and the partial trace at d = 4), where it made 35.
+the run makes 8 einsum calls, two per trial with a core of multiplicity
+above 1 (the trivial algebra, and the partial trace at d = 4): one for
+E(rho) and E(sigma) together, one for the contraction draws. It made 12,
+when E(rho) and E(sigma) took one each, and 35 before that.
 """
 
 import sys
 
 import numpy as np
+import pytest
 
 from petzgap import (algebra, bounds, context, entropy, linalg, modular,
                      quadrature)
@@ -95,9 +106,11 @@ from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
 from petzgap.monotone import rep_from_name
 
 TRIALS = 10
-MAX_EIGH_PER_TRIAL = 4
-EIGH_PER_IDENTITY_TRIAL = 2
-EIGH_PER_TRIVIAL_TRIAL = 2
+# a trial run on its own draws and validates its rho and sigma in one block
+STATE_EIGH_PER_TRIAL = 1
+VERIFY_SMALL = {"trials": 60, "dims": [2, 3, 4, 6, 8]}
+VERIFY_LARGE = {"trials": 12, "dims": [32, 48, 64]}
+BLOCKS_PER_RUN = {"small": 2, "large": 12}
 MAX_BUILD_PER_TRIAL = 2
 BUILD_PER_IDENTITY_TRIAL = 1
 MAX_ENTROPIES_PER_TRIAL = 2
@@ -117,8 +130,9 @@ S_T_PER_INTERNALS_CASE = 2
 S_T_PER_IDENTITY_INTERNALS_CASE = 1
 PROBE_DRAWS_PER_RECONSTRUCT_RUN = 3
 LOGSPACE_PER_RECONSTRUCT_RUN = 1
-EINSUM_PER_RECONSTRUCT_RUN = 12
-CLAMPED_ENDS_PER_TRIAL = 3
+EINSUM_PER_RECONSTRUCT_RUN = 8
+THEOREM_BOUND_PER_TRIAL = 0
+C_CONSTANT_PER_TRIAL = 0
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -151,9 +165,10 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
         per_trial.append((len(eigh) - before[0], len(build) - before[1],
                           len(entropies) - before[2], len(s_f) - before[3]))
     assert any(identity) and not all(identity)
-    assert all(e <= MAX_EIGH_PER_TRIAL for e, _, _, _ in per_trial), per_trial
-    assert all(e == EIGH_PER_IDENTITY_TRIAL
-               for (e, _, _, _), ident in zip(per_trial, identity) if ident), \
+    assert [e for e, _, _, _ in per_trial] == [
+        STATE_EIGH_PER_TRIAL + core_eigh(spec_for(
+            config.specs[i % len(config.specs)],
+            config.dims[i % len(config.dims)])) for i in range(TRIALS)], \
         per_trial
     assert all(b <= MAX_BUILD_PER_TRIAL for _, b, _, _ in per_trial), per_trial
     assert all(n <= MAX_ENTROPIES_PER_TRIAL for _, _, n, _ in per_trial), \
@@ -165,8 +180,18 @@ def test_run_trial_computes_each_quantity_once(monkeypatch):
     assert all(n == S_F_PER_TRIAL for _, _, _, n in per_trial), per_trial
 
 
+def core_eigh(spec) -> int:
+    """The eigh calls of E(rho) and E(sigma) together: one per distinct
+    core size above 1, none when E is the identity."""
+    if spec.blocks == [(spec.dim, 1)]:
+        return 0
+    return len({n for n, _ in spec.blocks if n > 1})
+
+
 def test_expectations_diagonalize_only_block_cores(monkeypatch):
-    config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8, 32])
+    # 9 dims, prime to the 4 spec kinds, so that every kind meets every
+    # dim, pinching at the odd d = 5 and 9 among them
+    config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 5, 6, 8, 9, 32, 7])
     reps = [rep_from_name(n) for n in config.functions]
     shapes = []
     original = np.linalg.eigh
@@ -176,19 +201,72 @@ def test_expectations_diagonalize_only_block_cores(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    kinds = set()
-    for i in range(2 * TRIALS):
+    met = set()
+    for i in range(len(config.dims) * len(config.specs)):
         dim = config.dims[i % len(config.dims)]
-        spec = spec_for(config.specs[i % len(config.specs)], dim)
-        kinds.add(config.specs[i % len(config.specs)])
-        largest_core = max(n for n, _ in spec.blocks)
+        kind = config.specs[i % len(config.specs)]
+        spec = spec_for(kind, dim)
+        met.add((kind, dim))
         shapes.clear()
         run_trial(config, i, reps)
-        assert shapes[:2] == [(dim, dim)] * 2, (i, shapes)
-        assert all(s[-1] <= largest_core for s in shapes[2:]), (i, shapes)
-        if spec.blocks == [(1, dim)]:
-            assert len(shapes) == EIGH_PER_TRIVIAL_TRIAL, (i, shapes)
-    assert kinds == {"trivial", "full", "pinching", "partial-trace"}
+        # rho and sigma, validated in one block; then each distinct core
+        # size of E(rho) and E(sigma) once, both states' cores of that size
+        # in one stack
+        sizes = [] if spec.blocks == [(dim, 1)] else sorted(
+            {n for n, _ in spec.blocks if n > 1}, key=[
+                n for n, _ in spec.blocks].index)
+        assert shapes == [(2, dim, dim)] + [
+            (2 * sum(n == size for n, _ in spec.blocks), size, size)
+            for size in sizes], (i, kind, shapes)
+        assert len(shapes) == STATE_EIGH_PER_TRIAL + core_eigh(spec)
+        if kind == "pinching" and dim in (5, 9):
+            assert len(shapes) == 3, (i, shapes)
+    assert len(met) == len(config.dims) * len(config.specs)
+
+
+@pytest.mark.parametrize("label,config", [("small", VERIFY_SMALL),
+                                          ("large", VERIFY_LARGE)])
+def test_verify_blocks_take_one_eigh_per_dimension(monkeypatch, label,
+                                                   config):
+    """run_verify prepares the states of consecutive trials in blocks: each
+    block makes one eigh per distinct dimension of its draws, and each
+    trial's E(rho) and E(sigma) one per distinct core size above 1."""
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    blocks = []
+    sample_states = harness.sample_states
+
+    def block(draws):
+        before = len(eigh)
+        out = sample_states(draws)
+        blocks.append((len(draws), len({c.dim for c, _ in draws}),
+                       len(eigh) - before))
+        return out
+
+    monkeypatch.setattr(harness, "sample_states", block)
+    expectations = []
+    expectation_eigh = context.expectation_eigh
+
+    def expectation(spec, x):
+        before = len(eigh)
+        out = expectation_eigh(spec, x)
+        expectations.append((np.shape(x), core_eigh(spec),
+                             len(eigh) - before))
+        return out
+
+    monkeypatch.setattr(context, "expectation_eigh", expectation)
+    parsed = ExperimentConfig.from_json(dict(config))
+    code, _ = run_verify(parsed)
+    assert code == 0
+    assert len(blocks) == BLOCKS_PER_RUN[label], blocks
+    assert sum(draws for draws, _, _ in blocks) == 2 * parsed.trials
+    assert all(calls == dims for _, dims, calls in blocks), blocks
+    assert all(shape[0] == 2 and calls == want
+               for shape, want, calls in expectations), expectations
+    identity = sum(spec_for(parsed.specs[i % len(parsed.specs)],
+                            parsed.dims[i % len(parsed.dims)]).blocks
+                   == [(parsed.dims[i % len(parsed.dims)], 1)]
+                   for i in range(parsed.trials))
+    assert len(expectations) == parsed.trials - identity
 
 
 def count_linalg(monkeypatch, name: str, owner=linalg) -> list:
@@ -302,8 +380,8 @@ def test_theorem_optimum_is_one_call_per_function_and_beta(monkeypatch):
         finite = [r.name for r in record.reports
                   if r.name.startswith("theorem:")
                   and r.constants["T_star"] is not None]
-        clamped = sum(name != "theorem:neg-log" for name in finite)
-        want.append((len(finite), clamped, clamped))
+        want.append((len(finite), THEOREM_BOUND_PER_TRIAL,
+                     C_CONSTANT_PER_TRIAL))
         return record
 
     monkeypatch.setattr(harness, "run_trial", counted)
@@ -312,9 +390,9 @@ def test_theorem_optimum_is_one_call_per_function_and_beta(monkeypatch):
     per_function_and_beta = len(config.functions) * len(config.beta_grid)
     assert per_function_and_beta == 6
     assert per_trial == want, per_trial
-    assert want.count((per_function_and_beta, CLAMPED_ENDS_PER_TRIAL,
-                       CLAMPED_ENDS_PER_TRIAL)) == TRIALS - 1, want
-    assert len(c_constant) == sum(c for _, _, c in per_trial)
+    assert want.count((per_function_and_beta, THEOREM_BOUND_PER_TRIAL,
+                       C_CONSTANT_PER_TRIAL)) == TRIALS - 1, want
+    assert len(theorem) == len(c_constant) == 0
 
 
 def test_reconstruct_integrand_calls(monkeypatch):
