@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SpecInconsistent
-from .linalg import SpectralDecomposition, as_matrix, fill, kept, value
-from .states import swap_factors_unitary, trace_slots
+from .linalg import SpectralDecomposition, as_matrix
+from .states import check_trace, swap_factors_unitary
 
 UNITARY_TOL = 1e-10
 
@@ -123,8 +123,8 @@ def conditional_expectation(spec: SubalgebraSpec, x) -> np.ndarray:
 
 def expectation_eigh(spec: SubalgebraSpec, x):
     """Spectral decomposition of E(x) / Tr E(x) for one Hermitian d x d x,
-    or the slots of an (n, d, d) stack (see linalg), from the block cores,
-    each divided by the trace (states.trace_slots checks it). An eigenpair
+    or the list of them of an (n, d, d) stack, from the block cores, each
+    divided by the trace (states.check_trace checks it). An eigenpair
     (w, W) of the core of block (n, m) is the eigenvalue w, m times over,
     with eigenvectors V (W (x) 1_m) in that block's columns of the basis V.
     Cores of one size, of every block and every x, share one stacked
@@ -135,11 +135,8 @@ def expectation_eigh(spec: SubalgebraSpec, x):
     cores = block_cores(spec, m if m.ndim == 3 else as_matrix(m)[None])
     tr = sum(core.trace(0, 1, 2).real * mult
              for core, (_, mult) in zip(cores, spec.blocks))
-    slots = trace_slots(tr)
-    keep = kept(slots)
-    if len(keep) < len(tr):
-        cores, tr = [core[keep] for core in cores], tr[keep]
-    count, sizes = len(keep), [n for n, _ in spec.blocks]
+    check_trace(tr)
+    count, sizes = len(tr), [n for n, _ in spec.blocks]
     scale = tr[:, None, None]
     by_size = {}
     for n in dict.fromkeys(sizes):
@@ -171,5 +168,4 @@ def expectation_eigh(spec: SubalgebraSpec, x):
         order = (-w).argsort(kind="stable")
         decs.append(SpectralDecomposition(
             w[order], np.concatenate(vecs, axis=1)[:, order]))
-    slots = fill(slots, decs)
-    return slots if m.ndim == 3 else value(slots[0])
+    return decs if m.ndim == 3 else decs[0]

@@ -46,7 +46,7 @@ import numpy as np
 from . import entropy, modular
 from .algebra import SubalgebraSpec, expectation_eigh
 from .errors import InvalidInput
-from .linalg import hs_norm, pseudo_power, trace_norm, value
+from .linalg import hs_norm, pseudo_power, trace_norm
 from .monotone import builtin_neg_power
 from .quadrature import integrate_halfline
 from .states import DensityMatrix, from_spectrum, make_density
@@ -98,8 +98,8 @@ class PairContext:
 
     @cached_property
     def _expectations(self) -> list:
-        """The slots (see linalg) of the states E(rho), E(sigma); rho and
-        sigma themselves when E is the identity."""
+        """The states E(rho), E(sigma); rho and sigma themselves when E is
+        the identity."""
         if self.e_is_identity:
             return [self.rho, self.sigma]
         return from_spectrum(expectation_eigh(
@@ -107,11 +107,11 @@ class PairContext:
 
     @cached_property
     def rho_n(self) -> DensityMatrix:
-        return value(self._expectations[0])
+        return self._expectations[0]
 
     @cached_property
     def sigma_n(self) -> DensityMatrix:
-        return value(self._expectations[1])
+        return self._expectations[1]
 
     @cached_property
     def op(self) -> modular.RelativeModularOperator:

@@ -14,7 +14,8 @@ the reports a trial runs, each built in bounds (the dpi and theorem
 reports too), and reads their margins. A reconstruct internals case is the
 dict that bounds.proof_internals returns, with its status. The states of
 verify and reconstruct trials are prepared a block of trials at a time
-(TrialStates), each state by one stacked eigh per dimension per block.
+(TrialStates), one stacked eigh per dimension per block; TrialStates is
+the one place that keeps a bad state's error to its own trial.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .algebra import (SubalgebraSpec, factor_spec, full_spec, pinching_spec,
 from .context import PairContext
 from .errors import InvalidInput, NumericalFailure, PetzGapError
 from .monotone import builtin_neg_log, builtin_neg_power, rep_from_name
-from .linalg import value
 from .states import SamplerConfig, default_factors, sample, sample_states
 
 SPEC_KINDS = ("pinching", "partial-trace", "trivial", "full")
@@ -187,7 +187,9 @@ BLOCK_BYTES = 64 * 1024
 class TrialStates:
     """The states of a run's trials (trial i's drawn as draws(config, i)),
     prepared a block at a time inside the block's first trial, whose clock
-    covers the work; a state that fails raises in its own trial only."""
+    covers the work. A block that raises a PetzGapError is drawn again
+    trial by trial, each state alone in draw order, so a bad state raises
+    in its own trial only, the error it raises alone."""
 
     def __init__(self, config: ExperimentConfig, draws):
         self.config, self.draws, self.block = config, draws, {}
@@ -197,10 +199,15 @@ class TrialStates:
     def __call__(self, i: int) -> list:
         if i not in self.block:
             block = range(i, min(i + self.size, self.config.trials))
-            states = iter(sample_states(
-                [d for j in block for d in self.draws(self.config, j)]))
-            self.block = {j: [next(states), next(states)] for j in block}
-        return [value(s) for s in self.block.pop(i)]
+            try:
+                states = iter(sample_states(
+                    [d for j in block for d in self.draws(self.config, j)]))
+            except PetzGapError:
+                self.block = dict.fromkeys(block)
+            else:
+                self.block = {j: [next(states), next(states)] for j in block}
+        return self.block.pop(i) or [sample_states([d])[0]
+                                     for d in self.draws(self.config, i)]
 
 
 def _verify_draws(config: ExperimentConfig, i: int) -> list:
@@ -400,6 +407,13 @@ def _worst(max_error: float, *errors: float) -> float:
     return max(max_error, *errors)
 
 
+def _fail(cases: list, exc: PetzGapError) -> float:
+    """Mark cases failed, exc's text the reason; max_error is then inf."""
+    for case in cases:
+        case.update(status="failed", reason=str(exc))
+    return math.inf
+
+
 def run_reconstruct(config: ExperimentConfig):
     """Integral-reconstruction and proof-internals battery on invertible
     pairs. Exit 0 iff every recorded error and residual is <= 1e-5 and
@@ -411,10 +425,11 @@ def run_reconstruct(config: ExperimentConfig):
     whose gaps the proof internals read back, and one pass over each operator
     for the entropies they are checked against (PairContext.entropies). The
     internals' t grid and probes (one draw per dimension, kept for this run
-    only) are made before the first trial. A quadrature that fails
-    (NumericalFailure) records the cases it serves, a trial's function cases
-    or its proof internals, as failed with the reason, sets max_error to inf,
-    and the run goes on. The quadrature's truncation leaves
+    only) are made before the first trial. A PetzGapError of a trial's
+    states or context fails all its cases, and a NumericalFailure of a
+    quadrature the cases it serves (a trial's function cases or its proof
+    internals): each is recorded as failed with the reason, max_error is
+    set to inf, and the run goes on. The quadrature's truncation leaves
     identity_residual about 2e-7 at beta = 0.95 and 0.26 at beta = 0.99.
     """
     reps = [rep_from_name(n) for n in config.functions]
@@ -429,37 +444,33 @@ def run_reconstruct(config: ExperimentConfig):
     for i in range(config.trials):
         dim = config.dims[i % len(config.dims)]
         kind = config.specs[i % len(config.specs)]
-        ctx = PairContext(*states(i), spec_for(kind, dim))
-        ctx.entropies(reps)
+        beta = config.beta_grid[i % len(config.beta_grid)]
+        trial = {"trial_index": i, "dim": dim, "spec_kind": kind}
+        rep_cases = [dict(trial, function=rep.name) for rep in reps]
+        int_case = dict(trial, beta=beta)
+        cases += rep_cases + [int_case]
         try:
-            rebuilt, reason = ctx.reconstructions(reps), None
+            ctx = PairContext(*states(i), spec_for(kind, dim))
+            ctx.entropies(reps)
+        except PetzGapError as exc:
+            max_error = _fail(rep_cases + [int_case], exc)
+            continue
+        try:
+            rebuilt = ctx.reconstructions(reps)
         except NumericalFailure as exc:
-            rebuilt, reason = [None] * len(reps), str(exc)
-        for rep, values in zip(reps, rebuilt):
-            case = {"trial_index": i, "dim": dim, "spec_kind": kind,
-                    "function": rep.name}
-            if reason is None:
-                value, g_quad = values
+            max_error = _fail(rep_cases, exc)
+        else:
+            for rep, case, (value, g_quad) in zip(reps, rep_cases, rebuilt):
                 case["status"] = "ok"
                 case["entropy_error"] = abs(value - ctx.s_f(rep, "op"))
                 case["gap_error"] = abs(g_quad - ctx.gap(rep))
                 max_error = _worst(max_error, case["entropy_error"],
                                    case["gap_error"])
-            else:
-                case["status"] = "failed"
-                case["reason"] = reason
-                max_error = math.inf
-            cases.append(case)
-        beta = config.beta_grid[i % len(config.beta_grid)]
-        int_case = {"trial_index": i, "dim": dim, "spec_kind": kind,
-                    "beta": beta}
         try:
             internals = bounds.proof_internals(reps[0], beta, ctx, t_grid,
                                                probes[dim])
         except NumericalFailure as exc:
-            int_case["status"] = "failed"
-            int_case["reason"] = str(exc)
-            max_error = math.inf
+            max_error = _fail([int_case], exc)
         else:
             int_case.update(internals, status="internals")
             max_error = _worst(max_error, internals["identity_residual"])
@@ -468,7 +479,6 @@ def run_reconstruct(config: ExperimentConfig):
             if not all(internals[key] >= -config.tolerance for key in (
                     "contraction_margin", "per_t_gap_margin", "decay_margin")):
                 max_error = math.inf
-        cases.append(int_case)
     report = {
         "schema": "reconstruct_v1",
         "config": config.to_json(),

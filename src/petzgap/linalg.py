@@ -10,8 +10,9 @@ of every support decision: an eigenvalue, a PSD defect, or the weight of
 one state outside the other's support counts as 0 at or below the
 threshold of the spectrum it is measured against.
 eigh, states.make_density and algebra.expectation_eigh take one matrix,
-giving its value or raising its error, or an (n, d, d) stack, giving its
-slots: each the value of its matrix or the error it alone raises.
+giving its value, or an (n, d, d) stack, giving a list; a stack raises the
+error of its first bad matrix, each check (Hermitian, trace, positivity)
+taken in turn over the whole stack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, PetzGapError
+from .errors import InvalidInput
 
 HERMITIAN_RTOL = 1e-12
 
@@ -33,35 +34,19 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_hermitian(a) -> tuple[np.ndarray, list]:
-    """a as an (n, d, d) complex stack, and its slots: None, or InvalidInput
-    where not Hermitian to HERMITIAN_RTOL times 1 + max |entry|."""
+def check_hermitian(a) -> np.ndarray:
+    """a as an (n, d, d) complex stack; InvalidInput unless each matrix is
+    Hermitian to HERMITIAN_RTOL times 1 + max |entry|, which must be
+    finite: a nan or inf entry fails."""
     m = np.asarray(a, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     m = m[None] if m.ndim == 2 else m
     scale = 1.0 + np.abs(m).max(axis=(1, 2))
     defect = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    return m, [InvalidInput("matrix is not Hermitian to tolerance") if bad
-               else None for bad in (defect > HERMITIAN_RTOL * scale).tolist()]
-
-
-def kept(slots: list) -> list:
-    """The indices of the slots that hold no error."""
-    return [i for i, s in enumerate(slots) if not isinstance(s, PetzGapError)]
-
-
-def fill(slots: list, values) -> list:
-    """slots, each that holds no error replaced by the next of values."""
-    values = iter(values)
-    return [s if isinstance(s, PetzGapError) else next(values) for s in slots]
-
-
-def value(slot):
-    """A slot's value, or its error raised."""
-    if isinstance(slot, PetzGapError):
-        raise slot
-    return slot
+    if not (np.isfinite(scale) & (defect <= HERMITIAN_RTOL * scale)).all():
+        raise InvalidInput("matrix is not Hermitian to tolerance")
+    return m
 
 
 def zero_thresholds(w: np.ndarray) -> np.ndarray:
@@ -94,13 +79,11 @@ class SpectralDecomposition:
 
 def eigh(a):
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    m, slots = check_hermitian(a)
-    keep = kept(slots)
-    w, v = np.linalg.eigh(m[keep] if len(keep) < len(m) else m)
-    slots = fill(slots, (SpectralDecomposition(
-        np.ascontiguousarray(x[::-1]), np.ascontiguousarray(u[:, ::-1]))
-        for x, u in zip(w, v)))
-    return slots if np.ndim(a) == 3 else value(slots[0])
+    w, v = np.linalg.eigh(check_hermitian(a))
+    decs = [SpectralDecomposition(np.ascontiguousarray(x[::-1]),
+                                  np.ascontiguousarray(u[:, ::-1]))
+            for x, u in zip(w, v)]
+    return decs if np.ndim(a) == 3 else decs[0]
 
 
 def pseudo_power(dec: SpectralDecomposition, p: float) -> np.ndarray:

@@ -21,7 +21,7 @@ and drops b:
     f(x) = f(1) + integral_0^inf ( 1/(t+x) - 1/(t+1) ) w(t) dt,
 
 whose integrand decays like t^-2 w(t) for every x, so the pipeline needs
-only f and w (entropy.integral_reconstruction). Each family carries its
+only f and w (entropy.reconstructions). Each family carries its
 regularity constant C^f_{T,beta}
 in closed form, and the pipeline reads these data as stored; the Pick and
 Stieltjes extractions, the representation by quadrature and the grid sup of

@@ -5,8 +5,9 @@ while validating it, so each state is diagonalized once: a stack of states
 by one stacked eigh (sample_states makes one per dimension of a block of
 draws). A state whose spectrum is known another way (E(x), from the block
 cores of algebra.expectation_eigh) passes the same trace and positivity
-checks through trace_slots and from_spectrum. Positivity and rank follow
-the zero threshold of the spectrum, under linalg's one support policy.
+checks through check_trace and from_spectrum. Positivity and rank follow
+the zero threshold of the spectrum, under linalg's one support policy. A
+stack raises the error of its first bad matrix (see linalg).
 Sampler streams are counter-based: trial i of seed s draws from
 Philox(key=(s, i)), so any trial is reproducible in isolation.
 """
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NotNormalized, NotPSD
-from .linalg import (SpectralDecomposition, check_hermitian, eigh, fill, kept,
-                     value, zero_thresholds)
+from .linalg import (SpectralDecomposition, check_hermitian, eigh,
+                     zero_thresholds)
 
 TRACE_TOL = 1e-9
 
@@ -61,51 +62,44 @@ def make_density(a):
     Traces within 1e-9 of 1 are renormalized, anything further is
     NotNormalized. The clipped, renormalized eigenvalues and the
     eigenvectors become the spectrum of the rebuilt matrix. A stack is
-    diagonalized by one eigh and gives its slots (see linalg). A
+    diagonalized by one eigh and gives the list of its states. A
     DensityMatrix comes back unchanged; its matrix, passed as an array, is
     not a fixed point to the bit (a second eigh rounds differently).
     """
     if isinstance(a, DensityMatrix):
         return a
-    m, slots = check_hermitian(a)
+    m = check_hermitian(a)
     tr = m.trace(0, 1, 2).real
-    slots = [s or t for s, t in zip(slots, trace_slots(tr))]
-    keep = kept(slots)
-    if len(keep) < len(m):
-        m, tr = m[keep], tr[keep]
-    slots = fill(slots, from_spectrum(eigh(m / tr[:, None, None])))
-    return slots if np.ndim(a) == 3 else value(slots[0])
+    check_trace(tr)
+    states = from_spectrum(eigh(m / tr[:, None, None]))
+    return states if np.ndim(a) == 3 else states[0]
 
 
-def trace_slots(tr: np.ndarray) -> list:
-    """None for each trace within TRACE_TOL of 1, else its NotNormalized."""
-    return [NotNormalized(f"trace {t!r} is not 1 to tolerance")
-            if abs(t - 1.0) > TRACE_TOL else None for t in tr.tolist()]
+def check_trace(tr: np.ndarray) -> None:
+    """NotNormalized for the first trace not within TRACE_TOL of 1."""
+    for t in tr.tolist():
+        if not abs(t - 1.0) <= TRACE_TOL:  # a nan trace fails too
+            raise NotNormalized(f"trace {t!r} is not 1 to tolerance")
 
 
 def from_spectrum(decs: list) -> list:
-    """The states of slots of spectra of matrices of unit trace (an error
-    slot stays): NotPSD where the least eigenvalue is below minus the zero
-    threshold, else the eigenvectors with the eigenvalues clipped at 0 and
-    renormalized. Each state owns its arrays, to be freed with its trial."""
-    decs_kept = [decs[k] for k in kept(decs)]
-    if not decs_kept:
-        return decs
-    w = np.array([dec.eigenvalues for dec in decs_kept])
-    v = np.array([dec.eigenvectors for dec in decs_kept])
-    psd = [NotPSD(f"eigenvalue {w[k, -1]!r} below -zero_threshold") if bad
-           else None for k, bad in enumerate(
-               (w[:, -1] < -zero_thresholds(w)).tolist())]
-    keep = kept(psd)
-    if len(keep) < len(psd):
-        w, v, decs_kept = w[keep], v[keep], [decs_kept[k] for k in keep]
+    """The states of spectra of matrices of unit trace: NotPSD for the
+    first whose least eigenvalue is below minus the zero threshold, else
+    the eigenvectors with the eigenvalues clipped at 0 and renormalized.
+    Each state owns its arrays, to be freed with its trial."""
+    if not decs:
+        return []
+    w = np.array([dec.eigenvalues for dec in decs])
+    v = np.array([dec.eigenvectors for dec in decs])
+    bad = np.flatnonzero(w[:, -1] < -zero_thresholds(w))
+    if bad.size:
+        raise NotPSD(f"eigenvalue {w[bad[0], -1]!r} below -zero_threshold")
     w = np.maximum(w, 0.0)
     w = w / w.sum(axis=1, keepdims=True)
     clean = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return fill(decs, fill(psd, (DensityMatrix(
-        (c + c.conj().T) / 2.0,
-        SpectralDecomposition(x.copy(), dec.eigenvectors))
-        for c, x, dec in zip(clean, w, decs_kept))))
+    return [DensityMatrix((c + c.conj().T) / 2.0,
+                          SpectralDecomposition(x.copy(), dec.eigenvectors))
+            for c, x, dec in zip(clean, w, decs)]
 
 
 @dataclass
@@ -184,8 +178,8 @@ def swap_factors_unitary(n1: int, n2: int) -> np.ndarray:
 
 
 def sample_states(draws: list) -> list:
-    """The state slots of draws [(SamplerConfig, stream index), ...] of
-    ginibre or diagonal configs, drawn by one generator moved from stream to
+    """The states of draws [(SamplerConfig, stream index), ...] of ginibre
+    or diagonal configs, drawn by one generator moved from stream to
     stream, each dimension validated by one make_density."""
     rng = np.random.Generator(np.random.Philox(0))
     drawn = [(_ginibre if c.kind == "ginibre" else _diagonal)(
@@ -210,7 +204,7 @@ def sample(config: SamplerConfig, trial_index: int = 0):
     epsilon > 0.
     """
     if config.kind != "perturbed-recoverable":
-        return value(sample_states([(config, trial_index)])[0])
+        return sample_states([(config, trial_index)])[0]
     rng = stream(config.seed, trial_index)
     dim = config.dim
     rank = config.rank if config.rank is not None else dim

@@ -16,7 +16,7 @@ from petzgap import bounds, harness, states
 from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
 from petzgap.cli import main
 from petzgap.context import PairContext
-from petzgap.errors import InvalidInput, NumericalFailure
+from petzgap.errors import InvalidInput, NumericalFailure, PetzGapError
 from petzgap.harness import (CSV_HEADER, ExperimentConfig, draw_pair,
                              run_reconstruct, run_sweep, run_trial,
                              run_verify, sanitize, spec_for)
@@ -721,33 +721,103 @@ def test_one_trial_per_block_writes_the_same_report(monkeypatch, command,
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_a_bad_state_fails_only_its_own_trial(monkeypatch):
-    """A drawn matrix that is not Hermitian, validated in one stack with
-    the states of the other trials, makes its own trial an error (exit 1)
-    and leaves every other trial's record as it is."""
-    config = ExperimentConfig(trials=8, dims=[2, 3, 4])
-    _, clean = run_verify(config)
-    ginibre = states._ginibre
-    skewed = []
+# each makes a drawn ginibre matrix (unit trace) fail one check of
+# make_density, named by the error it raises: Hermitian, trace, positivity
+# (the (1, 1) entry m11 < 1 goes below 0, and so does the least
+# eigenvalue), and Hermitian again for nan
+DEFECTS = {
+    "not-hermitian": (lambda m: m + 1e-3 * np.eye(len(m), k=1),
+                      "InvalidInput"),
+    "trace-1.1": (lambda m: 1.1 * m, "NotNormalized"),
+    "negative-eigenvalue": (
+        lambda m: m + np.diag([1.0, -1.0] + [0.0] * (len(m) - 2)), "NotPSD"),
+    "nan-entry": (lambda m: m + np.diag([np.nan] + [0.0] * (len(m) - 1)),
+                  "InvalidInput")}
 
-    def skew_trial_3_sigma(rng, dim, rank):
+
+def bad_trial_3_sigma(monkeypatch, defect: str) -> list:
+    """Patch the ginibre sampler so that trial 3's sigma (stream index
+    2 * 3 + 1) carries the defect; returns the list every such draw is
+    appended to."""
+    ginibre = states._ginibre
+    drawn = []
+
+    def draw(rng, dim, rank):
         m = ginibre(rng, dim, rank)
-        # the stream index of trial 3's sigma is 2 * 3 + 1
         if rng.bit_generator.state["state"]["key"][1] == 7:
-            m[0, 1] += 1e-3
-            skewed.append(dim)
+            m = DEFECTS[defect][0](m)
+            drawn.append(m)
         return m
 
-    monkeypatch.setattr(states, "_ginibre", skew_trial_3_sigma)
+    monkeypatch.setattr(states, "_ginibre", draw)
+    return drawn
+
+
+def error_text(m) -> str:
+    """What make_density raises for the matrix m alone, as a verify trial
+    records it."""
+    with pytest.raises(PetzGapError) as info:
+        petzgap.states.make_density(m)
+    return f"{type(info.value).__name__}: {info.value}"
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_a_bad_state_fails_only_its_own_trial(monkeypatch, defect):
+    """A bad drawn matrix, validated in one stack with the states of the
+    other trials, makes its own trial an error with the text make_density
+    raises for it alone (exit 1) and leaves every other trial's record as
+    it is, to the byte. Its block raised, so each trial of the block drew
+    its states again alone: trial 3's sigma is drawn twice, at its own
+    dimension."""
+    config = ExperimentConfig(trials=8, dims=[2, 3, 4])
+    _, clean = run_verify(config)
+    drawn = bad_trial_3_sigma(monkeypatch, defect)
     code, report = run_verify(config)
     assert code == 1
-    assert skewed == [config.dims[3 % len(config.dims)]]
+    assert [m.shape[0] for m in drawn] \
+        == [config.dims[3 % len(config.dims)]] * 2
     assert report["summary"]["error_trials"] == 1
     assert trials_of(report)[3] == {
-        "trial_index": 3, "status": "error",
-        "error": "InvalidInput: matrix is not Hermitian to tolerance",
+        "trial_index": 3, "status": "error", "error": error_text(drawn[0]),
         "reports": []}
+    assert error_text(drawn[0]).startswith(DEFECTS[defect][1] + ": ")
     assert [t["status"] for t in trials_of(report)] \
         == ["ok"] * 3 + ["error"] + ["ok"] * 4
     assert [t for i, t in enumerate(report["trials"]) if i != 3] \
         == [t for i, t in enumerate(clean["trials"]) if i != 3]
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_a_bad_state_fails_only_its_own_reconstruct_cases(monkeypatch,
+                                                          defect):
+    """In reconstruct, a bad drawn matrix fails every case of its own
+    trial, with the reason make_density gives for it alone, sets max_error
+    to inf (exit 1), and leaves every other case as it is."""
+    config = ExperimentConfig(trials=6)
+    _, clean = run_reconstruct(config)
+    drawn = bad_trial_3_sigma(monkeypatch, defect)
+    code, report = run_reconstruct(config)
+    assert code == 1
+    assert report["summary"] == {"cases": len(clean["cases"]),
+                                 "max_error": math.inf}
+    reason = error_text(drawn[0]).partition(": ")[2]
+    for case, was in zip(report["cases"], clean["cases"]):
+        if case["trial_index"] == 3:
+            assert case == {k: was[k] for k in (
+                "trial_index", "dim", "spec_kind", "function", "beta")
+                if k in was} | {"status": "failed", "reason": reason}
+        else:
+            assert case == was
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_a_bad_state_exits_1_and_is_no_config_error(monkeypatch, tmp_path,
+                                                    capsys, command):
+    bad_trial_3_sigma(monkeypatch, "not-hermitian")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 6}))
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert "FAIL" in printed.out and "config error" not in printed.err
+    assert out.exists()

@@ -14,7 +14,8 @@ PairContext methods the bounds read. No module holds a numpy Generator or
 BitGenerator at module level: random state belongs to an object its caller
 creates. Every bound report is built in
 bounds: a guard fails if harness names BoundReport, gap_margin or
-theorem_optimum.
+theorem_optimum. Errors are raised, not carried as values: every petzgap
+exception a module constructs is the exception of a raise statement.
 
 The benchmark reads petzgap from outside: bench/run.py --trace 1 prints a
 counter for every per_layer name of BENCHMARK.json, and its tracer makes a
@@ -33,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from petzgap import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "petzgap"
@@ -176,3 +179,36 @@ def test_no_module_holds_a_random_generator(path):
     from states.stream), never to a module."""
     name = "petzgap" if path.stem == "__init__" else "petzgap." + path.stem
     assert random_state_held(importlib.import_module(name)) == []
+
+
+# the exception classes of petzgap
+ERRORS = {name for name, obj in vars(errors).items()
+          if isinstance(obj, type) and issubclass(obj, errors.PetzGapError)}
+
+
+def errors_as_values(tree: ast.AST) -> list:
+    """(line, source) of every petzgap exception constructed anywhere but
+    directly as the exception of a raise."""
+    raised = {id(node.exc) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise)}
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in raised
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ERRORS]
+
+
+def test_guard_sees_an_error_held_as_a_value():
+    source = ("raise NotPSD('eigenvalue below -zero_threshold')\n"
+              "raise errors.InvalidInput('bad') from exc\n"
+              "slots = [InvalidInput('bad') if b else None for b in bad]\n"
+              "error = errors.NotNormalized('trace')\n"
+              "raise wrap(DomainError('off domain'))\n"
+              "ok = NotAnError('x'), isinstance(s, PetzGapError)\n")
+    assert sorted(line for line, _ in errors_as_values(ast.parse(source))) \
+        == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_error_is_constructed_in_a_raise(path):
+    found = errors_as_values(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name}: {found}"

@@ -8,7 +8,7 @@ from petzgap.algebra import expectation_eigh
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NotNormalized, NotPSD, PetzGapError
 from petzgap.harness import SPEC_KINDS, spec_for
-from petzgap.linalg import psd_power
+from petzgap.linalg import eigh, psd_power
 from petzgap.states import (SamplerConfig, default_factors, make_density,
                             sample, sample_states, stream,
                             swap_factors_unitary)
@@ -263,30 +263,61 @@ def test_stacked_states_match_one_at_a_time_to_the_bit():
     assert compared == 2 * 3 * len(REFERENCE_DIMS) * len(SPEC_KINDS)
 
 
-def test_a_bad_matrix_fails_only_its_own_slot():
-    """A stack holding a matrix that is not Hermitian, one of trace 1.1
-    and one with an eigenvalue below -zero_threshold: each of those slots
-    holds the error make_density raises for that matrix alone, of the
-    same type and message, and the other slots hold the states they get
-    alone, to the bit."""
+def error_alone(m: np.ndarray) -> PetzGapError:
+    """The error make_density raises for the matrix m alone."""
+    with pytest.raises(PetzGapError) as info:
+        make_density(m)
+    return info.value
+
+
+def test_a_stack_raises_the_error_of_its_first_bad_matrix():
+    """A stack raises the error its first bad matrix raises alone, of the
+    same type and message: a matrix that is not Hermitian, one of trace
+    1.1 or one with an eigenvalue below -zero_threshold, wherever it
+    stands among good states. The checks run in turn over the whole stack,
+    so a bad trace is found before a bad eigenvalue that precedes it."""
     good = [sample(SamplerConfig(dim=3, seed=5), i).matrix for i in range(3)]
     skew = good[0].copy()
     skew[0, 1] += 1e-3
-    stack = [good[0], skew, good[1], 1.1 * good[2], good[2],
-             np.diag([0.6, 0.5, -0.1]).astype(complex)]
-    slots = make_density(np.array(stack))
-    errors = []
-    for m, slot in zip(stack, slots):
-        try:
-            alone = make_density(m)
-        except PetzGapError as exc:
-            errors.append(type(exc))
-            assert type(slot) is type(exc) and str(slot) == str(exc)
-        else:
-            assert same_bits(slot.matrix, alone.matrix)
-            assert same_bits(slot.eigenvalues, alone.eigenvalues)
-            assert same_bits(slot.spectrum.eigenvectors,
-                             alone.spectrum.eigenvectors)
-    assert errors == [InvalidInput, NotNormalized, NotPSD]
-    with pytest.raises(NotNormalized, match="trace 1.1"):
-        make_density(stack[3])
+    negative = np.diag([0.6, 0.5, -0.1]).astype(complex)
+    stacks = [[good[0], skew, good[1], 1.1 * good[2], negative],
+              [good[0], good[1], 1.1 * good[2], 1.2 * good[0], negative],
+              [good[0], negative, good[1], good[2]],
+              [good[0], negative, 1.1 * good[2]]]
+    raised = []
+    for stack, first_bad in zip(stacks, (1, 2, 1, 2)):
+        want = error_alone(stack[first_bad])
+        with pytest.raises(PetzGapError) as info:
+            make_density(np.array(stack))
+        assert type(info.value) is type(want)
+        assert str(info.value) == str(want)
+        raised.append(type(want))
+    assert raised == [InvalidInput, NotNormalized, NotPSD, NotNormalized]
+    assert "trace 1.1" in str(error_alone(1.1 * good[2]))
+
+
+def test_an_empty_stack_gives_no_states():
+    empty = np.zeros((0, 3, 3), dtype=complex)
+    assert make_density(empty) == eigh(empty) == []
+
+
+# inf - inf in the Hermitian defect warns before the check fails it
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf,
+                                   complex(0.5, np.inf), complex(np.nan, 0.5)])
+def test_a_non_finite_entry_is_not_hermitian(entry):
+    """A nan entry compares false in every check, and an inf entry makes
+    the Hermitian tolerance inf, so the Hermitian test asks for a finite
+    scale: make_density and eigh raise InvalidInput for a matrix with such
+    an entry on the diagonal or off it, alone or in a stack."""
+    good = sample(SamplerConfig(dim=2, seed=5), 0).matrix
+    for i, j in ((0, 0), (0, 1)):
+        bad = good.copy()
+        bad[i, j] = entry
+        bad[j, i] = np.conj(entry)
+        for m in (bad, np.array([good, bad, good])):
+            for validate in (make_density, eigh):
+                with pytest.raises(InvalidInput, match="not Hermitian"):
+                    validate(m)
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        make_density(np.full((2, 2), np.nan))
