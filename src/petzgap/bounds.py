@@ -24,13 +24,12 @@ the beta-free left side included, comes from its one matrix per beta in
 the eigenbases of sigma and rho. discrepancy_norm and recovery_discrepancy
 take raw states and build a context for them.
 
-The corollary constants K are built as logs and recorded as log_K beside
-K, and each right side K disc^E is exp(log K + E log disc): at a large
-||Delta|| the constant underflows and disc^E overflows while the product
-is an ordinary number. The three corollaries share one report builder,
-_corollary; verify runs corollary-log and corollary-power, whose right
-sides are never below generic's and which record its constant and T_star
-as K_generic and T_star.
+The corollary constants K are built as logs and recorded as log_K (K is
+exp(log_K)), and each right side K disc^E is exp(log K + E log disc): at a
+large ||Delta|| the constant underflows and disc^E overflows while the
+product is an ordinary number. The three corollaries share one report
+builder, _corollary; verify runs corollary-log and corollary-power, whose
+right sides are never below generic's and whose T_star is its minimizer.
 
 Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
@@ -42,9 +41,12 @@ asserted, its margin; it turns a gap into its margin and the infinite-gap
 flag. Under linalg's support policy, the leak of sigma
 (sigma_N) off supp rho (rho_N) is flagged above sigma's (sigma_N's) zero
 threshold. A BoundReport holds no trial quantity (the gap, a
-discrepancy, ||Delta||, a recovery error): those are the PairContext's, and
-a verify trial writes them once. Its to_json leaves out only the GRID_KEYS
-constants, which depend only on (report name, beta) and the run writes once.
+discrepancy, ||Delta||, a recovery error), which a verify trial writes
+once, nor what a fixed rule reads from them (the theorem's left side); the
+constants that depend only on (report name, beta) it keeps in grid. A float
+that can be non-finite (a right side, a margin, T_star, C_exact) is marked
+(mark) where it is stored, so to_json is one pass; should any other be
+non-finite, the report encoder stops the run.
 """
 
 from __future__ import annotations
@@ -70,13 +72,24 @@ FLAG_SUPPORT_MISMATCH = "support-mismatch"
 FLAG_TRACE_LOSS = "trace-loss"
 FLAG_T_STAR_BELOW_ONE = "t-star-below-one"
 
-GRID_KEYS = frozenset({"exponent", "exponent_displayed", "C_exact",
-                       "c_effective"})
+
+def mark(value):
+    """value as a report stores it: a non-finite float as its marker "nan",
+    "inf" or "-inf", all else (a numpy float too) as it is."""
+    if type(value) is not float or value - value == 0.0:  # finite
+        return value
+    return "nan" if value != value else "inf" if value > 0 else "-inf"
 
 
-@dataclass(eq=False)
+def json_safe(values: dict) -> dict:
+    """A copy of values: each dict value json_safe, every other marked."""
+    return {k: json_safe(v) if type(v) is dict else mark(v)
+            for k, v in values.items()}
+
+
+@dataclass(eq=False, slots=True)
 class BoundReport:
-    """One bound family evaluated on one (rho, sigma, spec) triple."""
+    """One bound family on one (rho, sigma, spec) triple (module docstring)."""
 
     name: str
     beta: float | None
@@ -84,58 +97,48 @@ class BoundReport:
     rhs_values: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
+    grid: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """JSON-safe, without the GRID_KEYS constants, which a verify report
-        writes once per run."""
-        return {
-            "name": self.name,
-            "beta": self.beta,
-            "constants": json_safe(self.constants, GRID_KEYS),
-            "rhs_values": json_safe(self.rhs_values),
-            "margins": json_safe(self.margins),
-            "flags": sorted(self.flags),
-        }
+        """The report as a verify_v4 trial writes it: no empty container."""
+        out = {"name": self.name, "beta": self.beta}
+        if self.constants:
+            out["constants"] = self.constants
+        if self.rhs_values:
+            out["rhs_values"] = self.rhs_values
+        if self.margins:
+            out["margins"] = self.margins
+        if self.flags:
+            out["flags"] = sorted(self.flags)
+        return out
 
     def bound(self, key: str, rhs: float | None, lhs: float | None = None,
               gap: float | None = None) -> None:
         """Record rhs, the right side of inequality key (None records
         nothing), and assert the inequality when its trial side is given:
-        lhs <= rhs with margin rhs - lhs, or the gap lower bound gap >= rhs
-        (>= 0 when rhs is None) with margin gap - rhs. An infinite gap holds
-        any lower bound (margin inf); a nan gap (both entropies infinite)
-        asserts nothing. Both carry the infinite-gap flag."""
+        lhs <= rhs (margin rhs - lhs) or gap >= rhs (>= 0 when rhs is None;
+        margin gap - rhs). An infinite gap holds any lower bound (margin
+        inf), a nan gap (both entropies infinite) asserts nothing; both
+        carry the infinite-gap flag."""
         if rhs is not None:
-            self.rhs_values[key] = rhs
+            self.rhs_values[key] = mark(rhs)
         if lhs is not None:
-            self.margins[key] = rhs - lhs
+            self.margins[key] = mark(rhs - lhs)
         elif gap is not None:
             if math.isfinite(gap):
-                self.margins[key] = gap - (0.0 if rhs is None else rhs)
+                self.margins[key] = mark(gap - (0.0 if rhs is None else rhs))
             else:
                 self.flags.append(FLAG_INFINITE_GAP)
                 if math.isinf(gap):
-                    self.margins[key] = math.inf
-
-
-def json_safe(values: dict, omit=frozenset()) -> dict:
-    """A copy of a dict without the keys in omit, in which each non-finite
-    float is its marker string "nan", "inf" or "-inf" and each dict value a
-    json_safe copy, so that the dict is valid JSON; every other value is
-    kept as it is. (v - v is 0.0 exactly when v is finite.)"""
-    return {k: (v if v - v == 0.0 else "nan" if v != v
-                else "inf" if v > 0 else "-inf") if type(v) is float
-            else json_safe(v) if type(v) is dict else v
-            for k, v in values.items() if k not in omit}
+                    self.margins[key] = "inf"
 
 
 def grid_constants(reports: list) -> dict:
-    """The GRID_KEYS constants of a trial's reports: grid[name][repr(beta)]."""
+    """The grid constants of a trial's reports: grid[name][repr(beta)]."""
     grid = {}
     for report in reports:
-        values = {k: v for k, v in report.constants.items() if k in GRID_KEYS}
-        if values:
-            grid.setdefault(report.name, {})[repr(report.beta)] = values
+        if report.grid:
+            grid.setdefault(report.name, {})[repr(report.beta)] = report.grid
     return grid
 
 
@@ -249,18 +252,17 @@ def dpi_report(rep: MonotoneDecreasingRep, g: float) -> BoundReport:
 
 def theorem_report(rep: MonotoneDecreasingRep, beta: float, disc: float,
                    delta_norm: float, g: float) -> BoundReport:
-    """The T-family at its exact minimum over T (theorem_optimum), for the
-    trial's ||Delta|| and gap: the margin is min_T rhs - lhs, at T_star
-    (None when the gap is inf or nan). A gap <= 0 has the minimum 0 at
-    T_star = inf; a constant that overflowed to inf times such a gap
-    leaves a nan margin, which asserts nothing."""
-    lhs = math.pi / math.sin(beta * math.pi) * disc
+    """The T-family at its exact minimum over T (theorem_optimum): margin
+    min_T rhs - (pi/sin(beta pi)) disc, at T_star (None for an inf or nan
+    gap). A gap <= 0 has the minimum 0 at T_star = inf; a constant that
+    overflowed to inf times such a gap leaves a nan margin."""
     report = BoundReport(f"theorem:{rep.name}", beta,
-                         constants={"T_star": None, "lhs": lhs})
+                         constants={"T_star": None})
     if math.isfinite(g):
-        value, report.constants["T_star"] = theorem_optimum(
-            rep, beta, delta_norm, g)
-        report.margins["theorem_T_opt"] = value - lhs
+        value, t_star = theorem_optimum(rep, beta, delta_norm, g)
+        report.constants["T_star"] = mark(t_star)
+        report.margins["theorem_T_opt"] = mark(
+            value - math.pi / math.sin(beta * math.pi) * disc)
     else:
         report.bound("theorem_T_opt", None, gap=g)
     return report
@@ -273,46 +275,46 @@ def _power_law(log_k: float, x: float, expo: float) -> float:
     return math.exp(log_k + expo * math.log(x)) if x > 0.0 else 0.0
 
 
-def _generic_constants(rep: MonotoneDecreasingRep, beta: float,
-                       delta_norm: float) -> dict:
-    """Invert the theorem, optimized over T with the T >= 1 piece
-    C^f_{T,beta} = C T^{2c} of rep.c_closed(beta), into
-    gap >= K_gap * disc^E, with K_gap built as its log; the piece's (C, c)
-    is kept beside it."""
+def _generic_piece(rep: MonotoneDecreasingRep, beta: float,
+                   delta_norm: float) -> tuple:
+    """(K_T, k, n, C, c): the T-family (_t_family) on the T >= 1 piece
+    C^f_{T,beta} = C T^{2c} of rep.c_closed(beta), n = n0 + c."""
     big_c, c = rep.c_closed(beta)[-1][1:]
     k_t, k, n0 = _t_family(beta, delta_norm)
-    n = n0 + c
+    return k_t, k, n0 + c, big_c, c
+
+
+def _generic_law(rep: MonotoneDecreasingRep, beta: float,
+                 delta_norm: float) -> tuple[float, float]:
+    """(log K_gap, E): the family on _generic_piece at its minimum over T,
+    inverted into gap >= K_gap * disc^E."""
+    k_t, k, n, big_c, _ = _generic_piece(rep, beta, delta_norm)
     exponent = 2.0 * (k + n) / k
     log_b = math.log(1.0 / k + 1.0 / n) + n / (k + n) * math.log(k * k_t) \
         + k / (k + n) * math.log(n * math.sqrt(big_c))
-    log_k_gap = exponent * (math.log(math.pi / math.sin(beta * math.pi))
-                            - log_b)
-    return {"k": k, "n": n, "K_T": k_t, "exponent": exponent,
-            "K_gap": math.exp(log_k_gap), "log_K_gap": log_k_gap,
-            "C": big_c, "c": c}
+    return exponent * (math.log(math.pi / math.sin(beta * math.pi))
+                       - log_b), exponent
 
 
 def _corollary(name: str, beta: float, ctx: PairContext,
-               rep: MonotoneDecreasingRep, cst: dict, key: str, law: tuple,
-               **constants) -> BoundReport:
+               rep: MonotoneDecreasingRep, piece: tuple, key: str,
+               law: tuple, constants: dict, grid: dict) -> BoundReport:
     """The report of gap_f >= K disc^E, law = (log K, E), on the trial's gap
-    of rep and discrepancy at beta, with K and log K recorded as key and
-    "log_" + key beside the other constants. cst = _generic_constants(rep,
-    beta, ||Delta||) is the theorem optimized over T with the T >= 1 piece
-    (C, c) of C^f: its constant is recorded as K_generic and its minimizer
-    as T_star. The piece holds for T >= 1 only, so a T_star below 1 is
-    flagged when c > 0; -log x's, C^f = 1 with c = 0, holds at every T."""
+    of rep and discrepancy at beta: log K as "log_" + key beside constants,
+    E in grid, and as T_star the minimizer of piece = _generic_piece(rep,
+    beta, ||Delta||), whose C^f holds for T >= 1 only, so a T_star below 1
+    is flagged when c > 0 (-log x's, c = 0, holds at every T)."""
     g = ctx.gap(rep)
     log_k, expo = law
+    k_t, k, n, big_c, c = piece
     t_star = math.inf if not math.isfinite(g) or g <= 0.0 else lemma_opt(
-        cst["K_T"], cst["k"], math.sqrt(cst["C"] * g), cst["n"])[1]
-    constants.update({key: math.exp(log_k), "log_" + key: log_k,
-                      "K_generic": cst["K_gap"], "exponent": expo,
-                      "T_star": t_star})
-    report = BoundReport(name, beta, constants=constants)
+        k_t, k, math.sqrt(big_c * g), n)[1]
+    constants.update({"log_" + key: log_k, "T_star": mark(t_star)})
+    grid["exponent"] = expo
+    report = BoundReport(name, beta, constants=constants, grid=grid)
     report.bound("gap_lower_bound",
                  _power_law(log_k, ctx.discrepancy(beta), expo), gap=g)
-    if cst["c"] > 0.0 and t_star < 1.0:
+    if c > 0.0 and t_star < 1.0:
         report.flags.append(FLAG_T_STAR_BELOW_ONE)
     return report
 
@@ -320,15 +322,14 @@ def _corollary(name: str, beta: float, ctx: PairContext,
 def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
                             ctx: PairContext) -> BoundReport:
     """gap >= K_gap * disc^E from the theorem optimized over T with the
-    T >= 1 piece of rep.c_closed(beta) (_generic_constants). verify does
-    not run it: corollary-log and corollary-power assert the same
-    inequality for both families, with a right side never smaller, and
-    record this constant and T_star as their K_generic and T_star."""
+    T >= 1 piece of C^f (_generic_law). verify does not run it:
+    corollary-log and corollary-power assert the same inequality, with a
+    right side never smaller and the same T_star."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    cst = _generic_constants(rep, beta, ctx.delta_norm)
-    return _corollary(f"generic:{rep.name}", beta, ctx, rep, cst, "K_gap",
-                      (cst["log_K_gap"], cst["exponent"]))
+    return _corollary(f"generic:{rep.name}", beta, ctx, rep,
+                      _generic_piece(rep, beta, ctx.delta_norm), "K_gap",
+                      _generic_law(rep, beta, ctx.delta_norm), {}, {})
 
 
 def log_corollary_constant(beta: float,
@@ -354,26 +355,24 @@ def log_corollary_constant(beta: float,
 
 def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
     """Relative-entropy gap lower bound with the printed closed-form
-    constant; K_generic records the generic optimization (C=1, c=0), which
-    tests/test_bounds.py checks it against."""
+    constant, which tests/test_bounds.py checks against the generic
+    optimization (C=1, c=0)."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
     delta_norm = ctx.delta_norm
     log_k, expo, key = log_corollary_constant(beta, delta_norm)
     constants = {}
-    if beta == 0.5:
-        constants["K_log3"] = (math.pi / 4.0) ** 4 * (1.0 + delta_norm) ** (-2.0)
-        if delta_norm > 0.0:
-            try:
-                e_rho, _ = ctx.recovery_errors
-                constants["CV_comparison_rhs"] = \
-                    (1.0 / (8.0 * math.pi)) ** 4 * delta_norm ** (-2.0) * e_rho ** 4
-            except (InvalidInput, NumericalFailure):
-                pass
+    if beta == 0.5 and delta_norm > 0.0:
+        try:
+            e_rho, _ = ctx.recovery_errors
+            constants["CV_comparison_rhs"] = (1.0 / (8.0 * math.pi)) ** 4 \
+                * delta_norm ** (-2.0) * e_rho ** 4
+        except (InvalidInput, NumericalFailure):
+            pass
     rep = builtin_neg_log()
     return _corollary("corollary-log", beta, ctx, rep,
-                      _generic_constants(rep, beta, delta_norm), key,
-                      (log_k, expo), **constants)
+                      _generic_piece(rep, beta, delta_norm), key,
+                      (log_k, expo), constants, {})
 
 
 def power_corollary_constant(alpha: float, beta: float, delta_norm: float
@@ -413,11 +412,10 @@ def corollary_power_bound(alpha: float, beta: float,
     The exponent asserted is (1 + a(1-b))/(b(1-b)) for b <= 1/2 and
     (2b + a(1-b))/(b(1-b)) for b >= 1/2 (both 4 + 2a at b = 1/2); the
     alternative displayed family over (1 - b^2) is recorded under
-    exponent_displayed but carries no margin. K_generic records the generic
-    optimization with the T >= 1 piece of C^f, whose C = pi/sin(a pi) and
+    exponent_displayed but carries no margin. T_star is the generic
+    optimization's with the T >= 1 piece of C^f, whose C = pi/sin(a pi) and
     growth exponent c (a/2 for b <= 1/2, a(1-b)/(2b) above) are recorded
-    as C_exact and c_effective; tests/test_bounds.py checks the printed
-    constant against it.
+    as C_exact and c_effective.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("alpha must lie in (0, 1)")
@@ -426,10 +424,11 @@ def corollary_power_bound(alpha: float, beta: float,
     log_k, expo, displayed, key = power_corollary_constant(
         alpha, beta, ctx.delta_norm)
     rep = builtin_neg_power(alpha)
-    cst = _generic_constants(rep, beta, ctx.delta_norm)
-    return _corollary(f"corollary-power:{alpha!r}", beta, ctx, rep, cst, key,
-                      (log_k, expo), exponent_displayed=displayed,
-                      C_exact=cst["C"], c_effective=cst["c"])
+    piece = _generic_piece(rep, beta, ctx.delta_norm)
+    return _corollary(f"corollary-power:{alpha!r}", beta, ctx, rep, piece,
+                      key, (log_k, expo), {},
+                      {"exponent_displayed": displayed,
+                       "C_exact": mark(piece[3]), "c_effective": piece[4]})
 
 
 def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
@@ -459,8 +458,8 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
     g = ctx.renyi_gap(alpha)
     log_k_u, expo, _, _ = power_corollary_constant(1.0 - alpha, 0.5,
                                                    ctx.delta_norm)
-    report = BoundReport(f"renyi:{alpha!r}", 0.5, constants={
-        "K_U": math.exp(log_k_u), "log_K_U": log_k_u, "exponent": expo})
+    report = BoundReport(f"renyi:{alpha!r}", 0.5, {"log_K_U": log_k_u},
+                         grid={"exponent": expo})
     rhs_disc = math.log1p(_power_law(log_k_u, ctx.discrepancy(0.5), expo)) \
         / (1.0 - alpha)
     if not s.is_invertible:
@@ -508,9 +507,8 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     disc_full = ctx.recovery_discrepancy
     neg_log = builtin_neg_log()
     g = ctx.gap(neg_log)
-    cst = _generic_constants(neg_log, 0.5, ctx.delta_norm)
-    report = BoundReport("recovery-chain", 0.5, constants={
-        "K_gap": cst["K_gap"], "exponent": cst["exponent"]})
+    log_k_gap, expo = _generic_law(neg_log, 0.5, ctx.delta_norm)
+    report = BoundReport("recovery-chain", 0.5, grid={"exponent": expo})
     report.bound("rec_rho", 2.0 * disc_full, e_rho)
     norms_n = None
     if s_n.is_invertible:
@@ -534,8 +532,8 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     if ctx.support_leak > s.spectrum.zero_threshold:
         report.flags.append(FLAG_SUPPORT_MISMATCH)
     elif not math.isnan(g):
-        root = (max(g, 0.0) / cst["K_gap"]) ** 0.25 if math.isfinite(g) \
-            else math.inf
+        root = (max(g, 0.0) / math.exp(log_k_gap)) ** 0.25 \
+            if math.isfinite(g) else math.inf
         report.bound("disc_gap_one_sided", 2.0 * root, e_rho)
         if norms_n is not None:
             report.bound("disc_gap_two_sided", 2.0 * norms_n * root,

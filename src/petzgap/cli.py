@@ -4,7 +4,7 @@
     petzgap sweep       --config cfg.json [--seed N] [--out path]
     petzgap reconstruct --config cfg.json [--seed N] [--out path]
 
-verify writes a verify_v3 report; its line ends with where min_margin sits.
+verify writes a verify_v4 report; its line ends with where min_margin sits.
 Exit codes: 0 all checks passed, 1 a bound or residual check failed, a
 trial or case was recorded as an error or failure, a numerical error (a
 PetzGapError or an ArithmeticError) stopped the run, or the report encoder

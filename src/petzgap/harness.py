@@ -3,19 +3,20 @@
 Outputs are byte-deterministic for a fixed config: every random draw is
 keyed by (seed, trial_index), floats are serialized at full precision, JSON
 keys are sorted, and no record carries a wall-clock time. A JSON report is
-one compact line written by the C encoder of the json module; its records
-are made JSON-safe (each non-finite float as "nan", "inf" or "-inf") at
-report assembly, its summary by dumps_report; a verify trial's record is
-encoded once, when its trial ends, and written as a part of its own. A
-verify_v3 trial record writes each quantity of the trial once (quantities),
-the run each constant of (report name, beta) once (grid), and no bound
-report holds either. The harness builds no bound report itself: it picks
-the reports a trial runs, each built in bounds (the dpi and theorem
-reports too), and reads their margins. A reconstruct internals case is the
-dict that bounds.proof_internals returns, with its status. The states of
-verify and reconstruct trials are prepared a block of trials at a time
-(TrialStates), one stacked eigh per dimension per block; TrialStates is
-the one place that keeps a bad state's error to its own trial.
+one compact line written by the C encoder of the json module; a verify
+trial's record is JSON-safe as it is built (bounds.mark), encoded once
+when its trial ends and written as a part of its own. A verify_v4 trial
+record writes each quantity of the trial once (quantities), the run each
+constant of (report name, beta) once (grid); no bound report holds either,
+nor what another value of the record determines, nor an empty container.
+The harness builds no bound report itself: it picks the reports a trial
+runs, each built in bounds (the dpi and theorem reports too), and reads
+their margins. A reconstruct internals case is the dict that
+bounds.proof_internals returns, with its status; its report is marked at
+assembly. The states of verify and reconstruct trials are prepared a block
+of trials at a time (TrialStates), one stacked eigh per dimension per
+block; TrialStates is the one place that keeps a bad state's error to its
+own trial.
 """
 
 from __future__ import annotations
@@ -153,8 +154,7 @@ class TrialRecord:
     reports: list
 
     def to_json(self) -> dict:
-        return dict(self.drawn, status="ok",
-                    quantities=bounds.json_safe(self.quantities),
+        return dict(self.drawn, status="ok", quantities=self.quantities,
                     reports=[r.to_json() for r in self.reports])
 
 
@@ -271,7 +271,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
              "rank_sigma": rank_sigma,
              "rho_eigenvalues": rho.eigenvalues.tolist(),
              "sigma_eigenvalues": sigma.eigenvalues.tolist()}
-    return TrialRecord(drawn, ctx.quantities(), reports)
+    return TrialRecord(drawn, bounds.json_safe(ctx.quantities()), reports)
 
 
 def run_verify(config: ExperimentConfig):
@@ -312,6 +312,7 @@ def run_verify(config: ExperimentConfig):
                 flag_counts[flag] = flag_counts.get(flag, 0) + 1
             family = report.name.partition(":")[0]
             for key, value in report.margins.items():
+                value = float(value)  # a "nan" or "inf" marker too
                 if value != value:
                     skipped += 1
                     continue
@@ -327,10 +328,11 @@ def run_verify(config: ExperimentConfig):
         if flag_counts.get(bounds.FLAG_INFINITE_GAP, 0) > infinite_before:
             infinite_gap_trials += 1
         if grid is None:
-            grid = bounds.json_safe(bounds.grid_constants(record.reports))
+            grid = bounds.grid_constants(record.reports)
         trials.append(_ENCODER.encode(record.to_json()))
+        del record  # only the text is kept while the next trial runs
     report = {
-        "schema": "verify_v3",
+        "schema": "verify_v4",
         "config": config.to_json(),
         "config_hash": config.hash(),
         "grid": {} if grid is None else grid,

@@ -13,6 +13,7 @@ import numpy as np
 
 from petzgap.algebra import (SubalgebraSpec, block_cores,
                              conditional_expectation)
+from petzgap.bounds import generic_corollary_bound, json_safe
 from petzgap.entropy import s_f
 from petzgap.errors import (DomainError, InvalidInput, NotNormalized, NotPSD,
                             NumericalFailure, SpecInconsistent)
@@ -20,7 +21,8 @@ from petzgap.harness import dumps_report
 from petzgap.linalg import (HERMITIAN_RTOL, SpectralDecomposition, as_matrix,
                             eigh, psd_power, support_projector)
 from petzgap.modular import RelativeModularOperator, build
-from petzgap.monotone import MonotoneDecreasingRep, builtin_neg_log
+from petzgap.monotone import (MonotoneDecreasingRep, builtin_neg_log,
+                              builtin_neg_power)
 from petzgap.quadrature import integrate_halfline
 from petzgap.recovery import PetzChannel
 from petzgap.states import TRACE_TOL, make_density
@@ -551,3 +553,79 @@ def report_text(report: dict) -> str:
     """The JSON text of a report: the parts dumps_report returns, joined,
     which are the bytes cli.main writes."""
     return "".join(dumps_report(report))
+
+
+# verify_v4 -> verify_v3: the values a v4 trial record leaves out, rebuilt
+
+class RecordContext:
+    """What generic_corollary_bound reads of a PairContext (||Delta||, the
+    gap of rep and the discrepancy at beta), from the quantities of a
+    verify trial record; a "nan" or "inf" marker is read as its float."""
+
+    def __init__(self, quantities: dict):
+        self.quantities = quantities
+        self.delta_norm = float(quantities["delta_norm"])
+
+    def gap(self, rep: MonotoneDecreasingRep) -> float:
+        return float(self.quantities["gap"][rep.name])
+
+    def discrepancy(self, beta: float) -> float:
+        return float(self.quantities["discrepancy"][repr(beta)])
+
+
+def k_generic(rep: MonotoneDecreasingRep, beta: float, ctx) -> float:
+    """The constant K_gap of generic_corollary_bound(rep, beta, ctx), the
+    theorem optimized over T with the T >= 1 piece of C^f: what a verify_v3
+    corollary of rep recorded as K_generic, and recovery-chain (neg-log,
+    beta = 1/2) as K_gap."""
+    return math.exp(generic_corollary_bound(rep, beta, ctx)
+                    .constants["log_K_gap"])
+
+
+def k_log3(delta_norm: float) -> float:
+    """(pi/4)^4 (1 + ||Delta||)^-2, the closed-form beta = 1/2 constant of
+    the relative-entropy corollary that verify_v3 recorded as K_log3."""
+    return (math.pi / 4.0) ** 4 * (1.0 + delta_norm) ** (-2.0)
+
+
+def expand_v4(record: dict) -> dict:
+    """The verify_v3 form of a verify_v4 trial record (parsed JSON): every
+    report gets back its empty constants, rhs_values, margins and flags,
+    and each dropped constant is rebuilt by its rule from the report and
+    the trial's quantities:
+
+      K_L, K_U      exp(log_K_L), exp(log_K_U)
+      K_generic     k_generic of the corollary's function and beta
+      K_log3        k_log3(||Delta||), corollary-log at beta = 1/2
+      K_gap         k_generic(neg-log, 1/2), recovery-chain
+      lhs           pi/sin(beta pi) discrepancy[beta], theorem:f
+
+    An error record has no reports and comes back as it is."""
+    if record["status"] != "ok":
+        return record
+    ctx = RecordContext(record["quantities"])
+    reports = []
+    for report in record["reports"]:
+        name, beta = report["name"], report["beta"]
+        family, _, arg = name.partition(":")
+        constants = dict(report.get("constants", {}))
+        for key in ("K_L", "K_U"):
+            if "log_" + key in constants:
+                constants[key] = math.exp(constants["log_" + key])
+        if family in ("corollary-log", "corollary-power"):
+            rep = builtin_neg_log() if family == "corollary-log" \
+                else builtin_neg_power(float(arg))
+            constants["K_generic"] = k_generic(rep, beta, ctx)
+            if family == "corollary-log" and beta == 0.5:
+                constants["K_log3"] = k_log3(ctx.delta_norm)
+        elif family == "theorem":
+            constants["lhs"] = math.pi / math.sin(beta * math.pi) \
+                * ctx.discrepancy(beta)
+        elif family == "recovery-chain":
+            constants["K_gap"] = k_generic(builtin_neg_log(), 0.5, ctx)
+        reports.append({"name": name, "beta": beta,
+                        "constants": json_safe(constants),
+                        "rhs_values": report.get("rhs_values", {}),
+                        "margins": report.get("margins", {}),
+                        "flags": report.get("flags", [])})
+    return dict(record, reports=reports)

@@ -8,11 +8,11 @@ from petzgap import entropy, modular
 from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
-                            FLAG_TRACE_LOSS, _generic_constants,
+                            FLAG_TRACE_LOSS, _generic_law,
                             beta_free_discrepancy, contraction_probes,
                             corollary_log_bound,
                             corollary_power_bound, discrepancy_norm,
-                            generic_corollary_bound, lemma_opt,
+                            generic_corollary_bound, json_safe, lemma_opt,
                             log_corollary_constant, power_corollary_constant,
                             proof_internals, recovery_chain,
                             recovery_discrepancy, renyi_bound, theorem_bound,
@@ -25,7 +25,7 @@ from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from petzgap.states import make_density
 
 from conftest import diagonal_state, exact_product_pair, ginibre
-from oracles import scalar_theorem_bound
+from oracles import RecordContext, k_generic, k_log3, scalar_theorem_bound
 
 SPEC4 = pinching_spec(4, [2, 2])
 # the reconstruct command's default t grid
@@ -280,23 +280,29 @@ def test_corollary_log_constants_and_margin():
         for beta, expo in [(0.25, 16.0 / 3.0), (0.5, 4.0), (0.75, 8.0)]:
             ctx = PairContext(rho, sigma, SPEC4)
             rep = corollary_log_bound(beta, ctx)
-            assert rep.constants["exponent"] == pytest.approx(expo, rel=1e-12)
+            assert rep.grid["exponent"] == pytest.approx(expo, rel=1e-12)
             assert rep.margins["gap_lower_bound"] >= -1e-8
             if beta == 0.5:
-                want = (math.pi / 4.0) ** 4 * (1.0 + ctx.delta_norm) ** (-2.0)
-                assert rep.constants["K_log3"] == pytest.approx(want, rel=1e-12)
-                assert rep.constants["K_L"] == pytest.approx(
-                    rep.constants["K_generic"], rel=1e-9)
+                # the printed constant, its closed form and the generic
+                # optimization, none of which verify_v4 records beside
+                # log_K_L
+                k_l = math.exp(rep.constants["log_K_L"])
+                assert k_l == pytest.approx(k_log3(ctx.delta_norm), rel=1e-12)
+                assert k_l == pytest.approx(
+                    k_generic(builtin_neg_log(), beta, ctx), rel=1e-9)
 
 
 def test_corollary_log_report_shape():
     rho, sigma = random_pair(23)
     rep = corollary_log_bound(0.5, PairContext(rho, sigma, SPEC4))
     out = rep.to_json()
-    assert sorted(out) == ["beta", "constants", "flags", "margins", "name",
+    # verify_v4 writes no empty container: this report has no flags
+    assert rep.flags == []
+    assert sorted(out) == ["beta", "constants", "margins", "name",
                            "rhs_values"]
     assert out["name"] == "corollary-log"
-    assert out["flags"] == sorted(out["flags"])
+    rep.flags += ["b", "a"]
+    assert rep.to_json()["flags"] == ["a", "b"]
     # the margin is gap - rhs, with the gap of a fresh context
     assert rep.margins["gap_lower_bound"] + rep.rhs_values["gap_lower_bound"] \
         == pytest.approx(PairContext(rho, sigma, SPEC4).gap(builtin_neg_log()),
@@ -309,25 +315,25 @@ def test_corollary_power_exponents_and_margin():
         for alpha in (0.25, 0.5, 0.75):
             rep = corollary_power_bound(
                 alpha, 0.5, PairContext(rho, sigma, SPEC4))
-            assert rep.constants["exponent"] == pytest.approx(
+            assert rep.grid["exponent"] == pytest.approx(
                 4.0 + 2.0 * alpha, rel=1e-12)
             assert rep.margins["gap_lower_bound"] >= -1e-8
         for beta in (0.3, 0.7):
             rep = corollary_power_bound(
                 0.5, beta, PairContext(rho, sigma, SPEC4))
             assert rep.margins["gap_lower_bound"] >= -1e-8
-            assert "exponent_displayed" in rep.constants
+            assert "exponent_displayed" in rep.grid
 
 
 def test_corollary_power_proof_exponent_values():
     rho, sigma = random_pair(33)
     # beta <= 1/2 branch: (1 + a(1-b)) / (b(1-b))
     rep = corollary_power_bound(0.5, 0.3, PairContext(rho, sigma, SPEC4))
-    assert rep.constants["exponent"] == pytest.approx(
+    assert rep.grid["exponent"] == pytest.approx(
         (1.0 + 0.5 * 0.7) / (0.3 * 0.7), rel=1e-12)
     # beta >= 1/2 branch: (2b + a(1-b)) / (b(1-b))
     rep = corollary_power_bound(0.5, 0.7, PairContext(rho, sigma, SPEC4))
-    assert rep.constants["exponent"] == pytest.approx(
+    assert rep.grid["exponent"] == pytest.approx(
         (1.4 + 0.5 * 0.3) / (0.7 * 0.3), rel=1e-12)
 
 
@@ -342,24 +348,25 @@ def test_printed_constants_match_generic_optimization():
     bad = []
     smallest = 0.0
 
-    def check(where, log_print, expo, cst):
+    def check(where, log_print, expo, rep, beta, dn):
         nonlocal smallest
         smallest = min(smallest, log_print)
-        if abs(cst["exponent"] - expo) > 1e-12 * expo:
-            bad.append((where, "exponent", expo, cst["exponent"]))
-        if abs(cst["log_K_gap"] - log_print) > 1e-9:
-            bad.append((where, "constant", log_print, cst["log_K_gap"]))
+        log_k_gap, exponent = _generic_law(rep, beta, dn)
+        if abs(exponent - expo) > 1e-12 * expo:
+            bad.append((where, "exponent", expo, exponent))
+        if abs(log_k_gap - log_print) > 1e-9:
+            bad.append((where, "constant", log_print, log_k_gap))
 
     for beta in betas:
         for dn in norms:
             log_print, expo, _ = log_corollary_constant(beta, dn)
-            check(("log", beta, dn), log_print, expo,
-                  _generic_constants(builtin_neg_log(), beta, dn))
+            check(("log", beta, dn), log_print, expo, builtin_neg_log(),
+                  beta, dn)
             for alpha in alphas:
                 log_print, expo, _, _ = power_corollary_constant(
                     alpha, beta, dn)
                 check(("power", alpha, beta, dn), log_print, expo,
-                      _generic_constants(builtin_neg_power(alpha), beta, dn))
+                      builtin_neg_power(alpha), beta, dn)
     assert smallest < math.log(sys.float_info.min)
     for alpha in alphas:
         for dn in norms:
@@ -371,14 +378,14 @@ def test_printed_constants_match_generic_optimization():
 
 def test_power_corollary_with_subnormal_constant_reports():
     # verify trial 54 of these settings: d = 8, trivial spec, ||Delta|| ~ 20,
-    # where K_U = 3.772e-320 and K_generic = 3.7717e-320 differ in the
-    # subnormal range
+    # where K_U = exp(log_K_U) = 3.772e-320 and K_generic = 3.7717e-320
+    # differ in the subnormal range
     config = ExperimentConfig(trials=200, beta_grid=[0.99],
                               dims=[2, 3, 4, 6, 8])
     rho, sigma, dim, *_ = draw_pair(config, 54)
     rep = corollary_power_bound(0.25, 0.99,
                                 PairContext(rho, sigma, trivial_spec(dim)))
-    assert 0.0 < rep.constants["K_U"] < sys.float_info.min
+    assert 0.0 < math.exp(rep.constants["log_K_U"]) < sys.float_info.min
     assert rep.margins["gap_lower_bound"] >= 0.0
 
 
@@ -398,7 +405,7 @@ def test_constants_of_a_large_delta_norm_are_logs():
                    if k.startswith("log_K_")) < math.log(sys.float_info.min)
         for report in record.reports:
             for key, value in report.margins.items():
-                assert value >= -config.tolerance, (i, report.name, key)
+                assert float(value) >= -config.tolerance, (i, report.name, key)
 
 
 def test_generic_corollary_matches_log_closed_form():
@@ -406,18 +413,21 @@ def test_generic_corollary_matches_log_closed_form():
     gen = generic_corollary_bound(builtin_neg_log(), 0.5,
                                   PairContext(rho, sigma, SPEC4))
     log = corollary_log_bound(0.5, PairContext(rho, sigma, SPEC4))
-    assert gen.constants["K_gap"] == pytest.approx(
-        log.constants["K_L"], rel=1e-9)
+    assert math.exp(gen.constants["log_K_gap"]) == pytest.approx(
+        math.exp(log.constants["log_K_L"]), rel=1e-9)
     assert gen.rhs_values["gap_lower_bound"] == pytest.approx(
         log.rhs_values["gap_lower_bound"], rel=1e-9)
 
 
 def test_generic_corollary_is_the_recorded_k_generic():
     """generic_corollary_bound optimizes the theorem with the same T >= 1
-    piece of C^f as the corollary that records it as K_generic, at every
-    beta: on the seed-0 d = 4 pinching pair at beta = 0.75 and alpha = 1/2,
-    the growth exponent a/2 in place of a(1-b)/(2b) once gave K_gap =
-    2.27e-16 against K_generic = 7.49e-14."""
+    piece of C^f as the corollaries, at every beta, so their T_star is its
+    minimizer and their constant K agrees with its K_gap, which verify_v3
+    recorded beside K as K_generic: on the seed-0 d = 4 pinching pair at
+    beta = 0.75 and alpha = 1/2, the growth exponent a/2 in place of
+    a(1-b)/(2b) once gave K_gap = 2.27e-16 against K_generic = 7.49e-14.
+    The K_generic that expand_v4 rebuilds from a trial record's quantities
+    is the one of the trial's context."""
     rho, sigma, *_ = draw_pair(ExperimentConfig(dims=[4]), 0)
     ctx = PairContext(rho, sigma, SPEC4)
     for beta in (0.25, 0.5, 0.75):
@@ -427,10 +437,16 @@ def test_generic_corollary_is_the_recorded_k_generic():
                   for alpha in (0.25, 0.5, 0.75)]
         for rep, corollary in pairs:
             generic = generic_corollary_bound(rep, beta, ctx).constants
-            assert generic["K_gap"] == corollary.constants["K_generic"], \
-                (rep.name, beta)
+            log_k = [v for k, v in corollary.constants.items()
+                     if k.startswith("log_K_")]
+            assert len(log_k) == 1
+            assert math.exp(generic["log_K_gap"]) == pytest.approx(
+                math.exp(log_k[0]), rel=1e-9), (rep.name, beta)
             assert generic["T_star"] == corollary.constants["T_star"], \
                 (rep.name, beta)
+            assert k_generic(rep, beta, RecordContext(
+                json_safe(ctx.quantities()))) \
+                == k_generic(rep, beta, ctx), (rep.name, beta)
 
 
 def test_renyi_bound_equal_states():
@@ -438,7 +454,7 @@ def test_renyi_bound_equal_states():
     ctx = PairContext(rho, rho, SPEC4)
     rep = renyi_bound(0.5, ctx)
     assert ctx.renyi_gap(0.5) == pytest.approx(0.0, abs=1e-10)
-    assert rep.constants["exponent"] == pytest.approx(5.0, rel=1e-14)
+    assert rep.grid["exponent"] == pytest.approx(5.0, rel=1e-14)
     # equal states sit at roundoff scale rather than exactly at zero; the
     # inverted form is renyi_recovery solved for max(e), a right side only
     for key in ("renyi_disc", "renyi_recovery"):
@@ -452,7 +468,7 @@ def test_renyi_bound_margins_invertible_sigma():
         rho, sigma = random_pair(41 + seed)
         for alpha in (0.25, 0.5, 0.75):
             rep = renyi_bound(alpha, PairContext(rho, sigma, SPEC4))
-            assert rep.constants["exponent"] == pytest.approx(
+            assert rep.grid["exponent"] == pytest.approx(
                 6.0 - 2.0 * alpha, rel=1e-14)
             assert set(rep.margins) == {"renyi_disc", "renyi_recovery"}
             for key in rep.margins:

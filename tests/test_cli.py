@@ -27,7 +27,7 @@ def test_verify_exit_zero_and_output(tmp_path, capsys):
     assert "verify: pass" in printed
     assert f"wrote {out}" in printed
     report = json.loads(out.read_text())
-    assert report["schema"] == "verify_v3"
+    assert report["schema"] == "verify_v4"
     assert report["summary"]["failures"] == 0
     worst = report["summary"]["worst_margin"]
     assert (f"min_margin={report['summary']['min_margin']:.3e} at "

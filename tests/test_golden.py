@@ -2,8 +2,10 @@
 reproducing frozen records.
 
 tests/data/verify_golden.json holds, for a fixed config, the exit code,
-the grid and every trial as the verify_v3 report writes it: what it drew,
-its status, its quantities and its bound reports.
+the grid and every trial as the verify_v3 report wrote it: what it drew,
+its status, its quantities and its bound reports. The verify report is
+read through oracles.expand_v4, which rebuilds the verify_v3 form of each
+verify_v4 trial record.
 tests/data/reconstruct_golden.json holds, for a fixed
 config, the exit code, the summary and every case (entropy and gap errors,
 proof-internals margins and residuals). The tests rerun the configs and
@@ -58,6 +60,13 @@ theorem report's margin theorem_T_grid and T_at_min_margin became
 theorem_T_opt and T_star (120 reports, each margin at or below the grid's),
 the grid's T_count left, and so did 42 renyi_inverted margins; no other
 value moved.
+When the verify report became verify_v4, which leaves out each value
+another in the record determines (K_L and K_U beside their logs, K_generic,
+K_log3, recovery-chain's K_gap, the theorem's lhs) and each empty
+constants, rhs_values, margins or flags, the code's record was read
+through expand_v4, which rebuilds each by its rule from the report and the
+trial's quantities: it matched the verify_v3 record on disk bit for bit,
+without a re-freeze, so no value moved.
 The sweep CSV was frozen when the bound reports began to be built through
 one BoundReport helper; the rewrite left it byte-identical.
 `python tests/test_golden.py` prints, per report family and key, how many
@@ -66,6 +75,7 @@ the current code only a record that is missing or in which a value moved:
 a record within the tolerances is left as it is on disk.
 """
 
+import functools
 import json
 import math
 import sys
@@ -74,7 +84,7 @@ from pathlib import Path
 from petzgap.harness import (ExperimentConfig, run_reconstruct, run_sweep,
                              run_verify)
 
-from oracles import report_text
+from oracles import expand_v4, report_text
 
 DATA = Path(__file__).parent / "data"
 VERIFY_GOLDEN = DATA / "verify_golden.json"
@@ -88,12 +98,14 @@ ATOL = 1e-14
 
 
 def verify_record(code: int, report: dict) -> dict:
+    """The golden record of a verify run, its trials in the verify_v3 form
+    (expand_v4)."""
     written = json.loads(report_text(report))
     return {
         "config": VERIFY_CONFIG,
         "exit_code": code,
         "grid": written["grid"],
-        "trials": written["trials"],
+        "trials": [expand_v4(trial) for trial in written["trials"]],
     }
 
 
@@ -206,9 +218,13 @@ def moves(got, want) -> dict:
     return table
 
 
+@functools.cache
+def current_verify_run() -> tuple[int, dict]:
+    return run_verify(ExperimentConfig.from_json(dict(VERIFY_CONFIG)))
+
+
 def current_verify_record() -> dict:
-    return verify_record(
-        *run_verify(ExperimentConfig.from_json(dict(VERIFY_CONFIG))))
+    return verify_record(*current_verify_run())
 
 
 def current_reconstruct_record() -> dict:
@@ -225,6 +241,31 @@ def test_verify_matches_golden_record():
     assert want["config"] == VERIFY_CONFIG
     bad = mismatches(current_verify_record(), want)
     assert not bad, describe(bad)
+
+
+# the constants a verify_v4 report leaves out, and its report containers,
+# none of which it writes empty
+DROPPED = {"K_L", "K_U", "K_generic", "K_log3", "K_gap", "lhs"}
+CONTAINERS = ("constants", "rhs_values", "margins", "flags")
+
+
+def v4_violations(trials: list) -> list:
+    """(trial_index, report name, beta, key) of each empty container and
+    each dropped constant in the reports of trial records."""
+    return [(trial["trial_index"], r["name"], r["beta"], key)
+            for trial in trials for r in trial["reports"]
+            for key in [k for k in CONTAINERS if r.get(k, True) in ({}, [])]
+            + sorted(DROPPED & set(r.get("constants", {})))]
+
+
+def test_verify_v4_writes_no_empty_container_or_dropped_key():
+    written = json.loads(report_text(current_verify_run()[1]))
+    assert written["schema"] == "verify_v4"
+    assert not v4_violations(written["trials"])
+    # the v3 record has both, so the check sees them
+    keys = {v[3] for v in v4_violations(
+        json.loads(VERIFY_GOLDEN.read_text())["trials"])}
+    assert keys == DROPPED | set(CONTAINERS)
 
 
 def test_reconstruct_matches_golden_record():

@@ -13,7 +13,7 @@ import pytest
 
 import petzgap
 from petzgap import bounds, harness, states
-from petzgap.bounds import FLAG_INFINITE_GAP, GRID_KEYS, json_safe
+from petzgap.bounds import FLAG_INFINITE_GAP, json_safe, mark
 from petzgap.cli import main
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NumericalFailure, PetzGapError
@@ -52,7 +52,7 @@ def test_overflowing_theorem_constant_asserts_no_nan_margin():
     assert len(theorem) == 6
     for r in theorem:
         assert r["margins"] == {"theorem_T_opt": "nan"}
-        assert r["flags"] == []
+        assert "flags" not in r  # an empty container is not written
         assert r["constants"]["T_star"] == "nan"
 
 
@@ -167,7 +167,7 @@ def test_theorem_report_margin_rules(name, alpha):
     for g in (0.0, 1e-12, 0.3, -1e-15):
         report = bounds.theorem_report(rep, beta, disc, delta_norm, g)
         value, t_star = bounds.theorem_optimum(rep, beta, delta_norm, g)
-        assert report.constants["T_star"] == t_star
+        assert report.constants["T_star"] == mark(t_star)
         assert report.margins["theorem_T_opt"] == value - lhs
         # the exact minimum lies at or below every sampled T
         assert value <= min(scalar_theorem_bound(alpha, beta, dense_t,
@@ -176,15 +176,16 @@ def test_theorem_report_margin_rules(name, alpha):
             assert (value, t_star) == (0.0, math.inf)
         assert report.flags == []
     infinite = bounds.theorem_report(rep, beta, disc, delta_norm, math.inf)
-    assert infinite.margins == {"theorem_T_opt": math.inf}
+    assert infinite.margins == {"theorem_T_opt": "inf"}
     assert infinite.flags == [FLAG_INFINITE_GAP]
     assert infinite.constants["T_star"] is None
     undefined = bounds.theorem_report(rep, beta, disc, delta_norm, math.nan)
     assert undefined.margins == {}
     assert undefined.flags == [FLAG_INFINITE_GAP]
     assert undefined.constants["T_star"] is None
+    # the left side is not kept: the trial's quantities hold disc
     for report in (infinite, undefined):
-        assert report.constants == {"T_star": None, "lhs": lhs}
+        assert report.constants == {"T_star": None}
 
 
 def test_theorem_margins_hold_on_the_benchmark_populations():
@@ -244,10 +245,14 @@ def test_reports_leave_trial_quantities_and_grid_constants_out():
     functions = set(config.functions) | {"neg-log"} \
         | {f"neg-power:{a:g}" for a in alphas}
     assert FLAG_INFINITE_GAP in written["summary"]["flag_counts"]
+    grid_keys = {k for by_beta in written["grid"].values()
+                 for values in by_beta.values() for k in values}
+    assert grid_keys == {"exponent", "exponent_displayed", "C_exact",
+                         "c_effective"}
     for i, trial in enumerate(written["trials"]):
         for r in trial["reports"]:
             assert not {"schema", "gap", "discrepancy", "delta_norm"} & set(r)
-            assert not GRID_KEYS & set(r["constants"])
+            assert not grid_keys & set(r.get("constants", {}))
         # the grid constants are the same in every trial
         assert bounds.grid_constants(
             run_trial(config, i, reps).reports) \
@@ -270,8 +275,14 @@ def test_reports_leave_trial_quantities_and_grid_constants_out():
 
 
 def test_bound_reports_hold_what_they_write():
+    # every field but grid, which the run writes once; a container only
+    # when it is not empty
+    full = bounds.BoundReport("dpi:neg-log", None, {"T_star": 1.0},
+                              {"dpi": 0.0}, {"dpi": 0.0}, ["f"])
     assert {f.name for f in dataclasses.fields(bounds.BoundReport)} \
-        == set(bounds.BoundReport(name="dpi:neg-log", beta=None).to_json())
+        == set(full.to_json()) | {"grid"}
+    assert set(bounds.BoundReport("dpi:neg-log", None).to_json()) \
+        == {"name", "beta"}
     config = ExperimentConfig()
     reps = [rep_from_name(n) for n in config.functions]
     record = run_trial(config, 4, reps)
@@ -306,7 +317,7 @@ def test_summary_locates_the_least_margin_and_counts_flags(monkeypatch):
 
     def with_a_nan_margin(ctx):
         report = original(ctx)
-        report.margins["planted"] = math.nan
+        report.margins["planted"] = mark(math.nan)
         return report
 
     monkeypatch.setattr(bounds, "recovery_chain", with_a_nan_margin)
@@ -317,8 +328,8 @@ def test_summary_locates_the_least_margin_and_counts_flags(monkeypatch):
     by_family, flags, skipped = {}, Counter(), 0
     for trial in trials:
         for r in trial["reports"]:
-            flags.update(r["flags"])
-            for value in map(float, r["margins"].values()):
+            flags.update(r.get("flags", []))
+            for value in map(float, r.get("margins", {}).values()):
                 if math.isnan(value):
                     skipped += 1
                 else:
