@@ -14,8 +14,14 @@ takes in closed form (lemma_opt on each power-law piece of C^f_{T,beta});
 optimizing over T inverts into gap >= K * disc^E (the corollary bounds);
 disc controls the Petz recovery errors (recovery_chain); Renyi divergences
 ride on the power corollary. C^f has one source, the pieces
-rep.c_closed(beta), and the T-family's (K_T, k, n0) one, _t_family; the
-corollaries invert the family with the T >= 1 piece.
+rep.c_closed(beta), and the T-family one, _t_family; the corollaries
+invert the family with the T >= 1 piece. What no trial quantity changes
+is computed once per (function, beta, alpha) by functools.cache helpers
+keyed by grid values only: pi/sin(beta pi), sin(alpha pi)/pi, k, n0 and
+each C^f piece (_family), every exponent and the ||Delta||-free log terms
+of K_L, K_U and K_gap (_family, _log_terms, _power_terms), report names
+and grid dicts; a builder evaluates only the terms of its ||Delta||, gap
+and discrepancy.
 
 Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
 the context computes each quantity of the triple once, caches it for the
@@ -43,7 +49,8 @@ flag. Under linalg's support policy, the leak of sigma
 threshold. A BoundReport holds no trial quantity (the gap, a
 discrepancy, ||Delta||, a recovery error), which a verify trial writes
 once, nor what a fixed rule reads from them (the theorem's left side); the
-constants that depend only on (report name, beta) it keeps in grid. A float
+constants that depend only on (report name, beta) it keeps in grid, a
+cached dict that every report of that key shares and nothing writes. A float
 that can be non-finite (a right side, a margin, T_star, C_exact) is marked
 (mark) where it is stored, so to_json is one pass; should any other be
 non-finite, the report encoder stops the run.
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -161,16 +169,36 @@ def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
     return PairContext(rho, sigma, spec).recovery_discrepancy
 
 
-def _t_family(beta: float, delta_norm: float) -> tuple[float, float, float]:
-    """(K_T, k, n0) of the theorem's T-family K_T T^{-k} + T^{n0}
-    sqrt(C^f_{T,beta} gap): K_T = 2 (1/beta + ||Delta||/(1-beta)), and
-    (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for beta <= 1/2 and
-    (1-beta, beta) above."""
-    k_t = 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
+def _t_family(rep: MonotoneDecreasingRep, beta: float,
+              delta_norm: float) -> tuple:
+    """(K_T, pi/sin(beta pi), k, n0, pieces, law) of the theorem's T-family
+    K_T T^{-k} + T^{n0} sqrt(C^f_{T,beta} gap): K_T = 2 (1/beta +
+    ||Delta||/(1-beta)), (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for
+    beta <= 1/2 and (1-beta, beta) above, the rest as _family keeps it."""
+    return (2.0 * (1.0 / beta + delta_norm / (1.0 - beta)),
+            *_family(rep, beta))
+
+
+@cache
+def _family(rep: MonotoneDecreasingRep, beta: float) -> tuple:
+    """The T-family free of ||Delta||: pi/sin(beta pi), k, n0, each piece
+    C T^{2c} of rep.c_closed(beta) as (start, end, C, c, n0 + c, 2c), and
+    on the last piece _generic_law's terms and grid {"exponent": E}."""
     if beta <= 0.5:
-        return k_t, beta, \
+        k, n0 = beta, \
             (1.0 - 2.0 * beta + 2.0 * beta ** 2) / (2.0 * (1.0 - beta))
-    return k_t, 1.0 - beta, beta
+    else:
+        k, n0 = 1.0 - beta, beta
+    pi_sin = math.pi / math.sin(beta * math.pi)
+    ends = [p[0] for p in rep.c_closed(beta)[1:]] + [math.inf]
+    pieces = tuple((start, end, big_c, c, n0 + c, 2.0 * c)
+                   for (start, big_c, c), end in zip(rep.c_closed(beta), ends))
+    _, _, big_c, _, n, _ = pieces[-1]
+    expo = 2.0 * (k + n) / k
+    return pi_sin, k, n0, pieces, (
+        expo, math.log(1.0 / k + 1.0 / n), n / (k + n),
+        k / (k + n) * math.log(n * math.sqrt(big_c)), math.log(pi_sin),
+        {"exponent": expo})
 
 
 def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
@@ -185,7 +213,7 @@ def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
     nan gap nan.
     """
     c_f = c_constant(rep, t, beta)  # which checks T and beta
-    k_t, k, n0 = _t_family(beta, delta_norm)
+    k_t, _, k, n0, _, _ = _t_family(rep, beta, delta_norm)
     g = max(float(gap), 0.0)
     return k_t * t ** (-k) + t ** n0 * math.sqrt(c_f * g)
 
@@ -203,17 +231,15 @@ def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    k_t, k, n0 = _t_family(beta, delta_norm)
+    k_t, _, k, n0, pieces, _ = _t_family(rep, beta, delta_norm)
     g = max(float(gap), 0.0)
-    pieces = rep.c_closed(beta)
-    ends = [p[0] for p in pieces[1:]] + [math.inf]
     best = []
-    for (start, big_c, c), end in zip(pieces, ends):
-        value, t_star = lemma_opt(k_t, k, math.sqrt(big_c * g), n0 + c)
+    for start, end, big_c, _, n, two_c in pieces:
+        value, t_star = lemma_opt(k_t, k, math.sqrt(big_c * g), n)
         if t_star < start or t_star > end:
             t_star = start if t_star < start else end
             value = k_t * t_star ** (-k) \
-                + t_star ** n0 * math.sqrt(big_c * t_star ** (2.0 * c) * g)
+                + t_star ** n0 * math.sqrt(big_c * t_star ** two_c * g)
         best.append((value, t_star))
     return min(best)
 
@@ -262,7 +288,7 @@ def theorem_report(rep: MonotoneDecreasingRep, beta: float, disc: float,
         value, t_star = theorem_optimum(rep, beta, delta_norm, g)
         report.constants["T_star"] = mark(t_star)
         report.margins["theorem_T_opt"] = mark(
-            value - math.pi / math.sin(beta * math.pi) * disc)
+            value - _family(rep, beta)[0] * disc)
     else:
         report.bound("theorem_T_opt", None, gap=g)
     return report
@@ -275,42 +301,32 @@ def _power_law(log_k: float, x: float, expo: float) -> float:
     return math.exp(log_k + expo * math.log(x)) if x > 0.0 else 0.0
 
 
-def _generic_piece(rep: MonotoneDecreasingRep, beta: float,
-                   delta_norm: float) -> tuple:
-    """(K_T, k, n, C, c): the T-family (_t_family) on the T >= 1 piece
-    C^f_{T,beta} = C T^{2c} of rep.c_closed(beta), n = n0 + c."""
-    big_c, c = rep.c_closed(beta)[-1][1:]
-    k_t, k, n0 = _t_family(beta, delta_norm)
-    return k_t, k, n0 + c, big_c, c
-
-
 def _generic_law(rep: MonotoneDecreasingRep, beta: float,
                  delta_norm: float) -> tuple[float, float]:
-    """(log K_gap, E): the family on _generic_piece at its minimum over T,
-    inverted into gap >= K_gap * disc^E."""
-    k_t, k, n, big_c, _ = _generic_piece(rep, beta, delta_norm)
-    exponent = 2.0 * (k + n) / k
-    log_b = math.log(1.0 / k + 1.0 / n) + n / (k + n) * math.log(k * k_t) \
-        + k / (k + n) * math.log(n * math.sqrt(big_c))
-    return exponent * (math.log(math.pi / math.sin(beta * math.pi))
-                       - log_b), exponent
+    """(log K_gap, E): the family on the T >= 1 piece of rep.c_closed(beta)
+    at its minimum over T, inverted into gap >= K_gap * disc^E."""
+    k_t, _, k, _, _, law = _t_family(rep, beta, delta_norm)
+    expo, log_kn, weight, log_c, log_pi_sin, _ = law
+    log_b = log_kn + weight * math.log(k * k_t) + log_c
+    return expo * (log_pi_sin - log_b), expo
 
 
 def _corollary(name: str, beta: float, ctx: PairContext,
-               rep: MonotoneDecreasingRep, piece: tuple, key: str,
-               law: tuple, constants: dict, grid: dict) -> BoundReport:
+               rep: MonotoneDecreasingRep, key: str, law: tuple,
+               constants: dict, grid: dict) -> BoundReport:
     """The report of gap_f >= K disc^E, law = (log K, E), on the trial's gap
     of rep and discrepancy at beta: log K as "log_" + key beside constants,
-    E in grid, and as T_star the minimizer of piece = _generic_piece(rep,
-    beta, ||Delta||), whose C^f holds for T >= 1 only, so a T_star below 1
-    is flagged when c > 0 (-log x's, c = 0, holds at every T)."""
+    grid (which holds E) as given, and as T_star the minimizer of the
+    family (_t_family) on the last piece of C^f, which holds for T >= 1
+    only, so a T_star below 1 is flagged when c > 0 (-log x's, c = 0, holds
+    at every T)."""
     g = ctx.gap(rep)
     log_k, expo = law
-    k_t, k, n, big_c, c = piece
+    k_t, _, k, _, pieces, _ = _t_family(rep, beta, ctx.delta_norm)
+    _, _, big_c, c, n, _ = pieces[-1]
     t_star = math.inf if not math.isfinite(g) or g <= 0.0 else lemma_opt(
         k_t, k, math.sqrt(big_c * g), n)[1]
     constants.update({"log_" + key: log_k, "T_star": mark(t_star)})
-    grid["exponent"] = expo
     report = BoundReport(name, beta, constants=constants, grid=grid)
     report.bound("gap_lower_bound",
                  _power_law(log_k, ctx.discrepancy(beta), expo), gap=g)
@@ -327,30 +343,41 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
     right side never smaller and the same T_star."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    return _corollary(f"generic:{rep.name}", beta, ctx, rep,
-                      _generic_piece(rep, beta, ctx.delta_norm), "K_gap",
-                      _generic_law(rep, beta, ctx.delta_norm), {}, {})
+    return _corollary(f"generic:{rep.name}", beta, ctx, rep, "K_gap",
+                      _generic_law(rep, beta, ctx.delta_norm), {},
+                      _family(rep, beta)[-1][-1])
+
+
+def _delta_log(beta: float, delta_norm: float) -> float:
+    """log(2 (1 + b ||Delta||/(1-b))) for beta <= 1/2, log(2 ((1-b)/b +
+    ||Delta||)) above: the ||Delta|| term of the corollary constants."""
+    if beta <= 0.5:
+        return math.log1p(beta * delta_norm / (1.0 - beta)) + math.log(2.0)
+    return math.log((1.0 - beta) / beta + delta_norm) + math.log(2.0)
+
+
+@cache
+def _log_terms(beta: float) -> tuple:
+    """log_corollary_constant free of ||Delta||: E, its first term, the
+    weight of _delta_log, its last term, its key and grid {"exponent": E}."""
+    sb = math.sin(beta * math.pi)
+    if beta <= 0.5:
+        q0 = 1.0 - 2.0 * beta + 2.0 * beta ** 2
+        expo = 1.0 / (beta * (1.0 - beta))
+        return expo, expo * math.log(math.pi * q0 * beta / sb), q0 * expo, \
+            2.0 * math.log(q0 / (2.0 * (1.0 - beta))), "K_L", \
+            {"exponent": expo}
+    expo = 2.0 / (1.0 - beta)
+    return expo, expo * math.log(math.pi * beta * (1.0 - beta) / sb), \
+        beta * expo, 2.0 * math.log(beta), "K_U", {"exponent": expo}
 
 
 def log_corollary_constant(beta: float,
                            delta_norm: float) -> tuple[float, float, str]:
     """Log of the printed constant, exponent and key of the relative-entropy
     corollary."""
-    sb = math.sin(beta * math.pi)
-    if beta <= 0.5:
-        q0 = 1.0 - 2.0 * beta + 2.0 * beta ** 2
-        expo = 1.0 / (beta * (1.0 - beta))
-        log_k = expo * math.log(math.pi * q0 * beta / sb) \
-            - q0 * expo * (math.log1p(beta * delta_norm / (1.0 - beta))
-                           + math.log(2.0)) \
-            - 2.0 * math.log(q0 / (2.0 * (1.0 - beta)))
-        return log_k, expo, "K_L"
-    expo = 2.0 / (1.0 - beta)
-    log_k = expo * math.log(math.pi * beta * (1.0 - beta) / sb) \
-        - beta * expo * (math.log((1.0 - beta) / beta + delta_norm)
-                         + math.log(2.0)) \
-        - 2.0 * math.log(beta)
-    return log_k, expo, "K_U"
+    expo, first, weight, last, key, _ = _log_terms(beta)
+    return first - weight * _delta_log(beta, delta_norm) - last, expo, key
 
 
 def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
@@ -369,40 +396,50 @@ def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
                 * delta_norm ** (-2.0) * e_rho ** 4
         except (InvalidInput, NumericalFailure):
             pass
-    rep = builtin_neg_log()
-    return _corollary("corollary-log", beta, ctx, rep,
-                      _generic_piece(rep, beta, delta_norm), key,
-                      (log_k, expo), constants, {})
+    return _corollary("corollary-log", beta, ctx, builtin_neg_log(), key,
+                      (log_k, expo), constants, _log_terms(beta)[-1])
 
 
 def power_corollary_constant(alpha: float, beta: float, delta_norm: float
                              ) -> tuple[float, float, float, str]:
     """Log of the printed constant, proof exponent, displayed exponent and
     key for the power corollary."""
+    expo, displayed, weight, log_a, log_b, last, key, _, _ = \
+        _power_terms(alpha, beta)
+    return weight * _delta_log(beta, delta_norm) + log_a + log_b - last, \
+        expo, displayed, key
+
+
+@cache
+def _power_terms(alpha: float, beta: float) -> tuple:
+    """The power corollary at (alpha, beta) free of ||Delta||: E, the
+    displayed exponent, the weight of _delta_log and the three other terms
+    of power_corollary_constant, its key, and corollary_power_bound's name
+    and grid; (p, q) of beta <= 1/2 are (s, r) above."""
     sb = math.sin(beta * math.pi)
     sa = math.sin(alpha * math.pi)
     bb = beta * (1.0 - beta)
     if beta <= 0.5:
         p = 1.0 + alpha * (1.0 - beta)
         q = alpha * (1.0 - beta) + 1.0 - 2.0 * beta + 2.0 * beta ** 2
-        expo = p / bb
-        log_k = -q / bb * (math.log1p(beta * delta_norm / (1.0 - beta))
-                           + math.log(2.0)) \
-            + math.log(sa / math.pi) \
-            + expo * math.log(math.pi * beta * q / (p * sb)) \
-            - 2.0 * math.log(q / (2.0 * (1.0 - beta)))
-        displayed = (4.0 - 2.0 * beta + alpha * (1.0 - beta)) / (1.0 - beta ** 2)
-        return log_k, expo, displayed, "K_L"
-    s_ = 2.0 * beta + alpha * (1.0 - beta)
-    r_ = 2.0 * beta ** 2 + alpha * (1.0 - beta)
-    expo = s_ / bb
-    log_k = -r_ / bb * (math.log((1.0 - beta) / beta + delta_norm)
-                        + math.log(2.0)) \
-        + math.log(sa / math.pi) \
-        + expo * math.log(math.pi * (1.0 - beta) * r_ / (s_ * sb)) \
-        - 2.0 * math.log(r_ / (2.0 * beta))
-    displayed = (2.0 * (1.0 + beta) + alpha * (1.0 - beta)) / (1.0 - beta ** 2)
-    return log_k, expo, displayed, "K_U"
+        log_r = math.log(math.pi * beta * q / (p * sb))
+        last = 2.0 * math.log(q / (2.0 * (1.0 - beta)))
+        displayed = (4.0 - 2.0 * beta + alpha * (1.0 - beta)) \
+            / (1.0 - beta ** 2)
+    else:
+        p = 2.0 * beta + alpha * (1.0 - beta)
+        q = 2.0 * beta ** 2 + alpha * (1.0 - beta)
+        log_r = math.log(math.pi * (1.0 - beta) * q / (p * sb))
+        last = 2.0 * math.log(q / (2.0 * beta))
+        displayed = (2.0 * (1.0 + beta) + alpha * (1.0 - beta)) \
+            / (1.0 - beta ** 2)
+    expo = p / bb
+    _, big_c, c = builtin_neg_power(alpha).c_closed(beta)[-1]
+    return expo, displayed, -q / bb, math.log(sa / math.pi), expo * log_r, \
+        last, "K_L" if beta <= 0.5 else "K_U", \
+        f"corollary-power:{float(alpha)!r}", {
+            "exponent_displayed": displayed, "C_exact": mark(big_c),
+            "c_effective": c, "exponent": expo}
 
 
 def corollary_power_bound(alpha: float, beta: float,
@@ -421,14 +458,18 @@ def corollary_power_bound(alpha: float, beta: float,
         raise InvalidInput("alpha must lie in (0, 1)")
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    log_k, expo, displayed, key = power_corollary_constant(
-        alpha, beta, ctx.delta_norm)
-    rep = builtin_neg_power(alpha)
-    piece = _generic_piece(rep, beta, ctx.delta_norm)
-    return _corollary(f"corollary-power:{alpha!r}", beta, ctx, rep, piece,
-                      key, (log_k, expo), {},
-                      {"exponent_displayed": displayed,
-                       "C_exact": mark(piece[3]), "c_effective": piece[4]})
+    log_k, expo, _, key = power_corollary_constant(alpha, beta,
+                                                   ctx.delta_norm)
+    name, grid = _power_terms(alpha, beta)[-2:]
+    return _corollary(name, beta, ctx, builtin_neg_power(alpha), key,
+                      (log_k, expo), {}, grid)
+
+
+@cache
+def _renyi_report(alpha: float) -> tuple[str, dict]:
+    """(name, grid) of renyi_bound at alpha."""
+    return f"renyi:{float(alpha)!r}", {
+        "exponent": _power_terms(1.0 - alpha, 0.5)[0]}
 
 
 def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
@@ -458,8 +499,8 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
     g = ctx.renyi_gap(alpha)
     log_k_u, expo, _, _ = power_corollary_constant(1.0 - alpha, 0.5,
                                                    ctx.delta_norm)
-    report = BoundReport(f"renyi:{alpha!r}", 0.5, {"log_K_U": log_k_u},
-                         grid={"exponent": expo})
+    name, grid = _renyi_report(alpha)
+    report = BoundReport(name, 0.5, {"log_K_U": log_k_u}, grid=grid)
     rhs_disc = math.log1p(_power_law(log_k_u, ctx.discrepancy(0.5), expo)) \
         / (1.0 - alpha)
     if not s.is_invertible:
@@ -507,8 +548,9 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     disc_full = ctx.recovery_discrepancy
     neg_log = builtin_neg_log()
     g = ctx.gap(neg_log)
-    log_k_gap, expo = _generic_law(neg_log, 0.5, ctx.delta_norm)
-    report = BoundReport("recovery-chain", 0.5, grid={"exponent": expo})
+    log_k_gap, _ = _generic_law(neg_log, 0.5, ctx.delta_norm)
+    report = BoundReport("recovery-chain", 0.5,
+                         grid=_family(neg_log, 0.5)[-1][-1])
     report.bound("rec_rho", 2.0 * disc_full, e_rho)
     norms_n = None
     if s_n.is_invertible:

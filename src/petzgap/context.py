@@ -25,7 +25,8 @@ rho (right), where every power is a vector of pseudo powers of eigenvalues
 changes per trial, P1 = V_sigma^H V_sigmaN and P2 = V_rhoN^H V_rho, carry the
 E(sigma) and E(rho) eigenbases into that frame; each read of
 D_b = P1 sigmaN^b rhoN^-b P2 - sigma^b rho^-b costs two products, and
-both norms of a beta are read from one D_b, which is not kept;
+both norms of a beta are read from one D_b, which is not kept (its first
+term is at b = 1/2, for the recovery discrepancy too);
 discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The proof's w_t
 (which bounds.proof_internals reads) is formed in the same frame from the
 overlaps of op and op_n and the frames, and so is its moment (w_t_moment):
@@ -202,7 +203,13 @@ class PairContext:
         identity both terms are the same numbers and D_b is exactly 0."""
         if self.e_is_identity:
             return np.zeros((self.op.dim, self.op.dim), dtype=complex)
-        return self._ratio_n(beta) - _ratio(self.op, beta)
+        ratio_n = self._half_ratio_n if beta == 0.5 else self._ratio_n(beta)
+        return ratio_n - _ratio(self.op, beta)
+
+    @cached_property
+    def _half_ratio_n(self) -> np.ndarray:
+        """_ratio_n(1/2), which D_{1/2} and the recovery discrepancy share."""
+        return self._ratio_n(0.5)
 
     @cached_property
     def _sqrt_rho(self) -> np.ndarray:
@@ -282,7 +289,7 @@ class PairContext:
         bare (unprojected) sigma^{1/2}, in the frame."""
         bare = pseudo_power(self.sigma.spectrum, 0.5)[:, None] \
             * self.op.overlaps
-        return hs_norm(self._ratio_n(0.5) * self._sqrt_rho - bare)
+        return hs_norm(self._half_ratio_n * self._sqrt_rho - bare)
 
     @_memoized
     def kraus(self, role: str) -> np.ndarray:
@@ -301,18 +308,16 @@ class PairContext:
         return x.eigenvectors @ (left[:, None] * middle * right[None, :]) \
             @ x_n.eigenvectors.conj().T
 
-    def _recovery_error(self, x: str, y: str) -> float:
-        """|| R_x(E(y)) - y ||_1, the trace norm of a Hermitian matrix."""
-        k = self.kraus(x)
-        return trace_norm(k @ getattr(self, y + "_n").matrix @ k.conj().T
-                          - getattr(self, y).matrix)
-
     @cached_property
     def recovery_errors(self) -> tuple[float, float]:
         """(e_rho, e_sigma) = (|| R_rho(E(sigma)) - sigma ||_1,
-        || R_sigma(E(rho)) - rho ||_1)."""
-        return (self._recovery_error("rho", "sigma"),
-                self._recovery_error("sigma", "rho"))
+        || R_sigma(E(rho)) - rho ||_1), trace norms of Hermitian matrices
+        from one stacked eigvalsh."""
+        return tuple(trace_norm([
+            k @ getattr(self, y + "_n").matrix @ k.conj().T
+            - getattr(self, y).matrix
+            for k, y in ((self.kraus("rho"), "sigma"),
+                         (self.kraus("sigma"), "rho"))]))
 
     @cached_property
     def support_leak(self) -> float:

@@ -27,6 +27,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 
 import numpy as np
 
@@ -233,6 +234,17 @@ def draw_pair(config: ExperimentConfig, trial_index: int,
             c_rho.kind)
 
 
+@cache
+def _battery(reps: tuple, alphas: tuple) -> tuple[tuple, tuple]:
+    """(the functions whose entropies run_trial reads, the alphas of its
+    power corollaries), made once per (reps, alpha_grid)."""
+    powers = tuple(float(rep.name.partition(":")[2]) for rep in reps
+                   if rep is not builtin_neg_log())
+    entropies = reps + (builtin_neg_log(),) + tuple(map(
+        builtin_neg_power, alphas + tuple(1.0 - a for a in alphas)))
+    return entropies, tuple(dict.fromkeys(alphas + powers))
+
+
 def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
               states: TrialStates | None = None) -> TrialRecord:
     """One verify trial with the reps of config.functions. The gap lower
@@ -245,12 +257,8 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
         draw_pair(config, trial_index, states)
     kind = config.specs[trial_index % len(config.specs)]
     ctx = PairContext(rho, sigma, spec_for(kind, dim))
-    ctx.entropies(reps + [builtin_neg_log()]
-                  + [builtin_neg_power(a) for a in config.alpha_grid]
-                  + [builtin_neg_power(1.0 - a) for a in config.alpha_grid])
-    alphas = dict.fromkeys(config.alpha_grid + [
-        float(rep.name.partition(":")[2]) for rep in reps
-        if rep is not builtin_neg_log()])
+    functions, alphas = _battery(tuple(reps), tuple(config.alpha_grid))
+    ctx.entropies(functions)
     reports = []
     for rep in reps:
         g = ctx.gap(rep)

@@ -127,12 +127,17 @@ def schatten_norm(a, p) -> float:
     return float(np.sum(s ** p) ** (1.0 / p))
 
 
-def trace_norm(a) -> float:
+def trace_norm(a):
     """Trace norm of a matrix that is Hermitian up to rounding: the sum of
     |eigenvalues| of its Hermitian part, which for a Hermitian matrix are
-    its singular values (no SVD)."""
-    m = as_matrix(a)
-    return float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2.0)).sum())
+    its singular values (no SVD); of an (n, d, d) stack, the list of each
+    matrix's, from one stacked eigvalsh."""
+    m = np.array(a, dtype=complex)  # a copy, which takes the Hermitian part
+    m = m if m.ndim == 3 else as_matrix(m)
+    m += m.conj().swapaxes(-1, -2)
+    m /= 2.0
+    w = np.abs(np.linalg.eigvalsh(m))
+    return w.sum(axis=-1).tolist() if m.ndim == 3 else float(w.sum())
 
 
 def hs_norm(a) -> float:

@@ -91,6 +91,7 @@ def _neg_power(alpha: float) -> MonotoneDecreasingRep:
     )
 
 
+@cache
 def _power_pieces(alpha: float, beta: float) -> tuple:
     """C^f_{T,beta} of -x^alpha: 1/w decreases, so its sup over the window
     [T_L^-1, T_R] sits at the lower end min(T_L^-1, T_R), with (T_L, T_R) =

@@ -1,7 +1,22 @@
+import sys
+
 import numpy as np
 import pytest
 
+import petzgap.cli  # noqa: F401  (loads every petzgap module)
 from petzgap.states import SamplerConfig, make_density, sample
+
+
+def grid_caches() -> dict:
+    """Every functools cache in petzgap by module.name, but
+    monotone._neg_power: its entries are the shared function objects that
+    PairContext memos and the other caches are keyed by, so it is never
+    cleared."""
+    return {f"{f.__module__}.{f.__qualname__}": f
+            for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "petzgap"
+            for f in vars(module).values()
+            if hasattr(f, "cache_clear") and f.__qualname__ != "_neg_power"}
 
 
 def ginibre(dim, rank, seed):

@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
                             FLAG_TRACE_LOSS, _generic_law,
-                            beta_free_discrepancy, contraction_probes,
-                            corollary_log_bound,
+                            BoundReport, beta_free_discrepancy,
+                            contraction_probes, corollary_log_bound,
+                            dpi_report,
                             corollary_power_bound, discrepancy_norm,
                             generic_corollary_bound, json_safe, lemma_opt,
                             log_corollary_constant, power_corollary_constant,
                             proof_internals, recovery_chain,
                             recovery_discrepancy, renyi_bound, theorem_bound,
-                            theorem_optimum)
+                            theorem_optimum, theorem_report)
 from petzgap.context import PairContext
 from petzgap.errors import DomainError, InvalidInput, NotPSD
 from petzgap.harness import (SPEC_KINDS, ExperimentConfig, draw_pair,
@@ -24,7 +27,8 @@ from petzgap.harness import (SPEC_KINDS, ExperimentConfig, draw_pair,
 from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
 from petzgap.states import make_density
 
-from conftest import diagonal_state, exact_product_pair, ginibre
+from conftest import (diagonal_state, exact_product_pair, ginibre,
+                      grid_caches, near_singular)
 from oracles import RecordContext, k_generic, k_log3, scalar_theorem_bound
 
 SPEC4 = pinching_spec(4, [2, 2])
@@ -696,3 +700,96 @@ def test_proof_internals_exact_pair_near_zero():
     # w_t vanishes identically, so the decay margin is the infimum of 2/t
     # over the reconstruct grid, which ends at t = 100
     assert out["decay_margin"] >= 2.0 / 100.0 - 1e-9
+
+
+def cache_population() -> list:
+    """Contexts whose trial quantities differ in every way the cached
+    constants must not depend on: invertible pairs, a singular sigma, an
+    infinite neg-log gap (rho = I/2 against a pure sigma) and ||Delta||
+    above 1e6 (rho with an eigenvalue of 1e-8)."""
+    rng = np.random.default_rng(20240)
+    contexts = [PairContext(*random_pair(seed), SPEC4) for seed in (1, 2)]
+    contexts.append(PairContext(ginibre(4, 4, 61), ginibre(4, 3, 62), SPEC4))
+    contexts.append(PairContext(make_density(np.eye(2) / 2),
+                                diagonal_state([1.0, 0.0]), trivial_spec(2)))
+    contexts.append(PairContext(near_singular(rng, 4, 1, 1e-8),
+                                ginibre(4, 4, 63), SPEC4))
+    return contexts
+
+
+def cached_calls(contexts: list) -> list:
+    """(label, call) of every public bound builder on each context, at beta
+    in {0.25, 0.5, 0.75, 0.9}, neg-log and neg-power at each alpha."""
+    reps = [builtin_neg_log(), builtin_neg_power(0.3)]
+    alphas = [0.3, 0.5, 0.8]
+    calls = []
+    for i, ctx in enumerate(contexts):
+        dn = ctx.delta_norm
+        for rep in reps:
+            g = ctx.gap(rep)
+            calls.append((f"{i} dpi {rep.name}", partial(dpi_report, rep, g)))
+            for beta in (0.25, 0.5, 0.75, 0.9):
+                where = f"{i} {rep.name} {beta}"
+                calls += [
+                    ("theorem_bound " + where,
+                     partial(theorem_bound, rep, beta, 2.0, dn, g)),
+                    ("theorem_report " + where, partial(
+                        theorem_report, rep, beta, ctx.discrepancy(beta), dn,
+                        g)),
+                    ("generic " + where,
+                     partial(generic_corollary_bound, rep, beta, ctx))]
+                if math.isfinite(g):
+                    calls.append(("theorem_optimum " + where,
+                                  partial(theorem_optimum, rep, beta, dn, g)))
+        for beta in (0.25, 0.5, 0.75, 0.9):
+            calls += [(f"{i} log_constant {beta}",
+                       partial(log_corollary_constant, beta, dn)),
+                      (f"{i} corollary_log {beta}",
+                       partial(corollary_log_bound, beta, ctx))]
+            for alpha in alphas:
+                calls += [(f"{i} power_constant {alpha} {beta}",
+                           partial(power_corollary_constant, alpha, beta, dn)),
+                          (f"{i} corollary_power {alpha} {beta}",
+                           partial(corollary_power_bound, alpha, beta, ctx))]
+        calls += [(f"{i} renyi {alpha}", partial(renyi_bound, alpha, ctx))
+                  for alpha in alphas]
+        calls.append((f"{i} recovery_chain", partial(recovery_chain, ctx)))
+    return calls
+
+
+def snapshot(value) -> str:
+    """A report's to_json() and grid, or a tuple's floats, as text that
+    tells every float apart bit for bit (nan, -0.0 and inf included)."""
+    if isinstance(value, BoundReport):
+        return json.dumps([value.to_json(), value.grid], sort_keys=True)
+    return repr(value)
+
+
+def test_cached_constants_give_the_same_reports_cold_and_warm():
+    """Every public bound builder gives the same to_json() and grid with the
+    grid caches cleared before each call as warm from the other contexts'
+    calls, in forward and reverse order. A term of ||Delta||, a gap or a
+    discrepancy kept in a cache would leak into the next context's call."""
+    contexts = cache_population()
+    assert any(not ctx.sigma.is_invertible for ctx in contexts)
+    assert any(math.isinf(ctx.gap(builtin_neg_log())) for ctx in contexts)
+    assert max(ctx.delta_norm for ctx in contexts) > 1e6
+    calls = cached_calls(contexts)
+    caches = grid_caches().values()
+
+    def clear():
+        for cached in caches:
+            cached.cache_clear()
+
+    cold = {}
+    for label, call in calls:
+        clear()
+        cold[label] = snapshot(call())
+    for order in (calls, calls[::-1]):
+        clear()
+        # read after the pass, so that a later call that wrote into a
+        # cached dict a report holds shows too
+        warm = [(label, call()) for label, call in order]
+        assert {label: snapshot(value) for label, value in warm} == cold
+    assert all(cached.cache_info().hits > 0 for cached in caches
+               if cached.__qualname__ != "_battery")

@@ -73,14 +73,20 @@ one BoundReport helper; the rewrite left it byte-identical.
 values moved against the records on disk and by how much, and rewrites from
 the current code only a record that is missing or in which a value moved:
 a record within the tolerances is left as it is on disk.
+`python tests/test_golden.py --digests` writes nothing: it prints the
+sha256 of the bytes the CLI writes for each config of DIGEST_CONFIGS (the
+golden configs, the defaults and the three configs of bench/run.py's
+workloads), so two trees can be shown to write byte-identical reports.
 """
 
 import functools
+import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
+from petzgap import cli
 from petzgap.harness import (ExperimentConfig, run_reconstruct, run_sweep,
                              run_verify)
 
@@ -95,6 +101,24 @@ SWEEP_GOLDEN = DATA / "sweep_golden.csv"
 SWEEP_CONFIG = {"dims": [4, 6, 8]}
 RTOL = 1e-12
 ATOL = 1e-14
+# (command, config) of each report --digests prints: the golden configs, the
+# defaults, and verify-small, verify-large and reconstruct of bench/run.py
+DIGEST_CONFIGS = [
+    ("verify", VERIFY_CONFIG), ("reconstruct", RECONSTRUCT_CONFIG),
+    ("sweep", SWEEP_CONFIG), ("verify", {}), ("reconstruct", {}),
+    ("sweep", {}), ("verify", {"trials": 60, "dims": [2, 3, 4, 6, 8]}),
+    ("verify", {"trials": 12, "dims": [32, 48, 64]}),
+    ("reconstruct", {"trials": 12}),
+]
+
+
+def report_bytes(command: str, config: dict) -> bytes:
+    """The bytes cli.main writes for command on config, computed in memory."""
+    parsed = ExperimentConfig.from_json(dict(config))
+    if command == "sweep":
+        return run_sweep(parsed)[1].encode()
+    run = run_verify if command == "verify" else run_reconstruct
+    return report_text(run(parsed)[1]).encode()
 
 
 def verify_record(code: int, report: dict) -> dict:
@@ -283,6 +307,16 @@ def test_sweep_matches_golden_csv():
     assert not bad, describe(bad)
 
 
+def test_digests_are_taken_of_the_bytes_the_cli_writes(tmp_path):
+    for command, config in (("sweep", {}),
+                            ("reconstruct", {"trials": 2, "dims": [2, 4]})):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"{command}.out"
+        cli.main([command, "--config", str(path), "--out", str(out)])
+        assert out.read_bytes() == report_bytes(command, config)
+
+
 def test_golden_comparison_catches_changes():
     want = json.loads(VERIFY_GOLDEN.read_text())
     got = json.loads(VERIFY_GOLDEN.read_text())
@@ -301,7 +335,11 @@ def test_golden_comparison_catches_changes():
     assert moves(got, want)[removed["name"], ""] == (2, math.inf, math.inf)
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["--digests"]:
+    for command, config in DIGEST_CONFIGS:
+        print(hashlib.sha256(report_bytes(command, config)).hexdigest(),
+              command, json.dumps(config, sort_keys=True))
+elif __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     def json_text(record: dict) -> str:
         return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"

@@ -393,8 +393,9 @@ def test_run_sweep_needs_composite_dimension():
 def test_verify_runs_leave_nothing_behind_for_the_next():
     """Verify on A, then on B (other functions, alpha and beta grids), then
     on A again in one process: A's reports are the same bytes, and B's are
-    those of B run first in a fresh interpreter. Nothing a run computes,
-    such as its contraction probes, outlives it."""
+    those of B run first in a fresh interpreter. Nothing a run computes
+    from its draws, such as its contraction probes, outlives it; what does,
+    the constants cached per grid value, changes no byte."""
     a = dict(trials=6, dims=[2, 3, 4])
     b = dict(trials=6, dims=[2, 3, 4], functions=["neg-power:0.3"],
              alpha_grid=[0.4], beta_grid=[0.6, 0.2])

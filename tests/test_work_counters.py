@@ -57,7 +57,23 @@ per distinct operator, where a scalar loop over the 20 grid points made
 trial's support leaks are read from the overlaps of the two modular
 operators and its recovery errors are Hermitian trace norms, so it calls
 neither linalg.support_projector nor linalg.schatten_norm (24 of each on
-verify {"trials": 12, "dims": [32, 48, 64]} before).
+verify {"trials": 12, "dims": [32, 48, 64]} before). Both recovery errors
+take their trace norms from one linalg.trace_norm call on the stack of the
+two matrices, one stacked eigvalsh, where each took a call of its own. A
+trial forms sigmaN^b rhoN^-b (PairContext._ratio_n, two GEMMs in the
+frame when E is not the identity) once per beta: the beta = 1/2 norms and
+the recovery discrepancy share it, where the latter formed it again (4
+per trial at the default betas, now 3; 1 where E is the identity).
+
+The bound battery's grid-only constants are computed once per distinct
+key (function, beta, alpha) of a process, never per trial: on verify
+{"trials": 60, "dims": [2, 3, 4, 6, 8]} monotone._power_pieces runs 9
+times, once per (alpha, beta) of its 3 x 3 grid, where every corollary
+report rebuilt its C^f pieces (720 calls per command). Each cache of
+petzgap fills exactly one entry per distinct key it is asked for, and no
+key holds a trial quantity: every float in a key is a grid value. A fresh
+interpreter that imports the CLI holds no cached entry, so the cached
+work stays in the trials, not in setup.
 
 A reconstruct run calls the quadrature integrand once per half-line
 integral, with all the nodes of the fixed double-exponential rule folded
@@ -93,10 +109,15 @@ E(rho) and E(sigma) together, one for the contraction draws. It made 12,
 when E(rho) and E(sigma) took one each, and 35 before that.
 """
 
+import ast
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+import petzgap
 
 from petzgap import (algebra, bounds, context, entropy, linalg, modular,
                      quadrature)
@@ -104,6 +125,8 @@ from petzgap import harness
 from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
                              run_verify, spec_for)
 from petzgap.monotone import rep_from_name
+
+from conftest import grid_caches
 
 TRIALS = 10
 # a trial run on its own draws and validates its rho and sigma in one block
@@ -133,6 +156,8 @@ LOGSPACE_PER_RECONSTRUCT_RUN = 1
 EINSUM_PER_RECONSTRUCT_RUN = 8
 THEOREM_BOUND_PER_TRIAL = 0
 C_CONSTANT_PER_TRIAL = 0
+TRACE_NORM_PER_TRIAL = 1
+RATIO_N_PER_IDENTITY_TRIAL = 1
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -359,7 +384,70 @@ def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
         run_trial(config, i, reps)
     assert {name: len(c) for name, c in calls.items()} \
         == {"support_projector": 0, "schatten_norm": 0}
-    assert len(trace_norm) == 2 * 2 * TRIALS
+    assert len(trace_norm) == TRACE_NORM_PER_TRIAL * 2 * TRIALS
+
+
+def test_trials_form_each_frame_ratio_once_per_beta(monkeypatch):
+    config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
+    reps = [rep_from_name(n) for n in config.functions]
+    calls = count_calls(monkeypatch, context.PairContext, "_ratio_n")
+    per_trial, want = [], []
+    for i in range(TRIALS):
+        dim = config.dims[i % len(config.dims)]
+        spec = spec_for(config.specs[i % len(config.specs)], dim)
+        before = len(calls)
+        run_trial(config, i, reps)
+        per_trial.append(len(calls) - before)
+        want.append(RATIO_N_PER_IDENTITY_TRIAL if spec.blocks == [(dim, 1)]
+                    else len(set(config.beta_grid) | {0.5}))
+    assert 3 in want and RATIO_N_PER_IDENTITY_TRIAL in want
+    assert per_trial == want
+
+
+def test_grid_constants_are_computed_once_per_key(monkeypatch):
+    config = ExperimentConfig.from_json(dict(VERIFY_SMALL))
+    caches = grid_caches()
+    keys = {}
+    for name, cached in caches.items():
+        cached.cache_clear()
+        keys[name] = []
+
+        def recording(*args, cached=cached, seen=keys[name]):
+            seen.append(args)
+            return cached(*args)
+
+        monkeypatch.setattr(sys.modules[cached.__module__],
+                            cached.__name__, recording)
+    code, _ = run_verify(config)
+    assert code == 0
+    pieces = caches["petzgap.monotone._power_pieces"].cache_info()
+    assert pieces.misses == len(config.alpha_grid) * len(config.beta_grid) \
+        == 9
+    grid_values = set(config.alpha_grid) | set(config.beta_grid) | {
+        1.0 - a for a in config.alpha_grid} | {0.5}
+    for name, cached in caches.items():
+        info = cached.cache_info()
+        assert info.misses == info.currsize == len(set(keys[name])), name
+        floats = [x for key in keys[name] for arg in key
+                  for x in (arg if isinstance(arg, tuple) else (arg,))
+                  if isinstance(x, float)]
+        assert set(floats) <= grid_values, (name, set(floats) - grid_values)
+
+
+def test_importing_the_cli_fills_no_cache():
+    src = os.path.dirname(os.path.dirname(petzgap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    sizes = ast.literal_eval(subprocess.run(
+        [sys.executable, "-c",
+         "import sys, petzgap.cli; print(sorted("
+         "(f'{f.__module__}.{f.__qualname__}', f.cache_info().currsize) "
+         "for m, mod in list(sys.modules.items()) "
+         "if m.split('.')[0] == 'petzgap' "
+         "for f in vars(mod).values() if hasattr(f, 'cache_info')))"],
+        env=env, capture_output=True, text=True, check=True).stdout)
+    assert set(grid_caches()) <= {name for name, _ in sizes}
+    assert all(size == 0 for _, size in sizes), sizes
 
 
 def test_theorem_optimum_is_one_call_per_function_and_beta(monkeypatch):
