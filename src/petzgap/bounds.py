@@ -13,15 +13,12 @@ T-family of right-hand sides, whose exact minimum over T theorem_optimum
 takes in closed form (lemma_opt on each power-law piece of C^f_{T,beta});
 optimizing over T inverts into gap >= K * disc^E (the corollary bounds);
 disc controls the Petz recovery errors (recovery_chain); Renyi divergences
-ride on the power corollary. C^f has one source, the pieces
-rep.c_closed(beta), and the T-family one, _t_family; the corollaries
-invert the family with the T >= 1 piece. What no trial quantity changes
-is computed once per (function, beta, alpha) by functools.cache helpers
-keyed by grid values only: pi/sin(beta pi), sin(alpha pi)/pi, k, n0 and
-each C^f piece (_family), every exponent and the ||Delta||-free log terms
-of K_L, K_U and K_gap (_family, _log_terms, _power_terms), report names
-and grid dicts; a builder evaluates only the terms of its ||Delta||, gap
-and discrepancy.
+ride on the power corollary. Everything of a (function, beta) pair that no
+trial quantity changes is one record, _law(rep, beta), cached per pair: the
+T-family's pi/sin(beta pi), k, n0 and C^f pieces (read from
+rep.c_closed(beta)), the generic inversion's terms and grid, and the printed
+corollary's name, key, exponent, terms and grid. A builder adds only the
+terms of its ||Delta||, gap and discrepancy.
 
 Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
 the context computes each quantity of the triple once, caches it for the
@@ -44,16 +41,16 @@ explained by flags). Every report verify writes is built here, dpi_report
 and theorem_report included, and filled through one helper,
 BoundReport.bound, which records a right side and, when the inequality is
 asserted, its margin; it turns a gap into its margin and the infinite-gap
-flag. Under linalg's support policy, the leak of sigma
-(sigma_N) off supp rho (rho_N) is flagged above sigma's (sigma_N's) zero
-threshold. A BoundReport holds no trial quantity (the gap, a
-discrepancy, ||Delta||, a recovery error), which a verify trial writes
-once, nor what a fixed rule reads from them (the theorem's left side); the
-constants that depend only on (report name, beta) it keeps in grid, a
-cached dict that every report of that key shares and nothing writes. A float
-that can be non-finite (a right side, a margin, T_star, C_exact) is marked
-(mark) where it is stored, so to_json is one pass; should any other be
-non-finite, the report encoder stops the run.
+flag. Under linalg's support policy, the leak of sigma (sigma_N) off supp
+rho (rho_N) is flagged above sigma's (sigma_N's) zero threshold. A
+BoundReport holds no trial quantity (the gap, a discrepancy, ||Delta||, a
+recovery error), which a verify trial writes once, nor what a fixed rule
+reads from them (the theorem's left side); the constants that depend only on
+(report name, beta) it keeps in grid, a dict that nothing writes (a law's is
+shared by every report of its key). A float that can be non-finite (a right
+side, a margin, T_star, C_exact) is marked (mark) where it is stored, so
+to_json is one pass; should any other be non-finite, the report encoder
+stops the run.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ import numpy as np
 from . import entropy
 from .algebra import SubalgebraSpec, conditional_expectation
 from .context import PairContext
-from .errors import DomainError, InvalidInput, NumericalFailure
+from .errors import DomainError, InvalidInput
 from .monotone import (MonotoneDecreasingRep, builtin_neg_log,
                        builtin_neg_power, c_constant)
 from .states import stream
@@ -169,42 +166,97 @@ def recovery_discrepancy(rho, sigma, spec: SubalgebraSpec) -> float:
     return PairContext(rho, sigma, spec).recovery_discrepancy
 
 
-def _t_family(rep: MonotoneDecreasingRep, beta: float,
-              delta_norm: float) -> tuple:
-    """(K_T, pi/sin(beta pi), k, n0, pieces, law) of the theorem's T-family
-    K_T T^{-k} + T^{n0} sqrt(C^f_{T,beta} gap): K_T = 2 (1/beta +
-    ||Delta||/(1-beta)), (k, n0) = (beta, (1-2b+2b^2)/(2(1-b))) for
-    beta <= 1/2 and (1-beta, beta) above, the rest as _family keeps it."""
-    return (2.0 * (1.0 / beta + delta_norm / (1.0 - beta)),
-            *_family(rep, beta))
+@dataclass(frozen=True, slots=True, eq=False)
+class _Law:
+    """What the bounds of one (function, beta) read that no trial quantity
+    changes. The T-family K_T T^{-k} + T^{n0} sqrt(C^f_{T,beta} gap) bounds
+    pi_sin disc (K_T is _k_t's); pieces holds each piece C T^{2c} of
+    rep.c_closed(beta) as (start, end, C, c, n0 + c, 2c); generic is the
+    T >= 1 piece's inversion gap >= K_gap disc^E as (E, log(1/k + 1/n),
+    n/(k+n), k/(k+n) log(n sqrt C), log pi_sin), grid {"exponent": E}. The
+    printed corollary (corollary-log or corollary-power:alpha) has name, key
+    (K_L for beta <= 1/2, K_U above), exponent, grid, and log K = weight *
+    _delta_log(beta, ||Delta||) plus each of terms in turn."""
+
+    pi_sin: float
+    k: float
+    n0: float
+    pieces: tuple
+    generic: tuple
+    generic_grid: dict
+    name: str
+    key: str
+    exponent: float
+    weight: float
+    terms: tuple
+    grid: dict
 
 
 @cache
-def _family(rep: MonotoneDecreasingRep, beta: float) -> tuple:
-    """The T-family free of ||Delta||: pi/sin(beta pi), k, n0, each piece
-    C T^{2c} of rep.c_closed(beta) as (start, end, C, c, n0 + c, 2c), and
-    on the last piece _generic_law's terms and grid {"exponent": E}."""
-    if beta <= 0.5:
-        k, n0 = beta, \
-            (1.0 - 2.0 * beta + 2.0 * beta ** 2) / (2.0 * (1.0 - beta))
-    else:
-        k, n0 = 1.0 - beta, beta
-    pi_sin = math.pi / math.sin(beta * math.pi)
-    ends = [p[0] for p in rep.c_closed(beta)[1:]] + [math.inf]
+def _law(rep: MonotoneDecreasingRep, beta: float) -> _Law:
+    """The _Law of rep at beta, the bounds' one check of beta: (k, n0) =
+    (beta, (1-2b+2b^2)/(2(1-b))) for beta <= 1/2, (1-beta, beta) above; the
+    power corollary's (p, q) of beta <= 1/2 are (s, r) above."""
+    if not 0.0 < beta < 1.0:
+        raise InvalidInput("beta must lie in (0, 1)")
+    q0 = 1.0 - 2.0 * beta + 2.0 * beta ** 2
+    k, n0 = (beta, q0 / (2.0 * (1.0 - beta))) if beta <= 0.5 \
+        else (1.0 - beta, beta)
+    sb = math.sin(beta * math.pi)
+    pi_sin = math.pi / sb
+    closed = rep.c_closed(beta)
+    ends = [p[0] for p in closed[1:]] + [math.inf]
     pieces = tuple((start, end, big_c, c, n0 + c, 2.0 * c)
-                   for (start, big_c, c), end in zip(rep.c_closed(beta), ends))
-    _, _, big_c, _, n, _ = pieces[-1]
-    expo = 2.0 * (k + n) / k
-    return pi_sin, k, n0, pieces, (
-        expo, math.log(1.0 / k + 1.0 / n), n / (k + n),
-        k / (k + n) * math.log(n * math.sqrt(big_c)), math.log(pi_sin),
-        {"exponent": expo})
+                   for (start, big_c, c), end in zip(closed, ends))
+    _, _, big_c, c, n, _ = pieces[-1]
+    e_gap = 2.0 * (k + n) / k
+    generic = (e_gap, math.log(1.0 / k + 1.0 / n), n / (k + n),
+               k / (k + n) * math.log(n * math.sqrt(big_c)), math.log(pi_sin))
+    alpha = rep.alpha
+    if alpha is None:
+        if beta <= 0.5:
+            expo, weight = 1.0 / (beta * (1.0 - beta)), q0
+            first = math.log(math.pi * q0 * beta / sb)
+        else:
+            expo, weight = 2.0 / (1.0 - beta), beta
+            first = math.log(math.pi * beta * (1.0 - beta) / sb)
+        weight, terms = -(weight * expo), (expo * first, -2.0 * math.log(n0))
+        name, grid = "corollary-log", {"exponent": expo}
+    else:
+        bb = beta * (1.0 - beta)
+        if beta <= 0.5:
+            p = 1.0 + alpha * (1.0 - beta)
+            q = alpha * (1.0 - beta) + 1.0 - 2.0 * beta + 2.0 * beta ** 2
+            log_r = math.log(math.pi * beta * q / (p * sb))
+            last = 2.0 * math.log(q / (2.0 * (1.0 - beta)))
+            displayed = (4.0 - 2.0 * beta + alpha * (1.0 - beta)) \
+                / (1.0 - beta ** 2)
+        else:
+            p = 2.0 * beta + alpha * (1.0 - beta)
+            q = 2.0 * beta ** 2 + alpha * (1.0 - beta)
+            log_r = math.log(math.pi * (1.0 - beta) * q / (p * sb))
+            last = 2.0 * math.log(q / (2.0 * beta))
+            displayed = (2.0 * (1.0 + beta) + alpha * (1.0 - beta)) \
+                / (1.0 - beta ** 2)
+        expo = p / bb
+        weight, terms = -q / bb, (
+            math.log(math.sin(alpha * math.pi) / math.pi), expo * log_r, -last)
+        name, grid = f"corollary-power:{alpha!r}", {
+            "exponent_displayed": displayed, "C_exact": mark(big_c),
+            "c_effective": c, "exponent": expo}
+    return _Law(pi_sin, k, n0, pieces, generic, {"exponent": e_gap}, name,
+                "K_L" if beta <= 0.5 else "K_U", expo, weight, terms, grid)
+
+
+def _k_t(beta: float, delta_norm: float) -> float:
+    """K_T = 2 (1/beta + ||Delta||/(1-beta)) of the T-family (_Law)."""
+    return 2.0 * (1.0 / beta + delta_norm / (1.0 - beta))
 
 
 def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
                   delta_norm: float, gap: float) -> float:
     """Right-hand side of the T-family bound on (pi/sin(beta pi)) * disc at
-    one T > 0 (_t_family):
+    one T > 0 (_Law):
 
         2 (1/beta + ||Delta||/(1-beta)) T^{-k}
           + T^{n0} sqrt(C^f_{T,beta} gap)
@@ -213,9 +265,9 @@ def theorem_bound(rep: MonotoneDecreasingRep, beta: float, t: float,
     nan gap nan.
     """
     c_f = c_constant(rep, t, beta)  # which checks T and beta
-    k_t, _, k, n0, _, _ = _t_family(rep, beta, delta_norm)
-    g = max(float(gap), 0.0)
-    return k_t * t ** (-k) + t ** n0 * math.sqrt(c_f * g)
+    law, g = _law(rep, beta), max(float(gap), 0.0)
+    return _k_t(beta, delta_norm) * t ** (-law.k) \
+        + t ** law.n0 * math.sqrt(c_f * g)
 
 
 def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
@@ -229,17 +281,16 @@ def theorem_optimum(rep: MonotoneDecreasingRep, beta: float,
     T_star = inf; a C that overflowed to inf times such a gap is nan at
     every T, and so is the minimum.
     """
-    if not 0.0 < beta < 1.0:
-        raise InvalidInput("beta must lie in (0, 1)")
-    k_t, _, k, n0, pieces, _ = _t_family(rep, beta, delta_norm)
+    law = _law(rep, beta)
+    k_t, k = _k_t(beta, delta_norm), law.k
     g = max(float(gap), 0.0)
     best = []
-    for start, end, big_c, _, n, two_c in pieces:
+    for start, end, big_c, _, n, two_c in law.pieces:
         value, t_star = lemma_opt(k_t, k, math.sqrt(big_c * g), n)
         if t_star < start or t_star > end:
             t_star = start if t_star < start else end
             value = k_t * t_star ** (-k) \
-                + t_star ** n0 * math.sqrt(big_c * t_star ** two_c * g)
+                + t_star ** law.n0 * math.sqrt(big_c * t_star ** two_c * g)
         best.append((value, t_star))
     return min(best)
 
@@ -268,27 +319,27 @@ def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, fl
     return value, t_star
 
 
-def dpi_report(rep: MonotoneDecreasingRep, g: float) -> BoundReport:
-    """The data processing inequality gap >= 0 on the trial's gap g of
-    rep."""
+def dpi_report(rep: MonotoneDecreasingRep, ctx: PairContext) -> BoundReport:
+    """The data processing inequality gap >= 0 on the trial's gap of rep."""
     report = BoundReport(f"dpi:{rep.name}", None)
-    report.bound("dpi", None, gap=g)
+    report.bound("dpi", None, gap=ctx.gap(rep))
     return report
 
 
-def theorem_report(rep: MonotoneDecreasingRep, beta: float, disc: float,
-                   delta_norm: float, g: float) -> BoundReport:
-    """The T-family at its exact minimum over T (theorem_optimum): margin
-    min_T rhs - (pi/sin(beta pi)) disc, at T_star (None for an inf or nan
-    gap). A gap <= 0 has the minimum 0 at T_star = inf; a constant that
-    overflowed to inf times such a gap leaves a nan margin."""
+def theorem_report(rep: MonotoneDecreasingRep, beta: float,
+                   ctx: PairContext) -> BoundReport:
+    """The T-family at its exact minimum over T (theorem_optimum) on the
+    trial's gap: margin min_T rhs - (pi/sin(beta pi)) disc, at T_star (None
+    for an inf or nan gap). A gap <= 0 has the minimum 0 at T_star = inf; a
+    constant that overflowed to inf times such a gap leaves a nan margin."""
     report = BoundReport(f"theorem:{rep.name}", beta,
                          constants={"T_star": None})
+    g = ctx.gap(rep)
     if math.isfinite(g):
-        value, t_star = theorem_optimum(rep, beta, delta_norm, g)
+        value, t_star = theorem_optimum(rep, beta, ctx.delta_norm, g)
         report.constants["T_star"] = mark(t_star)
         report.margins["theorem_T_opt"] = mark(
-            value - _family(rep, beta)[0] * disc)
+            value - _law(rep, beta).pi_sin * ctx.discrepancy(beta))
     else:
         report.bound("theorem_T_opt", None, gap=g)
     return report
@@ -301,51 +352,11 @@ def _power_law(log_k: float, x: float, expo: float) -> float:
     return math.exp(log_k + expo * math.log(x)) if x > 0.0 else 0.0
 
 
-def _generic_law(rep: MonotoneDecreasingRep, beta: float,
-                 delta_norm: float) -> tuple[float, float]:
-    """(log K_gap, E): the family on the T >= 1 piece of rep.c_closed(beta)
-    at its minimum over T, inverted into gap >= K_gap * disc^E."""
-    k_t, _, k, _, _, law = _t_family(rep, beta, delta_norm)
-    expo, log_kn, weight, log_c, log_pi_sin, _ = law
-    log_b = log_kn + weight * math.log(k * k_t) + log_c
-    return expo * (log_pi_sin - log_b), expo
-
-
-def _corollary(name: str, beta: float, ctx: PairContext,
-               rep: MonotoneDecreasingRep, key: str, law: tuple,
-               constants: dict, grid: dict) -> BoundReport:
-    """The report of gap_f >= K disc^E, law = (log K, E), on the trial's gap
-    of rep and discrepancy at beta: log K as "log_" + key beside constants,
-    grid (which holds E) as given, and as T_star the minimizer of the
-    family (_t_family) on the last piece of C^f, which holds for T >= 1
-    only, so a T_star below 1 is flagged when c > 0 (-log x's, c = 0, holds
-    at every T)."""
-    g = ctx.gap(rep)
-    log_k, expo = law
-    k_t, _, k, _, pieces, _ = _t_family(rep, beta, ctx.delta_norm)
-    _, _, big_c, c, n, _ = pieces[-1]
-    t_star = math.inf if not math.isfinite(g) or g <= 0.0 else lemma_opt(
-        k_t, k, math.sqrt(big_c * g), n)[1]
-    constants.update({"log_" + key: log_k, "T_star": mark(t_star)})
-    report = BoundReport(name, beta, constants=constants, grid=grid)
-    report.bound("gap_lower_bound",
-                 _power_law(log_k, ctx.discrepancy(beta), expo), gap=g)
-    if c > 0.0 and t_star < 1.0:
-        report.flags.append(FLAG_T_STAR_BELOW_ONE)
-    return report
-
-
-def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
-                            ctx: PairContext) -> BoundReport:
-    """gap >= K_gap * disc^E from the theorem optimized over T with the
-    T >= 1 piece of C^f (_generic_law). verify does not run it:
-    corollary-log and corollary-power assert the same inequality, with a
-    right side never smaller and the same T_star."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidInput("beta must lie in (0, 1)")
-    return _corollary(f"generic:{rep.name}", beta, ctx, rep, "K_gap",
-                      _generic_law(rep, beta, ctx.delta_norm), {},
-                      _family(rep, beta)[-1][-1])
+def _log_k_gap(law: _Law, k_t: float) -> float:
+    """log K_gap of law's generic inversion at K_T = k_t."""
+    expo, log_kn, weight, log_c, log_pi_sin = law.generic
+    return expo * (log_pi_sin
+                   - (log_kn + weight * math.log(law.k * k_t) + log_c))
 
 
 def _delta_log(beta: float, delta_norm: float) -> float:
@@ -356,90 +367,65 @@ def _delta_log(beta: float, delta_norm: float) -> float:
     return math.log((1.0 - beta) / beta + delta_norm) + math.log(2.0)
 
 
-@cache
-def _log_terms(beta: float) -> tuple:
-    """log_corollary_constant free of ||Delta||: E, its first term, the
-    weight of _delta_log, its last term, its key and grid {"exponent": E}."""
-    sb = math.sin(beta * math.pi)
-    if beta <= 0.5:
-        q0 = 1.0 - 2.0 * beta + 2.0 * beta ** 2
-        expo = 1.0 / (beta * (1.0 - beta))
-        return expo, expo * math.log(math.pi * q0 * beta / sb), q0 * expo, \
-            2.0 * math.log(q0 / (2.0 * (1.0 - beta))), "K_L", \
-            {"exponent": expo}
-    expo = 2.0 / (1.0 - beta)
-    return expo, expo * math.log(math.pi * beta * (1.0 - beta) / sb), \
-        beta * expo, 2.0 * math.log(beta), "K_U", {"exponent": expo}
+def corollary_constant(rep: MonotoneDecreasingRep, beta: float,
+                       delta_norm: float) -> tuple[float, float, str]:
+    """(log K, E, key) of the printed corollary gap_f >= K disc^E of rep at
+    beta (_Law)."""
+    law = _law(rep, beta)
+    log_k = law.weight * _delta_log(beta, delta_norm)
+    for term in law.terms:
+        log_k += term
+    return log_k, law.exponent, law.key
 
 
-def log_corollary_constant(beta: float,
-                           delta_norm: float) -> tuple[float, float, str]:
-    """Log of the printed constant, exponent and key of the relative-entropy
-    corollary."""
-    expo, first, weight, last, key, _ = _log_terms(beta)
-    return first - weight * _delta_log(beta, delta_norm) - last, expo, key
+def _corollary(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
+               generic: bool = False) -> BoundReport:
+    """The report of gap_f >= K disc^E on the trial's gap of rep and
+    discrepancy at beta: the printed corollary of _law(rep, beta), or with
+    generic its inversion K_gap, named "generic:" + rep.name. log K is
+    recorded as "log_" + key, E in the law's grid, and as T_star the
+    minimizer of the family on the last piece of C^f, which holds for
+    T >= 1 only, so a T_star below 1 is flagged when c > 0 (-log x's,
+    c = 0, holds at every T)."""
+    law = _law(rep, beta)
+    g = ctx.gap(rep)
+    k_t = _k_t(beta, ctx.delta_norm)
+    if generic:
+        name, key, grid = "generic:" + rep.name, "K_gap", law.generic_grid
+        log_k, expo = _log_k_gap(law, k_t), law.generic[0]
+    else:
+        name, grid = law.name, law.grid
+        log_k, expo, key = corollary_constant(rep, beta, ctx.delta_norm)
+    _, _, big_c, c, n, _ = law.pieces[-1]
+    t_star = math.inf if not math.isfinite(g) or g <= 0.0 else lemma_opt(
+        k_t, law.k, math.sqrt(big_c * g), n)[1]
+    report = BoundReport(name, beta, {"log_" + key: log_k,
+                                      "T_star": mark(t_star)}, grid=grid)
+    report.bound("gap_lower_bound",
+                 _power_law(log_k, ctx.discrepancy(beta), expo), gap=g)
+    if c > 0.0 and t_star < 1.0:
+        report.flags.append(FLAG_T_STAR_BELOW_ONE)
+    return report
+
+
+def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
+                            ctx: PairContext) -> BoundReport:
+    """gap >= K_gap * disc^E from the theorem optimized over T with the
+    T >= 1 piece of C^f. verify does not run it: corollary-log and
+    corollary-power assert the same inequality, with a right side never
+    smaller and the same T_star."""
+    return _corollary(rep, beta, ctx, generic=True)
 
 
 def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
     """Relative-entropy gap lower bound with the printed closed-form
     constant, which tests/test_bounds.py checks against the generic
     optimization (C=1, c=0)."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidInput("beta must lie in (0, 1)")
-    delta_norm = ctx.delta_norm
-    log_k, expo, key = log_corollary_constant(beta, delta_norm)
-    constants = {}
-    if beta == 0.5 and delta_norm > 0.0:
-        try:
-            e_rho, _ = ctx.recovery_errors
-            constants["CV_comparison_rhs"] = (1.0 / (8.0 * math.pi)) ** 4 \
-                * delta_norm ** (-2.0) * e_rho ** 4
-        except (InvalidInput, NumericalFailure):
-            pass
-    return _corollary("corollary-log", beta, ctx, builtin_neg_log(), key,
-                      (log_k, expo), constants, _log_terms(beta)[-1])
-
-
-def power_corollary_constant(alpha: float, beta: float, delta_norm: float
-                             ) -> tuple[float, float, float, str]:
-    """Log of the printed constant, proof exponent, displayed exponent and
-    key for the power corollary."""
-    expo, displayed, weight, log_a, log_b, last, key, _, _ = \
-        _power_terms(alpha, beta)
-    return weight * _delta_log(beta, delta_norm) + log_a + log_b - last, \
-        expo, displayed, key
-
-
-@cache
-def _power_terms(alpha: float, beta: float) -> tuple:
-    """The power corollary at (alpha, beta) free of ||Delta||: E, the
-    displayed exponent, the weight of _delta_log and the three other terms
-    of power_corollary_constant, its key, and corollary_power_bound's name
-    and grid; (p, q) of beta <= 1/2 are (s, r) above."""
-    sb = math.sin(beta * math.pi)
-    sa = math.sin(alpha * math.pi)
-    bb = beta * (1.0 - beta)
-    if beta <= 0.5:
-        p = 1.0 + alpha * (1.0 - beta)
-        q = alpha * (1.0 - beta) + 1.0 - 2.0 * beta + 2.0 * beta ** 2
-        log_r = math.log(math.pi * beta * q / (p * sb))
-        last = 2.0 * math.log(q / (2.0 * (1.0 - beta)))
-        displayed = (4.0 - 2.0 * beta + alpha * (1.0 - beta)) \
-            / (1.0 - beta ** 2)
-    else:
-        p = 2.0 * beta + alpha * (1.0 - beta)
-        q = 2.0 * beta ** 2 + alpha * (1.0 - beta)
-        log_r = math.log(math.pi * (1.0 - beta) * q / (p * sb))
-        last = 2.0 * math.log(q / (2.0 * beta))
-        displayed = (2.0 * (1.0 + beta) + alpha * (1.0 - beta)) \
-            / (1.0 - beta ** 2)
-    expo = p / bb
-    _, big_c, c = builtin_neg_power(alpha).c_closed(beta)[-1]
-    return expo, displayed, -q / bb, math.log(sa / math.pi), expo * log_r, \
-        last, "K_L" if beta <= 0.5 else "K_U", \
-        f"corollary-power:{float(alpha)!r}", {
-            "exponent_displayed": displayed, "C_exact": mark(big_c),
-            "c_effective": c, "exponent": expo}
+    report = _corollary(builtin_neg_log(), beta, ctx)
+    if beta == 0.5 and ctx.delta_norm > 0.0:
+        report.constants["CV_comparison_rhs"] = (1.0 / (8.0 * math.pi)) ** 4 \
+            * ctx.delta_norm ** (-2.0) * ctx.recovery_errors[0] ** 4
+    return report
 
 
 def corollary_power_bound(alpha: float, beta: float,
@@ -454,22 +440,7 @@ def corollary_power_bound(alpha: float, beta: float,
     growth exponent c (a/2 for b <= 1/2, a(1-b)/(2b) above) are recorded
     as C_exact and c_effective.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("alpha must lie in (0, 1)")
-    if not 0.0 < beta < 1.0:
-        raise InvalidInput("beta must lie in (0, 1)")
-    log_k, expo, _, key = power_corollary_constant(alpha, beta,
-                                                   ctx.delta_norm)
-    name, grid = _power_terms(alpha, beta)[-2:]
-    return _corollary(name, beta, ctx, builtin_neg_power(alpha), key,
-                      (log_k, expo), {}, grid)
-
-
-@cache
-def _renyi_report(alpha: float) -> tuple[str, dict]:
-    """(name, grid) of renyi_bound at alpha."""
-    return f"renyi:{float(alpha)!r}", {
-        "exponent": _power_terms(1.0 - alpha, 0.5)[0]}
+    return _corollary(builtin_neg_power(alpha), beta, ctx)
 
 
 def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
@@ -497,10 +468,10 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
         raise InvalidInput("Renyi order must lie in (0, 1)")
     r, s = ctx.rho, ctx.sigma
     g = ctx.renyi_gap(alpha)
-    log_k_u, expo, _, _ = power_corollary_constant(1.0 - alpha, 0.5,
-                                                   ctx.delta_norm)
-    name, grid = _renyi_report(alpha)
-    report = BoundReport(name, 0.5, {"log_K_U": log_k_u}, grid=grid)
+    log_k_u, expo, _ = corollary_constant(builtin_neg_power(1.0 - alpha),
+                                          0.5, ctx.delta_norm)
+    report = BoundReport(f"renyi:{float(alpha)!r}", 0.5, {"log_K_U": log_k_u},
+                         grid={"exponent": expo})
     rhs_disc = math.log1p(_power_law(log_k_u, ctx.discrepancy(0.5), expo)) \
         / (1.0 - alpha)
     if not s.is_invertible:
@@ -548,9 +519,9 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     disc_full = ctx.recovery_discrepancy
     neg_log = builtin_neg_log()
     g = ctx.gap(neg_log)
-    log_k_gap, _ = _generic_law(neg_log, 0.5, ctx.delta_norm)
-    report = BoundReport("recovery-chain", 0.5,
-                         grid=_family(neg_log, 0.5)[-1][-1])
+    law = _law(neg_log, 0.5)
+    log_k_gap = _log_k_gap(law, _k_t(0.5, ctx.delta_norm))
+    report = BoundReport("recovery-chain", 0.5, grid=law.generic_grid)
     report.bound("rec_rho", 2.0 * disc_full, e_rho)
     norms_n = None
     if s_n.is_invertible:

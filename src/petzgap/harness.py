@@ -238,8 +238,7 @@ def draw_pair(config: ExperimentConfig, trial_index: int,
 def _battery(reps: tuple, alphas: tuple) -> tuple[tuple, tuple]:
     """(the functions whose entropies run_trial reads, the alphas of its
     power corollaries), made once per (reps, alpha_grid)."""
-    powers = tuple(float(rep.name.partition(":")[2]) for rep in reps
-                   if rep is not builtin_neg_log())
+    powers = tuple(rep.alpha for rep in reps if rep.alpha is not None)
     entropies = reps + (builtin_neg_log(),) + tuple(map(
         builtin_neg_power, alphas + tuple(1.0 - a for a in alphas)))
     return entropies, tuple(dict.fromkeys(alphas + powers))
@@ -261,11 +260,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
     ctx.entropies(functions)
     reports = []
     for rep in reps:
-        g = ctx.gap(rep)
-        reports.append(bounds.dpi_report(rep, g))
+        reports.append(bounds.dpi_report(rep, ctx))
         for beta in config.beta_grid:
-            reports.append(bounds.theorem_report(
-                rep, beta, ctx.discrepancy(beta), ctx.delta_norm, g))
+            reports.append(bounds.theorem_report(rep, beta, ctx))
     for beta in config.beta_grid:
         reports.append(bounds.corollary_log_bound(beta, ctx))
         reports.append(bounds.beta_free_discrepancy(beta, ctx))

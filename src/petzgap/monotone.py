@@ -49,6 +49,7 @@ class MonotoneDecreasingRep:
     c_closed: beta -> the pieces (T_0, C, c) of C^f_{T,beta} = C T^(2c),
         each for T from its T_0 up to the next piece's, the first from 0;
         the last holds on T >= 1, the growth the corollaries invert.
+    alpha: the exponent of -x^alpha, None for -log x.
     """
 
     eval: callable
@@ -56,6 +57,7 @@ class MonotoneDecreasingRep:
     name: str
     f_at_zero: float
     c_closed: callable
+    alpha: float | None = None
 
 
 _NEG_LOG = MonotoneDecreasingRep(
@@ -88,10 +90,10 @@ def _neg_power(alpha: float) -> MonotoneDecreasingRep:
         name=f"neg-power:{alpha!r}",
         f_at_zero=0.0,
         c_closed=lambda beta: _power_pieces(alpha, beta),
+        alpha=alpha,
     )
 
 
-@cache
 def _power_pieces(alpha: float, beta: float) -> tuple:
     """C^f_{T,beta} of -x^alpha: 1/w decreases, so its sup over the window
     [T_L^-1, T_R] sits at the lower end min(T_L^-1, T_R), with (T_L, T_R) =

@@ -469,12 +469,10 @@ def stieltjes_density(f, t: float) -> float:
 def constant_coefficient(rep: MonotoneDecreasingRep) -> float:
     """b = Re G(i) of G = -f in the representation -f(x) = b +
     integral (t/(t^2+1) - 1/(t+x)) w(t) dt, in closed form: 0 for neg-log
-    (Re log i) and cos(alpha pi/2) for neg-power:alpha (Re i^alpha), with
-    alpha as the rep's name prints it."""
-    if rep.name == "neg-log":
+    (Re log i) and cos(alpha pi/2) for neg-power:alpha (Re i^alpha)."""
+    if rep.alpha is None:
         return 0.0
-    alpha = float(rep.name.split(":", 1)[1])
-    return math.cos(alpha * math.pi / 2.0)
+    return math.cos(rep.alpha * math.pi / 2.0)
 
 
 def represent(rep: MonotoneDecreasingRep, x: float) -> float:
@@ -558,9 +556,10 @@ def report_text(report: dict) -> str:
 # verify_v4 -> verify_v3: the values a v4 trial record leaves out, rebuilt
 
 class RecordContext:
-    """What generic_corollary_bound reads of a PairContext (||Delta||, the
-    gap of rep and the discrepancy at beta), from the quantities of a
-    verify trial record; a "nan" or "inf" marker is read as its float."""
+    """What generic_corollary_bound and theorem_report read of a PairContext
+    (||Delta||, the gap of rep and the discrepancy at beta), from the
+    quantities of a verify trial record; a "nan" or "inf" marker is read as
+    its float."""
 
     def __init__(self, quantities: dict):
         self.quantities = quantities

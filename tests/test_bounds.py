@@ -10,14 +10,12 @@ from petzgap import entropy, modular
 from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
-                            FLAG_TRACE_LOSS, _generic_law,
-                            BoundReport, beta_free_discrepancy,
-                            contraction_probes, corollary_log_bound,
-                            dpi_report,
+                            FLAG_TRACE_LOSS, BoundReport,
+                            beta_free_discrepancy, contraction_probes,
+                            corollary_constant, corollary_log_bound,
                             corollary_power_bound, discrepancy_norm,
-                            generic_corollary_bound, json_safe, lemma_opt,
-                            log_corollary_constant, power_corollary_constant,
-                            proof_internals, recovery_chain,
+                            dpi_report, generic_corollary_bound, json_safe,
+                            lemma_opt, proof_internals, recovery_chain,
                             recovery_discrepancy, renyi_bound, theorem_bound,
                             theorem_optimum, theorem_report)
 from petzgap.context import PairContext
@@ -352,29 +350,29 @@ def test_printed_constants_match_generic_optimization():
     bad = []
     smallest = 0.0
 
-    def check(where, log_print, expo, rep, beta, dn):
-        nonlocal smallest
-        smallest = min(smallest, log_print)
-        log_k_gap, exponent = _generic_law(rep, beta, dn)
-        if abs(exponent - expo) > 1e-12 * expo:
-            bad.append((where, "exponent", expo, exponent))
-        if abs(log_k_gap - log_print) > 1e-9:
-            bad.append((where, "constant", log_print, log_k_gap))
+    reps = [builtin_neg_log()] + [builtin_neg_power(a) for a in alphas]
 
     for beta in betas:
         for dn in norms:
-            log_print, expo, _ = log_corollary_constant(beta, dn)
-            check(("log", beta, dn), log_print, expo, builtin_neg_log(),
-                  beta, dn)
-            for alpha in alphas:
-                log_print, expo, _, _ = power_corollary_constant(
-                    alpha, beta, dn)
-                check(("power", alpha, beta, dn), log_print, expo,
-                      builtin_neg_power(alpha), beta, dn)
+            for rep in reps:
+                log_print, expo, _ = corollary_constant(rep, beta, dn)
+                smallest = min(smallest, log_print)
+                # the generic inversion at this ||Delta|| (RecordContext)
+                generic = generic_corollary_bound(rep, beta, RecordContext({
+                    "delta_norm": dn, "gap": {rep.name: 1.0},
+                    "discrepancy": {repr(beta): 0.5}}))
+                log_k_gap = generic.constants["log_K_gap"]
+                exponent = generic.grid["exponent"]
+                where = (rep.name, beta, dn)
+                if abs(exponent - expo) > 1e-12 * expo:
+                    bad.append((where, "exponent", expo, exponent))
+                if abs(log_k_gap - log_print) > 1e-9:
+                    bad.append((where, "constant", log_print, log_k_gap))
     assert smallest < math.log(sys.float_info.min)
     for alpha in alphas:
         for dn in norms:
-            expo = power_corollary_constant(1.0 - alpha, 0.5, dn)[1]
+            expo = corollary_constant(builtin_neg_power(1.0 - alpha), 0.5,
+                                      dn)[1]
             if abs(expo - (6.0 - 2.0 * alpha)) > 1e-12:
                 bad.append((("renyi", alpha, dn), "exponent", expo))
     assert not bad, bad[:5]
@@ -721,34 +719,35 @@ def cached_calls(contexts: list) -> list:
     """(label, call) of every public bound builder on each context, at beta
     in {0.25, 0.5, 0.75, 0.9}, neg-log and neg-power at each alpha."""
     reps = [builtin_neg_log(), builtin_neg_power(0.3)]
-    alphas = [0.3, 0.5, 0.8]
+    alphas = [0.1, 0.3, 0.5, 0.8]  # 1 - 0.1 = 0.9: a Renyi key off the grid
     calls = []
     for i, ctx in enumerate(contexts):
         dn = ctx.delta_norm
         for rep in reps:
             g = ctx.gap(rep)
-            calls.append((f"{i} dpi {rep.name}", partial(dpi_report, rep, g)))
+            calls.append((f"{i} dpi {rep.name}",
+                          partial(dpi_report, rep, ctx)))
             for beta in (0.25, 0.5, 0.75, 0.9):
                 where = f"{i} {rep.name} {beta}"
                 calls += [
                     ("theorem_bound " + where,
                      partial(theorem_bound, rep, beta, 2.0, dn, g)),
-                    ("theorem_report " + where, partial(
-                        theorem_report, rep, beta, ctx.discrepancy(beta), dn,
-                        g)),
+                    ("theorem_report " + where,
+                     partial(theorem_report, rep, beta, ctx)),
                     ("generic " + where,
                      partial(generic_corollary_bound, rep, beta, ctx))]
                 if math.isfinite(g):
                     calls.append(("theorem_optimum " + where,
                                   partial(theorem_optimum, rep, beta, dn, g)))
         for beta in (0.25, 0.5, 0.75, 0.9):
-            calls += [(f"{i} log_constant {beta}",
-                       partial(log_corollary_constant, beta, dn)),
+            calls += [(f"{i} log_constant {beta}", partial(
+                          corollary_constant, builtin_neg_log(), beta, dn)),
                       (f"{i} corollary_log {beta}",
                        partial(corollary_log_bound, beta, ctx))]
             for alpha in alphas:
-                calls += [(f"{i} power_constant {alpha} {beta}",
-                           partial(power_corollary_constant, alpha, beta, dn)),
+                calls += [(f"{i} power_constant {alpha} {beta}", partial(
+                               corollary_constant, builtin_neg_power(alpha),
+                               beta, dn)),
                           (f"{i} corollary_power {alpha} {beta}",
                            partial(corollary_power_bound, alpha, beta, ctx))]
         calls += [(f"{i} renyi {alpha}", partial(renyi_bound, alpha, ctx))

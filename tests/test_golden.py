@@ -75,8 +75,12 @@ the current code only a record that is missing or in which a value moved:
 a record within the tolerances is left as it is on disk.
 `python tests/test_golden.py --digests` writes nothing: it prints the
 sha256 of the bytes the CLI writes for each config of DIGEST_CONFIGS (the
-golden configs, the defaults and the three configs of bench/run.py's
-workloads), so two trees can be shown to write byte-identical reports.
+golden configs, the defaults, the three configs of bench/run.py's
+workloads, and four where a cached constant under a wrong key would show:
+beta = 0.99, where K underflows and only its log is kept; the pinching
+config of ROADMAP item 12, which exits 1; Renyi orders whose 1 - alpha
+lies off the alpha grid; and an alpha whose C_exact overflows to inf), so
+two trees can be shown to write byte-identical reports.
 """
 
 import functools
@@ -102,13 +106,20 @@ SWEEP_CONFIG = {"dims": [4, 6, 8]}
 RTOL = 1e-12
 ATOL = 1e-14
 # (command, config) of each report --digests prints: the golden configs, the
-# defaults, and verify-small, verify-large and reconstruct of bench/run.py
+# defaults, verify-small, verify-large and reconstruct of bench/run.py, and
+# the four cache-key configs of the module docstring
 DIGEST_CONFIGS = [
     ("verify", VERIFY_CONFIG), ("reconstruct", RECONSTRUCT_CONFIG),
     ("sweep", SWEEP_CONFIG), ("verify", {}), ("reconstruct", {}),
     ("sweep", {}), ("verify", {"trials": 60, "dims": [2, 3, 4, 6, 8]}),
     ("verify", {"trials": 12, "dims": [32, 48, 64]}),
     ("reconstruct", {"trials": 12}),
+    ("verify", {"trials": 60, "beta_grid": [0.99], "dims": [2, 3, 4, 6, 8]}),
+    ("verify", {"trials": 400, "dims": [2], "specs": ["pinching"]}),
+    ("verify", {"trials": 40, "dims": [5, 9, 12], "seed": 3,
+                "alpha_grid": [0.1, 0.3],
+                "functions": ["neg-log", "neg-power:0.7"]}),
+    ("verify", {"functions": ["neg-power:1e-320"], "trials": 2}),
 ]
 
 

@@ -22,7 +22,7 @@ from petzgap.harness import (CSV_HEADER, ExperimentConfig, draw_pair,
                              run_verify, sanitize, spec_for)
 from petzgap.monotone import rep_from_name
 
-from oracles import report_text, scalar_theorem_bound
+from oracles import RecordContext, report_text, scalar_theorem_bound
 
 SMALL = dict(trials=3, dims=[2, 3], specs=["pinching", "trivial"],
              functions=["neg-log"], alpha_grid=[0.5], beta_grid=[0.5],
@@ -163,9 +163,16 @@ def test_theorem_report_margin_rules(name, alpha):
     rep = rep_from_name(name)
     beta, disc, delta_norm = 0.3, 0.02, 4.5
     lhs = math.pi / math.sin(beta * math.pi) * disc
+
+    def report_at(g):
+        # a synthetic trial: a context of these three quantities
+        return bounds.theorem_report(rep, beta, RecordContext({
+            "delta_norm": delta_norm, "gap": {rep.name: g},
+            "discrepancy": {repr(beta): disc}}))
+
     dense_t = np.logspace(-3, 6, 4001)
     for g in (0.0, 1e-12, 0.3, -1e-15):
-        report = bounds.theorem_report(rep, beta, disc, delta_norm, g)
+        report = report_at(g)
         value, t_star = bounds.theorem_optimum(rep, beta, delta_norm, g)
         assert report.constants["T_star"] == mark(t_star)
         assert report.margins["theorem_T_opt"] == value - lhs
@@ -175,11 +182,11 @@ def test_theorem_report_margin_rules(name, alpha):
         if g <= 0.0:
             assert (value, t_star) == (0.0, math.inf)
         assert report.flags == []
-    infinite = bounds.theorem_report(rep, beta, disc, delta_norm, math.inf)
+    infinite = report_at(math.inf)
     assert infinite.margins == {"theorem_T_opt": "inf"}
     assert infinite.flags == [FLAG_INFINITE_GAP]
     assert infinite.constants["T_star"] is None
-    undefined = bounds.theorem_report(rep, beta, disc, delta_norm, math.nan)
+    undefined = report_at(math.nan)
     assert undefined.margins == {}
     assert undefined.flags == [FLAG_INFINITE_GAP]
     assert undefined.constants["T_star"] is None

@@ -66,14 +66,18 @@ the recovery discrepancy share it, where the latter formed it again (4
 per trial at the default betas, now 3; 1 where E is the identity).
 
 The bound battery's grid-only constants are computed once per distinct
-key (function, beta, alpha) of a process, never per trial: on verify
-{"trials": 60, "dims": [2, 3, 4, 6, 8]} monotone._power_pieces runs 9
-times, once per (alpha, beta) of its 3 x 3 grid, where every corollary
-report rebuilt its C^f pieces (720 calls per command). Each cache of
-petzgap fills exactly one entry per distinct key it is asked for, and no
-key holds a trial quantity: every float in a key is a grid value. A fresh
-interpreter that imports the CLI holds no cached entry, so the cached
-work stays in the trials, not in setup.
+(function, beta) of a process, never per trial, as one record
+(bounds._law): on verify {"trials": 60, "dims": [2, 3, 4, 6, 8]} it is
+built 12 times, for neg-log and the three neg-power of the alpha grid at
+each of the 3 betas; the Renyi bounds' keys (neg-power:1 - alpha at beta
+= 1/2) are among them. Before, seven caches held the same constants, and
+earlier every corollary report rebuilt its C^f pieces (720 calls per
+command). The petzgap caches a verify run fills are that record, the
+battery's function list (harness._battery) and the shared function objects
+(monotone._neg_power); each fills exactly one entry per distinct key it
+is asked for, and no key holds a trial quantity: every float in a key is a
+grid value. A fresh interpreter that imports the CLI holds no cached
+entry, so the cached work stays in the trials, not in setup.
 
 A reconstruct run calls the quadrature integrand once per half-line
 integral, with all the nodes of the fixed double-exponential rule folded
@@ -420,9 +424,11 @@ def test_grid_constants_are_computed_once_per_key(monkeypatch):
                             cached.__name__, recording)
     code, _ = run_verify(config)
     assert code == 0
-    pieces = caches["petzgap.monotone._power_pieces"].cache_info()
-    assert pieces.misses == len(config.alpha_grid) * len(config.beta_grid) \
-        == 9
+    # neg-log and neg-power at each alpha (neg-power:0.5 of functions is
+    # alpha 0.5 of the grid), at each beta
+    law = caches["petzgap.bounds._law"].cache_info()
+    assert law.misses == law.currsize \
+        == (1 + len(config.alpha_grid)) * len(config.beta_grid) == 12
     grid_values = set(config.alpha_grid) | set(config.beta_grid) | {
         1.0 - a for a in config.alpha_grid} | {0.5}
     for name, cached in caches.items():
@@ -446,7 +452,10 @@ def test_importing_the_cli_fills_no_cache():
          "if m.split('.')[0] == 'petzgap' "
          "for f in vars(mod).values() if hasattr(f, 'cache_info')))"],
         env=env, capture_output=True, text=True, check=True).stdout)
-    assert set(grid_caches()) <= {name for name, _ in sizes}
+    assert {name for name, _ in sizes} \
+        == set(grid_caches()) | {"petzgap.monotone._neg_power"} \
+        == {"petzgap.bounds._law", "petzgap.harness._battery",
+            "petzgap.monotone._neg_power"}
     assert all(size == 0 for _, size in sizes), sizes
 
 
