@@ -14,9 +14,13 @@ share and the functions of a trial take from one pass over each operator
 (entropies, entropy.entropies), and one quadrature reconstruction per
 function, which they take from one shared integral
 (entropy.reconstructions).
-The support leaks are read from the overlaps of op and op_n, and the
-recovery errors are trace norms of Hermitian matrices, from their
-eigenvalues (no SVD, no support projector).
+The support leaks are read from the overlaps of op and op_n. The recovery
+errors come from two exact identities of the Petz map where they apply:
+when E is the trace both are || rho - sigma ||_1, one trace norm of one
+matrix, and when E is the identity an error whose reference state is
+invertible is exactly 0, as is the recovery discrepancy when rho is. Every
+other recovery error is the trace norm of its Kraus sandwich, a Hermitian
+matrix, from its eigenvalues (no SVD, no support projector).
 
 The discrepancies and Kraus operators are products of powers of the four
 states, and are computed in the frame of the eigenbases of sigma (left) and
@@ -86,7 +90,8 @@ class PairContext:
     roles: "rho", "sigma", and "rho_n", "sigma_n" for E(rho), E(sigma).
     e_is_identity: E is the identity, which holds exactly when the algebra
     is all of M_d, one (dim, 1) block in any basis; then E(x) is x itself,
-    op_n is op, and there are no frames."""
+    op_n is op, and there are no frames. e_is_trace: the algebra is C 1,
+    one (1, dim) block in any basis; then E(x) = Tr(x) 1/d."""
 
     def __init__(self, rho, sigma, spec: SubalgebraSpec):
         self.rho = make_density(rho)
@@ -95,6 +100,7 @@ class PairContext:
             raise InvalidInput("state dimension does not match spec")
         self.spec = spec
         self.e_is_identity = spec.blocks == [(spec.dim, 1)]
+        self.e_is_trace = spec.blocks == [(1, spec.dim)]
         self._memo = {}
 
     @cached_property
@@ -286,7 +292,11 @@ class PairContext:
     @cached_property
     def recovery_discrepancy(self) -> float:
         """|| sigmaN^{1/2} rhoN^{-1/2} rho^{1/2} - sigma^{1/2} ||_2 with a
-        bare (unprojected) sigma^{1/2}, in the frame."""
+        bare (unprojected) sigma^{1/2}, in the frame. When E is the
+        identity it is || sigma^{1/2} (P_rho - 1) ||_2, P_rho the support
+        projector of rho: exactly 0 when rho is invertible."""
+        if self.e_is_identity and self.rho.is_invertible:
+            return 0.0
         bare = pseudo_power(self.sigma.spectrum, 0.5)[:, None] \
             * self.op.overlaps
         return hs_norm(self._half_ratio_n * self._sqrt_rho - bare)
@@ -311,13 +321,33 @@ class PairContext:
     @cached_property
     def recovery_errors(self) -> tuple[float, float]:
         """(e_rho, e_sigma) = (|| R_rho(E(sigma)) - sigma ||_1,
-        || R_sigma(E(rho)) - rho ||_1), trace norms of Hermitian matrices
-        from one stacked eigvalsh."""
-        return tuple(trace_norm([
-            k @ getattr(self, y + "_n").matrix @ k.conj().T
-            - getattr(self, y).matrix
-            for k, y in ((self.kraus("rho"), "sigma"),
-                         (self.kraus("sigma"), "rho"))]))
+        || R_sigma(E(rho)) - rho ||_1), R_x(y) = K_x y K_x^* with K_x =
+        kraus(x). Two exact identities of the Petz map (R_x(E(x)) = x)
+        decide them where they apply. When E is the trace, E(rho) =
+        E(sigma) = 1/d, so R_rho(E(sigma)) = rho, R_sigma(E(rho)) = sigma,
+        and both errors are || rho - sigma ||_1. When E is the identity,
+        R_x(y) = P_x y P_x with P_x the support projector of x, so an error
+        whose reference state x is invertible is exactly 0. Every other
+        error is the trace norm of K_x E(y) K_x^* - y, each such matrix
+        written into one stack whose Hermitian parts one eigvalsh reads
+        (linalg.trace_norm)."""
+        if self.e_is_trace:
+            e = trace_norm(self.rho.matrix - self.sigma.matrix,
+                           overwrite_a=True)
+            return e, e
+        roles = (("rho", "sigma"), ("sigma", "rho"))
+        dense = [(x, y) for x, y in roles if not (
+            self.e_is_identity and getattr(self, x).is_invertible)]
+        if not dense:
+            return 0.0, 0.0
+        d = self.spec.dim
+        stack = np.empty((len(dense), d, d), dtype=complex)
+        for out, (x, y) in zip(stack, dense):
+            k = self.kraus(x)
+            np.subtract(k @ getattr(self, y + "_n").matrix @ k.conj().T,
+                        getattr(self, y).matrix, out=out)
+        norms = dict(zip(dense, trace_norm(stack, overwrite_a=True)))
+        return tuple(norms.get(role, 0.0) for role in roles)
 
     @cached_property
     def support_leak(self) -> float:

@@ -134,6 +134,30 @@ def dense_kraus(ctx, role: str) -> tuple[np.ndarray, float]:
     return _dense(ctx, (1, [(role, 0.5), (role + "_n", -0.5)]))
 
 
+def dense_recovery_error(ctx, role: str) -> float:
+    """|| R_x(E(y)) - y ||_1 for the reference state x = role and y the
+    other state of ctx: the dense Kraus sandwich K_x E(y) K_x^*, with E
+    applied to y, and the sum of the singular values."""
+    y = ctx.sigma if role == "rho" else ctx.rho
+    k, _ = dense_kraus(ctx, role)
+    m = k @ conditional_expectation(ctx.spec, y.matrix) @ k.conj().T \
+        - y.matrix
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def stacked_recovery_errors(ctx) -> list:
+    """(e_rho, e_sigma) as the context formed both before the exact
+    identities: the list of both sandwiches K_x E(y) K_x^* - y from the
+    context's Kraus operators and states, stacked, then one eigvalsh of
+    the Hermitian parts."""
+    m = np.array([
+        ctx.kraus(x) @ getattr(ctx, y + "_n").matrix @ ctx.kraus(x).conj().T
+        - getattr(ctx, y).matrix
+        for x, y in (("rho", "sigma"), ("sigma", "rho"))])
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1).tolist()
+
+
 def stacked_w_t_moment(ctx, beta: float) -> np.ndarray:
     """The integral of t^b w_t over (0, inf), taken on the operator stack
     ctx.w_t at every node: the frames are applied at each node."""

@@ -69,6 +69,13 @@ trial's quantities: it matched the verify_v3 record on disk bit for bit,
 without a re-freeze, so no value moved.
 The sweep CSV was frozen when the bound reports began to be built through
 one BoundReport helper; the rewrite left it byte-identical.
+When the recovery errors of E = id and trivial-algebra trials began to be
+taken from exact Petz identities (0 for an invertible reference state
+under E = id, || rho - sigma ||_1 for the trivial algebra), the verify
+record's e_rho, e_sigma, recovery_discrepancy and the recovery-chain,
+Renyi and CV_comparison_rhs values read from them moved by at most
+2.5e-15, each within the tolerances below, so it was not re-frozen; the
+reconstruct record and the sweep CSV stayed byte-identical.
 `python tests/test_golden.py` prints, per report family and key, how many
 values moved against the records on disk and by how much, and rewrites from
 the current code only a record that is missing or in which a value moved:

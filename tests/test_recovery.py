@@ -3,11 +3,14 @@ import pytest
 
 from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              pinching_spec, trivial_spec)
+from petzgap.context import PairContext
 from petzgap.errors import InvalidInput
+from petzgap.harness import spec_for
 from petzgap.recovery import apply, build_petz, recovery_errors
 
 from conftest import diagonal_state, exact_product_pair, ginibre
-from oracles import trace_loss, validate_petz
+from oracles import (dense_recovery_discrepancy, dense_recovery_error,
+                     stacked_recovery_errors, trace_loss, validate_petz)
 
 
 def test_recovers_own_expectation():
@@ -36,6 +39,83 @@ def test_trivial_algebra_dim2_closed_form():
     e_rho, e_sigma = recovery_errors(rho, sigma, trivial_spec(2))
     assert e_rho == pytest.approx(2 * abs(p - q), abs=1e-12)
     assert e_sigma == pytest.approx(2 * abs(p - q), abs=1e-12)
+
+
+# E = id: the full algebra, and the partial trace at a prime dimension
+IDENTITY_SPECS = [full_spec(2), full_spec(5), full_spec(8),
+                  spec_for("partial-trace", 3)]
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+def test_identity_errors_of_invertible_states_are_exact_zeros(spec):
+    # R_x(y) = P_x y P_x = y when x is invertible
+    for seed in range(3):
+        ctx = PairContext(ginibre(spec.dim, spec.dim, 60 + seed),
+                          ginibre(spec.dim, spec.dim, 70 + seed), spec)
+        assert ctx.e_is_identity
+        assert ctx.recovery_errors == (0.0, 0.0)
+        assert ctx.recovery_discrepancy == 0.0
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+def test_identity_error_of_a_singular_reference_is_its_sandwich(spec):
+    d = spec.dim
+    for rank_rho, rank_sigma in ((1, d), (d, 1), (1, 1)):
+        ctx = PairContext(ginibre(d, rank_rho, 80), ginibre(d, rank_sigma, 81),
+                          spec)
+        got = dict(zip(("rho", "sigma"), ctx.recovery_errors))
+        for role, rank in (("rho", rank_rho), ("sigma", rank_sigma)):
+            if rank == d:
+                assert got[role] == 0.0
+            else:
+                assert got[role] == pytest.approx(
+                    dense_recovery_error(ctx, role), abs=1e-12)
+                assert got[role] > 1e-3  # the other state leaks out of supp
+        want, _ = dense_recovery_discrepancy(ctx)
+        assert ctx.recovery_discrepancy == (0.0 if rank_rho == d else
+                                            pytest.approx(np.linalg.norm(
+                                                want), abs=1e-12))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_trivial_algebra_errors_are_one_trace_distance(dim):
+    # E(rho) = E(sigma) = 1/d, so R_rho(E(sigma)) = rho and R_sigma(E(rho))
+    # = sigma: both errors are || rho - sigma ||_1, for any ranks
+    for rank_rho, rank_sigma in ((dim, dim), (1, dim), (dim, 1), (1, 1)):
+        ctx = PairContext(ginibre(dim, rank_rho, 90 + dim),
+                          ginibre(dim, rank_sigma, 95 + dim), trivial_spec(dim))
+        e_rho, e_sigma = ctx.recovery_errors
+        assert e_rho == e_sigma
+        for role in ("rho", "sigma"):
+            assert e_rho == pytest.approx(dense_recovery_error(ctx, role),
+                                          abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_trivial_algebra_errors_match_mpmath_trace_distance(dim):
+    mpmath = pytest.importorskip("mpmath")
+    for rank_rho, rank_sigma in ((dim, dim), (1, dim), (2, 1)):
+        rho = ginibre(dim, rank_rho, 100 + dim)
+        sigma = ginibre(dim, rank_sigma, 110 + dim)
+        with mpmath.workdps(50):
+            # the entries of the float matrices, exactly, then at 50 digits
+            diff = mpmath.matrix(rho.matrix.tolist()) \
+                - mpmath.matrix(sigma.matrix.tolist())
+            want = float(sum(abs(w) for w in mpmath.eighe(
+                (diff + diff.H) / 2, eigvals_only=True)))
+        got = recovery_errors(rho, sigma, trivial_spec(dim))
+        assert got[0] == got[1] == pytest.approx(want, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind,dim", [("pinching", 4), ("pinching", 5),
+                                      ("partial-trace", 4),
+                                      ("partial-trace", 6)])
+def test_dense_recovery_errors_keep_the_bits_of_the_stacked_form(kind, dim):
+    # the in-place stack gives what the list of both sandwiches gave
+    for ranks in ((dim, dim), (1, dim), (dim, 2)):
+        ctx = PairContext(ginibre(dim, ranks[0], 120), ginibre(
+            dim, ranks[1], 121), spec_for(kind, dim))
+        assert list(ctx.recovery_errors) == stacked_recovery_errors(ctx)
 
 
 def test_apply_rejects_outside_algebra():

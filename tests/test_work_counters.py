@@ -57,13 +57,20 @@ per distinct operator, where a scalar loop over the 20 grid points made
 trial's support leaks are read from the overlaps of the two modular
 operators and its recovery errors are Hermitian trace norms, so it calls
 neither linalg.support_projector nor linalg.schatten_norm (24 of each on
-verify {"trials": 12, "dims": [32, 48, 64]} before). Both recovery errors
-take their trace norms from one linalg.trace_norm call on the stack of the
-two matrices, one stacked eigvalsh, where each took a call of its own. A
-trial forms sigmaN^b rhoN^-b (PairContext._ratio_n, two GEMMs in the
-frame when E is not the identity) once per beta: the beta = 1/2 norms and
-the recovery discrepancy share it, where the latter formed it again (4
-per trial at the default betas, now 3; 1 where E is the identity).
+verify {"trials": 12, "dims": [32, 48, 64]} before). The recovery errors
+that no exact identity decides take their trace norms from one
+linalg.trace_norm call on the stack of their matrices, one stacked
+eigvalsh, where each took a call of its own. Where E is the trace, both
+errors are || rho - sigma ||_1, one trace norm of one matrix; where E is
+the identity, an error whose reference state is invertible is exactly 0,
+so a trial with both states invertible makes no trace_norm call, and
+verify {"trials": 12, "dims": [32, 48, 64]} makes 9 eigvalsh calls on 15
+matrices, where it made 12 on 24. A trial forms sigmaN^b rhoN^-b
+(PairContext._ratio_n, two GEMMs in the frame when E is not the identity)
+once per beta: the beta = 1/2 norms and the recovery discrepancy share it,
+where the latter formed it again (4 per trial at the default betas, now
+3). Where E is the identity only the recovery discrepancy of a singular
+rho forms it, once; of an invertible rho it is exactly 0.
 
 The bound battery's grid-only constants are computed once per distinct
 (function, beta) of a process, never per trial, as one record
@@ -126,8 +133,8 @@ import petzgap
 from petzgap import (algebra, bounds, context, entropy, linalg, modular,
                      quadrature)
 from petzgap import harness
-from petzgap.harness import (ExperimentConfig, run_reconstruct, run_trial,
-                             run_verify, spec_for)
+from petzgap.harness import (ExperimentConfig, draw_pair, run_reconstruct,
+                             run_trial, run_verify, spec_for)
 from petzgap.monotone import rep_from_name
 
 from conftest import grid_caches
@@ -160,8 +167,15 @@ LOGSPACE_PER_RECONSTRUCT_RUN = 1
 EINSUM_PER_RECONSTRUCT_RUN = 8
 THEOREM_BOUND_PER_TRIAL = 0
 C_CONSTANT_PER_TRIAL = 0
+# E = id with both states invertible: both recovery errors are exactly 0
+TRACE_NORM_PER_EXACT_TRIAL = 0
 TRACE_NORM_PER_TRIAL = 1
-RATIO_N_PER_IDENTITY_TRIAL = 1
+# verify-large: the recovery matrices of its 3 pinching and 3 partial-trace
+# trials (2 each) and its 3 trivial ones (rho - sigma); its 3 full trials,
+# whose states are invertible, take none
+EIGVALSH_LARGE = {"calls": 9, "matrices": 15}
+# E = id: only the recovery discrepancy of a singular rho forms the ratio
+RATIO_N_PER_IDENTITY_TRIAL = {True: 0, False: 1}  # by rho.is_invertible
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -384,11 +398,40 @@ def test_verify_trials_take_no_svd_or_dense_support_projector(monkeypatch):
     calls = {name: count_linalg(monkeypatch, name)
              for name in ("support_projector", "schatten_norm")}
     trace_norm = count_linalg(monkeypatch, "trace_norm")
+    per_trial, want, cases = [], [], set()
     for i in range(2 * TRIALS):
+        dim = config.dims[i % len(config.dims)]
+        spec = spec_for(config.specs[i % len(config.specs)], dim)
+        rho, sigma, *_ = draw_pair(config, i)
+        identity = spec.blocks == [(dim, 1)]
+        invertible = rho.is_invertible and sigma.is_invertible
+        cases.add((identity, invertible))
+        before = len(trace_norm)
         run_trial(config, i, reps)
+        per_trial.append(len(trace_norm) - before)
+        want.append(TRACE_NORM_PER_EXACT_TRIAL if identity and invertible
+                    else TRACE_NORM_PER_TRIAL)
     assert {name: len(c) for name, c in calls.items()} \
         == {"support_projector": 0, "schatten_norm": 0}
-    assert len(trace_norm) == TRACE_NORM_PER_TRIAL * 2 * TRIALS
+    # E = id trials with and without a singular state, and others
+    assert {(True, True), (True, False), (False, True)} <= cases, cases
+    assert per_trial == want, per_trial
+
+
+def test_verify_large_takes_its_recovery_errors_from_9_eigvalsh(monkeypatch):
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    code, _ = run_verify(ExperimentConfig.from_json(dict(VERIFY_LARGE)))
+    assert code == 0
+    assert {"calls": len(shapes),
+            "matrices": sum(s[0] if len(s) == 3 else 1 for s in shapes)} \
+        == EIGVALSH_LARGE, shapes
 
 
 def test_trials_form_each_frame_ratio_once_per_beta(monkeypatch):
@@ -396,15 +439,18 @@ def test_trials_form_each_frame_ratio_once_per_beta(monkeypatch):
     reps = [rep_from_name(n) for n in config.functions]
     calls = count_calls(monkeypatch, context.PairContext, "_ratio_n")
     per_trial, want = [], []
-    for i in range(TRIALS):
+    # trial 19 has E = id and a singular rho
+    for i in range(2 * TRIALS):
         dim = config.dims[i % len(config.dims)]
         spec = spec_for(config.specs[i % len(config.specs)], dim)
+        rho = draw_pair(config, i)[0]
         before = len(calls)
         run_trial(config, i, reps)
         per_trial.append(len(calls) - before)
-        want.append(RATIO_N_PER_IDENTITY_TRIAL if spec.blocks == [(dim, 1)]
+        want.append(RATIO_N_PER_IDENTITY_TRIAL[rho.is_invertible]
+                    if spec.blocks == [(dim, 1)]
                     else len(set(config.beta_grid) | {0.5}))
-    assert 3 in want and RATIO_N_PER_IDENTITY_TRIAL in want
+    assert {3, *RATIO_N_PER_IDENTITY_TRIAL.values()} <= set(want), want
     assert per_trial == want
 
 
