@@ -328,26 +328,20 @@ class PairContext:
         and both errors are || rho - sigma ||_1. When E is the identity,
         R_x(y) = P_x y P_x with P_x the support projector of x, so an error
         whose reference state x is invertible is exactly 0. Every other
-        error is the trace norm of K_x E(y) K_x^* - y, each such matrix
-        written into one stack whose Hermitian parts one eigvalsh reads
-        (linalg.trace_norm)."""
+        error is the trace norm of K_x E(y) K_x^* - y, all of them from one
+        linalg.trace_norm call (one stacked eigvalsh)."""
         if self.e_is_trace:
-            e = trace_norm(self.rho.matrix - self.sigma.matrix,
-                           overwrite_a=True)
+            e = trace_norm(self.rho.matrix - self.sigma.matrix)
             return e, e
-        roles = (("rho", "sigma"), ("sigma", "rho"))
-        dense = [(x, y) for x, y in roles if not (
-            self.e_is_identity and getattr(self, x).is_invertible)]
-        if not dense:
-            return 0.0, 0.0
-        d = self.spec.dim
-        stack = np.empty((len(dense), d, d), dtype=complex)
-        for out, (x, y) in zip(stack, dense):
-            k = self.kraus(x)
-            np.subtract(k @ getattr(self, y + "_n").matrix @ k.conj().T,
-                        getattr(self, y).matrix, out=out)
-        norms = dict(zip(dense, trace_norm(stack, overwrite_a=True)))
-        return tuple(norms.get(role, 0.0) for role in roles)
+        dense = {}
+        for x, y in (("rho", "sigma"), ("sigma", "rho")):
+            if not (self.e_is_identity and getattr(self, x).is_invertible):
+                k = self.kraus(x)
+                dense[x] = k @ getattr(self, y + "_n").matrix @ k.conj().T \
+                    - getattr(self, y).matrix
+        errors = dict(zip(dense, trace_norm(list(dense.values())))) \
+            if dense else {}
+        return errors.get("rho", 0.0), errors.get("sigma", 0.0)
 
     @cached_property
     def support_leak(self) -> float:

@@ -127,18 +127,14 @@ def schatten_norm(a, p) -> float:
     return float(np.sum(s ** p) ** (1.0 / p))
 
 
-def trace_norm(a, overwrite_a: bool = False):
+def trace_norm(a):
     """Trace norm of a matrix that is Hermitian up to rounding: the sum of
     |eigenvalues| of its Hermitian part, which for a Hermitian matrix are
     its singular values (no SVD); of an (n, d, d) stack, the list of each
-    matrix's, from one stacked eigvalsh. The Hermitian part (m + m^*) / 2
-    is written over a copy of a, or over a itself (a complex array) when
-    overwrite_a is set, through the real and imaginary views of m."""
-    m = a if overwrite_a else np.array(a, dtype=complex)
+    matrix's, from one stacked eigvalsh."""
+    m = np.array(a, dtype=complex)  # a copy, which takes the Hermitian part
     m = m if m.ndim == 3 else as_matrix(m)
-    re, im = m.real, m.imag  # views: no complex conjugate temporary
-    re += re.swapaxes(-1, -2)
-    im -= im.swapaxes(-1, -2)
+    m += m.conj().swapaxes(-1, -2)
     m /= 2.0
     w = np.abs(np.linalg.eigvalsh(m))
     return w.sum(axis=-1).tolist() if m.ndim == 3 else float(w.sum())

@@ -111,7 +111,7 @@ def test_trivial_algebra_errors_match_mpmath_trace_distance(dim):
                                       ("partial-trace", 4),
                                       ("partial-trace", 6)])
 def test_dense_recovery_errors_keep_the_bits_of_the_stacked_form(kind, dim):
-    # the in-place stack gives what the list of both sandwiches gave
+    # the dense path gives the bits of the list of both sandwiches
     for ranks in ((dim, dim), (1, dim), (dim, 2)):
         ctx = PairContext(ginibre(dim, ranks[0], 120), ginibre(
             dim, ranks[1], 121), spec_for(kind, dim))
