@@ -5,10 +5,12 @@ each on first use and keeps it for its own lifetime only: build one per
 trial and drop it with the trial. Its spectra are the ones its states carry
 (DensityMatrix.spectrum), from one stacked eigh per dimension per block of
 trials. E(rho) and E(sigma) are diagonalized through their block cores, in
-one algebra.expectation_eigh, where no matrix is larger than the largest core:
-none at all when every core is 1 x 1 (the trivial algebra), and none when E
-is the identity, since E(x) is then x itself, op_n is op and every E = id
-gap is exactly 0. It owns the relative modular operators op and op_n, and
+one algebra.expectation_eigh, where no matrix is larger than the largest core,
+except for two algebras, which need no diagonalization. When E is the
+identity, E(x) is x itself, op_n is op and every E = id gap is exactly 0.
+When E is the trace (the trivial algebra), E(x) is the flat state 1/d to the
+bit (eigenvalues 1/d, eigenvectors I) and op_n the identity operator, every
+eigenvalue exactly 1. It owns the relative modular operators op and op_n, and
 keeps one entropy per (function, operator), which the gaps and Renyi gaps
 share and the functions of a trial take from one pass over each operator
 (entropies, entropy.entropies), and one quadrature reconstruction per
@@ -37,8 +39,10 @@ overlaps of op and op_n and the frames, and so is its moment (w_t_moment):
 one quadrature of the scalar kernels of w_t, then the frames. When E is the
 identity there are no frames, the two terms of D_b are the same numbers,
 and every discrepancy is exactly 0: D_b, w_t and its moment are returned
-as zeros, not computed. No dense power of a state is formed. A
-caller with raw states builds a context for one quantity (as
+as zeros, not computed. When E is the trace the frames are V_sigma^H and
+V_rho themselves, and sigmaN^b rhoN^-b = 1 is op.overlaps in the frame, so
+D_b and the recovery discrepancy take no product. No dense power of a state
+is formed. A caller with raw states builds a context for one quantity (as
 `bounds.discrepancy_norm` and `recovery.recovery_errors` do).
 """
 
@@ -51,7 +55,7 @@ import numpy as np
 from . import entropy, modular
 from .algebra import SubalgebraSpec, expectation_eigh
 from .errors import InvalidInput
-from .linalg import hs_norm, pseudo_power, trace_norm
+from .linalg import SpectralDecomposition, hs_norm, pseudo_power, trace_norm
 from .monotone import builtin_neg_power
 from .quadrature import integrate_halfline
 from .states import DensityMatrix, from_spectrum, make_density
@@ -91,7 +95,9 @@ class PairContext:
     e_is_identity: E is the identity, which holds exactly when the algebra
     is all of M_d, one (dim, 1) block in any basis; then E(x) is x itself,
     op_n is op, and there are no frames. e_is_trace: the algebra is C 1,
-    one (1, dim) block in any basis; then E(x) = Tr(x) 1/d."""
+    one (1, dim) block in any basis; then E(x) = Tr(x) 1/d, taken exactly:
+    E(rho) and E(sigma) are one flat state, op_n is the identity operator,
+    and the frames are the eigenvectors of sigma and rho, with no product."""
 
     def __init__(self, rho, sigma, spec: SubalgebraSpec):
         self.rho = make_density(rho)
@@ -106,9 +112,14 @@ class PairContext:
     @cached_property
     def _expectations(self) -> list:
         """The states E(rho), E(sigma); rho and sigma themselves when E is
-        the identity."""
+        the identity, and when E is the trace the flat state 1/d, exactly."""
         if self.e_is_identity:
             return [self.rho, self.sigma]
+        if self.e_is_trace:
+            d, eye = self.spec.dim, np.eye(self.spec.dim, dtype=complex)
+            flat = DensityMatrix(eye / d, SpectralDecomposition(
+                np.full(d, 1.0 / d), eye))
+            return [flat, flat]
         return from_spectrum(expectation_eigh(
             self.spec, np.array([self.rho.matrix, self.sigma.matrix])))
 
@@ -126,9 +137,15 @@ class PairContext:
 
     @cached_property
     def op_n(self) -> modular.RelativeModularOperator:
-        """Delta_{E(sigma),E(rho)}: op itself when E is the identity."""
+        """Delta_{E(sigma),E(rho)}: op itself when E is the identity; when E
+        is the trace, the identity (eigenvalues 1, overlaps I), exactly."""
         if self.e_is_identity:
             return self.op
+        if self.e_is_trace:
+            flat, d = self.rho_n.spectrum, self.spec.dim
+            return modular.RelativeModularOperator(
+                d, flat, flat, np.ones(d * d), np.eye(d).ravel() / d,
+                np.arange(d), flat.eigenvectors)
         return modular.build(self.sigma_n.spectrum, self.rho_n.spectrum)
 
     @cached_property
@@ -189,14 +206,21 @@ class PairContext:
     def frames(self) -> tuple[np.ndarray, np.ndarray]:
         """(P1, P2) = (V_sigma^H V_sigmaN, V_rhoN^H V_rho), the basis
         changes from the eigenbases of E(sigma) and E(rho) to those of sigma
-        and rho; read only when E is not the identity."""
+        and rho; read only when E is not the identity. When E is the trace
+        V_sigmaN = V_rhoN = I, so they are V_sigma^H and V_rho."""
+        if self.e_is_trace:
+            return (self.sigma.spectrum.eigenvectors.conj().T,
+                    self.rho.spectrum.eigenvectors)
         return (self.sigma.spectrum.eigenvectors.conj().T
                 @ self.sigma_n.spectrum.eigenvectors,
                 self.rho_n.spectrum.eigenvectors.conj().T
                 @ self.rho.spectrum.eigenvectors)
 
     def _ratio_n(self, beta: float) -> np.ndarray:
-        """sigmaN^b rhoN^-b in the frame of sigma (left) and rho (right)."""
+        """sigmaN^b rhoN^-b in the frame of sigma (left) and rho (right);
+        1 when E is the trace, which the frame makes op.overlaps."""
+        if self.e_is_trace:
+            return self.op.overlaps
         x = _ratio(self.op_n, beta)
         if self.e_is_identity:
             return x

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, SpecInconsistent
 from petzgap.harness import SPEC_KINDS, spec_for
 from petzgap.linalg import eigh
+from petzgap.monotone import builtin_neg_log
 from petzgap.states import make_density
 
 from conftest import ginibre, near_singular
@@ -237,16 +240,39 @@ def test_expectation_eigh_matches_dense_eigh(kind):
 
 def test_expectation_eigh_of_the_trivial_algebra_is_flat():
     """Every core of the trivial algebra is 1 x 1: E(x) = I/d with the
-    basis vectors as eigenvectors, and no LAPACK call."""
+    basis vectors as eigenvectors, and no LAPACK call; expectation_eigh
+    gives it to 1 ulp. A context takes E(x) = 1/d as an exact identity:
+    E(rho) and E(sigma) are I/d to the bit, with eigenvalues 1/d and
+    eigenvectors I, every eigenvalue of op_n is exactly 1, and so the
+    neg-log entropy of op_n is exactly 0.0, at every rank of rho and
+    sigma."""
     for dim in (2, 3, 5, 8, 64):
         x = ginibre(dim, dim, 1600 + dim)
         dec = expectation_eigh(trivial_spec(dim), x.matrix)
         np.testing.assert_allclose(dec.eigenvalues, np.full(dim, 1.0 / dim),
                                    rtol=1e-15, atol=0)
         assert np.array_equal(dec.eigenvectors, np.eye(dim))
-        state = PairContext(x, x, trivial_spec(dim)).rho_n
-        np.testing.assert_allclose(state.matrix, np.eye(dim) / dim,
-                                   rtol=0, atol=1e-16)
+        for seed, (rank_rho, rank_sigma) in enumerate(
+                [(dim, dim), (dim - 1, dim), (1, dim), (dim, 1), (1, 1)]):
+            rho = ginibre(dim, rank_rho, 1700 + 10 * dim + seed)
+            sigma = ginibre(dim, rank_sigma, 1800 + 10 * dim + seed)
+            ctx = PairContext(rho, sigma, trivial_spec(dim))
+            for state in (ctx.rho_n, ctx.sigma_n):
+                assert same_bits(state.matrix,
+                                 np.eye(dim, dtype=complex) / dim)
+                assert same_bits(state.eigenvalues, np.full(dim, 1.0 / dim))
+                assert same_bits(state.spectrum.eigenvectors,
+                                 np.eye(dim, dtype=complex))
+            assert same_bits(ctx.op_n.eigenvalues, np.ones(dim * dim))
+            inner = ctx.s_f(builtin_neg_log(), "op_n")
+            assert inner == 0.0 and math.copysign(1.0, inner) == 1.0
+            assert ctx.gap(builtin_neg_log()) == ctx.s_f(builtin_neg_log(),
+                                                         "op")
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
 
 
 def test_block_cores_assemble_the_expectation():

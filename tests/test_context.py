@@ -6,7 +6,9 @@ or without a rotated basis, and so is every discrepancy: with no basis change th
 terms of D_b are the same numbers. The context then returns D_b, w_t and its
 moment as zeros without forming them; a twin context whose op_n is a copy of
 op (equal, but not op itself) takes the general formulas, and they must give
-the same zeros bit for bit.
+the same zeros bit for bit. E the trace gives E(x) = 1/d, op_n = 1 and
+sigmaN^b rhoN^-b = 1, taken as exact identities; a twin told E is not the
+trace takes the general formulas, and the two must agree to the rule below.
 
 The context computes discrepancies and Kraus operators in the eigenbases of
 sigma and rho; tests/oracles.py multiplies dense powers of the four states.
@@ -287,6 +289,82 @@ def test_identity_shortcut_gives_the_bits_of_the_general_formulas(
                                   contraction_probes(rho.dim))
     for key in ("identity_residual", "per_t_gap_margin", "gap_residual"):
         assert out[key] == 0.0, (label, key, out)
+
+
+# (label, rho, sigma) for the trivial algebra: full rank, rank d - 1 and
+# pure rho and sigma, seeded, at each d
+TRACE_PAIRS = [
+    (f"d{d}:{r}x{s}", ginibre(d, r, 7400 + 10 * d + k),
+     ginibre(d, s, 7500 + 10 * d + k))
+    for d in (2, 3, 5, 8)
+    for k, (r, s) in enumerate(dict.fromkeys([(d, d), (d - 1, d), (d, d - 1),
+                                              (1, d), (d, 1)]))]
+
+
+@pytest.mark.parametrize("label, rho, sigma", TRACE_PAIRS,
+                         ids=[p[0] for p in TRACE_PAIRS])
+def test_trace_shortcut_matches_the_general_formulas(label, rho, sigma):
+    """When E is the trace the context takes E(x) = 1/d, op_n = 1 and
+    sigmaN^b rhoN^-b = 1 as exact identities. The twin is told E is not
+    the trace and runs the general formulas: expectation_eigh, a built
+    op_n, the frame products. Every quantity of the trace path agrees with
+    the twin's, and with the dense oracles where there is one, to 1e-12
+    times the larger of 1 and the scale (the oracle's, else the norm of the
+    twin's value)."""
+    ctx = PairContext(rho, sigma, spec_for("trivial", rho.dim))
+    twin = PairContext(rho, sigma, ctx.spec)
+    twin.e_is_trace = False
+    assert ctx.e_is_trace and ctx.rho_n is ctx.sigma_n
+    assert twin.rho_n is not twin.sigma_n
+
+    def close(got, want, scale=None) -> bool:
+        if np.array_equal(got, want, equal_nan=True):
+            return True
+        scale = np.linalg.norm(want) if scale is None else scale
+        return bool(np.linalg.norm(np.subtract(got, want))
+                    <= ORACLE_RTOL * max(1.0, scale))
+
+    checks = []
+    for beta in BETAS:
+        for name, oracle in (("discrepancy", dense_discrepancy),
+                             ("beta_free", dense_beta_free)):
+            got = getattr(ctx, name)(beta)
+            want = oracle(ctx, beta)
+            checks.append((name, beta, _close(got, want)
+                           and close(got, getattr(twin, name)(beta), want[1])))
+    want = dense_recovery_discrepancy(ctx)
+    checks.append(("recovery_discrepancy", None,
+                   _close(ctx.recovery_discrepancy, want)
+                   and close(ctx.recovery_discrepancy,
+                             twin.recovery_discrepancy, want[1])))
+    for name in ("neg-log", "neg-power:0.25", "neg-power:0.5",
+                 "neg-power:0.75"):
+        rep = rep_from_name(name)
+        checks.append(("gap", name, close(ctx.gap(rep), twin.gap(rep))))
+    for alpha in (0.25, 0.5, 0.75):
+        checks.append(("renyi_gap", alpha, close(ctx.renyi_gap(alpha),
+                                                 twin.renyi_gap(alpha))))
+    leak = support_leak(loop_power(ctx.sigma_n.spectrum, 1.0),
+                        ctx.rho_n.spectrum)
+    checks.append(("support_leak_n", None,
+                   ctx.support_leak_n == twin.support_leak_n == 0.0
+                   and abs(ctx.support_leak_n - leak) <= LEAK_ATOL))
+    checks.append(("w_t", None, close(ctx.w_t(RECONSTRUCT_T_GRID),
+                                      twin.w_t(RECONSTRUCT_T_GRID))))
+    for beta in MOMENT_BETAS:
+        got = ctx.w_t_moment(beta)
+        checks.append(("w_t_moment", beta,
+                       close(got, twin.w_t_moment(beta))
+                       and close(got, stacked_w_t_moment(ctx, beta))))
+    probes = contraction_probes(rho.dim)
+    out, want = (proof_internals(builtin_neg_log(), 0.5, c,
+                                 RECONSTRUCT_T_GRID, probes)
+                 for c in (ctx, twin))
+    assert out.keys() == want.keys()
+    checks.extend(("proof_internals", key, close(out[key], want[key]))
+                  for key in out)
+    bad = [(name, key) for name, key, ok in checks if not ok]
+    assert not bad, (label, bad)
 
 
 def test_identity_reconstruct_cases_read_exact_zeros():

@@ -86,8 +86,10 @@ golden configs, the defaults, the three configs of bench/run.py's
 workloads, and four where a cached constant under a wrong key would show:
 beta = 0.99, where K underflows and only its log is kept; the pinching
 config of ROADMAP item 12, which exits 1; Renyi orders whose 1 - alpha
-lies off the alpha grid; and an alpha whose C_exact overflows to inf), so
-two trees can be shown to write byte-identical reports.
+lies off the alpha grid; and an alpha whose C_exact overflows to inf), and
+a config of trivial-algebra trials alone (d from 2 to 64), so two trees can
+be shown to write byte-identical reports, or to differ only where they
+should.
 """
 
 import functools
@@ -113,8 +115,8 @@ SWEEP_CONFIG = {"dims": [4, 6, 8]}
 RTOL = 1e-12
 ATOL = 1e-14
 # (command, config) of each report --digests prints: the golden configs, the
-# defaults, verify-small, verify-large and reconstruct of bench/run.py, and
-# the four cache-key configs of the module docstring
+# defaults, verify-small, verify-large and reconstruct of bench/run.py, the
+# four cache-key configs of the module docstring, and trivial-algebra trials
 DIGEST_CONFIGS = [
     ("verify", VERIFY_CONFIG), ("reconstruct", RECONSTRUCT_CONFIG),
     ("sweep", SWEEP_CONFIG), ("verify", {}), ("reconstruct", {}),
@@ -127,6 +129,7 @@ DIGEST_CONFIGS = [
                 "alpha_grid": [0.1, 0.3],
                 "functions": ["neg-log", "neg-power:0.7"]}),
     ("verify", {"functions": ["neg-power:1e-320"], "trials": 2}),
+    ("verify", {"specs": ["trivial"], "dims": [2, 3, 5, 8, 64], "trials": 10}),
 ]
 
 

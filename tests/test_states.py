@@ -226,8 +226,10 @@ def test_stacked_states_match_one_at_a_time_to_the_bit():
     stack per dimension; each state's matrix, eigenvalues and eigenvectors
     are those of the one-at-a-time reference, to the bit. So are the
     spectra of E(rho) and E(sigma), taken in one expectation_eigh of the
-    pair for every spec kind, and the states the context builds of
-    them."""
+    pair for every spec kind, and the states the context builds of them,
+    except for the trivial algebra, whose E(rho) and E(sigma) the context
+    takes as the exact flat state: matrix I/d, eigenvalues 1/d and
+    eigenvectors I, to the bit."""
     draws = reference_draws()
     prepared = sample_states(draws)
     by_dim = {}
@@ -253,12 +255,16 @@ def test_stacked_states_match_one_at_a_time_to_the_bit():
                     w, v = reference_expectation_eigh(spec, x.matrix)
                     assert same_bits(dec.eigenvalues, w), (d, kind)
                     assert same_bits(dec.eigenvectors, v), (d, kind)
-                    if spec.blocks != [(d, 1)]:
-                        for got, want in zip(
-                                (x_n.matrix, x_n.eigenvalues,
-                                 x_n.spectrum.eigenvectors),
-                                reference_state(w, v)):
-                            assert same_bits(got, want), (d, kind)
+                    if spec.blocks == [(d, 1)]:
+                        wanted = ()
+                    elif spec.blocks == [(1, d)]:
+                        eye = np.eye(d, dtype=complex)
+                        wanted = (eye / d, np.full(d, 1.0 / d), eye)
+                    else:
+                        wanted = reference_state(w, v)
+                    for got, want in zip((x_n.matrix, x_n.eigenvalues,
+                                          x_n.spectrum.eigenvectors), wanted):
+                        assert same_bits(got, want), (d, kind)
                     compared += 1
     assert compared == 2 * 3 * len(REFERENCE_DIMS) * len(SPEC_KINDS)
 

@@ -16,7 +16,15 @@ size, of both states, share one stacked eigh, no input is larger than the
 largest core, and a 1 x 1 core needs none. So a trial makes one eigh per
 distinct core size above 1, where each state made that many (4 a trial
 for pinching at odd d >= 5, whose two cores differ in size), and none
-where E is the identity (E(x) is x itself) or the algebra is trivial. A
+where E is the identity (E(x) is x itself) or the algebra is trivial.
+Neither of those two makes an expectation_eigh call at all: E(x) is x, or
+the flat state 1/d taken exactly, so verify {"trials": 60, "dims": [2, 3,
+4, 6, 8]} makes 24 calls, verify {"trials": 12, "dims": [32, 48, 64]} 6
+and reconstruct {"trials": 12} 4, where they made 39, 9 and 7 when the
+trivial algebra took one. A trivial-algebra trial builds one relative
+modular operator (op_n is the identity operator, not built), and forms no
+frame product: its frames are the eigenvectors of sigma and rho, and its
+sigmaN^b rhoN^-b is op's overlaps, so a verify trial never reads them. A
 trial builds at most two relative modular operators, op and op_n, and
 takes every entropy the battery reads (the gaps of neg-log and neg-power
 at 0.25, 0.5, 0.75, which the Renyi gaps of orders 0.75, 0.5, 0.25 read
@@ -114,10 +122,12 @@ the 5 contraction probes and their norms once per dimension its trials use
 and 3 draws on reconstruct {"trials": 12}, where it made 12 of each. It
 keeps them for the run only, so a second run in the same process draws
 them again. A block of multiplicity 1 is its own core, with no einsum:
-the run makes 8 einsum calls, two per trial with a core of multiplicity
-above 1 (the trivial algebra, and the partial trace at d = 4): one for
-E(rho) and E(sigma) together, one for the contraction draws. It made 12,
-when E(rho) and E(sigma) took one each, and 35 before that.
+the run makes 5 einsum calls, one for the contraction draws of each trial
+with a core of multiplicity above 1 (the trivial algebra, and the partial
+trace at d = 4) and one for E(rho) and E(sigma) together at d = 4, whose
+partial trace is not taken as exact. It made 8 when the trivial algebra
+took E(rho) and E(sigma) from their cores too, 12 when E(rho) and
+E(sigma) took one each, and 35 before that.
 """
 
 import ast
@@ -164,7 +174,7 @@ S_T_PER_INTERNALS_CASE = 2
 S_T_PER_IDENTITY_INTERNALS_CASE = 1
 PROBE_DRAWS_PER_RECONSTRUCT_RUN = 3
 LOGSPACE_PER_RECONSTRUCT_RUN = 1
-EINSUM_PER_RECONSTRUCT_RUN = 8
+EINSUM_PER_RECONSTRUCT_RUN = 5
 THEOREM_BOUND_PER_TRIAL = 0
 C_CONSTANT_PER_TRIAL = 0
 # E = id with both states invertible: both recovery errors are exactly 0
@@ -176,6 +186,10 @@ TRACE_NORM_PER_TRIAL = 1
 EIGVALSH_LARGE = {"calls": 9, "matrices": 15}
 # E = id: only the recovery discrepancy of a singular rho forms the ratio
 RATIO_N_PER_IDENTITY_TRIAL = {True: 0, False: 1}  # by rho.is_invertible
+# expectation_eigh calls of one command: a call per trial, except the E = id
+# and the trivial-algebra trials, which take E(x) from exact identities
+EXPECTATION_EIGH_PER_COMMAND = {"verify-small": 24, "verify-large": 6,
+                                "reconstruct": 4}
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -305,11 +319,57 @@ def test_verify_blocks_take_one_eigh_per_dimension(monkeypatch, label,
     assert all(calls == dims for _, dims, calls in blocks), blocks
     assert all(shape[0] == 2 and calls == want
                for shape, want, calls in expectations), expectations
-    identity = sum(spec_for(parsed.specs[i % len(parsed.specs)],
-                            parsed.dims[i % len(parsed.dims)]).blocks
-                   == [(parsed.dims[i % len(parsed.dims)], 1)]
-                   for i in range(parsed.trials))
-    assert len(expectations) == parsed.trials - identity
+    blocks = [spec_for(parsed.specs[i % len(parsed.specs)],
+                       parsed.dims[i % len(parsed.dims)]).blocks
+              for i in range(parsed.trials)]
+    identity = sum(b == [(b[0][0], 1)] for b in blocks)
+    trace = sum(b == [(1, b[0][1])] for b in blocks)
+    assert len(expectations) == parsed.trials - identity - trace \
+        == EXPECTATION_EIGH_PER_COMMAND["verify-" + label]
+
+
+@pytest.mark.parametrize("command,config", [
+    ("verify-small", VERIFY_SMALL), ("verify-large", VERIFY_LARGE),
+    ("reconstruct", {"trials": 12})])
+def test_trace_trials_make_no_expectation_eigh_or_frame_product(
+        monkeypatch, command, config):
+    """A trivial-algebra trial takes E(rho) = E(sigma) = 1/d, op_n = 1 and
+    sigmaN^b rhoN^-b = 1 as exact identities: no expectation_eigh call,
+    one modular.build (op), no frames on a verify trial, and on a
+    reconstruct trial frames that are the eigenvectors of sigma and rho
+    themselves, not products. Every other trial but E = id makes one
+    expectation_eigh call."""
+    expectation = count_calls(monkeypatch, context, "expectation_eigh")
+    build = count_calls(monkeypatch, modular, "build")
+    contexts = []
+
+    class Recording(context.PairContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append((self, len(expectation), len(build)))
+
+    monkeypatch.setattr(harness, "PairContext", Recording)
+    run = run_verify if command.startswith("verify") else run_reconstruct
+    code, _ = run(ExperimentConfig.from_json(dict(config)))
+    assert code == 0
+    ends = [(n, b) for _, n, b in contexts[1:]] \
+        + [(len(expectation), len(build))]
+    trace = 0
+    for (ctx, n, b), (n_end, b_end) in zip(contexts, ends):
+        if not ctx.e_is_trace:
+            assert n_end - n == (0 if ctx.e_is_identity else 1)
+            continue
+        trace += 1
+        assert (n_end - n, b_end - b) == (0, 1), ctx.spec
+        if command == "reconstruct":
+            p1, p2 = ctx.frames
+            assert p2 is ctx.rho.spectrum.eigenvectors
+            assert np.array_equal(p1, ctx.sigma.spectrum.eigenvectors.conj().T)
+        else:
+            assert "frames" not in vars(ctx)
+            assert ctx._ratio_n(0.5) is ctx.op.overlaps
+    assert trace == len(contexts) // 4
+    assert len(expectation) == EXPECTATION_EIGH_PER_COMMAND[command]
 
 
 def count_linalg(monkeypatch, name: str, owner=linalg) -> list:
