@@ -191,6 +191,13 @@ class _Law:
     terms: tuple
     grid: dict
 
+    def log_k(self, beta: float, delta_norm: float) -> float:
+        """log K of the printed corollary at ||Delta|| = delta_norm."""
+        log_k = self.weight * _delta_log(beta, delta_norm)
+        for term in self.terms:
+            log_k += term
+        return log_k
+
 
 @cache
 def _law(rep: MonotoneDecreasingRep, beta: float) -> _Law:
@@ -306,17 +313,22 @@ def lemma_opt(big_k: float, k: float, big_n: float, n: float) -> tuple[float, fl
         raise InvalidInput("exponents must be positive")
     if big_k < 0.0 or big_n < 0.0:
         raise InvalidInput("coefficients must be nonnegative")
-    if big_n == 0.0:
-        return 0.0, math.inf
-    if big_k == 0.0:
-        return 0.0, 0.0
-    try:
-        t_star = (k * big_k / (n * big_n)) ** (1.0 / (k + n))
-    except OverflowError:  # a minimizer beyond the largest float
-        t_star = math.inf
+    t_star = _minimizer(big_k, k, big_n, n)
+    if big_n == 0.0 or big_k == 0.0:
+        return 0.0, t_star
     value = (1.0 / k + 1.0 / n) * (k * big_k) ** (n / (k + n)) \
         * (n * big_n) ** (k / (k + n))
     return value, t_star
+
+
+def _minimizer(big_k: float, k: float, big_n: float, n: float) -> float:
+    """lemma_opt's T_star alone, of coefficients it has checked."""
+    if big_n == 0.0 or big_k == 0.0:
+        return math.inf if big_n == 0.0 else 0.0
+    try:
+        return (k * big_k / (n * big_n)) ** (1.0 / (k + n))
+    except OverflowError:  # a minimizer beyond the largest float
+        return math.inf
 
 
 def dpi_report(rep: MonotoneDecreasingRep, ctx: PairContext) -> BoundReport:
@@ -372,10 +384,7 @@ def corollary_constant(rep: MonotoneDecreasingRep, beta: float,
     """(log K, E, key) of the printed corollary gap_f >= K disc^E of rep at
     beta (_Law)."""
     law = _law(rep, beta)
-    log_k = law.weight * _delta_log(beta, delta_norm)
-    for term in law.terms:
-        log_k += term
-    return log_k, law.exponent, law.key
+    return law.log_k(beta, delta_norm), law.exponent, law.key
 
 
 def _corollary(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
@@ -387,18 +396,17 @@ def _corollary(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     minimizer of the family on the last piece of C^f, which holds for
     T >= 1 only, so a T_star below 1 is flagged when c > 0 (-log x's,
     c = 0, holds at every T)."""
-    law = _law(rep, beta)
-    g = ctx.gap(rep)
-    k_t = _k_t(beta, ctx.delta_norm)
+    law, g, delta_norm = _law(rep, beta), ctx.gap(rep), ctx.delta_norm
+    k_t = _k_t(beta, delta_norm)
     if generic:
         name, key, grid = "generic:" + rep.name, "K_gap", law.generic_grid
         log_k, expo = _log_k_gap(law, k_t), law.generic[0]
     else:
-        name, grid = law.name, law.grid
-        log_k, expo, key = corollary_constant(rep, beta, ctx.delta_norm)
+        name, key, grid = law.name, law.key, law.grid
+        log_k, expo = law.log_k(beta, delta_norm), law.exponent
     _, _, big_c, c, n, _ = law.pieces[-1]
-    t_star = math.inf if not math.isfinite(g) or g <= 0.0 else lemma_opt(
-        k_t, law.k, math.sqrt(big_c * g), n)[1]
+    t_star = math.inf if not math.isfinite(g) or g <= 0.0 else _minimizer(
+        k_t, law.k, math.sqrt(big_c * g), n)
     report = BoundReport(name, beta, {"log_" + key: log_k,
                                       "T_star": mark(t_star)}, grid=grid)
     report.bound("gap_lower_bound",

@@ -5,24 +5,23 @@ each on first use and keeps it for its own lifetime only: build one per
 trial and drop it with the trial. Its spectra are the ones its states carry
 (DensityMatrix.spectrum), from one stacked eigh per dimension per block of
 trials. E(rho) and E(sigma) are diagonalized through their block cores, in
-one algebra.expectation_eigh, where no matrix is larger than the largest core,
-except for two algebras, which need no diagonalization. When E is the
-identity, E(x) is x itself, op_n is op and every E = id gap is exactly 0.
-When E is the trace (the trivial algebra), E(x) is the flat state 1/d to the
-bit (eigenvalues 1/d, eigenvectors I) and op_n the identity operator, every
-eigenvalue exactly 1. It owns the relative modular operators op and op_n, and
-keeps one entropy per (function, operator), which the gaps and Renyi gaps
-share and the functions of a trial take from one pass over each operator
-(entropies, entropy.entropies), and one quadrature reconstruction per
-function, which they take from one shared integral
-(entropy.reconstructions).
-The support leaks are read from the overlaps of op and op_n. The recovery
-errors come from two exact identities of the Petz map where they apply:
-when E is the trace both are || rho - sigma ||_1, one trace norm of one
-matrix, and when E is the identity an error whose reference state is
-invertible is exactly 0, as is the recovery discrepancy when rho is. Every
-other recovery error is the trace norm of its Kraus sandwich, a Hermitian
-matrix, from its eigenvalues (no SVD, no support projector).
+one algebra.expectation_eigh (no matrix larger than the largest core),
+except for two algebras. When E is the identity, E(x) is x itself, op_n is
+op and every gap is exactly 0. When E is the trace (the trivial algebra),
+E(x) is the flat state 1/d to the bit (eigenvalues 1/d, eigenvectors I) and
+op_n the identity operator (every eigenvalue 1); these and op_n's entropies
+depend on d alone, so they are built once per dimension, read-only, and
+shared by every trivial-algebra trial of that dimension. A context owns op
+and op_n and keeps one entropy per (function, operator), which the gaps and
+Renyi gaps share, taken for all functions of a trial in one pass over each
+operator (entropy.entropies), and one quadrature reconstruction per
+function, from one shared integral (entropy.reconstructions). The support
+leaks are read from the overlaps of op and op_n. The recovery errors come
+from two exact identities of the Petz map where they apply: when E is the
+trace both are || rho - sigma ||_1, one trace norm, and when E is the
+identity an error whose reference state is invertible is exactly 0, as is
+the recovery discrepancy when rho is. Every other recovery error is the
+trace norm of its Kraus sandwich, a Hermitian matrix, from its eigenvalues.
 
 The discrepancies and Kraus operators are products of powers of the four
 states, and are computed in the frame of the eigenbases of sigma (left) and
@@ -48,7 +47,7 @@ is formed. A caller with raw states builds a context for one quantity (as
 
 from __future__ import annotations
 
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 
 import numpy as np
 
@@ -62,16 +61,41 @@ from .states import DensityMatrix, from_spectrum, make_density
 
 
 def _memoized(method):
-    """Keep method(self, *key) in self._memo. A rep key is the rep object:
-    builtin_neg_log() and builtin_neg_power(alpha) return one shared object
-    per function, so every bound that asks for the same gap hits."""
+    """Keep method(self, key), never None, in self._memo under (name, key):
+    one lookup a read. A rep key is the rep object (one shared object per
+    function), so every bound that asks for the same gap hits."""
+    name = method.__name__
+
     @wraps(method)
-    def cached(self, *key):
-        slot = (method.__name__,) + key
-        if slot not in self._memo:
-            self._memo[slot] = method(self, *key)
-        return self._memo[slot]
+    def cached(self, key):
+        value = self._memo.get((name, key))
+        if value is None:
+            value = self._memo[name, key] = method(self, key)
+        return value
     return cached
+
+
+@cache
+def _flat(d: int) -> tuple:
+    """(the flat state 1/d, eigenvalues 1/d and eigenvectors I; the identity
+    operator, eigenvalues 1 and overlaps I), exact and read-only: E(rho),
+    E(sigma) and op_n of every trivial-algebra trial of dimension d."""
+    eye = np.eye(d, dtype=complex)
+    dec = SpectralDecomposition(np.full(d, 1.0 / d), eye)
+    op = modular.RelativeModularOperator(
+        d, dec, dec, np.ones(d * d), np.eye(d).ravel() / d, np.arange(d), eye)
+    flat = DensityMatrix(eye / d, dec)
+    for a in (eye, flat.matrix, dec.eigenvalues, op.eigenvalues, op.weights,
+              op.kept_columns):
+        a.flags.writeable = False
+    return flat, op
+
+
+@cache
+def _flat_entropies(d: int, reps: tuple) -> tuple:
+    """The entropies of reps on _flat(d)'s operator, in one pass, once per
+    (d, reps): a rep's entropy is the same bits whichever reps share it."""
+    return tuple(entropy.entropies(reps, _flat(d)[1]))
 
 
 def _kernel(t, e):
@@ -112,16 +136,15 @@ class PairContext:
     @cached_property
     def _expectations(self) -> list:
         """The states E(rho), E(sigma); rho and sigma themselves when E is
-        the identity, and when E is the trace the flat state 1/d, exactly."""
+        the identity, and when E is the trace the flat state 1/d of _flat."""
         if self.e_is_identity:
             return [self.rho, self.sigma]
         if self.e_is_trace:
-            d, eye = self.spec.dim, np.eye(self.spec.dim, dtype=complex)
-            flat = DensityMatrix(eye / d, SpectralDecomposition(
-                np.full(d, 1.0 / d), eye))
-            return [flat, flat]
-        return from_spectrum(expectation_eigh(
-            self.spec, np.array([self.rho.matrix, self.sigma.matrix])))
+            return [_flat(self.spec.dim)[0]] * 2
+        decs = expectation_eigh(
+            self.spec, np.array([self.rho.matrix, self.sigma.matrix]))
+        return from_spectrum(np.array([x.eigenvalues for x in decs]),
+                             np.array([x.eigenvectors for x in decs]))
 
     @cached_property
     def rho_n(self) -> DensityMatrix:
@@ -138,14 +161,11 @@ class PairContext:
     @cached_property
     def op_n(self) -> modular.RelativeModularOperator:
         """Delta_{E(sigma),E(rho)}: op itself when E is the identity; when E
-        is the trace, the identity (eigenvalues 1, overlaps I), exactly."""
+        is the trace, the identity operator of _flat."""
         if self.e_is_identity:
             return self.op
         if self.e_is_trace:
-            flat, d = self.rho_n.spectrum, self.spec.dim
-            return modular.RelativeModularOperator(
-                d, flat, flat, np.ones(d * d), np.eye(d).ravel() / d,
-                np.arange(d), flat.eigenvectors)
+            return _flat(self.spec.dim)[1]
         return modular.build(self.sigma_n.spectrum, self.rho_n.spectrum)
 
     @cached_property
@@ -164,6 +184,8 @@ class PairContext:
                 continue
             if role == "op_n" and self.e_is_identity:
                 values = [self._memo["s_f", rep, "op"] for rep in todo]
+            elif role == "op_n" and self.e_is_trace:
+                values = _flat_entropies(self.spec.dim, tuple(todo))
             else:
                 values = entropy.entropies(todo, getattr(self, role))
             self._memo.update(zip([("s_f", rep, role) for rep in todo],

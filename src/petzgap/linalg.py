@@ -79,11 +79,14 @@ class SpectralDecomposition:
 
 def eigh(a):
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    w, v = np.linalg.eigh(check_hermitian(a))
-    decs = [SpectralDecomposition(np.ascontiguousarray(x[::-1]),
-                                  np.ascontiguousarray(u[:, ::-1]))
-            for x, u in zip(w, v)]
+    decs = list(map(SpectralDecomposition, *eigh_stack(check_hermitian(a))))
     return decs if np.ndim(a) == 3 else decs[0]
+
+
+def eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of an (n, d, d) stack check_hermitian passed, as two stacks."""
+    w, v = np.linalg.eigh(m)
+    return np.ascontiguousarray(w[:, ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 
 def pseudo_power(dec: SpectralDecomposition, p: float) -> np.ndarray:
@@ -130,14 +133,15 @@ def schatten_norm(a, p) -> float:
 def trace_norm(a):
     """Trace norm of a matrix that is Hermitian up to rounding: the sum of
     |eigenvalues| of its Hermitian part, which for a Hermitian matrix are
-    its singular values (no SVD); of an (n, d, d) stack, the list of each
-    matrix's, from one stacked eigvalsh."""
-    m = np.array(a, dtype=complex)  # a copy, which takes the Hermitian part
-    m = m if m.ndim == 3 else as_matrix(m)
-    m += m.conj().swapaxes(-1, -2)
+    its singular values (no SVD); of a list, the list of each one's, from
+    one stacked eigvalsh of a preallocated stack of the Hermitian parts."""
+    xs = a if isinstance(a, list) else [as_matrix(a)]
+    m = np.empty((len(xs),) + xs[0].shape, dtype=complex)
+    for x, part in zip(xs, m):
+        np.add(x, x.conj().T, out=part)
     m /= 2.0
-    w = np.abs(np.linalg.eigvalsh(m))
-    return w.sum(axis=-1).tolist() if m.ndim == 3 else float(w.sum())
+    w = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1).tolist()
+    return w if xs is a else w[0]
 
 
 def hs_norm(a) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NotNormalized, NotPSD
-from .linalg import (SpectralDecomposition, check_hermitian, eigh,
+from .linalg import (SpectralDecomposition, check_hermitian, eigh_stack,
                      zero_thresholds)
 
 TRACE_TOL = 1e-9
@@ -71,7 +71,7 @@ def make_density(a):
     m = check_hermitian(a)
     tr = m.trace(0, 1, 2).real
     check_trace(tr)
-    states = from_spectrum(eigh(m / tr[:, None, None]))
+    states = from_spectrum(*eigh_stack(m / tr[:, None, None]))
     return states if np.ndim(a) == 3 else states[0]
 
 
@@ -82,15 +82,11 @@ def check_trace(tr: np.ndarray) -> None:
             raise NotNormalized(f"trace {t!r} is not 1 to tolerance")
 
 
-def from_spectrum(decs: list) -> list:
-    """The states of spectra of matrices of unit trace: NotPSD for the
-    first whose least eigenvalue is below minus the zero threshold, else
-    the eigenvectors with the eigenvalues clipped at 0 and renormalized.
-    Each state owns its arrays, to be freed with its trial."""
-    if not decs:
-        return []
-    w = np.array([dec.eigenvalues for dec in decs])
-    v = np.array([dec.eigenvectors for dec in decs])
+def from_spectrum(w: np.ndarray, v: np.ndarray) -> list:
+    """The states of stacked spectra (w, v) of matrices of unit trace:
+    NotPSD for the first whose least eigenvalue is below minus the zero
+    threshold, else the eigenvectors with the eigenvalues clipped at 0 and
+    renormalized. Each state owns its arrays, to be freed with its trial."""
     bad = np.flatnonzero(w[:, -1] < -zero_thresholds(w))
     if bad.size:
         raise NotPSD(f"eigenvalue {w[bad[0], -1]!r} below -zero_threshold")
@@ -98,8 +94,8 @@ def from_spectrum(decs: list) -> list:
     w = w / w.sum(axis=1, keepdims=True)
     clean = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
     return [DensityMatrix((c + c.conj().T) / 2.0,
-                          SpectralDecomposition(x.copy(), dec.eigenvectors))
-            for c, x, dec in zip(clean, w, decs)]
+                          SpectralDecomposition(x.copy(), u.copy()))
+            for c, x, u in zip(clean, w, v)]
 
 
 @dataclass
@@ -156,7 +152,8 @@ def stream(seed: int, trial_index: int, rng=None) -> np.random.Generator:
 
 
 def _ginibre(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = np.empty((dim, rank), dtype=complex)
+    g.real, g.imag = rng.standard_normal((2, dim, rank))
     m = g @ g.conj().T
     return m / np.trace(m).real
 
@@ -225,8 +222,7 @@ def sample(config: SamplerConfig, trial_index: int = 0):
 
 def _reproject(m: np.ndarray) -> DensityMatrix:
     """Nearest density matrix: clip eigenvalues at 0, renormalize trace."""
-    dec = eigh((m + m.conj().T) / 2.0)
-    if dec.eigenvalues[0] <= 0.0:
+    w, v = eigh_stack(check_hermitian((m + m.conj().T) / 2.0))
+    if w[0, 0] <= 0.0:
         raise InvalidInput("perturbation annihilated the state")
-    return from_spectrum([SpectralDecomposition(
-        np.maximum(dec.eigenvalues, 0.0), dec.eigenvectors)])[0]
+    return from_spectrum(np.maximum(w, 0.0), v)[0]

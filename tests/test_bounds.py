@@ -790,5 +790,6 @@ def test_cached_constants_give_the_same_reports_cold_and_warm():
         # cached dict a report holds shows too
         warm = [(label, call()) for label, call in order]
         assert {label: snapshot(value) for label, value in warm} == cold
+    # the builders' own caches; harness's and context's fill in trials only
     assert all(cached.cache_info().hits > 0 for cached in caches
-               if cached.__qualname__ != "_battery")
+               if cached.__module__ == "petzgap.bounds")

@@ -25,15 +25,15 @@ import numpy as np
 import pytest
 
 from oracles import (dense_beta_free, dense_discrepancy, dense_kraus,
-                     dense_recovery_discrepancy, loop_power,
+                     dense_recovery_discrepancy, loop_power, report_text,
                      stacked_w_t_moment, support_leak)
-from petzgap import entropy, modular
+from petzgap import context, entropy, harness, modular
 from petzgap.algebra import SubalgebraSpec, full_spec
 from petzgap.bounds import beta_free_discrepancy
 from petzgap.context import PairContext
 from petzgap.bounds import contraction_probes, proof_internals
 from petzgap.harness import (SPEC_KINDS, ExperimentConfig, run_reconstruct,
-                             run_trial, spec_for)
+                             run_trial, run_verify, spec_for)
 from petzgap.monotone import builtin_neg_log, rep_from_name
 
 from conftest import ginibre, haar_unitary, near_singular
@@ -365,6 +365,43 @@ def test_trace_shortcut_matches_the_general_formulas(label, rho, sigma):
                   for key in out)
     bad = [(name, key) for name, key, ok in checks if not ok]
     assert not bad, (label, bad)
+
+
+def test_trivial_constants_are_one_read_only_object_per_dimension():
+    """Every trivial-algebra context of a dimension reads the same flat
+    state (E(rho) and E(sigma)) and identity operator (op_n), whose
+    arrays are read-only: an in-place write raises."""
+    for d in (2, 3, 5):
+        spec = spec_for("trivial", d)
+        a, b = (PairContext(ginibre(d, d, 7600 + 10 * d + k),
+                            ginibre(d, d - 1, 7700 + 10 * d + k), spec)
+                for k in range(2))
+        assert a.rho_n is a.sigma_n is b.rho_n is b.sigma_n
+        assert a.op_n is b.op_n and a.op_n.rho_dec is a.rho_n.spectrum
+        flat, op = a.rho_n, a.op_n
+        for x in (flat.matrix, flat.eigenvalues, flat.spectrum.eigenvectors,
+                  op.eigenvalues, op.weights, op.kept_columns, op.overlaps):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = x[0]
+
+
+def test_trivial_constants_cleared_or_shared_write_the_same_bytes(
+        monkeypatch):
+    """verify on the trivial algebra writes the same bytes with the
+    per-dimension constants cleared before every trial as shared."""
+    config = ExperimentConfig.from_json(
+        {"specs": ["trivial"], "dims": [2, 3, 5, 8, 64], "trials": 10})
+    shared = report_text(run_verify(config)[1])
+    trial = harness.run_trial
+
+    def cleared(*args):
+        context._flat.cache_clear()
+        context._flat_entropies.cache_clear()
+        return trial(*args)
+
+    monkeypatch.setattr(harness, "run_trial", cleared)
+    assert report_text(run_verify(config)[1]) == shared
+    assert context._flat.cache_info().misses == 1
 
 
 def test_identity_reconstruct_cases_read_exact_zeros():

@@ -107,6 +107,22 @@ def test_trace_norm_of_hermitian_matrices_matches_schatten_one():
                                                          abs=1e-14)
 
 
+def test_trace_norm_of_a_list_is_each_hermitian_part_to_the_bit():
+    """A list gives each matrix's trace norm, the bits of one call per
+    matrix: the sum of |eigvalsh| of its Hermitian part (x + x^H)/2, for a
+    matrix far from Hermitian too. Its inputs are left as they were."""
+    rng = np.random.default_rng(17)
+    xs = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+          for _ in range(3)]
+    xs[0] = xs[0] + xs[0].conj().T
+    before = [x.copy() for x in xs]
+    got = trace_norm(xs)
+    assert got == [trace_norm(x) for x in xs] == [
+        float(np.abs(np.linalg.eigvalsh((x + x.conj().T) / 2.0)).sum())
+        for x in xs]
+    assert all(np.array_equal(x, b) for x, b in zip(xs, before))
+
+
 def test_schatten_norm_rejects_p_below_one():
     with pytest.raises(InvalidInput):
         schatten_norm(np.eye(2), 0.5)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from petzgap import states
+from petzgap import linalg, states
 from petzgap.algebra import expectation_eigh
 from petzgap.context import PairContext
 from petzgap.errors import InvalidInput, NotNormalized, NotPSD, PetzGapError
@@ -267,6 +267,40 @@ def test_stacked_states_match_one_at_a_time_to_the_bit():
                         assert same_bits(got, want), (d, kind)
                     compared += 1
     assert compared == 2 * 3 * len(REFERENCE_DIMS) * len(SPEC_KINDS)
+
+
+def test_a_stack_is_checked_once_and_its_states_own_their_arrays(
+        monkeypatch):
+    """make_density checks a stack for Hermiticity once and diagonalizes
+    it with one LAPACK eigh, with no second check, and builds each state
+    from the stacked spectra with arrays of its own (no view of the
+    stack). A Ginibre draw writes its two normal draws into the real and
+    imaginary parts of one array: the bits of re + 1j im."""
+    stack = np.array([sample(SamplerConfig(dim=4, seed=9), i).matrix
+                      for i in range(5)])
+    calls = []
+
+    def counted(original, name):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    check = linalg.check_hermitian
+    monkeypatch.setattr(linalg, "check_hermitian", counted(check, "check"))
+    monkeypatch.setattr(states, "check_hermitian", counted(check, "check"))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
+    built = make_density(stack)
+    assert calls == ["check", "eigh"]
+    for state in built:
+        for a in (state.matrix, state.eigenvalues, state.spectrum.eigenvectors):
+            assert a.base is None and a.flags.owndata
+    for i in range(3):
+        rng = fresh(9, i)
+        g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        m = g @ g.conj().T
+        assert same_bits(states._ginibre(fresh(9, i), 4, 3),
+                         m / np.trace(m).real)
 
 
 def error_alone(m: np.ndarray) -> PetzGapError:

@@ -154,6 +154,7 @@ TRIALS = 10
 STATE_EIGH_PER_TRIAL = 1
 VERIFY_SMALL = {"trials": 60, "dims": [2, 3, 4, 6, 8]}
 VERIFY_LARGE = {"trials": 12, "dims": [32, 48, 64]}
+TRIVIAL_CONFIG = {"specs": ["trivial"], "dims": [2, 3, 5, 8, 64], "trials": 10}
 BLOCKS_PER_RUN = {"small": 2, "large": 12}
 MAX_BUILD_PER_TRIAL = 2
 BUILD_PER_IDENTITY_TRIAL = 1
@@ -372,6 +373,30 @@ def test_trace_trials_make_no_expectation_eigh_or_frame_product(
     assert len(expectation) == EXPECTATION_EIGH_PER_COMMAND[command]
 
 
+def test_trivial_trials_build_their_constants_once_per_dimension(
+        monkeypatch):
+    """The flat state, the identity op_n and op_n's entropies are built in
+    the first trivial-algebra trial of each dimension and shared by the
+    rest: a later trial builds no np.eye, DensityMatrix or relative modular
+    operator but op, and makes exactly 1 entropy.entropies call (over op)."""
+    config = ExperimentConfig.from_json(dict(TRIVIAL_CONFIG))
+    reps = [rep_from_name(n) for n in config.functions]
+    context._flat.cache_clear()
+    context._flat_entropies.cache_clear()
+    counters = [count_calls(monkeypatch, np, "eye"),
+                count_calls(monkeypatch, context, "DensityMatrix"),
+                count_calls(monkeypatch, modular, "RelativeModularOperator"),
+                count_calls(monkeypatch, entropy, "entropies")]
+    per_trial = []
+    for i in range(config.trials):
+        before = [len(c) for c in counters]
+        run_trial(config, i, reps)
+        per_trial.append(tuple(len(c) - b for c, b in zip(counters, before)))
+    dims = len(config.dims)
+    assert per_trial == [(2, 1, 2, 2)] * dims + [(0, 0, 1, 1)] * dims, \
+        per_trial
+
+
 def count_linalg(monkeypatch, name: str, owner=linalg) -> list:
     """Count calls of owner.<name> (owner linalg by default) under every
     petzgap name bound to it."""
@@ -560,7 +585,8 @@ def test_importing_the_cli_fills_no_cache():
         env=env, capture_output=True, text=True, check=True).stdout)
     assert {name for name, _ in sizes} \
         == set(grid_caches()) | {"petzgap.monotone._neg_power"} \
-        == {"petzgap.bounds._law", "petzgap.harness._battery",
+        == {"petzgap.bounds._law", "petzgap.context._flat",
+            "petzgap.context._flat_entropies", "petzgap.harness._battery",
             "petzgap.monotone._neg_power"}
     assert all(size == 0 for _, size in sizes), sizes
 
