@@ -606,13 +606,13 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
                            memo; nan when supp rho leaves supp sigma)
 
     w_t is the context's (PairContext.w_t): formed in its frame, with no E
-    and no dense power; with E = id the context returns it, its moment and
-    the discrepancy matrix as zeros, not computed, and the per-t gap is
-    zeros too. The t grid is taken in one s_t call per distinct operator
-    and one w_t stack, the identity's integral in
-    one PairContext.w_t_moment call (a quadrature of scalar kernels). The
-    caller builds t_grid once and probes = contraction_probes(d) once per
-    d; the probes are the only input E is applied to, as one stack.
+    and no dense power, or returned as zeros where the context's identities
+    decide it (E = id). The t grid is taken in one s_t call per distinct
+    operator (the per-t gap is zeros when op_n is op) and one w_t stack,
+    the identity's integral in one PairContext.w_t_moment call (a
+    quadrature of scalar kernels). The caller builds t_grid once and
+    probes = contraction_probes(d) once per d; the probes are the only
+    input E is applied to, as one stack.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
@@ -625,7 +625,7 @@ def proof_internals(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
     grid = np.asarray(t_grid, dtype=float)
     norms = np.linalg.norm(ctx.w_t(grid), axis=(1, 2))
     s_t = entropy.s_t(grid, op)
-    gap_t = np.zeros_like(s_t) if ctx.e_is_identity \
+    gap_t = np.zeros_like(s_t) if op_n is op \
         else s_t - entropy.s_t(grid, op_n)
     per_t = float(np.min(gap_t - grid * norms * norms))
     decay = float(np.min(2.0 / grid - norms))

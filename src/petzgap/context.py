@@ -4,26 +4,17 @@ The bounds all read the same few quantities of a triple. A context computes
 each on first use and keeps it for its own lifetime only: build one per
 trial and drop it with the trial. Its spectra are the ones its states carry
 (DensityMatrix.spectrum), from one stacked eigh per dimension per block of
-trials. E(rho) and E(sigma) are diagonalized through their block cores, in
-one algebra.expectation_eigh (no matrix larger than the largest core),
-except for two algebras. When E is the identity, E(x) is x itself, op_n is
-op and every gap is exactly 0. When E is the trace (the trivial algebra),
-E(x) is the flat state 1/d to the bit (eigenvalues 1/d, eigenvectors I) and
-op_n the identity operator (every eigenvalue 1); these and op_n's entropies
-depend on d alone, so they are built once per dimension, read-only, and
-shared by every trivial-algebra trial of that dimension. A context owns op
-and op_n and keeps one entropy per (function, operator), which the gaps and
-Renyi gaps share, taken for all functions of a trial in one pass over each
-operator (entropy.entropies), and one quadrature reconstruction per
-function, from one shared integral (entropy.reconstructions). The support
-leaks are read from the overlaps of op and op_n. The recovery errors come
-from two exact identities of the Petz map where they apply: when E is the
-trace both are || rho - sigma ||_1, one trace norm, and when E is the
-identity an error whose reference state is invertible is exactly 0, as is
-the recovery discrepancy when rho is. Every other recovery error is the
-trace norm of its Kraus sandwich, a Hermitian matrix, from its eigenvalues.
+trials. A context owns op and op_n and keeps one entropy per (function,
+operator), which the gaps and Renyi gaps share, taken for all functions of
+a trial in one pass over each operator (entropy.entropies), and one
+quadrature reconstruction per function, from one shared integral
+(entropy.reconstructions). The support leaks are read from the overlaps of
+op and op_n.
 
-The discrepancies and Kraus operators are products of powers of the four
+PairContext holds the general formulas, which hold for any subalgebra.
+E(rho) and E(sigma) are diagonalized through their block cores, in one
+algebra.expectation_eigh (no matrix larger than the largest core). The
+discrepancies and Kraus operators are products of powers of the four
 states, and are computed in the frame of the eigenbases of sigma (left) and
 rho (right), where every power is a vector of pseudo powers of eigenvalues
 (linalg.pseudo_power) and the Hilbert-Schmidt norm is the same. Two basis
@@ -35,14 +26,17 @@ term is at b = 1/2, for the recovery discrepancy too);
 discrepancy_matrix(b) is D_b rho^{1/2} in that frame. The proof's w_t
 (which bounds.proof_internals reads) is formed in the same frame from the
 overlaps of op and op_n and the frames, and so is its moment (w_t_moment):
-one quadrature of the scalar kernels of w_t, then the frames. When E is the
-identity there are no frames, the two terms of D_b are the same numbers,
-and every discrepancy is exactly 0: D_b, w_t and its moment are returned
-as zeros, not computed. When E is the trace the frames are V_sigma^H and
-V_rho themselves, and sigmaN^b rhoN^-b = 1 is op.overlaps in the frame, so
-D_b and the recovery discrepancy take no product. No dense power of a state
-is formed. A caller with raw states builds a context for one quantity (as
-`bounds.discrepancy_norm` and `recovery.recovery_errors` do).
+one quadrature of the scalar kernels of w_t, then the frames. The recovery
+errors are the trace norms of their Kraus sandwiches, Hermitian matrices,
+from their eigenvalues, all in one linalg.trace_norm call. No dense power
+of a state is formed.
+
+Two algebras carry exact identities, and PairContext(rho, sigma, spec)
+returns a subclass for each, decided once from spec.blocks: _Identity for
+all of M_d (E = id) and _Trace for C 1 (E the trace). Each overrides only
+what its identities decide and states them in its docstring. A caller with
+raw states builds a context for one quantity (as `bounds.discrepancy_norm`
+and `recovery.recovery_errors` do).
 """
 
 from __future__ import annotations
@@ -114,14 +108,18 @@ def _ratio(op: modular.RelativeModularOperator, beta: float) -> np.ndarray:
 
 
 class PairContext:
-    """Lazily computed quantities of one (rho, sigma, spec) triple. State
-    roles: "rho", "sigma", and "rho_n", "sigma_n" for E(rho), E(sigma).
-    e_is_identity: E is the identity, which holds exactly when the algebra
-    is all of M_d, one (dim, 1) block in any basis; then E(x) is x itself,
-    op_n is op, and there are no frames. e_is_trace: the algebra is C 1,
-    one (1, dim) block in any basis; then E(x) = Tr(x) 1/d, taken exactly:
-    E(rho) and E(sigma) are one flat state, op_n is the identity operator,
-    and the frames are the eigenvectors of sigma and rho, with no product."""
+    """Lazily computed quantities of one (rho, sigma, spec) triple, by the
+    general formulas. State roles: "rho", "sigma", and "rho_n", "sigma_n"
+    for E(rho), E(sigma). Constructing one returns an _Identity or a _Trace
+    where spec is all of M_d or C 1."""
+
+    def __new__(cls, rho, sigma, spec: SubalgebraSpec):
+        if cls is PairContext:
+            if spec.blocks == [(spec.dim, 1)]:
+                cls = _Identity
+            elif spec.blocks == [(1, spec.dim)]:
+                cls = _Trace
+        return super().__new__(cls)
 
     def __init__(self, rho, sigma, spec: SubalgebraSpec):
         self.rho = make_density(rho)
@@ -129,18 +127,11 @@ class PairContext:
         if self.rho.dim != spec.dim or self.sigma.dim != spec.dim:
             raise InvalidInput("state dimension does not match spec")
         self.spec = spec
-        self.e_is_identity = spec.blocks == [(spec.dim, 1)]
-        self.e_is_trace = spec.blocks == [(1, spec.dim)]
         self._memo = {}
 
     @cached_property
     def _expectations(self) -> list:
-        """The states E(rho), E(sigma); rho and sigma themselves when E is
-        the identity, and when E is the trace the flat state 1/d of _flat."""
-        if self.e_is_identity:
-            return [self.rho, self.sigma]
-        if self.e_is_trace:
-            return [_flat(self.spec.dim)[0]] * 2
+        """The states E(rho), E(sigma)."""
         decs = expectation_eigh(
             self.spec, np.array([self.rho.matrix, self.sigma.matrix]))
         return from_spectrum(np.array([x.eigenvalues for x in decs]),
@@ -160,12 +151,7 @@ class PairContext:
 
     @cached_property
     def op_n(self) -> modular.RelativeModularOperator:
-        """Delta_{E(sigma),E(rho)}: op itself when E is the identity; when E
-        is the trace, the identity operator of _flat."""
-        if self.e_is_identity:
-            return self.op
-        if self.e_is_trace:
-            return _flat(self.spec.dim)[1]
+        """Delta_{E(sigma),E(rho)}."""
         return modular.build(self.sigma_n.spectrum, self.rho_n.spectrum)
 
     @cached_property
@@ -175,21 +161,19 @@ class PairContext:
     def entropies(self, reps) -> None:
         """Compute the entropy of each rep on op and on op_n, kept per (rep,
         operator): the reps not yet computed share one pass over each
-        operator (entropy.entropies); when E is the identity, op_n's
-        entropies are op's."""
+        operator, op's first."""
         for role in ("op", "op_n"):
             todo = [rep for rep in dict.fromkeys(reps)
                     if ("s_f", rep, role) not in self._memo]
-            if not todo:
-                continue
-            if role == "op_n" and self.e_is_identity:
-                values = [self._memo["s_f", rep, "op"] for rep in todo]
-            elif role == "op_n" and self.e_is_trace:
-                values = _flat_entropies(self.spec.dim, tuple(todo))
-            else:
-                values = entropy.entropies(todo, getattr(self, role))
-            self._memo.update(zip([("s_f", rep, role) for rep in todo],
-                                  values))
+            if todo:
+                values = self._entropies_n(todo) if role == "op_n" \
+                    else entropy.entropies(todo, self.op)
+                self._memo.update(zip([("s_f", rep, role) for rep in todo],
+                                      values))
+
+    def _entropies_n(self, reps) -> list:
+        """The entropies of reps on op_n, in one pass."""
+        return entropy.entropies(reps, self.op_n)
 
     def s_f(self, rep, role: str) -> float:
         """The entropy of rep on op or op_n (role "op" or "op_n")."""
@@ -228,33 +212,20 @@ class PairContext:
     def frames(self) -> tuple[np.ndarray, np.ndarray]:
         """(P1, P2) = (V_sigma^H V_sigmaN, V_rhoN^H V_rho), the basis
         changes from the eigenbases of E(sigma) and E(rho) to those of sigma
-        and rho; read only when E is not the identity. When E is the trace
-        V_sigmaN = V_rhoN = I, so they are V_sigma^H and V_rho."""
-        if self.e_is_trace:
-            return (self.sigma.spectrum.eigenvectors.conj().T,
-                    self.rho.spectrum.eigenvectors)
+        and rho."""
         return (self.sigma.spectrum.eigenvectors.conj().T
                 @ self.sigma_n.spectrum.eigenvectors,
                 self.rho_n.spectrum.eigenvectors.conj().T
                 @ self.rho.spectrum.eigenvectors)
 
     def _ratio_n(self, beta: float) -> np.ndarray:
-        """sigmaN^b rhoN^-b in the frame of sigma (left) and rho (right);
-        1 when E is the trace, which the frame makes op.overlaps."""
-        if self.e_is_trace:
-            return self.op.overlaps
-        x = _ratio(self.op_n, beta)
-        if self.e_is_identity:
-            return x
+        """sigmaN^b rhoN^-b in the frame of sigma (left) and rho (right)."""
         p1, p2 = self.frames
-        return p1 @ x @ p2
+        return p1 @ _ratio(self.op_n, beta) @ p2
 
     def _difference(self, beta: float) -> np.ndarray:
         """D_b = sigmaN^b rhoN^-b - sigma^b rho^-b in the frame of sigma
-        (left) and rho (right), formed anew on each read. When E is the
-        identity both terms are the same numbers and D_b is exactly 0."""
-        if self.e_is_identity:
-            return np.zeros((self.op.dim, self.op.dim), dtype=complex)
+        (left) and rho (right), formed anew on each read."""
         ratio_n = self._half_ratio_n if beta == 0.5 else self._ratio_n(beta)
         return ratio_n - _ratio(self.op, beta)
 
@@ -276,8 +247,7 @@ class PairContext:
 
     def _combine(self, k_n, k) -> np.ndarray:
         """(P1 (O_N k_n) P2 - O k) lam^{1/2}, (T, d, kept), from kernel stacks
-        (d, T, kept_N) and (d, T, kept): two GEMMs for all T. Read only
-        when E is not the identity."""
+        (d, T, kept_N) and (d, T, kept): two GEMMs for all T."""
         op, op_n = self.op, self.op_n
         d, kept, kept_n = op.dim, op.kept_columns, op_n.kept_columns
         p1, p2 = self.frames
@@ -295,11 +265,8 @@ class PairContext:
         rho's kept columns (right), where t + Delta scales entry ij by
         t + e_ij. (t + Delta)^{-1} rho^{1/2} is O lam^{1/2} h(t, e), and
         (t + DeltaN)^{-1} rhoN^{1/2} lies in N, so U of it is
-        P1 (O_N h(t, e_N)) P2 lam^{1/2} with no E. With E = id, w_t is 0."""
+        P1 (O_N h(t, e_N)) P2 lam^{1/2} with no E."""
         t = np.asarray(t, dtype=float)[:, None]
-        if self.e_is_identity:
-            return np.zeros((t.size, self.op.dim, self.op.kept_columns.size),
-                            dtype=complex)
         k_n, k = (_kernel(t, o.eigenvalues.reshape(o.dim, 1, -1))
                   for o in (self.op_n, self.op))
         return self._combine(k_n, k)
@@ -308,9 +275,6 @@ class PairContext:
         """The integral of t^b w_t over (0, inf), (d, kept): one quadrature
         of t^b h(t, e) at the eigenvalues of op_n and op side by side, a real
         (nodes, d kept_N + d kept) array, then the frames, once."""
-        if self.e_is_identity:
-            return np.zeros((self.op.dim, self.op.kept_columns.size),
-                            dtype=complex)
         e_n, e = self.op_n.eigenvalues, self.op.eigenvalues
         k = integrate_halfline(lambda t: (t ** beta)[:, None]
                                * _kernel(t[:, None], np.concatenate([e_n, e])))
@@ -338,11 +302,7 @@ class PairContext:
     @cached_property
     def recovery_discrepancy(self) -> float:
         """|| sigmaN^{1/2} rhoN^{-1/2} rho^{1/2} - sigma^{1/2} ||_2 with a
-        bare (unprojected) sigma^{1/2}, in the frame. When E is the
-        identity it is || sigma^{1/2} (P_rho - 1) ||_2, P_rho the support
-        projector of rho: exactly 0 when rho is invertible."""
-        if self.e_is_identity and self.rho.is_invertible:
-            return 0.0
+        bare (unprojected) sigma^{1/2}, in the frame."""
         bare = pseudo_power(self.sigma.spectrum, 0.5)[:, None] \
             * self.op.overlaps
         return hs_norm(self._half_ratio_n * self._sqrt_rho - bare)
@@ -356,9 +316,6 @@ class PairContext:
         x_n = getattr(self, role + "_n").spectrum
         left = pseudo_power(x, 0.5)
         right = pseudo_power(x_n, -0.5)
-        if self.e_is_identity:
-            v = x.eigenvectors
-            return (v * (left * right)) @ v.conj().T
         p1, p2 = self.frames
         middle = p1 if role == "sigma" else p2.conj().T
         return x.eigenvectors @ (left[:, None] * middle * right[None, :]) \
@@ -368,26 +325,23 @@ class PairContext:
     def recovery_errors(self) -> tuple[float, float]:
         """(e_rho, e_sigma) = (|| R_rho(E(sigma)) - sigma ||_1,
         || R_sigma(E(rho)) - rho ||_1), R_x(y) = K_x y K_x^* with K_x =
-        kraus(x). Two exact identities of the Petz map (R_x(E(x)) = x)
-        decide them where they apply. When E is the trace, E(rho) =
-        E(sigma) = 1/d, so R_rho(E(sigma)) = rho, R_sigma(E(rho)) = sigma,
-        and both errors are || rho - sigma ||_1. When E is the identity,
-        R_x(y) = P_x y P_x with P_x the support projector of x, so an error
-        whose reference state x is invertible is exactly 0. Every other
-        error is the trace norm of K_x E(y) K_x^* - y, all of them from one
-        linalg.trace_norm call (one stacked eigvalsh)."""
-        if self.e_is_trace:
-            e = trace_norm(self.rho.matrix - self.sigma.matrix)
-            return e, e
+        kraus(x): the trace norm of K_x E(y) K_x^* - y, all of them from one
+        linalg.trace_norm call (one stacked eigvalsh), but an error that
+        _recovers_exactly(x) decides is 0."""
         dense = {}
         for x, y in (("rho", "sigma"), ("sigma", "rho")):
-            if not (self.e_is_identity and getattr(self, x).is_invertible):
+            if not self._recovers_exactly(x):
                 k = self.kraus(x)
                 dense[x] = k @ getattr(self, y + "_n").matrix @ k.conj().T \
                     - getattr(self, y).matrix
         errors = dict(zip(dense, trace_norm(list(dense.values())))) \
             if dense else {}
         return errors.get("rho", 0.0), errors.get("sigma", 0.0)
+
+    def _recovers_exactly(self, role: str) -> bool:
+        """Whether R_x(E(y)) = y exactly for reference state x = role and
+        the other state y, whatever y is."""
+        return False
 
     @cached_property
     def support_leak(self) -> float:
@@ -415,3 +369,78 @@ class PairContext:
         if "recovery_errors" in computed:
             out["e_rho"], out["e_sigma"] = computed["recovery_errors"]
         return out
+
+
+class _Identity(PairContext):
+    """E = id: the algebra is all of M_d, one (dim, 1) block in any basis
+    (d = 1 included). E(x) is x itself, so op_n is op, whose entropies it
+    shares, every gap is exactly 0, and the frames are exact identity
+    matrices. The two terms of D_b are then the same numbers, so D_b, w_t
+    and its moment are exactly 0, returned as zeros, not computed. R_x(y) =
+    P_x y P_x with P_x the support projector of x, so a recovery error whose
+    reference state x is invertible is exactly 0, and so is the recovery
+    discrepancy || sigma^{1/2} (P_rho - 1) ||_2 when rho is."""
+
+    @cached_property
+    def _expectations(self) -> list:
+        return [self.rho, self.sigma]
+
+    @cached_property
+    def op_n(self) -> modular.RelativeModularOperator:
+        return self.op
+
+    def _entropies_n(self, reps) -> list:
+        return [self._memo["s_f", rep, "op"] for rep in reps]
+
+    @cached_property
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.eye(self.spec.dim),) * 2
+
+    def _difference(self, beta: float) -> np.ndarray:
+        return np.zeros((self.op.dim, self.op.dim), dtype=complex)
+
+    def w_t(self, t) -> np.ndarray:
+        return np.zeros((np.size(t), self.op.dim, self.op.kept_columns.size),
+                        dtype=complex)
+
+    def w_t_moment(self, beta: float) -> np.ndarray:
+        return np.zeros((self.op.dim, self.op.kept_columns.size),
+                        dtype=complex)
+
+    @cached_property
+    def recovery_discrepancy(self) -> float:
+        return 0.0 if self.rho.is_invertible else super().recovery_discrepancy
+
+    def _recovers_exactly(self, role: str) -> bool:
+        return getattr(self, role).is_invertible
+
+
+class _Trace(PairContext):
+    """E the trace: the algebra is C 1, one (1, dim) block in any basis, and
+    E(x) = Tr(x) 1/d, taken exactly: E(rho) and E(sigma) are the flat state
+    1/d of _flat (eigenvalues 1/d, eigenvectors I), op_n is its identity
+    operator (every eigenvalue 1), and op_n's entropies are _flat_entropies',
+    all built once per dimension, read-only and shared by every trivial
+    context of that dimension. sigmaN^b rhoN^-b = 1 is op.overlaps in the
+    frame, so D_b and the recovery discrepancy take no product.
+    R_rho(E(sigma)) = rho and R_sigma(E(rho)) = sigma, so both recovery
+    errors are || rho - sigma ||_1, one trace norm."""
+
+    @cached_property
+    def _expectations(self) -> list:
+        return [_flat(self.spec.dim)[0]] * 2
+
+    @cached_property
+    def op_n(self) -> modular.RelativeModularOperator:
+        return _flat(self.spec.dim)[1]
+
+    def _entropies_n(self, reps) -> tuple:
+        return _flat_entropies(self.spec.dim, tuple(reps))
+
+    def _ratio_n(self, beta: float) -> np.ndarray:
+        return self.op.overlaps
+
+    @cached_property
+    def recovery_errors(self) -> tuple[float, float]:
+        e = trace_norm(self.rho.matrix - self.sigma.matrix)
+        return e, e

@@ -1,14 +1,9 @@
-"""PairContext on the identity expectation, and its discrepancies against
-the dense-power oracles.
+"""PairContext on the exact classes, and its discrepancies against the
+dense-power oracles.
 
 E = id gives E(x) = x itself and op_n is op, so every gap is exactly 0, with
-or without a rotated basis, and so is every discrepancy: with no basis change the two
-terms of D_b are the same numbers. The context then returns D_b, w_t and its
-moment as zeros without forming them; a twin context whose op_n is a copy of
-op (equal, but not op itself) takes the general formulas, and they must give
-the same zeros bit for bit. E the trace gives E(x) = 1/d, op_n = 1 and
-sigmaN^b rhoN^-b = 1, taken as exact identities; a twin told E is not the
-trace takes the general formulas, and the two must agree to the rule below.
+or without a rotated basis, and so is every discrepancy; a twin test runs
+it and E the trace against the general formulas.
 
 The context computes discrepancies and Kraus operators in the eigenbases of
 sigma and rho; tests/oracles.py multiplies dense powers of the four states.
@@ -230,140 +225,101 @@ def test_w_t_moment_matches_the_stacked_integral(kind):
     assert ctx.op.kept_columns.size == 3
 
 
-def _same_bits(got, want) -> bool:
-    return got.dtype == want.dtype and got.shape == want.shape \
-        and got.tobytes() == want.tobytes()
-
-
-# (label, rho, sigma, spec) of E = id: the full algebra, the partial trace at
-# the prime dims 2 and 3 (the full algebra too), and a rank-deficient rho
-IDENTITY_PAIRS = [
-    ("full", ginibre(4, 4, 7300), ginibre(4, 4, 7301), spec_for("full", 4)),
-    ("partial-trace:2", ginibre(2, 2, 7302), ginibre(2, 2, 7303),
-     spec_for("partial-trace", 2)),
-    ("partial-trace:3", ginibre(3, 3, 7304), ginibre(3, 3, 7305),
-     spec_for("partial-trace", 3)),
-    ("rank-deficient", ginibre(4, 3, 7306), ginibre(4, 4, 7307),
-     spec_for("full", 4)),
-]
-
-
-@pytest.mark.parametrize("label, rho, sigma, spec", IDENTITY_PAIRS,
-                         ids=[p[0] for p in IDENTITY_PAIRS])
-def test_identity_shortcut_gives_the_bits_of_the_general_formulas(
-        label, rho, sigma, spec):
-    """With E = id the context returns D_b, w_t and its moment as zeros of
-    their usual shape and dtype. The twin is told E is not the identity and
-    computes them by the general formulas: its E(rho), E(sigma) are rho and
-    sigma, its op_n a separate build of op, and its frames exact identity
-    matrices, whose products keep the bits. D_b comes from the frame
-    products, w_t from its kernels through the frames, the moment by the
-    twin's own quadrature and by the stacked oracle. Every one is the same
-    bits (x - x is +0 for finite x), and the proof internals read exact
-    zeros."""
-    ctx = PairContext(rho, sigma, spec)
-    assert ctx.op_n is ctx.op
-    twin = PairContext(rho, sigma, spec)
-    twin.e_is_identity = False
-    twin.rho_n, twin.sigma_n = twin.rho, twin.sigma
-    twin.frames = (np.eye(rho.dim), np.eye(rho.dim))
-    twin.op_n = modular.build(twin.sigma.spectrum, twin.rho.spectrum)
-    assert twin.op_n is not twin.op
-    kept = ctx.op.kept_columns.size
-    assert kept == (3 if label == "rank-deficient" else rho.dim)
-    for beta in MOMENT_BETAS:
-        got = ctx._difference(beta)
-        assert _same_bits(got, twin._difference(beta)), (label, beta)
-        assert got.shape == (rho.dim, rho.dim) and not np.any(got)
-        got = ctx.w_t_moment(beta)
-        assert got.shape == (rho.dim, kept) and not np.any(got)
-        assert _same_bits(got, twin.w_t_moment(beta)), (label, beta)
-        assert _same_bits(got, stacked_w_t_moment(twin, beta)), (label, beta)
-    got = ctx.w_t(RECONSTRUCT_T_GRID)
-    assert got.shape == (RECONSTRUCT_T_GRID.size, rho.dim, kept)
-    assert _same_bits(got, twin.w_t(RECONSTRUCT_T_GRID)), label
-    out = proof_internals(builtin_neg_log(), 0.5, ctx, RECONSTRUCT_T_GRID,
-                          contraction_probes(rho.dim))
-    assert out == proof_internals(builtin_neg_log(), 0.5, twin,
-                                  RECONSTRUCT_T_GRID,
-                                  contraction_probes(rho.dim))
-    for key in ("identity_residual", "per_t_gap_margin", "gap_residual"):
-        assert out[key] == 0.0, (label, key, out)
-
-
-# (label, rho, sigma) for the trivial algebra: full rank, rank d - 1 and
-# pure rho and sigma, seeded, at each d
-TRACE_PAIRS = [
+# (label, rho, sigma, spec): E = id on full, partial-trace at d = 2, 3, a
+# rank-deficient rho and d = 1 (M_1 = C 1); the trivial algebra at full
+# rank, rank d - 1 and pure rho and sigma, seeded, at each d
+EXACT_PAIRS = [
+    (label, ginibre(d, r, 7300 + 2 * k), ginibre(d, d, 7301 + 2 * k),
+     spec_for(kind, d)) for k, (label, kind, d, r) in enumerate([
+         ("full", "full", 4, 4), ("partial-trace:2", "partial-trace", 2, 2),
+         ("partial-trace:3", "partial-trace", 3, 3),
+         ("rank-deficient", "full", 4, 3), ("d1", "trivial", 1, 1)])] + [
     (f"d{d}:{r}x{s}", ginibre(d, r, 7400 + 10 * d + k),
-     ginibre(d, s, 7500 + 10 * d + k))
+     ginibre(d, s, 7500 + 10 * d + k), spec_for("trivial", d))
     for d in (2, 3, 5, 8)
     for k, (r, s) in enumerate(dict.fromkeys([(d, d), (d - 1, d), (d, d - 1),
                                               (1, d), (d, 1)]))]
 
 
-@pytest.mark.parametrize("label, rho, sigma", TRACE_PAIRS,
-                         ids=[p[0] for p in TRACE_PAIRS])
-def test_trace_shortcut_matches_the_general_formulas(label, rho, sigma):
-    """When E is the trace the context takes E(x) = 1/d, op_n = 1 and
-    sigmaN^b rhoN^-b = 1 as exact identities. The twin is told E is not
-    the trace and runs the general formulas: expectation_eigh, a built
-    op_n, the frame products. Every quantity of the trace path agrees with
-    the twin's, and with the dense oracles where there is one, to 1e-12
-    times the larger of 1 and the scale (the oracle's, else the norm of the
-    twin's value)."""
-    ctx = PairContext(rho, sigma, spec_for("trivial", rho.dim))
-    twin = PairContext(rho, sigma, ctx.spec)
-    twin.e_is_trace = False
-    assert ctx.e_is_trace and ctx.rho_n is ctx.sigma_n
-    assert twin.rho_n is not twin.sigma_n
+@pytest.mark.parametrize("label, rho, sigma, spec", EXACT_PAIRS,
+                         ids=[p[0] for p in EXACT_PAIRS])
+def test_trace_shortcut_matches_the_general_formulas(label, rho, sigma, spec):
+    """Each exact class against a twin of the general class. An _Identity's
+    twin is given what E = id makes exact (E(x) = x, op_n a separate build
+    of op, identity frames), and every quantity is the same bits (x - x is
+    +0), D_b, w_t and three proof internals exact zeros. A _Trace's twin
+    runs expectation_eigh, a built op_n and the frame products, and agrees
+    to 1e-12 times the larger of 1 and the scale (the oracle's, else the
+    twin's norm), as does either recovery discrepancy, which the twin
+    rounds. The discrepancies match the dense oracles; at d = 1 every
+    quantity is 0.0."""
+    ctx = PairContext(rho, sigma, spec)
+    twin = object.__new__(PairContext)
+    twin.__init__(rho, sigma, spec)
+    identity = spec.blocks == [(spec.dim, 1)]
+    assert type(twin) is PairContext
+    assert type(ctx) is (context._Identity if identity else context._Trace)
+    if identity:
+        assert ctx.op_n is ctx.op
+        twin.rho_n, twin.sigma_n = twin.rho, twin.sigma
+        twin.frames = (np.eye(rho.dim), np.eye(rho.dim))
+        twin.op_n = modular.build(twin.sigma.spectrum, twin.rho.spectrum)
+    else:
+        assert ctx.rho_n is ctx.sigma_n and twin.rho_n is not twin.sigma_n
+    d, kept, grid = rho.dim, ctx.op.kept_columns.size, RECONSTRUCT_T_GRID
+    assert kept == rho.rank and twin.op_n is not twin.op
 
-    def close(got, want, scale=None) -> bool:
-        if np.array_equal(got, want, equal_nan=True):
-            return True
+    def same(got, want, scale=None, bits=identity) -> bool:
+        if bits:
+            got, want = np.asarray(got), np.asarray(want)
+            return (got.dtype, got.shape, got.tobytes()) \
+                == (want.dtype, want.shape, want.tobytes())
         scale = np.linalg.norm(want) if scale is None else scale
-        return bool(np.linalg.norm(np.subtract(got, want))
+        return bool(np.array_equal(got, want, equal_nan=True)
+                    or np.linalg.norm(np.subtract(got, want))
                     <= ORACLE_RTOL * max(1.0, scale))
 
-    checks = []
-    for beta in BETAS:
-        for name, oracle in (("discrepancy", dense_discrepancy),
-                             ("beta_free", dense_beta_free)):
-            got = getattr(ctx, name)(beta)
-            want = oracle(ctx, beta)
-            checks.append((name, beta, _close(got, want)
-                           and close(got, getattr(twin, name)(beta), want[1])))
-    want = dense_recovery_discrepancy(ctx)
-    checks.append(("recovery_discrepancy", None,
-                   _close(ctx.recovery_discrepancy, want)
-                   and close(ctx.recovery_discrepancy,
-                             twin.recovery_discrepancy, want[1])))
-    for name in ("neg-log", "neg-power:0.25", "neg-power:0.5",
-                 "neg-power:0.75"):
-        rep = rep_from_name(name)
-        checks.append(("gap", name, close(ctx.gap(rep), twin.gap(rep))))
-    for alpha in (0.25, 0.5, 0.75):
-        checks.append(("renyi_gap", alpha, close(ctx.renyi_gap(alpha),
-                                                 twin.renyi_gap(alpha))))
-    leak = support_leak(loop_power(ctx.sigma_n.spectrum, 1.0),
-                        ctx.rho_n.spectrum)
-    checks.append(("support_leak_n", None,
-                   ctx.support_leak_n == twin.support_leak_n == 0.0
-                   and abs(ctx.support_leak_n - leak) <= LEAK_ATOL))
-    checks.append(("w_t", None, close(ctx.w_t(RECONSTRUCT_T_GRID),
-                                      twin.w_t(RECONSTRUCT_T_GRID))))
-    for beta in MOMENT_BETAS:
-        got = ctx.w_t_moment(beta)
-        checks.append(("w_t_moment", beta,
-                       close(got, twin.w_t_moment(beta))
-                       and close(got, stacked_w_t_moment(ctx, beta))))
-    probes = contraction_probes(rho.dim)
-    out, want = (proof_internals(builtin_neg_log(), 0.5, c,
-                                 RECONSTRUCT_T_GRID, probes)
-                 for c in (ctx, twin))
-    assert out.keys() == want.keys()
-    checks.extend(("proof_internals", key, close(out[key], want[key]))
-                  for key in out)
-    bad = [(name, key) for name, key, ok in checks if not ok]
+    def reads(c) -> dict:
+        out = {(n, b): getattr(c, n)(b)
+               for n in ("discrepancy", "beta_free") for b in BETAS}
+        out.update((("gap", n), c.gap(rep_from_name(n))) for n in (
+            "neg-log", "neg-power:0.25", "neg-power:0.5", "neg-power:0.75"))
+        out.update((("renyi_gap", a), c.renyi_gap(a)) for a in (.25, .5, .75))
+        for b in MOMENT_BETAS:
+            out["D_b", b], out["w_t_moment", b] = (c._difference(b),
+                                                   c.w_t_moment(b))
+        out["w_t", None] = c.w_t(grid)
+        out["recovery_discrepancy", None] = c.recovery_discrepancy
+        out["support_leak_n", None] = c.support_leak_n
+        out.update((("proof_internals", k), v) for k, v in proof_internals(
+            builtin_neg_log(), 0.5, c, grid, contraction_probes(d)).items())
+        return out
+
+    got, want = reads(ctx), reads(twin)
+    assert [got[k].shape for k in (("D_b", .5), ("w_t_moment", .5), (
+        "w_t", None))] == [(d, d), (d, kept), (grid.size, d, kept)]
+    oracles = {(n, b): oracle(ctx, b) for b in BETAS for n, oracle in (
+        ("discrepancy", dense_discrepancy), ("beta_free", dense_beta_free))}
+    oracles["recovery_discrepancy", None] = dense_recovery_discrepancy(ctx)
+    # the twin rounds the recovery discrepancy E = id decides
+    bad = [k for k in got if not same(
+        got[k], want[k], oracles.get(k, (None, None))[1],
+        bits=identity and k[0] != "recovery_discrepancy")
+           or k in oracles and not _close(got[k], oracles[k])]
+    bad += [k for k in got if k[0] == "w_t_moment" and not all(
+        same(got[k], stacked_w_t_moment(c, k[1])) for c in (ctx, twin))]
+    if identity:  # D_b, w_t, its moment and three proof internals are 0
+        bad += [k for k in got if k[0] in ("D_b", "w_t", "w_t_moment")
+                or k[1] in ("identity_residual", "per_t_gap_margin",
+                            "gap_residual") if np.any(got[k])]
+    leak = got["support_leak_n", None]
+    assert abs(leak - support_leak(loop_power(ctx.sigma_n.spectrum, 1.0),
+                                   ctx.rho_n.spectrum)) <= LEAK_ATOL
+    assert identity or leak == want["support_leak_n", None] == 0.0
+    if d == 1:
+        assert ctx.recovery_errors == (0.0, 0.0)
+        bad += [k for k, v in ctx.quantities().items()
+                if (any(v.values()) if isinstance(v, dict) else v)]
     assert not bad, (label, bad)
 
 

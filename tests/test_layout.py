@@ -24,6 +24,9 @@ of a petzgap module, so a per_layer name whose function is gone or private
 is a KeyError there. Its trial clock rebinds harness.run_trial,
 harness.run_reconstruct and bounds.proof_internals. A guard below checks
 those names against the modules.
+
+E's kind is decided in PairContext.__new__ alone: a guard fails on a src
+comparison of blocks anywhere else, and on any file naming the old flags.
 """
 
 import ast
@@ -212,3 +215,41 @@ def test_guard_sees_an_error_held_as_a_value():
 def test_every_error_is_constructed_in_a_raise(path):
     found = errors_as_values(ast.parse(path.read_text(), filename=str(path)))
     assert not found, f"{path.name}: {found}"
+
+
+def blocks_compared(tree: ast.AST) -> list:
+    """The lines of every comparison that reads a `.blocks` attribute,
+    outside PairContext.__new__, where E's kind is decided."""
+    skip = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+           and cls.name == "PairContext" for method in cls.body
+           if getattr(method, "name", None) == "__new__"
+           for node in ast.walk(method)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) not in skip
+                  and any(isinstance(n, ast.Attribute) and n.attr == "blocks"
+                          for n in ast.walk(node)))
+
+
+def test_guard_sees_a_blocks_comparison():
+    source = ("class PairContext:\n"
+              "    def __new__(cls, spec):\n"
+              "        ok = spec.blocks == [(spec.dim, 1)]\n"
+              "    def __init__(self, spec):\n"
+              "        self.trace = spec.blocks == [(1, spec.dim)]\n"
+              "single = 1 != len(ctx.spec.blocks)\n"
+              "ok = [n for n, _ in spec.blocks]\n")
+    assert blocks_compared(ast.parse(source)) == [5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_e_kind_is_decided_only_in_pair_context_new(path):
+    assert not blocks_compared(ast.parse(path.read_text())), path.name
+
+
+def test_no_file_names_the_old_e_kind_flags():
+    here = Path(__file__).resolve()
+    found = [(path.name, flag) for path in [*(ROOT / "src").rglob("*.py"),
+                                            *(ROOT / "tests").rglob("*.py")]
+             if path != here for flag in ("e_is_identity", "e_is_trace")
+             if flag in path.read_text()]
+    assert not found, found

@@ -3,7 +3,7 @@ import pytest
 
 from petzgap.algebra import (conditional_expectation, factor_spec, full_spec,
                              pinching_spec, trivial_spec)
-from petzgap.context import PairContext
+from petzgap.context import PairContext, _Identity
 from petzgap.errors import InvalidInput
 from petzgap.harness import spec_for
 from petzgap.recovery import apply, build_petz, recovery_errors
@@ -52,7 +52,7 @@ def test_identity_errors_of_invertible_states_are_exact_zeros(spec):
     for seed in range(3):
         ctx = PairContext(ginibre(spec.dim, spec.dim, 60 + seed),
                           ginibre(spec.dim, spec.dim, 70 + seed), spec)
-        assert ctx.e_is_identity
+        assert type(ctx) is _Identity
         assert ctx.recovery_errors == (0.0, 0.0)
         assert ctx.recovery_discrepancy == 0.0
 

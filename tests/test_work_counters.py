@@ -22,9 +22,9 @@ the flat state 1/d taken exactly, so verify {"trials": 60, "dims": [2, 3,
 4, 6, 8]} makes 24 calls, verify {"trials": 12, "dims": [32, 48, 64]} 6
 and reconstruct {"trials": 12} 4, where they made 39, 9 and 7 when the
 trivial algebra took one. A trivial-algebra trial builds one relative
-modular operator (op_n is the identity operator, not built), and forms no
-frame product: its frames are the eigenvectors of sigma and rho, and its
-sigmaN^b rhoN^-b is op's overlaps, so a verify trial never reads them. A
+modular operator (op_n is the identity operator, not built); its
+sigmaN^b rhoN^-b is op's overlaps, so a verify trial never reads the
+frames, and a reconstruct trial's are equal to V_sigma^H and V_rho. A
 trial builds at most two relative modular operators, op and op_n, and
 takes every entropy the battery reads (the gaps of neg-log and neg-power
 at 0.25, 0.5, 0.75, which the Renyi gaps of orders 0.75, 0.5, 0.25 read
@@ -74,7 +74,7 @@ the identity, an error whose reference state is invertible is exactly 0,
 so a trial with both states invertible makes no trace_norm call, and
 verify {"trials": 12, "dims": [32, 48, 64]} makes 9 eigvalsh calls on 15
 matrices, where it made 12 on 24. A trial forms sigmaN^b rhoN^-b
-(PairContext._ratio_n, two GEMMs in the frame when E is not the identity)
+(PairContext._ratio_n, two GEMMs in the frame but on the trivial algebra)
 once per beta: the beta = 1/2 norms and the recovery discrepancy share it,
 where the latter formed it again (4 per trial at the default betas, now
 3). Where E is the identity only the recovery discrepancy of a singular
@@ -193,8 +193,8 @@ EXPECTATION_EIGH_PER_COMMAND = {"verify-small": 24, "verify-large": 6,
                                 "reconstruct": 4}
 
 
-def count_calls(monkeypatch, owner, name) -> list:
-    calls = []
+def count_calls(monkeypatch, owner, name, calls=None) -> list:
+    calls = [] if calls is None else calls
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
@@ -334,22 +334,22 @@ def test_verify_blocks_take_one_eigh_per_dimension(monkeypatch, label,
     ("reconstruct", {"trials": 12})])
 def test_trace_trials_make_no_expectation_eigh_or_frame_product(
         monkeypatch, command, config):
-    """A trivial-algebra trial takes E(rho) = E(sigma) = 1/d, op_n = 1 and
-    sigmaN^b rhoN^-b = 1 as exact identities: no expectation_eigh call,
-    one modular.build (op), no frames on a verify trial, and on a
-    reconstruct trial frames that are the eigenvectors of sigma and rho
-    themselves, not products. Every other trial but E = id makes one
-    expectation_eigh call."""
+    """A trivial-algebra trial (a _Trace) takes E(rho) = E(sigma) = 1/d,
+    op_n = 1 and sigmaN^b rhoN^-b = 1 as exact identities: no
+    expectation_eigh call, one modular.build (op), no frames on a verify
+    trial, and on a reconstruct trial frames equal to the eigenvectors of
+    sigma and rho (the general products with E's eigenvectors I). Every
+    other trial but E = id makes one expectation_eigh call."""
     expectation = count_calls(monkeypatch, context, "expectation_eigh")
     build = count_calls(monkeypatch, modular, "build")
     contexts = []
 
-    class Recording(context.PairContext):
-        def __init__(self, *args):
-            super().__init__(*args)
-            contexts.append((self, len(expectation), len(build)))
+    def recording(*args):
+        ctx = context.PairContext(*args)
+        contexts.append((ctx, len(expectation), len(build)))
+        return ctx
 
-    monkeypatch.setattr(harness, "PairContext", Recording)
+    monkeypatch.setattr(harness, "PairContext", recording)
     run = run_verify if command.startswith("verify") else run_reconstruct
     code, _ = run(ExperimentConfig.from_json(dict(config)))
     assert code == 0
@@ -357,14 +357,14 @@ def test_trace_trials_make_no_expectation_eigh_or_frame_product(
         + [(len(expectation), len(build))]
     trace = 0
     for (ctx, n, b), (n_end, b_end) in zip(contexts, ends):
-        if not ctx.e_is_trace:
-            assert n_end - n == (0 if ctx.e_is_identity else 1)
+        if type(ctx) is not context._Trace:
+            assert n_end - n == (0 if type(ctx) is context._Identity else 1)
             continue
         trace += 1
         assert (n_end - n, b_end - b) == (0, 1), ctx.spec
         if command == "reconstruct":
             p1, p2 = ctx.frames
-            assert p2 is ctx.rho.spectrum.eigenvectors
+            assert np.array_equal(p2, ctx.rho.spectrum.eigenvectors)
             assert np.array_equal(p1, ctx.sigma.spectrum.eigenvectors.conj().T)
         else:
             assert "frames" not in vars(ctx)
@@ -523,6 +523,7 @@ def test_trials_form_each_frame_ratio_once_per_beta(monkeypatch):
     config = ExperimentConfig(trials=TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
     calls = count_calls(monkeypatch, context.PairContext, "_ratio_n")
+    count_calls(monkeypatch, context._Trace, "_ratio_n", calls)
     per_trial, want = [], []
     # trial 19 has E = id and a singular rho
     for i in range(2 * TRIALS):
@@ -650,6 +651,7 @@ def test_reconstruct_integrand_calls(monkeypatch):
 
 def test_reconstruct_integrates_the_identity_on_scalar_kernels(monkeypatch):
     w_t = count_calls(monkeypatch, context.PairContext, "w_t")
+    count_calls(monkeypatch, context._Identity, "w_t", w_t)
     shapes = []
     original = context.integrate_halfline
 
