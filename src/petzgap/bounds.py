@@ -17,45 +17,46 @@ ride on the power corollary. Everything of a (function, beta) pair that no
 trial quantity changes is one record, _law(rep, beta), cached per pair: the
 T-family's pi/sin(beta pi), k, n0 and C^f pieces (read from
 rep.c_closed(beta)), the generic inversion's terms and grid, and the printed
-corollary's name, key, exponent, terms and grid. A builder adds only the
-terms of its ||Delta||, gap and discrepancy.
+corollary's name, key, exponent, terms and grid.
 
-Bounds take a PairContext (see context.py) instead of (rho, sigma, spec):
-the context computes each quantity of the triple once, caches it for the
-one trial it is built for, and the bounds read from it; every discrepancy,
-the beta-free left side included, comes from its one matrix per beta in
-the eigenbases of sigma and rho. discrepancy_norm and recovery_discrepancy
-take raw states and build a context for them.
-
-The corollary constants K are built as logs and recorded as log_K (K is
-exp(log_K)), and each right side K disc^E is exp(log K + E log disc): at a
-large ||Delta|| the constant underflows and disc^E overflows while the
-product is an ordinary number. The three corollaries share one report
-builder, _corollary; verify runs corollary-log and corollary-power, whose
-right sides are never below generic's and whose T_star is its minimizer.
+The trial quantities are read from a PairContext (see context.py), which
+computes each once for its one trial (discrepancy_norm and
+recovery_discrepancy build one for raw states). Each report family is built
+by one helper from values (_dpi, _theorem, _corollary for the three
+corollaries, _beta_free, _renyi, _chain); a public builder (dpi_report,
+theorem_report, ...) reads the values from a context and calls it. battery
+builds a verify trial's reports in one pass through the same helpers: it
+reads each trial quantity once, forms K_T and the ||Delta|| term of the
+constants once per beta, and takes each report's _Law, name and grid from
+its plan, cached per (functions, beta_grid, alpha_grid). verify runs
+corollary-log and corollary-power, whose right sides are never below
+generic's and whose T_star is its minimizer. The constants K are built as
+logs and recorded as log_K (K is exp(log_K)), and each right side K disc^E
+is exp(log K + E log disc): at a large ||Delta|| the constant underflows
+and disc^E overflows while the product is an ordinary number.
 
 Margins follow one sign convention everywhere: margin >= 0 means the
 inequality holds, and only inequalities whose hypotheses are met appear in
 the margins dict (everything else is recorded in constants/rhs_values and
-explained by flags). Every report verify writes is built here, dpi_report
-and theorem_report included, and filled through one helper,
-BoundReport.bound, which records a right side and, when the inequality is
-asserted, its margin; it turns a gap into its margin and the infinite-gap
-flag. Under linalg's support policy, the leak of sigma (sigma_N) off supp
-rho (rho_N) is flagged above sigma's (sigma_N's) zero threshold. A
-BoundReport holds no trial quantity (the gap, a discrepancy, ||Delta||, a
-recovery error), which a verify trial writes once, nor what a fixed rule
-reads from them (the theorem's left side); the constants that depend only on
-(report name, beta) it keeps in grid, a dict that nothing writes (a law's is
-shared by every report of its key). A float that can be non-finite (a right
-side, a margin, T_star, C_exact) is marked (mark) where it is stored, so
-to_json is one pass; should any other be non-finite, the report encoder
-stops the run.
+explained by flags). Every report verify writes is built here and filled
+through one helper, BoundReport.bound, which records a right side and, when
+the inequality is asserted, its margin; it turns a gap into its margin and
+the infinite-gap flag. Under linalg's support policy, the leak of sigma
+(sigma_N) off supp rho (rho_N) is flagged above sigma's (sigma_N's) zero
+threshold. A BoundReport holds no trial quantity (the gap, a discrepancy,
+||Delta||, a recovery error), which a verify trial writes once, nor what a
+fixed rule reads from them (the theorem's left side); the constants that
+depend only on (report name, beta) it keeps in grid, a dict that nothing
+writes (a law's is shared by every report of its key). A float that can be
+non-finite (a right side, a margin, T_star, C_exact) is marked (mark) where
+it is stored, so to_json is one pass; should any other be non-finite, the
+report encoder stops the run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -176,7 +177,7 @@ class _Law:
     n/(k+n), k/(k+n) log(n sqrt C), log pi_sin), grid {"exponent": E}. The
     printed corollary (corollary-log or corollary-power:alpha) has name, key
     (K_L for beta <= 1/2, K_U above), exponent, grid, and log K = weight *
-    _delta_log(beta, ||Delta||) plus each of terms in turn."""
+    _delta_log(beta, ||Delta||) plus each of terms in turn (log_k)."""
 
     pi_sin: float
     k: float
@@ -191,9 +192,10 @@ class _Law:
     terms: tuple
     grid: dict
 
-    def log_k(self, beta: float, delta_norm: float) -> float:
-        """log K of the printed corollary at ||Delta|| = delta_norm."""
-        log_k = self.weight * _delta_log(beta, delta_norm)
+    def log_k(self, delta_log: float) -> float:
+        """log K of the printed corollary at the ||Delta|| whose
+        _delta_log(beta, ||Delta||) is delta_log."""
+        log_k = self.weight * delta_log
         for term in self.terms:
             log_k += term
         return log_k
@@ -331,10 +333,46 @@ def _minimizer(big_k: float, k: float, big_n: float, n: float) -> float:
         return math.inf
 
 
+# The trial quantities the corollary-log, Renyi, beta-free and recovery-chain
+# bounds share, read from a context once (_facts); leaks (leaks_n): sigma's
+# weight off supp rho (sigma_N's off supp rho_N) is above sigma's (sigma_N's)
+# zero threshold; rho .. sigma_n: the state's (largest, least) eigenvalue.
+_Facts = namedtuple("_Facts", "delta_norm e_rho e_sigma recovery_discrepancy "
+                    "leaks leaks_n rho_invertible sigma_invertible "
+                    "sigma_n_invertible rho sigma rho_n sigma_n")
+
+
+def _facts(ctx: PairContext) -> _Facts:
+    r, s, r_n, s_n = ctx.rho, ctx.sigma, ctx.rho_n, ctx.sigma_n
+    return _Facts(
+        ctx.delta_norm, *ctx.recovery_errors, ctx.recovery_discrepancy,
+        ctx.support_leak > s.spectrum.zero_threshold,
+        ctx.support_leak_n > s_n.spectrum.zero_threshold,
+        r.is_invertible, s.is_invertible, s_n.is_invertible,
+        *[(float(x.eigenvalues[0]), float(x.eigenvalues[-1]))
+          for x in (r, s, r_n, s_n)])
+
+
+def _dpi(name: str, g: float) -> BoundReport:
+    report = BoundReport(name, None)
+    report.bound("dpi", None, gap=g)
+    return report
+
+
 def dpi_report(rep: MonotoneDecreasingRep, ctx: PairContext) -> BoundReport:
     """The data processing inequality gap >= 0 on the trial's gap of rep."""
-    report = BoundReport(f"dpi:{rep.name}", None)
-    report.bound("dpi", None, gap=ctx.gap(rep))
+    return _dpi(f"dpi:{rep.name}", ctx.gap(rep))
+
+
+def _theorem(rep: MonotoneDecreasingRep, beta: float, law: _Law, name: str,
+             delta_norm: float, g: float, disc: float) -> BoundReport:
+    report = BoundReport(name, beta, constants={"T_star": None})
+    if math.isfinite(g):
+        value, t_star = theorem_optimum(rep, beta, delta_norm, g)
+        report.constants["T_star"] = mark(t_star)
+        report.margins["theorem_T_opt"] = mark(value - law.pi_sin * disc)
+    else:
+        report.bound("theorem_T_opt", None, gap=g)
     return report
 
 
@@ -344,17 +382,8 @@ def theorem_report(rep: MonotoneDecreasingRep, beta: float,
     trial's gap: margin min_T rhs - (pi/sin(beta pi)) disc, at T_star (None
     for an inf or nan gap). A gap <= 0 has the minimum 0 at T_star = inf; a
     constant that overflowed to inf times such a gap leaves a nan margin."""
-    report = BoundReport(f"theorem:{rep.name}", beta,
-                         constants={"T_star": None})
-    g = ctx.gap(rep)
-    if math.isfinite(g):
-        value, t_star = theorem_optimum(rep, beta, ctx.delta_norm, g)
-        report.constants["T_star"] = mark(t_star)
-        report.margins["theorem_T_opt"] = mark(
-            value - _law(rep, beta).pi_sin * ctx.discrepancy(beta))
-    else:
-        report.bound("theorem_T_opt", None, gap=g)
-    return report
+    return _theorem(rep, beta, _law(rep, beta), f"theorem:{rep.name}",
+                    ctx.delta_norm, ctx.gap(rep), ctx.discrepancy(beta))
 
 
 def _power_law(log_k: float, x: float, expo: float) -> float:
@@ -384,36 +413,46 @@ def corollary_constant(rep: MonotoneDecreasingRep, beta: float,
     """(log K, E, key) of the printed corollary gap_f >= K disc^E of rep at
     beta (_Law)."""
     law = _law(rep, beta)
-    return law.log_k(beta, delta_norm), law.exponent, law.key
+    return law.log_k(_delta_log(beta, delta_norm)), law.exponent, law.key
 
 
-def _corollary(rep: MonotoneDecreasingRep, beta: float, ctx: PairContext,
-               generic: bool = False) -> BoundReport:
-    """The report of gap_f >= K disc^E on the trial's gap of rep and
-    discrepancy at beta: the printed corollary of _law(rep, beta), or with
-    generic its inversion K_gap, named "generic:" + rep.name. log K is
-    recorded as "log_" + key, E in the law's grid, and as T_star the
-    minimizer of the family on the last piece of C^f, which holds for
-    T >= 1 only, so a T_star below 1 is flagged when c > 0 (-log x's,
+def _corollary(law: _Law, beta: float, g: float, k_t: float,
+               delta_log: float, disc: float, facts: _Facts | None = None,
+               generic: str | None = None) -> BoundReport:
+    """The report of gap_f >= K disc^E on gap g and discrepancy disc at
+    beta, K_T = k_t and _delta_log(beta, ||Delta||) = delta_log: the printed
+    corollary of law (with the trial's facts, corollary-log, which records
+    the CV comparison at beta = 1/2), or its generic inversion K_gap, named
+    generic. log K is recorded as "log_" + key, E in the law's grid, and as
+    T_star the minimizer of the family on the last piece of C^f, which holds
+    for T >= 1 only, so a T_star below 1 is flagged when c > 0 (-log x's,
     c = 0, holds at every T)."""
-    law, g, delta_norm = _law(rep, beta), ctx.gap(rep), ctx.delta_norm
-    k_t = _k_t(beta, delta_norm)
     if generic:
-        name, key, grid = "generic:" + rep.name, "K_gap", law.generic_grid
+        name, key, grid = generic, "K_gap", law.generic_grid
         log_k, expo = _log_k_gap(law, k_t), law.generic[0]
     else:
         name, key, grid = law.name, law.key, law.grid
-        log_k, expo = law.log_k(beta, delta_norm), law.exponent
+        log_k, expo = law.log_k(delta_log), law.exponent
     _, _, big_c, c, n, _ = law.pieces[-1]
     t_star = math.inf if not math.isfinite(g) or g <= 0.0 else _minimizer(
         k_t, law.k, math.sqrt(big_c * g), n)
     report = BoundReport(name, beta, {"log_" + key: log_k,
                                       "T_star": mark(t_star)}, grid=grid)
-    report.bound("gap_lower_bound",
-                 _power_law(log_k, ctx.discrepancy(beta), expo), gap=g)
+    report.bound("gap_lower_bound", _power_law(log_k, disc, expo), gap=g)
     if c > 0.0 and t_star < 1.0:
         report.flags.append(FLAG_T_STAR_BELOW_ONE)
+    if facts is not None and beta == 0.5 and facts.delta_norm > 0.0:
+        report.constants["CV_comparison_rhs"] = (1.0 / (8.0 * math.pi)) ** 4 \
+            * facts.delta_norm ** (-2.0) * facts.e_rho ** 4
     return report
+
+
+def _corollary_reads(rep: MonotoneDecreasingRep, beta: float,
+                     ctx: PairContext) -> tuple:
+    """_corollary's arguments for rep at beta, read from ctx."""
+    dn = ctx.delta_norm
+    return (_law(rep, beta), beta, ctx.gap(rep), _k_t(beta, dn),
+            _delta_log(beta, dn), ctx.discrepancy(beta))
 
 
 def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
@@ -422,18 +461,16 @@ def generic_corollary_bound(rep: MonotoneDecreasingRep, beta: float,
     T >= 1 piece of C^f. verify does not run it: corollary-log and
     corollary-power assert the same inequality, with a right side never
     smaller and the same T_star."""
-    return _corollary(rep, beta, ctx, generic=True)
+    return _corollary(*_corollary_reads(rep, beta, ctx),
+                      generic="generic:" + rep.name)
 
 
 def corollary_log_bound(beta: float, ctx: PairContext) -> BoundReport:
     """Relative-entropy gap lower bound with the printed closed-form
     constant, which tests/test_bounds.py checks against the generic
     optimization (C=1, c=0)."""
-    report = _corollary(builtin_neg_log(), beta, ctx)
-    if beta == 0.5 and ctx.delta_norm > 0.0:
-        report.constants["CV_comparison_rhs"] = (1.0 / (8.0 * math.pi)) ** 4 \
-            * ctx.delta_norm ** (-2.0) * ctx.recovery_errors[0] ** 4
-    return report
+    return _corollary(*_corollary_reads(builtin_neg_log(), beta, ctx),
+                      _facts(ctx))
 
 
 def corollary_power_bound(alpha: float, beta: float,
@@ -448,7 +485,44 @@ def corollary_power_bound(alpha: float, beta: float,
     growth exponent c (a/2 for b <= 1/2, a(1-b)/(2b) above) are recorded
     as C_exact and c_effective.
     """
-    return _corollary(builtin_neg_power(alpha), beta, ctx)
+    return _corollary(*_corollary_reads(builtin_neg_power(alpha), beta, ctx))
+
+
+def _renyi_entry(alpha: float) -> tuple:
+    """(alpha, name, _law of neg-power:1 - alpha at beta = 1/2, grid) of
+    the Renyi report of order alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInput("Renyi order must lie in (0, 1)")
+    law = _law(builtin_neg_power(1.0 - alpha), 0.5)
+    return alpha, f"renyi:{float(alpha)!r}", law, {"exponent": law.exponent}
+
+
+def _renyi(entry: tuple, g: float, delta_log: float, disc: float,
+           facts: _Facts) -> BoundReport:
+    alpha, name, law, grid = entry
+    log_k_u, expo = law.log_k(delta_log), law.exponent
+    report = BoundReport(name, 0.5, {"log_K_U": log_k_u}, grid=grid)
+    rhs_disc = math.log1p(_power_law(log_k_u, disc, expo)) / (1.0 - alpha)
+    if not facts.sigma_invertible:
+        report.bound("renyi_disc", rhs_disc)
+        report.flags.append(FLAG_SIGMA_SINGULAR)
+        if not facts.sigma_n_invertible:
+            report.flags.append(FLAG_SIGMA_N_SINGULAR)
+        return report
+    report.bound("renyi_disc", rhs_disc, gap=g)
+    log_k_hat = log_k_u - math.log(2.0) - 0.5 * math.log(
+        facts.rho[0] * (1.0 / facts.sigma[1]))
+    report.constants["K_hat"] = math.exp(log_k_hat)
+    rhs_rec = math.log1p(_power_law(
+        log_k_hat, max(facts.e_rho, facts.e_sigma), expo)) / (1.0 - alpha)
+    if facts.leaks:
+        report.bound("renyi_recovery", rhs_rec)
+        report.flags.append(FLAG_SUPPORT_MISMATCH)
+    else:
+        report.bound("renyi_recovery", rhs_rec, gap=g)
+    report.bound("renyi_inverted", _power_law(
+        -log_k_hat, math.expm1((1.0 - alpha) * max(g, 0.0)), 1.0))
+    return report
 
 
 def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
@@ -472,36 +546,42 @@ def renyi_bound(alpha: float, ctx: PairContext) -> BoundReport:
     recorded; it clamps negative numerical gaps to zero before
     exponentiating.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput("Renyi order must lie in (0, 1)")
-    r, s = ctx.rho, ctx.sigma
-    g = ctx.renyi_gap(alpha)
-    log_k_u, expo, _ = corollary_constant(builtin_neg_power(1.0 - alpha),
-                                          0.5, ctx.delta_norm)
-    report = BoundReport(f"renyi:{float(alpha)!r}", 0.5, {"log_K_U": log_k_u},
-                         grid={"exponent": expo})
-    rhs_disc = math.log1p(_power_law(log_k_u, ctx.discrepancy(0.5), expo)) \
-        / (1.0 - alpha)
-    if not s.is_invertible:
-        report.bound("renyi_disc", rhs_disc)
-        report.flags.append(FLAG_SIGMA_SINGULAR)
-        if not ctx.sigma_n.is_invertible:
-            report.flags.append(FLAG_SIGMA_N_SINGULAR)
-        return report
-    report.bound("renyi_disc", rhs_disc, gap=g)
-    e_rho, e_sigma = ctx.recovery_errors
-    log_k_hat = log_k_u - math.log(2.0) - 0.5 * math.log(
-        float(r.eigenvalues[0]) * (1.0 / float(s.eigenvalues[-1])))
-    report.constants["K_hat"] = math.exp(log_k_hat)
-    rhs_rec = math.log1p(_power_law(log_k_hat, max(e_rho, e_sigma), expo)) \
-        / (1.0 - alpha)
-    if ctx.support_leak <= s.spectrum.zero_threshold:
-        report.bound("renyi_recovery", rhs_rec, gap=g)
+    return _renyi(_renyi_entry(alpha), ctx.renyi_gap(alpha),
+                  _delta_log(0.5, ctx.delta_norm), ctx.discrepancy(0.5),
+                  _facts(ctx))
+
+
+def _chain(law: _Law, k_t: float, g: float, facts: _Facts) -> BoundReport:
+    e_rho, e_sigma, disc_full = facts[1:4]
+    report = BoundReport("recovery-chain", 0.5, grid=law.generic_grid)
+    report.bound("rec_rho", 2.0 * disc_full, e_rho)
+    norms_n = None
+    if facts.sigma_n_invertible:
+        norms_n = math.sqrt(facts.rho_n[0] / facts.sigma_n[1])
+        report.bound("rec_sigma_n", 2.0 * norms_n * disc_full, e_sigma)
     else:
-        report.bound("renyi_recovery", rhs_rec)
+        report.flags.append(FLAG_SIGMA_N_SINGULAR)
+    if facts.sigma_invertible:
+        norms = math.sqrt(facts.rho[0] / facts.sigma[1])
+        report.bound("rec_sigma", 2.0 * norms * disc_full, e_sigma)
+    else:
+        report.flags.append(FLAG_SIGMA_SINGULAR)
+    for key, x, x_n in (("spectrum_rho", facts.rho, facts.rho_n),
+                        ("spectrum_sigma", facts.sigma, facts.sigma_n)):
+        report.margins[key] = min(x_n[1] - x[1], x[0] - x_n[0])
+    if math.isinf(g):
+        report.flags.append(FLAG_INFINITE_GAP)
+    if facts.leaks_n:
+        report.flags.append(FLAG_TRACE_LOSS)
+    if facts.leaks:
         report.flags.append(FLAG_SUPPORT_MISMATCH)
-    report.bound("renyi_inverted", _power_law(
-        -log_k_hat, math.expm1((1.0 - alpha) * max(g, 0.0)), 1.0))
+    elif not math.isnan(g):
+        root = (max(g, 0.0) / math.exp(_log_k_gap(law, k_t))) ** 0.25 \
+            if math.isfinite(g) else math.inf
+        report.bound("disc_gap_one_sided", 2.0 * root, e_rho)
+        if norms_n is not None:
+            report.bound("disc_gap_two_sided", 2.0 * norms_n * root,
+                         max(e_rho, e_sigma))
     return report
 
 
@@ -522,61 +602,90 @@ def recovery_chain(ctx: PairContext) -> BoundReport:
     supp rho (where the bare and projected discrepancies agree); a support
     leak is flagged instead of asserted away.
     """
-    r, s, r_n, s_n = ctx.rho, ctx.sigma, ctx.rho_n, ctx.sigma_n
-    e_rho, e_sigma = ctx.recovery_errors
-    disc_full = ctx.recovery_discrepancy
     neg_log = builtin_neg_log()
-    g = ctx.gap(neg_log)
-    law = _law(neg_log, 0.5)
-    log_k_gap = _log_k_gap(law, _k_t(0.5, ctx.delta_norm))
-    report = BoundReport("recovery-chain", 0.5, grid=law.generic_grid)
-    report.bound("rec_rho", 2.0 * disc_full, e_rho)
-    norms_n = None
-    if s_n.is_invertible:
-        norms_n = math.sqrt(float(r_n.eigenvalues[0]) / float(s_n.eigenvalues[-1]))
-        report.bound("rec_sigma_n", 2.0 * norms_n * disc_full, e_sigma)
+    return _chain(_law(neg_log, 0.5), _k_t(0.5, ctx.delta_norm),
+                  ctx.gap(neg_log), _facts(ctx))
+
+
+def _beta_free(beta: float, disc: float, free: float,
+               facts: _Facts) -> BoundReport:
+    report = BoundReport("beta-free", beta)
+    if facts.rho_invertible:
+        report.bound("beta_free", disc / math.sqrt(facts.rho[1]), free)
     else:
-        report.flags.append(FLAG_SIGMA_N_SINGULAR)
-    if s.is_invertible:
-        norms = math.sqrt(float(r.eigenvalues[0]) / float(s.eigenvalues[-1]))
-        report.bound("rec_sigma", 2.0 * norms * disc_full, e_sigma)
-    else:
-        report.flags.append(FLAG_SIGMA_SINGULAR)
-    for key, x, x_n in (("spectrum_rho", r, r_n), ("spectrum_sigma", s, s_n)):
-        report.margins[key] = min(
-            float(x_n.eigenvalues[-1]) - float(x.eigenvalues[-1]),
-            float(x.eigenvalues[0]) - float(x_n.eigenvalues[0]))
-    if math.isinf(g):
-        report.flags.append(FLAG_INFINITE_GAP)
-    if ctx.support_leak_n > s_n.spectrum.zero_threshold:
-        report.flags.append(FLAG_TRACE_LOSS)
-    if ctx.support_leak > s.spectrum.zero_threshold:
-        report.flags.append(FLAG_SUPPORT_MISMATCH)
-    elif not math.isnan(g):
-        root = (max(g, 0.0) / math.exp(log_k_gap)) ** 0.25 \
-            if math.isfinite(g) else math.inf
-        report.bound("disc_gap_one_sided", 2.0 * root, e_rho)
-        if norms_n is not None:
-            report.bound("disc_gap_two_sided", 2.0 * norms_n * root,
-                         max(e_rho, e_sigma))
+        report.bound("beta_free", math.nan)
+        report.flags.append(FLAG_RHO_SINGULAR)
     return report
 
 
 def beta_free_discrepancy(beta: float, ctx: PairContext) -> BoundReport:
     """|| sigmaN^b rhoN^-b - sigma^b rho^-b ||_2 <= ||rho^{-1/2}|| disc(b),
-    asserted for invertible rho only (pseudo-inverses break it otherwise)."""
+    asserted for invertible rho only (pseudo-inverses break it otherwise);
+    the left side is in the trial's quantities, asserted or not."""
     if not 0.0 < beta < 1.0:
         raise InvalidInput("beta must lie in (0, 1)")
-    r = ctx.rho
-    lhs = ctx.beta_free(beta)  # in the trial's quantities, asserted or not
-    report = BoundReport("beta-free", beta)
-    if r.is_invertible:
-        report.bound("beta_free", ctx.discrepancy(beta)
-                     / math.sqrt(float(r.eigenvalues[-1])), lhs)
-    else:
-        report.bound("beta_free", math.nan)
-        report.flags.append(FLAG_RHO_SINGULAR)
-    return report
+    return _beta_free(beta, ctx.discrepancy(beta), ctx.beta_free(beta),
+                      _facts(ctx))
+
+
+@cache
+def _plan(reps: tuple, beta_grid: tuple, alpha_grid: tuple) -> tuple:
+    """What battery reads and builds for (reps, beta_grid, alpha_grid) in
+    any trial: the functions whose entropies it takes (in one pass per
+    operator), the keys of the gaps and discrepancies it reads, and per
+    report its _Law, name and grid. The power corollaries run at each alpha
+    of alpha_grid, then at each neg-power:alpha of reps alpha_grid lacks."""
+    neg_log = builtin_neg_log()
+    powers = [builtin_neg_power(a) for a in dict.fromkeys(alpha_grid + tuple(
+        rep.alpha for rep in reps if rep.alpha is not None))]
+    return (
+        reps + (neg_log,) + tuple(map(builtin_neg_power, alpha_grid + tuple(
+            1.0 - a for a in alpha_grid))),
+        tuple(dict.fromkeys(reps + (neg_log, *powers))),
+        tuple(dict.fromkeys(beta_grid + (0.5,))),
+        tuple((rep, f"dpi:{rep.name}", tuple(
+            (beta, _law(rep, beta), f"theorem:{rep.name}")
+            for beta in beta_grid)) for rep in reps),
+        tuple((beta, _law(neg_log, beta),
+               tuple((rep, _law(rep, beta)) for rep in powers))
+              for beta in beta_grid),
+        tuple(map(_renyi_entry, alpha_grid)),
+        _law(neg_log, 0.5))
+
+
+def battery(ctx: PairContext, reps, beta_grid, alpha_grid) -> list:
+    """The reports of a verify trial, in one pass (module docstring): per
+    function of reps its dpi report and its theorem at each beta; per beta
+    corollary-log, beta-free and corollary-power at each alpha of _plan; the
+    Renyi bound at each alpha of alpha_grid; the recovery chain."""
+    entropies, gaps, betas, theorems, corollaries, renyi, chain = _plan(
+        tuple(reps), tuple(beta_grid), tuple(alpha_grid))
+    ctx.entropies(entropies)
+    facts = _facts(ctx)
+    dn = facts.delta_norm
+    gap = {rep: ctx.gap(rep) for rep in gaps}
+    # (K_T, _delta_log, discrepancy) per beta of the grid and 1/2
+    at = {beta: (_k_t(beta, dn), _delta_log(beta, dn), ctx.discrepancy(beta))
+          for beta in betas}
+    reports = []
+    for rep, dpi_name, by_beta in theorems:
+        reports.append(_dpi(dpi_name, gap[rep]))
+        for beta, law, name in by_beta:
+            reports.append(_theorem(rep, beta, law, name, dn, gap[rep],
+                                    at[beta][2]))
+    g = gap[builtin_neg_log()]
+    for beta, log_law, powers in corollaries:
+        reports.append(_corollary(log_law, beta, g, *at[beta], facts))
+        reports.append(_beta_free(beta, at[beta][2], ctx.beta_free(beta),
+                                  facts))
+        for rep, law in powers:
+            reports.append(_corollary(law, beta, gap[rep], *at[beta]))
+    k_t, delta_log, disc = at[0.5]
+    for entry in renyi:
+        reports.append(_renyi(entry, ctx.renyi_gap(entry[0]), delta_log,
+                              disc, facts))
+    reports.append(_chain(chain, k_t, g, facts))
+    return reports
 
 
 def contraction_probes(d: int) -> tuple[np.ndarray, np.ndarray]:

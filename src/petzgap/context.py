@@ -376,10 +376,11 @@ class _Identity(PairContext):
     (d = 1 included). E(x) is x itself, so op_n is op, whose entropies it
     shares, every gap is exactly 0, and the frames are exact identity
     matrices. The two terms of D_b are then the same numbers, so D_b, w_t
-    and its moment are exactly 0, returned as zeros, not computed. R_x(y) =
-    P_x y P_x with P_x the support projector of x, so a recovery error whose
-    reference state x is invertible is exactly 0, and so is the recovery
-    discrepancy || sigma^{1/2} (P_rho - 1) ||_2 when rho is."""
+    and its moment are exactly 0, returned as zeros, and both norms of D_b
+    as 0.0, not computed. R_x(y) = P_x y P_x with P_x the support projector
+    of x, so a recovery error whose reference state x is invertible is
+    exactly 0, and so is the recovery discrepancy
+    || sigma^{1/2} (P_rho - 1) ||_2 when rho is."""
 
     @cached_property
     def _expectations(self) -> list:
@@ -398,6 +399,9 @@ class _Identity(PairContext):
 
     def _difference(self, beta: float) -> np.ndarray:
         return np.zeros((self.op.dim, self.op.dim), dtype=complex)
+
+    def _norms(self, beta: float) -> tuple[float, float]:
+        return 0.0, 0.0
 
     def w_t(self, t) -> np.ndarray:
         return np.zeros((np.size(t), self.op.dim, self.op.kept_columns.size),

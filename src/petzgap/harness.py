@@ -9,13 +9,12 @@ when its trial ends and written as a part of its own. A verify_v4 trial
 record writes each quantity of the trial once (quantities), the run each
 constant of (report name, beta) once (grid); no bound report holds either,
 nor what another value of the record determines, nor an empty container.
-The harness builds no bound report itself: it picks the reports a trial
-runs, each built in bounds (the dpi and theorem reports too), and reads
-their margins. A reconstruct internals case is the dict that
-bounds.proof_internals returns, with its status; its report is marked at
-assembly. The states of verify and reconstruct trials are prepared a block
-of trials at a time (TrialStates), one stacked eigh per dimension per
-block; TrialStates is the one place that keeps a bad state's error to its
+The harness builds no bound report itself: a verify trial's reports are
+bounds.battery's, and the harness reads their margins. A reconstruct
+internals case is the dict that bounds.proof_internals returns, with its
+status; its report is marked at assembly. The states of verify and
+reconstruct trials are prepared a block of trials at a time (TrialStates),
+one stacked eigh per dimension per block; TrialStates is the one place that keeps a bad state's error to its
 own trial.
 """
 
@@ -27,7 +26,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .algebra import (SubalgebraSpec, factor_spec, full_spec, pinching_spec,
                       trivial_spec)
 from .context import PairContext
 from .errors import InvalidInput, NumericalFailure, PetzGapError
-from .monotone import builtin_neg_log, builtin_neg_power, rep_from_name
+from .monotone import builtin_neg_log, rep_from_name
 from .states import SamplerConfig, default_factors, sample, sample_states
 
 SPEC_KINDS = ("pinching", "partial-trace", "trivial", "full")
@@ -234,43 +232,15 @@ def draw_pair(config: ExperimentConfig, trial_index: int,
             c_rho.kind)
 
 
-@cache
-def _battery(reps: tuple, alphas: tuple) -> tuple[tuple, tuple]:
-    """(the functions whose entropies run_trial reads, the alphas of its
-    power corollaries), made once per (reps, alpha_grid)."""
-    powers = tuple(rep.alpha for rep in reps if rep.alpha is not None)
-    entropies = reps + (builtin_neg_log(),) + tuple(map(
-        builtin_neg_power, alphas + tuple(1.0 - a for a in alphas)))
-    return entropies, tuple(dict.fromkeys(alphas + powers))
-
-
 def run_trial(config: ExperimentConfig, trial_index: int, reps: list,
               states: TrialStates | None = None) -> TrialRecord:
-    """One verify trial with the reps of config.functions. The gap lower
-    bounds are corollary-log and
-    corollary-power at each alpha of alpha_grid, then at the alpha of each
-    neg-power:alpha in functions that alpha_grid lacks. The entropies of
-    every function the battery reads (the reps, neg-log, and the powers
-    alpha and 1 - alpha of alpha_grid) are taken in one pass per operator."""
+    """One verify trial with the reps of config.functions: its reports are
+    bounds.battery's, one pass over the trial's context."""
     rho, sigma, dim, rank_rho, rank_sigma, sampler_kind = \
         draw_pair(config, trial_index, states)
     kind = config.specs[trial_index % len(config.specs)]
     ctx = PairContext(rho, sigma, spec_for(kind, dim))
-    functions, alphas = _battery(tuple(reps), tuple(config.alpha_grid))
-    ctx.entropies(functions)
-    reports = []
-    for rep in reps:
-        reports.append(bounds.dpi_report(rep, ctx))
-        for beta in config.beta_grid:
-            reports.append(bounds.theorem_report(rep, beta, ctx))
-    for beta in config.beta_grid:
-        reports.append(bounds.corollary_log_bound(beta, ctx))
-        reports.append(bounds.beta_free_discrepancy(beta, ctx))
-        for alpha in alphas:
-            reports.append(bounds.corollary_power_bound(alpha, beta, ctx))
-    for alpha in config.alpha_grid:
-        reports.append(bounds.renyi_bound(alpha, ctx))
-    reports.append(bounds.recovery_chain(ctx))
+    reports = bounds.battery(ctx, reps, config.beta_grid, config.alpha_grid)
     drawn = {"trial_index": trial_index, "dim": dim, "spec_kind": kind,
              "sampler_kind": sampler_kind, "rank_rho": rank_rho,
              "rank_sigma": rank_sigma,

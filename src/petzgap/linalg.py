@@ -56,7 +56,9 @@ def zero_thresholds(w: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors."""
+    """Eigenvalues (descending) and matching orthonormal eigenvectors. Its
+    zero_threshold and rank are formed on first read unless a caller that
+    has them sets them (states.from_spectrum does, for a whole stack)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

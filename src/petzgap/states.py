@@ -6,7 +6,8 @@ by one stacked eigh (sample_states makes one per dimension of a block of
 draws). A state whose spectrum is known another way (E(x), from the block
 cores of algebra.expectation_eigh) passes the same trace and positivity
 checks through check_trace and from_spectrum. Positivity and rank follow
-the zero threshold of the spectrum, under linalg's one support policy. A
+the zero threshold of the spectrum, under linalg's one support policy; each
+state's spectrum carries its threshold and rank from from_spectrum. A
 stack raises the error of its first bad matrix (see linalg).
 Sampler streams are counter-based: trial i of seed s draws from
 Philox(key=(s, i)), so any trial is reproducible in isolation.
@@ -86,16 +87,23 @@ def from_spectrum(w: np.ndarray, v: np.ndarray) -> list:
     """The states of stacked spectra (w, v) of matrices of unit trace:
     NotPSD for the first whose least eigenvalue is below minus the zero
     threshold, else the eigenvectors with the eigenvalues clipped at 0 and
-    renormalized. Each state owns its arrays, to be freed with its trial."""
+    renormalized. Each spectrum carries its zero threshold and rank, from
+    one zero_thresholds call and one count over the stack. Each state owns
+    its arrays, to be freed with its trial."""
     bad = np.flatnonzero(w[:, -1] < -zero_thresholds(w))
     if bad.size:
         raise NotPSD(f"eigenvalue {w[bad[0], -1]!r} below -zero_threshold")
     w = np.maximum(w, 0.0)
     w = w / w.sum(axis=1, keepdims=True)
     clean = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return [DensityMatrix((c + c.conj().T) / 2.0,
-                          SpectralDecomposition(x.copy(), u.copy()))
-            for c, x, u in zip(clean, w, v)]
+    states = [DensityMatrix((c + c.conj().T) / 2.0,
+                            SpectralDecomposition(x.copy(), u.copy()))
+              for c, x, u in zip(clean, w, v)]
+    thresholds = zero_thresholds(w)
+    for state, t, r in zip(states, thresholds.tolist(),  # w >= 0: |w| is w
+                           (w > thresholds[:, None]).sum(axis=1).tolist()):
+        state.spectrum.zero_threshold, state.spectrum.rank = t, r
+    return states
 
 
 @dataclass

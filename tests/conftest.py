@@ -8,8 +8,9 @@ from petzgap.states import SamplerConfig, make_density, sample
 
 
 def grid_caches() -> dict:
-    """Every functools cache in petzgap by module.name (bounds._law,
-    context._flat and context._flat_entropies, harness._battery), but
+    """Every functools cache in petzgap by module.name (bounds._law and
+    the battery's plan bounds._plan, context._flat and
+    context._flat_entropies), but
     monotone._neg_power: its entries are the shared function objects that
     PairContext memos and the other caches are keyed by, so it is never
     cleared."""

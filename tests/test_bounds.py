@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from petzgap import entropy, modular
 from petzgap.algebra import factor_spec, full_spec, pinching_spec, trivial_spec
 from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
                             FLAG_SIGMA_SINGULAR, FLAG_SUPPORT_MISMATCH,
-                            FLAG_TRACE_LOSS, BoundReport,
+                            FLAG_TRACE_LOSS, BoundReport, battery,
                             beta_free_discrepancy, contraction_probes,
                             corollary_constant, corollary_log_bound,
                             corollary_power_bound, discrepancy_norm,
@@ -21,9 +22,10 @@ from petzgap.bounds import (FLAG_INFINITE_GAP, FLAG_RHO_SINGULAR,
 from petzgap.context import PairContext
 from petzgap.errors import DomainError, InvalidInput, NotPSD
 from petzgap.harness import (SPEC_KINDS, ExperimentConfig, draw_pair,
-                             run_trial, spec_for)
+                             run_sweep, run_trial, spec_for)
 from petzgap.monotone import builtin_neg_log, builtin_neg_power, rep_from_name
-from petzgap.states import make_density
+from petzgap.states import (SamplerConfig, default_factors, make_density,
+                            sample)
 
 from conftest import (diagonal_state, exact_product_pair, ginibre,
                       grid_caches, near_singular)
@@ -717,11 +719,14 @@ def cache_population() -> list:
 
 def cached_calls(contexts: list) -> list:
     """(label, call) of every public bound builder on each context, at beta
-    in {0.25, 0.5, 0.75, 0.9}, neg-log and neg-power at each alpha."""
+    in {0.25, 0.5, 0.75, 0.9}, neg-log and neg-power at each alpha, and of
+    the battery on those grids."""
     reps = [builtin_neg_log(), builtin_neg_power(0.3)]
     alphas = [0.1, 0.3, 0.5, 0.8]  # 1 - 0.1 = 0.9: a Renyi key off the grid
     calls = []
     for i, ctx in enumerate(contexts):
+        calls.append((f"{i} battery", partial(
+            battery, ctx, reps, [0.25, 0.5, 0.75, 0.9], alphas)))
         dn = ctx.delta_norm
         for rep in reps:
             g = ctx.gap(rep)
@@ -757,10 +762,13 @@ def cached_calls(contexts: list) -> list:
 
 
 def snapshot(value) -> str:
-    """A report's to_json() and grid, or a tuple's floats, as text that
-    tells every float apart bit for bit (nan, -0.0 and inf included)."""
+    """A report's to_json() and grid, each of a list of reports', or a
+    tuple's floats, as text that tells every float apart bit for bit (nan,
+    -0.0 and inf included)."""
     if isinstance(value, BoundReport):
         return json.dumps([value.to_json(), value.grid], sort_keys=True)
+    if isinstance(value, list):
+        return "\n".join(map(snapshot, value))
     return repr(value)
 
 
@@ -790,6 +798,97 @@ def test_cached_constants_give_the_same_reports_cold_and_warm():
         # cached dict a report holds shows too
         warm = [(label, call()) for label, call in order]
         assert {label: snapshot(value) for label, value in warm} == cold
-    # the builders' own caches; harness's and context's fill in trials only
+    # the builders' and the battery's caches; context's fill in trials only
     assert all(cached.cache_info().hits > 0 for cached in caches
                if cached.__module__ == "petzgap.bounds")
+
+
+def builders_one_by_one(ctx, reps, beta_grid, alpha_grid) -> list:
+    """A verify trial's reports from the public builders, each called on its
+    own in the battery's order: per function its dpi report and its theorem
+    at each beta; per beta corollary-log, beta-free and corollary-power at
+    each alpha of alpha_grid, then at the alpha of each neg-power function
+    the grid lacks; the Renyi bounds; the recovery chain."""
+    alphas = dict.fromkeys(list(alpha_grid) + [
+        rep.alpha for rep in reps if rep.alpha is not None])
+    reports = []
+    for rep in reps:
+        reports.append(dpi_report(rep, ctx))
+        reports += [theorem_report(rep, beta, ctx) for beta in beta_grid]
+    for beta in beta_grid:
+        reports.append(corollary_log_bound(beta, ctx))
+        reports.append(beta_free_discrepancy(beta, ctx))
+        reports += [corollary_power_bound(alpha, beta, ctx)
+                    for alpha in alphas]
+    reports += [renyi_bound(alpha, ctx) for alpha in alpha_grid]
+    reports.append(recovery_chain(ctx))
+    return reports
+
+
+# the default grids; beta = 0.99, where K underflows and only its log is
+# kept; Renyi orders whose 1 - alpha is off the alpha grid, with a power
+# function the alpha grid lacks
+TWIN_CONFIGS = [
+    {"trials": 28, "dims": [2, 3, 4, 6, 8]},
+    {"trials": 28, "dims": [2, 3, 4, 6, 8], "beta_grid": [0.99]},
+    {"trials": 28, "dims": [5, 9, 12], "seed": 3, "alpha_grid": [0.1, 0.3],
+     "functions": ["neg-log", "neg-power:0.7"]},
+]
+
+
+@pytest.mark.parametrize("config", TWIN_CONFIGS)
+def test_battery_matches_the_public_builders_to_the_bit(config):
+    """bounds.battery writes every report of a verify trial as the public
+    builders do when each is called on its own, to the bit (to_json() and
+    grid), on every spec kind, singular rho and singular sigma, infinite
+    gaps, and reads the same trial quantities. Each report family is built
+    by one helper that both paths call, so a family changed in the pass
+    alone shows here."""
+    config = ExperimentConfig.from_json(dict(config))
+    reps = [rep_from_name(n) for n in config.functions]
+    seen = set()
+    for i in range(config.trials):
+        rho, sigma, dim, *_ = draw_pair(config, i)
+        kind = config.specs[i % len(config.specs)]
+        pass_ctx, one_ctx = (PairContext(rho, sigma, spec_for(kind, dim))
+                             for _ in range(2))
+        got = battery(pass_ctx, reps, config.beta_grid, config.alpha_grid)
+        want = builders_one_by_one(one_ctx, reps, config.beta_grid,
+                                   config.alpha_grid)
+        assert [snapshot(r) for r in got] == [snapshot(r) for r in want], i
+        assert json.dumps(json_safe(pass_ctx.quantities()), sort_keys=True) \
+            == json.dumps(json_safe(one_ctx.quantities()), sort_keys=True)
+        seen.add(kind)
+        seen.update(label for label, holds in (
+            ("singular rho", not rho.is_invertible),
+            ("singular sigma", not sigma.is_invertible),
+            ("infinite gap",
+             any(math.isinf(one_ctx.gap(rep)) for rep in reps))) if holds)
+    assert seen == set(SPEC_KINDS) | {"singular rho", "singular sigma",
+                                      "infinite gap"}
+
+
+def test_sweep_rows_are_the_battery_right_sides():
+    """Each sweep row's right sides (corollary-log, corollary-power at 1/2,
+    Renyi at 1/2, all at beta = 1/2) are, to the bit, those of the battery's
+    reports on the rung's pair, and the sweep CSV is the golden file's
+    bytes."""
+    config = ExperimentConfig.from_json({"dims": [4, 6, 8]})
+    code, text = run_sweep(config)
+    assert code == 0
+    assert text == (Path(__file__).parent / "data"
+                    / "sweep_golden.csv").read_text()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(rows) == len(config.epsilon_ladder)
+    n1, n2 = default_factors(4)
+    for eps, row in zip(config.epsilon_ladder, rows):
+        rho, sigma = sample(SamplerConfig(
+            dim=4, seed=config.seed, kind="perturbed-recoverable",
+            factors=(n1, n2), epsilon=eps))
+        reports = {r.name: r for r in battery(
+            PairContext(rho, sigma, factor_spec(n1, n2)),
+            [builtin_neg_log()], [0.5], [0.5])}
+        assert row[5:] == [f"{v:.17g}" for v in (
+            reports["corollary-log"].rhs_values["gap_lower_bound"],
+            reports["corollary-power:0.5"].rhs_values["gap_lower_bound"],
+            reports["renyi:0.5"].rhs_values["renyi_disc"])], eps

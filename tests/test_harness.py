@@ -320,14 +320,15 @@ def test_alphas_that_print_alike_keep_their_own_names():
 
 
 def test_summary_locates_the_least_margin_and_counts_flags(monkeypatch):
-    original = bounds.recovery_chain
+    original = bounds.battery
 
-    def with_a_nan_margin(ctx):
-        report = original(ctx)
-        report.margins["planted"] = mark(math.nan)
-        return report
+    def with_a_nan_margin(*args):
+        reports = original(*args)
+        assert reports[-1].name == "recovery-chain"
+        reports[-1].margins["planted"] = mark(math.nan)
+        return reports
 
-    monkeypatch.setattr(bounds, "recovery_chain", with_a_nan_margin)
+    monkeypatch.setattr(bounds, "battery", with_a_nan_margin)
     config = ExperimentConfig(**SINGULAR)
     _, report = run_verify(config)
     summary = report["summary"]

@@ -361,3 +361,55 @@ def test_a_non_finite_entry_is_not_hermitian(entry):
                     validate(m)
     with pytest.raises(InvalidInput, match="not Hermitian"):
         make_density(np.full((2, 2), np.nan))
+
+
+def lazy_facts(dec) -> tuple:
+    """(zero_threshold, rank) as a SpectralDecomposition forms them on first
+    read, from a fresh decomposition of dec's arrays."""
+    fresh_dec = linalg.SpectralDecomposition(dec.eigenvalues, dec.eigenvectors)
+    return fresh_dec.zero_threshold, fresh_dec.rank
+
+
+def carried_facts(dec) -> tuple:
+    """(zero_threshold, rank) as dec carries them, set when it was built."""
+    facts = vars(dec)
+    assert type(facts["zero_threshold"]) is float
+    assert type(facts["rank"]) is int
+    return facts["zero_threshold"], facts["rank"]
+
+
+def test_spectra_carry_their_zero_threshold_and_rank():
+    """from_spectrum sets each state's zero_threshold and rank for the whole
+    stack at once, equal to what the lazy reads form: at exact zeros, at an
+    eigenvalue exactly at the 1e-12 threshold (not counted) and one just
+    above it (counted), and at roundoff negatives inside the threshold,
+    which clip to 0; for make_density of one matrix and of a stack; and for
+    a rank-deficient E(x) of expectation_eigh, through the context."""
+    above = np.nextafter(1e-12, 1.0)
+    w = np.array([[1.0, 0.0, 0.0],
+                  [1.0 - 1e-12, 1e-12, 0.0],
+                  [1.0 - above, above, 0.0],
+                  [1.0 + 5e-13, 0.0, -5e-13]])
+    built = states.from_spectrum(w, np.array([np.eye(3, dtype=complex)] * 4))
+    assert [x.eigenvalues[1] for x in built[1:3]] == [1e-12, above]
+    assert built[3].eigenvalues[2] == 0.0
+    assert [carried_facts(x.spectrum) for x in built] \
+        == [lazy_facts(x.spectrum) for x in built] \
+        == [(1e-12, 1), (1e-12, 1), (1e-12, 2), (1e-12, 1)]
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    stack = g @ g.conj().transpose(0, 2, 1)
+    stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+    for state in make_density(stack) + [make_density(stack[0]),
+                                        make_density(np.eye(4) / 4)]:
+        assert carried_facts(state.spectrum) == lazy_facts(state.spectrum)
+    assert [make_density(m).rank for m in stack] == [2, 2, 2]
+    spec = spec_for("pinching", 4)
+    rho = make_density(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+    ctx = PairContext(rho, make_density(np.eye(4) / 4), spec)
+    # E(rho) is rank-deficient: its second block is 0
+    assert expectation_eigh(spec, rho.matrix).eigenvalues.tolist() \
+        == [0.5, 0.5, 0.0, 0.0]
+    for x in (ctx.rho_n, ctx.sigma_n):
+        assert carried_facts(x.spectrum) == lazy_facts(x.spectrum)
+    assert ctx.rho_n.rank == 2 and ctx.sigma_n.rank == 4

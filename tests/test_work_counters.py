@@ -88,7 +88,8 @@ each of the 3 betas; the Renyi bounds' keys (neg-power:1 - alpha at beta
 = 1/2) are among them. Before, seven caches held the same constants, and
 earlier every corollary report rebuilt its C^f pieces (720 calls per
 command). The petzgap caches a verify run fills are that record, the
-battery's function list (harness._battery) and the shared function objects
+battery's plan (bounds._plan: the functions whose entropies it takes and
+each report's law, name and grid) and the shared function objects
 (monotone._neg_power); each fills exactly one entry per distinct key it
 is asked for, and no key holds a trial quantity: every float in a key is a
 grid value. A fresh interpreter that imports the CLI holds no cached
@@ -134,6 +135,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -187,6 +189,11 @@ TRACE_NORM_PER_TRIAL = 1
 EIGVALSH_LARGE = {"calls": 9, "matrices": 15}
 # E = id: only the recovery discrepancy of a singular rho forms the ratio
 RATIO_N_PER_IDENTITY_TRIAL = {True: 0, False: 1}  # by rho.is_invertible
+# || D_b rho^{1/2} ||_2 and || D_b ||_2 of a beta, from one D_b
+HS_NORM_PER_BETA = 2
+# E = id: D_b is exactly 0, so only the recovery discrepancy of a singular rho
+# takes a Hilbert-Schmidt norm
+HS_NORM_PER_IDENTITY_TRIAL = {True: 0, False: 1}  # by rho.is_invertible
 # expectation_eigh calls of one command: a call per trial, except the E = id
 # and the trivial-algebra trials, which take E(x) from exact identities
 EXPECTATION_EIGH_PER_COMMAND = {"verify-small": 24, "verify-large": 6,
@@ -587,7 +594,7 @@ def test_importing_the_cli_fills_no_cache():
     assert {name for name, _ in sizes} \
         == set(grid_caches()) | {"petzgap.monotone._neg_power"} \
         == {"petzgap.bounds._law", "petzgap.context._flat",
-            "petzgap.context._flat_entropies", "petzgap.harness._battery",
+            "petzgap.context._flat_entropies", "petzgap.bounds._plan",
             "petzgap.monotone._neg_power"}
     assert all(size == 0 for _, size in sizes), sizes
 
@@ -710,3 +717,69 @@ def test_reconstruct_makes_its_grid_and_probes_once_per_run(monkeypatch):
                       (2 * PROBE_DRAWS_PER_RECONSTRUCT_RUN,
                        2 * LOGSPACE_PER_RECONSTRUCT_RUN,
                        2 * EINSUM_PER_RECONSTRUCT_RUN)], counts
+
+
+class RecordingContext:
+    """A PairContext as bounds.battery reads it: each attribute read is
+    recorded as its name, each method call as (name, *args)."""
+
+    def __init__(self, ctx, reads: list):
+        self.ctx, self.reads = ctx, reads
+
+    def __getattr__(self, name):
+        value = getattr(self.ctx, name)
+        if not callable(value):
+            self.reads.append(name)
+            return value
+
+        def call(*args):
+            self.reads.append((name, *args))
+            return value(*args)
+        return call
+
+
+def test_battery_reads_each_quantity_once(monkeypatch):
+    """Per verify trial the battery reads each context quantity once per
+    key (where the bounds made about 50 memoized reads), forms the
+    ||Delta|| term of the constants once per beta of the grid and 1/2
+    (bounds._delta_log, 15 calls before) and looks up no _Law but the
+    theorem minimizer's. Its discrepancies and beta-free norms take two
+    linalg.hs_norm calls per beta from one D_b, and the recovery
+    discrepancy one; an E = id trial takes none for the first two, whose
+    D_b is exactly 0, so it calls hs_norm only for the recovery discrepancy
+    of a singular rho (6 fewer calls a trial at the default grids)."""
+    config = ExperimentConfig(trials=2 * TRIALS, dims=[2, 3, 4, 6, 8])
+    reps = [rep_from_name(n) for n in config.functions]
+    reads = []
+    original = bounds.battery
+    monkeypatch.setattr(bounds, "battery", lambda ctx, *args: original(
+        RecordingContext(ctx, reads), *args))
+    delta_log = count_calls(monkeypatch, bounds, "_delta_log")
+    law = count_calls(monkeypatch, bounds, "_law")
+    optimum = count_calls(monkeypatch, bounds, "theorem_optimum")
+    hs_norm = count_linalg(monkeypatch, "hs_norm")
+    betas = set(config.beta_grid) | {0.5}
+    cases = set()
+    for i in range(config.trials):
+        dim = config.dims[i % len(config.dims)]
+        spec = spec_for(config.specs[i % len(config.specs)], dim)
+        identity = spec.blocks == [(dim, 1)]
+        invertible = draw_pair(config, i)[0].is_invertible
+        cases.add((identity, invertible))
+        before = len(delta_log), len(law), len(optimum), len(hs_norm)
+        reads.clear()
+        run_trial(config, i, reps)
+        counts = Counter(reads)
+        assert max(counts.values()) == 1, (i, counts.most_common(3))
+        assert {"delta_norm", "recovery_errors", "recovery_discrepancy",
+                "support_leak", "support_leak_n"} <= set(counts), i
+        assert {("discrepancy", beta) for beta in betas} \
+            | {("beta_free", beta) for beta in config.beta_grid} \
+            | {("renyi_gap", alpha) for alpha in config.alpha_grid} \
+            <= set(counts), i
+        assert len(delta_log) - before[0] == len(betas) == 3
+        assert len(law) - before[1] == len(optimum) - before[2]
+        assert len(hs_norm) - before[3] == (
+            HS_NORM_PER_IDENTITY_TRIAL[invertible] if identity
+            else HS_NORM_PER_BETA * len(betas) + 1), (i, identity, invertible)
+    assert {(True, True), (True, False), (False, True)} <= cases, cases
