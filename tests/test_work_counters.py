@@ -750,6 +750,7 @@ def test_battery_reads_each_quantity_once(monkeypatch):
     of a singular rho (6 fewer calls a trial at the default grids)."""
     config = ExperimentConfig(trials=2 * TRIALS, dims=[2, 3, 4, 6, 8])
     reps = [rep_from_name(n) for n in config.functions]
+    run_trial(config, 0, reps)  # the plan and its laws: once per process
     reads = []
     original = bounds.battery
     monkeypatch.setattr(bounds, "battery", lambda ctx, *args: original(
